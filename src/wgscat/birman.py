@@ -119,19 +119,6 @@ class GridOperator:
         return self.matrix.shape[0]
 
 
-def _mode_quadrature_cap(model: WaveguideModel) -> float:
-    """Analytic cap on ``sum_i w_i f_n(omega_i)^2`` over all mode indices."""
-    cs = model.cross_section
-    kind = type(cs).__name__
-    if kind == "Interval":
-        return 2.0
-    if kind == "Rectangle":
-        return 4.0
-    # custom: measured over the supplied modes
-    phi = model.mode_quadrature_vectors()
-    return float(max(1.0, np.max(np.sum(phi**2, axis=1))))
-
-
 def tail_bound_value(model: WaveguideModel, z: complex, n_used: int) -> float:
     """Certified operator-norm bound for the omitted closed-channel sum.
 
@@ -145,7 +132,7 @@ def tail_bound_value(model: WaveguideModel, z: complex, n_used: int) -> float:
     gap = lam_next - z.real
     if gap <= 0:
         return float("inf")
-    return model.v_norm_inf() ** 2 * _mode_quadrature_cap(model) / gap
+    return model.v_norm_inf() ** 2 * model.cross_section.quadrature_cap(model.n_max) / gap
 
 
 def _choose_n_used(model: WaveguideModel, z: complex, tail_tol: float,

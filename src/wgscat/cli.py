@@ -209,14 +209,12 @@ def cmd_threshold_scan(cfg, writer: ArtifactWriter, args) -> int:
     halvings = int(task.get("halvings", 10))
     hs = [eps / 2.0 ** (k + 1) for k in range(halvings)]
     ladder = expansion.build_threshold_ladder(model, lam, eps=eps, tail_tol=tail_tol)
-    reports = []
-    for pair in task["pairs"]:
-        chan = (int(pair[0][0]), int(pair[0][1]))
-        chan_p = (int(pair[1][0]), int(pair[1][1]))
-        rep = scattering.threshold_continuity_probe(
-            lam, chan, chan_p, hs, model, ladder=ladder
-        )
-        reports.append(rep.to_dict())
+    pairs = [((int(p[0][0]), int(p[0][1])), (int(p[1][0]), int(p[1][1])))
+             for p in task["pairs"]]
+    reports = [
+        rep.to_dict()
+        for rep in scattering.threshold_continuity_probes(lam, pairs, hs, model, ladder=ladder)
+    ]
     writer.write_json("threshold_scan.json", reports)
     rows = []
     for rep in reports:

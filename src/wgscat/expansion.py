@@ -20,13 +20,19 @@ off the thresholds the two-term form applies instead:
 
     M(lam, k) = (J0(k)+S)^-1 + (1/k^2)(J0(k)+S)^-1 S J1(k)^-1 S (J0(k)+S)^-1.
 
+A ladder holds the kappa-independent data (projections ``S_j``, level
+operators at ``k = 0``); ``ladder.at(k)`` returns one immutable evaluation
+with every kappa-dependent operator, each computed once: ``G0``, ``I1``,
+``H1``, ``I2``, ``(I2+S2)^-1``, ``I3`` and ``I3^-1``, down to the terminal
+level only.  The expansion formulas and the structural report read it.
+
 Off the rays (``Re k > 0 > Im k``) every formula is cross-checkable against
 a directly assembled dense inverse; that oracle sits behind ``verify=True``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,7 +43,7 @@ from .errors import (
     HypothesisError,
     StructuralError,
 )
-from .inversion import LadderLevel, OperatorFamily, two_term_invert
+from .inversion import two_term_invert
 from .linalg import Projection, opnorm
 from .waveguide import WaveguideModel
 
@@ -98,6 +104,30 @@ def kappa_sample_paths(
 # Threshold ladder
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class LadderEvaluation:
+    """Every kappa-dependent operator of a threshold ladder at one kappa.
+
+    ``g0 = (I0+S0)^-1`` and ``h1 = (I1+S1)^-1`` (extended by zero outside
+    ``S0 H``) are dense; ``i2c``/``h2 = (I2+S2)^-1`` live in S1 coordinates
+    and ``i3c``/``i3inv = I3^-1`` in S2 coordinates.  Entries below the
+    ladder's terminal level are ``None``.
+    """
+
+    g0: np.ndarray
+    i1: np.ndarray
+    h1: np.ndarray
+    i2c: np.ndarray | None = None
+    h2: np.ndarray | None = None
+    i3c: np.ndarray | None = None
+    i3inv: np.ndarray | None = None
+
+    @property
+    def terminal_inverse(self) -> np.ndarray:
+        """The deepest compressed inverse: ``H1``, ``(I2+S2)^-1`` or ``I3^-1``."""
+        return next(a for a in (self.i3inv, self.h2, self.h1) if a is not None)
+
+
 @dataclass
 class ThresholdLadder:
     """All kappa-independent data of the expansion at one threshold."""
@@ -112,6 +142,8 @@ class ThresholdLadder:
     # level 0
     vtil: np.ndarray          # (|N|, dim) weighted threshold vectors
     u_n: np.ndarray           # (dim, rank N0) orthonormal basis of span(vtil)
+    pn: np.ndarray            # projector onto span(vtil)
+    s0: np.ndarray            # I - pn
     n0: np.ndarray
     n10: np.ndarray
     n20: np.ndarray
@@ -120,14 +152,15 @@ class ThresholdLadder:
     x0: np.ndarray            # real part of m10
     g00: np.ndarray           # (N0 + S0)^-1, exact block form
     # level 1
+    i10: np.ndarray           # I1(0) = S0 M1(0) S0
     b1: np.ndarray | None     # (dim, r1) kernel basis of I1(0) inside S0 H
+    s1: np.ndarray            # b1 b1^*
     # level 2
     i2c0: np.ndarray | None   # (r1, r1)
     kc2: np.ndarray | None    # (r1, r2) kernel basis of I2(0) in S1 coordinates
     # level 3
     i3c0: np.ndarray | None = None
     s3c: Projection | None = None
-    levels: list[LadderLevel] = field(default_factory=list)
 
     # -- static structure ----------------------------------------------------
 
@@ -149,26 +182,14 @@ class ThresholdLadder:
             return None
         return self.b1 @ self.kc2
 
-    def p_n(self) -> np.ndarray:
-        """Projector onto the span of the weighted threshold vectors."""
-        return self.u_n @ self.u_n.conj().T
-
-    def s0_matrix(self) -> np.ndarray:
-        return np.eye(self.dim, dtype=complex) - self.p_n()
-
-    def s1_matrix(self) -> np.ndarray:
-        if self.b1 is None:
-            return np.zeros((self.dim, self.dim), dtype=complex)
-        return self.b1 @ self.b1.conj().T
-
-    def s2_matrix(self) -> np.ndarray:
+    def s_matrix(self, j: int) -> np.ndarray:
+        """Dense ``S_j`` for ``j = 0, 1, 2``."""
+        if j < 2:
+            return (self.s0, self.s1)[j]
         b2 = self.b2
         if b2 is None:
             return np.zeros((self.dim, self.dim), dtype=complex)
         return b2 @ b2.conj().T
-
-    def s_matrix(self, j: int) -> np.ndarray:
-        return (self.s0_matrix(), self.s1_matrix(), self.s2_matrix())[j]
 
     def terminal_level(self) -> int:
         if self.r1 == 0:
@@ -209,102 +230,37 @@ class ThresholdLadder:
         """``(I0(kappa) + S0)^-1`` (dense)."""
         if kappa == 0:
             return self.g00
-        return linalg.inverse(self.i0(kappa) + self.s0_matrix())
+        return linalg.inverse(self.i0(kappa) + self.s0)
 
-    def i1_full(self, kappa: complex, g0k: np.ndarray | None = None) -> np.ndarray:
-        """``I1(kappa)`` supported on ``S0 H`` (quotient form away from 0)."""
+    def at(self, kappa: complex) -> LadderEvaluation:
+        """The ladder at ``kappa != 0``: each level inverse computed once,
+        down to the terminal level (quotient forms throughout)."""
         if kappa == 0:
-            s0 = self.s0_matrix()
-            return s0 @ self.m10 @ s0
-        g = self.g0(kappa) if g0k is None else g0k
+            raise DomainError("the ladder is evaluated at kappa != 0 only")
+        g0 = self.g0(kappa)
         u = self.u_n
-        # S0 G S0 through rank updates rather than dense projector products
-        gs = g - (g @ u) @ u.conj().T
+        # S0 G0 S0 through rank updates rather than dense projector products
+        gs = g0 - (g0 @ u) @ u.conj().T
         sgs = gs - u @ (u.conj().T @ gs)
-        return (self.s0_matrix() - sgs) / (2.0 * kappa)
-
-    def m2(self, kappa: complex) -> np.ndarray:
-        """``(I1(kappa) - I1(0)) / kappa`` on ``S0 H``."""
-        if kappa == 0:
-            raise DomainError("m2 requires kappa != 0")
-        return (self.i1_full(kappa) - self.i1_full(0.0)) / kappa
-
-    def h1inv(self, kappa: complex, g0k: np.ndarray | None = None) -> np.ndarray:
-        """``(I1(kappa) + S1)^-1`` inside ``S0 H``, extended by zero.
-
-        One dense inverse: ``I1 + S1 + P_N`` is block diagonal with the
-        identity on the complement of ``S0 H``.
-        """
-        pn = self.p_n()
-        z = self.i1_full(kappa, g0k) + self.s1_matrix() + pn
-        return linalg.inverse(z) - pn
-
-    def i2c(self, kappa: complex, h1k: np.ndarray | None = None) -> np.ndarray:
-        """``I2(kappa)`` in S1 coordinates (quotient form away from 0)."""
+        i1 = (self.s0 - sgs) / (2.0 * kappa)
+        # one dense inverse: I1 + S1 + P_N is block diagonal with the
+        # identity on the complement of S0 H
+        h1 = linalg.inverse(i1 + self.s1 + self.pn) - self.pn
         if self.b1 is None:
-            raise DomainError("ladder terminates at level 1; I2 is empty")
-        if kappa == 0:
-            return self.i2c0
-        h1 = self.h1inv(kappa) if h1k is None else h1k
-        r1 = self.r1
-        return (np.eye(r1, dtype=complex) - self.b1.conj().T @ h1 @ self.b1) / kappa
-
-    def m3(self, kappa: complex) -> np.ndarray:
-        if kappa == 0:
-            raise DomainError("m3 requires kappa != 0")
-        return (self.i2c(kappa) - self.i2c0) / kappa
-
-    def h2inv_c(self, kappa: complex, i2ck: np.ndarray | None = None) -> np.ndarray:
-        i2 = self.i2c(kappa) if i2ck is None else i2ck
+            return LadderEvaluation(g0, i1, h1)
+        i2c = (np.eye(self.r1, dtype=complex) - self.b1.conj().T @ h1 @ self.b1) / kappa
         s2c = (
             self.kc2 @ self.kc2.conj().T
             if self.kc2 is not None
             else np.zeros((self.r1, self.r1), dtype=complex)
         )
-        return linalg.inverse(i2 + s2c)
-
-    def i3c(self, kappa: complex, h2k: np.ndarray | None = None) -> np.ndarray:
+        h2 = linalg.inverse(i2c + s2c)
         if self.kc2 is None:
-            raise DomainError("ladder terminates at level 2; I3 is empty")
-        if kappa == 0:
-            if self.i3c0 is None:
-                raise DomainError("I3(0) not extrapolated for this ladder")
-            return self.i3c0
-        h2 = self.h2inv_c(kappa) if h2k is None else h2k
-        r2 = self.r2
-        return (np.eye(r2, dtype=complex) - self.kc2.conj().T @ h2 @ self.kc2) / kappa
-
-    def i3inv_c(self, kappa: complex) -> np.ndarray:
-        return two_term_invert(self.i3c(kappa), self.s3c)
-
-    def level_inverse(self, k_level: int, kappa: complex) -> np.ndarray:
-        """``(I_k(kappa)+S_k)^-1`` extended by zero outside its home space."""
-        if k_level == 0:
-            return self.g0(kappa)
-        if k_level == 1:
-            return self.h1inv(kappa)
-        if k_level == 2:
-            if self.b1 is None:
-                raise DomainError("level 2 is empty for this ladder")
-            return self.b1 @ self.h2inv_c(kappa) @ self.b1.conj().T
-        raise DomainError(f"no level {k_level}")
-
-    def commutator(self, j: int, k_level: int, kappa: complex) -> np.ndarray:
-        """``[S_j, (I_k(kappa)+S_k)^-1]`` extended to the full space."""
-        if not 2 >= j >= k_level >= 0:
-            raise DomainError("commutators are defined for 2 >= j >= k >= 0")
-        sj = self.s_matrix(j)
-        inv = self.level_inverse(k_level, kappa)
-        return sj @ inv - inv @ sj
-
-    def terminal_inverse_norm(self, kappa: complex) -> float:
-        """Norm of the terminal compressed inverse at ``kappa``."""
-        t = self.terminal_level()
-        if t == 1:
-            return opnorm(self.h1inv(kappa))
-        if t == 2:
-            return opnorm(self.h2inv_c(kappa))
-        return opnorm(self.i3inv_c(kappa))
+            return LadderEvaluation(g0, i1, h1, i2c, h2)
+        i3c = (np.eye(self.r2, dtype=complex) - self.kc2.conj().T @ h2 @ self.kc2) / kappa
+        # s3c is unset only while the builder extrapolates I3(0) from i3c
+        i3inv = None if self.s3c is None else two_term_invert(i3c, self.s3c)
+        return LadderEvaluation(g0, i1, h1, i2c, h2, i3c, i3inv)
 
 
 def _level0_data(
@@ -406,7 +362,7 @@ def build_threshold_ladder(
     n_used, members = d0["n_used"], d0["members"]
     vtil, u_n, n0 = d0["vtil"], d0["u_n"], d0["n0"]
     n10, n20, w0, m10 = d0["n10"], d0["n20"], d0["w0"], d0["m10"]
-    pn, g00, i10 = d0["pn"], d0["g00"], d0["i10"]
+    pn, s0, g00, i10 = d0["pn"], d0["s0"], d0["g00"], d0["i10"]
     x0 = linalg.real_part(m10)
 
     # level 1: ker(I1(0)) inside S0 H == ker(I1(0) + P_N)
@@ -434,6 +390,12 @@ def build_threshold_ladder(
         kc2_b = linalg.kernel_basis(i2c0, rank_tol, scale=scale2)
         kc2 = kc2_b if kc2_b.shape[1] else None
 
+    # S0, S1, S2 are orthogonal projections exactly when their bases are
+    # orthonormal
+    for name, q in (("u_n", u_n), ("b1", b1), ("b2", None if kc2 is None else b1 @ kc2)):
+        if q is not None and opnorm(q.conj().T @ q - np.eye(q.shape[1])) > 1e-10:
+            raise AccuracyError(f"basis {name} is not orthonormal to tolerance")
+
     ladder = ThresholdLadder(
         model=model,
         lam=lam,
@@ -444,6 +406,8 @@ def build_threshold_ladder(
         tail_bound=birman.tail_bound_value(model, complex(lam + eps**2), n_used),
         vtil=vtil,
         u_n=u_n,
+        pn=pn,
+        s0=s0,
         n0=n0,
         n10=n10,
         n20=n20,
@@ -451,7 +415,9 @@ def build_threshold_ladder(
         m10=m10,
         x0=x0,
         g00=g00,
+        i10=i10,
         b1=b1,
+        s1=b1_full @ b1_full.conj().T,
         i2c0=i2c0,
         kc2=kc2,
     )
@@ -459,52 +425,12 @@ def build_threshold_ladder(
     if kc2 is not None:
         # I3(0) by polynomial extrapolation along the real ray
         ks = np.array([eps * 0.04, eps * 0.02, eps * 0.01])
-        vals = np.array([ladder.i3c(float(k)) for k in ks])
+        vals = np.array([ladder.at(float(k)).i3c for k in ks])
         coef = np.polyfit(ks, vals.reshape(ks.size, -1), 2)
         ladder.i3c0 = np.ascontiguousarray(coef[-1].reshape(vals.shape[1:]))
         ladder.s3c = linalg.riesz_projection_at_zero(ladder.i3c0)
 
-    ladder.levels = _ladder_levels(ladder)
     return ladder
-
-
-def _ladder_levels(lad: ThresholdLadder) -> list[LadderLevel]:
-    """Level-record view: one entry per level with S_j, I_j(0), family."""
-    levels = []
-    s0_proj = Projection(lad.s0_matrix(), orthogonal=True, tol=1e-10)
-    fam0 = OperatorFamily(
-        lad.n0, lambda k: 2.0 * lad.m1(k),
-        bound=4.0 * opnorm(lad.m10) + 4.0, radius=lad.eps,
-    )
-    levels.append(LadderLevel(0, s0_proj, lad.n0, fam0, terminal=(s0_proj.rank == 0)))
-
-    i10 = lad.i1_full(0.0)
-    s1_proj = Projection(lad.s1_matrix(), orthogonal=True, tol=1e-10)
-    fam1 = OperatorFamily(
-        i10, lambda k: lad.m2(k if k != 0 else 1e-8 * lad.eps),
-        bound=0.0, radius=lad.eps,
-    )
-    levels.append(LadderLevel(1, s1_proj, i10, fam1, terminal=(lad.r1 == 0)))
-    if lad.r1 == 0:
-        return levels
-
-    s2_proj = Projection(lad.s2_matrix(), orthogonal=True, tol=1e-10)
-    fam2 = OperatorFamily(
-        lad.i2c0, lambda k: lad.m3(k if k != 0 else 1e-8 * lad.eps),
-        bound=0.0, radius=lad.eps,
-    )
-    levels.append(LadderLevel(2, s2_proj, lad.i2c0, fam2, terminal=(lad.r2 == 0)))
-    if lad.r2 == 0:
-        return levels
-
-    s3_proj = lad.s3c
-    fam3 = OperatorFamily(
-        lad.i3c0,
-        lambda k: (lad.i3c(k) - lad.i3c0) / k if k != 0 else 0.0 * lad.i3c0,
-        bound=0.0, radius=lad.eps,
-    )
-    levels.append(LadderLevel(3, s3_proj, lad.i3c0, fam3, terminal=True))
-    return levels
 
 
 def direct_inverse(model: WaveguideModel, lam: float, kappa: complex, n_used: int) -> np.ndarray:
@@ -539,23 +465,20 @@ def m_function(
     if abs(kappa) > ladder.eps:
         raise DomainError(f"|kappa| = {abs(kappa):.3e} outside the ladder region")
     k = complex(kappa)
-    g0k = ladder.g0(k)
+    ev = ladder.at(k)
+    g0k, h1, h2 = ev.g0, ev.h1, ev.h2
     term1 = 2.0 * k * g0k
-    h1 = ladder.h1inv(k, g0k)
     term2 = g0k @ h1 @ g0k
     out = term1 + term2
     term3_norm = term4_norm = 0.0
     if ladder.r1 > 0:
         left = g0k @ (h1 @ ladder.b1)             # (dim, r1)
         right = (ladder.b1.conj().T @ h1) @ g0k   # (r1, dim)
-        i2ck = ladder.i2c(k, h1)
-        h2 = ladder.h2inv_c(k, i2ck)
         term3 = (left @ h2 @ right) / k
         term3_norm = opnorm(term3)
         out = out + term3
         if ladder.r2 > 0:
-            i3inv = two_term_invert(ladder.i3c(k, h2), ladder.s3c)
-            mid = (h2 @ ladder.kc2) @ i3inv @ (ladder.kc2.conj().T @ h2)
+            mid = (h2 @ ladder.kc2) @ ev.i3inv @ (ladder.kc2.conj().T @ h2)
             term4 = (left @ mid @ right) / k**2
             term4_norm = opnorm(term4)
             out = out + term4
@@ -579,6 +502,15 @@ def m_function(
 # Eigenvalue ladder
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class EigenvalueEvaluation:
+    """The two-term ladder at one kappa: ``gs = (J0+S)^-1`` (dense) and
+    ``j1c = J1`` in S coordinates (``None`` at a regular point)."""
+
+    gs: np.ndarray
+    j1c: np.ndarray | None
+
+
 @dataclass
 class EigenvalueLadder:
     """Two-term expansion data at ``lam`` off the threshold set."""
@@ -590,19 +522,11 @@ class EigenvalueLadder:
     n_used: int
     t0: np.ndarray
     basis: np.ndarray | None   # (dim, r) kernel basis of T0; None when regular
-
-    @property
-    def dim(self) -> int:
-        return self.model.dim
+    s: np.ndarray              # basis basis^*, the projection onto ker T0
 
     @property
     def rank(self) -> int:
         return 0 if self.basis is None else self.basis.shape[1]
-
-    def s_matrix(self) -> np.ndarray:
-        if self.basis is None:
-            return np.zeros((self.dim, self.dim), dtype=complex)
-        return self.basis @ self.basis.conj().T
 
     def t1(self, kappa: complex) -> np.ndarray:
         """``(1/k^2) sum_n v {P_n (x) (R0(z-l_n) - R0(lam-l_n))} v`` with the
@@ -626,17 +550,14 @@ class EigenvalueLadder:
             return self.t0
         return self.t0 + complex(kappa) ** 2 * self.t1(kappa)
 
-    def g_s(self, kappa: complex) -> np.ndarray:
-        """``(J0(kappa) + S)^-1`` (dense)."""
-        return linalg.inverse(self.j0(kappa) + self.s_matrix())
-
-    def j1c(self, kappa: complex, gsk: np.ndarray | None = None) -> np.ndarray:
-        """``J1(kappa)`` in S coordinates (quotient in the variable k^2)."""
+    def at(self, kappa: complex) -> EigenvalueEvaluation:
+        """The ladder at ``kappa``; ``J1`` is the quotient in the variable k^2."""
+        g = linalg.inverse(self.j0(kappa) + self.s)
         if self.basis is None:
-            raise DomainError("regular point: J1 is empty")
-        g = self.g_s(kappa) if gsk is None else gsk
+            return EigenvalueEvaluation(g, None)
         r = self.rank
-        return (np.eye(r, dtype=complex) - self.basis.conj().T @ g @ self.basis) / kappa**2
+        j1 = (np.eye(r, dtype=complex) - self.basis.conj().T @ g @ self.basis) / kappa**2
+        return EigenvalueEvaluation(g, j1)
 
 
 def build_eigenvalue_ladder(
@@ -672,6 +593,7 @@ def build_eigenvalue_ladder(
         n_used=op.n_used,
         t0=t0,
         basis=basis if basis.shape[1] else None,
+        s=basis @ basis.conj().T,
     )
 
 
@@ -687,13 +609,12 @@ def m_function_at_eigenvalue(
     if abs(kappa) > ladder.eps:
         raise DomainError(f"|kappa| = {abs(kappa):.3e} outside the ladder region")
     k = complex(kappa)
-    g = ladder.g_s(k)
-    out = g
+    ev = ladder.at(k)
+    g = out = ev.gs
     if ladder.basis is not None:
-        j1 = ladder.j1c(k, g)
         left = g @ ladder.basis
         right = ladder.basis.conj().T @ g
-        out = g + (left @ linalg.inverse(j1) @ right) / k**2
+        out = g + (left @ linalg.inverse(ev.j1c) @ right) / k**2
     if verify:
         if not (k.real > 0 and k.imag < 0):
             raise DomainError("the dense oracle needs kappa strictly inside the sector")
@@ -792,7 +713,7 @@ def verify_structural_lemmas(
     )
 
     s0_svd = linalg.kernel_projector(ladder.n0, ladder.rank_tol)
-    agree = opnorm(s0_svd.matrix - ladder.s0_matrix())
+    agree = opnorm(s0_svd.matrix - ladder.s0)
     checks.append(CheckLine("s0_svd_vs_span_construction", agree, 1e-9, agree <= 1e-9))
 
     d_vec = max(
@@ -808,7 +729,7 @@ def verify_structural_lemmas(
     # the constant-profile contraction checked above.
     if ladder.u_n.shape[1]:
         pv = _mode_projector_operator(model, ladder.members[0])
-        d_op = opnorm(pv @ ladder.s0_matrix()) / max(opnorm(pv), 1e-300)
+        d_op = opnorm(pv @ ladder.s0) / max(opnorm(pv), 1e-300)
         checks.append(
             CheckLine("mode_projector_operator_form", d_op, None, None,
                       "defect of the full operator form, shown for reference; "
@@ -816,7 +737,7 @@ def verify_structural_lemmas(
         )
 
     if ladder.r1 > 0:
-        s1 = ladder.s1_matrix()
+        s1 = ladder.s1
         open_others = [
             n for n in ladder.other_modes() if model.eigenvalue(n) < ladder.lam
         ]
@@ -850,38 +771,40 @@ def verify_structural_lemmas(
         herm = opnorm(ladder.i2c0 - ladder.i2c0.conj().T) / max(1.0, opnorm(ladder.i2c0))
         checks.append(CheckLine("i2_self_adjoint", herm, 1e-10, herm <= 1e-10))
 
-    mats = [ladder.s0_matrix(), ladder.s1_matrix(), ladder.s2_matrix()]
+    mats = [ladder.s_matrix(j) for j in range(3)]
     nest = 0.0
     for j in range(2):
         a, b = mats[j], mats[j + 1]
         nest = max(nest, opnorm(b @ a - b), opnorm(a @ b - b))
     checks.append(CheckLine("projection_nesting", nest, 1e-10, nest <= 1e-10))
 
-    # commutator growth exponents over the sampled rays
+    # one ladder evaluation per kappa sample feeds the commutator growth
+    # exponents and, on the two boundary rays, the terminal-inverse norms
     paths = kappa_sample_paths(kappa_lo, kappa_hi, per_decade)
-    ks = np.concatenate(list(paths.values()))
-    max_level = 0 if ladder.r1 == 0 else (1 if ladder.r2 == 0 else 2)
-    inv_cache = {k: {lev: ladder.level_inverse(lev, k) for lev in range(max_level + 1)}
-                 for k in ks}
+    ray = np.concatenate([paths["left"], paths["right"]])
+    ks = np.concatenate([ray, paths["diagonal"]])
+    max_level = ladder.terminal_level() - 1
+    comm_vals = {(j, k_level): [] for j in range(max_level + 1) for k_level in range(j + 1)}
+    terminal_vals = []
+    for i, k in enumerate(ks):
+        ev = ladder.at(k)
+        invs = [ev.g0, ev.h1]
+        if max_level == 2:
+            invs.append(ladder.b1 @ ev.h2 @ ladder.b1.conj().T)
+        for (j, k_level), vals in comm_vals.items():
+            sj, inv = mats[j], invs[k_level]
+            vals.append(opnorm(sj @ inv - inv @ sj))
+        if i < ray.size:
+            terminal_vals.append(opnorm(ev.terminal_inverse))
     floor = 1e-12 * max(1.0, opnorm(ladder.m10))
-    for j in range(0, 3):
-        if j >= 1 and ladder.r1 == 0:
-            continue
-        if j == 2 and ladder.r2 == 0:
-            continue
-        sj = ladder.s_matrix(j)
-        for k_level in range(0, min(j, max_level) + 1):
-            vals = []
-            for k in ks:
-                inv = inv_cache[k][k_level]
-                vals.append(opnorm(sj @ inv - inv @ sj))
-            target = 1.9 if (j, k_level) == (2, 0) else 0.9
-            expo, used = fit_exponent(ks, vals, floor)
-            fits.append(
-                FitLine(f"commutator_growth_{j}{k_level}", expo, target, used,
-                        expo >= target or used < 3,
-                        "below noise floor on all samples" if used < 3 else "")
-            )
+    for (j, k_level), vals in comm_vals.items():
+        target = 1.9 if (j, k_level) == (2, 0) else 0.9
+        expo, used = fit_exponent(ks, vals, floor)
+        fits.append(
+            FitLine(f"commutator_growth_{j}{k_level}", expo, target, used,
+                    expo >= target or used < 3,
+                    "below noise floor on all samples" if used < 3 else "")
+        )
 
     # trace rows against S1: quadratic vanishing for an open channel
     if ladder.r1 > 0:
@@ -905,9 +828,7 @@ def verify_structural_lemmas(
             )
 
     # boundedness of the terminal inverse along both rays
-    ray = np.concatenate([paths["left"], paths["right"]])
-    vals = [ladder.terminal_inverse_norm(k) for k in ray]
-    expo, used = fit_exponent(ray, vals, 0.0)
+    expo, used = fit_exponent(ray, terminal_vals, 0.0)
     expo_val = expo if np.isfinite(expo) else 0.0
     fits.append(
         FitLine("terminal_inverse_bounded", expo_val, -0.15, used,

@@ -370,23 +370,6 @@ def threshold_continuity_probes(
     return reps
 
 
-def threshold_continuity_probe(
-    lam0: float,
-    chan: tuple[int, int],
-    chan_p: tuple[int, int],
-    h_values,
-    model: WaveguideModel,
-    ladder: ThresholdLadder | None = None,
-    eps: float = 1e-2,
-    tail_tol: float = 1e-3,
-) -> ProbeReport:
-    """Single-pair convenience wrapper for
-    :func:`threshold_continuity_probes`."""
-    return threshold_continuity_probes(
-        lam0, [(chan, chan_p)], h_values, model, ladder, eps, tail_tol
-    )[0]
-
-
 def eigenvalue_continuity_probe(
     lam: float,
     chan: tuple[int, int],

@@ -60,6 +60,10 @@ class Interval:
     def eigenvalue(self, n: int) -> float:
         return (n * math.pi / self.length) ** 2
 
+    def quadrature_cap(self, n_modes: int) -> float:
+        """Cap on ``sum_i w_i f_n(omega_i)^2`` over all mode indices."""
+        return 2.0
+
     def modes(self, n_max: int, nodes: np.ndarray) -> list[TransverseMode]:
         om = nodes[:, 0]
         out = []
@@ -78,6 +82,9 @@ class Rectangle:
 
     l1: float
     l2: float
+    # sorted (lambda, p, q) of every pair up to some eigenvalue bound: a
+    # prefix of the spectrum, grown on demand
+    _sorted: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.l1 <= 0 or self.l2 <= 0:
@@ -91,18 +98,33 @@ class Rectangle:
         weights = np.array([wa * wb for wa in w1 for wb in w2])
         return nodes, weights
 
+    def _lam(self, p: int, q: int) -> float:
+        return (p * math.pi / self.l1) ** 2 + (q * math.pi / self.l2) ** 2
+
     def _pairs(self, count: int) -> list[tuple[float, int, int]]:
-        kmax = max(4, int(math.isqrt(count)) + 4)
-        items = [
-            ((p * math.pi / self.l1) ** 2 + (q * math.pi / self.l2) ** 2, p, q)
-            for p in range(1, kmax + 1)
-            for q in range(1, kmax + 1)
-        ]
-        items.sort()
-        return items[:count]
+        """The ``count`` lowest ``(lambda, p, q)`` in sorted order."""
+        if len(self._sorted) < count:
+            n = max(count, 2 * len(self._sorted))
+            # the a x ceil(n/a) block of lowest indices holds n pairs, so its
+            # corner eigenvalue bounds lambda_n from above
+            bound = min(self._lam(a, math.ceil(n / a)) for a in range(1, n + 1))
+            items = []
+            p = 1
+            while self._lam(p, 1) <= bound:
+                q = 1
+                while self._lam(p, q) <= bound:
+                    items.append((self._lam(p, q), p, q))
+                    q += 1
+                p += 1
+            self._sorted[:] = sorted(items)
+        return self._sorted[:count]
 
     def eigenvalue(self, n: int) -> float:
         return self._pairs(n)[n - 1][0]
+
+    def quadrature_cap(self, n_modes: int) -> float:
+        """Cap on ``sum_i w_i f_n(omega_i)^2`` over all mode indices."""
+        return 4.0
 
     def modes(self, n_max: int, nodes: np.ndarray) -> list[TransverseMode]:
         out = []
@@ -157,6 +179,12 @@ class Custom:
             return float(ev[n - 1])
         # best-effort extrapolation flag: repeat the last supplied value
         return float(ev[-1])
+
+    def quadrature_cap(self, n_modes: int) -> float:
+        """``max(1, sum_i w_i f_n(omega_i)^2)`` measured over the first
+        ``n_modes`` supplied modes (no analytic cap is known)."""
+        phi = self.samples[:n_modes] * np.sqrt(self.weights)
+        return float(max(1.0, np.max(np.sum(phi**2, axis=1))))
 
     def modes(self, n_max: int, nodes: np.ndarray) -> list[TransverseMode]:
         if n_max > len(self.eigenvalues):

@@ -53,10 +53,11 @@ class TestThresholdLadderStructure:
     def test_generic_well_terminates_at_level_one(self, well_small):
         lad = expansion.build_threshold_ladder(well_small, 4.0, eps=2e-2, tail_tol=0.1)
         assert lad.r1 == 0 and lad.terminal_level() == 1
-        assert lad.levels[-1].terminal
 
     def test_ladder_level_records_nest(self, deep_ladder):
-        mats = [lvl.projection.matrix for lvl in deep_ladder.levels[:3]]
+        mats = [deep_ladder.s_matrix(j) for j in range(3)]
+        for p in mats:
+            assert linalg.opnorm(p @ p - p) <= 1e-10
         for a, b in zip(mats, mats[1:]):
             assert linalg.opnorm(b @ a - b) <= 1e-10
             assert linalg.opnorm(a @ b - b) <= 1e-10
@@ -64,7 +65,7 @@ class TestThresholdLadderStructure:
     def test_ranks_nonincreasing(self, deep_ladder):
         lad = deep_ladder
         assert len(lad.members) >= 1
-        assert lad.r1 <= lad.s0_matrix().shape[0]
+        assert lad.r1 <= lad.s0.shape[0]
         assert lad.r2 <= lad.r1
 
     def test_group_beyond_modes_rejected(self, well_small):
@@ -110,14 +111,14 @@ class TestMFunctionOracle:
     def test_m2_bounded_toward_zero(self, well_small):
         lad = expansion.build_threshold_ladder(well_small, 4.0, eps=2e-2, tail_tol=0.1)
         ks = np.geomspace(1e-4, 1e-2, 7)
-        vals = [linalg.opnorm(lad.m2(k)) for k in ks]
+        vals = [linalg.opnorm((lad.at(k).i1 - lad.i10) / k) for k in ks]
         slope = helpers.fit_slope(ks, vals)
         assert abs(slope) <= 0.1
 
     def test_terminal_inverse_bounded_on_rays(self, deep_ladder):
         ks = np.geomspace(1e-4, 5e-3, 6)
         for ray in (1.0, -1.0j):
-            vals = [deep_ladder.terminal_inverse_norm(ray * k) for k in ks]
+            vals = [linalg.opnorm(deep_ladder.at(ray * k).terminal_inverse) for k in ks]
             slope = helpers.fit_slope(ks, vals)
             assert slope >= -0.15
 
@@ -225,6 +226,24 @@ class TestStructuralReport:
         assert c20.n_used >= 3 and c20.exponent >= 1.9
         assert rep.ranks["r2"] == 1
 
+    def test_one_g0_per_kappa(self, deep_ladder, monkeypatch):
+        # every level inverse at a kappa derives from a single G0
+        calls = []
+        g0 = expansion.ThresholdLadder.g0
+
+        def counting_g0(self, kappa):
+            calls.append(kappa)
+            return g0(self, kappa)
+
+        monkeypatch.setattr(expansion.ThresholdLadder, "g0", counting_g0)
+        expansion.verify_structural_lemmas(deep_ladder)
+        ks = np.concatenate(list(expansion.kappa_sample_paths().values()))
+        assert len(calls) == ks.size and set(calls) == set(ks)
+        for k in diag_kappas(deep_ladder.eps, count=3):
+            calls.clear()
+            expansion.m_function(deep_ladder, k)
+            assert calls == [k]
+
     def test_zero_potential_vacuous_pass(self, interval_cs):
         m = waveguide.square_well_model(interval_cs, 0.0, (0.0, 1.0), 4, 10, 3)
         lad = expansion.build_threshold_ladder(m, 4.0, eps=2e-2, tail_tol=10.0)
@@ -249,5 +268,5 @@ class TestCertificates:
 
     def test_sabotaged_skew_part_detected(self, well_small):
         lad = expansion.build_threshold_ladder(well_small, 4.0, eps=2e-2, tail_tol=0.1)
-        i10 = lad.s0_matrix() @ (lad.m10 - 3j * np.eye(lad.dim)) @ lad.s0_matrix()
+        i10 = lad.s0 @ (lad.m10 - 3j * np.eye(lad.dim)) @ lad.s0
         assert linalg.psd_defect(linalg.imaginary_part(i10), herm_tol=1e-8) > 1.0

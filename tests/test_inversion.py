@@ -225,8 +225,8 @@ class TestLadder:
         s0 = linalg.kernel_projector(lad.n0)
         assert levels[0].projection.rank == s0.rank
         # level-1 kernel dim == dim ker(S0 M1(0) S0) on S0 H (brute force)
-        i10 = lad.s0_matrix() @ lad.m10 @ lad.s0_matrix()
-        brute = linalg.kernel_basis(i10 + lad.p_n(), 1e-8).shape[1]
+        i10 = lad.s0 @ lad.m10 @ lad.s0
+        brute = linalg.kernel_basis(i10 + lad.pn, 1e-8).shape[1]
         assert levels[1].projection.rank == brute == lad.r1
 
     def test_depth_cap(self):
@@ -253,7 +253,7 @@ class TestFinalStep:
         assert lad.r2 == 1  # all four levels active
         fam = inversion.OperatorFamily(
             lad.i3c0,
-            lambda k: (lad.i3c(k) - lad.i3c0) / k if k != 0 else 0.0 * lad.i3c0,
+            lambda k: (lad.at(k).i3c - lad.i3c0) / k if k != 0 else 0.0 * lad.i3c0,
             bound=10.0,
             radius=lad.eps,
         )

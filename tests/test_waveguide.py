@@ -1,5 +1,7 @@
 """Waveguide model: modes, thresholds, potential factors, quadrature grid."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,17 @@ class TestTransverseModes:
         cs = waveguide.Rectangle(np.pi, np.pi)
         pairs = cs._pairs(4)
         assert [(p, q) for (_, p, q) in pairs] == [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+    @pytest.mark.parametrize("aspect", [1.0, 3.0, 10.0])
+    def test_rectangle_spectrum_matches_brute_force(self, aspect):
+        cs = waveguide.Rectangle(aspect, 1.0)
+        brute = sorted(
+            ((p * math.pi / aspect) ** 2 + (q * math.pi) ** 2, p, q)
+            for p in range(1, 80)
+            for q in range(1, 80)
+        )[:40]
+        assert [cs.eigenvalue(n) for n in range(1, 41)] == [lam for lam, _, _ in brute]
+        assert cs._pairs(40) == brute
 
     def test_custom_passthrough(self):
         nodes = np.array([0.25, 0.75])
