@@ -93,15 +93,6 @@ class SpectralPoint:
     def z(self) -> complex:
         return self.lam - complex(self.kappa) ** 2
 
-    @property
-    def region(self) -> str:
-        k = complex(self.kappa)
-        if k == 0:
-            return "boundary"
-        if k.real > 0 and k.imag < 0:
-            return "open"
-        return "ray"
-
 
 @dataclass(frozen=True)
 class GridOperator:
@@ -325,7 +316,7 @@ class EigenvalueCandidate:
 
 
 def _sigma_extremes(model: WaveguideModel, lam: float, tail_tol: float,
-                    n_max: int | None, iters: int = 12) -> tuple[float, float]:
+                    iters: int = 12) -> tuple[float, float]:
     """Smallest/largest singular value estimates of the boundary operator.
 
     Power iteration with a fixed start vector (deterministic); the smallest
@@ -334,7 +325,7 @@ def _sigma_extremes(model: WaveguideModel, lam: float, tail_tol: float,
     """
     import scipy.linalg as sla
 
-    op = bs_operator(SpectralPoint(lam, 0.0), model, tail_tol, n_max)
+    op = bs_operator(SpectralPoint(lam, 0.0), model, tail_tol)
     a = op.matrix
     n = a.shape[0]
     rng = np.random.default_rng(1234)
@@ -372,7 +363,6 @@ def eigenvalue_search(
     model: WaveguideModel,
     resolution: int = 48,
     tail_tol: float = 1e-3,
-    n_max: int | None = None,
     detect_rel: float = 1e-6,
     refine_width: float = 1e-10,
     threshold_margin: float = 1e-6,
@@ -396,7 +386,7 @@ def eigenvalue_search(
     sig = np.empty(resolution)
     nrm = np.empty(resolution)
     for i, lam in enumerate(lams):
-        sig[i], nrm[i] = _sigma_extremes(model, float(lam), tail_tol, n_max)
+        sig[i], nrm[i] = _sigma_extremes(model, float(lam), tail_tol)
 
     # interior local minima of the scan
     out: list[EigenvalueCandidate] = []
@@ -407,19 +397,19 @@ def eigenvalue_search(
         a, b = float(lams[i - 1]), float(lams[i + 1])
         c = b - invphi * (b - a)
         d = a + invphi * (b - a)
-        fc = _sigma_extremes(model, c, tail_tol, n_max)[0]
-        fd = _sigma_extremes(model, d, tail_tol, n_max)[0]
+        fc = _sigma_extremes(model, c, tail_tol)[0]
+        fd = _sigma_extremes(model, d, tail_tol)[0]
         while b - a > refine_width:
             if fc < fd:
                 b, d, fd = d, c, fc
                 c = b - invphi * (b - a)
-                fc = _sigma_extremes(model, c, tail_tol, n_max)[0]
+                fc = _sigma_extremes(model, c, tail_tol)[0]
             else:
                 a, c, fc = c, d, fd
                 d = a + invphi * (b - a)
-                fd = _sigma_extremes(model, d, tail_tol, n_max)[0]
+                fd = _sigma_extremes(model, d, tail_tol)[0]
         lam_star = (a + b) / 2.0
-        s_star, n_star = _sigma_extremes(model, lam_star, tail_tol, n_max)
+        s_star, n_star = _sigma_extremes(model, lam_star, tail_tol)
         rel = s_star / max(n_star, 1e-300)
         if rel < detect_rel:
             out.append(EigenvalueCandidate(lam_star, s_star, rel, b - a))

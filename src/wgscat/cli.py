@@ -3,11 +3,11 @@
 Every command reads one JSON config (``--config``), writes its artifacts
 under ``--out``, and finishes by writing ``manifest.json`` listing every
 artifact with a SHA-256 checksum, timings and the config echo.  Outputs are
-deterministic given the config and seed: floats are printed with 17
-significant digits and iteration orders are sorted.
+deterministic given the config: floats are printed with 17 significant
+digits and iteration orders are sorted.
 
 Flag defaults can be overridden through environment variables with the
-``WGSCAT_`` prefix (``WGSCAT_OUT``, ``WGSCAT_THREADS``, ``WGSCAT_SEED``).
+``WGSCAT_`` prefix (``WGSCAT_OUT``, ``WGSCAT_THREADS``).
 
 Config schema::
 
@@ -89,7 +89,7 @@ class ArtifactWriter:
             except OSError:
                 pass
 
-    def manifest(self, config_echo: dict, seed: int) -> Path:
+    def manifest(self, config_echo: dict) -> Path:
         entries = []
         for p in sorted(self.files):
             if not p.exists():
@@ -98,7 +98,6 @@ class ArtifactWriter:
             entries.append({"file": p.name, "sha256": digest, "bytes": p.stat().st_size})
         doc = {
             "version": __version__,
-            "seed": seed,
             "config": config_echo,
             "timings_s": {k: round(v, 3) for k, v in sorted(self.timings.items())},
             "artifacts": entries,
@@ -211,10 +210,7 @@ def cmd_threshold_scan(cfg, writer: ArtifactWriter, args) -> int:
     ladder = expansion.build_threshold_ladder(model, lam, eps=eps, tail_tol=tail_tol)
     pairs = [((int(p[0][0]), int(p[0][1])), (int(p[1][0]), int(p[1][1])))
              for p in task["pairs"]]
-    reports = [
-        rep.to_dict()
-        for rep in scattering.threshold_continuity_probes(lam, pairs, hs, model, ladder=ladder)
-    ]
+    reports = [rep.to_dict() for rep in scattering.continuity_probes(ladder, pairs, hs)]
     writer.write_json("threshold_scan.json", reports)
     rows = []
     for rep in reports:
@@ -346,10 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="parallel map width over spectral points",
     )
     ap.add_argument(
-        "--seed", type=int, default=int(_env_default("SEED", "0")),
-        help="seed for randomized corpora",
-    )
-    ap.add_argument(
         "--verify", action="store_true",
         help="enable internal oracle cross-checks (slower)",
     )
@@ -377,7 +369,7 @@ def main(argv=None) -> int:
         print(f"error [{args.command}]: bad config or io: {exc!r}", file=sys.stderr)
         return 2
     writer.timings[args.command] = time.time() - t0
-    writer.manifest(cfg, args.seed)
+    writer.manifest(cfg)
     return rc
 
 

@@ -24,10 +24,12 @@ A ladder holds the kappa-independent data (projections ``S_j``, level
 operators at ``k = 0``); ``ladder.at(k)`` returns one immutable evaluation
 with every kappa-dependent operator, each computed once: ``G0``, ``I1``,
 ``H1``, ``I2``, ``(I2+S2)^-1``, ``I3`` and ``I3^-1``, down to the terminal
-level only.  The expansion formulas and the structural report read it.
+level only.  ``ladder.terms(k)`` turns one evaluation into the list of
+expansion terms, and ``m_function`` sums that list for either kind of ladder;
+the structural report reads the evaluation directly.
 
-Off the rays (``Re k > 0 > Im k``) every formula is cross-checkable against
-a directly assembled dense inverse; that oracle sits behind ``verify=True``.
+Off the rays (``Re k > 0 > Im k``) the sum is cross-checkable against a
+directly assembled dense inverse; that oracle sits behind ``verify=True``.
 """
 
 from __future__ import annotations
@@ -262,22 +264,37 @@ class ThresholdLadder:
         i3inv = None if self.s3c is None else two_term_invert(i3c, self.s3c)
         return LadderEvaluation(g0, i1, h1, i2c, h2, i3c, i3inv)
 
+    def terms(self, kappa: complex) -> list[np.ndarray]:
+        """The four-term expansion at ``kappa != 0``, term by term: ``2k G0``,
+        ``G0 H1 G0``, then the ``1/k`` term when ``r1 > 0`` and the ``1/k^2``
+        term when ``r2 > 0``."""
+        k = complex(kappa)
+        ev = self.at(k)
+        g0k, h1, h2 = ev.g0, ev.h1, ev.h2
+        terms = [2.0 * k * g0k, g0k @ h1 @ g0k]
+        if self.r1 > 0:
+            left = g0k @ (h1 @ self.b1)             # (dim, r1)
+            right = (self.b1.conj().T @ h1) @ g0k   # (r1, dim)
+            terms.append((left @ h2 @ right) / k)
+            if self.r2 > 0:
+                mid = (h2 @ self.kc2) @ ev.i3inv @ (self.kc2.conj().T @ h2)
+                terms.append((left @ mid @ right) / k**2)
+        return terms
+
 
 def _level0_data(
     model: WaveguideModel,
     lam: float,
     eps: float,
     tail_tol: float,
-    n_max: int | None,
     rank_tol: float,
 ) -> dict:
     """Kappa-independent level-0 assembly shared by the ladder builder and
     the resonance-gap probe (both must see the identical operator)."""
     group = model.group_at(lam)
-    n_cap = n_max if n_max is not None else model.n_max
     # mode count fixed at the threshold; the kappa excursion moves Re z by
     # at most eps^2, absorbed in the gap margin
-    n_used = birman._choose_n_used(model, complex(lam + eps**2), tail_tol, n_cap)
+    n_used = birman._choose_n_used(model, complex(lam + eps**2), tail_tol, model.n_max)
     members = tuple(n for n in group.members if n <= n_used)
     if members != group.members:
         raise DomainError("threshold group extends beyond the retained modes")
@@ -328,7 +345,6 @@ def level1_kernel_gap(
     lam: float,
     eps: float = 1e-2,
     tail_tol: float = 1e-3,
-    n_max: int | None = None,
     rank_tol: float = DEFAULT_RANK_TOL,
 ) -> float:
     """Smallest singular value of the level-1 operator inside ``S0 H``.
@@ -337,7 +353,7 @@ def level1_kernel_gap(
     eigenvalue of the discrete family (the ladder then carries a nontrivial
     level-1 kernel).  Used to tune critical couplings.
     """
-    d = _level0_data(model, lam, eps, tail_tol, n_max, rank_tol)
+    d = _level0_data(model, lam, eps, tail_tol, rank_tol)
     sv = np.linalg.svd(d["i10"] + d["pn"], compute_uv=False)
     return float(sv[-1])
 
@@ -348,7 +364,6 @@ def build_threshold_ladder(
     eps: float = 1e-2,
     rank_tol: float = DEFAULT_RANK_TOL,
     tail_tol: float = 1e-3,
-    n_max: int | None = None,
     certificate_tol: float = 1e-10,
 ) -> ThresholdLadder:
     """Assemble the kappa-independent ladder data at threshold ``lam``.
@@ -358,7 +373,7 @@ def build_threshold_ladder(
     level-2 compression self-adjoint) is asserted; failure raises
     :class:`StructuralError` because every later step builds on it.
     """
-    d0 = _level0_data(model, lam, eps, tail_tol, n_max, rank_tol)
+    d0 = _level0_data(model, lam, eps, tail_tol, rank_tol)
     n_used, members = d0["n_used"], d0["members"]
     vtil, u_n, n0 = d0["vtil"], d0["u_n"], d0["n0"]
     n10, n20, w0, m10 = d0["n10"], d0["n20"], d0["w0"], d0["m10"]
@@ -433,71 +448,6 @@ def build_threshold_ladder(
     return ladder
 
 
-def direct_inverse(model: WaveguideModel, lam: float, kappa: complex, n_used: int) -> np.ndarray:
-    """Dense inverse of the directly assembled ``u + v R0(lam - k^2) v``.
-
-    Independent route: every retained mode enters through its full free
-    kernel (no singular-part split), so this is a genuine oracle for the
-    expansion formulas at the same truncation.
-    """
-    z = lam - complex(kappa) ** 2
-    mat = np.diag(model.u_diag()) + birman.mode_sum_matrix(
-        model, z, list(range(1, n_used + 1))
-    )
-    return linalg.inverse(mat)
-
-
-def m_function(
-    ladder: ThresholdLadder,
-    kappa: complex,
-    verify: bool = False,
-    oracle_tol: float = 1e-6,
-) -> np.ndarray:
-    """Evaluate the four-term expansion of ``(u + v R0(lam-k^2) v)^-1``.
-
-    For ``kappa`` strictly inside the sector and ``verify=True`` the result
-    is cross-checked against the dense oracle to ``oracle_tol`` (relative
-    Frobenius); disagreement raises :class:`AccuracyError` with per-term
-    norms in the message.
-    """
-    if kappa == 0:
-        raise DomainError("the expansion is evaluated at kappa != 0 only")
-    if abs(kappa) > ladder.eps:
-        raise DomainError(f"|kappa| = {abs(kappa):.3e} outside the ladder region")
-    k = complex(kappa)
-    ev = ladder.at(k)
-    g0k, h1, h2 = ev.g0, ev.h1, ev.h2
-    term1 = 2.0 * k * g0k
-    term2 = g0k @ h1 @ g0k
-    out = term1 + term2
-    term3_norm = term4_norm = 0.0
-    if ladder.r1 > 0:
-        left = g0k @ (h1 @ ladder.b1)             # (dim, r1)
-        right = (ladder.b1.conj().T @ h1) @ g0k   # (r1, dim)
-        term3 = (left @ h2 @ right) / k
-        term3_norm = opnorm(term3)
-        out = out + term3
-        if ladder.r2 > 0:
-            mid = (h2 @ ladder.kc2) @ ev.i3inv @ (ladder.kc2.conj().T @ h2)
-            term4 = (left @ mid @ right) / k**2
-            term4_norm = opnorm(term4)
-            out = out + term4
-
-    if verify:
-        if not (k.real > 0 and k.imag < 0):
-            raise DomainError("the dense oracle needs kappa strictly inside the sector")
-        direct = direct_inverse(ladder.model, ladder.lam, k, ladder.n_used)
-        scale = max(np.linalg.norm(direct), 1e-300)
-        rel = np.linalg.norm(out - direct) / scale
-        if rel > oracle_tol:
-            raise AccuracyError(
-                f"expansion vs dense inverse: rel {rel:.3e} at kappa={k} "
-                f"(terms: {opnorm(term1):.3e}, {opnorm(term2):.3e}, "
-                f"{term3_norm:.3e}, {term4_norm:.3e})"
-            )
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Eigenvalue ladder
 # ---------------------------------------------------------------------------
@@ -559,6 +509,18 @@ class EigenvalueLadder:
         j1 = (np.eye(r, dtype=complex) - self.basis.conj().T @ g @ self.basis) / kappa**2
         return EigenvalueEvaluation(g, j1)
 
+    def terms(self, kappa: complex) -> list[np.ndarray]:
+        """The two-term expansion at ``kappa != 0``, term by term:
+        ``(J0+S)^-1`` and, when ``ker T0`` is nontrivial, the ``1/k^2`` term."""
+        k = complex(kappa)
+        ev = self.at(k)
+        g = ev.gs
+        if self.basis is None:
+            return [g]
+        left = g @ self.basis
+        right = self.basis.conj().T @ g
+        return [g, (left @ linalg.inverse(ev.j1c) @ right) / k**2]
+
 
 def build_eigenvalue_ladder(
     model: WaveguideModel,
@@ -566,7 +528,6 @@ def build_eigenvalue_ladder(
     eps: float = 1e-2,
     rank_tol: float = DEFAULT_RANK_TOL,
     tail_tol: float = 1e-3,
-    n_max: int | None = None,
 ) -> EigenvalueLadder:
     """Assemble the two-term ladder at ``lam`` (eigenvalue or regular point).
 
@@ -579,7 +540,7 @@ def build_eigenvalue_ladder(
             raise DomainError(
                 f"lam = {lam} is within the kappa excursion of threshold lambda_{n}"
             )
-    op = birman.bs_operator(birman.SpectralPoint(lam, 0.0), model, tail_tol, n_max)
+    op = birman.bs_operator(birman.SpectralPoint(lam, 0.0), model, tail_tol)
     t0 = op.matrix
     d = linalg.psd_defect(linalg.imaginary_part(t0), herm_tol=1e-8)
     if d > 1e-10 * max(1.0, opnorm(t0)):
@@ -597,24 +558,46 @@ def build_eigenvalue_ladder(
     )
 
 
-def m_function_at_eigenvalue(
-    ladder: EigenvalueLadder,
+# ---------------------------------------------------------------------------
+# The expansion of either ladder
+# ---------------------------------------------------------------------------
+
+def direct_inverse(model: WaveguideModel, lam: float, kappa: complex, n_used: int) -> np.ndarray:
+    """Dense inverse of the directly assembled ``u + v R0(lam - k^2) v``.
+
+    Independent route: every retained mode enters through its full free
+    kernel (no singular-part split), so this is a genuine oracle for the
+    expansion formulas at the same truncation.
+    """
+    z = lam - complex(kappa) ** 2
+    mat = np.diag(model.u_diag()) + birman.mode_sum_matrix(
+        model, z, list(range(1, n_used + 1))
+    )
+    return linalg.inverse(mat)
+
+
+def m_function(
+    ladder: ThresholdLadder | EigenvalueLadder,
     kappa: complex,
     verify: bool = False,
     oracle_tol: float = 1e-6,
 ) -> np.ndarray:
-    """Evaluate the two-term expansion at an eigenvalue (or regular) point."""
+    """Evaluate the expansion of ``(u + v R0(lam-k^2) v)^-1`` at ``kappa``:
+    the four-term form at a threshold, the two-term form at an eigenvalue
+    or regular point.
+
+    For ``kappa`` strictly inside the sector and ``verify=True`` the result
+    is cross-checked against the dense oracle to ``oracle_tol`` (relative
+    Frobenius); disagreement raises :class:`AccuracyError` with per-term
+    norms in the message.
+    """
     if kappa == 0:
         raise DomainError("the expansion is evaluated at kappa != 0 only")
     if abs(kappa) > ladder.eps:
         raise DomainError(f"|kappa| = {abs(kappa):.3e} outside the ladder region")
     k = complex(kappa)
-    ev = ladder.at(k)
-    g = out = ev.gs
-    if ladder.basis is not None:
-        left = g @ ladder.basis
-        right = ladder.basis.conj().T @ g
-        out = g + (left @ linalg.inverse(ev.j1c) @ right) / k**2
+    terms = ladder.terms(k)
+    out = sum(terms[1:], terms[0])  # left to right: the order fixes the rounding
     if verify:
         if not (k.real > 0 and k.imag < 0):
             raise DomainError("the dense oracle needs kappa strictly inside the sector")
@@ -622,8 +605,9 @@ def m_function_at_eigenvalue(
         scale = max(np.linalg.norm(direct), 1e-300)
         rel = np.linalg.norm(out - direct) / scale
         if rel > oracle_tol:
+            norms = ", ".join(f"{opnorm(t):.3e}" for t in terms)
             raise AccuracyError(
-                f"two-term expansion vs dense inverse: rel {rel:.3e} at kappa={k}"
+                f"expansion vs dense inverse: rel {rel:.3e} at kappa={k} (terms: {norms})"
             )
     return out
 
@@ -866,7 +850,7 @@ def ladder_report(ladder: ThresholdLadder) -> dict:
         "tail_bound": ladder.tail_bound,
         "eps": ladder.eps,
         "ranks": {
-            "rank_n0": int(len(ladder.members)),
+            "rank_n0": int(ladder.u_n.shape[1]),
             "r1": ladder.r1,
             "r2": ladder.r2,
             "terminal_level": ladder.terminal_level(),

@@ -79,10 +79,6 @@ class Projection:
     def rank(self) -> int:
         return int(round(float(np.trace(self.matrix).real)))
 
-    def idempotence_defect(self) -> float:
-        p = self.matrix
-        return opnorm(p @ p - p)
-
     def adjoint_defect(self) -> float:
         p = self.matrix
         return opnorm(p - p.conj().T)

@@ -18,6 +18,10 @@ expansion machinery:
 
     S(lam-k^2) - delta = -2 pi i F(lam-k^2) M(lam, k) F(lam-k^2)*.
 
+``continuity_probes`` reads these entries along the two approach rays for a
+built ladder of either kind (threshold or eigenvalue), with one evaluation
+of ``M`` per kappa shared by every channel pair.
+
 The discrete optical identity ``B_n* B_n = Im(v (P_n (x) R0) v)`` holds
 exactly on the grid (it pins the Fourier normalization), which makes the
 discrete scattering matrix unitary to rounding at regular energies.
@@ -135,7 +139,6 @@ def channel_smatrix(
     lam: float,
     model: WaveguideModel,
     tail_tol: float = 1e-4,
-    n_max: int | None = None,
 ) -> SMatrix:
     """Assemble ``S(lam)`` over all open channels at a regular energy.
 
@@ -146,7 +149,7 @@ def channel_smatrix(
     chans = open_channels(lam, model)
     if not chans:
         raise DomainError(f"no open channels at lam={lam}")
-    op = birman.bs_operator(birman.SpectralPoint(lam, 0.0), model, tail_tol, n_max)
+    op = birman.bs_operator(birman.SpectralPoint(lam, 0.0), model, tail_tol)
     rows = np.array([trace_row(lam, n, s, model).coefficients for (n, s) in chans])
     try:
         x = linalg.solve(op.matrix, rows.conj().T)
@@ -291,7 +294,6 @@ class ProbeReport:
     gap: float | None = None           # |left - right| at the finest h
     gaps_per_h: list[float] = field(default_factory=list)
     terminal_abs: float | None = None  # |entry| at the finest h (right ray)
-    fits: dict = field(default_factory=dict)
 
     def to_dict(self):
         return {
@@ -306,51 +308,41 @@ class ProbeReport:
             "gap": self.gap,
             "gaps_per_h": self.gaps_per_h,
             "terminal_abs": self.terminal_abs,
-            "fits": self.fits,
+            "fits": {},  # kept for the threshold_scan.json schema
         }
 
 
-def threshold_continuity_probes(
-    lam0: float,
+def continuity_probes(
+    ladder: ThresholdLadder | EigenvalueLadder,
     pairs: list[tuple[tuple[int, int], tuple[int, int]]],
     h_values,
-    model: WaveguideModel,
-    ladder: ThresholdLadder | None = None,
-    eps: float = 1e-2,
-    tail_tol: float = 1e-3,
 ) -> list[ProbeReport]:
-    """Trace channel entries of ``S(lam0 - kappa^2)`` toward the threshold.
+    """Trace channel entries of ``S(lam - kappa^2)`` toward ``ladder.lam``,
+    a threshold or an eigenvalue.
 
     The expansion matrix is evaluated once per kappa and shared across all
-    pairs.  Left ray ``kappa = h`` (energy below ``lam0``) is evaluated only
-    for pairs whose channels are both open strictly below the threshold; the
+    pairs.  Left ray ``kappa = h`` (energy below ``lam``) is evaluated only
+    for pairs whose channels are both open strictly below ``lam``; the
     right ray ``kappa = -ih`` (energy above) always.  Cauchy defects along
     each ray, the left/right gap and the terminal magnitude are recorded
     per pair (``gap``/``terminal_abs`` refer to the finest ``h``); the
     limits themselves are the caller's assertion.
     """
-    if ladder is None:
-        ladder = expansion.build_threshold_ladder(
-            model, lam0, eps=eps, tail_tol=tail_tol
-        )
+    model, lam = ladder.model, ladder.lam
     hs = sorted(float(h) for h in h_values)
-    reps = [ProbeReport(lam0, c, cp, hs) for (c, cp) in pairs]
-    any_left = any(
-        model.eigenvalue(c[0]) < lam0 - 1e-12 and model.eigenvalue(cp[0]) < lam0 - 1e-12
+    reps = [ProbeReport(lam, c, cp, hs) for (c, cp) in pairs]
+    both_open = [
+        model.eigenvalue(c[0]) < lam - 1e-12 and model.eigenvalue(cp[0]) < lam - 1e-12
         for (c, cp) in pairs
-    )
+    ]
     for h in hs:
         m_right = expansion.m_function(ladder, -1j * h)
-        m_left = expansion.m_function(ladder, complex(h)) if any_left else None
-        for rep, (c, cp) in zip(reps, pairs):
-            both_open = (
-                model.eigenvalue(c[0]) < lam0 - 1e-12
-                and model.eigenvalue(cp[0]) < lam0 - 1e-12
-            )
+        m_left = expansion.m_function(ladder, complex(h)) if any(both_open) else None
+        for rep, (c, cp), left in zip(reps, pairs, both_open):
             rep.right_entries.append(
                 _entry_via_expansion(ladder, -1j * h, c, cp, m_right)
             )
-            if both_open:
+            if left:
                 rep.left_entries.append(
                     _entry_via_expansion(ladder, complex(h), c, cp, m_left)
                 )
@@ -370,59 +362,28 @@ def threshold_continuity_probes(
     return reps
 
 
-def eigenvalue_continuity_probe(
-    lam: float,
-    chan: tuple[int, int],
-    chan_p: tuple[int, int],
-    h_values,
-    model: WaveguideModel,
-    ladder: EigenvalueLadder | None = None,
-    eps: float = 1e-2,
-    tail_tol: float = 1e-3,
-) -> ProbeReport:
-    """Trace one open/open entry of ``S(lam - kappa^2)`` at an eigenvalue.
+def row_kernel_fit(
+    ladder: EigenvalueLadder, chan: tuple[int, int], h_values
+) -> tuple[float, int]:
+    """Vanishing rate of channel ``chan``'s trace row at ``lam - h^2``
+    contracted with the eigenvector space ``ker T0``: ``(exponent, n_used)``
+    as from :func:`fit_exponent`.
 
-    Both rays are evaluated (both channels must be open just below ``lam``);
-    additionally fits the vanishing rate of the rows contracted with the
-    eigenvector space (expected quadratic when the kernel is nontrivial,
-    identically zero under symmetry protection).
+    Expected quadratic when the kernel is nontrivial; ``(inf, n < 3)`` when
+    the contraction vanishes identically (symmetry protection, or a regular
+    point with an empty kernel).
     """
-    if ladder is None:
-        ladder = expansion.build_eigenvalue_ladder(model, lam, eps=eps, tail_tol=tail_tol)
+    if ladder.basis is None:
+        return float("inf"), 0
     hs = sorted(float(h) for h in h_values)
-    rep = ProbeReport(lam, chan, chan_p, hs)
-    m_cache: dict[complex, np.ndarray] = {}
-
-    def mval(kappa: complex) -> np.ndarray:
-        if kappa not in m_cache:
-            m_cache[kappa] = expansion.m_function_at_eigenvalue(ladder, kappa)
-        return m_cache[kappa]
-
+    n, sigma = chan
+    vals = []
     for h in hs:
-        rep.left_entries.append(
-            _entry_via_expansion(ladder, h, chan, chan_p, mval(complex(h)))
-        )
-        rep.right_entries.append(
-            _entry_via_expansion(ladder, -1j * h, chan, chan_p, mval(-1j * h))
-        )
-    rep.left_cauchy = [abs(a - b) for a, b in zip(rep.left_entries, rep.left_entries[1:])]
-    rep.right_cauchy = [abs(a - b) for a, b in zip(rep.right_entries, rep.right_entries[1:])]
-    rep.gap = abs(rep.left_entries[0] - rep.right_entries[0])
-    rep.gaps_per_h = [abs(a - b) for a, b in zip(rep.left_entries, rep.right_entries)]
-
-    if ladder.basis is not None:
-        vals, ks = [], []
-        for h in hs:
-            lamk = lam - h * h
-            row = trace_row(lamk, chan[0], chan[1], model).coefficients
-            vals.append(float(np.linalg.norm(row @ ladder.basis)))
-            ks.append(h)
-        row0 = trace_row(lam, chan[0], chan[1], model).coefficients
-        floor = 1e-12 * max(1.0, float(np.linalg.norm(row0)))
-        expo, used = fit_exponent(ks, vals, floor)
-        rep.fits["row_vs_kernel_exponent"] = expo
-        rep.fits["row_vs_kernel_n_used"] = used
-    return rep
+        row = trace_row(ladder.lam - h * h, n, sigma, ladder.model).coefficients
+        vals.append(float(np.linalg.norm(row @ ladder.basis)))
+    row0 = trace_row(ladder.lam, n, sigma, ladder.model).coefficients
+    floor = 1e-12 * max(1.0, float(np.linalg.norm(row0)))
+    return fit_exponent(hs, vals, floor)
 
 
 def smoothness_probe(

@@ -123,7 +123,7 @@ def test_criterion_04_expansion_vs_direct_master(master_model):
     assert elad.rank == 1  # the two-term formula runs in its literal regime
     worst_eig = 0.0
     for k in kappas:
-        m = expansion.m_function_at_eigenvalue(elad, k)
+        m = expansion.m_function(elad, k)
         d = expansion.direct_inverse(master_model, elad.lam, k, elad.n_used)
         worst_eig = max(worst_eig, float(np.linalg.norm(m - d) / np.linalg.norm(d)))
     elapsed = time.time() - t0
@@ -165,11 +165,7 @@ def test_criterion_05_structural_lemma_suite(
         well_medium, embedded_lambda, eps=5e-3, tail_tol=0.03
     )
     hs = [2e-3 / 2.0**k for k in range(8)]
-    prep = scattering.eigenvalue_continuity_probe(
-        embedded_lambda, (1, 1), (1, 1), hs, well_medium, ladder=elad
-    )
-    expo = prep.fits["row_vs_kernel_exponent"]
-    used = prep.fits["row_vs_kernel_n_used"]
+    expo, used = scattering.row_kernel_fit(elad, (1, 1), hs)
     if not (expo >= 1.9 or used < 3):
         fails.append(f"row-vs-kernel exponent {expo:.2f}")
     ok = not fails
@@ -229,9 +225,7 @@ def test_criterion_08_threshold_continuity(coupled_model):
     lad = expansion.build_threshold_ladder(coupled_model, 4.0, eps=eps, tail_tol=0.03)
     hs = [eps / 2.0 ** (k + 1) for k in range(10)]  # finest h = 2^-10 eps
     pairs = [((1, 1), (1, 1)), ((1, 1), (2, 1)), ((2, 1), (2, 1))]
-    oo, op, pp = scattering.threshold_continuity_probes(
-        4.0, pairs, hs, coupled_model, ladder=lad
-    )
+    oo, op, pp = scattering.continuity_probes(lad, pairs, hs)
     gaps = oo.gaps_per_h
     mono4 = all(a < b for a, b in zip(gaps[:5], gaps[1:5]))
     ok = (

@@ -111,8 +111,8 @@ class TestModelCommands:
             tmp_path, {"smatrix": {"energies": [2.2, 3.0], "tail_tol": 0.1}}
         )
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert run(["smatrix", "--config", cfg, "--out", out1, "--seed", 7]) == 0
-        assert run(["smatrix", "--config", cfg, "--out", out2, "--seed", 7]) == 0
+        assert run(["smatrix", "--config", cfg, "--out", out1]) == 0
+        assert run(["smatrix", "--config", cfg, "--out", out2]) == 0
         assert (out1 / "smatrix.csv").read_bytes() == (out2 / "smatrix.csv").read_bytes()
         m1 = json.loads((out1 / "manifest.json").read_text())
         m2 = json.loads((out2 / "manifest.json").read_text())

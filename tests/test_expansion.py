@@ -5,7 +5,7 @@ import pytest
 
 import helpers
 from wgscat import birman, expansion, linalg, waveguide
-from wgscat.errors import DomainError, StructuralError
+from wgscat.errors import AccuracyError, DomainError, StructuralError
 
 
 def diag_kappas(eps, count=8, lo_frac=1e-2):
@@ -108,6 +108,34 @@ class TestMFunctionOracle:
         with pytest.raises(DomainError):
             expansion.m_function(lad, 1e-3, verify=True)  # oracle needs interior kappa
 
+    def test_no_norms_on_success_path(self, deep_ladder, monkeypatch):
+        # per-term norms are computed only for the oracle's error message
+        calls = []
+        opnorm = expansion.opnorm
+
+        def counting_opnorm(a):
+            calls.append(a.shape)
+            return opnorm(a)
+
+        monkeypatch.setattr(expansion, "opnorm", counting_opnorm)
+        for k in diag_kappas(deep_ladder.eps, count=3):
+            expansion.m_function(deep_ladder, k)
+        assert calls == []
+
+    def test_forced_oracle_failure_reports_term_norms(
+        self, deep_ladder, well_medium, embedded_lambda
+    ):
+        elad = expansion.build_eigenvalue_ladder(
+            well_medium, embedded_lambda, eps=5e-3, tail_tol=0.03
+        )
+        for lad, n_terms in ((deep_ladder, 4), (elad, 2)):
+            k = complex((1.0 - 1.0j) / np.sqrt(2.0) * 0.2 * lad.eps)
+            with pytest.raises(AccuracyError) as info:
+                expansion.m_function(lad, k, verify=True, oracle_tol=-1.0)
+            norms = str(info.value).split("(terms: ")[1].rstrip(")").split(", ")
+            expected = [f"{linalg.opnorm(t):.3e}" for t in lad.terms(k)]
+            assert len(norms) == n_terms and norms == expected
+
     def test_m2_bounded_toward_zero(self, well_small):
         lad = expansion.build_threshold_ladder(well_small, 4.0, eps=2e-2, tail_tol=0.1)
         ks = np.geomspace(1e-4, 1e-2, 7)
@@ -129,7 +157,7 @@ class TestEigenvalueLadder:
         lad = expansion.build_eigenvalue_ladder(well_small, lam, eps=1e-2, tail_tol=0.1)
         assert lad.rank == 0
         k = 2e-3 - 3e-3j
-        m = expansion.m_function_at_eigenvalue(lad, k, verify=True, oracle_tol=1e-8)
+        m = expansion.m_function(lad, k, verify=True, oracle_tol=1e-8)
         direct = expansion.direct_inverse(well_small, lam, k, lad.n_used)
         assert np.allclose(m, direct, atol=1e-8 * np.linalg.norm(direct))
 
@@ -139,7 +167,7 @@ class TestEigenvalueLadder:
         )
         assert lad.rank == 1
         for k in diag_kappas(lad.eps, count=5):
-            expansion.m_function_at_eigenvalue(lad, k, verify=True, oracle_tol=1e-6)
+            expansion.m_function(lad, k, verify=True, oracle_tol=1e-6)
 
     def test_t1_bounded_toward_zero(self, well_medium, embedded_lambda):
         lad = expansion.build_eigenvalue_ladder(
@@ -249,6 +277,16 @@ class TestStructuralReport:
         lad = expansion.build_threshold_ladder(m, 4.0, eps=2e-2, tail_tol=10.0)
         rep = expansion.verify_structural_lemmas(lad)
         assert rep.ok
+
+    def test_ladder_report_rank_n0_is_the_rank(self, interval_cs, well_small):
+        # zero potential: the threshold group has one member but N0 = 0
+        zero = waveguide.square_well_model(interval_cs, 0.0, (0.0, 1.0), 4, 10, 3)
+        for model, tail_tol, rank in ((zero, 10.0, 0), (well_small, 0.1, 1)):
+            lad = expansion.build_threshold_ladder(model, 4.0, eps=2e-2, tail_tol=tail_tol)
+            assert len(lad.members) == 1
+            reported = expansion.ladder_report(lad)["ranks"]["rank_n0"]
+            assert reported == lad.u_n.shape[1] == rank
+            assert reported == expansion.verify_structural_lemmas(lad).ranks["rank_n0"]
 
     def test_report_serializes(self, resonant_ladder):
         import json

@@ -128,9 +128,7 @@ def coupled_reports(coupled_model):
     )
     hs = [eps / 2.0 ** (k + 1) for k in range(8)]
     pairs = [((1, 1), (1, 1)), ((1, 1), (2, 1)), ((2, 1), (2, 1))]
-    reps = scattering.threshold_continuity_probes(
-        4.0, pairs, hs, coupled_model, ladder=ladder
-    )
+    reps = scattering.continuity_probes(ladder, pairs, hs)
     return {p: r for p, r in zip(pairs, reps)}
 
 
@@ -161,10 +159,9 @@ class TestThresholdProbes:
 
 class TestEigenvalueProbes:
     def test_regular_point_smooth(self, well_small):
+        ladder = expansion.build_eigenvalue_ladder(well_small, 2.2, eps=2e-2, tail_tol=0.1)
         hs = [1e-2 / 2.0**k for k in range(1, 7)]
-        rep = scattering.eigenvalue_continuity_probe(
-            2.2, (1, 1), (1, 1), hs, well_small, eps=2e-2, tail_tol=0.1
-        )
+        (rep,) = scattering.continuity_probes(ladder, [((1, 1), (1, 1))], hs)
         assert rep.gap <= 1e-8
 
     def test_embedded_eigenvalue_gap_closes(self, well_medium, embedded_lambda):
@@ -173,9 +170,7 @@ class TestEigenvalueProbes:
         )
         assert ladder.rank == 1
         hs = [2e-3 / 2.0**k for k in range(8)]
-        rep = scattering.eigenvalue_continuity_probe(
-            embedded_lambda, (1, 1), (1, 1), hs, well_medium, ladder=ladder
-        )
+        (rep,) = scattering.continuity_probes(ladder, [((1, 1), (1, 1))], hs)
         # monotone decrease above the rounding floor; the tail sits at the floor
         floor = 5e-9
         coarse = [g for g in rep.gaps_per_h if g > floor]
@@ -189,11 +184,7 @@ class TestEigenvalueProbes:
             well_medium, embedded_lambda, eps=5e-3, tail_tol=0.03
         )
         hs = [2e-3 / 2.0**k for k in range(8)]
-        rep = scattering.eigenvalue_continuity_probe(
-            embedded_lambda, (1, 1), (1, 1), hs, well_medium, ladder=ladder
-        )
-        expo = rep.fits["row_vs_kernel_exponent"]
-        used = rep.fits["row_vs_kernel_n_used"]
+        expo, used = scattering.row_kernel_fit(ladder, (1, 1), hs)
         # symmetry-protected eigenvector: the contraction vanishes exactly,
         # which satisfies the quadratic bound with room to spare
         assert expo >= 1.9 or used < 3
