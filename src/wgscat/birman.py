@@ -307,55 +307,78 @@ def hs_diagnostic(
 # Point-spectrum search
 # ---------------------------------------------------------------------------
 
+DETECT_REL = 1e-6        # refined sigma_min / sigma_max below this marks an eigenvalue
+THRESHOLD_MARGIN = 1e-6  # gap the search window keeps from every threshold
+SIGMA_ITERS = 12         # steps of each singular-value iteration
+
+
 @dataclass(frozen=True)
 class EigenvalueCandidate:
     lam: float
     sigma_min: float
     rel_dip: float          # sigma_min / ||operator||
-    refined_width: float
 
 
-def _sigma_extremes(model: WaveguideModel, lam: float, tail_tol: float,
-                    iters: int = 12) -> tuple[float, float]:
-    """Smallest/largest singular value estimates of the boundary operator.
+def golden_min(f, a: float, b: float, tol: float) -> float:
+    """Deterministic golden-section minimizer of ``f`` on ``[a, b]``: shrinks
+    the bracket below ``tol`` and returns its midpoint."""
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    return (a + b) / 2.0
 
-    Power iteration with a fixed start vector (deterministic); the smallest
-    singular value uses LU-based inverse iteration, falling back to 0 when
-    the factorization detects exact singularity.
-    """
-    import scipy.linalg as sla
 
-    op = bs_operator(SpectralPoint(lam, 0.0), model, tail_tol)
-    a = op.matrix
+def _boundary_operator(model: WaveguideModel, lam: float, tail_tol: float):
+    """``u + v R0(lam + i0) v`` with the two fixed unit start vectors of the
+    singular-value iterations, drawn in this order from one seeded generator:
+    the first for :func:`_sigma_max`, the second for :func:`_sigma_min`."""
+    a = bs_operator(SpectralPoint(lam, 0.0), model, tail_tol).matrix
     n = a.shape[0]
     rng = np.random.default_rng(1234)
-    x = rng.normal(size=n) + 1j * rng.normal(size=n)
-    x /= np.linalg.norm(x)
-    for _ in range(iters):
+    x_max, x_min = (rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(2))
+    return a, x_max / np.linalg.norm(x_max), x_min / np.linalg.norm(x_min)
+
+
+def _sigma_max(a: np.ndarray, x: np.ndarray) -> float:
+    """Largest singular value estimate of ``a`` by power iteration from ``x``."""
+    for _ in range(SIGMA_ITERS):
         y = a.conj().T @ (a @ x)
         nrm = np.linalg.norm(y)
         if nrm == 0:
             break
         x = y / nrm
-    smax = float(np.linalg.norm(a @ x))
+    return float(np.linalg.norm(a @ x))
+
+
+def _sigma_min(a: np.ndarray, x: np.ndarray) -> float:
+    """Smallest singular value estimate of ``a`` by LU-based inverse
+    iteration from ``x``; 0 when the factorization detects exact
+    singularity."""
+    import scipy.linalg as sla
 
     try:
         lu, piv = sla.lu_factor(a, check_finite=False)
     except Exception:
-        return 0.0, smax
+        return 0.0
     if np.any(np.abs(np.diag(lu)) == 0.0):
-        return 0.0, smax
-    x = rng.normal(size=n) + 1j * rng.normal(size=n)
-    x /= np.linalg.norm(x)
-    for _ in range(iters):
+        return 0.0
+    for _ in range(SIGMA_ITERS):
         y = sla.lu_solve((lu, piv), x, trans=0, check_finite=False)
         y = sla.lu_solve((lu, piv), y, trans=2, check_finite=False)
         nrm = np.linalg.norm(y)
         if not np.isfinite(nrm) or nrm == 0:
-            return 0.0, smax
+            return 0.0
         x = y / nrm
-    smin = float(1.0 / np.sqrt(nrm))
-    return smin, smax
+    return float(1.0 / np.sqrt(nrm))
 
 
 def eigenvalue_search(
@@ -363,54 +386,38 @@ def eigenvalue_search(
     model: WaveguideModel,
     resolution: int = 48,
     tail_tol: float = 1e-3,
-    detect_rel: float = 1e-6,
     refine_width: float = 1e-10,
-    threshold_margin: float = 1e-6,
 ) -> list[EigenvalueCandidate]:
     """Scan the smallest singular value of ``u + v R0(lam + i0) v``.
 
     Interior local minima of the scan are refined by golden-section search
-    to ``refine_width`` and kept when the refined relative dip is below
-    ``detect_rel``.  An empty result is a valid outcome.  The window must
-    avoid the thresholds by ``threshold_margin``.
+    to ``refine_width`` and kept when the refined relative dip
+    ``sigma_min / sigma_max`` is below ``DETECT_REL``; ``sigma_max`` is
+    computed at the refined points only.  An empty result is a valid
+    outcome.  The window must avoid the thresholds by ``THRESHOLD_MARGIN``.
     """
     lo, hi = window
     if not hi > lo:
         raise DomainError("empty search window")
     for n in range(1, model.n_max + 1):
         t = model.eigenvalue(n)
-        if lo - threshold_margin < t < hi + threshold_margin:
+        if lo - THRESHOLD_MARGIN < t < hi + THRESHOLD_MARGIN:
             raise DomainError(f"window touches threshold lambda_{n} = {t}")
 
-    lams = np.linspace(lo, hi, resolution)
-    sig = np.empty(resolution)
-    nrm = np.empty(resolution)
-    for i, lam in enumerate(lams):
-        sig[i], nrm[i] = _sigma_extremes(model, float(lam), tail_tol)
+    def sigma_min(lam: float) -> float:
+        a, _, x = _boundary_operator(model, lam, tail_tol)
+        return _sigma_min(a, x)
 
-    # interior local minima of the scan
+    lams = np.linspace(lo, hi, resolution)
+    sig = [sigma_min(float(lam)) for lam in lams]
     out: list[EigenvalueCandidate] = []
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
     for i in range(1, resolution - 1):
         if not (sig[i] <= sig[i - 1] and sig[i] <= sig[i + 1]):
             continue
-        a, b = float(lams[i - 1]), float(lams[i + 1])
-        c = b - invphi * (b - a)
-        d = a + invphi * (b - a)
-        fc = _sigma_extremes(model, c, tail_tol)[0]
-        fd = _sigma_extremes(model, d, tail_tol)[0]
-        while b - a > refine_width:
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - invphi * (b - a)
-                fc = _sigma_extremes(model, c, tail_tol)[0]
-            else:
-                a, c, fc = c, d, fd
-                d = a + invphi * (b - a)
-                fd = _sigma_extremes(model, d, tail_tol)[0]
-        lam_star = (a + b) / 2.0
-        s_star, n_star = _sigma_extremes(model, lam_star, tail_tol)
-        rel = s_star / max(n_star, 1e-300)
-        if rel < detect_rel:
-            out.append(EigenvalueCandidate(lam_star, s_star, rel, b - a))
+        lam_star = golden_min(sigma_min, float(lams[i - 1]), float(lams[i + 1]), refine_width)
+        a, x_max, x_min = _boundary_operator(model, lam_star, tail_tol)
+        s_star = _sigma_min(a, x_min)
+        rel = s_star / max(_sigma_max(a, x_max), 1e-300)
+        if rel < DETECT_REL:
+            out.append(EigenvalueCandidate(lam_star, s_star, rel))
     return out

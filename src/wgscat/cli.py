@@ -9,6 +9,12 @@ digits and iteration orders are sorted.
 Flag defaults can be overridden through environment variables with the
 ``WGSCAT_`` prefix (``WGSCAT_OUT``, ``WGSCAT_THREADS``).
 
+Exit codes: 0 on success, 1 when a command's own check fails, 2 for a
+missing, malformed or unsupported config value or an IO error (every task
+value and the model are validated before any numerical work), 3 for a
+numerical error.  A run that fails removes the files and directories it
+created.
+
 Config schema::
 
     {"schema_version": 1,
@@ -41,7 +47,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, birman, expansion, inversion, linalg, scattering, waveguide
-from .errors import WgscatError
+from .errors import ConfigError, WgscatError
+from .waveguide import config_value, json_list, json_object
 
 ENV_PREFIX = "WGSCAT_"
 
@@ -55,6 +62,8 @@ class ArtifactWriter:
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
+        # the directories this run creates, deepest first
+        self.created = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.files: list[Path] = []
         self.timings: dict[str, float] = {}
@@ -86,6 +95,11 @@ class ArtifactWriter:
         for p in self.files:
             try:
                 p.unlink(missing_ok=True)
+            except OSError:
+                pass
+        for d in self.created:
+            try:
+                d.rmdir()
             except OSError:
                 pass
 
@@ -131,17 +145,31 @@ def _parallel_map(fn, items, threads: int):
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
+#
+# Each command reads and converts every task value and builds its model
+# before any numerical work, so a malformed config fails as ConfigError.
+
+def _task(cfg, name: str, *default) -> dict:
+    """The task section ``name``; ``default`` when given and the task is absent."""
+    return config_value(config_value(cfg, "tasks", json_object), name, json_object, *default)
+
+
+def _model(cfg) -> waveguide.WaveguideModel:
+    return waveguide.model_from_config(config_value(cfg, "model", json_object))
+
 
 def cmd_invert_demo(cfg, writer: ArtifactWriter, args) -> int:
     """Drive the inversion engine on file-loaded families vs a dense oracle."""
-    task = cfg["tasks"]["invert_demo"]
-    fam_path = Path(task["families"])
+    task = _task(cfg, "invert_demo")
+    fam_path = Path(config_value(task, "families", str))
+    z_values = config_value(
+        task, "z_values", lambda zs: [complex(*json_list(z, length=2)) for z in zs]
+    )
     if not fam_path.is_absolute():
         fam_path = Path(args.config).parent / fam_path
     with open(fam_path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     docs = doc if isinstance(doc, list) else [doc]
-    z_values = [complex(re, im) for re, im in task["z_values"]]
     rows = []
     worst = 0.0
     for i, d in enumerate(docs):
@@ -162,7 +190,7 @@ def cmd_invert_demo(cfg, writer: ArtifactWriter, args) -> int:
 
 
 def cmd_modes(cfg, writer: ArtifactWriter, args) -> int:
-    model = waveguide.model_from_config(cfg["model"])
+    model = _model(cfg)
     rows = [[m.index, float(m.eigenvalue)] for m in model.modes]
     writer.write_csv("modes.csv", ["n", "lambda_n"], rows)
     groups = [
@@ -173,10 +201,10 @@ def cmd_modes(cfg, writer: ArtifactWriter, args) -> int:
 
 
 def cmd_smatrix(cfg, writer: ArtifactWriter, args) -> int:
-    model = waveguide.model_from_config(cfg["model"])
-    task = cfg["tasks"]["smatrix"]
-    tail_tol = float(task.get("tail_tol", 1e-4))
-    energies = sorted(float(e) for e in task["energies"])
+    task = _task(cfg, "smatrix")
+    tail_tol = config_value(task, "tail_tol", float, 1e-4)
+    energies = sorted(config_value(task, "energies", json_list))
+    model = _model(cfg)
 
     def one(lam):
         return scattering.channel_smatrix(lam, model, tail_tol)
@@ -200,16 +228,17 @@ def cmd_smatrix(cfg, writer: ArtifactWriter, args) -> int:
 
 
 def cmd_threshold_scan(cfg, writer: ArtifactWriter, args) -> int:
-    model = waveguide.model_from_config(cfg["model"])
-    task = cfg["tasks"]["threshold_scan"]
-    lam = float(task["lam"])
-    eps = float(task.get("eps", 1e-2))
-    tail_tol = float(task.get("tail_tol", 1e-3))
-    halvings = int(task.get("halvings", 10))
+    task = _task(cfg, "threshold_scan")
+    lam = config_value(task, "lam")
+    eps = config_value(task, "eps", float, 1e-2)
+    tail_tol = config_value(task, "tail_tol", float, 1e-3)
+    halvings = config_value(task, "halvings", int, 10)
+    pairs = config_value(task, "pairs", lambda ps: [
+        ((int(p[0][0]), int(p[0][1])), (int(p[1][0]), int(p[1][1]))) for p in ps
+    ])
+    model = _model(cfg)
     hs = [eps / 2.0 ** (k + 1) for k in range(halvings)]
     ladder = expansion.build_threshold_ladder(model, lam, eps=eps, tail_tol=tail_tol)
-    pairs = [((int(p[0][0]), int(p[0][1])), (int(p[1][0]), int(p[1][1])))
-             for p in task["pairs"]]
     reports = [rep.to_dict() for rep in scattering.continuity_probes(ladder, pairs, hs)]
     writer.write_json("threshold_scan.json", reports)
     rows = []
@@ -228,11 +257,13 @@ def cmd_threshold_scan(cfg, writer: ArtifactWriter, args) -> int:
 
 
 def cmd_expansion(cfg, writer: ArtifactWriter, args) -> int:
-    model = waveguide.model_from_config(cfg["model"])
-    task = cfg["tasks"]["expansion"]
-    lam = float(task["lam"])
-    eps = float(task.get("eps", 1e-2))
-    tail_tol = float(task.get("tail_tol", 1e-3))
+    task = _task(cfg, "expansion")
+    lam = config_value(task, "lam")
+    eps = config_value(task, "eps", float, 1e-2)
+    tail_tol = config_value(task, "tail_tol", float, 1e-3)
+    kappa_lo = config_value(task, "kappa_lo", float, 1e-4)
+    kappa_hi = config_value(task, "kappa_hi", float, 1e-2)
+    model = _model(cfg)
     ladder = expansion.build_threshold_ladder(model, lam, eps=eps, tail_tol=tail_tol)
     report = expansion.ladder_report(ladder)
     if args.verify:
@@ -247,32 +278,25 @@ def cmd_expansion(cfg, writer: ArtifactWriter, args) -> int:
                 float(np.linalg.norm(m - direct) / np.linalg.norm(direct))
             )
         report["oracle_rel_errors"] = errs
-    struct = expansion.verify_structural_lemmas(
-        ladder,
-        kappa_lo=float(task.get("kappa_lo", 1e-4)),
-        kappa_hi=float(task.get("kappa_hi", 1e-2)),
-    )
+    struct = expansion.verify_structural_lemmas(ladder, kappa_lo=kappa_lo, kappa_hi=kappa_hi)
     report["structural"] = struct.to_dict()
     writer.write_json("expansion.json", report)
     return 0 if struct.ok else 1
 
 
 def cmd_eigenvalues(cfg, writer: ArtifactWriter, args) -> int:
-    base = cfg["model"]
-    task = cfg["tasks"]["eigenvalues"]
-    window = (float(task["window"][0]), float(task["window"][1]))
-    tail_tol = float(task.get("tail_tol", 1e-3))
+    task = _task(cfg, "eigenvalues")
+    window = tuple(config_value(task, "window", lambda w: json_list(w, length=2)))
+    tail_tol = config_value(task, "tail_tol", float, 1e-3)
+    resolutions = config_value(task, "resolutions", lambda rs: json_list(rs, int), [48])
+    model = _model(cfg)
     rows = []
     counts = []
-    for res in task.get("resolutions", [48]):
-        model_doc = json.loads(json.dumps(base))
-        model = waveguide.model_from_config(model_doc)
-        cands = birman.eigenvalue_search(
-            window, model, resolution=int(res), tail_tol=tail_tol
-        )
+    for res in resolutions:
+        cands = birman.eigenvalue_search(window, model, resolution=res, tail_tol=tail_tol)
         counts.append(len(cands))
         for c in cands:
-            rows.append([int(res), c.lam, c.sigma_min, c.rel_dip])
+            rows.append([res, c.lam, c.sigma_min, c.rel_dip])
     writer.write_csv(
         "eigenvalues.csv", ["resolution", "lam", "sigma_min", "rel_dip"], rows
     )
@@ -285,11 +309,13 @@ def cmd_eigenvalues(cfg, writer: ArtifactWriter, args) -> int:
 
 def cmd_verify(cfg, writer: ArtifactWriter, args) -> int:
     """Structural lemma suite plus module invariant spot checks."""
-    model = waveguide.model_from_config(cfg["model"])
-    task = cfg["tasks"].get("verify", {})
-    lam = float(task.get("lam", model.thresholds()[min(1, len(model.groups) - 1)]))
-    eps = float(task.get("eps", 1e-2))
-    tail_tol = float(task.get("tail_tol", 1e-3))
+    task = _task(cfg, "verify", {})
+    lam = config_value(task, "lam", float, None)
+    eps = config_value(task, "eps", float, 1e-2)
+    tail_tol = config_value(task, "tail_tol", float, 1e-3)
+    model = _model(cfg)
+    if lam is None:
+        lam = model.thresholds()[min(1, len(model.groups) - 1)]
     report: dict = {"model_dim": model.dim}
 
     ladder = expansion.build_threshold_ladder(model, lam, eps=eps, tail_tol=tail_tol)
@@ -360,6 +386,10 @@ def main(argv=None) -> int:
     t0 = time.time()
     try:
         rc = COMMANDS[args.command](cfg, writer, args)
+    except ConfigError as exc:
+        writer.cleanup()
+        print(f"error [{args.command}]: bad config: {exc}", file=sys.stderr)
+        return 2
     except WgscatError as exc:
         writer.cleanup()
         print(f"error [{args.command}]: {exc}", file=sys.stderr)

@@ -42,7 +42,11 @@ class HypothesisError(WgscatError):
     """A structural hypothesis (positivity, annihilation, ...) fails on input."""
 
 
-class ModelError(WgscatError):
+class ConfigError(WgscatError):
+    """A configuration value is missing, malformed or of the wrong type."""
+
+
+class ModelError(ConfigError):
     """Invalid waveguide model data (orthonormality, boundedness, schema)."""
 
 

@@ -21,12 +21,14 @@ off the thresholds the two-term form applies instead:
     M(lam, k) = (J0(k)+S)^-1 + (1/k^2)(J0(k)+S)^-1 S J1(k)^-1 S (J0(k)+S)^-1.
 
 A ladder holds the kappa-independent data (projections ``S_j``, level
-operators at ``k = 0``); ``ladder.at(k)`` returns one immutable evaluation
-with every kappa-dependent operator, each computed once: ``G0``, ``I1``,
-``H1``, ``I2``, ``(I2+S2)^-1``, ``I3`` and ``I3^-1``, down to the terminal
-level only.  ``ladder.terms(k)`` turns one evaluation into the list of
-expansion terms, and ``m_function`` sums that list for either kind of ladder;
-the structural report reads the evaluation directly.
+operators at ``k = 0``).  On a threshold ladder ``ladder.at(k)`` returns one
+immutable evaluation with every kappa-dependent operator, each computed
+once: ``G0``, ``I1``, ``H1``, ``I2``, ``(I2+S2)^-1``, ``I3`` and ``I3^-1``,
+down to the terminal level only; the structural report reads it directly.
+``ladder.terms(k)`` gives the list of expansion terms at one kappa (from one
+evaluation on a threshold ladder, from ``(J0+S)^-1`` and ``J1`` on an
+eigenvalue ladder), and ``m_function`` sums that list for either kind of
+ladder.
 
 Off the rays (``Re k > 0 > Im k``) the sum is cross-checkable against a
 directly assembled dense inverse; that oracle sits behind ``verify=True``.
@@ -149,7 +151,6 @@ class ThresholdLadder:
     n0: np.ndarray
     n10: np.ndarray
     n20: np.ndarray
-    w0: np.ndarray            # non-group mode sum at kappa = 0
     m10: np.ndarray
     x0: np.ndarray            # real part of m10
     g00: np.ndarray           # (N0 + S0)^-1, exact block form
@@ -216,8 +217,6 @@ class ThresholdLadder:
 
     def w(self, kappa: complex) -> np.ndarray:
         """Mode sum over the non-group channels at ``z = lam - kappa^2``."""
-        if kappa == 0:
-            return self.w0
         return birman.mode_sum_matrix(self.model, self.lam - kappa**2, self.other_modes())
 
     def m1(self, kappa: complex) -> np.ndarray:
@@ -290,7 +289,9 @@ def _level0_data(
     rank_tol: float,
 ) -> dict:
     """Kappa-independent level-0 assembly shared by the ladder builder and
-    the resonance-gap probe (both must see the identical operator)."""
+    the resonance-gap probe (both must see the identical operator): the
+    ladder fields up to ``I1(0)``, keyed by field name, without the ones only
+    the builder reads (``N0``, ``N2``, ``(N0 + S0)^-1``)."""
     group = model.group_at(lam)
     # mode count fixed at the threshold; the kappa excursion moves Re z by
     # at most eps^2, absorbed in the gap margin
@@ -308,35 +309,21 @@ def _level0_data(
         u_n = q[:, keep].astype(complex)
     else:
         u_n = np.zeros((dim, 0), dtype=complex)
-    n0 = np.zeros((dim, dim), dtype=complex)
-    for v in vtil:
-        n0 += np.outer(v, v.conj())
 
     x_nodes = model.grid.x_nodes
     n10 = birman.mode_sum_matrix(
         model, 0.0, list(members),
         x_kernel=lambda n: _group_x_kernel(0.0, "linear", x_nodes),
     )
-    n20 = birman.mode_sum_matrix(
-        model, 0.0, list(members),
-        x_kernel=lambda n: _group_x_kernel(0.0, "quadratic", x_nodes),
-    )
     others = [n for n in range(1, n_used + 1) if n not in members]
     w0 = birman.mode_sum_matrix(model, complex(lam), others)
     m10 = n10 + np.diag(model.u_diag()) + w0
 
-    # exact (N0 + S0)^-1: block inverse on span(vtil), identity on its kernel
     pn = u_n @ u_n.conj().T
     s0 = np.eye(dim, dtype=complex) - pn
-    if u_n.shape[1]:
-        core = u_n.conj().T @ n0 @ u_n
-        g00 = s0 + u_n @ linalg.inverse(core) @ u_n.conj().T
-    else:
-        g00 = np.eye(dim, dtype=complex)
     return {
         "n_used": n_used, "members": members, "vtil": vtil, "u_n": u_n,
-        "n0": n0, "n10": n10, "n20": n20, "w0": w0, "m10": m10,
-        "pn": pn, "s0": s0, "g00": g00, "i10": s0 @ m10 @ s0,
+        "n10": n10, "m10": m10, "pn": pn, "s0": s0, "i10": s0 @ m10 @ s0,
     }
 
 
@@ -374,11 +361,22 @@ def build_threshold_ladder(
     :class:`StructuralError` because every later step builds on it.
     """
     d0 = _level0_data(model, lam, eps, tail_tol, rank_tol)
-    n_used, members = d0["n_used"], d0["members"]
-    vtil, u_n, n0 = d0["vtil"], d0["u_n"], d0["n0"]
-    n10, n20, w0, m10 = d0["n10"], d0["n20"], d0["w0"], d0["m10"]
-    pn, s0, g00, i10 = d0["pn"], d0["s0"], d0["g00"], d0["i10"]
-    x0 = linalg.real_part(m10)
+    u_n, m10, i10 = d0["u_n"], d0["m10"], d0["i10"]
+    dim = model.dim
+    n0 = np.zeros((dim, dim), dtype=complex)
+    for v in d0["vtil"]:
+        n0 += np.outer(v, v.conj())
+    x_nodes = model.grid.x_nodes
+    n20 = birman.mode_sum_matrix(
+        model, 0.0, list(d0["members"]),
+        x_kernel=lambda n: _group_x_kernel(0.0, "quadratic", x_nodes),
+    )
+    # exact (N0 + S0)^-1: block inverse on span(vtil), identity on its kernel
+    if u_n.shape[1]:
+        core = u_n.conj().T @ n0 @ u_n
+        g00 = d0["s0"] + u_n @ linalg.inverse(core) @ u_n.conj().T
+    else:
+        g00 = np.eye(dim, dtype=complex)
 
     # level 1: ker(I1(0)) inside S0 H == ker(I1(0) + P_N)
     im_defect = linalg.psd_defect(linalg.imaginary_part(i10), herm_tol=1e-8)
@@ -386,7 +384,7 @@ def build_threshold_ladder(
         raise StructuralError(
             f"level-1 positivity certificate failed (defect {im_defect:.3e})"
         )
-    b1_full = linalg.kernel_basis(i10 + pn, rank_tol)
+    b1_full = linalg.kernel_basis(i10 + d0["pn"], rank_tol)
     b1 = b1_full if b1_full.shape[1] else None
 
     i2c0 = kc2 = None
@@ -414,23 +412,14 @@ def build_threshold_ladder(
     ladder = ThresholdLadder(
         model=model,
         lam=lam,
-        members=members,
         eps=eps,
         rank_tol=rank_tol,
-        n_used=n_used,
-        tail_bound=birman.tail_bound_value(model, complex(lam + eps**2), n_used),
-        vtil=vtil,
-        u_n=u_n,
-        pn=pn,
-        s0=s0,
+        tail_bound=birman.tail_bound_value(model, complex(lam + eps**2), d0["n_used"]),
+        **d0,
         n0=n0,
-        n10=n10,
         n20=n20,
-        w0=w0,
-        m10=m10,
-        x0=x0,
+        x0=linalg.real_part(m10),
         g00=g00,
-        i10=i10,
         b1=b1,
         s1=b1_full @ b1_full.conj().T,
         i2c0=i2c0,
@@ -451,15 +440,6 @@ def build_threshold_ladder(
 # ---------------------------------------------------------------------------
 # Eigenvalue ladder
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EigenvalueEvaluation:
-    """The two-term ladder at one kappa: ``gs = (J0+S)^-1`` (dense) and
-    ``j1c = J1`` in S coordinates (``None`` at a regular point)."""
-
-    gs: np.ndarray
-    j1c: np.ndarray | None
-
 
 @dataclass
 class EigenvalueLadder:
@@ -500,26 +480,19 @@ class EigenvalueLadder:
             return self.t0
         return self.t0 + complex(kappa) ** 2 * self.t1(kappa)
 
-    def at(self, kappa: complex) -> EigenvalueEvaluation:
-        """The ladder at ``kappa``; ``J1`` is the quotient in the variable k^2."""
-        g = linalg.inverse(self.j0(kappa) + self.s)
-        if self.basis is None:
-            return EigenvalueEvaluation(g, None)
-        r = self.rank
-        j1 = (np.eye(r, dtype=complex) - self.basis.conj().T @ g @ self.basis) / kappa**2
-        return EigenvalueEvaluation(g, j1)
-
     def terms(self, kappa: complex) -> list[np.ndarray]:
         """The two-term expansion at ``kappa != 0``, term by term:
-        ``(J0+S)^-1`` and, when ``ker T0`` is nontrivial, the ``1/k^2`` term."""
+        ``(J0+S)^-1`` and, when ``ker T0`` is nontrivial, the ``1/k^2`` term
+        built from ``J1`` (the quotient in the variable k^2, in S
+        coordinates)."""
         k = complex(kappa)
-        ev = self.at(k)
-        g = ev.gs
+        g = linalg.inverse(self.j0(k) + self.s)
         if self.basis is None:
             return [g]
+        j1 = (np.eye(self.rank, dtype=complex) - self.basis.conj().T @ g @ self.basis) / k**2
         left = g @ self.basis
         right = self.basis.conj().T @ g
-        return [g, (left @ linalg.inverse(ev.j1c) @ right) / k**2]
+        return [g, (left @ linalg.inverse(j1) @ right) / k**2]
 
 
 def build_eigenvalue_ladder(

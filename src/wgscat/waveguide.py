@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError, ModelError
+from .errors import ConfigError, DimensionError, ModelError
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -324,7 +324,6 @@ class PotentialModel:
     support: tuple[float, float]
     omega_factor: np.ndarray | None = None   # sqrt(g) at omega nodes
     x_factor: np.ndarray | None = None       # sqrt(|W|) at x nodes
-    u_x: np.ndarray | None = None            # sign(W) at x nodes
 
     @property
     def separable(self) -> bool:
@@ -333,15 +332,14 @@ class PotentialModel:
 
 def factorize_potential(values: np.ndarray, support: tuple[float, float],
                         omega_factor: np.ndarray | None = None,
-                        x_factor: np.ndarray | None = None,
-                        u_x: np.ndarray | None = None) -> PotentialModel:
+                        x_factor: np.ndarray | None = None) -> PotentialModel:
     """Pointwise ``v``/``u`` factors of a bounded potential table."""
     vals = np.asarray(values, dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ModelError("potential has non-finite values")
     v = np.sqrt(np.abs(vals))
     u = np.where(vals >= 0.0, 1.0, -1.0)
-    return PotentialModel(vals, v, u, support, omega_factor, x_factor, u_x)
+    return PotentialModel(vals, v, u, support, omega_factor, x_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -416,11 +414,12 @@ class WaveguideModel:
 def _omega_profile(kind: dict | None, nodes: np.ndarray, length: float) -> np.ndarray:
     """Nonnegative transverse profile ``g(omega)`` for separable presets."""
     om = nodes[:, 0]
-    if kind is None or kind.get("kind", "uniform") == "uniform":
+    name = "uniform" if kind is None else config_value(kind, "kind", str, "uniform")
+    if name == "uniform":
         return np.ones_like(om)
-    if kind["kind"] == "cosine":
-        amp = float(kind.get("amplitude", 0.0))
-        harmonic = int(kind.get("harmonic", 1))
+    if name == "cosine":
+        amp = config_value(kind, "amplitude", float, 0.0)
+        harmonic = config_value(kind, "harmonic", int, 1)
         if abs(amp) >= 1.0:
             raise ModelError("cosine profile amplitude must satisfy |a| < 1")
         return 1.0 + amp * np.cos(harmonic * math.pi * om / length)
@@ -458,7 +457,6 @@ def square_well_model(
         x_box,
         omega_factor=np.sqrt(g),
         x_factor=np.sqrt(np.abs(w_x)),
-        u_x=np.where(w_x >= 0, 1.0, -1.0),
     )
     modes = cross_section.modes(n_max, grid.omega_nodes)
     return WaveguideModel(cross_section, grid, modes, pot, degeneracy_tol=degeneracy_tol)
@@ -467,6 +465,43 @@ def square_well_model(
 # ---------------------------------------------------------------------------
 # JSON configuration
 # ---------------------------------------------------------------------------
+
+_REQUIRED = object()
+
+
+def config_value(section: dict, key: str, convert=float, default=_REQUIRED):
+    """``convert(section[key])`` for one field of a JSON config section, or
+    ``default`` when the key is absent and a default is given.
+
+    A section that is not an object, a missing required key, or a value that
+    ``convert`` rejects raises :class:`ConfigError`.
+    """
+    if not isinstance(section, dict):
+        raise ConfigError(f"expected an object holding {key!r}, got {type(section).__name__}")
+    if key not in section:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing {key!r}")
+        return default
+    try:
+        return convert(section[key])
+    except (TypeError, ValueError, LookupError) as exc:
+        raise ConfigError(f"bad value for {key!r}: {exc}") from exc
+
+
+def json_list(value, convert=float, length: int | None = None) -> list:
+    """A JSON array with ``convert`` applied to each item, of the given
+    length if any."""
+    if not isinstance(value, list) or (length is not None and len(value) != length):
+        raise ValueError(f"expected an array of {length or 'any number of'} items")
+    return [convert(v) for v in value]
+
+
+def json_object(value) -> dict:
+    """``value`` itself when it is a JSON object (a config section)."""
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object, got {type(value).__name__}")
+    return value
+
 
 def model_from_config(doc: dict) -> WaveguideModel:
     """Build a model from its JSON description.
@@ -484,47 +519,55 @@ def model_from_config(doc: dict) -> WaveguideModel:
                        "omega_profile": {...}?}
                       | {"kind": "table", "x_box": [a, b],
                          "values": [[...], ...]}}
+
+    A missing or malformed field raises :class:`ConfigError`, and an
+    unsupported schema version or kind raises :class:`ModelError`.
     """
-    if doc.get("schema_version") != MODEL_SCHEMA_VERSION:
+    if not isinstance(doc, dict) or doc.get("schema_version") != MODEL_SCHEMA_VERSION:
         raise ModelError("unsupported model schema_version")
-    cs_doc = doc["cross_section"]
-    kind = cs_doc["kind"]
+    cs_doc = config_value(doc, "cross_section", json_object)
+    kind = config_value(cs_doc, "kind", str)
     if kind == "interval":
-        cs = Interval(float(cs_doc["length"]))
+        cs = Interval(config_value(cs_doc, "length"))
     elif kind == "rectangle":
-        cs = Rectangle(float(cs_doc["l1"]), float(cs_doc["l2"]))
+        cs = Rectangle(config_value(cs_doc, "l1"), config_value(cs_doc, "l2"))
     elif kind == "custom":
+        def array(key):
+            return config_value(cs_doc, key, lambda v: np.asarray(v, dtype=float))
+
         cs = Custom(
-            np.asarray(cs_doc["nodes"], dtype=float),
-            np.asarray(cs_doc["weights"], dtype=float),
-            tuple(float(e) for e in cs_doc["eigenvalues"]),
-            np.asarray(cs_doc["samples"], dtype=float),
+            array("nodes"),
+            array("weights"),
+            tuple(config_value(cs_doc, "eigenvalues", json_list)),
+            array("samples"),
         )
     else:
         raise ModelError(f"unknown cross-section kind {kind!r}")
-    gr = doc["grid"]
-    pot_doc = doc["potential"]
-    x_box = tuple(float(t) for t in pot_doc["x_box"])
-    n_max = int(doc["n_max"])
-    if pot_doc["kind"] == "square_well":
+    gr = config_value(doc, "grid", json_object)
+    n_omega, n_x = config_value(gr, "n_omega", int), config_value(gr, "n_x", int)
+    n_panels = config_value(gr, "n_panels", int, 1)
+    pot_doc = config_value(doc, "potential", json_object)
+    x_box = tuple(config_value(pot_doc, "x_box", lambda v: json_list(v, length=2)))
+    n_max = config_value(doc, "n_max", int)
+    pot_kind = config_value(pot_doc, "kind", str)
+    if pot_kind == "square_well":
         return square_well_model(
             cs,
-            float(pot_doc["depth"]),
+            config_value(pot_doc, "depth"),
             x_box,
-            int(gr["n_omega"]),
-            int(gr["n_x"]),
+            n_omega,
+            n_x,
             n_max,
-            omega_profile=pot_doc.get("omega_profile"),
-            n_panels=int(gr.get("n_panels", 1)),
+            omega_profile=config_value(pot_doc, "omega_profile", json_object, None),
+            n_panels=n_panels,
         )
-    if pot_doc["kind"] == "table":
-        grid = build_grid(cs, x_box, int(gr["n_omega"]), int(gr["n_x"]),
-                          int(gr.get("n_panels", 1)))
-        values = np.asarray(pot_doc["values"], dtype=float)
+    if pot_kind == "table":
+        grid = build_grid(cs, x_box, n_omega, n_x, n_panels)
+        values = config_value(pot_doc, "values", lambda v: np.asarray(v, dtype=float))
         pot = factorize_potential(values, x_box)
         modes = cs.modes(n_max, grid.omega_nodes)
         return WaveguideModel(cs, grid, modes, pot)
-    raise ModelError(f"unknown potential kind {pot_doc['kind']!r}")
+    raise ModelError(f"unknown potential kind {pot_kind!r}")
 
 
 def load_model(path) -> WaveguideModel:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import brentq
 
-from wgscat import expansion, waveguide
+from wgscat import birman, expansion, waveguide
 
 
 def oned_well_levels(depth: float, width: float = 1.0) -> list[float]:
@@ -39,23 +39,6 @@ def oned_well_levels(depth: float, width: float = 1.0) -> list[float]:
     return sorted(out)
 
 
-def golden_min(f, a: float, b: float, tol: float = 1e-13) -> float:
-    """Deterministic golden-section minimizer (unimodal dip localization)."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return (a + b) / 2.0
-
-
 def fit_slope(xs, ys) -> float:
     """Least-squares slope of log ys against log xs."""
     return float(np.polyfit(np.log(np.asarray(xs, float)),
@@ -80,4 +63,4 @@ def tune_resonant_depth(bracket: tuple[float, float], width: float = 1.0,
         )
         return expansion.level1_kernel_gap(m, lam, eps=2e-2, tail_tol=tail_tol)
 
-    return golden_min(gap, *bracket)
+    return birman.golden_min(gap, *bracket, tol=1e-13)

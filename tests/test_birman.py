@@ -146,6 +146,21 @@ class TestEigenvalueSearch:
         c2 = birman.eigenvalue_search(window, well_small, resolution=24, tail_tol=0.1)
         assert len(c1) == len(c2) == 1
 
+    def test_sigma_max_only_at_refined_candidates(self, well_small, monkeypatch):
+        # the scan and the golden-section points read sigma_min only; the
+        # power iteration for sigma_max runs once, at the refined minimum
+        calls = []
+        sigma_max, golden_min = birman._sigma_max, birman.golden_min
+        monkeypatch.setattr(birman, "_sigma_max",
+                            lambda *a: calls.append("sigma_max") or sigma_max(*a))
+        monkeypatch.setattr(birman, "golden_min",
+                            lambda *a: calls.append("golden_min") or golden_min(*a))
+        e0 = helpers.oned_well_levels(1.0, 1.0)[0]
+        window = (1.0 + e0 - 0.15, 1.0 + e0 + 0.15)
+        cands = birman.eigenvalue_search(window, well_small, resolution=12, tail_tol=0.1)
+        assert len(cands) == 1
+        assert calls == ["golden_min", "sigma_max"]
+
     def test_window_touching_threshold_rejected(self, well_small):
         with pytest.raises(DomainError):
             birman.eigenvalue_search((3.5, 4.1), well_small, resolution=8, tail_tol=0.1)

@@ -152,6 +152,25 @@ class TestModelCommands:
         doc = json.loads((out / "eigenvalue_counts.json").read_text())
         assert doc["stable"] and doc["counts"][0] == 1
 
+    def test_eigenvalue_rows_independent_of_earlier_resolutions(self, tmp_path):
+        # one model serves every resolution of a run; it must carry no state
+        # from one scan to the next
+        model = dict(MODEL_DOC)
+        model["grid"] = {"n_omega": 4, "n_x": 30}
+        rows = {}
+        for resolutions in ([10, 20], [20]):
+            cfg = write_config(
+                tmp_path,
+                {"eigenvalues": {"window": [0.6, 0.95], "resolutions": resolutions,
+                                 "tail_tol": 0.2}},
+                model=model,
+            )
+            out = tmp_path / f"out{len(resolutions)}"
+            assert run(["eigenvalues", "--config", cfg, "--out", out]) == 0
+            lines = (out / "eigenvalues.csv").read_text().splitlines()[1:]
+            rows[len(resolutions)] = [r for r in lines if r.startswith("20,")]
+        assert rows[1] and rows[2] == rows[1]
+
     def test_verify_command(self, tmp_path):
         cfg = write_config(tmp_path, {"verify": {"lam": 4.0, "tail_tol": 0.2}})
         out = tmp_path / "out"
@@ -180,3 +199,20 @@ class TestModelCommands:
         doc = json.loads((out / "expansion.json").read_text())
         assert doc["structural"]["ok"]
         assert max(doc["oracle_rel_errors"]) <= 1e-6
+
+
+class TestConfigErrors:
+    """Malformed config values exit with 2 and leave no output directory."""
+
+    @pytest.mark.parametrize("command, tasks, model", [
+        ("smatrix", {"smatrix": {"energies": ["abc"]}}, MODEL_DOC),
+        ("smatrix", {"smatrix": {"energies": None}}, MODEL_DOC),
+        ("modes", {"modes": {}}, dict(MODEL_DOC, grid={"n_omega": 4, "n_x": "forty"})),
+        ("modes", {"modes": {}}, dict(MODEL_DOC, schema_version=7)),
+    ], ids=["energy-not-a-number", "energies-null", "n_x-not-an-integer",
+            "model-schema-version"])
+    def test_exit_2_and_no_output(self, tmp_path, command, tasks, model):
+        cfg = write_config(tmp_path, tasks, model=model)
+        out = tmp_path / "out"
+        assert run([command, "--config", cfg, "--out", out]) == 2
+        assert not out.exists()
