@@ -99,11 +99,8 @@ class GridOperator:
     """``u + v R0(z) v`` on the composite grid, with its truncation record."""
 
     matrix: np.ndarray
-    lam: float
-    kappa: complex
     n_used: int
     tail_bound: float
-    tail_tol: float
 
     @property
     def dim(self) -> int:
@@ -223,19 +220,25 @@ def bs_operator(
             )
     n_used = _choose_n_used(model, z, tail_tol, n_cap)
     mat = np.diag(model.u_diag()) + mode_sum_matrix(model, z, list(range(1, n_used + 1)))
-    return GridOperator(mat, pt.lam, pt.kappa, n_used, tail_bound_value(model, z, n_used), tail_tol)
+    return GridOperator(mat, n_used, tail_bound_value(model, z, n_used))
 
 
 # ---------------------------------------------------------------------------
 # Weighted Hilbert-Schmidt diagnostics
 # ---------------------------------------------------------------------------
 
-def _window_rule(s: float, weight_tail: float, x_cap: float, per_panel: int = 12):
+HS_WEIGHT_TAIL = 1e-10   # relative weight mass the HS window may leave out
+HS_X_CAP = 4000.0        # the HS window never grows past [-X_CAP, X_CAP]
+HS_PER_PANEL = 12        # Gauss-Legendre nodes per panel of the HS window
+
+
+def _window_rule(s: float):
     """Symmetric panel rule on [-X, X] with X set by the weight tail.
 
     The relative tail ``int_{|x|>X} (1+x^2)^(-s) dx`` is pushed below
-    ``weight_tail`` when reachable under the cap; the achieved value is
-    returned with the rule.
+    ``HS_WEIGHT_TAIL`` when reachable under ``X <= HS_X_CAP``; the panels
+    carry ``HS_PER_PANEL`` nodes each.  The achieved value is returned with
+    the rule.
     """
     import scipy.integrate as si
 
@@ -245,7 +248,7 @@ def _window_rule(s: float, weight_tail: float, x_cap: float, per_panel: int = 12
 
     total, _ = si.quad(lambda t: (1.0 + t * t) ** (-s), -np.inf, np.inf)
     x_win = 2.0
-    while x_win < x_cap and tail(x_win) > weight_tail * total:
+    while x_win < HS_X_CAP and tail(x_win) > HS_WEIGHT_TAIL * total:
         x_win *= 2.0
     achieved = tail(x_win) / total
     # geometric panels toward the edges, denser near 0
@@ -257,7 +260,7 @@ def _window_rule(s: float, weight_tail: float, x_cap: float, per_panel: int = 12
     edges = np.array(edges)
     nodes, weights = [], []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        n, w = gauss_legendre_panels(lo, hi, per_panel, 1)
+        n, w = gauss_legendre_panels(lo, hi, HS_PER_PANEL, 1)
         nodes.append(n)
         weights.append(w)
     nodes = np.concatenate(nodes)
@@ -267,19 +270,13 @@ def _window_rule(s: float, weight_tail: float, x_cap: float, per_panel: int = 12
     return nodes, weights, achieved
 
 
-def hs_diagnostic(
-    lam: float,
-    zeta: complex,
-    s: float,
-    weight_tail: float = 1e-10,
-    x_cap: float = 4000.0,
-    per_panel: int = 12,
-):
+def hs_diagnostic(lam: float, zeta: complex, s: float):
     """Weighted Hilbert-Schmidt norms of the 1-D free resolvent.
 
     Returns ``(hs_norm, diff_norm)`` where ``hs_norm`` approximates
     ``|| <x>^-s R0(lam + zeta) <x>^-s ||_HS`` on a window wide enough for
-    the weight tail, and ``diff_norm`` the same for ``R0(lam + zeta) -
+    the weight tail (``HS_WEIGHT_TAIL``, ``HS_X_CAP``, ``HS_PER_PANEL``; see
+    :func:`_window_rule`), and ``diff_norm`` the same for ``R0(lam + zeta) -
     R0(lam)`` (requires ``s > 3/2``; returned as ``nan`` otherwise).
     """
     if abs(lam) < 1e-9:
@@ -288,7 +285,7 @@ def hs_diagnostic(
         raise DomainError("zeta must lie in the closed upper half-plane")
     if s <= 0.5:
         raise DomainError("the weighted kernel is Hilbert-Schmidt only for s > 1/2")
-    nodes, weights, _ = _window_rule(s, weight_tail, x_cap, per_panel)
+    nodes, weights, _ = _window_rule(s)
     wgt = (1.0 + nodes**2) ** (-s / 2.0)
     z = lam + zeta if zeta != 0 else lam + 0j
     kern = free_kernel_matrix(z, nodes)

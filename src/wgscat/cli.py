@@ -11,9 +11,9 @@ Flag defaults can be overridden through environment variables with the
 
 Exit codes: 0 on success, 1 when a command's own check fails, 2 for a
 missing, malformed or unsupported config value or an IO error (every task
-value and the model are validated before any numerical work), 3 for a
-numerical error.  A run that fails removes the files and directories it
-created.
+value, the model and the ``invert-demo`` family file are validated before
+any numerical work), 3 for a numerical error.  A run that fails removes the
+files and directories it created.
 
 Config schema::
 
@@ -167,13 +167,15 @@ def cmd_invert_demo(cfg, writer: ArtifactWriter, args) -> int:
     )
     if not fam_path.is_absolute():
         fam_path = Path(args.config).parent / fam_path
-    with open(fam_path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    docs = doc if isinstance(doc, list) else [doc]
+    try:
+        with open(fam_path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # not JSON (or not UTF-8)
+        raise ConfigError(f"family file {fam_path} is not JSON: {exc}") from exc
+    fams = [inversion.family_from_dict(d) for d in (doc if isinstance(doc, list) else [doc])]
     rows = []
     worst = 0.0
-    for i, d in enumerate(docs):
-        fam = inversion.family_from_dict(d)
+    for i, fam in enumerate(fams):
         s = linalg.kernel_projector(fam.base)
         for z in z_values:
             x = inversion.jn_invert(fam, s, z, verify_series=bool(args.verify))

@@ -48,11 +48,11 @@ from .errors import (
     StructuralError,
 )
 from .inversion import two_term_invert
-from .linalg import Projection, opnorm
+from .linalg import DEFAULT_RANK_TOL, Projection, opnorm
 from .waveguide import WaveguideModel
 
-DEFAULT_RANK_TOL = 1e-8
-STRUCT_TOL = 1e-8
+STRUCT_TOL = 1e-8      # defect tolerance of the structural identities
+KAPPA_PER_DECADE = 8   # |kappa| samples per decade on each structural ray
 
 
 def _group_x_kernel(kappa: complex, kind: str, x_nodes: np.ndarray) -> np.ndarray:
@@ -90,12 +90,11 @@ def fit_exponent(kappas, values, floor: float):
     return slope, int(mask.sum())
 
 
-def kappa_sample_paths(
-    lo: float = 1e-4, hi: float = 1e-2, per_decade: int = 8
-) -> dict[str, np.ndarray]:
-    """Geometric |kappa| grids on the two boundary rays and the diagonal."""
+def kappa_sample_paths(lo: float = 1e-4, hi: float = 1e-2) -> dict[str, np.ndarray]:
+    """Geometric |kappa| grids on the two boundary rays and the diagonal,
+    ``KAPPA_PER_DECADE`` points per decade."""
     ndec = np.log10(hi / lo)
-    ts = np.geomspace(lo, hi, max(2, int(round(ndec * per_decade)) + 1))
+    ts = np.geomspace(lo, hi, max(2, int(round(ndec * KAPPA_PER_DECADE)) + 1))
     diag = (1.0 - 1.0j) / np.sqrt(2.0)
     return {
         "left": ts.astype(complex),   # kappa = t    -> z < lam
@@ -113,15 +112,14 @@ class LadderEvaluation:
     """Every kappa-dependent operator of a threshold ladder at one kappa.
 
     ``g0 = (I0+S0)^-1`` and ``h1 = (I1+S1)^-1`` (extended by zero outside
-    ``S0 H``) are dense; ``i2c``/``h2 = (I2+S2)^-1`` live in S1 coordinates
-    and ``i3c``/``i3inv = I3^-1`` in S2 coordinates.  Entries below the
-    ladder's terminal level are ``None``.
+    ``S0 H``) are dense; ``h2 = (I2+S2)^-1`` lives in S1 coordinates and
+    ``i3c``/``i3inv = I3^-1`` in S2 coordinates.  Entries below the ladder's
+    terminal level are ``None``.
     """
 
     g0: np.ndarray
     i1: np.ndarray
     h1: np.ndarray
-    i2c: np.ndarray | None = None
     h2: np.ndarray | None = None
     i3c: np.ndarray | None = None
     i3inv: np.ndarray | None = None
@@ -140,7 +138,6 @@ class ThresholdLadder:
     lam: float
     members: tuple[int, ...]
     eps: float
-    rank_tol: float
     n_used: int
     tail_bound: float
     # level 0
@@ -257,11 +254,11 @@ class ThresholdLadder:
         )
         h2 = linalg.inverse(i2c + s2c)
         if self.kc2 is None:
-            return LadderEvaluation(g0, i1, h1, i2c, h2)
+            return LadderEvaluation(g0, i1, h1, h2)
         i3c = (np.eye(self.r2, dtype=complex) - self.kc2.conj().T @ h2 @ self.kc2) / kappa
         # s3c is unset only while the builder extrapolates I3(0) from i3c
         i3inv = None if self.s3c is None else two_term_invert(i3c, self.s3c)
-        return LadderEvaluation(g0, i1, h1, i2c, h2, i3c, i3inv)
+        return LadderEvaluation(g0, i1, h1, h2, i3c, i3inv)
 
     def terms(self, kappa: complex) -> list[np.ndarray]:
         """The four-term expansion at ``kappa != 0``, term by term: ``2k G0``,
@@ -281,13 +278,7 @@ class ThresholdLadder:
         return terms
 
 
-def _level0_data(
-    model: WaveguideModel,
-    lam: float,
-    eps: float,
-    tail_tol: float,
-    rank_tol: float,
-) -> dict:
+def _level0_data(model: WaveguideModel, lam: float, eps: float, tail_tol: float) -> dict:
     """Kappa-independent level-0 assembly shared by the ladder builder and
     the resonance-gap probe (both must see the identical operator): the
     ladder fields up to ``I1(0)``, keyed by field name, without the ones only
@@ -305,7 +296,8 @@ def _level0_data(
     norms = np.array([np.linalg.norm(v) for v in vtil])
     if np.any(norms > 0):
         q, r = np.linalg.qr(vtil[norms > 0].T)
-        keep = np.abs(np.diag(r)) > rank_tol * max(np.abs(np.diag(r)).max(), 1e-300)
+        rdiag = np.abs(np.diag(r))
+        keep = rdiag > DEFAULT_RANK_TOL * max(rdiag.max(), 1e-300)
         u_n = q[:, keep].astype(complex)
     else:
         u_n = np.zeros((dim, 0), dtype=complex)
@@ -328,19 +320,16 @@ def _level0_data(
 
 
 def level1_kernel_gap(
-    model: WaveguideModel,
-    lam: float,
-    eps: float = 1e-2,
-    tail_tol: float = 1e-3,
-    rank_tol: float = DEFAULT_RANK_TOL,
+    model: WaveguideModel, lam: float, eps: float = 1e-2, tail_tol: float = 1e-3
 ) -> float:
     """Smallest singular value of the level-1 operator inside ``S0 H``.
 
     A value at rounding scale signals a threshold resonance or a threshold
     eigenvalue of the discrete family (the ladder then carries a nontrivial
-    level-1 kernel).  Used to tune critical couplings.
+    level-1 kernel).  Used to tune critical couplings.  The level-0 span is
+    cut at ``linalg.DEFAULT_RANK_TOL``, as in the ladder builder.
     """
-    d = _level0_data(model, lam, eps, tail_tol, rank_tol)
+    d = _level0_data(model, lam, eps, tail_tol)
     sv = np.linalg.svd(d["i10"] + d["pn"], compute_uv=False)
     return float(sv[-1])
 
@@ -349,18 +338,19 @@ def build_threshold_ladder(
     model: WaveguideModel,
     lam: float,
     eps: float = 1e-2,
-    rank_tol: float = DEFAULT_RANK_TOL,
     tail_tol: float = 1e-3,
     certificate_tol: float = 1e-10,
 ) -> ThresholdLadder:
     """Assemble the kappa-independent ladder data at threshold ``lam``.
 
-    The positivity certificate of the orthogonal-projection levels (the skew
-    part of the level-1 compression must be positive semidefinite, and the
-    level-2 compression self-adjoint) is asserted; failure raises
-    :class:`StructuralError` because every later step builds on it.
+    Every kernel (the level-0 span and the level-1 and level-2 kernels) is
+    detected at ``linalg.DEFAULT_RANK_TOL``.  The positivity certificate of
+    the orthogonal-projection levels (the skew part of the level-1
+    compression must be positive semidefinite, and the level-2 compression
+    self-adjoint) is asserted; failure raises :class:`StructuralError`
+    because every later step builds on it.
     """
-    d0 = _level0_data(model, lam, eps, tail_tol, rank_tol)
+    d0 = _level0_data(model, lam, eps, tail_tol)
     u_n, m10, i10 = d0["u_n"], d0["m10"], d0["i10"]
     dim = model.dim
     n0 = np.zeros((dim, dim), dtype=complex)
@@ -384,7 +374,7 @@ def build_threshold_ladder(
         raise StructuralError(
             f"level-1 positivity certificate failed (defect {im_defect:.3e})"
         )
-    b1_full = linalg.kernel_basis(i10 + d0["pn"], rank_tol)
+    b1_full = linalg.kernel_basis(i10 + d0["pn"])
     b1 = b1_full if b1_full.shape[1] else None
 
     i2c0 = kc2 = None
@@ -400,7 +390,7 @@ def build_threshold_ladder(
             )
         # kernel detection against the scale of the constituents, not of the
         # (possibly exactly cancelling) difference
-        kc2_b = linalg.kernel_basis(i2c0, rank_tol, scale=scale2)
+        kc2_b = linalg.kernel_basis(i2c0, scale=scale2)
         kc2 = kc2_b if kc2_b.shape[1] else None
 
     # S0, S1, S2 are orthogonal projections exactly when their bases are
@@ -413,7 +403,6 @@ def build_threshold_ladder(
         model=model,
         lam=lam,
         eps=eps,
-        rank_tol=rank_tol,
         tail_bound=birman.tail_bound_value(model, complex(lam + eps**2), d0["n_used"]),
         **d0,
         n0=n0,
@@ -448,7 +437,6 @@ class EigenvalueLadder:
     model: WaveguideModel
     lam: float
     eps: float
-    rank_tol: float
     n_used: int
     t0: np.ndarray
     basis: np.ndarray | None   # (dim, r) kernel basis of T0; None when regular
@@ -499,14 +487,14 @@ def build_eigenvalue_ladder(
     model: WaveguideModel,
     lam: float,
     eps: float = 1e-2,
-    rank_tol: float = DEFAULT_RANK_TOL,
     tail_tol: float = 1e-3,
 ) -> EigenvalueLadder:
     """Assemble the two-term ladder at ``lam`` (eigenvalue or regular point).
 
     ``lam`` must keep its kappa excursion clear of every threshold.  The
-    kernel of the boundary operator is detected at ``rank_tol``; an empty
-    kernel yields the regular-point ladder (plain inverse).
+    kernel of the boundary operator is detected at
+    ``linalg.DEFAULT_RANK_TOL``; an empty kernel yields the regular-point
+    ladder (plain inverse).
     """
     for n in range(1, model.n_max + 2):
         if abs(model.eigenvalue(n) - lam) <= 4 * eps**2:
@@ -518,12 +506,11 @@ def build_eigenvalue_ladder(
     d = linalg.psd_defect(linalg.imaginary_part(t0), herm_tol=1e-8)
     if d > 1e-10 * max(1.0, opnorm(t0)):
         raise HypothesisError(f"skew part of T0 not positive semidefinite ({d:.3e})")
-    basis = linalg.kernel_basis(t0, rank_tol)
+    basis = linalg.kernel_basis(t0)
     return EigenvalueLadder(
         model=model,
         lam=lam,
         eps=eps,
-        rank_tol=rank_tol,
         n_used=op.n_used,
         t0=t0,
         basis=basis if basis.shape[1] else None,
@@ -646,11 +633,14 @@ def verify_structural_lemmas(
     ladder: ThresholdLadder,
     kappa_lo: float = 1e-4,
     kappa_hi: float = 1e-2,
-    per_decade: int = 8,
-    tol: float = STRUCT_TOL,
 ) -> StructuralReport:
     """Measure every structural identity of the ladder and fit the kappa
     growth exponents of the commutators.  Report-only; nothing raises.
+
+    Identity defects are judged at ``STRUCT_TOL``, ranks at
+    ``linalg.DEFAULT_RANK_TOL``, and the kappa samples come from
+    :func:`kappa_sample_paths` on ``[kappa_lo, kappa_hi]``
+    (``KAPPA_PER_DECADE`` per decade).
 
     Identically vanishing quantities (for instance symmetry-protected rows)
     pass their growth targets vacuously and are flagged in the notes.
@@ -660,16 +650,17 @@ def verify_structural_lemmas(
     checks: list[CheckLine] = []
     fits: list[FitLine] = []
     model = ladder.model
+    tol = STRUCT_TOL
 
     sv = np.linalg.svd(ladder.n0, compute_uv=False)
-    rank_n0 = int(np.sum(sv > ladder.rank_tol * max(sv[0], 1e-300))) if sv.size else 0
+    rank_n0 = int(np.sum(sv > DEFAULT_RANK_TOL * max(sv[0], 1e-300))) if sv.size else 0
     checks.append(
         CheckLine("leading_kernel_rank_at_most_group_size",
                   float(rank_n0), float(len(ladder.members)),
                   rank_n0 <= len(ladder.members))
     )
 
-    s0_svd = linalg.kernel_projector(ladder.n0, ladder.rank_tol)
+    s0_svd = linalg.kernel_projector(ladder.n0)
     agree = opnorm(s0_svd.matrix - ladder.s0)
     checks.append(CheckLine("s0_svd_vs_span_construction", agree, 1e-9, agree <= 1e-9))
 
@@ -737,7 +728,7 @@ def verify_structural_lemmas(
 
     # one ladder evaluation per kappa sample feeds the commutator growth
     # exponents and, on the two boundary rays, the terminal-inverse norms
-    paths = kappa_sample_paths(kappa_lo, kappa_hi, per_decade)
+    paths = kappa_sample_paths(kappa_lo, kappa_hi)
     ray = np.concatenate([paths["left"], paths["right"]])
     ks = np.concatenate([ray, paths["diagonal"]])
     max_level = ladder.terminal_level() - 1
@@ -774,9 +765,9 @@ def verify_structural_lemmas(
             vals = []
             for k in kr:
                 z = (ladder.lam - k**2).real
-                row = scattering.trace_row(z, n, +1, model).coefficients
+                row = scattering.trace_row(z, n, +1, model)
                 vals.append(float(np.linalg.norm(row @ ladder.b1)))
-            row0 = scattering.trace_row(ladder.lam, n, +1, model).coefficients
+            row0 = scattering.trace_row(ladder.lam, n, +1, model)
             floor_row = 1e-12 * max(1.0, float(np.linalg.norm(row0)))
             expo, used = fit_exponent(kr, vals, floor_row)
             fits.append(

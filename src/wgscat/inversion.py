@@ -23,15 +23,21 @@ import numpy as np
 from . import linalg
 from .errors import (
     AccuracyError,
+    ConfigError,
     DimensionError,
     DomainError,
     HypothesisError,
     SingularMatrixError,
 )
 from .linalg import Projection, opnorm
+from .waveguide import config_value, json_list, json_object
 
-SERIES_TAIL_TOL = 1e-14
-CROSS_CHECK_TOL = 1e-9
+SERIES_TAIL_TOL = 1e-14   # series truncation: tail bound relative to its scale
+SERIES_MAX_TERMS = 400    # series terms before the tail tolerance counts as missed
+CROSS_CHECK_TOL = 1e-9    # quotient vs series forms of B(z), relative Frobenius
+CONDITION_TOL = 1e-8      # defects of condition (ii) and the annihilation identities
+PSD_TOL = 1e-10           # positivity of the skew part, relative to ||A0||
+RESIDUAL_TOL = 1e-8       # ||A(z) X - 1|| of an inverse, relative to cond(A(z))
 
 
 @dataclass(frozen=True)
@@ -94,11 +100,11 @@ class ConditionReport:
     cond_i_margin: float
     cond_ii_defect: float
     ok: bool
-    tol: float = 1e-8
 
 
-def verify_conditions(a0: np.ndarray, s: Projection, tol: float = 1e-8) -> ConditionReport:
-    """Check invertibility of ``A0 + S`` and the compression identity.
+def verify_conditions(a0: np.ndarray, s: Projection) -> ConditionReport:
+    """Check invertibility of ``A0 + S`` and the compression identity, the
+    latter to ``CONDITION_TOL``.
 
     Never raises on mathematical failure; the report carries the margins.
     """
@@ -110,10 +116,10 @@ def verify_conditions(a0: np.ndarray, s: Projection, tol: float = 1e-8) -> Condi
         cond = linalg.cond_estimate(a0 + s.matrix)
         margin = 1.0 / cond
     except SingularMatrixError:
-        return ConditionReport(0.0, float("inf"), False, tol)
+        return ConditionReport(0.0, float("inf"), False)
     sm = s.matrix
     defect = opnorm(sm @ g @ sm - sm) / max(1.0, opnorm(sm))
-    return ConditionReport(margin, defect, defect <= tol, tol)
+    return ConditionReport(margin, defect, defect <= CONDITION_TOL)
 
 
 def b_quotient(fam: OperatorFamily, s: Projection, z: complex) -> np.ndarray:
@@ -125,18 +131,13 @@ def b_quotient(fam: OperatorFamily, s: Projection, z: complex) -> np.ndarray:
     return (sm - sm @ g @ sm) / z
 
 
-def b_series(
-    fam: OperatorFamily,
-    s: Projection,
-    z: complex,
-    tail_tol: float = SERIES_TAIL_TOL,
-    max_terms: int = 400,
-) -> np.ndarray:
+def b_series(fam: OperatorFamily, s: Projection, z: complex) -> np.ndarray:
     """Series form ``S G sum_j (-z)^j (A1(z) G)^(j+1) S`` with ``G=(A0+S)^-1``.
 
-    Truncated when the geometric tail bound drops below ``tail_tol`` relative
-    to the accumulated norm scale; raises :class:`DomainError` when the
-    series is not contractive at this ``z``.
+    Truncated when the geometric tail bound drops below ``SERIES_TAIL_TOL``
+    relative to the accumulated norm scale, within ``SERIES_MAX_TERMS``
+    terms (else :class:`AccuracyError`); raises :class:`DomainError` when
+    the series is not contractive at this ``z``.
     """
     sm = s.matrix
     g = linalg.inverse(fam.base + sm)
@@ -151,28 +152,23 @@ def b_series(
     acc = power.copy()
     coeff = 1.0 + 0j
     cnorm = opnorm(c)
-    for j in range(1, max_terms):
+    for j in range(1, SERIES_MAX_TERMS):
         coeff *= -z
         power = power @ c
         acc += coeff * power
         # geometric tail bound for the remaining terms
         tail = scale * q ** (j + 1) * cnorm / max(1e-300, 1.0 - q)
-        if tail < tail_tol * scale:
+        if tail < SERIES_TAIL_TOL * scale:
             break
     else:
         raise AccuracyError("series did not reach its tail tolerance")
     return sm @ g @ acc @ sm
 
 
-def b_operator(
-    fam: OperatorFamily,
-    s: Projection,
-    z: complex,
-    cross_tol: float = CROSS_CHECK_TOL,
-) -> np.ndarray:
+def b_operator(fam: OperatorFamily, s: Projection, z: complex) -> np.ndarray:
     """Evaluate ``B(z)`` by both the quotient and the series route.
 
-    The two independently computed forms must agree to ``cross_tol``
+    The two independently computed forms must agree to ``CROSS_CHECK_TOL``
     (relative, Frobenius) or an :class:`AccuracyError` is raised.
     """
     if s.rank == 0:
@@ -181,7 +177,7 @@ def b_operator(
     bs = b_series(fam, s, z)
     scale = max(np.linalg.norm(bq), 1e-30)
     rel = np.linalg.norm(bq - bs) / scale
-    if rel > cross_tol:
+    if rel > CROSS_CHECK_TOL:
         raise AccuracyError(
             f"quotient and series forms of B(z) disagree: rel {rel:.3e}"
         )
@@ -200,7 +196,6 @@ def jn_invert(
     fam: OperatorFamily,
     s: Projection,
     z: complex,
-    resid_tol: float = 1e-8,
     verify_series: bool = False,
 ) -> np.ndarray:
     """Invert ``A(z)`` through the projection formula.
@@ -209,7 +204,8 @@ def jn_invert(
     where ``B(z)^-1`` is taken inside ``ran(S)``.  A singular ``B(z)`` means
     ``A(z)`` itself is not invertible and raises
     :class:`SingularMatrixError` (that equivalence is exact, not a numerical
-    failure).  The residual ``norm(A(z) X - 1)`` is checked internally.
+    failure).  The residual ``norm(A(z) X - 1)`` is checked internally
+    against ``RESIDUAL_TOL * max(1, cond(A(z)))``.
     """
     az = fam.a(z)
     sm = s.matrix
@@ -237,49 +233,44 @@ def jn_invert(
         x = g + (1.0 / z) * g @ (q @ bq_inv @ (q.conj().T @ sm)) @ g
     cond = linalg.cond_estimate(az)
     resid = opnorm(az @ x - np.eye(fam.dim))
-    if resid > resid_tol * max(1.0, cond):
+    if resid > RESIDUAL_TOL * max(1.0, cond):
         raise AccuracyError(
-            f"inversion residual {resid:.3e} exceeds {resid_tol:.1e} * cond"
+            f"inversion residual {resid:.3e} exceeds {RESIDUAL_TOL:.1e} * cond"
         )
     return x
 
 
 @dataclass(frozen=True)
 class AnnihilationReport:
-    """Defects of the contour projector annихilation identities."""
+    """Defects of the contour projector annihilation identities."""
 
-    norm_a0: float
     defect_a0_s: float      # ||A0 S_r|| / ||A0||
     defect_s_a0: float      # ||S_r A0|| / ||A0||
     rank: int
     ok: bool
 
 
-def check_a0_annihilation(
-    a0: np.ndarray,
-    psd_tol: float = 1e-10,
-    tol: float = 1e-8,
-    n_quad: int = 64,
-) -> AnnihilationReport:
-    """Verify ``A0 S_r = S_r A0 = 0`` for ``A0 = X + iY`` with ``Y >= 0``.
+def check_a0_annihilation(a0: np.ndarray) -> AnnihilationReport:
+    """Verify ``A0 S_r = S_r A0 = 0`` to ``CONDITION_TOL`` for ``A0 = X + iY``
+    with ``Y >= 0``; ``S_r`` is :func:`linalg.riesz_projection_at_zero`
+    (``linalg.RIESZ_N_QUAD`` contour points).
 
-    Preconditions: the skew part must be positive semidefinite to ``psd_tol``
+    Preconditions: the skew part must be positive semidefinite to ``PSD_TOL``
     and 0 must be isolated in the spectrum (both raise
     :class:`HypothesisError` / :class:`ContourError` otherwise).
     """
     a0 = linalg.require_square(a0)
     y = linalg.imaginary_part(a0)
     d = linalg.psd_defect(y)
-    if d > psd_tol * max(1.0, opnorm(a0)):
+    if d > PSD_TOL * max(1.0, opnorm(a0)):
         raise HypothesisError(
             f"imaginary part is not positive semidefinite (defect {d:.3e})"
         )
-    sr = linalg.riesz_projection_at_zero(a0, n_quad=n_quad)
-    na = opnorm(a0)
-    scale = max(na, 1e-30)
+    sr = linalg.riesz_projection_at_zero(a0)
+    scale = max(opnorm(a0), 1e-30)
     d1 = opnorm(a0 @ sr.matrix) / scale
     d2 = opnorm(sr.matrix @ a0) / scale
-    return AnnihilationReport(na, d1, d2, sr.rank, max(d1, d2) <= tol)
+    return AnnihilationReport(d1, d2, sr.rank, max(d1, d2) <= CONDITION_TOL)
 
 
 @dataclass(frozen=True)
@@ -287,30 +278,28 @@ class RieszOrthogonalReport:
     """Comparison of the contour projector with the kernel projector."""
 
     diff_norm: float
-    psd_defect: float
     hypothesis_ok: bool
     ok: bool
 
 
-def check_riesz_orthogonal(
-    a0: np.ndarray,
-    rank_tol: float = linalg.DEFAULT_RANK_TOL,
-    psd_tol: float = 1e-10,
-    tol: float = 1e-8,
-    n_quad: int = 64,
-) -> RieszOrthogonalReport:
+def check_riesz_orthogonal(a0: np.ndarray) -> RieszOrthogonalReport:
     """Report ``||S_r - S_o||`` for ``A0 = X + iY`` with ``Y >= 0``.
 
-    When the positivity hypothesis fails the report flags it instead of
-    raising, so deliberately broken inputs can be used as negative controls.
+    ``S_r`` is :func:`linalg.riesz_projection_at_zero` (``linalg.RIESZ_N_QUAD``
+    contour points) and ``S_o`` the kernel projector at
+    ``linalg.DEFAULT_RANK_TOL``.  The hypothesis holds when the skew part is
+    positive semidefinite to ``PSD_TOL``; the check passes when it holds and
+    the difference is at most ``CONDITION_TOL``.  When the positivity
+    hypothesis fails the report flags it instead of raising, so deliberately
+    broken inputs can be used as negative controls.
     """
     a0 = linalg.require_square(a0)
     d = linalg.psd_defect(linalg.imaginary_part(a0))
-    hyp_ok = d <= psd_tol * max(1.0, opnorm(a0))
-    sr = linalg.riesz_projection_at_zero(a0, n_quad=n_quad)
-    so = linalg.kernel_projector(a0, rank_tol)
+    hyp_ok = d <= PSD_TOL * max(1.0, opnorm(a0))
+    sr = linalg.riesz_projection_at_zero(a0)
+    so = linalg.kernel_projector(a0)
     diff = opnorm(sr.matrix - so.matrix)
-    return RieszOrthogonalReport(diff, d, hyp_ok, hyp_ok and diff <= tol)
+    return RieszOrthogonalReport(diff, hyp_ok, hyp_ok and diff <= CONDITION_TOL)
 
 
 @dataclass(frozen=True)
@@ -324,14 +313,13 @@ def check_factor_annihilation(
     zs: Sequence[np.ndarray],
     x: np.ndarray,
     s: Projection,
-    tol: float = 1e-8,
-    pre_tol: float = 1e-8,
 ) -> FactorAnnihilationReport:
     """Verify ``Z_m S = 0`` and ``S Z_m* = 0`` given ``A0 S = 0 = S A0``.
 
     ``A0 := X + i sum_m Z_m* Z_m`` is assembled from the factors; the
     annihilation precondition on ``A0`` is checked first and raises
-    :class:`HypothesisError` when violated.
+    :class:`HypothesisError` when violated.  Both the precondition and the
+    result are judged at ``CONDITION_TOL``.
     """
     x = linalg.require_square(x)
     a0 = x.astype(complex).copy()
@@ -340,14 +328,14 @@ def check_factor_annihilation(
         a0 += 1j * zm.conj().T @ zm
     scale = max(1.0, opnorm(a0))
     pre = max(opnorm(a0 @ s.matrix), opnorm(s.matrix @ a0)) / scale
-    if pre > pre_tol:
+    if pre > CONDITION_TOL:
         raise HypothesisError(f"A0 does not annihilate S (defect {pre:.3e})")
     zscale = max([opnorm(np.asarray(zm, dtype=complex)) for zm in zs] + [1e-30])
     d1 = max(opnorm(np.asarray(zm, dtype=complex) @ s.matrix) for zm in zs) / zscale
     d2 = max(
         opnorm(s.matrix @ np.asarray(zm, dtype=complex).conj().T) for zm in zs
     ) / zscale
-    return FactorAnnihilationReport(d1, d2, max(d1, d2) <= tol)
+    return FactorAnnihilationReport(d1, d2, max(d1, d2) <= CONDITION_TOL)
 
 
 @dataclass
@@ -355,18 +343,14 @@ class LadderLevel:
     """One level of an iterated projection ladder.
 
     ``projection`` is the kernel projector of this level's leading operator
-    inside the carrier subspace (the previous level's range); ``family``
-    evaluates the level's operator family (supported on the carrier);
-    ``terminal`` marks an invertible leading operator (empty kernel).
+    inside the carrier subspace (the previous level's range); ``terminal``
+    marks an invertible leading operator (empty kernel).
     """
 
     level: int
     projection: Projection
     leading: np.ndarray
-    family: OperatorFamily
     terminal: bool
-    carrier: np.ndarray | None = None
-    certificate: ConditionReport | None = None
 
 
 def _next_family(
@@ -403,15 +387,11 @@ def _next_family(
     )
 
 
-def build_ladder(
-    fam: OperatorFamily,
-    max_depth: int = 4,
-    rank_tol: float = linalg.DEFAULT_RANK_TOL,
-) -> list[LadderLevel]:
+def build_ladder(fam: OperatorFamily, max_depth: int = 4) -> list[LadderLevel]:
     """Iterate the inversion scheme until the leading operator is invertible.
 
     Level ``j`` holds ``S_j``, the kernel projector of ``I_j(0)`` inside the
-    previous level's range, and the family for ``I_{j+1}``.  Exhausting
+    previous level's range (at ``linalg.DEFAULT_RANK_TOL``).  Exhausting
     ``max_depth`` without termination is reported on the last level
     (``terminal=False``), not raised.
     """
@@ -424,12 +404,9 @@ def build_ladder(
     for j in range(max_depth + 1):
         complement = np.eye(n, dtype=complex) - carrier
         # kernel inside the carrier: augment by the identity on the complement
-        s = linalg.kernel_projector(current.base + complement, rank_tol)
+        s = linalg.kernel_projector(current.base + complement)
         if s.rank == 0:
-            levels.append(
-                LadderLevel(j, s, current.base.copy(), current, terminal=True,
-                            carrier=carrier)
-            )
+            levels.append(LadderLevel(j, s, current.base.copy(), terminal=True))
             return levels
         cert = verify_conditions(current.base + complement, s)
         if not cert.ok:
@@ -437,10 +414,7 @@ def build_ladder(
                 f"level {j}: inversion conditions fail "
                 f"(margin {cert.cond_i_margin:.3e}, defect {cert.cond_ii_defect:.3e})"
             )
-        levels.append(
-            LadderLevel(j, s, current.base.copy(), current, terminal=False,
-                        carrier=carrier, certificate=cert)
-        )
+        levels.append(LadderLevel(j, s, current.base.copy(), terminal=False))
         if j == max_depth:
             return levels
         current = _next_family(current, s, complement)
@@ -455,7 +429,6 @@ class FinalStepResult:
     inverse: np.ndarray
     bounded: bool
     growth_exponent: float
-    sampled_norms: tuple[tuple[float, float], ...]
 
 
 def two_term_invert(i3: np.ndarray, s3: Projection) -> np.ndarray:
@@ -482,19 +455,20 @@ def two_term_invert(i3: np.ndarray, s3: Projection) -> np.ndarray:
 def final_step_invert(
     i3fam: OperatorFamily,
     z: complex,
-    n_quad: int = 64,
     probe_decades: tuple[float, float] = (1e-5, 1e-2),
     points_per_decade: int = 8,
 ) -> FinalStepResult:
     """Invert the terminal family at ``z`` and probe ``norm(I3(k)^-1)``.
 
     ``S3`` is the contour projector of ``I3(0)`` at 0 (zero projection when 0
-    is not in the spectrum).  The probe samples ``|k|`` geometrically on the
-    positive real ray and fits the growth exponent of the inverse norm; the
-    family is reported bounded when the norm does not grow as ``k -> 0``.
+    is not in the spectrum), from :func:`linalg.riesz_projection_at_zero`
+    with its ``linalg.RIESZ_N_QUAD``-point contour rule.  The probe samples
+    ``|k|`` geometrically on the positive real ray and fits the growth
+    exponent of the inverse norm; the family is reported bounded when the
+    norm does not grow as ``k -> 0``.
     """
     i30 = i3fam.base
-    s3 = linalg.riesz_projection_at_zero(i30, n_quad=n_quad)
+    s3 = linalg.riesz_projection_at_zero(i30)
     inv_z = two_term_invert(i3fam.a(z), s3)
 
     lo, hi = probe_decades
@@ -506,7 +480,7 @@ def final_step_invert(
     logs = np.log(np.array(samples))
     slope = float(np.polyfit(logs[:, 0], logs[:, 1], 1)[0])
     bounded = slope >= -0.1
-    return FinalStepResult(inv_z, bounded, slope, tuple(samples))
+    return FinalStepResult(inv_z, bounded, slope)
 
 
 # ---------------------------------------------------------------------------
@@ -517,11 +491,13 @@ FAMILY_SCHEMA_VERSION = 1
 
 
 def _matrix_from_json(entries) -> np.ndarray:
-    """Matrix from a list of rows of ``[re, im]`` pairs."""
-    rows = []
-    for row in entries:
-        rows.append([complex(re, im) for re, im in row])
-    return np.asarray(rows, dtype=complex)
+    """Finite square matrix from a list of rows of ``[re, im]`` pairs; raises
+    ``ValueError``/``TypeError`` on anything else."""
+    entry = lambda pair: complex(*json_list(pair, length=2))
+    m = np.asarray(json_list(entries, lambda row: json_list(row, entry)), dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not np.all(np.isfinite(m)):
+        raise ValueError("expected a finite square matrix of [re, im] pairs")
+    return m
 
 
 def _matrix_to_json(m: np.ndarray):
@@ -544,14 +520,24 @@ def family_from_dict(doc: dict) -> OperatorFamily:
     Polynomial remainder: ``A1(z) = sum_k coeffs[k] z^k``.  Rational:
     ``A1(z) = (sum_k num[k] z^k) / (sum_k den[k] z^k)`` with scalar real
     denominator coefficients, ``den`` nonvanishing on the domain.
+
+    A missing or malformed field, an unsupported schema version or an
+    unknown remainder kind raises :class:`ConfigError`.
     """
-    if doc.get("schema_version") != FAMILY_SCHEMA_VERSION:
-        raise DomainError("unsupported family schema_version")
-    base = _matrix_from_json(doc["base"])
-    rem = doc["remainder"]
-    kind = rem.get("kind")
+    if not isinstance(doc, dict) or doc.get("schema_version") != FAMILY_SCHEMA_VERSION:
+        raise ConfigError("unsupported family schema_version")
+    base = config_value(doc, "base", _matrix_from_json)
+    rem = config_value(doc, "remainder", json_object)
+    kind = config_value(rem, "kind", str)
+
+    def matrices(key: str) -> list[np.ndarray]:
+        mats = config_value(rem, key, lambda v: json_list(v, _matrix_from_json))
+        if any(m.shape != base.shape for m in mats):
+            raise ConfigError(f"remainder {key!r} matrices must match the base shape")
+        return mats
+
     if kind == "polynomial":
-        coeffs = [_matrix_from_json(c) for c in rem["coeffs"]]
+        coeffs = matrices("coeffs")
 
         def remainder(z: complex) -> np.ndarray:
             acc = np.zeros_like(base)
@@ -562,8 +548,8 @@ def family_from_dict(doc: dict) -> OperatorFamily:
             return acc
 
     elif kind == "rational":
-        num = [_matrix_from_json(c) for c in rem["num"]]
-        den = [float(c) for c in rem["den"]]
+        num = matrices("num")
+        den = config_value(rem, "den", json_list)
 
         def remainder(z: complex) -> np.ndarray:
             acc = np.zeros_like(base)
@@ -581,13 +567,15 @@ def family_from_dict(doc: dict) -> OperatorFamily:
             return acc / q
 
     else:
-        raise DomainError(f"unknown remainder kind {kind!r}")
-    sector = tuple(doc["sector"]) if doc.get("sector") else None
+        raise ConfigError(f"unknown remainder kind {kind!r}")
+    sector = config_value(
+        doc, "sector", lambda v: None if v is None else tuple(json_list(v, length=2)), None
+    )
     return OperatorFamily(
         base=base,
         remainder=remainder,
-        bound=float(doc["bound"]),
-        radius=float(doc["radius"]),
+        bound=config_value(doc, "bound"),
+        radius=config_value(doc, "radius"),
         sector=sector,
     )
 

@@ -26,7 +26,10 @@ from .errors import (
 # Solves refuse matrices whose 1-norm condition estimate exceeds this.
 COND_LIMIT = 1e-3 / np.finfo(float).eps  # ~4.5e12
 
-DEFAULT_RANK_TOL = 1e-8
+DEFAULT_RANK_TOL = 1e-8   # kernel detection: sigma < tol * sigma_max
+REFINE_STEPS = 2          # Newton steps of the oracle inverse
+RIESZ_N_QUAD = 64         # trapezoid points on a Riesz projection contour
+ZERO_GROUP_TOL = 1e-8     # |eigenvalue| / spectral scale that counts as 0
 
 
 def as_operator(a) -> np.ndarray:
@@ -142,14 +145,15 @@ def inverse(a: np.ndarray) -> np.ndarray:
     return solve(a, np.eye(a.shape[0], dtype=complex))
 
 
-def refined_inverse(a: np.ndarray, steps: int = 2) -> np.ndarray:
+def refined_inverse(a: np.ndarray) -> np.ndarray:
     """Newton-refined dense inverse (oracle-grade accuracy).
 
-    Each step squares the residual ``1 - a x``, pushing the forward error to
-    the rounding floor even at moderate ill-conditioning.  The refinement
-    runs in extended precision when the platform provides it, so the result
-    can serve as a reference for algorithms that beat plain float64
-    inversion.  Intended for small matrices (oracle use only).
+    Each of the ``REFINE_STEPS`` steps squares the residual ``1 - a x``,
+    pushing the forward error to the rounding floor even at moderate
+    ill-conditioning.  The refinement runs in extended precision when the
+    platform provides it, so the result can serve as a reference for
+    algorithms that beat plain float64 inversion.  Intended for small
+    matrices (oracle use only).
     """
     a = require_square(a)
     n = a.shape[0]
@@ -159,10 +163,10 @@ def refined_inverse(a: np.ndarray, steps: int = 2) -> np.ndarray:
         ax = a.astype(np.complex256)
         xx = x.astype(np.complex256)
         ee = eye.astype(np.complex256)
-        for _ in range(steps):
+        for _ in range(REFINE_STEPS):
             xx = xx + xx @ (ee - ax @ xx)
         return xx.astype(complex)
-    for _ in range(steps):
+    for _ in range(REFINE_STEPS):
         x = x + x @ (eye - a @ x)
     return x
 
@@ -213,7 +217,7 @@ def kernel_projector(a: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> Proje
     return Projection(p, orthogonal=True, tol=1e-12)
 
 
-def riesz_projection(a: np.ndarray, radius: float, n_quad: int = 64) -> Projection:
+def riesz_projection(a: np.ndarray, radius: float, n_quad: int = RIESZ_N_QUAD) -> Projection:
     """Contour projector ``(2 pi i)^-1  oint (z - a)^-1 dz`` on ``|z| = radius``.
 
     The circle is discretized by the ``n_quad``-point trapezoid rule, which is
@@ -249,15 +253,14 @@ def riesz_projection(a: np.ndarray, radius: float, n_quad: int = 64) -> Projecti
     return Projection(p, orthogonal=orthogonal, tol=1e-8)
 
 
-def riesz_projection_at_zero(
-    a: np.ndarray, n_quad: int = 64, zero_tol: float = 1e-8
-) -> Projection:
+def riesz_projection_at_zero(a: np.ndarray) -> Projection:
     """Riesz projector for the eigenvalue group at 0, with an automatic radius.
 
-    Eigenvalues with ``|e| <= zero_tol * scale`` form the zero group; the
-    contour radius is half the distance from 0 to the nearest eigenvalue
-    outside the group.  Returns the zero projection when 0 is not in the
-    spectrum, and the identity when the whole spectrum sits at 0.
+    Eigenvalues with ``|e| <= ZERO_GROUP_TOL * scale`` form the zero group;
+    the contour radius is half the distance from 0 to the nearest eigenvalue
+    outside the group, discretized by ``RIESZ_N_QUAD`` points.  Returns the
+    zero projection when 0 is not in the spectrum, and the identity when the
+    whole spectrum sits at 0.
     """
     a = require_square(a)
     n = a.shape[0]
@@ -265,13 +268,13 @@ def riesz_projection_at_zero(
         return zero_projection(0)
     ev = np.linalg.eigvals(a)
     scale = max(1.0, float(np.max(np.abs(ev))))
-    inner = np.abs(ev) <= zero_tol * scale
+    inner = np.abs(ev) <= ZERO_GROUP_TOL * scale
     if not np.any(inner):
         return zero_projection(n)
     if np.all(inner):
         return identity_projection(n)
     gap = float(np.min(np.abs(ev[~inner])))
-    return riesz_projection(a, gap / 2.0, n_quad)
+    return riesz_projection(a, gap / 2.0)
 
 
 def real_part(a: np.ndarray) -> np.ndarray:

@@ -40,16 +40,7 @@ from .expansion import EigenvalueLadder, ThresholdLadder, fit_exponent
 from .linalg import opnorm
 from .waveguide import WaveguideModel
 
-
-@dataclass(frozen=True)
-class TraceRow:
-    """Grid coefficients of one channel's shell functional, times ``v``."""
-
-    coefficients: np.ndarray
-    lam: float
-    n: int
-    sigma: int
-    flux_factor: float      # (lam - lambda_n)^(-1/4)
+SMOOTHNESS_STEPS = (1e-2, 5e-3, 2.5e-3, 1.25e-3)  # halving energy steps
 
 
 def open_channels(lam: float, model: WaveguideModel) -> list[tuple[int, int]]:
@@ -79,10 +70,10 @@ def _row_core(lam: float, n: int, sigma: int, model: WaveguideModel,
     return mat.reshape(-1)
 
 
-def trace_row(lam: float, n: int, sigma: int, model: WaveguideModel) -> TraceRow:
-    """Shell functional of channel ``(n, sigma)`` composed with ``v``."""
-    row = _row_core(lam, n, sigma, model)
-    return TraceRow(row, lam, n, sigma, (lam - model.eigenvalue(n)) ** (-0.25))
+def trace_row(lam: float, n: int, sigma: int, model: WaveguideModel) -> np.ndarray:
+    """Grid coefficients of the shell functional of channel ``(n, sigma)``
+    composed with ``v``."""
+    return _row_core(lam, n, sigma, model)
 
 
 def trace_row_q(lam: float, n: int, sigma: int, model: WaveguideModel) -> np.ndarray:
@@ -108,8 +99,8 @@ def b_rows(lam: float, n: int, model: WaveguideModel) -> np.ndarray:
     Its Gram matrix reproduces the skew part of the mode's sandwiched
     resolvent exactly on the grid (discrete optical identity).
     """
-    rm = trace_row(lam, n, -1, model).coefficients
-    rp = trace_row(lam, n, +1, model).coefficients
+    rm = trace_row(lam, n, -1, model)
+    rp = trace_row(lam, n, +1, model)
     return math.sqrt(math.pi) * np.vstack([rm, rp])
 
 
@@ -150,7 +141,7 @@ def channel_smatrix(
     if not chans:
         raise DomainError(f"no open channels at lam={lam}")
     op = birman.bs_operator(birman.SpectralPoint(lam, 0.0), model, tail_tol)
-    rows = np.array([trace_row(lam, n, s, model).coefficients for (n, s) in chans])
+    rows = np.array([trace_row(lam, n, s, model) for (n, s) in chans])
     try:
         x = linalg.solve(op.matrix, rows.conj().T)
     except SingularMatrixError as exc:
@@ -211,7 +202,6 @@ def f0_expansion_check(
     sigma: int,
     kappas,
     model: WaveguideModel,
-    n_opening: int | None = None,
 ) -> F0ExpansionReport:
     """Measure both trace-row expansions near the threshold ``lam0``.
 
@@ -219,19 +209,20 @@ def f0_expansion_check(
     quadratic model built from the row and its ``x``-weighted companion at
     ``lam0`` must shrink like ``k^4``.  Opening channel (``lambda_n = lam0``,
     approach from the right, ``kappa = -it``): the row must match
-    ``t^(-1/2) gamma_0 - i sigma t^(1/2) gamma_1`` up to ``O(t^(3/2))``.
+    ``t^(-1/2) gamma_0 - i sigma t^(1/2) gamma_1`` up to ``O(t^(3/2))``;
+    the opening mode is the first member of the threshold group at ``lam0``.
     """
     ln = model.eigenvalue(n)
     if not ln < lam0:
         raise ChannelClosedError("pass an open channel n; opening mode is separate")
     delta = lam0 - ln
-    row0 = trace_row(lam0, n, sigma, model).coefficients
+    row0 = trace_row(lam0, n, sigma, model)
     rowq = trace_row_q(lam0, n, sigma, model)
     vals = []
     for k in kappas:
         k = complex(k)
         lamk = (lam0 - k**2).real
-        actual = trace_row(lamk, n, sigma, model).coefficients
+        actual = trace_row(lamk, n, sigma, model)
         modeled = row0 * (1.0 + k**2 / (4.0 * delta)) + (
             1j * sigma * k**2 / (2.0 * math.sqrt(delta))
         ) * rowq
@@ -239,7 +230,7 @@ def f0_expansion_check(
     floor = 1e-12 * max(1.0, float(np.linalg.norm(row0)))
     open_expo, open_used = fit_exponent(kappas, vals, floor)
 
-    m_open = n_opening if n_opening is not None else model.group_at(lam0).members[0]
+    m_open = model.group_at(lam0).members[0]
     g0 = gamma_row(0, m_open, model)
     g1 = gamma_row(1, m_open, model)
     vals2, ts = [], []
@@ -247,7 +238,7 @@ def f0_expansion_check(
         t = abs(complex(k))
         ts.append(t)
         lamk = lam0 + t**2          # kappa = -it: z = lam0 + t^2 > lam0
-        actual = trace_row(lamk, m_open, sigma, model).coefficients
+        actual = trace_row(lamk, m_open, sigma, model)
         modeled = t ** (-0.5) * g0 - 1j * sigma * t**0.5 * g1
         vals2.append(float(np.linalg.norm(actual - modeled)))
     floor2 = 1e-12 * max(1.0, float(np.linalg.norm(g0)))
@@ -273,8 +264,8 @@ def _entry_via_expansion(
     lamk = (ladder.lam - complex(kappa) ** 2).real
     n, s = chan
     np_, sp = chan_p
-    row_l = trace_row(lamk, n, s, model).coefficients
-    row_r = trace_row(lamk, np_, sp, model).coefficients
+    row_l = trace_row(lamk, n, s, model)
+    row_r = trace_row(lamk, np_, sp, model)
     delta = 1.0 if chan == chan_p else 0.0
     return complex(delta - 2j * np.pi * row_l @ mmat @ np.conj(row_r))
 
@@ -379,23 +370,19 @@ def row_kernel_fit(
     n, sigma = chan
     vals = []
     for h in hs:
-        row = trace_row(ladder.lam - h * h, n, sigma, ladder.model).coefficients
+        row = trace_row(ladder.lam - h * h, n, sigma, ladder.model)
         vals.append(float(np.linalg.norm(row @ ladder.basis)))
-    row0 = trace_row(ladder.lam, n, sigma, ladder.model).coefficients
+    row0 = trace_row(ladder.lam, n, sigma, ladder.model)
     floor = 1e-12 * max(1.0, float(np.linalg.norm(row0)))
     return fit_exponent(hs, vals, floor)
 
 
-def smoothness_probe(
-    lam: float,
-    model: WaveguideModel,
-    steps=(1e-2, 5e-3, 2.5e-3, 1.25e-3),
-    tail_tol: float = 1e-4,
-) -> list[float]:
+def smoothness_probe(lam: float, model: WaveguideModel, tail_tol: float = 1e-4) -> list[float]:
     """Cauchy defects of the finite-difference derivative of ``S`` entries
-    under step halving (smoothness off the thresholds and eigenvalues)."""
+    under step halving through ``SMOOTHNESS_STEPS`` (smoothness off the
+    thresholds and eigenvalues)."""
     ders = []
-    for h in steps:
+    for h in SMOOTHNESS_STEPS:
         sp = channel_smatrix(lam + h, model, tail_tol)
         sm = channel_smatrix(lam - h, model, tail_tol)
         ders.append((sp.matrix - sm.matrix) / (2.0 * h))

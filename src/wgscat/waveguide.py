@@ -25,6 +25,7 @@ from .errors import ConfigError, DimensionError, ModelError
 MODEL_SCHEMA_VERSION = 1
 
 ORTHONORMALITY_TOL = 1e-8
+THRESHOLD_REL_TOL = 1e-9   # eigenvalues this close (relative) share a threshold
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +161,13 @@ class Custom:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
         object.__setattr__(self, "samples", np.asarray(self.samples, dtype=float))
+        if self.weights.ndim != 1 or nodes.ndim != 2 or nodes.shape[0] != self.weights.size:
+            raise ModelError("custom rule needs one node row per weight")
         ev = np.asarray(self.eigenvalues, dtype=float)
         if np.any(np.diff(ev) < 0):
             raise ModelError("custom eigenvalues must be nondecreasing")
         if self.samples.shape != (ev.size, self.weights.size):
-            raise DimensionError("samples must be (n_modes, n_nodes)")
+            raise ModelError("samples must be (n_modes, n_nodes)")
         gram = np.einsum("i,ki,li->kl", self.weights, self.samples, self.samples)
         if np.max(np.abs(gram - np.eye(ev.size))) > ORTHONORMALITY_TOL:
             raise ModelError("custom eigenfunctions are not orthonormal under the rule")
@@ -206,12 +209,15 @@ class ThresholdGroup:
 def threshold_groups(
     modes: Sequence[TransverseMode], degeneracy_tol: float | None = None
 ) -> list[ThresholdGroup]:
-    """Greedy clustering of sorted eigenvalues into degeneracy groups."""
+    """Greedy clustering of sorted eigenvalues into degeneracy groups; the
+    default tolerance is ``THRESHOLD_REL_TOL`` relative to the eigenvalue."""
     groups: list[ThresholdGroup] = []
     current: list[int] = []
     anchor = None
     for m in modes:
-        tol = degeneracy_tol if degeneracy_tol is not None else 1e-9 * max(1.0, abs(m.eigenvalue))
+        tol = degeneracy_tol
+        if tol is None:
+            tol = THRESHOLD_REL_TOL * max(1.0, abs(m.eigenvalue))
         if anchor is not None and abs(m.eigenvalue - anchor) <= tol:
             current.append(m.index)
         else:
@@ -267,7 +273,6 @@ class Grid:
     omega_weights: np.ndarray  # (n_omega,)
     x_nodes: np.ndarray        # (n_x,)
     x_weights: np.ndarray      # (n_x,)
-    support: tuple[float, float]
 
     def __post_init__(self):
         if np.any(self.omega_weights <= 0) or np.any(self.x_weights <= 0):
@@ -301,7 +306,7 @@ def build_grid(cross_section, support: tuple[float, float], n_omega: int, n_x: i
         raise ModelError("support box must have positive length")
     om_nodes, om_weights = cross_section.transverse_rule(n_omega)
     x_nodes, x_weights = gauss_legendre_panels(a, b, n_x, n_panels)
-    return Grid(om_nodes, om_weights, x_nodes, x_weights, (float(a), float(b)))
+    return Grid(om_nodes, om_weights, x_nodes, x_weights)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +326,6 @@ class PotentialModel:
     values: np.ndarray         # V on the grid, shape (n_omega, n_x)
     v: np.ndarray
     u: np.ndarray
-    support: tuple[float, float]
     omega_factor: np.ndarray | None = None   # sqrt(g) at omega nodes
     x_factor: np.ndarray | None = None       # sqrt(|W|) at x nodes
 
@@ -330,7 +334,7 @@ class PotentialModel:
         return self.x_factor is not None
 
 
-def factorize_potential(values: np.ndarray, support: tuple[float, float],
+def factorize_potential(values: np.ndarray,
                         omega_factor: np.ndarray | None = None,
                         x_factor: np.ndarray | None = None) -> PotentialModel:
     """Pointwise ``v``/``u`` factors of a bounded potential table."""
@@ -339,7 +343,7 @@ def factorize_potential(values: np.ndarray, support: tuple[float, float],
         raise ModelError("potential has non-finite values")
     v = np.sqrt(np.abs(vals))
     u = np.where(vals >= 0.0, 1.0, -1.0)
-    return PotentialModel(vals, v, u, support, omega_factor, x_factor)
+    return PotentialModel(vals, v, u, omega_factor, x_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -355,13 +359,12 @@ class WaveguideModel:
     modes: list[TransverseMode]
     potential: PotentialModel
     groups: list[ThresholdGroup] = field(default_factory=list)
-    degeneracy_tol: float | None = None
 
     def __post_init__(self):
         if self.potential.values.shape != (self.grid.n_omega, self.grid.n_x):
             raise DimensionError("potential table does not match the grid")
         if not self.groups:
-            self.groups = threshold_groups(self.modes, self.degeneracy_tol)
+            self.groups = threshold_groups(self.modes)
 
     @property
     def n_max(self) -> int:
@@ -380,9 +383,11 @@ class WaveguideModel:
     def thresholds(self) -> list[float]:
         return [g.value for g in self.groups]
 
-    def group_at(self, lam: float, tol: float = 1e-9) -> ThresholdGroup:
+    def group_at(self, lam: float) -> ThresholdGroup:
+        """The threshold group within ``THRESHOLD_REL_TOL`` (relative) of
+        ``lam``; :class:`ModelError` when ``lam`` is not a threshold."""
         for g in self.groups:
-            if abs(g.value - lam) <= tol * max(1.0, abs(lam)):
+            if abs(g.value - lam) <= THRESHOLD_REL_TOL * max(1.0, abs(lam)):
                 return g
         raise ModelError(f"{lam} is not a threshold of this model")
 
@@ -435,13 +440,13 @@ def square_well_model(
     n_max: int,
     omega_profile: dict | None = None,
     n_panels: int = 1,
-    degeneracy_tol: float | None = None,
 ) -> WaveguideModel:
     """Attractive square well ``V = -depth * g(omega)`` on ``x in [a, b]``.
 
     The box spans the full cross-section; ``g`` is a nonnegative profile
     (uniform by default), so ``V`` factors as ``g(omega) W(x)`` and the fast
-    separable assembly path applies.
+    separable assembly path applies.  Threshold groups use the default
+    ``THRESHOLD_REL_TOL`` clustering of :func:`threshold_groups`.
     """
     if depth < 0:
         raise ModelError("depth is the well magnitude; must be >= 0")
@@ -452,14 +457,9 @@ def square_well_model(
     g = _omega_profile(omega_profile, grid.omega_nodes, length or 1.0)
     w_x = -depth * np.ones(grid.n_x)
     values = g[:, None] * w_x[None, :]
-    pot = factorize_potential(
-        values,
-        x_box,
-        omega_factor=np.sqrt(g),
-        x_factor=np.sqrt(np.abs(w_x)),
-    )
+    pot = factorize_potential(values, omega_factor=np.sqrt(g), x_factor=np.sqrt(np.abs(w_x)))
     modes = cross_section.modes(n_max, grid.omega_nodes)
-    return WaveguideModel(cross_section, grid, modes, pot, degeneracy_tol=degeneracy_tol)
+    return WaveguideModel(cross_section, grid, modes, pot)
 
 
 # ---------------------------------------------------------------------------
@@ -520,8 +520,12 @@ def model_from_config(doc: dict) -> WaveguideModel:
                       | {"kind": "table", "x_box": [a, b],
                          "values": [[...], ...]}}
 
-    A missing or malformed field raises :class:`ConfigError`, and an
-    unsupported schema version or kind raises :class:`ModelError`.
+    A missing or malformed field, ``n_max < 1``, a grid with fewer than 2
+    nodes per axis (``n_omega`` is ignored for a custom cross-section), an
+    ``n_panels`` that does not divide ``n_x``, or a ``values`` table whose
+    shape is not the grid's raises :class:`ConfigError`, and an unsupported
+    schema version or kind raises :class:`ModelError`; all before the model
+    is built.
     """
     if not isinstance(doc, dict) or doc.get("schema_version") != MODEL_SCHEMA_VERSION:
         raise ModelError("unsupported model schema_version")
@@ -546,9 +550,15 @@ def model_from_config(doc: dict) -> WaveguideModel:
     gr = config_value(doc, "grid", json_object)
     n_omega, n_x = config_value(gr, "n_omega", int), config_value(gr, "n_x", int)
     n_panels = config_value(gr, "n_panels", int, 1)
+    if n_x < 2 or (kind != "custom" and n_omega < 2):
+        raise ConfigError("the grid needs at least 2 nodes along each axis")
+    if n_panels < 1 or n_x % n_panels:
+        raise ConfigError(f"n_panels = {n_panels} does not split n_x = {n_x} evenly")
     pot_doc = config_value(doc, "potential", json_object)
     x_box = tuple(config_value(pot_doc, "x_box", lambda v: json_list(v, length=2)))
     n_max = config_value(doc, "n_max", int)
+    if n_max < 1:
+        raise ConfigError("n_max must be at least 1")
     pot_kind = config_value(pot_doc, "kind", str)
     if pot_kind == "square_well":
         return square_well_model(
@@ -564,7 +574,12 @@ def model_from_config(doc: dict) -> WaveguideModel:
     if pot_kind == "table":
         grid = build_grid(cs, x_box, n_omega, n_x, n_panels)
         values = config_value(pot_doc, "values", lambda v: np.asarray(v, dtype=float))
-        pot = factorize_potential(values, x_box)
+        if values.shape != (grid.n_omega, grid.n_x):
+            raise ConfigError(
+                f"potential table of shape {values.shape} does not match the "
+                f"{grid.n_omega} x {grid.n_x} grid"
+            )
+        pot = factorize_potential(values)
         modes = cs.modes(n_max, grid.omega_nodes)
         return WaveguideModel(cs, grid, modes, pot)
     raise ModelError(f"unknown potential kind {pot_kind!r}")

@@ -4,10 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from wgscat import birman, expansion, waveguide
 
 import helpers
+
+# property tests replay the same examples on every run, with no time limit
+# per example and no example database
+settings.register_profile(
+    "tier1", derandomize=True, deadline=None, max_examples=60, database=None
+)
+settings.load_profile("tier1")
 
 ACCEPTANCE_LINES: list[str] = []
 

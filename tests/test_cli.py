@@ -204,14 +204,37 @@ class TestModelCommands:
 class TestConfigErrors:
     """Malformed config values exit with 2 and leave no output directory."""
 
-    @pytest.mark.parametrize("command, tasks, model", [
-        ("smatrix", {"smatrix": {"energies": ["abc"]}}, MODEL_DOC),
-        ("smatrix", {"smatrix": {"energies": None}}, MODEL_DOC),
-        ("modes", {"modes": {}}, dict(MODEL_DOC, grid={"n_omega": 4, "n_x": "forty"})),
-        ("modes", {"modes": {}}, dict(MODEL_DOC, schema_version=7)),
+    INVERT = {"invert_demo": {"families": "family.json", "z_values": [[1e-3, 0.0]]}}
+    SCALAR_FAMILY = {"schema_version": 1, "base": [[[0.0, 0.0]]],
+                     "remainder": {"kind": "polynomial", "coeffs": [[[[1.0, 0.0]]]]},
+                     "bound": 1.0, "radius": 0.5}
+    TABLE = {"kind": "table", "x_box": [0.0, 1.0], "values": [[-1.0] * 24] * 3}
+
+    @pytest.mark.parametrize("command, tasks, model, family", [
+        ("smatrix", {"smatrix": {"energies": ["abc"]}}, MODEL_DOC, None),
+        ("smatrix", {"smatrix": {"energies": None}}, MODEL_DOC, None),
+        ("modes", {"modes": {}}, dict(MODEL_DOC, grid={"n_omega": 4, "n_x": "forty"}), None),
+        ("modes", {"modes": {}}, dict(MODEL_DOC, schema_version=7), None),
+        ("invert-demo", INVERT, MODEL_DOC, json.dumps(dict(SCALAR_FAMILY, base="x"))),
+        ("invert-demo", INVERT, MODEL_DOC, "{not json"),
+        ("invert-demo", INVERT, MODEL_DOC, json.dumps(dict(
+            SCALAR_FAMILY, remainder={"kind": "polynomial", "coeffs": ["x"]}))),
+        ("modes", {"modes": {}}, dict(MODEL_DOC, potential=TABLE), None),
+        ("modes", {"modes": {}}, dict(MODEL_DOC, grid={"n_omega": 1, "n_x": 24}), None),
+        ("modes", {"modes": {}}, dict(MODEL_DOC, grid={"n_omega": 4, "n_x": 1}), None),
+        ("modes", {"modes": {}},
+         dict(MODEL_DOC, grid={"n_omega": 4, "n_x": 24, "n_panels": 5}), None),
+        ("modes", {"modes": {}}, dict(MODEL_DOC, n_max=0), None),
+        ("modes", {"modes": {}}, dict(MODEL_DOC, n_max=2, cross_section={
+            "kind": "custom", "nodes": [0.25, 0.75], "weights": [0.5, 0.5],
+            "eigenvalues": [1.0, 2.5], "samples": [[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]]}), None),
     ], ids=["energy-not-a-number", "energies-null", "n_x-not-an-integer",
-            "model-schema-version"])
-    def test_exit_2_and_no_output(self, tmp_path, command, tasks, model):
+            "model-schema-version", "family-base-not-a-matrix", "family-not-json",
+            "family-coeff-not-a-matrix", "table-shape", "n_omega-1", "n_x-1",
+            "n_panels-not-dividing-n_x", "n_max-0", "custom-samples-shape"])
+    def test_exit_2_and_no_output(self, tmp_path, command, tasks, model, family):
+        if family is not None:
+            (tmp_path / "family.json").write_text(family)
         cfg = write_config(tmp_path, tasks, model=model)
         out = tmp_path / "out"
         assert run([command, "--config", cfg, "--out", out]) == 2

@@ -6,6 +6,7 @@ import pytest
 from wgscat import expansion, inversion, linalg
 from wgscat.errors import (
     AccuracyError,
+    ConfigError,
     DomainError,
     HypothesisError,
     SingularMatrixError,
@@ -298,7 +299,19 @@ class TestFamilyJson:
             "bound": 1.0,
             "radius": 0.5,
         }
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigError):
+            inversion.family_from_dict(doc)
+
+    def test_remainder_shape_must_match_base(self):
+        doc = {
+            "schema_version": 1,
+            "base": [[[0.0, 0.0]]],
+            "remainder": {"kind": "polynomial",
+                          "coeffs": [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]},
+            "bound": 1.0,
+            "radius": 0.5,
+        }
+        with pytest.raises(ConfigError):
             inversion.family_from_dict(doc)
 
     def test_remainder_bound_spot_check(self):

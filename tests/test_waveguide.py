@@ -60,6 +60,12 @@ class TestTransverseModes:
         with pytest.raises(ModelError):
             waveguide.Custom(nodes, weights, (1.0, 2.0), samples)
 
+    def test_custom_nodes_must_match_weights(self):
+        weights = np.array([0.5, 0.5])
+        samples = np.array([[1.0, 1.0], [1.0, -1.0]])
+        with pytest.raises(ModelError):
+            waveguide.Custom(np.array([]), weights, (1.0, 2.5), samples)
+
     def test_orthonormality_invariant(self, interval_cs):
         # the transverse rule orthonormalizes every retained mode pair
         for n_max in (3, 5, 8):
@@ -96,26 +102,26 @@ class TestThresholdGroups:
 
 class TestPotential:
     def test_zero_potential(self):
-        pot = waveguide.factorize_potential(np.zeros((3, 4)), (0.0, 1.0))
+        pot = waveguide.factorize_potential(np.zeros((3, 4)))
         assert np.all(pot.v == 0.0) and np.all(pot.u == 1.0)
 
     def test_negative_box_sign(self):
         vals = np.zeros((2, 4))
         vals[:, 1:3] = -1.0
-        pot = waveguide.factorize_potential(vals, (0.0, 1.0))
+        pot = waveguide.factorize_potential(vals)
         assert np.all(pot.u[:, 1:3] == -1.0)
         assert np.all(pot.u[:, 0] == 1.0)
 
     def test_mixed_sign_reconstruction(self):
         rng = np.random.default_rng(1)
         vals = rng.normal(size=(4, 7))
-        pot = waveguide.factorize_potential(vals, (0.0, 1.0))
+        pot = waveguide.factorize_potential(vals)
         assert np.allclose(pot.v * pot.u * pot.v, vals, atol=0.0)
 
     def test_unbounded_rejected(self):
         vals = np.array([[1.0, np.inf]])
         with pytest.raises(ModelError):
-            waveguide.factorize_potential(vals, (0.0, 1.0))
+            waveguide.factorize_potential(vals)
 
 
 class TestGrid:
