@@ -3,4 +3,3 @@
 __version__ = "0.1.0"
 
 from . import birman, errors, expansion, inversion, linalg, scattering, waveguide  # noqa: F401
-from . import cli  # noqa: F401

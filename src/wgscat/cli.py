@@ -3,8 +3,8 @@
 Every command reads one JSON config (``--config``), writes its artifacts
 under ``--out``, and finishes by writing ``manifest.json`` listing every
 artifact with a SHA-256 checksum, timings and the config echo.  Outputs are
-deterministic given the config: floats are printed with 17 significant
-digits and iteration orders are sorted.
+deterministic given the config, package version and BLAS build, which runs
+on one thread: floats carry 17 significant digits and orders are sorted.
 
 Flag defaults can be overridden through environment variables with the
 ``WGSCAT_`` prefix (``WGSCAT_OUT``, ``WGSCAT_THREADS``).
@@ -36,7 +36,10 @@ Config schema::
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import hashlib
+import importlib
 import json
 import os
 import sys
@@ -51,6 +54,10 @@ from .errors import ConfigError, WgscatError
 from .waveguide import config_value, json_list, json_object
 
 ENV_PREFIX = "WGSCAT_"
+
+# Bundled OpenBLAS builds: package, library glob beside it, symbol suffix
+OPENBLAS_BUILDS = (("numpy", "numpy.libs/libscipy_openblas64_-*.so", "64_"),
+                   ("scipy", "scipy.libs/libscipy_openblas-*.so", ""))
 
 
 def _fmt(x: float) -> str:
@@ -67,6 +74,7 @@ class ArtifactWriter:
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.files: list[Path] = []
         self.timings: dict[str, float] = {}
+        self.blas: list[dict] = []
 
     def path(self, name: str) -> Path:
         p = self.out_dir / name
@@ -85,11 +93,7 @@ class ArtifactWriter:
         return p
 
     def write_json(self, name: str, doc) -> Path:
-        p = self.path(name)
-        with open(p, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True, default=_json_default)
-            fh.write("\n")
-        return p
+        return _dump_json(self.path(name), doc)
 
     def cleanup(self):
         for p in self.files:
@@ -114,13 +118,17 @@ class ArtifactWriter:
             "version": __version__,
             "config": config_echo,
             "timings_s": {k: round(v, 3) for k, v in sorted(self.timings.items())},
+            "blas": self.blas,
             "artifacts": entries,
         }
-        p = self.out_dir / "manifest.json"
-        with open(p, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True, default=_json_default)
-            fh.write("\n")
-        return p
+        return _dump_json(self.out_dir / "manifest.json", doc)
+
+
+def _dump_json(p: Path, doc) -> Path:
+    with open(p, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True, default=_json_default)
+        fh.write("\n")
+    return p
 
 
 def _json_default(obj):
@@ -133,6 +141,43 @@ def _json_default(obj):
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     raise TypeError(f"not JSON-serializable: {type(obj)}")
+
+
+def openblas(package: str, pattern: str, suffix: str) -> tuple:
+    """``(set_num_threads, get_num_threads, get_config)`` of a bundled build."""
+    site = Path(importlib.import_module(package).__file__).parent.parent
+    lib = ctypes.CDLL(str(min(site.glob(pattern))))  # ValueError when absent
+    set_threads, get_threads, config = (
+        getattr(lib, f"scipy_openblas_{name}{suffix}")
+        for name in ("set_num_threads", "get_num_threads", "get_config"))
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    config.argtypes, config.restype = [], ctypes.c_char_p
+    return set_threads, get_threads, config
+
+
+@contextlib.contextmanager
+def single_threaded_blas():
+    """Pin each bundled OpenBLAS build to one thread and restore the previous
+    counts on exit; yields a manifest record per build (config string and
+    pinned count, or why it could not be pinned).  The counts are process
+    wide, so concurrent commands in one process would restore each other's."""
+    records, restore = [], []
+    try:
+        for package, pattern, suffix in OPENBLAS_BUILDS:
+            try:
+                set_threads, get_threads, config = openblas(package, pattern, suffix)
+            except (ImportError, OSError, AttributeError, ValueError) as exc:
+                records.append({"build": package, "pinned": False, "reason": repr(exc)})
+                continue
+            restore.append((set_threads, get_threads()))
+            set_threads(1)
+            records.append({"build": package, "pinned": True,
+                            "config": config().decode(), "threads": get_threads()})
+        yield records
+    finally:
+        for set_threads, previous in restore:
+            set_threads(previous)
 
 
 def _parallel_map(fn, items, threads: int):
@@ -387,7 +432,8 @@ def main(argv=None) -> int:
     writer = ArtifactWriter(Path(args.out))
     t0 = time.time()
     try:
-        rc = COMMANDS[args.command](cfg, writer, args)
+        with single_threaded_blas() as writer.blas:
+            rc = COMMANDS[args.command](cfg, writer, args)
     except ConfigError as exc:
         writer.cleanup()
         print(f"error [{args.command}]: bad config: {exc}", file=sys.stderr)

@@ -63,22 +63,16 @@ class OperatorFamily:
     def dim(self) -> int:
         return self.base.shape[0]
 
-    def contains(self, z: complex) -> bool:
-        if not 0.0 < abs(z) < self.radius:
-            return False
-        if self.sector is not None:
-            lo, hi = self.sector
-            ang = float(np.angle(z))
-            if not lo - 1e-12 <= ang <= hi + 1e-12:
-                return False
-        return True
-
-    def a(self, z: complex) -> np.ndarray:
-        """Evaluate ``A(z) = base + z * remainder(z)``."""
+    def a1(self, z: complex) -> np.ndarray:
+        """Evaluate ``A1(z) = remainder(z)``, checked against the base shape."""
         r = linalg.require_square(self.remainder(z))
         if r.shape != self.base.shape:
             raise DimensionError("remainder shape differs from base shape")
-        return self.base + z * r
+        return r
+
+    def a(self, z: complex) -> np.ndarray:
+        """Evaluate ``A(z) = base + z * remainder(z)``."""
+        return self.base + z * self.a1(z)
 
     def spot_check(self, rng: np.random.Generator, samples: int = 4) -> float:
         """Sample ``norm(remainder(z))`` on the domain; returns the max seen."""
@@ -112,23 +106,24 @@ def verify_conditions(a0: np.ndarray, s: Projection) -> ConditionReport:
     if a0.shape != s.matrix.shape:
         raise DimensionError("A0 and S shapes differ")
     try:
-        g = linalg.inverse(a0 + s.matrix)
-        cond = linalg.cond_estimate(a0 + s.matrix)
-        margin = 1.0 / cond
+        g, cond = linalg.inverse_with_cond(a0 + s.matrix)
     except SingularMatrixError:
         return ConditionReport(0.0, float("inf"), False)
     sm = s.matrix
     defect = opnorm(sm @ g @ sm - sm) / max(1.0, opnorm(sm))
-    return ConditionReport(margin, defect, defect <= CONDITION_TOL)
+    return ConditionReport(1.0 / cond, defect, defect <= CONDITION_TOL)
+
+
+def _quotient(sm: np.ndarray, g: np.ndarray, z: complex) -> np.ndarray:
+    """``(S - S G S) / z`` with ``G = (A(z)+S)^-1`` already factored."""
+    return (sm - sm @ g @ sm) / z
 
 
 def b_quotient(fam: OperatorFamily, s: Projection, z: complex) -> np.ndarray:
     """``B(z) = (S - S (A(z)+S)^-1 S) / z`` (defining quotient form)."""
     if z == 0:
         raise DomainError("quotient form is undefined at z = 0")
-    sm = s.matrix
-    g = linalg.inverse(fam.a(z) + sm)
-    return (sm - sm @ g @ sm) / z
+    return _quotient(s.matrix, linalg.inverse(fam.a(z) + s.matrix), z)
 
 
 def b_series(fam: OperatorFamily, s: Projection, z: complex) -> np.ndarray:
@@ -139,19 +134,22 @@ def b_series(fam: OperatorFamily, s: Projection, z: complex) -> np.ndarray:
     terms (else :class:`AccuracyError`); raises :class:`DomainError` when
     the series is not contractive at this ``z``.
     """
-    sm = s.matrix
-    g = linalg.inverse(fam.base + sm)
-    c = fam.remainder(z) @ g
-    q = abs(z) * opnorm(c)
+    g = linalg.inverse(fam.base + s.matrix)
+    c = fam.a1(z) @ g
+    return _series(s.matrix, g, c, opnorm(c), z)
+
+
+def _series(sm: np.ndarray, g: np.ndarray, c: np.ndarray, cnorm: float, z: complex):
+    """:func:`b_series` from ``G = (A0+S)^-1``, ``C = A1(z) G`` and ``||C||``."""
+    q = abs(z) * cnorm
     if q >= 0.999:
         raise DomainError(
             f"series non-contractive at |z|={abs(z):.3e} (factor {q:.3f})"
         )
-    scale = max(1.0, opnorm(sm @ g) * opnorm(c))
+    scale = max(1.0, opnorm(sm @ g) * cnorm)
     power = c.copy()          # (A1 G)^(j+1)
     acc = power.copy()
     coeff = 1.0 + 0j
-    cnorm = opnorm(c)
     for j in range(1, SERIES_MAX_TERMS):
         coeff *= -z
         power = power @ c
@@ -173,8 +171,11 @@ def b_operator(fam: OperatorFamily, s: Projection, z: complex) -> np.ndarray:
     """
     if s.rank == 0:
         return np.zeros_like(s.matrix)
-    bq = b_quotient(fam, s, z)
-    bs = b_series(fam, s, z)
+    return _cross_checked(b_quotient(fam, s, z), b_series(fam, s, z))
+
+
+def _cross_checked(bq: np.ndarray, bs: np.ndarray) -> np.ndarray:
+    """The series form ``bs`` once it agrees with the quotient form ``bq``."""
     scale = max(np.linalg.norm(bq), 1e-30)
     rel = np.linalg.norm(bq - bs) / scale
     if rel > CROSS_CHECK_TOL:
@@ -185,11 +186,17 @@ def b_operator(fam: OperatorFamily, s: Projection, z: complex) -> np.ndarray:
     return bs
 
 
-def range_basis(s: Projection) -> np.ndarray:
-    """Orthonormal basis (columns) of ``ran(S)``."""
-    u, sv, _ = np.linalg.svd(s.matrix)
-    k = int(np.sum(sv > 0.5))
-    return u[:, :k]
+def _schur_step(g: np.ndarray, s: Projection, block: np.ndarray, c, singular: str):
+    """``G + (c G) Q Block^-1 (Q* S) G`` with the block compressed to ``ran(S)``
+    (``Q = s.basis``; ``c=None`` means ``c = 1``).  A singular compressed
+    block raises :class:`SingularMatrixError` with the message ``singular``."""
+    q = s.basis
+    try:
+        block_inv = linalg.inverse(q.conj().T @ block @ q)
+    except SingularMatrixError as exc:
+        raise SingularMatrixError(singular, exc.cond) from exc
+    cg = g if c is None else c * g
+    return g + cg @ (q @ block_inv @ (q.conj().T @ s.matrix)) @ g
 
 
 def jn_invert(
@@ -205,32 +212,29 @@ def jn_invert(
     ``A(z)`` itself is not invertible and raises
     :class:`SingularMatrixError` (that equivalence is exact, not a numerical
     failure).  The residual ``norm(A(z) X - 1)`` is checked internally
-    against ``RESIDUAL_TOL * max(1, cond(A(z)))``.
+    against ``RESIDUAL_TOL * max(1, cond(A(z)))``.  ``A1(z)``, ``(A0+S)^-1``
+    and ``(A(z)+S)^-1`` are each computed once.
     """
-    az = fam.a(z)
+    a1 = fam.a1(z)
+    az = fam.base + z * a1
     sm = s.matrix
     g = linalg.inverse(az + sm)
     if s.rank == 0:
         x = g
     else:
+        g0 = linalg.inverse(fam.base + sm)
+        c = a1 @ g0
+        cnorm = opnorm(c)
         if verify_series:
-            b = b_operator(fam, s, z)
-        else:
+            b = _cross_checked(_quotient(sm, g, z), _series(sm, g0, c, cnorm, z))
+        elif abs(z) * cnorm < 0.5:
             # the quotient form cancels to O(z); prefer the series when it
             # contracts fast enough to be cheap
-            g0 = linalg.inverse(fam.base + sm)
-            q_fac = abs(z) * opnorm(fam.remainder(z) @ g0)
-            b = b_series(fam, s, z) if q_fac < 0.5 else b_quotient(fam, s, z)
-        q = range_basis(s)
-        bq = q.conj().T @ b @ q
-        try:
-            bq_inv = linalg.inverse(bq)
-        except SingularMatrixError as exc:
-            raise SingularMatrixError(
-                "B(z) singular on ran(S): A(z) is not invertible at this z",
-                exc.cond,
-            ) from exc
-        x = g + (1.0 / z) * g @ (q @ bq_inv @ (q.conj().T @ sm)) @ g
+            b = _series(sm, g0, c, cnorm, z)
+        else:
+            b = _quotient(sm, g, z)
+        x = _schur_step(g, s, b, 1.0 / z,
+                        "B(z) singular on ran(S): A(z) is not invertible at this z")
     cond = linalg.cond_estimate(az)
     resid = opnorm(az @ x - np.eye(fam.dim))
     if resid > RESIDUAL_TOL * max(1.0, cond):
@@ -250,6 +254,13 @@ class AnnihilationReport:
     ok: bool
 
 
+def _skew_part_psd(a0: np.ndarray) -> tuple[float, bool]:
+    """Positivity defect of the skew part of ``A0`` and whether it is within
+    ``PSD_TOL`` (relative to ``||A0||``)."""
+    d = linalg.psd_defect(linalg.imaginary_part(a0))
+    return d, d <= PSD_TOL * max(1.0, opnorm(a0))
+
+
 def check_a0_annihilation(a0: np.ndarray) -> AnnihilationReport:
     """Verify ``A0 S_r = S_r A0 = 0`` to ``CONDITION_TOL`` for ``A0 = X + iY``
     with ``Y >= 0``; ``S_r`` is :func:`linalg.riesz_projection_at_zero`
@@ -260,9 +271,8 @@ def check_a0_annihilation(a0: np.ndarray) -> AnnihilationReport:
     :class:`HypothesisError` / :class:`ContourError` otherwise).
     """
     a0 = linalg.require_square(a0)
-    y = linalg.imaginary_part(a0)
-    d = linalg.psd_defect(y)
-    if d > PSD_TOL * max(1.0, opnorm(a0)):
+    d, hyp_ok = _skew_part_psd(a0)
+    if not hyp_ok:
         raise HypothesisError(
             f"imaginary part is not positive semidefinite (defect {d:.3e})"
         )
@@ -293,9 +303,7 @@ def check_riesz_orthogonal(a0: np.ndarray) -> RieszOrthogonalReport:
     hypothesis fails the report flags it instead of raising, so deliberately
     broken inputs can be used as negative controls.
     """
-    a0 = linalg.require_square(a0)
-    d = linalg.psd_defect(linalg.imaginary_part(a0))
-    hyp_ok = d <= PSD_TOL * max(1.0, opnorm(a0))
+    _, hyp_ok = _skew_part_psd(linalg.require_square(a0))
     sr = linalg.riesz_projection_at_zero(a0)
     so = linalg.kernel_projector(a0)
     diff = opnorm(sr.matrix - so.matrix)
@@ -321,20 +329,17 @@ def check_factor_annihilation(
     :class:`HypothesisError` when violated.  Both the precondition and the
     result are judged at ``CONDITION_TOL``.
     """
-    x = linalg.require_square(x)
-    a0 = x.astype(complex).copy()
+    a0 = linalg.require_square(x).copy()
+    zs = [np.asarray(zm, dtype=complex) for zm in zs]
     for zm in zs:
-        zm = np.asarray(zm, dtype=complex)
         a0 += 1j * zm.conj().T @ zm
     scale = max(1.0, opnorm(a0))
     pre = max(opnorm(a0 @ s.matrix), opnorm(s.matrix @ a0)) / scale
     if pre > CONDITION_TOL:
         raise HypothesisError(f"A0 does not annihilate S (defect {pre:.3e})")
-    zscale = max([opnorm(np.asarray(zm, dtype=complex)) for zm in zs] + [1e-30])
-    d1 = max(opnorm(np.asarray(zm, dtype=complex) @ s.matrix) for zm in zs) / zscale
-    d2 = max(
-        opnorm(s.matrix @ np.asarray(zm, dtype=complex).conj().T) for zm in zs
-    ) / zscale
+    zscale = max([opnorm(zm) for zm in zs] + [1e-30])
+    d1 = max(opnorm(zm @ s.matrix) for zm in zs) / zscale
+    d2 = max(opnorm(s.matrix @ zm.conj().T) for zm in zs) / zscale
     return FactorAnnihilationReport(d1, d2, max(d1, d2) <= CONDITION_TOL)
 
 
@@ -367,15 +372,12 @@ def _next_family(
     g = linalg.inverse(fam.base + sm + complement)
     base_next = sm @ g @ fam.remainder(0.0) @ g @ sm
 
-    def b_quot(z: complex) -> np.ndarray:
-        gz = linalg.inverse(fam.a(z) + sm + complement)
-        return (sm - sm @ gz @ sm) / z
-
     def remainder_next(z: complex) -> np.ndarray:
         if z == 0:
             # one-sided derivative via a short step
             z = 1e-7 * fam.radius
-        return (b_quot(z) - base_next) / z
+        b_quot = _quotient(sm, linalg.inverse(fam.a(z) + sm + complement), z)
+        return (b_quot - base_next) / z
 
     bound = 4.0 * (1.0 + opnorm(fam.base) + fam.bound) ** 3 * opnorm(g) ** 2
     return OperatorFamily(
@@ -438,18 +440,12 @@ def two_term_invert(i3: np.ndarray, s3: Projection) -> np.ndarray:
     Raises :class:`SingularMatrixError` when the Schur block is singular
     (that would mean the family is genuinely singular at this point).
     """
-    g = linalg.inverse(i3 + s3.matrix)
+    sm = s3.matrix
+    g = linalg.inverse(i3 + sm)
     if s3.rank == 0:
         return g
-    q = range_basis(s3)
-    block = q.conj().T @ (s3.matrix - s3.matrix @ g @ s3.matrix) @ q
-    try:
-        block_inv = linalg.inverse(block)
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(
-            "final-step Schur block singular: family genuinely singular", exc.cond
-        ) from exc
-    return g + g @ (q @ block_inv @ (q.conj().T @ s3.matrix)) @ g
+    return _schur_step(g, s3, sm - sm @ g @ sm, None,
+                       "final-step Schur block singular: family genuinely singular")
 
 
 def final_step_invert(
@@ -467,16 +463,13 @@ def final_step_invert(
     exponent of the inverse norm; the family is reported bounded when the
     norm does not grow as ``k -> 0``.
     """
-    i30 = i3fam.base
-    s3 = linalg.riesz_projection_at_zero(i30)
+    s3 = linalg.riesz_projection_at_zero(i3fam.base)
     inv_z = two_term_invert(i3fam.a(z), s3)
 
     lo, hi = probe_decades
     ndec = np.log10(hi / lo)
     ks = np.geomspace(lo, hi, max(2, int(round(ndec * points_per_decade)) + 1))
-    samples = []
-    for k in ks:
-        samples.append((float(k), opnorm(two_term_invert(i3fam.a(k), s3))))
+    samples = [(float(k), opnorm(two_term_invert(i3fam.a(k), s3))) for k in ks]
     logs = np.log(np.array(samples))
     slope = float(np.polyfit(logs[:, 0], logs[:, 1], 1)[0])
     bounded = slope >= -0.1
@@ -536,27 +529,23 @@ def family_from_dict(doc: dict) -> OperatorFamily:
             raise ConfigError(f"remainder {key!r} matrices must match the base shape")
         return mats
 
+    def polynomial(mats: list[np.ndarray], z: complex) -> np.ndarray:
+        acc = np.zeros_like(base)
+        zz = 1.0 + 0j
+        for c in mats:
+            acc = acc + zz * c
+            zz *= z
+        return acc
+
     if kind == "polynomial":
         coeffs = matrices("coeffs")
-
-        def remainder(z: complex) -> np.ndarray:
-            acc = np.zeros_like(base)
-            zz = 1.0 + 0j
-            for c in coeffs:
-                acc = acc + zz * c
-                zz *= z
-            return acc
-
+        remainder = lambda z: polynomial(coeffs, z)
     elif kind == "rational":
         num = matrices("num")
         den = config_value(rem, "den", json_list)
 
         def remainder(z: complex) -> np.ndarray:
-            acc = np.zeros_like(base)
-            zz = 1.0 + 0j
-            for c in num:
-                acc = acc + zz * c
-                zz *= z
+            acc = polynomial(num, z)
             q = 0.0 + 0j
             zz = 1.0 + 0j
             for c in den:

@@ -12,6 +12,7 @@ internal state, so concurrent use is safe.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -32,20 +33,15 @@ RIESZ_N_QUAD = 64         # trapezoid points on a Riesz projection contour
 ZERO_GROUP_TOL = 1e-8     # |eigenvalue| / spectral scale that counts as 0
 
 
-def as_operator(a) -> np.ndarray:
-    """Validate and return ``a`` as a finite complex 2-D array."""
+def require_square(a) -> np.ndarray:
+    """Validate and return ``a`` as a finite complex square 2-D array."""
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise DimensionError(f"expected a 2-D array, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
-        raise DimensionError("matrix has non-finite entries")
-    return m
-
-
-def require_square(a) -> np.ndarray:
-    m = as_operator(a)
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise DimensionError("matrix has non-finite entries")
     return m
 
 
@@ -61,7 +57,8 @@ class Projection:
     """A (not necessarily orthogonal) projection matrix with its certificates.
 
     ``orthogonal`` is set only when the adjoint defect is below ``tol``;
-    idempotence below ``tol`` is checked at construction.
+    idempotence below ``tol`` is checked at construction.  ``basis`` is
+    computed on first use and kept.
     """
 
     matrix: np.ndarray
@@ -71,8 +68,9 @@ class Projection:
     def __post_init__(self):
         p = require_square(self.matrix)
         scale = max(1.0, opnorm(p) ** 2)
-        if opnorm(p @ p - p) > self.tol * scale:
-            raise AccuracyError("projection is not idempotent to tolerance")
+        defect = opnorm(p @ p - p)
+        if defect > self.tol * scale:
+            raise AccuracyError(f"projection idempotence defect {defect:.3e}")
 
     @property
     def dim(self) -> int:
@@ -81,6 +79,12 @@ class Projection:
     @property
     def rank(self) -> int:
         return int(round(float(np.trace(self.matrix).real)))
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        """Orthonormal basis (columns) of the range."""
+        u, sv, _ = np.linalg.svd(self.matrix)
+        return u[:, : int(np.sum(sv > 0.5))]
 
     def adjoint_defect(self) -> float:
         p = self.matrix
@@ -96,13 +100,12 @@ def identity_projection(n: int) -> Projection:
 
 
 def _lu_with_cond(a: np.ndarray):
-    """LU factor with a 1-norm condition estimate; raises when singular."""
+    """``(solve, cond)``: the LU solver of a validated square matrix and its
+    1-norm condition estimate; raises when singular."""
     import warnings
 
-    a = require_square(a)
-    n = a.shape[0]
-    if n == 0:
-        return None, 1.0
+    if a.shape[0] == 0:
+        return np.copy, 1.0
     anorm = np.linalg.norm(a, 1)
     with warnings.catch_warnings():
         # exact singularity is detected below through the diagonal check
@@ -118,7 +121,7 @@ def _lu_with_cond(a: np.ndarray):
     cond = 1.0 / rcond
     if cond > COND_LIMIT:
         raise SingularMatrixError("matrix is singular to working tolerance", cond)
-    return (lu, piv), cond
+    return lambda b: sla.lu_solve((lu, piv), b, check_finite=False), cond
 
 
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -133,16 +136,19 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     b = np.asarray(b, dtype=complex)
     if b.shape[0] != a.shape[0]:
         raise DimensionError(f"rhs rows {b.shape[0]} != matrix dim {a.shape[0]}")
-    lu, _ = _lu_with_cond(a)
-    if lu is None:
-        return b.copy()
-    return sla.lu_solve(lu, b, check_finite=False)
+    return _lu_with_cond(a)[0](b)
+
+
+def inverse_with_cond(a: np.ndarray) -> tuple[np.ndarray, float]:
+    """Condition-guarded dense inverse and its 1-norm condition estimate."""
+    a = require_square(a)
+    lu_solve, cond = _lu_with_cond(a)
+    return lu_solve(np.eye(a.shape[0], dtype=complex)), cond
 
 
 def inverse(a: np.ndarray) -> np.ndarray:
     """Condition-guarded dense inverse."""
-    a = require_square(a)
-    return solve(a, np.eye(a.shape[0], dtype=complex))
+    return inverse_with_cond(a)[0]
 
 
 def refined_inverse(a: np.ndarray) -> np.ndarray:
@@ -156,28 +162,20 @@ def refined_inverse(a: np.ndarray) -> np.ndarray:
     matrices (oracle use only).
     """
     a = require_square(a)
-    n = a.shape[0]
-    eye = np.eye(n, dtype=complex)
-    x = solve(a, eye)
-    if hasattr(np, "complex256"):
-        ax = a.astype(np.complex256)
-        xx = x.astype(np.complex256)
-        ee = eye.astype(np.complex256)
-        for _ in range(REFINE_STEPS):
-            xx = xx + xx @ (ee - ax @ xx)
-        return xx.astype(complex)
+    eye = np.eye(a.shape[0], dtype=complex)
+    wide = getattr(np, "complex256", complex)
+    ax, xx, ee = (m.astype(wide) for m in (a, solve(a, eye), eye))
     for _ in range(REFINE_STEPS):
-        x = x + x @ (eye - a @ x)
-    return x
+        xx = xx + xx @ (ee - ax @ xx)
+    return xx.astype(complex)
 
 
 def cond_estimate(a: np.ndarray) -> float:
     """1-norm condition estimate; ``inf`` when singular to tolerance."""
     try:
-        _, cond = _lu_with_cond(a)
+        return _lu_with_cond(require_square(a))[1]
     except SingularMatrixError as exc:
         return getattr(exc, "cond", float("inf"))
-    return cond
 
 
 def kernel_basis(
@@ -212,9 +210,7 @@ def kernel_projector(a: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> Proje
     Satisfies ``norm(a @ P) <= 2 * rank_tol * sigma_max * dim``.
     """
     v = kernel_basis(a, rank_tol)
-    n = require_square(a).shape[0]
-    p = v @ v.conj().T if v.size else np.zeros((n, n), dtype=complex)
-    return Projection(p, orthogonal=True, tol=1e-12)
+    return Projection(v @ v.conj().T, orthogonal=True, tol=1e-12)
 
 
 def riesz_projection(a: np.ndarray, radius: float, n_quad: int = RIESZ_N_QUAD) -> Projection:
@@ -222,9 +218,9 @@ def riesz_projection(a: np.ndarray, radius: float, n_quad: int = RIESZ_N_QUAD) -
 
     The circle is discretized by the ``n_quad``-point trapezoid rule, which is
     spectrally accurate for the analytic resolvent.  The idempotence defect
-    must come out below 1e-8 or an :class:`AccuracyError` is raised (increase
-    ``n_quad``); a solve that is ill-conditioned on the contour raises
-    :class:`ContourError`.
+    must come out below 1e-8 (the :class:`Projection` certificate) or an
+    :class:`AccuracyError` is raised (increase ``n_quad``); a solve that is
+    ill-conditioned on the contour raises :class:`ContourError`.
     """
     a = require_square(a)
     if n_quad < 16:
@@ -244,13 +240,7 @@ def riesz_projection(a: np.ndarray, radius: float, n_quad: int = RIESZ_N_QUAD) -
                 f"contour |z|={radius:.3e} passes near the spectrum at angle {t:.3f}"
             ) from exc
     p = acc / n_quad
-    defect = opnorm(p @ p - p)
-    if defect > 1e-8 * max(1.0, opnorm(p) ** 2):
-        raise AccuracyError(
-            f"Riesz projection idempotence defect {defect:.3e}; increase n_quad"
-        )
-    orthogonal = opnorm(p - p.conj().T) <= 1e-8
-    return Projection(p, orthogonal=orthogonal, tol=1e-8)
+    return Projection(p, orthogonal=opnorm(p - p.conj().T) <= 1e-8, tol=1e-8)
 
 
 def riesz_projection_at_zero(a: np.ndarray) -> Projection:

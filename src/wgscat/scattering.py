@@ -252,22 +252,14 @@ def f0_expansion_check(
 # Continuity probes
 # ---------------------------------------------------------------------------
 
-def _entry_via_expansion(
-    ladder: ThresholdLadder | EigenvalueLadder,
-    kappa: complex,
-    chan: tuple[int, int],
-    chan_p: tuple[int, int],
-    mmat: np.ndarray,
-) -> complex:
-    """One channel entry of ``S(lam - kappa^2)`` from the expansion matrix."""
-    model = ladder.model
+def _entries_via_expansion(ladder, kappa: complex, pairs) -> list[complex]:
+    """Channel entries of ``S(lam - kappa^2)`` for ``pairs``, from one
+    expansion matrix and one trace row per channel."""
+    mmat = expansion.m_function(ladder, kappa)
     lamk = (ladder.lam - complex(kappa) ** 2).real
-    n, s = chan
-    np_, sp = chan_p
-    row_l = trace_row(lamk, n, s, model)
-    row_r = trace_row(lamk, np_, sp, model)
-    delta = 1.0 if chan == chan_p else 0.0
-    return complex(delta - 2j * np.pi * row_l @ mmat @ np.conj(row_r))
+    rows = {c: trace_row(lamk, *c, ladder.model) for c in {c for pair in pairs for c in pair}}
+    return [complex((1.0 if c == cp else 0.0) - 2j * np.pi * rows[c] @ mmat @ np.conj(rows[cp]))
+            for c, cp in pairs]
 
 
 @dataclass
@@ -311,44 +303,32 @@ def continuity_probes(
     """Trace channel entries of ``S(lam - kappa^2)`` toward ``ladder.lam``,
     a threshold or an eigenvalue.
 
-    The expansion matrix is evaluated once per kappa and shared across all
-    pairs.  Left ray ``kappa = h`` (energy below ``lam``) is evaluated only
-    for pairs whose channels are both open strictly below ``lam``; the
-    right ray ``kappa = -ih`` (energy above) always.  Cauchy defects along
-    each ray, the left/right gap and the terminal magnitude are recorded
-    per pair (``gap``/``terminal_abs`` refer to the finest ``h``); the
-    limits themselves are the caller's assertion.
+    The expansion matrix and each channel's trace row are evaluated once per
+    kappa and shared across all pairs.  Left ray ``kappa = h`` (energy below
+    ``lam``) is evaluated only for pairs whose channels are both open
+    strictly below ``lam``; the right ray ``kappa = -ih`` (energy above)
+    always.  Cauchy defects along each ray, the left/right gap and the
+    terminal magnitude are recorded per pair (``gap``/``terminal_abs`` refer
+    to the finest ``h``); the limits themselves are the caller's assertion.
     """
     model, lam = ladder.model, ladder.lam
     hs = sorted(float(h) for h in h_values)
     reps = [ProbeReport(lam, c, cp, hs) for (c, cp) in pairs]
-    both_open = [
-        model.eigenvalue(c[0]) < lam - 1e-12 and model.eigenvalue(cp[0]) < lam - 1e-12
-        for (c, cp) in pairs
-    ]
+    left = [i for i, pair in enumerate(pairs)  # both channels open below lam
+            if all(model.eigenvalue(n) < lam - 1e-12 for n, _ in pair)]
     for h in hs:
-        m_right = expansion.m_function(ladder, -1j * h)
-        m_left = expansion.m_function(ladder, complex(h)) if any(both_open) else None
-        for rep, (c, cp), left in zip(reps, pairs, both_open):
-            rep.right_entries.append(
-                _entry_via_expansion(ladder, -1j * h, c, cp, m_right)
-            )
-            if left:
-                rep.left_entries.append(
-                    _entry_via_expansion(ladder, complex(h), c, cp, m_left)
-                )
+        for rep, e in zip(reps, _entries_via_expansion(ladder, -1j * h, pairs)):
+            rep.right_entries.append(e)
+        if left:
+            entries = _entries_via_expansion(ladder, complex(h), [pairs[i] for i in left])
+            for i, e in zip(left, entries):
+                reps[i].left_entries.append(e)
     for rep in reps:
-        rep.left_cauchy = [
-            abs(a - b) for a, b in zip(rep.left_entries, rep.left_entries[1:])
-        ]
-        rep.right_cauchy = [
-            abs(a - b) for a, b in zip(rep.right_entries, rep.right_entries[1:])
-        ]
+        rep.left_cauchy = [abs(a - b) for a, b in zip(rep.left_entries, rep.left_entries[1:])]
+        rep.right_cauchy = [abs(a - b) for a, b in zip(rep.right_entries, rep.right_entries[1:])]
         if rep.left_entries:
             rep.gap = abs(rep.left_entries[0] - rep.right_entries[0])
-        rep.gaps_per_h = [
-            abs(a - b) for a, b in zip(rep.left_entries, rep.right_entries)
-        ]
+        rep.gaps_per_h = [abs(a - b) for a, b in zip(rep.left_entries, rep.right_entries)]
         rep.terminal_abs = abs(rep.right_entries[0])
     return reps
 

@@ -13,7 +13,6 @@ major, longitudinal minor).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -584,7 +583,3 @@ def model_from_config(doc: dict) -> WaveguideModel:
         return WaveguideModel(cs, grid, modes, pot)
     raise ModelError(f"unknown potential kind {pot_kind!r}")
 
-
-def load_model(path) -> WaveguideModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_config(json.load(fh))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from wgscat import birman, expansion, waveguide
+from wgscat import birman, cli, expansion, waveguide
 
 import helpers
 
@@ -25,6 +25,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_sep("=", "acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def single_threaded_blas():
+    """BLAS on one thread, as in every CLI command: the printed gate lines do
+    not depend on the BLAS thread count of the environment."""
+    with cli.single_threaded_blas():
+        yield
 
 
 @pytest.fixture(scope="session")

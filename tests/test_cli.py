@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wgscat
 from wgscat import cli, inversion
 
 
@@ -27,6 +32,15 @@ def write_config(tmp_path, tasks, name="config.json", model=MODEL_DOC):
 
 def run(args):
     return cli.main([str(a) for a in args])
+
+
+def bundled_openblas():
+    """Entry points of the bundled OpenBLAS builds; skips where numpy or scipy
+    link another BLAS, which the CLI cannot pin."""
+    try:
+        return [cli.openblas(*build) for build in cli.OPENBLAS_BUILDS]
+    except (ImportError, OSError, AttributeError, ValueError) as exc:
+        pytest.skip(f"no bundled OpenBLAS build: {exc!r}")
 
 
 class TestInvertDemo:
@@ -126,6 +140,50 @@ class TestModelCommands:
         assert run(["smatrix", "--config", cfg, "--out", out1, "--threads", 1]) == 0
         assert run(["smatrix", "--config", cfg, "--out", out2, "--threads", 2]) == 0
         assert (out1 / "smatrix.csv").read_bytes() == (out2 / "smatrix.csv").read_bytes()
+
+    def test_output_independent_of_blas_threads(self, tmp_path):
+        bundled_openblas()
+        # a dim-600 model: large enough that BLAS splits its work over threads
+        model = dict(MODEL_DOC, grid={"n_omega": 5, "n_x": 120}, n_max=9)
+        cfg = write_config(
+            tmp_path, {"smatrix": {"energies": [1.6, 2.6, 5.5], "tail_tol": 0.03}},
+            model=model,
+        )
+        src = str(Path(wgscat.__file__).resolve().parent.parent)
+        manifests, stderrs = [], []
+        for threads in ("1", "2"):
+            out = tmp_path / f"blas{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            proc = subprocess.run(
+                [sys.executable, "-m", "wgscat.cli", "smatrix", "--config", str(cfg),
+                 "--out", str(out)],
+                env=env, capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            manifests.append(json.loads((out / "manifest.json").read_text()))
+            stderrs.append(proc.stderr)
+        assert manifests[0]["artifacts"] == manifests[1]["artifacts"]
+        for manifest in manifests:
+            assert [b["build"] for b in manifest["blas"]] == ["numpy", "scipy"]
+            for build in manifest["blas"]:
+                assert build["pinned"] and build["threads"] == 1 and build["config"]
+        # the package does not import its own entry module
+        assert not any("RuntimeWarning" in err for err in stderrs)
+
+    def test_blas_thread_counts_restored(self, tmp_path):
+        builds = bundled_openblas()
+        saved = [get() for _, get, _ in builds]
+        try:
+            for set_threads, _, _ in builds:
+                set_threads(2)
+            before = [get() for _, get, _ in builds]
+            cfg = write_config(tmp_path, {"modes": {}})
+            assert run(["modes", "--config", cfg, "--out", tmp_path / "out"]) == 0
+            assert [get() for _, get, _ in builds] == before
+        finally:
+            for (set_threads, _, _), n in zip(builds, saved):
+                set_threads(n)
 
     def test_manifest_checksums_complete(self, tmp_path):
         cfg = write_config(tmp_path, {"modes": {}})

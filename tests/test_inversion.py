@@ -1,5 +1,7 @@
 """Inversion engine: B(z), the projection formula, ladders, hypothesis checks."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,59 @@ class TestJnInvert:
         assert np.linalg.cond(fam.a(z0)) > 1e12
         x = inversion.jn_invert(fam, s, 1.7 * z0)
         assert np.allclose(x @ fam.a(1.7 * z0), np.eye(2), atol=1e-8)
+
+
+class TestFactorizationCounts:
+    """Each ingredient of the projection formula is computed once per call."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"lu": 0, "svd": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(linalg.sla, "lu_factor", counted("lu", linalg.sla.lu_factor))
+        svd = counted("svd", np.linalg.svd)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        # ``numpy.linalg.norm(a, 2)`` reaches svd through its defining module
+        home = sys.modules.get("numpy.linalg._linalg") or sys.modules["numpy.linalg.linalg"]
+        monkeypatch.setattr(home, "svd", svd)
+        return counts
+
+    @pytest.mark.parametrize("verify_series", [False, True])
+    def test_jn_invert_counts(self, counts, verify_series):
+        fam = family_from_random(np.random.default_rng(11), 8, 2)
+        a1_calls = []
+
+        def remainder(z):
+            a1_calls.append(z)
+            return fam.remainder(z)
+
+        counted = inversion.OperatorFamily(fam.base, remainder, fam.bound, fam.radius)
+        s = linalg.kernel_projector(fam.base)
+        assert s.rank == 2
+        for repeat in range(2):
+            a1_calls.clear()
+            counts.update(lu=0, svd=0)
+            x = inversion.jn_invert(counted, s, 1e-3 - 2e-3j, verify_series=verify_series)
+            # A1(z) once; LU of A(z)+S, A0+S, the block on ran(S) and A(z)
+            assert len(a1_calls) == 1
+            assert counts["lu"] <= 4
+            # ||A1 G0||, ||S G0|| and the residual, plus the range basis of S
+            # on the first call only
+            assert counts["svd"] <= (3 if repeat else 4)
+        assert np.allclose(x, linalg.refined_inverse(fam.a(1e-3 - 2e-3j)))
+
+    def test_verify_conditions_factors_once(self, counts):
+        fam = family_from_random(np.random.default_rng(12), 8, 2)
+        s = linalg.kernel_projector(fam.base)
+        counts.update(lu=0)
+        assert inversion.verify_conditions(fam.base, s).ok
+        assert counts["lu"] == 1
 
 
 class TestAnnihilationChecks:

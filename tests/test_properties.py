@@ -1,5 +1,5 @@
-"""Generated-input properties: the config error contract and the inversion
-engine against the dense oracle."""
+"""Generated-input properties: the config error contract, the inversion
+engine against the dense oracle and the projection invariants."""
 
 import copy
 
@@ -117,3 +117,34 @@ def test_jn_invert_matches_refined_inverse(fam, log_abs_z, angle):
     x = inversion.jn_invert(fam, linalg.kernel_projector(fam.base), z)
     direct = linalg.refined_inverse(fam.a(z))
     assert np.linalg.norm(x - direct) <= 1e-9 * np.linalg.norm(direct)
+
+
+@st.composite
+def kernel_bases(draw):
+    """``X + i Z* Z`` with an engineered kernel, and the kernel dimension."""
+    dim = draw(st.integers(3, 12))
+    kernel_dim = draw(st.integers(0, min(3, dim - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    doc = inversion.random_family_dict(rng, dim, kernel_dim)
+    return inversion.family_from_dict(doc).base, kernel_dim
+
+
+@given(kernel_bases())
+def test_projection_invariants(case):
+    # Jensen-Nenciu hypotheses (i), (ii) hold for these bases, and the skew
+    # part is >= 0, so the contour projector is the kernel projector
+    a0, kernel_dim = case
+    so = linalg.kernel_projector(a0)
+    sr = linalg.riesz_projection_at_zero(a0)
+    for p in (so, sr):
+        m = p.matrix
+        assert linalg.opnorm(m @ m - m) <= 1e-8 * max(1.0, linalg.opnorm(m) ** 2)
+        assert p.rank == kernel_dim
+        assert abs(np.trace(m) - p.rank) <= 1e-8
+        q = p.basis
+        assert q.shape == (p.dim, p.rank) and p.basis is q
+        assert np.linalg.norm(q.conj().T @ q - np.eye(p.rank)) <= 1e-12
+        assert np.linalg.norm(m @ q - q) <= 1e-8
+    # the same range: each basis lies in the other projection's range
+    assert np.linalg.norm(so.matrix @ sr.basis - sr.basis) <= 1e-8
+    assert np.linalg.norm(sr.matrix @ so.basis - so.basis) <= 1e-8

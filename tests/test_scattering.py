@@ -150,6 +150,19 @@ class TestThresholdProbes:
         assert rep.right_cauchy[0] <= 5e-3
         assert all(a < b for a, b in zip(rep.right_cauchy, rep.right_cauchy[1:]))
 
+    def test_one_trace_row_per_channel_and_ray(self, resonant_ladder, monkeypatch):
+        rows = []
+        trace_row = scattering.trace_row
+        monkeypatch.setattr(
+            scattering, "trace_row", lambda *args: rows.append(args[:3]) or trace_row(*args)
+        )
+        hs = [4e-3, 2e-3]
+        pairs = [((1, 1), (1, 1)), ((1, 1), (2, 1)), ((2, 1), (2, 1))]
+        scattering.continuity_probes(resonant_ladder, pairs, hs)
+        # per h: channels (1, 1) and (2, 1) on the right ray; only the
+        # open/open pair, so channel (1, 1), on the left ray
+        assert len(rows) == len(set(rows)) == 3 * len(hs)
+
     def test_report_serializes(self, coupled_reports):
         import json
 
