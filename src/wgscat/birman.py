@@ -4,8 +4,22 @@ The 1-D free resolvent has kernel ``R0(z)(x, x') = i/(2 sqrt z) *
 exp(i sqrt z |x - x'|)`` with the branch ``Im(sqrt z) > 0`` off ``[0, inf)``
 and the boundary value from the upper half-plane on the cut.  The full-guide
 resolvent is the transverse mode sum ``sum_n P_n (x) R0(z - lambda_n)``;
-sandwiching with the potential factors gives the dense grid operator
-``u + v R0(z) v`` whose inverse drives everything else.
+sandwiching with the potential factors gives the grid operator
+``A = u + v R0(z) v`` whose inverse drives everything else.
+
+``A`` comes in two forms that share one mode cutoff, tail bound and
+threshold check.  :func:`bs_operator` assembles the dense dim x dim matrix:
+it is the oracle, and the input of the expansion layer.
+:func:`boundary_operator` never forms it.  For ``x > x'`` the mode-sum
+kernel ``sum_n [v f_n e^(i mu_n x)] (i / 2 mu_n) [f_n v e^(-i mu_n x')]``
+is semiseparable of rank ``n_used`` (Eidelman-Gohberg, Integral Equations
+Operator Theory 34, 1999), so ``A`` is the Schur complement of a sparse
+state-space embedding over the ``n_x`` longitudinal nodes, banded with
+``s = n_omega + 2 n_used`` unknowns per node.  Its band LU costs about
+``16 n_x s^3`` flops and ``n_x s (3 s + 1)`` stored entries, against
+``(8/3) dim^3`` flops and ``dim^2`` entries for the dense LU plus
+``O(n_used dim^2)`` for the assembly.  S-matrices and the eigenvalue scan run
+on the embedding.
 """
 
 from __future__ import annotations
@@ -13,13 +27,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 from .errors import (
     BranchPointError,
+    DimensionError,
     DomainError,
     ModelError,
     TruncationError,
 )
+from .linalg import onenorm_estimate
 from .waveguide import WaveguideModel, gauss_legendre_panels
 
 _MODE_CHUNK_ENTRIES = 4_000_000  # chunk mode stacks to bound working memory
@@ -195,6 +212,25 @@ def mode_sum_matrix(
     return out
 
 
+def _truncation(model: WaveguideModel, z: complex, tail_tol: float,
+                n_cap: int) -> tuple[int, float]:
+    """``(n_used, tail_bound)`` of the certified mode cutoff at ``z``.
+
+    Raises :class:`ModelError` when ``n_cap`` exceeds the stored modes,
+    :class:`BranchPointError` when ``z`` collides with a threshold and
+    :class:`TruncationError` when ``n_cap`` modes cannot meet ``tail_tol``.
+    """
+    if n_cap > model.n_max:
+        raise ModelError("n_max exceeds the modes stored in the model")
+    for n in range(1, n_cap + 1):
+        if abs(z - model.eigenvalue(n)) < 1e-12 * max(1.0, abs(z)):
+            raise BranchPointError(
+                f"z collides with threshold lambda_{n}; use the expansion machinery"
+            )
+    n_used = _choose_n_used(model, z, tail_tol, n_cap)
+    return n_used, tail_bound_value(model, z, n_used)
+
+
 def bs_operator(
     pt: SpectralPoint,
     model: WaveguideModel,
@@ -210,17 +246,189 @@ def bs_operator(
     and :class:`BranchPointError` when ``z`` collides with a threshold.
     """
     z = pt.z
-    n_cap = n_max if n_max is not None else model.n_max
-    if n_cap > model.n_max:
-        raise ModelError("n_max exceeds the modes stored in the model")
-    for n in range(1, n_cap + 1):
-        if abs(z - model.eigenvalue(n)) < 1e-12 * max(1.0, abs(z)):
-            raise BranchPointError(
-                f"z collides with threshold lambda_{n}; use the expansion machinery"
-            )
-    n_used = _choose_n_used(model, z, tail_tol, n_cap)
+    n_used, tail = _truncation(model, z, tail_tol, n_max if n_max is not None else model.n_max)
     mat = np.diag(model.u_diag()) + mode_sum_matrix(model, z, list(range(1, n_used + 1)))
-    return GridOperator(mat, n_used, tail_bound_value(model, z, n_used))
+    return GridOperator(mat, n_used, tail)
+
+
+# ---------------------------------------------------------------------------
+# Banded state-space embedding of the boundary operator
+# ---------------------------------------------------------------------------
+
+def _sweep(ratio: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``f[k] = ratio[k] * f[k-1] + t[k]`` along axis 0 (``ratio[0]`` unused).
+
+    Evaluated by log-depth doubling; ``|ratio| <= 1``, so every product of
+    ratios stays bounded.
+    """
+    f, r = t.copy(), ratio
+    d = 1
+    while d < f.shape[0]:
+        f[d:] += r[d:] * f[:-d]
+        r = np.concatenate([r[:d], r[d:] * r[:-d]])
+        d *= 2
+    return f
+
+
+def _mode_sums(ratio: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``sum_l rho(k, l) t[l]`` along axis 0, where ``rho(k, l)`` is the
+    product of the step ratios between nodes ``l`` and ``k``: the forward
+    sums plus the backward sums, less the node term both count."""
+    back = np.roll(ratio[::-1], 1, axis=0)
+    return _sweep(ratio, t) + _sweep(back, t[::-1])[::-1] - t
+
+
+@dataclass(frozen=True)
+class BoundaryOperator:
+    """``A = u + v R0(z) v`` held through its banded state-space embedding.
+
+    Built by :func:`boundary_operator`; the dense matrix is never formed.
+    Vectors use the composite grid order of :class:`GridOperator`, as 1-D
+    arrays or as the columns of 2-D arrays.  One banded LU of the embedding
+    serves :meth:`solve` and :meth:`solve_adjoint`; :meth:`matvec` and
+    :meth:`rmatvec` run the recurrences of the embedding directly.
+    """
+
+    u: np.ndarray          # (n_x, n_omega) signs of the potential
+    a: np.ndarray          # (n_x, n_used, n_omega) mode factors f_n v sqrt(w)
+    c: np.ndarray          # (n_used,) kernel prefactors i / (2 mu_n)
+    ratio: np.ndarray      # (n_x, n_used) step ratios exp(i mu_n dx); row 0 unused
+    lu: np.ndarray         # band LU of the embedding (zgbtrf layout)
+    piv: np.ndarray
+    singular: bool         # the band LU met an exactly zero pivot
+    n_used: int
+    tail_bound: float
+
+    @property
+    def dim(self) -> int:
+        return self.u.size
+
+    @property
+    def _width(self) -> int:
+        """Unknowns per longitudinal node, which is also the half bandwidth."""
+        return self.u.shape[1] + 2 * self.n_used
+
+    def _nodes(self, y) -> np.ndarray:
+        """Grid vector(s) as ``(n_x, n_omega, m)`` node slices."""
+        y = np.asarray(y, dtype=complex)
+        if y.shape[0] != self.dim:
+            raise DimensionError(f"vector length {y.shape[0]} != operator dim {self.dim}")
+        n_x, n_omega = self.u.shape
+        return y.reshape(n_omega, n_x, -1).transpose(1, 0, 2)
+
+    def _grid(self, nodes: np.ndarray, like) -> np.ndarray:
+        out = nodes.transpose(1, 0, 2).reshape(self.dim, -1)
+        return out[:, 0] if np.ndim(like) == 1 else out
+
+    def matvec(self, y) -> np.ndarray:
+        """``A @ y``: the forward and backward mode sums of the embedding."""
+        yk = self._nodes(y)
+        t = np.einsum("kpi,kim->kpm", self.a, yk)
+        h = self.c[None, :, None] * _mode_sums(self.ratio[:, :, None], t)
+        return self._grid(self.u[:, :, None] * yk + np.einsum("kpi,kpm->kim", self.a, h), y)
+
+    def rmatvec(self, y) -> np.ndarray:
+        """``A^H @ y``.  ``u``, ``v`` and the modes are real and the kernel is
+        symmetric in ``x, x'``, so ``A`` is complex symmetric and
+        ``A^H y = conj(A conj(y))``."""
+        return np.conj(self.matvec(np.conj(y)))
+
+    def _band_solve(self, b, trans: int) -> np.ndarray:
+        nodes = self._nodes(b)
+        n_x, n_omega, m = nodes.shape
+        p, s = self.n_used, self._width
+        rhs = np.zeros((n_x, s, m), dtype=complex)
+        rhs[:, p : p + n_omega] = nodes
+        x, _ = _GBTRS(self.lu, s, s, rhs.reshape(n_x * s, m), self.piv, trans=trans)
+        return self._grid(x.reshape(n_x, s, m)[:, p : p + n_omega], b)
+
+    def solve(self, b) -> np.ndarray:
+        """``A^-1 b``: the ``y`` part of the embedding's solution for ``(b, 0, 0)``."""
+        return self._band_solve(b, 0)
+
+    def solve_adjoint(self, b) -> np.ndarray:
+        """``A^-H b``: the Schur complement of the adjoint embedding is ``A^H``."""
+        return self._band_solve(b, 2)
+
+    def norm_bound(self) -> float:
+        """Upper bound on ``|A|_1``: the largest column sum of ``|u|`` plus
+        the mode terms taken in absolute value one by one, which is exact
+        for a single mode."""
+        w = np.abs(self.a).sum(axis=2)[:, :, None]
+        sums = _mode_sums(np.abs(self.ratio)[:, :, None], w)[:, :, 0]
+        cols = np.abs(self.u) + np.einsum("kpi,kp->ki", np.abs(self.a), np.abs(self.c) * sums)
+        return float(cols.max())
+
+    def cond_estimate(self) -> float:
+        """1-norm condition estimate :meth:`norm_bound` times the
+        Hager-Higham estimate of ``|A^-1|_1``, as LAPACK's ``gecon`` pairs
+        ``|A|_1`` with that estimator; ``inf`` when the band LU is singular."""
+        anorm = self.norm_bound()
+        if self.singular or anorm == 0.0:
+            return float("inf")
+        return anorm * onenorm_estimate(self.solve, self.solve_adjoint, self.dim)
+
+
+_GBTRF, _GBTRS = (get_lapack_funcs(name, (np.zeros(1, dtype=complex),))
+                  for name in ("gbtrf", "gbtrs"))
+
+
+def boundary_operator(pt: SpectralPoint, model: WaveguideModel,
+                      tail_tol: float = 1e-4) -> BoundaryOperator:
+    """Factor ``u + v R0(lam - kappa^2) v`` through its state-space embedding.
+
+    The mode cutoff, its tail bound and the threshold check are those of
+    :func:`bs_operator`.  At each longitudinal node ``x_k`` the embedding
+    carries ``y_k`` (the ``n_omega`` grid values) and, per retained mode,
+    the forward and backward sums
+
+        f_n(k) = rho_n(k) f_n(k-1) + t_n(k),
+        g_n(k) = rho_n(k+1) g_n(k+1) + t_n(k),    t_n(k) = a^n_k . y_k,
+
+    with ``a^n_ik = f_n(omega_i) v(omega_i, x_k) sqrt(w_ik)`` and
+    ``rho_n(k) = exp(i mu_n (x_k - x_(k-1)))``, ``|rho_n| <= 1`` on the
+    upper branch ``mu_n = sqrt(z - lambda_n)``.  The node equation
+    ``u_k y_k + sum_n c_n a^n_k (f_n(k) + g_n(k) - t_n(k)) = b_k``,
+    ``c_n = i / (2 mu_n)``, closes the system; eliminating ``f`` and ``g``
+    leaves exactly ``A y = b``.  Node-major order makes the system banded
+    with half bandwidth ``n_omega + 2 n_used``, factored once by LAPACK
+    ``zgbtrf``.  Raises :class:`DimensionError` unless the ``x`` nodes
+    increase strictly.
+    """
+    z = pt.z
+    n_used, tail = _truncation(model, z, tail_tol, model.n_max)
+    grid = model.grid
+    n_omega, n_x, p = grid.n_omega, grid.n_x, n_used
+    x = grid.x_nodes
+    if np.any(np.diff(x) <= 0):
+        raise DimensionError("the x nodes must increase strictly")
+    mu = np.array([sqrt_upper(z - model.eigenvalue(n)) for n in range(1, p + 1)])
+    c = 1j / (2.0 * mu)
+    ratio = np.exp(1j * np.diff(x, prepend=x[0])[:, None] * mu[None, :])
+    sw = grid.composite_sqrt_weights().reshape(n_omega, n_x)
+    samples = np.array([model.modes[n].samples for n in range(p)])
+    a = (samples[:, :, None] * (model.potential.v * sw)).transpose(2, 0, 1)
+    u = model.potential.u.T
+
+    # node block [f(k), y(k), g(k)] of s unknowns; band storage row kl+ku+r-c
+    s = n_omega + 2 * p
+    fs, ys, gs = slice(0, p), slice(p, p + n_omega), slice(p + n_omega, s)
+    ca = c[None, :, None] * a
+    block = np.zeros((n_x, s, s), dtype=complex)
+    block[:, fs, fs] = block[:, gs, gs] = np.eye(p)
+    block[:, fs, ys] = block[:, gs, ys] = -a
+    block[:, ys, fs] = block[:, ys, gs] = ca.transpose(0, 2, 1)
+    block[:, ys, ys] = -np.einsum("kmi,kmj->kij", ca, a)
+    diag = np.arange(p, p + n_omega)
+    block[:, diag, diag] += u
+    ab = np.zeros((3 * s + 1, n_x * s), dtype=complex)
+    r, col = np.indices((s, s))
+    ab[2 * s + r - col, np.arange(n_x)[:, None, None] * s + col] = block
+    modes = np.arange(p)
+    ab[3 * s, (np.arange(n_x - 1) * s)[:, None] + modes] = -ratio[1:]  # f(k) <- f(k-1)
+    ab[s, (np.arange(1, n_x) * s)[:, None] + gs.start + modes] = -ratio[1:]  # g(k) <- g(k+1)
+    lu, piv, info = _GBTRF(ab, s, s, overwrite_ab=1)
+    return BoundaryOperator(u, a, c, ratio, lu, piv, info > 0, n_used, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -334,43 +542,33 @@ def golden_min(f, a: float, b: float, tol: float) -> float:
     return (a + b) / 2.0
 
 
-def _boundary_operator(model: WaveguideModel, lam: float, tail_tol: float):
-    """``u + v R0(lam + i0) v`` with the two fixed unit start vectors of the
-    singular-value iterations, drawn in this order from one seeded generator:
-    the first for :func:`_sigma_max`, the second for :func:`_sigma_min`."""
-    a = bs_operator(SpectralPoint(lam, 0.0), model, tail_tol).matrix
-    n = a.shape[0]
+def _start_vectors(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two fixed unit start vectors of the singular-value iterations,
+    drawn in this order from one seeded generator: the first for
+    :func:`_sigma_max`, the second for :func:`_sigma_min`."""
     rng = np.random.default_rng(1234)
     x_max, x_min = (rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(2))
-    return a, x_max / np.linalg.norm(x_max), x_min / np.linalg.norm(x_min)
+    return x_max / np.linalg.norm(x_max), x_min / np.linalg.norm(x_min)
 
 
-def _sigma_max(a: np.ndarray, x: np.ndarray) -> float:
-    """Largest singular value estimate of ``a`` by power iteration from ``x``."""
+def _sigma_max(op: BoundaryOperator, x: np.ndarray) -> float:
+    """Largest singular value estimate of ``op`` by power iteration from ``x``."""
     for _ in range(SIGMA_ITERS):
-        y = a.conj().T @ (a @ x)
+        y = op.rmatvec(op.matvec(x))
         nrm = np.linalg.norm(y)
         if nrm == 0:
             break
         x = y / nrm
-    return float(np.linalg.norm(a @ x))
+    return float(np.linalg.norm(op.matvec(x)))
 
 
-def _sigma_min(a: np.ndarray, x: np.ndarray) -> float:
-    """Smallest singular value estimate of ``a`` by LU-based inverse
-    iteration from ``x``; 0 when the factorization detects exact
-    singularity."""
-    import scipy.linalg as sla
-
-    try:
-        lu, piv = sla.lu_factor(a, check_finite=False)
-    except Exception:
-        return 0.0
-    if np.any(np.abs(np.diag(lu)) == 0.0):
+def _sigma_min(op: BoundaryOperator, x: np.ndarray) -> float:
+    """Smallest singular value estimate of ``op`` by inverse iteration from
+    ``x``; 0 when the factorization detects exact singularity."""
+    if op.singular:
         return 0.0
     for _ in range(SIGMA_ITERS):
-        y = sla.lu_solve((lu, piv), x, trans=0, check_finite=False)
-        y = sla.lu_solve((lu, piv), y, trans=2, check_finite=False)
+        y = op.solve_adjoint(op.solve(x))
         nrm = np.linalg.norm(y)
         if not np.isfinite(nrm) or nrm == 0:
             return 0.0
@@ -401,9 +599,13 @@ def eigenvalue_search(
         if lo - THRESHOLD_MARGIN < t < hi + THRESHOLD_MARGIN:
             raise DomainError(f"window touches threshold lambda_{n} = {t}")
 
+    x_max, x_min = _start_vectors(model.dim)
+
+    def operator(lam: float) -> BoundaryOperator:
+        return boundary_operator(SpectralPoint(lam, 0.0), model, tail_tol)
+
     def sigma_min(lam: float) -> float:
-        a, _, x = _boundary_operator(model, lam, tail_tol)
-        return _sigma_min(a, x)
+        return _sigma_min(operator(lam), x_min)
 
     lams = np.linspace(lo, hi, resolution)
     sig = [sigma_min(float(lam)) for lam in lams]
@@ -412,9 +614,9 @@ def eigenvalue_search(
         if not (sig[i] <= sig[i - 1] and sig[i] <= sig[i + 1]):
             continue
         lam_star = golden_min(sigma_min, float(lams[i - 1]), float(lams[i + 1]), refine_width)
-        a, x_max, x_min = _boundary_operator(model, lam_star, tail_tol)
-        s_star = _sigma_min(a, x_min)
-        rel = s_star / max(_sigma_max(a, x_max), 1e-300)
+        op = operator(lam_star)
+        s_star = _sigma_min(op, x_min)
+        rel = s_star / max(_sigma_max(op, x_max), 1e-300)
         if rel < DETECT_REL:
             out.append(EigenvalueCandidate(lam_star, s_star, rel))
     return out

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import birman, expansion, linalg
-from .errors import ChannelClosedError, DomainError, EigenvalueHitError, SingularMatrixError
+from .errors import ChannelClosedError, DomainError, EigenvalueHitError
 from .expansion import EigenvalueLadder, ThresholdLadder, fit_exponent
 from .linalg import opnorm
 from .waveguide import WaveguideModel
@@ -140,14 +140,15 @@ def channel_smatrix(
     chans = open_channels(lam, model)
     if not chans:
         raise DomainError(f"no open channels at lam={lam}")
-    op = birman.bs_operator(birman.SpectralPoint(lam, 0.0), model, tail_tol)
-    rows = np.array([trace_row(lam, n, s, model) for (n, s) in chans])
-    try:
-        x = linalg.solve(op.matrix, rows.conj().T)
-    except SingularMatrixError as exc:
+    op = birman.boundary_operator(birman.SpectralPoint(lam, 0.0), model, tail_tol)
+    cond = op.cond_estimate()
+    if cond > linalg.COND_LIMIT:
         raise EigenvalueHitError(
-            f"boundary operator singular at lam={lam}; use the expansion machinery"
-        ) from exc
+            f"boundary operator singular at lam={lam} (condition estimate {cond:.3e}); "
+            "use the expansion machinery"
+        )
+    rows = np.array([trace_row(lam, n, s, model) for (n, s) in chans])
+    x = op.solve(rows.conj().T)
     s = np.eye(len(chans), dtype=complex) - 2j * np.pi * rows @ x
     defect = opnorm(s.conj().T @ s - np.eye(len(chans)))
     return SMatrix(lam, tuple(chans), s, defect)

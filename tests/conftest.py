@@ -117,3 +117,25 @@ def embedded_lambda(well_medium):
     )
     assert len(cands) == 1
     return cands[0].lam
+
+
+@pytest.fixture(scope="session")
+def eigenvalue_hit():
+    """``(model_doc, lam)``: the depth-1 well on a 5 x 60 grid and its
+    embedded eigenvalue near ``4 + e0``, refined by golden section to 1e-15.
+    The boundary operator is singular there to working precision (dense
+    condition estimate about 6e15)."""
+    doc = {
+        "schema_version": 1,
+        "cross_section": {"kind": "interval", "length": float(np.pi)},
+        "grid": {"n_omega": 5, "n_x": 60},
+        "n_max": 9,
+        "potential": {"kind": "square_well", "depth": 1.0, "x_box": [0.0, 1.0]},
+    }
+    lam0 = 4.0 + helpers.oned_well_levels(1.0, 1.0)[0]
+    cands = birman.eigenvalue_search(
+        (lam0 - 4e-3, lam0 + 4e-3), waveguide.model_from_config(doc), resolution=9,
+        tail_tol=0.03, refine_width=1e-15,
+    )
+    assert len(cands) == 1
+    return doc, float(cands[0].lam)

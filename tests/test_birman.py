@@ -1,11 +1,13 @@
 """Free-resolvent kernels, the sandwiched operator, HS diagnostics, scans."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import helpers
-from wgscat import birman, linalg, waveguide
-from wgscat.errors import BranchPointError, DomainError, TruncationError
+from wgscat import birman, linalg, scattering, waveguide
+from wgscat.errors import BranchPointError, DimensionError, DomainError, TruncationError
 
 
 class TestFreeKernel:
@@ -98,6 +100,106 @@ class TestBsOperator:
     def test_kappa_sector_validated(self):
         with pytest.raises(DomainError):
             birman.SpectralPoint(2.0, 0.1 + 0.1j)
+
+
+def table_model():
+    """Sign-changing tabulated potential on a 4 x 30 grid."""
+    om = np.arange(1, 5)[:, None]
+    x = np.arange(30)[None, :]
+    values = -1.2 * np.cos(0.7 * om + 0.2 * x) + 0.3 * np.sin(0.5 * x)
+    return waveguide.model_from_config({
+        "schema_version": 1,
+        "cross_section": {"kind": "interval", "length": float(np.pi)},
+        "grid": {"n_omega": 4, "n_x": 30}, "n_max": 8,
+        "potential": {"kind": "table", "x_box": [-0.5, 1.5], "values": values.tolist()},
+    })
+
+
+STRUCTURED_MODELS = {
+    "table": table_model,
+    "rectangle": lambda: waveguide.square_well_model(
+        waveguide.Rectangle(np.pi, 2.0), 1.0, (0.0, 1.0), 3, 20, 12),
+    "panels": lambda: waveguide.square_well_model(
+        waveguide.Interval(np.pi), 1.0, (0.0, 1.0), 5, 40, 8, n_panels=4),
+}
+
+
+@pytest.fixture(params=["well_small", "well_medium", "coupled_model", *STRUCTURED_MODELS])
+def any_model(request):
+    if request.param in STRUCTURED_MODELS:
+        return STRUCTURED_MODELS[request.param]()
+    return request.getfixturevalue(request.param)
+
+
+class TestBoundaryOperator:
+    """The banded embedding reproduces the dense ``bs_operator`` matrix."""
+
+    TAIL_TOL = 0.3
+
+    @staticmethod
+    def energies(model):
+        """The middle of the first three open bands and 1e-3 below lambda_2."""
+        t = model.thresholds()[:4]
+        return [0.5 * (a + b) for a, b in zip(t, t[1:])] + [t[1] - 1e-3]
+
+    def test_equals_dense_operator(self, any_model):
+        rng = np.random.default_rng(3)
+        b = rng.normal(size=(any_model.dim, 3)) + 1j * rng.normal(size=(any_model.dim, 3))
+
+        def rel(x, ref):
+            return float(np.linalg.norm(x - ref) / np.linalg.norm(ref))
+
+        for lam in self.energies(any_model):
+            pt = birman.SpectralPoint(lam, 0.0)
+            dense = birman.bs_operator(pt, any_model, self.TAIL_TOL)
+            op = birman.boundary_operator(pt, any_model, self.TAIL_TOL)
+            a = dense.matrix
+            assert (op.n_used, op.tail_bound, op.dim) == (dense.n_used, dense.tail_bound, dense.dim)
+            assert rel(op.solve(b), linalg.solve(a, b)) <= 1e-12
+            assert rel(op.solve_adjoint(b), linalg.solve(a.conj().T, b)) <= 1e-12
+            assert rel(op.matvec(b), a @ b) <= 1e-12
+            assert rel(op.rmatvec(b), a.conj().T @ b) <= 1e-12
+            assert rel(op.solve(b[:, 0]), linalg.solve(a, b[:, 0])) <= 1e-12
+            assert op.solve(b[:, 0]).shape == (any_model.dim,)
+            ratio = op.cond_estimate() / linalg.cond_estimate(a)
+            assert 0.1 <= ratio <= 10.0
+
+    def test_cond_estimate_at_embedded_eigenvalue(self, well_medium, embedded_lambda):
+        pt = birman.SpectralPoint(embedded_lambda, 0.0)
+        dense = linalg.cond_estimate(birman.bs_operator(pt, well_medium, 0.03).matrix)
+        structured = birman.boundary_operator(pt, well_medium, 0.03).cond_estimate()
+        assert dense > 1e9
+        assert 0.1 <= structured / dense <= 10.0
+
+    def test_threshold_collision_rejected(self, well_small):
+        with pytest.raises(BranchPointError):
+            birman.boundary_operator(birman.SpectralPoint(4.0, 0.0), well_small, 0.1)
+
+    def test_x_nodes_must_increase(self, well_small):
+        grid = dataclasses.replace(well_small.grid, x_nodes=well_small.grid.x_nodes[::-1].copy())
+        model = dataclasses.replace(well_small, grid=grid)
+        with pytest.raises(DimensionError):
+            birman.boundary_operator(birman.SpectralPoint(2.5, 0.0), model, 0.1)
+
+    def test_no_dense_assembly_or_lu(self, well_small, monkeypatch):
+        # S-matrices and eigenvalue scans run on the banded embedding only
+        counts = {"mode_sum_matrix": 0, "lu_factor": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(birman, "mode_sum_matrix",
+                            counted("mode_sum_matrix", birman.mode_sum_matrix))
+        monkeypatch.setattr(linalg.sla, "lu_factor", counted("lu_factor", linalg.sla.lu_factor))
+        scattering.channel_smatrix(2.5, well_small, tail_tol=0.1)
+        scattering.channel_smatrix(5.5, well_small, tail_tol=0.1)
+        e0 = helpers.oned_well_levels(1.0, 1.0)[0]
+        window = (1.0 + e0 - 0.15, 1.0 + e0 + 0.15)
+        assert len(birman.eigenvalue_search(window, well_small, resolution=12, tail_tol=0.1)) == 1
+        assert counts == {"mode_sum_matrix": 0, "lu_factor": 0}
 
 
 class TestHsDiagnostic:

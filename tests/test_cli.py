@@ -132,6 +132,14 @@ class TestModelCommands:
         m2 = json.loads((out2 / "manifest.json").read_text())
         assert m1["artifacts"] == m2["artifacts"]
 
+    def test_smatrix_at_eigenvalue_exits_3(self, tmp_path, eigenvalue_hit):
+        doc, lam = eigenvalue_hit
+        cfg = write_config(tmp_path, {"smatrix": {"energies": [lam], "tail_tol": 0.03}},
+                           model=doc)
+        out = tmp_path / "out"
+        assert run(["smatrix", "--config", cfg, "--out", out]) == 3
+        assert not out.exists()
+
     def test_output_independent_of_thread_count(self, tmp_path):
         cfg = write_config(
             tmp_path, {"smatrix": {"energies": [2.2, 2.8, 3.4], "tail_tol": 0.1}}

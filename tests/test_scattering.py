@@ -1,11 +1,13 @@
 """Trace rows, S-matrices, expansion checks and continuity probes."""
 
+import time
+
 import numpy as np
 import pytest
 
 import helpers
 from wgscat import birman, expansion, linalg, scattering, waveguide
-from wgscat.errors import ChannelClosedError, DomainError
+from wgscat.errors import ChannelClosedError, DomainError, EigenvalueHitError
 
 
 class TestTraceRows:
@@ -65,6 +67,26 @@ class TestSMatrix:
     def test_no_open_channels_rejected(self, well_small):
         with pytest.raises(DomainError):
             scattering.channel_smatrix(0.5, well_small, tail_tol=0.1)
+
+    def test_eigenvalue_hit_raises(self, eigenvalue_hit):
+        doc, lam = eigenvalue_hit
+        with pytest.raises(EigenvalueHitError):
+            scattering.channel_smatrix(lam, waveguide.model_from_config(doc), tail_tol=0.03)
+
+    def test_dimension_ten_thousand_under_a_second(self, interval_cs):
+        # the benchmark's sweep model at n_x = 2000: out of reach of a dense LU
+        model = waveguide.square_well_model(
+            interval_cs, 1.0, (0.0, 1.0), n_omega=5, n_x=2000, n_max=12,
+            omega_profile={"kind": "cosine", "amplitude": 0.5, "harmonic": 1},
+        )
+        assert model.dim == 10_000
+        t0 = time.perf_counter()
+        s = scattering.channel_smatrix(6.0, model, tail_tol=0.03)
+        elapsed = time.perf_counter() - t0
+        recip = max(abs(s.entry(n, sg, n2, sg2) - s.entry(n2, -sg2, n, -sg))
+                    for (n, sg) in s.channels for (n2, sg2) in s.channels)
+        assert elapsed < 1.0
+        assert s.unitarity_defect <= 1e-8 and recip <= 1e-8
 
     def test_unitarity_budget_halves(self, interval_cs):
         mk = lambda nx: waveguide.square_well_model(
