@@ -34,6 +34,7 @@ from .waveguide import config_value, json_list, json_object
 
 SERIES_TAIL_TOL = 1e-14   # series truncation: tail bound relative to its scale
 SERIES_MAX_TERMS = 400    # series terms before the tail tolerance counts as missed
+SERIES_MAX_FACTOR = 0.999 # |z| ||A1 G|| from which the series counts as non-contractive
 CROSS_CHECK_TOL = 1e-9    # quotient vs series forms of B(z), relative Frobenius
 CONDITION_TOL = 1e-8      # defects of condition (ii) and the annihilation identities
 PSD_TOL = 1e-10           # positivity of the skew part, relative to ||A0||
@@ -136,30 +137,40 @@ def b_series(fam: OperatorFamily, s: Projection, z: complex) -> np.ndarray:
     """
     g = linalg.inverse(fam.base + s.matrix)
     c = fam.a1(z) @ g
-    return _series(s.matrix, g, c, opnorm(c), z)
+    cnorm = opnorm(c)
+    b = _series(s.matrix, g, c, cnorm, z)
+    if b is not None:
+        return b
+    q = abs(z) * cnorm
+    if q >= SERIES_MAX_FACTOR:
+        raise DomainError(f"series non-contractive at |z|={abs(z):.3e} (factor {q:.3f})")
+    raise AccuracyError("series did not reach its tail tolerance")
 
 
 def _series(sm: np.ndarray, g: np.ndarray, c: np.ndarray, cnorm: float, z: complex):
-    """:func:`b_series` from ``G = (A0+S)^-1``, ``C = A1(z) G`` and ``||C||``."""
+    """:func:`b_series` from ``G = (A0+S)^-1``, ``C = A1(z) G`` and ``||C||``;
+    ``None`` where the series does not converge by the tail rule (the factor
+    ``q = |z| ||C||`` reaches ``SERIES_MAX_FACTOR``, or the tail tolerance
+    needs more than ``SERIES_MAX_TERMS`` terms)."""
     q = abs(z) * cnorm
-    if q >= 0.999:
-        raise DomainError(
-            f"series non-contractive at |z|={abs(z):.3e} (factor {q:.3f})"
-        )
+    if q >= SERIES_MAX_FACTOR:
+        return None
     scale = max(1.0, opnorm(sm @ g) * cnorm)
-    power = c.copy()          # (A1 G)^(j+1)
-    acc = power.copy()
-    coeff = 1.0 + 0j
-    for j in range(1, SERIES_MAX_TERMS):
-        coeff *= -z
-        power = power @ c
-        acc += coeff * power
-        # geometric tail bound for the remaining terms
-        tail = scale * q ** (j + 1) * cnorm / max(1e-300, 1.0 - q)
+    # the number of powers after the first: the first j at which the
+    # geometric tail bound of the remaining terms drops below tolerance
+    for length in range(1, SERIES_MAX_TERMS):
+        tail = scale * q ** (length + 1) * cnorm / max(1e-300, 1.0 - q)
         if tail < SERIES_TAIL_TOL * scale:
             break
     else:
-        raise AccuracyError("series did not reach its tail tolerance")
+        return None
+    power = c.copy()          # (A1 G)^(j+1)
+    acc = power.copy()
+    coeff = 1.0 + 0j
+    for _ in range(length):
+        coeff *= -z
+        power = power @ c
+        acc += coeff * power
     return sm @ g @ acc @ sm
 
 
@@ -214,6 +225,11 @@ def jn_invert(
     failure).  The residual ``norm(A(z) X - 1)`` is checked internally
     against ``RESIDUAL_TOL * max(1, cond(A(z)))``.  ``A1(z)``, ``(A0+S)^-1``
     and ``(A(z)+S)^-1`` are each computed once.
+
+    ``verify_series`` cross-checks the quotient and series forms of ``B(z)``
+    wherever the series converges (disagreement raises
+    :class:`AccuracyError`); where it does not, the result is the plain
+    call's.
     """
     a1 = fam.a1(z)
     az = fam.base + z * a1
@@ -225,14 +241,17 @@ def jn_invert(
         g0 = linalg.inverse(fam.base + sm)
         c = a1 @ g0
         cnorm = opnorm(c)
-        if verify_series:
-            b = _cross_checked(_quotient(sm, g, z), _series(sm, g0, c, cnorm, z))
-        elif abs(z) * cnorm < 0.5:
-            # the quotient form cancels to O(z); prefer the series when it
-            # contracts fast enough to be cheap
-            b = _series(sm, g0, c, cnorm, z)
-        else:
+        # the quotient form cancels to O(z); prefer the series when it
+        # contracts fast enough to be cheap.  verify_series cross-checks the
+        # two wherever the series converges and leaves the rest to the quotient
+        series = verify_series or abs(z) * cnorm < 0.5
+        bs = _series(sm, g0, c, cnorm, z) if series else None
+        if bs is None:
             b = _quotient(sm, g, z)
+        elif verify_series:
+            b = _cross_checked(_quotient(sm, g, z), bs)
+        else:
+            b = bs
         x = _schur_step(g, s, b, 1.0 / z,
                         "B(z) singular on ran(S): A(z) is not invertible at this z")
     cond = linalg.cond_estimate(az)

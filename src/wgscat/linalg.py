@@ -53,6 +53,21 @@ def opnorm(a: np.ndarray) -> float:
     return float(np.linalg.norm(a, 2))
 
 
+def thin_product_norm(left: np.ndarray, right: np.ndarray) -> float:
+    """``|left @ right^*|_2`` for thin factors of equal column count.
+
+    With thin QRs ``left = Q_l R_l`` and ``right = Q_r R_r`` the product is
+    ``Q_l (R_l R_r^*) Q_r^*``, so its norm is that of the small core
+    ``R_l R_r^*``: ``O(n m^2)`` work for ``n x m`` factors and no ``n x n``
+    matrix.
+    """
+    if left.shape[1] == 0:
+        return 0.0
+    r_left = np.linalg.qr(left, mode="r")
+    r_right = np.linalg.qr(right, mode="r")
+    return opnorm(r_left @ r_right.conj().T)
+
+
 @dataclass(frozen=True)
 class Projection:
     """A (not necessarily orthogonal) projection matrix with its certificates.
@@ -230,12 +245,25 @@ def kernel_basis(
     if n == 0:
         return np.zeros((0, 0), dtype=complex)
     _, s, vh = np.linalg.svd(a)
+    return kernel_from_svd(s, vh, rank_tol, scale)
+
+
+def kernel_from_svd(
+    s: np.ndarray, vh: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL,
+    scale: float | None = None,
+) -> np.ndarray:
+    """:func:`kernel_basis` from a computed full SVD ``(_, s, vh)``."""
     smax = s[0] if s.size else 0.0
     ref = max(smax, scale) if scale is not None else smax
     if ref == 0.0:
-        return np.eye(n, dtype=complex)
+        return np.eye(vh.shape[0], dtype=complex)
     mask = s < rank_tol * ref
     return vh[mask].conj().T
+
+
+def range_projector(q: np.ndarray) -> Projection:
+    """Orthogonal projector ``Q Q^*`` onto the span of orthonormal columns."""
+    return Projection(q @ q.conj().T, orthogonal=True, tol=1e-12)
 
 
 def kernel_projector(a: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> Projection:
@@ -243,8 +271,7 @@ def kernel_projector(a: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> Proje
 
     Satisfies ``norm(a @ P) <= 2 * rank_tol * sigma_max * dim``.
     """
-    v = kernel_basis(a, rank_tol)
-    return Projection(v @ v.conj().T, orthogonal=True, tol=1e-12)
+    return range_projector(kernel_basis(a, rank_tol))
 
 
 def riesz_projection(a: np.ndarray, radius: float, n_quad: int = RIESZ_N_QUAD) -> Projection:

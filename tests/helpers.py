@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import brentq
 
-from wgscat import birman, expansion, waveguide
+from wgscat import birman, expansion, linalg, waveguide
 
 
 def oned_well_levels(depth: float, width: float = 1.0) -> list[float]:
@@ -64,3 +64,26 @@ def tune_resonant_depth(bracket: tuple[float, float], width: float = 1.0,
         return expansion.level1_kernel_gap(m, lam, eps=2e-2, tail_tol=tail_tol)
 
     return birman.golden_min(gap, *bracket, tol=1e-13)
+
+
+def dense_projections(ladder) -> list[np.ndarray]:
+    """Dense ``S0, S1, S2`` of a threshold ladder (``S2 = 0`` below level 3)."""
+    b2 = ladder.b2
+    s2 = np.zeros((ladder.dim, ladder.dim), dtype=complex) if b2 is None else b2 @ b2.conj().T
+    return [ladder.s0, ladder.s1, s2]
+
+
+def dense_commutator_norms(ladder, ev) -> dict:
+    """Dense oracle of ``expansion.commutator_norms``: ``(|S_j X_l - X_l S_j|_2,
+    |X_l|_2)`` keyed by ``(j, l)``, with every ``S_j`` and level inverse
+    ``X_l`` formed as a ``dim x dim`` matrix."""
+    mats = dense_projections(ladder)
+    invs = [ev.g0, ev.h1]
+    if ev.h2 is not None:
+        invs.append(ladder.b1 @ ev.h2 @ ladder.b1.conj().T)
+    max_level = ladder.terminal_level() - 1
+    return {
+        (j, level): (linalg.opnorm(mats[j] @ invs[level] - invs[level] @ mats[j]),
+                     linalg.opnorm(invs[level]))
+        for j in range(max_level + 1) for level in range(j + 1)
+    }

@@ -55,7 +55,7 @@ class TestThresholdLadderStructure:
         assert lad.r1 == 0 and lad.terminal_level() == 1
 
     def test_ladder_level_records_nest(self, deep_ladder):
-        mats = [deep_ladder.s_matrix(j) for j in range(3)]
+        mats = helpers.dense_projections(deep_ladder)
         for p in mats:
             assert linalg.opnorm(p @ p - p) <= 1e-10
         for a, b in zip(mats, mats[1:]):
@@ -271,6 +271,31 @@ class TestStructuralReport:
             calls.clear()
             expansion.m_function(deep_ladder, k)
             assert calls == [k]
+
+    def test_commutator_norms_match_dense_reference(self, deep_ladder):
+        # thin-factor commutator norms against dense S_j X - X S_j at every
+        # third kappa of each sample path; the growth fits agree on both sets
+        lad = deep_ladder
+        ks = np.concatenate([path[::3] for path in expansion.kappa_sample_paths().values()])
+        thin, dense = {}, {}
+        for k in ks:
+            ev = lad.at(k)
+            got = expansion.commutator_norms(lad, ev)
+            ref = helpers.dense_commutator_norms(lad, ev)
+            assert len(got) == 6 and got.keys() == ref.keys()
+            for key, (value, xnorm) in ref.items():
+                assert abs(got[key] - value) <= 1e-12 * max(1.0, xnorm)
+                thin.setdefault(key, []).append(got[key])
+                dense.setdefault(key, []).append(value)
+        floor = 1e-12 * max(1.0, linalg.opnorm(lad.m10))
+        for key in ref:
+            target = 1.9 if key == (2, 0) else 0.9
+            e_thin, n_thin = expansion.fit_exponent(ks, thin[key], floor)
+            e_dense, n_dense = expansion.fit_exponent(ks, dense[key], floor)
+            assert n_thin == n_dense
+            assert (e_thin >= target or n_thin < 3) == (e_dense >= target or n_dense < 3)
+            if n_dense >= 3:
+                assert abs(e_thin - e_dense) <= 1e-3
 
     def test_zero_potential_vacuous_pass(self, interval_cs):
         m = waveguide.square_well_model(interval_cs, 0.0, (0.0, 1.0), 4, 10, 3)

@@ -92,6 +92,27 @@ class TestBOperator:
 
 
 class TestJnInvert:
+    @pytest.mark.parametrize("index", [2, 6])
+    def test_verify_series_where_the_series_diverges(self, index):
+        # family 2: |z| ||A1 G0|| = 1.03 (non-contractive); family 6: the tail
+        # rule is not met within SERIES_MAX_TERMS.  Both invert by the quotient
+        rng = np.random.default_rng(0)
+        fam = [family_from_random(rng, 6, 2, radius=0.5) for _ in range(index + 1)][index]
+        s = linalg.kernel_projector(fam.base)
+        plain = inversion.jn_invert(fam, s, 0.45)
+        verified = inversion.jn_invert(fam, s, 0.45, verify_series=True)
+        assert np.array_equal(verified, plain)
+
+    def test_verify_series_disagreement_raises(self, monkeypatch):
+        fam = family_from_random(np.random.default_rng(11), 8, 2)
+        s = linalg.kernel_projector(fam.base)
+        quotient = inversion._quotient
+        monkeypatch.setattr(inversion, "_quotient",
+                            lambda sm, g, z: 1.01 * quotient(sm, g, z))
+        inversion.jn_invert(fam, s, 1e-3 - 2e-3j)  # the plain call takes the series
+        with pytest.raises(AccuracyError, match="disagree"):
+            inversion.jn_invert(fam, s, 1e-3 - 2e-3j, verify_series=True)
+
     def test_scalar_gives_reciprocal(self):
         fam = scalar_family()
         s = linalg.identity_projection(1)

@@ -1,5 +1,6 @@
 """Generated-input properties: the config error contract, the inversion
-engine against the dense oracle and the projection invariants."""
+engine against the dense oracle, the projection invariants, thin-factor
+commutator norms and threshold grouping."""
 
 import copy
 
@@ -7,7 +8,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wgscat import inversion, linalg, waveguide
+from wgscat import expansion, inversion, linalg, waveguide
 from wgscat.errors import WgscatError
 
 MODEL_DOCS = [
@@ -148,3 +149,62 @@ def test_projection_invariants(case):
     # the same range: each basis lies in the other projection's range
     assert np.linalg.norm(so.matrix @ sr.basis - sr.basis) <= 1e-8
     assert np.linalg.norm(sr.matrix @ so.basis - so.basis) <= 1e-8
+
+
+@st.composite
+def projector_commutators(draw):
+    """Orthonormal ``Q`` (dim 2-16, 0-3 columns) and a dense complex ``X``,
+    of any rank from 0 up and any scale."""
+    dim = draw(st.integers(2, 16))
+    r = draw(st.integers(0, min(3, dim)))
+    x_rank = draw(st.integers(0, dim))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def gaussian(rows, cols):
+        return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+
+    q = np.linalg.qr(gaussian(dim, r))[0] if r else np.zeros((dim, 0), dtype=complex)
+    return q, scale * (gaussian(dim, x_rank) @ gaussian(x_rank, dim))
+
+
+@given(projector_commutators())
+def test_thin_commutator_norm_matches_dense(case):
+    q, x = case
+    p = q @ q.conj().T
+    bound = 1e-12 * max(1.0, linalg.opnorm(x))
+    xq, xhq = x @ q, x.conj().T @ q
+    left, right = np.hstack([q, -xq]), np.hstack([xhq, q])
+    assert abs(linalg.thin_product_norm(left, right)
+               - linalg.opnorm(left @ right.conj().T)) <= bound
+    assert abs(expansion.commutator_norm(q, xq, xhq)
+               - linalg.opnorm(p @ x - x @ p)) <= bound
+
+
+@st.composite
+def sorted_spectra(draw):
+    """Sorted eigenvalue lists with exact, near and far repeats."""
+    values = draw(st.lists(st.floats(-10.0, 1e6), min_size=1, max_size=10))
+    out = []
+    for v in values:
+        for _ in range(draw(st.integers(1, 3))):
+            out.append(v + draw(st.sampled_from([0.0, 1e-12, 1e-9 * abs(v), 1e-6, 0.5])))
+    return sorted(out)
+
+
+@given(sorted_spectra(), st.none() | st.sampled_from([1e-12, 1e-8, 1e-4, 0.1]))
+def test_threshold_groups_invariants(eigenvalues, degeneracy_tol):
+    modes = [waveguide.TransverseMode(i + 1, e, np.zeros(1)) for i, e in enumerate(eigenvalues)]
+    groups = waveguide.threshold_groups(modes, degeneracy_tol)
+
+    def tol(e):
+        if degeneracy_tol is not None:
+            return degeneracy_tol
+        return waveguide.THRESHOLD_REL_TOL * max(1.0, abs(e))
+
+    assert [i for g in groups for i in g.members] == [m.index for m in modes]
+    for g in groups:
+        for i in g.members:
+            assert abs(eigenvalues[i - 1] - g.value) <= tol(eigenvalues[i - 1])
+    for g, g_next in zip(groups, groups[1:]):
+        assert abs(g_next.value - g.value) > tol(g_next.value)
