@@ -9,7 +9,9 @@ sandwiching with the potential factors gives the grid operator
 
 ``A`` comes in two forms that share one mode cutoff, tail bound and
 threshold check.  :func:`bs_operator` assembles the dense dim x dim matrix:
-it is the oracle, and the input of the expansion layer.
+it is the oracle, and the input of the eigenvalue ladder.  The threshold
+ladder assembles its mode sums with :func:`mode_sum_blocks`, as the diagonal
+blocks of the model's transverse sectors (``model.sectors``).
 :func:`boundary_operator` never forms it.  For ``x > x'`` the mode-sum
 kernel ``sum_n [v f_n e^(i mu_n x)] (i / 2 mu_n) [f_n v e^(-i mu_n x')]``
 is semiseparable of rank ``n_used`` (Eidelman-Gohberg, Integral Equations
@@ -37,7 +39,7 @@ from .errors import (
     TruncationError,
 )
 from .linalg import onenorm_estimate
-from .waveguide import WaveguideModel, gauss_legendre_panels
+from .waveguide import Sectors, WaveguideModel, gauss_legendre_panels
 
 _MODE_CHUNK_ENTRIES = 4_000_000  # chunk mode stacks to bound working memory
 
@@ -169,9 +171,35 @@ def mode_sum_matrix(
     it defaults to the free resolvent at ``z - lambda_n``.
     """
     grid = model.grid
+    return _mode_sum(model, z, mode_indices, x_kernel, Sectors.single(grid.n_omega, grid.n_x))[0]
+
+
+def mode_sum_blocks(
+    model: WaveguideModel,
+    z: complex,
+    mode_indices: list[int] | np.ndarray,
+    x_kernel=None,
+) -> np.ndarray:
+    """:func:`mode_sum_matrix` in the model's sector coordinates
+    (``model.sectors``), as its stack of diagonal blocks
+    ``(n_blocks, block_dim, block_dim)``."""
+    return _mode_sum(model, z, mode_indices, x_kernel, model.sectors)
+
+
+def _mode_sum(model: WaveguideModel, z: complex, mode_indices, x_kernel,
+              sectors: Sectors) -> np.ndarray:
+    """The mode sum as the diagonal blocks of ``sectors``.
+
+    Separable potential: the transverse weight of mode ``n`` is the outer
+    product of ``phi_n`` with itself in the grid coordinates (one block), or
+    in a decomposing model's sectors the scalar ``p_n[s]^2`` per sector, with
+    ``p_n = basis^T phi_n``.  A non-separable potential never decomposes, so
+    its one block is the grid matrix.
+    """
+    grid = model.grid
     n_omega, n_x = grid.n_omega, grid.n_x
-    dim = grid.dim
-    out = np.zeros((dim, dim), dtype=complex)
+    nb, dim = sectors.n_blocks, grid.dim
+    out = np.zeros((nb, dim // nb, dim // nb), dtype=complex)
     if len(mode_indices) == 0:
         return out
     x = grid.x_nodes
@@ -187,18 +215,24 @@ def mode_sum_matrix(
         phi = np.array(
             [model.modes[n - 1].samples * pot.omega_factor for n in idx]
         ) * np.sqrt(grid.omega_weights)
+        if sectors.basis is not None:
+            phi = phi @ sectors.basis
         for lo in range(0, idx.size, chunk):
             sel = idx[lo : lo + chunk]
             ks = np.empty((sel.size, n_x * n_x), dtype=complex)
             for j, n in enumerate(sel):
                 ks[j] = (dx[:, None] * x_kernel(int(n)) * dx[None, :]).reshape(-1)
-            pmat = np.einsum("ni,nj->nij", phi[lo : lo + chunk], phi[lo : lo + chunk])
-            block = pmat.reshape(sel.size, -1).T @ ks  # (n_omega^2, n_x^2)
-            out += (
-                block.reshape(n_omega, n_omega, n_x, n_x)
-                .transpose(0, 2, 1, 3)
-                .reshape(dim, dim)
-            )
+            p = phi[lo : lo + chunk]
+            if sectors.basis is None:
+                pmat = np.einsum("ni,nj->nij", p, p)
+                block = pmat.reshape(sel.size, -1).T @ ks  # (n_omega^2, n_x^2)
+                out[0] += (
+                    block.reshape(n_omega, n_omega, n_x, n_x)
+                    .transpose(0, 2, 1, 3)
+                    .reshape(dim, dim)
+                )
+            else:
+                out += ((p * p).T @ ks).reshape(out.shape)  # one sector per block
         return out
 
     sw = grid.composite_sqrt_weights().reshape(n_omega, n_x)
@@ -208,7 +242,7 @@ def mode_sum_matrix(
             [model.modes[n - 1].samples[:, None] * pot.v * sw for n in sel]
         )  # (m, n_omega, n_x)
         ks = np.array([x_kernel(int(n)) for n in sel])
-        out += np.einsum("nik,nkl,njl->ikjl", a, ks, a, optimize=True).reshape(dim, dim)
+        out[0] += np.einsum("nik,nkl,njl->ikjl", a, ks, a, optimize=True).reshape(dim, dim)
     return out
 
 

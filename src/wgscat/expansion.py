@@ -30,6 +30,12 @@ evaluation on a threshold ladder, from ``(J0+S)^-1`` and ``J1`` on an
 eigenvalue ladder), and ``m_function`` sums that list for either kind of
 ladder.
 
+A threshold ladder works in the model's sector coordinates
+(``model.sectors``): where the transverse sectors decouple, every level
+operator is a stack of ``n_omega`` blocks of size ``n_x``, inverted block by
+block; any other model is one block of size ``dim``, on the same code.
+``m_function`` embeds the sum once into the dense grid-basis matrix.
+
 Off the rays (``Re k > 0 > Im k``) the sum is cross-checkable against a
 directly assembled dense inverse; that oracle sits behind ``verify=True``.
 """
@@ -49,7 +55,7 @@ from .errors import (
 )
 from .inversion import two_term_invert
 from .linalg import DEFAULT_RANK_TOL, Projection, opnorm
-from .waveguide import WaveguideModel
+from .waveguide import Sectors, WaveguideModel
 
 STRUCT_TOL = 1e-8      # defect tolerance of the structural identities
 KAPPA_PER_DECADE = 8   # |kappa| samples per decade on each structural ray
@@ -111,10 +117,11 @@ def kappa_sample_paths(lo: float = 1e-4, hi: float = 1e-2) -> dict[str, np.ndarr
 class LadderEvaluation:
     """Every kappa-dependent operator of a threshold ladder at one kappa.
 
-    ``g0 = (I0+S0)^-1`` and ``h1 = (I1+S1)^-1`` (extended by zero outside
-    ``S0 H``) are dense; ``h2 = (I2+S2)^-1`` lives in S1 coordinates and
-    ``i3c``/``i3inv = I3^-1`` in S2 coordinates.  Entries below the ladder's
-    terminal level are ``None``.
+    ``g0 = (I0+S0)^-1``, ``i1`` and ``h1 = (I1+S1)^-1`` (extended by zero
+    outside ``S0 H``) are block stacks in sector coordinates;
+    ``h2 = (I2+S2)^-1`` lives in S1 coordinates and ``i3c``/``i3inv = I3^-1``
+    in S2 coordinates.  Entries below the ladder's terminal level are
+    ``None``.
     """
 
     g0: np.ndarray
@@ -132,7 +139,13 @@ class LadderEvaluation:
 
 @dataclass
 class ThresholdLadder:
-    """All kappa-independent data of the expansion at one threshold."""
+    """All kappa-independent data of the expansion at one threshold.
+
+    Everything lives in the model's sector coordinates (``model.sectors``):
+    level operators are block stacks ``(n_blocks, m, m)``; the threshold
+    vectors (rows) and the bases ``u_n`` and ``b1`` (columns, each supported
+    on one block) are ``dim`` long, in sector order.
+    """
 
     model: WaveguideModel
     lam: float
@@ -169,6 +182,10 @@ class ThresholdLadder:
         return self.model.dim
 
     @property
+    def sectors(self) -> Sectors:
+        return self.model.sectors
+
+    @property
     def r1(self) -> int:
         return 0 if self.b1 is None else self.b1.shape[1]
 
@@ -196,7 +213,7 @@ class ThresholdLadder:
 
     def n1(self, kappa: complex) -> np.ndarray:
         """Regular part of the group kernel (exact difference form)."""
-        return birman.mode_sum_matrix(
+        return birman.mode_sum_blocks(
             self.model,
             0.0,
             list(self.members),
@@ -205,21 +222,21 @@ class ThresholdLadder:
 
     def w(self, kappa: complex) -> np.ndarray:
         """Mode sum over the non-group channels at ``z = lam - kappa^2``."""
-        return birman.mode_sum_matrix(self.model, self.lam - kappa**2, self.other_modes())
+        return birman.mode_sum_blocks(self.model, self.lam - kappa**2, self.other_modes())
 
     def m1(self, kappa: complex) -> np.ndarray:
         if kappa == 0:
             return self.m10
-        return self.n1(kappa) + np.diag(self.model.u_diag()) + self.w(kappa)
+        return self.n1(kappa) + self.sectors.diagonal(self.model.potential.u) + self.w(kappa)
 
     def i0(self, kappa: complex) -> np.ndarray:
         return self.n0 + 2.0 * kappa * self.m1(kappa)
 
     def g0(self, kappa: complex) -> np.ndarray:
-        """``(I0(kappa) + S0)^-1`` (dense)."""
+        """``(I0(kappa) + S0)^-1`` (block stack)."""
         if kappa == 0:
             return self.g00
-        return linalg.inverse(self.i0(kappa) + self.s0)
+        return linalg.block_inverse(self.i0(kappa) + self.s0)
 
     def at(self, kappa: complex) -> LadderEvaluation:
         """The ladder at ``kappa != 0``: each level inverse computed once,
@@ -227,17 +244,18 @@ class ThresholdLadder:
         if kappa == 0:
             raise DomainError("the ladder is evaluated at kappa != 0 only")
         g0 = self.g0(kappa)
-        u = self.u_n
+        u = self.sectors.blocked(self.u_n)
+        uh = linalg.adjoint(u)
         # S0 G0 S0 through rank updates rather than dense projector products
-        gs = g0 - (g0 @ u) @ u.conj().T
-        sgs = gs - u @ (u.conj().T @ gs)
+        gs = g0 - (g0 @ u) @ uh
+        sgs = gs - u @ (uh @ gs)
         i1 = (self.s0 - sgs) / (2.0 * kappa)
-        # one dense inverse: I1 + S1 + P_N is block diagonal with the
-        # identity on the complement of S0 H
-        h1 = linalg.inverse(i1 + self.s1 + self.pn) - self.pn
+        # I1 + S1 + P_N is the identity on the complement of S0 H
+        h1 = linalg.block_inverse(i1 + self.s1 + self.pn) - self.pn
         if self.b1 is None:
             return LadderEvaluation(g0, i1, h1)
-        i2c = (np.eye(self.r1, dtype=complex) - self.b1.conj().T @ h1 @ self.b1) / kappa
+        b1 = self.sectors.blocked(self.b1)
+        i2c = (np.eye(self.r1, dtype=complex) - (linalg.adjoint(b1) @ h1 @ b1).sum(axis=0)) / kappa
         s2c = (
             self.kc2 @ self.kc2.conj().T
             if self.kc2 is not None
@@ -251,29 +269,32 @@ class ThresholdLadder:
         i3inv = None if self.s3c is None else two_term_invert(i3c, self.s3c)
         return LadderEvaluation(g0, i1, h1, h2, i3c, i3inv)
 
-    def terms(self, kappa: complex) -> list[np.ndarray]:
-        """The four-term expansion at ``kappa != 0``, term by term: ``2k G0``,
-        ``G0 H1 G0``, then the ``1/k`` term when ``r1 > 0`` and the ``1/k^2``
-        term when ``r2 > 0``."""
+    def terms(self, kappa: complex) -> tuple[list, list]:
+        """The four-term expansion at ``kappa != 0``, term by term, in sector
+        coordinates: the block-diagonal terms ``2k G0`` and ``G0 H1 G0`` as
+        stacks, then, as ``(left, core, right)`` products, the ``1/k`` term
+        when ``r1 > 0`` and the ``1/k^2`` term when ``r2 > 0``."""
         k = complex(kappa)
         ev = self.at(k)
         g0k, h1, h2 = ev.g0, ev.h1, ev.h2
-        terms = [2.0 * k * g0k, g0k @ h1 @ g0k]
+        blocks, products = [2.0 * k * g0k, g0k @ h1 @ g0k], []
         if self.r1 > 0:
-            left = g0k @ (h1 @ self.b1)             # (dim, r1)
-            right = (self.b1.conj().T @ h1) @ g0k   # (r1, dim)
-            terms.append((left @ h2 @ right) / k)
+            b1 = self.sectors.blocked(self.b1)
+            left = (g0k @ (h1 @ b1)).reshape(self.dim, -1)               # (dim, r1)
+            right = self.sectors.rows((linalg.adjoint(b1) @ h1) @ g0k)    # (r1, dim)
+            products.append((left, h2 / k, right))
             if self.r2 > 0:
                 mid = (h2 @ self.kc2) @ ev.i3inv @ (self.kc2.conj().T @ h2)
-                terms.append((left @ mid @ right) / k**2)
-        return terms
+                products.append((left, mid / k**2, right))
+        return blocks, products
 
 
 def _level0_data(model: WaveguideModel, lam: float, eps: float, tail_tol: float) -> dict:
     """Kappa-independent level-0 assembly shared by the ladder builder and
     the resonance-gap probe (both must see the identical operator): the
     ladder fields up to ``I1(0)``, keyed by field name, without the ones only
-    the builder reads (``N0``, ``N2``, ``(N0 + S0)^-1``)."""
+    the builder reads (``N0``, ``N2``, ``(N0 + S0)^-1``).  Block stacks and
+    bases in sector coordinates."""
     group = model.group_at(lam)
     # mode count fixed at the threshold; the kappa excursion moves Re z by
     # at most eps^2, absorbed in the gap margin
@@ -282,28 +303,32 @@ def _level0_data(model: WaveguideModel, lam: float, eps: float, tail_tol: float)
     if members != group.members:
         raise DomainError("threshold group extends beyond the retained modes")
 
-    dim = model.dim
-    vtil = np.array([model.weighted_mode_vector(n) for n in members])
-    norms = np.array([np.linalg.norm(v) for v in vtil])
-    if np.any(norms > 0):
-        q, r = np.linalg.qr(vtil[norms > 0].T)
-        rdiag = np.abs(np.diag(r))
-        keep = rdiag > DEFAULT_RANK_TOL * max(rdiag.max(), 1e-300)
-        u_n = q[:, keep].astype(complex)
-    else:
-        u_n = np.zeros((dim, 0), dtype=complex)
+    sec = model.sectors
+    vtil = sec.to_sector(np.array([model.weighted_mode_vector(n) for n in members]).T).T
+    # one QR per block of the threshold vectors' restrictions (rounding-level
+    # restrictions left out); the rank cut is relative to the largest R
+    # diagonal over all blocks
+    blocks = sec.blocked(vtil.T)
+    norms = np.linalg.norm(blocks, axis=1)
+    present = norms > DEFAULT_RANK_TOL * norms.max(initial=0.0)
+    factors = [np.linalg.qr(vb[:, keep]) for vb, keep in zip(blocks, present)]
+    rmax = max([np.abs(np.diag(r)).max(initial=0.0) for _, r in factors] + [1e-300])
+    u_n = linalg.block_columns(
+        [q[:, np.abs(np.diag(r)) > DEFAULT_RANK_TOL * rmax] for q, r in factors]
+    )
 
     x_nodes = model.grid.x_nodes
-    n10 = birman.mode_sum_matrix(
+    n10 = birman.mode_sum_blocks(
         model, 0.0, list(members),
         x_kernel=lambda n: _group_x_kernel(0.0, "linear", x_nodes),
     )
     others = [n for n in range(1, n_used + 1) if n not in members]
-    w0 = birman.mode_sum_matrix(model, complex(lam), others)
-    m10 = n10 + np.diag(model.u_diag()) + w0
+    w0 = birman.mode_sum_blocks(model, complex(lam), others)
+    m10 = n10 + sec.diagonal(model.potential.u) + w0
 
-    pn = u_n @ u_n.conj().T
-    s0 = np.eye(dim, dtype=complex) - pn
+    ub = sec.blocked(u_n)
+    pn = ub @ linalg.adjoint(ub)
+    s0 = np.eye(sec.block_dim, dtype=complex) - pn
     return {
         "n_used": n_used, "members": members, "vtil": vtil, "u_n": u_n,
         "n10": n10, "m10": m10, "pn": pn, "s0": s0, "i10": s0 @ m10 @ s0,
@@ -313,7 +338,8 @@ def _level0_data(model: WaveguideModel, lam: float, eps: float, tail_tol: float)
 def level1_kernel_gap(
     model: WaveguideModel, lam: float, eps: float = 1e-2, tail_tol: float = 1e-3
 ) -> float:
-    """Smallest singular value of the level-1 operator inside ``S0 H``.
+    """Smallest singular value of the level-1 operator inside ``S0 H``
+    (the smallest over its sector blocks).
 
     A value at rounding scale signals a threshold resonance or a threshold
     eigenvalue of the discrete family (the ladder then carries a nontrivial
@@ -322,7 +348,7 @@ def level1_kernel_gap(
     """
     d = _level0_data(model, lam, eps, tail_tol)
     sv = np.linalg.svd(d["i10"] + d["pn"], compute_uv=False)
-    return float(sv[-1])
+    return float(sv.min())
 
 
 def build_threshold_ladder(
@@ -342,22 +368,24 @@ def build_threshold_ladder(
     because every later step builds on it.
     """
     d0 = _level0_data(model, lam, eps, tail_tol)
-    u_n, m10, i10 = d0["u_n"], d0["m10"], d0["i10"]
-    dim = model.dim
-    n0 = np.zeros((dim, dim), dtype=complex)
-    for v in d0["vtil"]:
-        n0 += np.outer(v, v.conj())
+    m10, i10 = d0["m10"], d0["i10"]
+    sec = model.sectors
+    u_n = sec.blocked(d0["u_n"])
+    vt = sec.blocked(d0["vtil"].T)
+    n0 = np.zeros((sec.n_blocks, sec.block_dim, sec.block_dim), dtype=complex)
+    for i in range(vt.shape[2]):
+        n0 += vt[:, :, i, None] * vt[:, None, :, i].conj()
     x_nodes = model.grid.x_nodes
-    n20 = birman.mode_sum_matrix(
+    n20 = birman.mode_sum_blocks(
         model, 0.0, list(d0["members"]),
         x_kernel=lambda n: _group_x_kernel(0.0, "quadratic", x_nodes),
     )
     # exact (N0 + S0)^-1: block inverse on span(vtil), identity on its kernel
-    if u_n.shape[1]:
-        core = u_n.conj().T @ n0 @ u_n
-        g00 = d0["s0"] + u_n @ linalg.inverse(core) @ u_n.conj().T
+    if u_n.shape[2]:
+        core = (linalg.adjoint(u_n) @ n0 @ u_n).sum(axis=0)
+        g00 = d0["s0"] + u_n @ linalg.inverse(core) @ linalg.adjoint(u_n)
     else:
-        g00 = np.eye(dim, dtype=complex)
+        g00 = np.broadcast_to(np.eye(sec.block_dim, dtype=complex), n0.shape).copy()
 
     # level 1: ker(I1(0)) inside S0 H == ker(I1(0) + P_N)
     im_defect = linalg.psd_defect(linalg.imaginary_part(i10), herm_tol=1e-8)
@@ -370,8 +398,9 @@ def build_threshold_ladder(
 
     i2c0 = kc2 = None
     if b1 is not None:
-        part_a = b1.conj().T @ n20 @ b1
-        part_b = 2.0 * b1.conj().T @ m10 @ g00 @ m10 @ b1
+        b1b = sec.blocked(b1)
+        part_a = (linalg.adjoint(b1b) @ n20 @ b1b).sum(axis=0)
+        part_b = 2.0 * (linalg.adjoint(b1b) @ m10 @ g00 @ m10 @ b1b).sum(axis=0)
         i2c0 = part_a - part_b
         herm = opnorm(i2c0 - i2c0.conj().T)
         scale2 = max(opnorm(part_a), opnorm(part_b), 1.0)
@@ -386,10 +415,11 @@ def build_threshold_ladder(
 
     # S0, S1, S2 are orthogonal projections exactly when their bases are
     # orthonormal
-    for name, q in (("u_n", u_n), ("b1", b1), ("b2", None if kc2 is None else b1 @ kc2)):
+    for name, q in (("u_n", d0["u_n"]), ("b1", b1), ("b2", None if kc2 is None else b1 @ kc2)):
         if q is not None and opnorm(q.conj().T @ q - np.eye(q.shape[1])) > 1e-10:
             raise AccuracyError(f"basis {name} is not orthonormal to tolerance")
 
+    b1_blocks = sec.blocked(b1_full)
     ladder = ThresholdLadder(
         model=model,
         lam=lam,
@@ -401,7 +431,7 @@ def build_threshold_ladder(
         x0=linalg.real_part(m10),
         g00=g00,
         b1=b1,
-        s1=b1_full @ b1_full.conj().T,
+        s1=b1_blocks @ linalg.adjoint(b1_blocks),
         i2c0=i2c0,
         kc2=kc2,
     )
@@ -437,6 +467,12 @@ class EigenvalueLadder:
     def rank(self) -> int:
         return 0 if self.basis is None else self.basis.shape[1]
 
+    @property
+    def sectors(self) -> Sectors:
+        """The grid coordinates of the dense ``T0``: one block."""
+        grid = self.model.grid
+        return Sectors.single(grid.n_omega, grid.n_x)
+
     def t1(self, kappa: complex) -> np.ndarray:
         """``(1/k^2) sum_n v {P_n (x) (R0(z-l_n) - R0(lam-l_n))} v`` with the
         cancellation-free kernel difference."""
@@ -459,19 +495,20 @@ class EigenvalueLadder:
             return self.t0
         return self.t0 + complex(kappa) ** 2 * self.t1(kappa)
 
-    def terms(self, kappa: complex) -> list[np.ndarray]:
-        """The two-term expansion at ``kappa != 0``, term by term:
-        ``(J0+S)^-1`` and, when ``ker T0`` is nontrivial, the ``1/k^2`` term
-        built from ``J1`` (the quotient in the variable k^2, in S
-        coordinates)."""
+    def terms(self, kappa: complex) -> tuple[list, list]:
+        """The two-term expansion at ``kappa != 0``, term by term, as
+        :meth:`ThresholdLadder.terms` gives it: ``(J0+S)^-1`` as a one-block
+        stack and, when ``ker T0`` is nontrivial, the ``1/k^2`` term built
+        from ``J1`` (the quotient in the variable k^2, in S coordinates) as a
+        ``(left, core, right)`` product."""
         k = complex(kappa)
         g = linalg.inverse(self.j0(k) + self.s)
         if self.basis is None:
-            return [g]
+            return [g[None]], []
         j1 = (np.eye(self.rank, dtype=complex) - self.basis.conj().T @ g @ self.basis) / k**2
         left = g @ self.basis
         right = self.basis.conj().T @ g
-        return [g, (left @ linalg.inverse(j1) @ right) / k**2]
+        return [g[None]], [(left, linalg.inverse(j1) / k**2, right)]
 
 
 def build_eigenvalue_ladder(
@@ -547,8 +584,14 @@ def m_function(
     if abs(kappa) > ladder.eps:
         raise DomainError(f"|kappa| = {abs(kappa):.3e} outside the ladder region")
     k = complex(kappa)
-    terms = ladder.terms(k)
-    out = sum(terms[1:], terms[0])  # left to right: the order fixes the rounding
+    blocks, products = ladder.terms(k)
+    # left to right: the order fixes the rounding; the block terms are summed
+    # in sector coordinates and embedded once, the products through their
+    # thin factors
+    sec = ladder.sectors
+    out = sec.grid_blocks(sum(blocks[1:], blocks[0]))
+    for left, core, right in products:
+        out += (sec.to_grid(left) @ core) @ sec.to_grid(right.T).T
     if verify:
         if not (k.real > 0 and k.imag < 0):
             raise DomainError("the dense oracle needs kappa strictly inside the sector")
@@ -556,11 +599,18 @@ def m_function(
         scale = max(np.linalg.norm(direct), 1e-300)
         rel = np.linalg.norm(out - direct) / scale
         if rel > oracle_tol:
-            norms = ", ".join(f"{opnorm(t):.3e}" for t in terms)
+            norms = ", ".join(f"{t:.3e}" for t in term_norms(blocks, products))
             raise AccuracyError(
                 f"expansion vs dense inverse: rel {rel:.3e} at kappa={k} (terms: {norms})"
             )
     return out
+
+
+def term_norms(blocks: list, products: list) -> list[float]:
+    """Spectral norms of the expansion terms of ``ladder.terms``, in order."""
+    return [opnorm(b) for b in blocks] + [
+        linalg.thin_product_norm(left @ core, right.conj().T) for left, core, right in products
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -632,16 +682,20 @@ def commutator_norms(ladder: ThresholdLadder, ev: LadderEvaluation) -> dict:
     """``|[S_j, X_l]|_2`` for ``l <= j`` below the terminal level, keyed by
     ``(j, l)``: ``S_j`` through its basis (``u_n``, ``b1``, ``b2``) and the
     level inverses ``X_0 = G0``, ``X_1 = H1``, ``X_2 = b1 (I2+S2)^-1 b1^*``
-    through their products with it.  No ``dim x dim`` product is formed."""
+    through their products with it, in sector coordinates.  No
+    ``dim x dim`` product is formed."""
     max_level = ladder.terminal_level() - 1
     bases = (ladder.u_n, ladder.b1, ladder.b2)
+    sec = ladder.sectors
     out = {}
     for j in range(max_level + 1):
         q = bases[j]
+        qb = sec.blocked(q)
         for level in range(j + 1):
             if level < 2:
                 x = (ev.g0, ev.h1)[level]
-                xq, xhq = x @ q, (q.conj().T @ x).conj().T
+                xq = (x @ qb).reshape(q.shape)
+                xhq = linalg.adjoint(linalg.adjoint(qb) @ x).reshape(q.shape)
             else:
                 c = ladder.b1.conj().T @ q
                 xq = ladder.b1 @ (ev.h2 @ c)
@@ -661,9 +715,11 @@ def verify_structural_lemmas(
     Identity defects are judged at ``STRUCT_TOL``, ranks at
     ``linalg.DEFAULT_RANK_TOL``, and the kappa samples come from
     :func:`kappa_sample_paths` on ``[kappa_lo, kappa_hi]``
-    (``KAPPA_PER_DECADE`` per decade).  Norms that involve ``S_j`` are taken
-    from its orthonormal basis (thin factors, no dense ``S_j``); only the
-    SVD kernel projector of ``N0`` that ``S0`` is checked against is dense.
+    (``KAPPA_PER_DECADE`` per decade).  The report works in the ladder's
+    sector coordinates, where every 2-norm is the grid one.  Norms that
+    involve ``S_j`` are taken from its orthonormal basis (thin factors, no
+    dense ``S_j``); the SVD kernel projector of ``N0`` that ``S0`` is
+    checked against is a block stack.
 
     Identically vanishing quantities (for instance symmetry-protected rows)
     pass their growth targets vacuously and are flagged in the notes.
@@ -673,36 +729,43 @@ def verify_structural_lemmas(
     checks: list[CheckLine] = []
     fits: list[FitLine] = []
     model = ladder.model
+    sec = ladder.sectors
     tol = STRUCT_TOL
     u_n, b1, b2 = ladder.u_n, ladder.b1, ladder.b2
 
-    # one SVD of N0 gives its rank and the independent kernel projector
+    # one SVD per block of N0 gives its norm, its rank and the independent
+    # kernel projector
     _, sv, vh = np.linalg.svd(ladder.n0)
-    rank_n0 = int(np.sum(sv > DEFAULT_RANK_TOL * max(sv[0], 1e-300))) if sv.size else 0
+    n0_norm = float(sv.max(initial=0.0))
+    rank_n0 = int(np.sum(sv > DEFAULT_RANK_TOL * max(n0_norm, 1e-300)))
     checks.append(
         CheckLine("leading_kernel_rank_at_most_group_size",
                   float(rank_n0), float(len(ladder.members)),
                   rank_n0 <= len(ladder.members))
     )
 
-    s0_svd = linalg.range_projector(linalg.kernel_from_svd(sv, vh))
-    agree = opnorm(s0_svd.matrix - ladder.s0)
+    v_ker = sec.blocked(linalg.kernel_from_svd(sv, vh))
+    s0_svd = v_ker @ linalg.adjoint(v_ker)
+    agree = opnorm(s0_svd - ladder.s0)
     checks.append(CheckLine("s0_svd_vs_span_construction", agree, 1e-9, agree <= 1e-9))
 
     d_vec = max(
-        [np.linalg.norm(s0_svd.matrix @ v) / max(np.linalg.norm(v), 1e-300)
+        [np.linalg.norm(s0_svd @ sec.blocked(v)) / max(np.linalg.norm(v), 1e-300)
          for v in ladder.vtil] + [0.0]
     )
     checks.append(CheckLine("s0_annihilates_threshold_vectors", d_vec, tol, d_vec <= tol))
-    d_n0 = opnorm(ladder.n0 @ s0_svd.matrix) / max(opnorm(ladder.n0), 1e-300)
+    # |N0 S0_svd| = |N0 V_ker|: the kernel columns are block-supported
+    d_n0 = opnorm(ladder.n0 @ v_ker) / max(n0_norm, 1e-300)
     checks.append(CheckLine("s0_annihilates_leading_kernel", d_n0, tol, d_n0 <= tol))
 
     # informational: the full per-mode compression is not annihilated once
     # the longitudinal grid has more than one point; the identity holds for
     # the constant-profile contraction checked above.
     if u_n.shape[1]:
-        pv = _mode_projector_operator(model, ladder.members[0])
-        d_op = opnorm(pv - (pv @ u_n) @ u_n.conj().T) / max(opnorm(pv), 1e-300)
+        left, right = _mode_projector_factors(model, ladder.members[0])
+        u_grid = sec.to_grid(u_n)
+        d_op = linalg.thin_product_norm(left, right - u_grid @ (u_grid.conj().T @ right))
+        d_op /= max(linalg.thin_product_norm(left, right), 1e-300)
         checks.append(
             CheckLine("mode_projector_operator_form", d_op, None, None,
                       "defect of the full operator form, shown for reference; "
@@ -710,20 +773,24 @@ def verify_structural_lemmas(
         )
 
     open_others = [n for n in ladder.other_modes() if model.eigenvalue(n) < ladder.lam]
+    b1_grid = None if b1 is None else sec.to_grid(b1)
     if ladder.r1 > 0:
         # |B_n S1| = |S1 B_n^*| = |B_n b1|
         worst_b = 0.0
         for n in open_others:
             bn = scattering.b_rows(ladder.lam, n, model)
-            worst_b = max(worst_b, opnorm(bn @ b1) / max(opnorm(bn), 1e-300))
+            worst_b = max(worst_b, opnorm(bn @ b1_grid) / max(opnorm(bn), 1e-300))
         checks.append(
             CheckLine("open_row_factors_annihilate_s1", worst_b, tol,
                       worst_b <= tol, f"{len(open_others)} open channels")
         )
 
+    m10_norm = opnorm(ladder.m10)
     if ladder.r2 > 0:
+        b2b = sec.blocked(b2)
         xs = max(opnorm(ladder.x0), 1e-300)
-        d_x = max(opnorm(ladder.x0 @ b2), opnorm(b2.conj().T @ ladder.x0)) / xs
+        d_x = max(opnorm((ladder.x0 @ b2b).reshape(b2.shape)),
+                  opnorm(sec.rows(linalg.adjoint(b2b) @ ladder.x0))) / xs
         checks.append(CheckLine("real_part_annihilates_s2", d_x, tol, d_x <= tol))
         xq = model.grid.x_nodes
         d_q = 0.0
@@ -731,8 +798,9 @@ def verify_structural_lemmas(
             qv = (ladder.vtil[i].reshape(model.grid.n_omega, model.grid.n_x) * xq).reshape(-1)
             d_q = max(d_q, np.linalg.norm(b2.conj().T @ qv) / max(np.linalg.norm(qv), 1e-300))
         checks.append(CheckLine("s2_kills_q_weighted_threshold_vectors", d_q, tol, d_q <= tol))
-        ms = max(opnorm(ladder.m10), 1e-300)
-        d_m = max(opnorm(ladder.m10 @ b2), opnorm(b2.conj().T @ ladder.m10)) / ms
+        ms = max(m10_norm, 1e-300)
+        d_m = max(opnorm((ladder.m10 @ b2b).reshape(b2.shape)),
+                  opnorm(sec.rows(linalg.adjoint(b2b) @ ladder.m10))) / ms
         checks.append(CheckLine("m1_at_zero_annihilates_s2", d_m, tol, d_m <= tol))
 
     if ladder.i2c0 is not None:
@@ -761,7 +829,7 @@ def verify_structural_lemmas(
             comm_vals.setdefault(key, []).append(value)
         if i < ray.size:
             terminal_vals.append(opnorm(ev.terminal_inverse))
-    floor = 1e-12 * max(1.0, opnorm(ladder.m10))
+    floor = 1e-12 * max(1.0, m10_norm)
     for (j, k_level), vals in comm_vals.items():
         target = 1.9 if (j, k_level) == (2, 0) else 0.9
         expo, used = fit_exponent(ks, vals, floor)
@@ -779,7 +847,7 @@ def verify_structural_lemmas(
         for k in kr:
             z = (ladder.lam - k**2).real
             row = scattering.trace_row(z, n, +1, model)
-            vals.append(float(np.linalg.norm(row @ b1)))
+            vals.append(float(np.linalg.norm(row @ b1_grid)))
         row0 = scattering.trace_row(ladder.lam, n, +1, model)
         floor_row = 1e-12 * max(1.0, float(np.linalg.norm(row0)))
         expo, used = fit_exponent(kr, vals, floor_row)
@@ -808,14 +876,14 @@ def verify_structural_lemmas(
     return StructuralReport(ladder.lam, ranks, checks, fits)
 
 
-def _mode_projector_operator(model: WaveguideModel, n: int) -> np.ndarray:
-    """Weighted compression of ``(P_n (x) 1) v`` (reference diagnostics)."""
+def _mode_projector_factors(model: WaveguideModel, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Thin factors ``(L, R)``, each ``dim x n_x`` in grid coordinates, of
+    the weighted compression ``(P_n (x) 1) v = L R^*`` (reference
+    diagnostics): ``L = f (x) 1`` and ``R = v L``."""
     grid = model.grid
     f = model.modes[n - 1].samples * np.sqrt(grid.omega_weights)
-    pn_omega = np.outer(f, f.conj())
-    full = np.kron(pn_omega, np.eye(grid.n_x, dtype=complex))
-    v = model.potential.v.reshape(-1).astype(complex)
-    return full * v  # column j scaled by v_j
+    left = np.kron(f[:, None], np.eye(grid.n_x)).astype(complex)
+    return left, model.potential.v.reshape(-1)[:, None] * left
 
 
 def ladder_report(ladder: ThresholdLadder) -> dict:

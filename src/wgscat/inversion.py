@@ -103,16 +103,21 @@ def verify_conditions(a0: np.ndarray, s: Projection) -> ConditionReport:
 
     Never raises on mathematical failure; the report carries the margins.
     """
+    return _conditions(a0, s)[0]
+
+
+def _conditions(a0: np.ndarray, s: Projection):
+    """:func:`verify_conditions` and ``(A0 + S)^-1`` (``None`` when singular)."""
     a0 = linalg.require_square(a0)
     if a0.shape != s.matrix.shape:
         raise DimensionError("A0 and S shapes differ")
     try:
         g, cond = linalg.inverse_with_cond(a0 + s.matrix)
     except SingularMatrixError:
-        return ConditionReport(0.0, float("inf"), False)
+        return ConditionReport(0.0, float("inf"), False), None
     sm = s.matrix
     defect = opnorm(sm @ g @ sm - sm) / max(1.0, opnorm(sm))
-    return ConditionReport(1.0 / cond, defect, defect <= CONDITION_TOL)
+    return ConditionReport(1.0 / cond, defect, defect <= CONDITION_TOL), g
 
 
 def _quotient(sm: np.ndarray, g: np.ndarray, z: complex) -> np.ndarray:
@@ -378,24 +383,25 @@ class LadderLevel:
 
 
 def _next_family(
-    fam: OperatorFamily, s: Projection, complement: np.ndarray
+    fam: OperatorFamily, s: Projection, complement: np.ndarray, g: np.ndarray
 ) -> OperatorFamily:
     """Family for the next ladder level: ``z -> B(z)`` recentred at 0.
 
     All inverses are taken on the carrier subspace by augmenting with the
-    identity on its orthogonal complement.  The new base is the exact value
-    ``B(0) = S G A1(0) G S`` with ``G = (A0 + S)^-1`` (carrier-augmented);
-    the remainder uses the stable quotient away from 0.
+    identity on its orthogonal complement, each operator summed as
+    ``(A + complement) + S``.  The new base is the exact value
+    ``B(0) = S G A1(0) G S`` with ``G = (A0 + S)^-1`` (carrier-augmented, the
+    inverse :func:`verify_conditions` factored); the remainder uses the
+    stable quotient away from 0.
     """
     sm = s.matrix
-    g = linalg.inverse(fam.base + sm + complement)
     base_next = sm @ g @ fam.remainder(0.0) @ g @ sm
 
     def remainder_next(z: complex) -> np.ndarray:
         if z == 0:
             # one-sided derivative via a short step
             z = 1e-7 * fam.radius
-        b_quot = _quotient(sm, linalg.inverse(fam.a(z) + sm + complement), z)
+        b_quot = _quotient(sm, linalg.inverse(fam.a(z) + complement + sm), z)
         return (b_quot - base_next) / z
 
     bound = 4.0 * (1.0 + opnorm(fam.base) + fam.bound) ** 3 * opnorm(g) ** 2
@@ -429,7 +435,9 @@ def build_ladder(fam: OperatorFamily, max_depth: int = 4) -> list[LadderLevel]:
         if s.rank == 0:
             levels.append(LadderLevel(j, s, current.base.copy(), terminal=True))
             return levels
-        cert = verify_conditions(current.base + complement, s)
+        # one factorization of the level operator serves the conditions and
+        # the next family
+        cert, g = _conditions(current.base + complement, s)
         if not cert.ok:
             raise HypothesisError(
                 f"level {j}: inversion conditions fail "
@@ -438,7 +446,7 @@ def build_ladder(fam: OperatorFamily, max_depth: int = 4) -> list[LadderLevel]:
         levels.append(LadderLevel(j, s, current.base.copy(), terminal=False))
         if j == max_depth:
             return levels
-        current = _next_family(current, s, complement)
+        current = _next_family(current, s, complement, g)
         carrier = s.matrix
     return levels
 

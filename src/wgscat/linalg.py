@@ -5,6 +5,13 @@ validated operations the rest of the package builds on: condition-checked
 solves, SVD kernel projectors, contour (Riesz) projectors, Hermitian
 splitting and positivity diagnostics.
 
+A block-diagonal operator is held as its stack of diagonal blocks, a 3-D
+array ``(n_blocks, m, m)``; its coordinates run through the blocks in order.
+:func:`opnorm`, :func:`kernel_basis`, :func:`kernel_from_svd`,
+:func:`real_part`, :func:`imaginary_part` and :func:`psd_defect` accept a
+stack as the operator it stands for, and :func:`block_inverse` is the
+guarded inverse of one.
+
 All operations are pure functions of their inputs; results never alias
 internal state, so concurrent use is safe.
 """
@@ -34,23 +41,31 @@ ZERO_GROUP_TOL = 1e-8     # |eigenvalue| / spectral scale that counts as 0
 ONENORM_STEPS = 4         # unit-vector steps of the 1-norm estimator (zlacn2's ITMAX - 1)
 
 
-def require_square(a) -> np.ndarray:
-    """Validate and return ``a`` as a finite complex square 2-D array."""
+def require_square(a, stack: bool = False) -> np.ndarray:
+    """Validate and return ``a`` as a finite complex square 2-D array; with
+    ``stack``, a 3-D stack of square diagonal blocks is accepted too."""
     m = np.asarray(a, dtype=complex)
-    if m.ndim != 2:
-        raise DimensionError(f"expected a 2-D array, got ndim={m.ndim}")
-    if m.shape[0] != m.shape[1]:
+    if m.ndim != 2 and not (stack and m.ndim == 3):
+        kind = "2-D or 3-D" if stack else "2-D"
+        raise DimensionError(f"expected a {kind} array, got ndim={m.ndim}")
+    if m.shape[-1] != m.shape[-2]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise DimensionError("matrix has non-finite entries")
     return m
 
 
+def adjoint(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each block of a stack."""
+    return a.conj().swapaxes(-1, -2)
+
+
 def opnorm(a: np.ndarray) -> float:
-    """Spectral norm (largest singular value)."""
+    """Spectral norm (largest singular value); of a stack, the largest over
+    its blocks."""
     if a.size == 0:
         return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(np.max(np.linalg.norm(a, 2, axis=(-2, -1))))
 
 
 def thin_product_norm(left: np.ndarray, right: np.ndarray) -> float:
@@ -115,13 +130,12 @@ def identity_projection(n: int) -> Projection:
     return Projection(np.eye(n, dtype=complex), orthogonal=True)
 
 
-def _lu_with_cond(a: np.ndarray):
-    """``(solve, cond)``: the LU solver of a validated square matrix and its
-    1-norm condition estimate; raises when singular."""
+def _lu_rcond(a: np.ndarray):
+    """``(lu, piv, anorm, rcond)``: the LU factors of a nonempty square
+    matrix, its 1-norm and LAPACK's ``gecon`` reciprocal condition estimate;
+    raises when exactly singular or when the estimate fails."""
     import warnings
 
-    if a.shape[0] == 0:
-        return np.copy, 1.0
     anorm = np.linalg.norm(a, 1)
     with warnings.catch_warnings():
         # exact singularity is detected below through the diagonal check
@@ -134,6 +148,15 @@ def _lu_with_cond(a: np.ndarray):
     rcond, info = gecon(lu, anorm, norm="1")
     if info != 0 or rcond <= 0.0:
         raise SingularMatrixError("condition estimation failed")
+    return lu, piv, anorm, rcond
+
+
+def _lu_with_cond(a: np.ndarray):
+    """``(solve, cond)``: the LU solver of a validated square matrix and its
+    1-norm condition estimate; raises when singular."""
+    if a.shape[0] == 0:
+        return np.copy, 1.0
+    lu, piv, _, rcond = _lu_rcond(a)
     cond = 1.0 / rcond
     if cond > COND_LIMIT:
         raise SingularMatrixError("matrix is singular to working tolerance", cond)
@@ -165,6 +188,28 @@ def inverse_with_cond(a: np.ndarray) -> tuple[np.ndarray, float]:
 def inverse(a: np.ndarray) -> np.ndarray:
     """Condition-guarded dense inverse."""
     return inverse_with_cond(a)[0]
+
+
+def block_inverse(blocks: np.ndarray) -> np.ndarray:
+    """Condition-guarded inverse of a block-diagonal operator, block by block.
+
+    Each block is LU-factored once.  The guard is one 1-norm condition
+    estimate of the whole operator, ``max |A_b|_1 * max |A_b^-1|_1`` over the
+    blocks (each ``|A_b^-1|_1`` from ``gecon``), against ``COND_LIMIT`` as in
+    :func:`inverse`; a single block gives :func:`inverse`'s result.
+    """
+    blocks = require_square(blocks, stack=True)
+    factors = [_lu_rcond(a) for a in blocks]
+    cond = max(f[2] for f in factors) * max(1.0 / (f[3] * f[2]) for f in factors)
+    if cond > COND_LIMIT:
+        raise SingularMatrixError("matrix is singular to working tolerance", cond)
+    eye = np.eye(blocks.shape[1], dtype=complex)
+    # column-major blocks, as LAPACK returns them: one block then matches
+    # :func:`inverse` in every later product, bit for bit
+    out = np.empty(blocks.shape, dtype=complex).swapaxes(1, 2)
+    for b, (lu, piv, _, _) in enumerate(factors):
+        out[b] = sla.lu_solve((lu, piv), eye, check_finite=False)
+    return out
 
 
 def refined_inverse(a: np.ndarray) -> np.ndarray:
@@ -236,13 +281,13 @@ def kernel_basis(
     satisfy ``sigma < rank_tol * sigma_max``.  A zero matrix has a full
     kernel.  ``scale`` overrides ``sigma_max`` as the reference when the
     matrix is a compression whose natural scale is known externally (e.g.
-    a near-zero block of a larger operator).
+    a near-zero block of a larger operator).  Of a block stack, every column
+    is supported on one block (see :func:`kernel_from_svd`).
     """
-    a = require_square(a)
+    a = require_square(a, stack=True)
     if rank_tol <= 0:
         raise DimensionError("rank_tol must be positive")
-    n = a.shape[0]
-    if n == 0:
+    if a.shape[-1] == 0:
         return np.zeros((0, 0), dtype=complex)
     _, s, vh = np.linalg.svd(a)
     return kernel_from_svd(s, vh, rank_tol, scale)
@@ -252,13 +297,34 @@ def kernel_from_svd(
     s: np.ndarray, vh: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL,
     scale: float | None = None,
 ) -> np.ndarray:
-    """:func:`kernel_basis` from a computed full SVD ``(_, s, vh)``."""
-    smax = s[0] if s.size else 0.0
+    """:func:`kernel_basis` from a computed full SVD ``(_, s, vh)``.
+
+    The SVD of a block stack (``s`` of shape ``(n_blocks, m)``) is that of
+    the block-diagonal operator: ``sigma_max`` is the largest over the
+    blocks, and each kernel column is one block's right singular vector,
+    zero outside that block (columns in block order).
+    """
+    s = np.atleast_2d(s)
+    vh = vh.reshape(s.shape + vh.shape[-1:])
+    nb, m = s.shape
+    smax = s.max() if s.size else 0.0
     ref = max(smax, scale) if scale is not None else smax
     if ref == 0.0:
-        return np.eye(vh.shape[0], dtype=complex)
+        return np.eye(nb * m, dtype=complex)
     mask = s < rank_tol * ref
-    return vh[mask].conj().T
+    return block_columns([vh[b][mask[b]].conj().T for b in range(nb)])
+
+
+def block_columns(columns: list[np.ndarray]) -> np.ndarray:
+    """Columns supported on one block each: block ``b``'s ``(m, r_b)``
+    columns, zero outside block ``b``, in block order (``(n_blocks m, sum r_b)``)."""
+    m = columns[0].shape[0]
+    out = np.zeros((len(columns), m, sum(c.shape[1] for c in columns)), dtype=complex)
+    r = 0
+    for b, c in enumerate(columns):
+        out[b, :, r : r + c.shape[1]] = c
+        r += c.shape[1]
+    return out.reshape(len(columns) * m, -1)
 
 
 def range_projector(q: np.ndarray) -> Projection:
@@ -330,14 +396,14 @@ def riesz_projection_at_zero(a: np.ndarray) -> Projection:
 
 def real_part(a: np.ndarray) -> np.ndarray:
     """Hermitian part ``(a + a*) / 2`` (self-adjoint by construction)."""
-    a = require_square(a)
-    return (a + a.conj().T) / 2.0
+    a = require_square(a, stack=True)
+    return (a + adjoint(a)) / 2.0
 
 
 def imaginary_part(a: np.ndarray) -> np.ndarray:
     """Skew part ``(a - a*) / (2i)`` (self-adjoint by construction)."""
-    a = require_square(a)
-    return (a - a.conj().T) / 2j
+    a = require_square(a, stack=True)
+    return (a - adjoint(a)) / 2j
 
 
 def psd_defect(y: np.ndarray, herm_tol: float = 1e-10) -> float:
@@ -346,11 +412,11 @@ def psd_defect(y: np.ndarray, herm_tol: float = 1e-10) -> float:
     Raises :class:`DimensionError` when ``y`` deviates from self-adjointness
     by more than ``herm_tol`` relative to its norm.
     """
-    y = require_square(y)
-    if y.shape[0] == 0:
+    y = require_square(y, stack=True)
+    if y.shape[-1] == 0:
         return 0.0
     scale = max(1.0, opnorm(y))
-    if opnorm(y - y.conj().T) > herm_tol * scale:
+    if opnorm(y - adjoint(y)) > herm_tol * scale:
         raise DimensionError("matrix is not self-adjoint to tolerance")
-    lam_min = float(np.linalg.eigvalsh((y + y.conj().T) / 2.0)[0])
+    lam_min = float(np.min(np.linalg.eigvalsh((y + adjoint(y)) / 2.0)))
     return max(0.0, -lam_min)

@@ -8,13 +8,15 @@ sqrt(w_J)`` so matrix adjoints represent operator adjoints, and
 multiplication operators are diagonal.
 
 Composite index convention: ``I = i_omega * n_x + k_x`` (transverse index
-major, longitudinal minor).
+major, longitudinal minor).  :class:`Sectors` is the transverse basis in
+which a model's grid operators are block diagonal.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -413,6 +415,135 @@ class WaveguideModel:
         phi = self.mode_quadrature_vectors(n_upto)
         gram = phi @ phi.T
         return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
+
+    @cached_property
+    def sectors(self) -> Sectors:
+        """The transverse sector basis of the grid operators (:func:`transverse_sectors`)."""
+        return transverse_sectors(self)
+
+
+# ---------------------------------------------------------------------------
+# Transverse sectors
+# ---------------------------------------------------------------------------
+
+SECTOR_TOL = 1e-12   # parallel / orthogonal tolerance of the weighted mode vectors
+
+
+@dataclass(frozen=True)
+class Sectors:
+    """Transverse basis in which the grid operators of a model are block diagonal.
+
+    Two shapes occur.  A decomposing model has an orthonormal transverse
+    ``basis`` (``n_omega x n_omega``, sector ``s`` its column ``s``): sector
+    coordinates are the grid coordinates transformed by it tensored with the
+    identity in ``x`` (sector ``s`` holds indices ``s * n_x + k``), and the
+    operators split into ``n_omega`` diagonal blocks of size ``n_x``, one per
+    sector.  Any other model has ``basis=None``: one block of size ``dim``,
+    whose sector coordinates are the grid coordinates.  Operators are stored
+    as stacks ``(n_blocks, block_dim, block_dim)``.
+    """
+
+    basis: np.ndarray | None
+    n_omega: int
+    n_x: int
+
+    @classmethod
+    def single(cls, n_omega: int, n_x: int) -> Sectors:
+        """One block: the grid coordinates themselves."""
+        return cls(None, n_omega, n_x)
+
+    @property
+    def n_blocks(self) -> int:
+        return 1 if self.basis is None else self.n_omega
+
+    @property
+    def dim(self) -> int:
+        return self.n_omega * self.n_x
+
+    @property
+    def block_dim(self) -> int:
+        return self.dim // self.n_blocks
+
+    def _transverse(self, basis: np.ndarray | None, y) -> np.ndarray:
+        y = np.asarray(y)
+        if basis is None:
+            return y
+        return (basis @ y.reshape(self.n_omega, -1)).reshape(y.shape)
+
+    def to_sector(self, y) -> np.ndarray:
+        """Grid vector(s) ``(dim,)`` or ``(dim, r)`` in sector coordinates."""
+        return self._transverse(None if self.basis is None else self.basis.T, y)
+
+    def to_grid(self, y) -> np.ndarray:
+        """Sector-coordinate vector(s) ``(dim,)`` or ``(dim, r)`` in grid coordinates."""
+        return self._transverse(self.basis, y)
+
+    def grid_blocks(self, blocks: np.ndarray) -> np.ndarray:
+        """The dense grid matrix of a block stack, a new array (for one
+        block, a copy of it): entry ``(i k, j l)`` is ``sum_s basis[i, s]
+        basis[j, s] B_s[k, l]``, one product of the sector weights with the
+        blocks."""
+        if self.basis is None:
+            return blocks[0].copy()
+        n, n_x = self.n_omega, self.n_x
+        weights = (self.basis[:, None, :] * self.basis[None, :, :]).reshape(n * n, n)
+        out = weights @ blocks.reshape(n, n_x * n_x)
+        return out.reshape(n, n, n_x, n_x).transpose(0, 2, 1, 3).reshape(self.dim, self.dim)
+
+    def blocked(self, y: np.ndarray) -> np.ndarray:
+        """Sector-coordinate columns ``(dim, r)`` as per-block rows ``(n_blocks, block_dim, r)``."""
+        return y.reshape(self.n_blocks, self.block_dim, -1)
+
+    def rows(self, y: np.ndarray) -> np.ndarray:
+        """Per-block rows ``(n_blocks, r, block_dim)`` as sector-coordinate rows ``(r, dim)``."""
+        return y.transpose(1, 0, 2).reshape(y.shape[1], self.dim)
+
+    def diagonal(self, values: np.ndarray) -> np.ndarray:
+        """Stack of a multiplication operator given on the grid ``(n_omega, n_x)``
+        that is constant along ``omega`` wherever the model decomposes."""
+        d = np.asarray(values, dtype=complex).reshape(self.n_blocks, self.block_dim)
+        out = np.zeros((self.n_blocks, self.block_dim, self.block_dim), dtype=complex)
+        idx = np.arange(self.block_dim)
+        out[:, idx, idx] = d
+        return out
+
+
+def transverse_sectors(model: WaveguideModel) -> Sectors:
+    """Sector basis from the model's own weighted mode vectors
+    ``phi_n = sqrt(g) f_n sqrt(w_omega)`` (``g`` the transverse potential
+    factor), ``n = 1..n_max``.
+
+    Nonzero ``phi_n`` are grouped into classes of parallel vectors; vectors
+    at ``SECTOR_TOL`` of zero relative to the largest (aliased images such
+    as ``n = n_omega + 1`` on an interval lattice) carry no weight.  The
+    model decomposes when the potential is separable, its sign ``u`` does
+    not vary along ``omega``, and the classes are mutually orthogonal to
+    ``SECTOR_TOL``: then every retained mode sum is diagonal in the classes
+    completed to an orthonormal transverse basis, and ``u + v R0 v`` splits
+    into ``n_omega`` blocks of size ``n_x``.  Any other model is one block.
+    """
+    grid, pot = model.grid, model.potential
+    single = Sectors.single(grid.n_omega, grid.n_x)
+    if not pot.separable or np.any(pot.u != pot.u[:1]):
+        return single
+    phi = np.array([m.samples for m in model.modes]) * pot.omega_factor
+    phi = phi * np.sqrt(grid.omega_weights)
+    norms = np.linalg.norm(phi, axis=1)
+    reps: list[np.ndarray] = []
+    for f, nrm in zip(phi, norms):
+        if nrm <= SECTOR_TOL * norms.max():
+            continue
+        e = f / nrm
+        overlap = np.array([r @ e for r in reps])
+        near = np.abs(overlap) > SECTOR_TOL
+        if not near.any():
+            reps.append(e)
+            continue
+        c = int(np.argmax(np.abs(overlap)))
+        if near.sum() > 1 or np.linalg.norm(e - overlap[c] * reps[c]) > SECTOR_TOL:
+            return single
+    basis = np.linalg.qr(np.array(reps).reshape(-1, grid.n_omega).T, mode="complete")[0]
+    return Sectors(basis, grid.n_omega, grid.n_x)
 
 
 def _omega_profile(kind: dict | None, nodes: np.ndarray, length: float) -> np.ndarray:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 from scipy.optimize import brentq
 
 from wgscat import birman, expansion, linalg, waveguide
@@ -66,11 +67,17 @@ def tune_resonant_depth(bracket: tuple[float, float], width: float = 1.0,
     return birman.golden_min(gap, *bracket, tol=1e-13)
 
 
+def dense(blocks) -> np.ndarray:
+    """Dense matrix of a stack of diagonal blocks."""
+    return scipy.linalg.block_diag(*blocks)
+
+
 def dense_projections(ladder) -> list[np.ndarray]:
-    """Dense ``S0, S1, S2`` of a threshold ladder (``S2 = 0`` below level 3)."""
+    """Dense ``S0, S1, S2`` of a threshold ladder in its sector coordinates
+    (``S2 = 0`` below level 3)."""
     b2 = ladder.b2
     s2 = np.zeros((ladder.dim, ladder.dim), dtype=complex) if b2 is None else b2 @ b2.conj().T
-    return [ladder.s0, ladder.s1, s2]
+    return [dense(ladder.s0), dense(ladder.s1), s2]
 
 
 def dense_commutator_norms(ladder, ev) -> dict:
@@ -78,7 +85,7 @@ def dense_commutator_norms(ladder, ev) -> dict:
     |X_l|_2)`` keyed by ``(j, l)``, with every ``S_j`` and level inverse
     ``X_l`` formed as a ``dim x dim`` matrix."""
     mats = dense_projections(ladder)
-    invs = [ev.g0, ev.h1]
+    invs = [dense(ev.g0), dense(ev.h1)]
     if ev.h2 is not None:
         invs.append(ladder.b1 @ ev.h2 @ ladder.b1.conj().T)
     max_level = ladder.terminal_level() - 1
@@ -87,3 +94,32 @@ def dense_commutator_norms(ladder, ev) -> dict:
                      linalg.opnorm(invs[level]))
         for j in range(max_level + 1) for level in range(j + 1)
     }
+
+
+def dense_level_inverses(ladder, kappa) -> tuple[np.ndarray, np.ndarray]:
+    """Dense-path ``G0`` and ``H1`` of a threshold ladder in grid coordinates,
+    assembled from grid-basis mode sums with no sector basis: the oracle of
+    the block path (``ladder.at(kappa).g0``/``.h1``)."""
+    model, k = ladder.model, complex(kappa)
+    x = model.grid.x_nodes
+    members = list(ladder.members)
+    vt = np.array([model.weighted_mode_vector(n) for n in members])
+    u, sv, _ = np.linalg.svd(vt.T, full_matrices=False)
+    u_n = u[:, sv > linalg.DEFAULT_RANK_TOL * max(sv.max(initial=0.0), 1e-300)]
+    pn = u_n @ u_n.conj().T
+    s0 = np.eye(model.dim) - pn
+    udiag = np.diag(model.u_diag())
+
+    def group(kind, kk=0.0):
+        return birman.mode_sum_matrix(
+            model, 0.0, members, x_kernel=lambda n: expansion._group_x_kernel(kk, kind, x)
+        )
+
+    others = ladder.other_modes()
+    m1 = group("regular", k) + udiag + birman.mode_sum_matrix(model, ladder.lam - k * k, others)
+    g0 = linalg.inverse(vt.T @ vt.conj() + 2.0 * k * m1 + s0)
+    m10 = group("linear") + udiag + birman.mode_sum_matrix(model, complex(ladder.lam), others)
+    b1 = linalg.kernel_basis(s0 @ m10 @ s0 + pn)
+    i1 = (s0 - s0 @ g0 @ s0) / (2.0 * k)
+    h1 = linalg.inverse(i1 + b1 @ b1.conj().T + pn) - pn
+    return g0, h1

@@ -1,7 +1,11 @@
 """Threshold/eigenvalue ladders, the expansion formulas, structural report."""
 
+import time
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 import helpers
 from wgscat import birman, expansion, linalg, waveguide
@@ -24,7 +28,7 @@ class TestThresholdLadderStructure:
     def test_first_threshold_rank_one(self, well_small):
         lad = expansion.build_threshold_ladder(well_small, 1.0, eps=2e-2, tail_tol=0.1)
         assert lad.members == (1,)
-        sv = np.linalg.svd(lad.n0, compute_uv=False)
+        sv = np.linalg.svd(helpers.dense(lad.n0), compute_uv=False)
         assert int(np.sum(sv > 1e-8 * sv[0])) == 1
         s0 = linalg.kernel_projector(lad.n0)
         assert s0.rank == well_small.dim - 1
@@ -38,7 +42,7 @@ class TestThresholdLadderStructure:
     def test_leading_kernels_self_adjoint(self, well_small):
         lad = expansion.build_threshold_ladder(well_small, 4.0, eps=2e-2, tail_tol=0.1)
         for mat in (lad.n0, lad.n10, lad.n20):
-            assert linalg.opnorm(mat - mat.conj().T) <= 1e-12 * max(1.0, linalg.opnorm(mat))
+            assert linalg.opnorm(mat - linalg.adjoint(mat)) <= 1e-12 * max(1.0, linalg.opnorm(mat))
 
     def test_regular_part_limit_matches_quadratic_kernel(self, well_small):
         # (N1(k) - N1(0)) / k converges to the quadratic kernel as k -> 0
@@ -65,7 +69,7 @@ class TestThresholdLadderStructure:
     def test_ranks_nonincreasing(self, deep_ladder):
         lad = deep_ladder
         assert len(lad.members) >= 1
-        assert lad.r1 <= lad.s0.shape[0]
+        assert lad.r1 <= lad.dim
         assert lad.r2 <= lad.r1
 
     def test_group_beyond_modes_rejected(self, well_small):
@@ -133,7 +137,7 @@ class TestMFunctionOracle:
             with pytest.raises(AccuracyError) as info:
                 expansion.m_function(lad, k, verify=True, oracle_tol=-1.0)
             norms = str(info.value).split("(terms: ")[1].rstrip(")").split(", ")
-            expected = [f"{linalg.opnorm(t):.3e}" for t in lad.terms(k)]
+            expected = [f"{t:.3e}" for t in expansion.term_norms(*lad.terms(k))]
             assert len(norms) == n_terms and norms == expected
 
     def test_m2_bounded_toward_zero(self, well_small):
@@ -201,7 +205,7 @@ class TestResonantFixtures:
         lad = resonant_ladder
         assert lad.r1 == 1 and lad.r2 == 0
         # kernel vector lives in the threshold mode sector
-        b1 = lad.b1.reshape(resonant_model.grid.n_omega, resonant_model.grid.n_x)
+        b1 = lad.sectors.to_grid(lad.b1).reshape(resonant_model.grid.n_omega, resonant_model.grid.n_x)
         phi = resonant_model.mode_quadrature_vectors()
         weights = [np.linalg.norm(phi[n] @ b1) for n in range(4)]
         assert weights[1] == pytest.approx(1.0, abs=1e-8)
@@ -212,7 +216,9 @@ class TestResonantFixtures:
         assert lad.terminal_level() == 3
         assert lad.i3c0 is not None and lad.s3c is not None
         # kernel vector lives in a closed-channel sector (mode 3)
-        b1 = lad.b1.reshape(deep_ladder_model.grid.n_omega, deep_ladder_model.grid.n_x)
+        b1 = lad.sectors.to_grid(lad.b1).reshape(
+            deep_ladder_model.grid.n_omega, deep_ladder_model.grid.n_x
+        )
         phi = deep_ladder_model.mode_quadrature_vectors()
         weights = [np.linalg.norm(phi[n] @ b1) for n in range(4)]
         assert weights[2] == pytest.approx(1.0, abs=1e-8)
@@ -331,5 +337,123 @@ class TestCertificates:
 
     def test_sabotaged_skew_part_detected(self, well_small):
         lad = expansion.build_threshold_ladder(well_small, 4.0, eps=2e-2, tail_tol=0.1)
-        i10 = lad.s0 @ (lad.m10 - 3j * np.eye(lad.dim)) @ lad.s0
+        i10 = lad.s0 @ (lad.m10 - 3j * np.eye(lad.sectors.block_dim)) @ lad.s0
         assert linalg.psd_defect(linalg.imaginary_part(i10), herm_tol=1e-8) > 1.0
+
+
+class TestSectorBlocks:
+    """The block path on uniform wells: one LU per transverse sector."""
+
+    @pytest.fixture(params=["generic", "first", "resonant", "deep"])
+    def uniform_ladder(self, request, well_small):
+        if request.param == "resonant":
+            return request.getfixturevalue("resonant_ladder")
+        if request.param == "deep":
+            return request.getfixturevalue("deep_ladder")
+        lam = 4.0 if request.param == "generic" else 1.0
+        return expansion.build_threshold_ladder(well_small, lam, eps=2e-2, tail_tol=0.1)
+
+    def test_level_inverses_match_dense_path(self, uniform_ladder):
+        lad = uniform_ladder
+        sec = lad.sectors
+        assert (sec.n_blocks, sec.block_dim) == (lad.model.grid.n_omega, lad.model.grid.n_x)
+        ks = list(diag_kappas(lad.eps, count=3, lo_frac=5e-2)) + [3e-3, -3e-3j]
+        for k in ks:
+            ev = lad.at(k)
+            g0, h1 = helpers.dense_level_inverses(lad, k)
+            for got, ref in ((ev.g0, g0), (ev.h1, h1)):
+                err = np.linalg.norm(sec.grid_blocks(got) - ref) / np.linalg.norm(ref)
+                assert err <= 1e-12
+
+    def test_m_function_matches_refined_oracle(self, uniform_ladder):
+        lad = uniform_ladder
+        model = lad.model
+        for k in diag_kappas(lad.eps, count=3, lo_frac=5e-2):
+            z = lad.lam - k * k
+            direct = np.diag(model.u_diag()) + birman.mode_sum_matrix(
+                model, z, list(range(1, lad.n_used + 1))
+            )
+            ref = linalg.refined_inverse(direct)
+            m = expansion.m_function(lad, k)
+            assert np.linalg.norm(m - ref) / np.linalg.norm(ref) <= 1e-6
+
+    def test_lu_only_at_block_size(self, deep_ladder, monkeypatch):
+        # at(k) factors the n_omega sector blocks, never the dim x dim operator
+        dims = []
+        lu_factor = scipy.linalg.lu_factor
+
+        def recording(a, *args, **kwargs):
+            dims.append(a.shape[0])
+            return lu_factor(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "lu_factor", recording)
+        for k in diag_kappas(deep_ladder.eps, count=3):
+            deep_ladder.at(k)
+        n_x = deep_ladder.model.grid.n_x
+        assert dims and max(dims) <= n_x < deep_ladder.dim
+
+
+class TestOneBlockPath:
+    """A cosine profile couples the transverse modes: the ladder is one block
+    of size dim, and M is the plain sum of the dense expansion terms."""
+
+    @pytest.fixture(scope="class")
+    def ladder(self, interval_cs):
+        model = waveguide.square_well_model(
+            interval_cs, 1.0, (0.0, 1.0), n_omega=40, n_x=8, n_max=44,
+            omega_profile={"kind": "cosine", "amplitude": 0.5, "harmonic": 1},
+        )
+        return expansion.build_threshold_ladder(model, 4.0, eps=2e-2, tail_tol=0.1)
+
+    def test_m_function_is_the_dense_term_sum(self, ladder):
+        assert ladder.sectors.n_blocks == 1 and ladder.dim == 320
+        for k in diag_kappas(ladder.eps, count=3):
+            blocks, products = ladder.terms(k)
+            ref = sum(b[0] for b in blocks) + sum(
+                left @ core @ right for left, core, right in products
+            )
+            m = expansion.m_function(ladder, k, verify=True)
+            assert np.linalg.norm(m - ref) <= 1e-14 * np.linalg.norm(ref)
+
+    def test_m_function_memory_is_a_few_dense_operators(self, ladder):
+        # M and the level inverses are a few dim x dim arrays (about 9 of
+        # them at peak); embedding the one block must not add an
+        # n_omega^4 weight array (20 dim^2 entries here)
+        k = complex(diag_kappas(ladder.eps, count=1)[0])
+        tracemalloc.start()
+        try:
+            expansion.m_function(ladder, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * ladder.dim**2 * 16
+
+
+class TestRectangleThreshold:
+    """The paper's degenerate case: on the pi x pi guide the threshold 5 holds
+    the modes (1, 2) and (2, 1), so ``N0`` has rank 2.  The 4 x 4 lattice
+    splits the grid operators into 16 sector blocks."""
+
+    @pytest.fixture(scope="class")
+    def ladder(self):
+        model = waveguide.square_well_model(
+            waveguide.Rectangle(np.pi, np.pi), 1.0, (0.0, 1.0), n_omega=4, n_x=30, n_max=12
+        )
+        return expansion.build_threshold_ladder(model, 5.0, eps=2e-2, tail_tol=0.4)
+
+    def test_degenerate_group(self, ladder):
+        assert ladder.members == (2, 3) and ladder.u_n.shape[1] == 2
+        assert ladder.sectors.n_blocks == 16 and ladder.dim == 480
+
+    def test_m_function_matches_dense_oracle(self, ladder):
+        for k in diag_kappas(ladder.eps, count=3):
+            expansion.m_function(ladder, k, verify=True, oracle_tol=1e-6)
+
+    def test_structural_report_within_budget(self, ladder):
+        # the dense report took 8.5 s here (one BLAS thread, 2-vCPU host)
+        t0 = time.perf_counter()
+        rep = expansion.verify_structural_lemmas(ladder)
+        elapsed = time.perf_counter() - t0
+        assert rep.ok, rep.to_dict()
+        assert rep.ranks["rank_n0"] == 2
+        assert elapsed <= 5.0

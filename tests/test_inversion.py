@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+import helpers
 from wgscat import expansion, inversion, linalg
 from wgscat.errors import (
     AccuracyError,
@@ -295,7 +296,8 @@ class TestLadder:
         # generic engine against independently computed kernels per level
         lad = expansion.build_threshold_ladder(resonant_model, 4.0, eps=2e-2, tail_tol=0.1)
         fam = inversion.OperatorFamily(
-            lad.n0, lambda k: 2.0 * lad.m1(k), bound=4.0 * linalg.opnorm(lad.m10), radius=2e-2
+            helpers.dense(lad.n0), lambda k: 2.0 * helpers.dense(lad.m1(k)),
+            bound=4.0 * linalg.opnorm(lad.m10), radius=2e-2,
         )
         levels = inversion.build_ladder(fam, max_depth=2)
         # S0 rank from the engine == corank of the leading kernel
@@ -305,6 +307,28 @@ class TestLadder:
         i10 = lad.s0 @ lad.m10 @ lad.s0
         brute = linalg.kernel_basis(i10 + lad.pn, 1e-8).shape[1]
         assert levels[1].projection.rank == brute == lad.r1
+
+    def test_one_factorization_per_level_operator(self, monkeypatch):
+        # the conditions check and the next family share the guarded LU of
+        # each level operator (A0 + complement) + S
+        fam = family_from_random(np.random.default_rng(9), 8, 2)
+        factored = []
+        lu_with_cond = linalg._lu_with_cond
+
+        def recording(a):
+            factored.append(a.copy())
+            return lu_with_cond(a)
+
+        monkeypatch.setattr(linalg, "_lu_with_cond", recording)
+        levels = inversion.build_ladder(fam)
+        assert len(levels) >= 2
+        eye = np.eye(fam.dim, dtype=complex)
+        carrier = eye
+        for level in levels[:-1]:  # every level that built a next family
+            op = level.leading + (eye - carrier) + level.projection.matrix
+            same = [a for a in factored if np.linalg.norm(a - op) <= 1e-12 * np.linalg.norm(op)]
+            assert len(same) == 1
+            carrier = level.projection.matrix
 
     def test_depth_cap(self):
         with pytest.raises(DomainError):

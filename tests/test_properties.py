@@ -1,6 +1,6 @@
 """Generated-input properties: the config error contract, the inversion
 engine against the dense oracle, the projection invariants, thin-factor
-commutator norms and threshold grouping."""
+commutator norms, threshold grouping and transverse sector detection."""
 
 import copy
 
@@ -8,7 +8,8 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wgscat import expansion, inversion, linalg, waveguide
+import helpers
+from wgscat import birman, expansion, inversion, linalg, waveguide
 from wgscat.errors import WgscatError
 
 MODEL_DOCS = [
@@ -208,3 +209,78 @@ def test_threshold_groups_invariants(eigenvalues, degeneracy_tol):
             assert abs(eigenvalues[i - 1] - g.value) <= tol(eigenvalues[i - 1])
     for g, g_next in zip(groups, groups[1:]):
         assert abs(g_next.value - g.value) > tol(g_next.value)
+
+
+@st.composite
+def sector_wells(draw, profile=None):
+    """Square wells on an interval or a rectangle whose mode list runs past the
+    transverse lattice (``n_max > n_omega``, so aliased and zero modes occur),
+    with a spectral point off the thresholds and a mode subset to sum.  A
+    cosine ``profile`` (harmonic 1) couples the retained modes 1 and 2 along
+    its axis."""
+    if draw(st.booleans()):
+        cs = waveguide.Interval(draw(st.sampled_from([1.0, np.pi, 4.5])))
+        n_omega = draw(st.integers(2, 6))
+        n_lattice = n_omega
+    elif profile is None:
+        cs = waveguide.Rectangle(draw(st.sampled_from([1.0, np.pi])),
+                                 draw(st.sampled_from([np.pi, 2.5])))
+        n_omega = draw(st.integers(2, 3))
+        n_lattice = n_omega**2
+    else:
+        # the profile varies along the first side; the longer one keeps modes
+        # of transverse index 1 and 2 along it among the lowest
+        cs = waveguide.Rectangle(np.pi, draw(st.sampled_from([1.0, 2.5])))
+        n_omega = draw(st.integers(2, 3))
+        n_lattice = n_omega**2
+    n_max = draw(st.integers(n_lattice + 1, 3 * n_lattice + 2))
+    model = waveguide.square_well_model(
+        cs, draw(st.floats(0.1, 5.0)), (0.0, draw(st.floats(0.5, 2.0))), n_omega,
+        draw(st.integers(2, 7)), n_max, omega_profile=profile,
+    )
+    modes = draw(st.lists(st.integers(1, n_max), min_size=1, max_size=n_max, unique=True))
+    z = draw(st.floats(-3.0, 60.0)) + 1j * draw(st.floats(0.05, 2.0))
+    return model, sorted(modes), z
+
+
+def sector_coordinates(sectors, m):
+    """A dense grid matrix in sector coordinates."""
+    return sectors.to_sector(sectors.to_sector(m).T).T
+
+
+@given(sector_wells())
+def test_uniform_wells_split_into_sector_blocks(case):
+    model, modes, z = case
+    sec = model.sectors
+    assert (sec.n_blocks, sec.block_dim) == (model.grid.n_omega, model.grid.n_x)
+    assert np.abs(sec.basis.T @ sec.basis - np.eye(model.grid.n_omega)).max() <= 1e-14
+    dense = sector_coordinates(sec, birman.mode_sum_matrix(model, z, modes))
+    blocks = birman.mode_sum_blocks(model, z, modes)
+    assert np.abs(helpers.dense(blocks) - dense).max() <= 1e-13 * max(1.0, np.abs(dense).max())
+
+
+def assert_one_block(model, modes, z):
+    sec = model.sectors
+    assert sec.n_blocks == 1 and sec.basis is None
+    blocks = birman.mode_sum_blocks(model, z, modes)
+    assert np.array_equal(blocks[0], birman.mode_sum_matrix(model, z, modes))
+
+
+@given(sector_wells(profile={"kind": "cosine", "amplitude": 0.5, "harmonic": 1}))
+def test_cosine_profile_is_one_block(case):
+    assert_one_block(*case)
+
+
+@given(sector_wells(), st.integers(0, 8))
+def test_sign_varying_along_omega_is_one_block(case, cut):
+    # the same mode vectors, but u flips sign across the cross-section
+    model, modes, z = case
+    pot = model.potential
+    n_omega = model.grid.n_omega
+    g = np.where(np.arange(n_omega) < 1 + cut % (n_omega - 1), 1.0, -1.0)
+    values = g[:, None] * pot.values
+    signed = waveguide.WaveguideModel(
+        model.cross_section, model.grid, model.modes,
+        waveguide.factorize_potential(values, pot.omega_factor, pot.x_factor),
+    )
+    assert_one_block(signed, modes, z)
