@@ -7,12 +7,12 @@ resolvent is the transverse mode sum ``sum_n P_n (x) R0(z - lambda_n)``;
 sandwiching with the potential factors gives the grid operator
 ``A = u + v R0(z) v`` whose inverse drives everything else.
 
-``A`` comes in two forms that share one mode cutoff, tail bound and
-threshold check.  :func:`bs_operator` assembles the dense dim x dim matrix:
-it is the oracle, and the input of the eigenvalue ladder.  The threshold
-ladder assembles its mode sums with :func:`mode_sum_blocks`, as the diagonal
-blocks of the model's transverse sectors (``model.sectors``).
-:func:`boundary_operator` never forms it.  For ``x > x'`` the mode-sum
+``A`` comes in three forms, one job each, that share one mode cutoff, tail
+bound and threshold check.  :func:`bs_operator` assembles the dense
+dim x dim matrix: it is the oracle.  Both expansion ladders assemble ``A``
+with :func:`mode_sum_blocks`, as the diagonal blocks of the model's
+transverse sectors (``model.sectors``).  :func:`boundary_operator` serves
+the real-energy solves and never forms ``A``.  For ``x > x'`` the mode-sum
 kernel ``sum_n [v f_n e^(i mu_n x)] (i / 2 mu_n) [f_n v e^(-i mu_n x')]``
 is semiseparable of rank ``n_used`` (Eidelman-Gohberg, Integral Equations
 Operator Theory 34, 1999), so ``A`` is the Schur complement of a sparse
@@ -281,8 +281,13 @@ def bs_operator(
     """
     z = pt.z
     n_used, tail = _truncation(model, z, tail_tol, n_max if n_max is not None else model.n_max)
-    mat = np.diag(model.u_diag()) + mode_sum_matrix(model, z, list(range(1, n_used + 1)))
-    return GridOperator(mat, n_used, tail)
+    return GridOperator(_dense_matrix(model, z, n_used), n_used, tail)
+
+
+def _dense_matrix(model: WaveguideModel, z: complex, n_used: int) -> np.ndarray:
+    """``u + v R0(z) v`` over the modes ``1..n_used`` as the dense grid
+    matrix, with no cutoff or threshold check: the oracle's assembly."""
+    return np.diag(model.u_diag()) + mode_sum_matrix(model, z, list(range(1, n_used + 1)))
 
 
 # ---------------------------------------------------------------------------

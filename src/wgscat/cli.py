@@ -280,6 +280,8 @@ def cmd_threshold_scan(cfg, writer: ArtifactWriter, args) -> int:
     eps = config_value(task, "eps", float, 1e-2)
     tail_tol = config_value(task, "tail_tol", float, 1e-3)
     halvings = config_value(task, "halvings", int, 10)
+    if halvings < 1:
+        raise ConfigError(f"halvings = {halvings}; need at least 1")
     pairs = config_value(task, "pairs", lambda ps: [
         ((int(p[0][0]), int(p[0][1])), (int(p[1][0]), int(p[1][1]))) for p in ps
     ])
@@ -316,15 +318,10 @@ def cmd_expansion(cfg, writer: ArtifactWriter, args) -> int:
     if args.verify:
         # oracle cross-check on a diagonal kappa sample
         diag = (1.0 - 1.0j) / np.sqrt(2.0)
-        errs = []
-        for t in np.geomspace(eps / 100, eps / 2, 6):
-            k = diag * t
-            m = expansion.m_function(ladder, k)
-            direct = expansion.direct_inverse(model, lam, k, ladder.n_used)
-            errs.append(
-                float(np.linalg.norm(m - direct) / np.linalg.norm(direct))
-            )
-        report["oracle_rel_errors"] = errs
+        report["oracle_rel_errors"] = [
+            expansion.oracle_error(ladder, k, expansion.m_function(ladder, k))
+            for k in diag * np.geomspace(eps / 100, eps / 2, 6)
+        ]
     struct = expansion.verify_structural_lemmas(ladder, kappa_lo=kappa_lo, kappa_hi=kappa_hi)
     report["structural"] = struct.to_dict()
     writer.write_json("expansion.json", report)
@@ -372,9 +369,7 @@ def cmd_verify(cfg, writer: ArtifactWriter, args) -> int:
     # optical identity at a regular energy between the first two thresholds
     lam_reg = 0.5 * (model.eigenvalue(1) + model.eigenvalue(2))
     bn = scattering.b_rows(lam_reg, 1, model)
-    im_block = linalg.imaginary_part(
-        np.diag(model.u_diag()) + birman.mode_sum_matrix(model, complex(lam_reg), [1])
-    )
+    im_block = linalg.imaginary_part(birman._dense_matrix(model, complex(lam_reg), 1))
     optical = float(linalg.opnorm(bn.conj().T @ bn - im_block))
     report["optical_identity_defect"] = optical
 

@@ -30,14 +30,15 @@ evaluation on a threshold ladder, from ``(J0+S)^-1`` and ``J1`` on an
 eigenvalue ladder), and ``m_function`` sums that list for either kind of
 ladder.
 
-A threshold ladder works in the model's sector coordinates
-(``model.sectors``): where the transverse sectors decouple, every level
-operator is a stack of ``n_omega`` blocks of size ``n_x``, inverted block by
-block; any other model is one block of size ``dim``, on the same code.
-``m_function`` embeds the sum once into the dense grid-basis matrix.
+Both ladders work in the model's sector coordinates (``model.sectors``):
+where the transverse sectors decouple, every level operator (``T0`` and
+``J0`` on an eigenvalue ladder) is a stack of ``n_omega`` blocks of size
+``n_x``, inverted block by block; any other model is one block of size
+``dim``, on the same code.  ``m_function`` embeds the sum once into the
+dense grid-basis matrix.
 
 Off the rays (``Re k > 0 > Im k``) the sum is cross-checkable against a
-directly assembled dense inverse; that oracle sits behind ``verify=True``.
+dense inverse assembled in grid coordinates, behind ``verify=True``.
 """
 
 from __future__ import annotations
@@ -453,25 +454,20 @@ def build_threshold_ladder(
 
 @dataclass
 class EigenvalueLadder:
-    """Two-term expansion data at ``lam`` off the threshold set."""
+    """Two-term expansion data at ``lam`` off the threshold set, in sector
+    coordinates as on a :class:`ThresholdLadder` (``t0``, ``s``: stacks)."""
 
     model: WaveguideModel
     lam: float
     eps: float
     n_used: int
-    t0: np.ndarray
+    t0: np.ndarray             # T0 = u + v R0(lam) v
     basis: np.ndarray | None   # (dim, r) kernel basis of T0; None when regular
     s: np.ndarray              # basis basis^*, the projection onto ker T0
 
     @property
     def rank(self) -> int:
         return 0 if self.basis is None else self.basis.shape[1]
-
-    @property
-    def sectors(self) -> Sectors:
-        """The grid coordinates of the dense ``T0``: one block."""
-        grid = self.model.grid
-        return Sectors.single(grid.n_omega, grid.n_x)
 
     def t1(self, kappa: complex) -> np.ndarray:
         """``(1/k^2) sum_n v {P_n (x) (R0(z-l_n) - R0(lam-l_n))} v`` with the
@@ -480,35 +476,30 @@ class EigenvalueLadder:
             raise DomainError("t1 requires kappa != 0")
         z = self.lam - complex(kappa) ** 2
         x = self.model.grid.x_nodes
-        diff = birman.mode_sum_matrix(
-            self.model,
-            z,
-            list(range(1, self.n_used + 1)),
+        diff = birman.mode_sum_blocks(
+            self.model, z, list(range(1, self.n_used + 1)),
             x_kernel=lambda n: birman.free_kernel_matrix_diff(
                 z - self.model.eigenvalue(n), self.lam - self.model.eigenvalue(n), x
             ),
         )
         return diff / complex(kappa) ** 2
 
-    def j0(self, kappa: complex) -> np.ndarray:
-        if kappa == 0:
-            return self.t0
-        return self.t0 + complex(kappa) ** 2 * self.t1(kappa)
-
     def terms(self, kappa: complex) -> tuple[list, list]:
         """The two-term expansion at ``kappa != 0``, term by term, as
-        :meth:`ThresholdLadder.terms` gives it: ``(J0+S)^-1`` as a one-block
-        stack and, when ``ker T0`` is nontrivial, the ``1/k^2`` term built
-        from ``J1`` (the quotient in the variable k^2, in S coordinates) as a
+        :meth:`ThresholdLadder.terms` gives it: ``(J0+S)^-1`` as a stack and,
+        when ``ker T0`` is nontrivial, the ``1/k^2`` term built from ``J1``
+        (the quotient in the variable k^2, in S coordinates) as a
         ``(left, core, right)`` product."""
         k = complex(kappa)
-        g = linalg.inverse(self.j0(k) + self.s)
+        g = linalg.block_inverse(self.t0 + k**2 * self.t1(k) + self.s)  # (J0 + S)^-1
         if self.basis is None:
-            return [g[None]], []
-        j1 = (np.eye(self.rank, dtype=complex) - self.basis.conj().T @ g @ self.basis) / k**2
-        left = g @ self.basis
-        right = self.basis.conj().T @ g
-        return [g[None]], [(left, linalg.inverse(j1) / k**2, right)]
+            return [g], []
+        sec = self.model.sectors
+        b = sec.blocked(self.basis)
+        j1 = (np.eye(self.rank, dtype=complex) - (linalg.adjoint(b) @ g @ b).sum(axis=0)) / k**2
+        left = (g @ b).reshape(self.model.dim, -1)
+        right = sec.rows(linalg.adjoint(b) @ g)
+        return [g], [(left, linalg.inverse(j1) / k**2, right)]
 
 
 def build_eigenvalue_ladder(
@@ -529,20 +520,24 @@ def build_eigenvalue_ladder(
             raise DomainError(
                 f"lam = {lam} is within the kappa excursion of threshold lambda_{n}"
             )
-    op = birman.bs_operator(birman.SpectralPoint(lam, 0.0), model, tail_tol)
-    t0 = op.matrix
+    n_used, _ = birman._truncation(model, complex(lam), tail_tol, model.n_max)
+    sec = model.sectors
+    t0 = sec.diagonal(model.potential.u) + birman.mode_sum_blocks(
+        model, complex(lam), list(range(1, n_used + 1))
+    )
     d = linalg.psd_defect(linalg.imaginary_part(t0), herm_tol=1e-8)
     if d > 1e-10 * max(1.0, opnorm(t0)):
         raise HypothesisError(f"skew part of T0 not positive semidefinite ({d:.3e})")
     basis = linalg.kernel_basis(t0)
+    b = sec.blocked(basis)
     return EigenvalueLadder(
         model=model,
         lam=lam,
         eps=eps,
-        n_used=op.n_used,
+        n_used=n_used,
         t0=t0,
         basis=basis if basis.shape[1] else None,
-        s=basis @ basis.conj().T,
+        s=b @ linalg.adjoint(b),
     )
 
 
@@ -554,14 +549,21 @@ def direct_inverse(model: WaveguideModel, lam: float, kappa: complex, n_used: in
     """Dense inverse of the directly assembled ``u + v R0(lam - k^2) v``.
 
     Independent route: every retained mode enters through its full free
-    kernel (no singular-part split), so this is a genuine oracle for the
-    expansion formulas at the same truncation.
+    kernel in grid coordinates (no singular-part split, no sector basis),
+    a genuine oracle for the expansion formulas at the same truncation.
     """
-    z = lam - complex(kappa) ** 2
-    mat = np.diag(model.u_diag()) + birman.mode_sum_matrix(
-        model, z, list(range(1, n_used + 1))
-    )
-    return linalg.inverse(mat)
+    return linalg.inverse(birman._dense_matrix(model, lam - complex(kappa) ** 2, n_used))
+
+
+def oracle_error(ladder: ThresholdLadder | EigenvalueLadder, kappa: complex,
+                 m: np.ndarray) -> float:
+    """Relative Frobenius distance of the expansion ``m`` at ``kappa`` from
+    :func:`direct_inverse`; ``kappa`` must lie strictly inside the sector."""
+    k = complex(kappa)
+    if not (k.real > 0 and k.imag < 0):
+        raise DomainError("the dense oracle needs kappa strictly inside the sector")
+    direct = direct_inverse(ladder.model, ladder.lam, k, ladder.n_used)
+    return float(np.linalg.norm(m - direct) / max(np.linalg.norm(direct), 1e-300))
 
 
 def m_function(
@@ -575,9 +577,9 @@ def m_function(
     or regular point.
 
     For ``kappa`` strictly inside the sector and ``verify=True`` the result
-    is cross-checked against the dense oracle to ``oracle_tol`` (relative
-    Frobenius); disagreement raises :class:`AccuracyError` with per-term
-    norms in the message.
+    is cross-checked against the dense oracle to ``oracle_tol``
+    (:func:`oracle_error`); disagreement raises :class:`AccuracyError` with
+    per-term norms in the message.
     """
     if kappa == 0:
         raise DomainError("the expansion is evaluated at kappa != 0 only")
@@ -588,16 +590,12 @@ def m_function(
     # left to right: the order fixes the rounding; the block terms are summed
     # in sector coordinates and embedded once, the products through their
     # thin factors
-    sec = ladder.sectors
+    sec = ladder.model.sectors
     out = sec.grid_blocks(sum(blocks[1:], blocks[0]))
     for left, core, right in products:
         out += (sec.to_grid(left) @ core) @ sec.to_grid(right.T).T
     if verify:
-        if not (k.real > 0 and k.imag < 0):
-            raise DomainError("the dense oracle needs kappa strictly inside the sector")
-        direct = direct_inverse(ladder.model, ladder.lam, k, ladder.n_used)
-        scale = max(np.linalg.norm(direct), 1e-300)
-        rel = np.linalg.norm(out - direct) / scale
+        rel = oracle_error(ladder, k, out)
         if rel > oracle_tol:
             norms = ", ".join(f"{t:.3e}" for t in term_norms(blocks, products))
             raise AccuracyError(

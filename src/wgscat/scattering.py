@@ -349,10 +349,11 @@ def row_kernel_fit(
         return float("inf"), 0
     hs = sorted(float(h) for h in h_values)
     n, sigma = chan
+    basis = ladder.model.sectors.to_grid(ladder.basis)
     vals = []
     for h in hs:
         row = trace_row(ladder.lam - h * h, n, sigma, ladder.model)
-        vals.append(float(np.linalg.norm(row @ ladder.basis)))
+        vals.append(float(np.linalg.norm(row @ basis)))
     row0 = trace_row(ladder.lam, n, sigma, ladder.model)
     floor = 1e-12 * max(1.0, float(np.linalg.norm(row0)))
     return fit_exponent(hs, vals, floor)

@@ -67,6 +67,16 @@ def coupled_model(interval_cs):
 
 
 @pytest.fixture(scope="session")
+def master_model(interval_cs):
+    """Criterion 4's model: n_x pinned at 200 by the criterion; 4 transverse
+    nodes keep the retained modes alias-free and the runtime well inside its
+    budget.  It splits into 4 sector blocks of size 200."""
+    return waveguide.square_well_model(
+        interval_cs, 1.0, (0.0, 1.0), n_omega=4, n_x=200, n_max=8
+    )
+
+
+@pytest.fixture(scope="session")
 def resonant_model(interval_cs):
     """Well tuned to a threshold resonance in the threshold channel itself
     (level-1 kernel in the mode-2 sector; ladder terminates at level 2)."""

@@ -8,7 +8,6 @@ run time.
 import time
 
 import numpy as np
-import pytest
 
 import helpers
 from conftest import ACCEPTANCE_LINES
@@ -85,15 +84,6 @@ def test_criterion_03_projection_equivalence():
     ok = worst_diff <= 1e-8 and worst_ann <= 1e-8 and worst_z <= 1e-8
     report(3, "contour/orthogonal projection equivalence", ok,
            f"|Sr-So| {worst_diff:.2e}, |A0 Sr| {worst_ann:.2e}, |Z S| {worst_z:.2e}")
-
-
-@pytest.fixture(scope="module")
-def master_model(interval_cs):
-    # n_x pinned at 200 by the criterion; 4 transverse nodes keep the
-    # retained modes alias-free and the runtime well inside its budget
-    return waveguide.square_well_model(
-        interval_cs, 1.0, (0.0, 1.0), n_omega=4, n_x=200, n_max=8
-    )
 
 
 def test_criterion_04_expansion_vs_direct_master(master_model):

@@ -294,10 +294,13 @@ class TestConfigErrors:
         ("modes", {"modes": {}}, dict(MODEL_DOC, n_max=2, cross_section={
             "kind": "custom", "nodes": [0.25, 0.75], "weights": [0.5, 0.5],
             "eigenvalues": [1.0, 2.5], "samples": [[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]]}), None),
+        ("threshold-scan", {"threshold_scan": {"lam": 4.0, "halvings": 0, "tail_tol": 0.2,
+                                               "pairs": [[[1, 1], [1, 1]]]}}, MODEL_DOC, None),
     ], ids=["energy-not-a-number", "energies-null", "n_x-not-an-integer",
             "model-schema-version", "family-base-not-a-matrix", "family-not-json",
             "family-coeff-not-a-matrix", "table-shape", "n_omega-1", "n_x-1",
-            "n_panels-not-dividing-n_x", "n_max-0", "custom-samples-shape"])
+            "n_panels-not-dividing-n_x", "n_max-0", "custom-samples-shape",
+            "halvings-zero"])
     def test_exit_2_and_no_output(self, tmp_path, command, tasks, model, family):
         if family is not None:
             (tmp_path / "family.json").write_text(family)

@@ -196,8 +196,44 @@ class TestEigenvalueLadder:
         lad = expansion.build_eigenvalue_ladder(
             well_medium, embedded_lambda, eps=5e-3, tail_tol=0.03
         )
-        rep = inversion.check_riesz_orthogonal(lad.t0)
+        rep = inversion.check_riesz_orthogonal(helpers.dense(lad.t0))
         assert rep.hypothesis_ok and rep.diff_norm <= 1e-8
+
+    def test_lu_only_at_block_size(self, master_model, monkeypatch):
+        # T0 and J0 + S split into the 4 sector blocks of size n_x: no LU of
+        # the dim x dim operator, only of the blocks and of the rank x rank J1
+        lam0 = 4.0 + helpers.oned_well_levels(1.0, 1.0)[0]
+        (cand,) = birman.eigenvalue_search(
+            (lam0 - 4e-3, lam0 + 4e-3), master_model,
+            resolution=9, tail_tol=0.04, refine_width=1e-9,
+        )
+        dims = []
+        lu_factor = scipy.linalg.lu_factor
+
+        def recording(a, *args, **kwargs):
+            dims.append(a.shape[0])
+            return lu_factor(a, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "lu_factor", recording)
+        lad = expansion.build_eigenvalue_ladder(master_model, cand.lam, eps=2e-2, tail_tol=0.04)
+        for k in diag_kappas(lad.eps, count=2):
+            expansion.m_function(lad, k)
+        n_x = master_model.grid.n_x
+        assert lad.rank == 1 and lad.t0.shape == (4, n_x, n_x)
+        assert dims and max(dims) <= n_x < master_model.dim
+
+    @pytest.mark.parametrize("name, n_blocks, tol", [
+        ("well_small", 5, 1e-12),      # one sector block per transverse node
+        ("coupled_model", 1, 1e-14),   # one block: the dense formula itself
+    ])
+    def test_matches_dense_two_term_reference(self, request, name, n_blocks, tol):
+        model = request.getfixturevalue(name)
+        lad = expansion.build_eigenvalue_ladder(model, 2.2, eps=1e-2, tail_tol=0.1)
+        assert model.sectors.n_blocks == n_blocks
+        for k in list(diag_kappas(lad.eps, count=3)) + [3e-3, -3e-3j]:
+            ref = helpers.dense_two_term(model, 2.2, k, 0.1)
+            m = expansion.m_function(lad, k)
+            assert np.linalg.norm(m - ref) <= tol * np.linalg.norm(ref)
 
 
 class TestResonantFixtures:
