@@ -8,7 +8,8 @@ the largest absolute and relative change over its rows, any other column
 the number of cells that differ.  A ``.json`` file is compared leaf by leaf;
 a list element that is an object with a ``name`` key is addressed by that
 name (``structural.checks[projection_nesting].value``), any other by its
-index.  Other files are compared byte for byte.
+index.  Other files, and a ``.csv`` or ``.json`` file that does not parse,
+are compared byte for byte.
 
 One line is printed per field: the file, the field, then ``=`` when the
 field is identical, ``abs <max abs> rel <max rel>`` for a numeric change,
@@ -100,10 +101,15 @@ def json_fields(node, prefix: str = "") -> dict[str, list]:
 
 
 def file_fields(path: Path) -> dict[str, list]:
-    if path.suffix == ".csv":
-        return csv_fields(path)
-    if path.suffix == ".json":
-        return json_fields(json.loads(path.read_text()))
+    """Fields of one file; a ``.csv`` or ``.json`` file that does not parse
+    is one ``<bytes>`` field, like any other file."""
+    try:
+        if path.suffix == ".csv":
+            return csv_fields(path)
+        if path.suffix == ".json":
+            return json_fields(json.loads(path.read_text()))
+    except (ValueError, csv.Error):  # includes JSON and UTF-8 decoding errors
+        pass
     return {"<bytes>": [path.read_bytes()]}
 
 

@@ -628,11 +628,13 @@ def eigenvalue_search(
     to ``refine_width`` and kept when the refined relative dip
     ``sigma_min / sigma_max`` is below ``DETECT_REL``; ``sigma_max`` is
     computed at the refined points only.  An empty result is a valid
-    outcome.  The window must avoid the thresholds by ``THRESHOLD_MARGIN``.
-    """
+    outcome.  The window must avoid the thresholds by ``THRESHOLD_MARGIN``;
+    ``resolution < 3`` raises :class:`DomainError`."""
     lo, hi = window
     if not hi > lo:
         raise DomainError("empty search window")
+    if resolution < 3:
+        raise DomainError(f"resolution = {resolution}; the scan needs at least 3 points")
     for n in range(1, model.n_max + 1):
         t = model.eigenvalue(n)
         if lo - THRESHOLD_MARGIN < t < hi + THRESHOLD_MARGIN:

@@ -203,6 +203,14 @@ def _model(cfg) -> waveguide.WaveguideModel:
     return waveguide.model_from_config(config_value(cfg, "model", json_object))
 
 
+def _eps(task) -> float:
+    """The task's ladder radius ``eps``, which must be positive."""
+    eps = config_value(task, "eps", float, 1e-2)
+    if not eps > 0:
+        raise ConfigError(f"eps = {eps}; need eps > 0")
+    return eps
+
+
 def cmd_invert_demo(cfg, writer: ArtifactWriter, args) -> int:
     """Drive the inversion engine on file-loaded families vs a dense oracle."""
     task = _task(cfg, "invert_demo")
@@ -212,12 +220,7 @@ def cmd_invert_demo(cfg, writer: ArtifactWriter, args) -> int:
     )
     if not fam_path.is_absolute():
         fam_path = Path(args.config).parent / fam_path
-    try:
-        with open(fam_path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except ValueError as exc:  # not JSON (or not UTF-8)
-        raise ConfigError(f"family file {fam_path} is not JSON: {exc}") from exc
-    fams = [inversion.family_from_dict(d) for d in (doc if isinstance(doc, list) else [doc])]
+    fams = inversion.load_families(fam_path)
     rows = []
     worst = 0.0
     for i, fam in enumerate(fams):
@@ -277,7 +280,7 @@ def cmd_smatrix(cfg, writer: ArtifactWriter, args) -> int:
 def cmd_threshold_scan(cfg, writer: ArtifactWriter, args) -> int:
     task = _task(cfg, "threshold_scan")
     lam = config_value(task, "lam")
-    eps = config_value(task, "eps", float, 1e-2)
+    eps = _eps(task)
     tail_tol = config_value(task, "tail_tol", float, 1e-3)
     halvings = config_value(task, "halvings", int, 10)
     if halvings < 1:
@@ -308,10 +311,12 @@ def cmd_threshold_scan(cfg, writer: ArtifactWriter, args) -> int:
 def cmd_expansion(cfg, writer: ArtifactWriter, args) -> int:
     task = _task(cfg, "expansion")
     lam = config_value(task, "lam")
-    eps = config_value(task, "eps", float, 1e-2)
+    eps = _eps(task)
     tail_tol = config_value(task, "tail_tol", float, 1e-3)
     kappa_lo = config_value(task, "kappa_lo", float, 1e-4)
     kappa_hi = config_value(task, "kappa_hi", float, 1e-2)
+    if not 0 < kappa_lo < kappa_hi:
+        raise ConfigError(f"kappa_lo = {kappa_lo}; need 0 < kappa_lo < kappa_hi = {kappa_hi}")
     model = _model(cfg)
     ladder = expansion.build_threshold_ladder(model, lam, eps=eps, tail_tol=tail_tol)
     report = expansion.ladder_report(ladder)
@@ -333,6 +338,8 @@ def cmd_eigenvalues(cfg, writer: ArtifactWriter, args) -> int:
     window = tuple(config_value(task, "window", lambda w: json_list(w, length=2)))
     tail_tol = config_value(task, "tail_tol", float, 1e-3)
     resolutions = config_value(task, "resolutions", lambda rs: json_list(rs, int), [48])
+    if any(res < 3 for res in resolutions):
+        raise ConfigError(f"resolutions = {resolutions}; need at least 3 points each")
     model = _model(cfg)
     rows = []
     counts = []
@@ -355,7 +362,7 @@ def cmd_verify(cfg, writer: ArtifactWriter, args) -> int:
     """Structural lemma suite plus module invariant spot checks."""
     task = _task(cfg, "verify", {})
     lam = config_value(task, "lam", float, None)
-    eps = config_value(task, "eps", float, 1e-2)
+    eps = _eps(task)
     tail_tol = config_value(task, "tail_tol", float, 1e-3)
     model = _model(cfg)
     if lam is None:

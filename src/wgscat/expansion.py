@@ -65,15 +65,13 @@ KAPPA_PER_DECADE = 8   # |kappa| samples per decade on each structural ray
 def _group_x_kernel(kappa: complex, kind: str, x_nodes: np.ndarray) -> np.ndarray:
     """Longitudinal kernels of the threshold-group expansion.
 
-    ``regular``: ``(exp(-k y) - 1) / (2 k)`` (the full kernel minus its
-    ``1/(2k)`` singular part; ``-y/2`` at ``k = 0``), ``linear``: ``-y/2``,
-    ``quadratic``: ``y^2/4``, with ``y = |x - x'|``.
+    ``regular``: ``(exp(-k y) - 1) / (2 k)`` at ``k != 0`` (the full kernel
+    minus its ``1/(2k)`` singular part; its ``k = 0`` value is ``linear``),
+    ``linear``: ``-y/2``, ``quadratic``: ``y^2/4``, with ``y = |x - x'|``.
     """
     x = np.asarray(x_nodes, dtype=float)
     y = np.abs(x[:, None] - x[None, :])
     if kind == "regular":
-        if kappa == 0:
-            return -y / 2.0 + 0j
         return np.expm1(-kappa * y) / (2.0 * kappa)
     if kind == "linear":
         return -y / 2.0 + 0j
@@ -163,7 +161,6 @@ class ThresholdLadder:
     n10: np.ndarray
     n20: np.ndarray
     m10: np.ndarray
-    x0: np.ndarray            # real part of m10
     g00: np.ndarray           # (N0 + S0)^-1, exact block form
     # level 1
     i10: np.ndarray           # I1(0) = S0 M1(0) S0
@@ -230,14 +227,10 @@ class ThresholdLadder:
             return self.m10
         return self.n1(kappa) + self.sectors.diagonal(self.model.potential.u) + self.w(kappa)
 
-    def i0(self, kappa: complex) -> np.ndarray:
-        return self.n0 + 2.0 * kappa * self.m1(kappa)
-
     def g0(self, kappa: complex) -> np.ndarray:
-        """``(I0(kappa) + S0)^-1`` (block stack)."""
-        if kappa == 0:
-            return self.g00
-        return linalg.block_inverse(self.i0(kappa) + self.s0)
+        """``(I0(kappa) + S0)^-1`` at ``kappa != 0`` (block stack), with
+        ``I0(kappa) = N0 + 2 kappa M1(kappa)``."""
+        return linalg.block_inverse(self.n0 + 2.0 * kappa * self.m1(kappa) + self.s0)
 
     def at(self, kappa: complex) -> LadderEvaluation:
         """The ladder at ``kappa != 0``: each level inverse computed once,
@@ -429,7 +422,6 @@ def build_threshold_ladder(
         **d0,
         n0=n0,
         n20=n20,
-        x0=linalg.real_part(m10),
         g00=g00,
         b1=b1,
         s1=b1_blocks @ linalg.adjoint(b1_blocks),
@@ -464,6 +456,7 @@ class EigenvalueLadder:
     t0: np.ndarray             # T0 = u + v R0(lam) v
     basis: np.ndarray | None   # (dim, r) kernel basis of T0; None when regular
     s: np.ndarray              # basis basis^*, the projection onto ker T0
+    t0b: np.ndarray            # T0 b per block (rounding-scale: b spans ker T0)
 
     @property
     def rank(self) -> int:
@@ -488,18 +481,20 @@ class EigenvalueLadder:
         """The two-term expansion at ``kappa != 0``, term by term, as
         :meth:`ThresholdLadder.terms` gives it: ``(J0+S)^-1`` as a stack and,
         when ``ker T0`` is nontrivial, the ``1/k^2`` term built from ``J1``
-        (the quotient in the variable k^2, in S coordinates) as a
-        ``(left, core, right)`` product."""
+        (in S coordinates) as a ``(left, core, right)`` product.  With
+        ``g = (J0+S)^-1``, ``J1 = (1 - b* g b)/k^2 = b* g J0 b/k^2`` exactly, so
+        it is formed without subtraction as ``b* g T1 b + b* g (T0 b)/k^2``."""
         k = complex(kappa)
-        g = linalg.block_inverse(self.t0 + k**2 * self.t1(k) + self.s)  # (J0 + S)^-1
+        t1 = self.t1(k)
+        g = linalg.block_inverse(self.t0 + k**2 * t1 + self.s)  # (J0 + S)^-1
         if self.basis is None:
             return [g], []
         sec = self.model.sectors
         b = sec.blocked(self.basis)
-        j1 = (np.eye(self.rank, dtype=complex) - (linalg.adjoint(b) @ g @ b).sum(axis=0)) / k**2
+        bg = linalg.adjoint(b) @ g
+        j1 = (bg @ (t1 @ b)).sum(axis=0) + (bg @ self.t0b).sum(axis=0) / k**2
         left = (g @ b).reshape(self.model.dim, -1)
-        right = sec.rows(linalg.adjoint(b) @ g)
-        return [g], [(left, linalg.inverse(j1) / k**2, right)]
+        return [g], [(left, linalg.inverse(j1) / k**2, sec.rows(bg))]
 
 
 def build_eigenvalue_ladder(
@@ -538,6 +533,7 @@ def build_eigenvalue_ladder(
         t0=t0,
         basis=basis if basis.shape[1] else None,
         s=b @ linalg.adjoint(b),
+        t0b=t0 @ b,
     )
 
 
@@ -786,9 +782,10 @@ def verify_structural_lemmas(
     m10_norm = opnorm(ladder.m10)
     if ladder.r2 > 0:
         b2b = sec.blocked(b2)
-        xs = max(opnorm(ladder.x0), 1e-300)
-        d_x = max(opnorm((ladder.x0 @ b2b).reshape(b2.shape)),
-                  opnorm(sec.rows(linalg.adjoint(b2b) @ ladder.x0))) / xs
+        x0 = linalg.real_part(ladder.m10)
+        xs = max(opnorm(x0), 1e-300)
+        d_x = max(opnorm((x0 @ b2b).reshape(b2.shape)),
+                  opnorm(sec.rows(linalg.adjoint(b2b) @ x0))) / xs
         checks.append(CheckLine("real_part_annihilates_s2", d_x, tol, d_x <= tol))
         xq = model.grid.x_nodes
         d_q = 0.0

@@ -121,42 +121,18 @@ def _conditions(a0: np.ndarray, s: Projection):
 
 
 def _quotient(sm: np.ndarray, g: np.ndarray, z: complex) -> np.ndarray:
-    """``(S - S G S) / z`` with ``G = (A(z)+S)^-1`` already factored."""
+    """Defining quotient form ``B(z) = (S - S G S) / z`` with
+    ``G = (A(z)+S)^-1`` already factored."""
     return (sm - sm @ g @ sm) / z
 
 
-def b_quotient(fam: OperatorFamily, s: Projection, z: complex) -> np.ndarray:
-    """``B(z) = (S - S (A(z)+S)^-1 S) / z`` (defining quotient form)."""
-    if z == 0:
-        raise DomainError("quotient form is undefined at z = 0")
-    return _quotient(s.matrix, linalg.inverse(fam.a(z) + s.matrix), z)
-
-
-def b_series(fam: OperatorFamily, s: Projection, z: complex) -> np.ndarray:
-    """Series form ``S G sum_j (-z)^j (A1(z) G)^(j+1) S`` with ``G=(A0+S)^-1``.
-
-    Truncated when the geometric tail bound drops below ``SERIES_TAIL_TOL``
-    relative to the accumulated norm scale, within ``SERIES_MAX_TERMS``
-    terms (else :class:`AccuracyError`); raises :class:`DomainError` when
-    the series is not contractive at this ``z``.
-    """
-    g = linalg.inverse(fam.base + s.matrix)
-    c = fam.a1(z) @ g
-    cnorm = opnorm(c)
-    b = _series(s.matrix, g, c, cnorm, z)
-    if b is not None:
-        return b
-    q = abs(z) * cnorm
-    if q >= SERIES_MAX_FACTOR:
-        raise DomainError(f"series non-contractive at |z|={abs(z):.3e} (factor {q:.3f})")
-    raise AccuracyError("series did not reach its tail tolerance")
-
-
 def _series(sm: np.ndarray, g: np.ndarray, c: np.ndarray, cnorm: float, z: complex):
-    """:func:`b_series` from ``G = (A0+S)^-1``, ``C = A1(z) G`` and ``||C||``;
-    ``None`` where the series does not converge by the tail rule (the factor
-    ``q = |z| ||C||`` reaches ``SERIES_MAX_FACTOR``, or the tail tolerance
-    needs more than ``SERIES_MAX_TERMS`` terms)."""
+    """Series form ``S G sum_j (-z)^j (A1(z) G)^(j+1) S`` of ``B(z)`` from
+    ``G = (A0+S)^-1``, ``C = A1(z) G`` and ``||C||``, truncated once the
+    geometric tail bound drops below ``SERIES_TAIL_TOL`` relative to the
+    accumulated norm scale; ``None`` where the series does not converge by
+    that rule (the factor ``q = |z| ||C||`` reaches ``SERIES_MAX_FACTOR``, or
+    the tail tolerance needs more than ``SERIES_MAX_TERMS`` terms)."""
     q = abs(z) * cnorm
     if q >= SERIES_MAX_FACTOR:
         return None
@@ -177,17 +153,6 @@ def _series(sm: np.ndarray, g: np.ndarray, c: np.ndarray, cnorm: float, z: compl
         power = power @ c
         acc += coeff * power
     return sm @ g @ acc @ sm
-
-
-def b_operator(fam: OperatorFamily, s: Projection, z: complex) -> np.ndarray:
-    """Evaluate ``B(z)`` by both the quotient and the series route.
-
-    The two independently computed forms must agree to ``CROSS_CHECK_TOL``
-    (relative, Frobenius) or an :class:`AccuracyError` is raised.
-    """
-    if s.rank == 0:
-        return np.zeros_like(s.matrix)
-    return _cross_checked(b_quotient(fam, s, z), b_series(fam, s, z))
 
 
 def _cross_checked(bq: np.ndarray, bs: np.ndarray) -> np.ndarray:
@@ -596,9 +561,15 @@ def family_from_dict(doc: dict) -> OperatorFamily:
     )
 
 
-def load_family(path) -> OperatorFamily:
-    with open(path, "r", encoding="utf-8") as fh:
-        return family_from_dict(json.load(fh))
+def load_families(path) -> list[OperatorFamily]:
+    """The families of a JSON file holding one family document or a list of
+    them; a file that is not JSON (or not UTF-8) raises :class:`ConfigError`."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:
+        raise ConfigError(f"family file {path} is not JSON: {exc}") from exc
+    return [family_from_dict(d) for d in (doc if isinstance(doc, list) else [doc])]
 
 
 def random_family_dict(

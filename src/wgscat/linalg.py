@@ -327,17 +327,14 @@ def block_columns(columns: list[np.ndarray]) -> np.ndarray:
     return out.reshape(len(columns) * m, -1)
 
 
-def range_projector(q: np.ndarray) -> Projection:
-    """Orthogonal projector ``Q Q^*`` onto the span of orthonormal columns."""
-    return Projection(q @ q.conj().T, orthogonal=True, tol=1e-12)
-
-
 def kernel_projector(a: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> Projection:
-    """Orthogonal projector onto the numerical kernel of ``a``.
+    """Orthogonal projector ``Q Q^*`` onto the numerical kernel of ``a``, with
+    ``Q`` the orthonormal :func:`kernel_basis`.
 
     Satisfies ``norm(a @ P) <= 2 * rank_tol * sigma_max * dim``.
     """
-    return range_projector(kernel_basis(a, rank_tol))
+    q = kernel_basis(a, rank_tol)
+    return Projection(q @ q.conj().T, orthogonal=True, tol=1e-12)
 
 
 def riesz_projection(a: np.ndarray, radius: float, n_quad: int = RIESZ_N_QUAD) -> Projection:

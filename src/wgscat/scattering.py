@@ -53,21 +53,27 @@ def open_channels(lam: float, model: WaveguideModel) -> list[tuple[int, int]]:
     return out
 
 
+def _row(model: WaveguideModel, n: int, coeff: float, x_factor: np.ndarray) -> np.ndarray:
+    """``coeff conj(f_n) (x) x_factor`` composed with ``v``, weighted by
+    ``sqrt(w_I)`` and flattened: the body of every channel row."""
+    grid = model.grid
+    f = model.modes[n - 1].samples
+    sw = grid.composite_sqrt_weights().reshape(grid.n_omega, grid.n_x)
+    mat = coeff * np.conj(f)[:, None] * x_factor[None, :] * model.potential.v * sw
+    return mat.reshape(-1)
+
+
 def _row_core(lam: float, n: int, sigma: int, model: WaveguideModel,
               x_weight: np.ndarray | None = None) -> np.ndarray:
+    """:func:`trace_row`, with an extra longitudinal factor ``x_weight``."""
     ln = model.eigenvalue(n)
     if not lam > ln:
         raise ChannelClosedError(f"channel (n={n}, sigma={sigma:+d}) closed at lam={lam}")
-    mu = math.sqrt(lam - ln)
-    grid = model.grid
-    f = model.modes[n - 1].samples
-    phase = np.exp(-1j * sigma * mu * grid.x_nodes)
+    phase = np.exp(-1j * sigma * math.sqrt(lam - ln) * model.grid.x_nodes)
     if x_weight is not None:
         phase = phase * x_weight
-    sw = grid.composite_sqrt_weights().reshape(grid.n_omega, grid.n_x)
     coeff = (lam - ln) ** (-0.25) / math.sqrt(2.0) / math.sqrt(2.0 * math.pi)
-    mat = coeff * np.conj(f)[:, None] * phase[None, :] * model.potential.v * sw
-    return mat.reshape(-1)
+    return _row(model, n, coeff, phase)
 
 
 def trace_row(lam: float, n: int, sigma: int, model: WaveguideModel) -> np.ndarray:
@@ -76,21 +82,11 @@ def trace_row(lam: float, n: int, sigma: int, model: WaveguideModel) -> np.ndarr
     return _row_core(lam, n, sigma, model)
 
 
-def trace_row_q(lam: float, n: int, sigma: int, model: WaveguideModel) -> np.ndarray:
-    """Row of the same functional with an extra longitudinal ``x`` factor."""
-    return _row_core(lam, n, sigma, model, x_weight=model.grid.x_nodes)
-
-
 def gamma_row(j: int, n: int, model: WaveguideModel) -> np.ndarray:
     """Row of ``gamma_j(n)`` composed with ``v``: the ``x^j``-moment of the
     mode-``n`` component, normalized by ``1/(2 j! sqrt(pi))``."""
-    grid = model.grid
-    f = model.modes[n - 1].samples
-    sw = grid.composite_sqrt_weights().reshape(grid.n_omega, grid.n_x)
-    xj = grid.x_nodes**j
     coeff = 1.0 / (2.0 * math.factorial(j) * math.sqrt(math.pi))
-    mat = coeff * np.conj(f)[:, None] * xj[None, :] * model.potential.v * sw
-    return mat.reshape(-1)
+    return _row(model, n, coeff, model.grid.x_nodes**j)
 
 
 def b_rows(lam: float, n: int, model: WaveguideModel) -> np.ndarray:
@@ -154,16 +150,6 @@ def channel_smatrix(
     return SMatrix(lam, tuple(chans), s, defect)
 
 
-def unitarity_budget(lam: float, model_coarse: WaveguideModel,
-                     model_fine: WaveguideModel, tail_tol: float = 1e-4) -> float:
-    """Self-calibrating unitarity budget: ten times the Richardson-style
-    two-resolution difference of the S-matrix entries."""
-    s1 = channel_smatrix(lam, model_coarse, tail_tol)
-    s2 = channel_smatrix(lam, model_fine, tail_tol)
-    k = min(s1.matrix.shape[0], s2.matrix.shape[0])
-    return 10.0 * float(np.max(np.abs(s1.matrix[:k, :k] - s2.matrix[:k, :k])))
-
-
 # ---------------------------------------------------------------------------
 # Trace-row expansions at a threshold
 # ---------------------------------------------------------------------------
@@ -188,14 +174,6 @@ class F0ExpansionReport:
         )
         return open_ok and opening_ok
 
-    def to_dict(self):
-        return {
-            "lam": self.lam, "n": self.n, "sigma": self.sigma,
-            "open_exponent": self.open_exponent,
-            "opening_exponent": self.opening_exponent,
-            "ok": self.ok,
-        }
-
 
 def f0_expansion_check(
     lam0: float,
@@ -218,7 +196,7 @@ def f0_expansion_check(
         raise ChannelClosedError("pass an open channel n; opening mode is separate")
     delta = lam0 - ln
     row0 = trace_row(lam0, n, sigma, model)
-    rowq = trace_row_q(lam0, n, sigma, model)
+    rowq = _row_core(lam0, n, sigma, model, x_weight=model.grid.x_nodes)
     vals = []
     for k in kappas:
         k = complex(k)

@@ -291,11 +291,8 @@ class Grid:
     def dim(self) -> int:
         return self.n_omega * self.n_x
 
-    def composite_weights(self) -> np.ndarray:
-        return np.kron(self.omega_weights, self.x_weights)
-
     def composite_sqrt_weights(self) -> np.ndarray:
-        return np.sqrt(self.composite_weights())
+        return np.sqrt(np.kron(self.omega_weights, self.x_weights))
 
 
 def build_grid(cross_section, support: tuple[float, float], n_omega: int, n_x: int,

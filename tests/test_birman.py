@@ -266,3 +266,9 @@ class TestEigenvalueSearch:
     def test_window_touching_threshold_rejected(self, well_small):
         with pytest.raises(DomainError):
             birman.eigenvalue_search((3.5, 4.1), well_small, resolution=8, tail_tol=0.1)
+
+    @pytest.mark.parametrize("resolution", [2, 0, -5])
+    def test_resolution_below_three_rejected(self, well_small, resolution):
+        # a scan of fewer than 3 points has no interior point to refine
+        with pytest.raises(DomainError, match="at least 3"):
+            birman.eigenvalue_search((1.5, 1.9), well_small, resolution=resolution, tail_tol=0.1)

@@ -296,11 +296,26 @@ class TestConfigErrors:
             "eigenvalues": [1.0, 2.5], "samples": [[1.0, 1.0, 0.0], [1.0, -1.0, 0.0]]}), None),
         ("threshold-scan", {"threshold_scan": {"lam": 4.0, "halvings": 0, "tail_tol": 0.2,
                                                "pairs": [[[1, 1], [1, 1]]]}}, MODEL_DOC, None),
+        ("eigenvalues", {"eigenvalues": {"window": [0.6, 0.95], "resolutions": [20, 2],
+                                         "tail_tol": 0.2}}, MODEL_DOC, None),
+        ("eigenvalues", {"eigenvalues": {"window": [0.6, 0.95], "resolutions": [-5],
+                                         "tail_tol": 0.2}}, MODEL_DOC, None),
+        ("expansion", {"expansion": {"lam": 4.0, "eps": 2e-2, "tail_tol": 0.2,
+                                     "kappa_lo": 0}}, MODEL_DOC, None),
+        ("expansion", {"expansion": {"lam": 4.0, "eps": 2e-2, "tail_tol": 0.2,
+                                     "kappa_lo": 1e-2, "kappa_hi": 1e-4}}, MODEL_DOC, None),
+        ("threshold-scan", {"threshold_scan": {"lam": 4.0, "eps": 0, "halvings": 2,
+                                               "tail_tol": 0.2, "pairs": [[[1, 1], [1, 1]]]}},
+         MODEL_DOC, None),
+        ("expansion", {"expansion": {"lam": 4.0, "eps": 0, "tail_tol": 0.2}}, MODEL_DOC, None),
+        ("verify", {"verify": {"lam": 4.0, "eps": -1e-2, "tail_tol": 0.2}}, MODEL_DOC, None),
     ], ids=["energy-not-a-number", "energies-null", "n_x-not-an-integer",
             "model-schema-version", "family-base-not-a-matrix", "family-not-json",
             "family-coeff-not-a-matrix", "table-shape", "n_omega-1", "n_x-1",
             "n_panels-not-dividing-n_x", "n_max-0", "custom-samples-shape",
-            "halvings-zero"])
+            "halvings-zero", "resolutions-two", "resolutions-negative", "kappa_lo-zero",
+            "kappa_lo-above-kappa_hi", "eps-zero", "eps-zero-expansion",
+            "eps-negative-verify"])
     def test_exit_2_and_no_output(self, tmp_path, command, tasks, model, family):
         if family is not None:
             (tmp_path / "family.json").write_text(family)

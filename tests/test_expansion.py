@@ -222,6 +222,23 @@ class TestEigenvalueLadder:
         assert lad.rank == 1 and lad.t0.shape == (4, n_x, n_x)
         assert dims and max(dims) <= n_x < master_model.dim
 
+    def test_small_kappa_matches_refined_block_inverse(self, master_model):
+        # criterion 4's two smallest kappas, where the subtraction
+        # J1 = (1 - b* g b)/k^2 lost 5e-9 and 2.6e-9 to the block LU's rounding
+        lam0 = 4.0 + helpers.oned_well_levels(1.0, 1.0)[0]
+        (cand,) = birman.eigenvalue_search(
+            (lam0 - 4e-3, lam0 + 4e-3), master_model,
+            resolution=9, tail_tol=0.04, refine_width=1e-9,
+        )
+        lad = expansion.build_eigenvalue_ladder(master_model, cand.lam, eps=2e-2, tail_tol=0.04)
+        assert lad.rank == 1
+        sec = master_model.sectors
+        for k in (3e-4 * np.exp(-1j * np.pi / 8), 3e-4 * np.exp(-3j * np.pi / 8)):
+            j0 = lad.t0 + k**2 * lad.t1(k)
+            ref = sec.grid_blocks(np.array([linalg.refined_inverse(b) for b in j0]))
+            m = expansion.m_function(lad, k)
+            assert np.linalg.norm(m - ref) <= 1e-10 * np.linalg.norm(ref)
+
     @pytest.mark.parametrize("name, n_blocks, tol", [
         ("well_small", 5, 1e-12),      # one sector block per transverse node
         ("coupled_model", 1, 1e-14),   # one block: the dense formula itself

@@ -59,39 +59,6 @@ class TestVerifyConditions:
         assert not rep.ok
 
 
-class TestBOperator:
-    def test_scalar_closed_form(self):
-        fam = scalar_family()
-        s = linalg.identity_projection(1)
-        for z in (0.01, 0.1 - 0.05j, -0.02 + 0.03j):
-            b = inversion.b_operator(fam, s, z)
-            assert abs(b[0, 0] - 1.0 / (1.0 + z)) <= 1e-12
-
-    def test_empty_projection(self):
-        fam = scalar_family()
-        b = inversion.b_operator(fam, linalg.zero_projection(1), 0.01)
-        assert np.allclose(b, 0.0)
-
-    def test_quotient_equals_series(self):
-        rng = np.random.default_rng(42)
-        fam = family_from_random(rng, 6, 2)
-        s = linalg.kernel_projector(fam.base)
-        for z in (1e-3, 1e-3 - 2e-3j, -2.5e-3):
-            bq = inversion.b_quotient(fam, s, z)
-            bs = inversion.b_series(fam, s, z)
-            assert np.linalg.norm(bq - bs) <= 1e-10 * max(1.0, np.linalg.norm(bq))
-
-    def test_series_non_contractive_rejected(self):
-        fam = inversion.OperatorFamily(
-            np.zeros((1, 1), dtype=complex),
-            lambda z: 100.0 * np.eye(1, dtype=complex),
-            bound=100.0,
-            radius=1.0,
-        )
-        with pytest.raises(DomainError):
-            inversion.b_series(fam, linalg.identity_projection(1), 0.5)
-
-
 class TestJnInvert:
     @pytest.mark.parametrize("index", [2, 6])
     def test_verify_series_where_the_series_diverges(self, index):
@@ -372,7 +339,7 @@ class TestFamilyJson:
         import json
 
         p.write_text(json.dumps(doc))
-        fam = inversion.load_family(p)
+        (fam,) = inversion.load_families(p)
         assert fam.dim == 5
         s = linalg.kernel_projector(fam.base)
         assert s.rank == 1

@@ -88,15 +88,6 @@ class TestSMatrix:
         assert elapsed < 1.0
         assert s.unitarity_defect <= 1e-8 and recip <= 1e-8
 
-    def test_unitarity_budget_halves(self, interval_cs):
-        mk = lambda nx: waveguide.square_well_model(
-            interval_cs, 1.0, (0.0, 1.0), 5, nx, 9
-        )
-        m60, m120, m240 = mk(60), mk(120), mk(240)
-        b1 = scattering.unitarity_budget(2.5, m60, m120, tail_tol=0.03)
-        b2 = scattering.unitarity_budget(2.5, m120, m240, tail_tol=0.03)
-        assert b1 / b2 >= 2.0
-
     def test_smoothness_off_singular_set(self, well_small):
         devs = scattering.smoothness_probe(2.3, well_small, tail_tol=0.1)
         assert all(a > b for a, b in zip(devs, devs[1:]))
