@@ -16,12 +16,17 @@ the real-energy solves and never forms ``A``.  For ``x > x'`` the mode-sum
 kernel ``sum_n [v f_n e^(i mu_n x)] (i / 2 mu_n) [f_n v e^(-i mu_n x')]``
 is semiseparable of rank ``n_used`` (Eidelman-Gohberg, Integral Equations
 Operator Theory 34, 1999), so ``A`` is the Schur complement of a sparse
-state-space embedding over the ``n_x`` longitudinal nodes, banded with
-``s = n_omega + 2 n_used`` unknowns per node.  Its band LU costs about
-``16 n_x s^3`` flops and ``n_x s (3 s + 1)`` stored entries, against
-``(8/3) dim^3`` flops and ``dim^2`` entries for the dense LU plus
-``O(n_used dim^2)`` for the assembly.  S-matrices and the eigenvalue scan run
-on the embedding.
+state-space embedding over the ``n_x`` longitudinal nodes.  The embedding is
+built on the same sector blocks as the ladders: a coupled model is one block
+with ``s = n_omega + 2 n_used`` unknowns per node, and each sector of a
+decomposing model carries one transverse value and the ``q`` mode slots of
+the fullest sector per node, ``s = 1 + 2 q``, with inert slots padding the
+sectors that hold fewer modes.  All blocks stack into one band of half
+bandwidth ``s`` over ``n_blocks n_x`` nodes; its LU costs about
+``16 n_blocks n_x s^3`` flops and ``n_blocks n_x s (3 s + 1)`` stored
+entries, against ``(8/3) dim^3`` flops and ``dim^2`` entries for the dense
+LU plus ``O(n_used dim^2)`` for the assembly.  S-matrices and the eigenvalue
+scan run on the embedding.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from .errors import (
     TruncationError,
 )
 from .linalg import onenorm_estimate
-from .waveguide import Sectors, WaveguideModel, gauss_legendre_panels
+from .waveguide import SECTOR_TOL, Sectors, WaveguideModel, gauss_legendre_panels
 
 _MODE_CHUNK_ENTRIES = 4_000_000  # chunk mode stacks to bound working memory
 
@@ -317,6 +322,21 @@ def _mode_sums(ratio: np.ndarray, t: np.ndarray) -> np.ndarray:
     return _sweep(ratio, t) + _sweep(back, t[::-1])[::-1] - t
 
 
+def _layout(sec: Sectors, t: np.ndarray) -> np.ndarray:
+    """Sector-coordinate values ``(n_omega, n_x, m)`` as the node slices
+    ``(n_blocks * n_x, n_omega / n_blocks, m)`` of the band: block-major,
+    then node-major, with the block's transverse values at each node."""
+    nb, m = sec.n_blocks, t.shape[2]
+    return t.reshape(nb, -1, sec.n_x, m).transpose(0, 2, 1, 3).reshape(nb * sec.n_x, -1, m)
+
+
+def _transverse(q: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``q @ t`` for a real ``q`` and complex rows ``t``: one real product on
+    the interleaved real and imaginary parts.  A complex BLAS product here
+    would leave the narrow ``zgbtrs`` that follows several times slower."""
+    return (q @ np.ascontiguousarray(t).view(float)).view(complex)
+
+
 @dataclass(frozen=True)
 class BoundaryOperator:
     """``A = u + v R0(z) v`` held through its banded state-space embedding.
@@ -324,14 +344,20 @@ class BoundaryOperator:
     Built by :func:`boundary_operator`; the dense matrix is never formed.
     Vectors use the composite grid order of :class:`GridOperator`, as 1-D
     arrays or as the columns of 2-D arrays.  One banded LU of the embedding
-    serves :meth:`solve` and :meth:`solve_adjoint`; :meth:`matvec` and
-    :meth:`rmatvec` run the recurrences of the embedding directly.
+    on the model's sector blocks (``sectors``, ``slots`` mode slots per
+    node) serves :meth:`solve` and :meth:`solve_adjoint`; the sector
+    transform is orthogonal, so they are grid-coordinate solves.
+    :meth:`matvec`, :meth:`rmatvec` and :meth:`norm_bound` run the
+    recurrences of the grid-coordinate factors ``u``, ``a``, ``c`` and
+    ``ratio`` directly.
     """
 
     u: np.ndarray          # (n_x, n_omega) signs of the potential
     a: np.ndarray          # (n_x, n_used, n_omega) mode factors f_n v sqrt(w)
     c: np.ndarray          # (n_used,) kernel prefactors i / (2 mu_n)
     ratio: np.ndarray      # (n_x, n_used) step ratios exp(i mu_n dx); row 0 unused
+    sectors: Sectors       # block layout of the band
+    slots: int             # mode slots per node of the band
     lu: np.ndarray         # band LU of the embedding (zgbtrf layout)
     piv: np.ndarray
     singular: bool         # the band LU met an exactly zero pivot
@@ -344,27 +370,36 @@ class BoundaryOperator:
 
     @property
     def _width(self) -> int:
-        """Unknowns per longitudinal node, which is also the half bandwidth."""
-        return self.u.shape[1] + 2 * self.n_used
+        """Unknowns per node of the band, which is also its half bandwidth."""
+        return self.u.shape[1] // self.sectors.n_blocks + 2 * self.slots
 
-    def _nodes(self, y) -> np.ndarray:
-        """Grid vector(s) as ``(n_x, n_omega, m)`` node slices."""
+    def _nodes(self, y, sec: Sectors) -> np.ndarray:
+        """Grid vector(s) ``(dim,)`` or ``(dim, m)`` as the node slices of ``sec``."""
         y = np.asarray(y, dtype=complex)
         if y.shape[0] != self.dim:
             raise DimensionError(f"vector length {y.shape[0]} != operator dim {self.dim}")
-        n_x, n_omega = self.u.shape
-        return y.reshape(n_omega, n_x, -1).transpose(1, 0, 2)
+        t = y.reshape(sec.n_omega, -1)
+        if sec.basis is not None:
+            t = _transverse(sec.basis.T, t)
+        return _layout(sec, t.reshape(sec.n_omega, sec.n_x, -1))
 
-    def _grid(self, nodes: np.ndarray, like) -> np.ndarray:
-        out = nodes.transpose(1, 0, 2).reshape(self.dim, -1)
+    def _grid(self, nodes: np.ndarray, sec: Sectors, like) -> np.ndarray:
+        """Node slices of ``sec`` as grid vector(s) shaped like ``like``."""
+        nb, m = sec.n_blocks, nodes.shape[2]
+        t = nodes.reshape(nb, sec.n_x, -1, m).transpose(0, 2, 1, 3).reshape(sec.n_omega, -1)
+        if sec.basis is not None:
+            t = _transverse(sec.basis, t)
+        out = t.reshape(self.dim, m)
         return out[:, 0] if np.ndim(like) == 1 else out
 
     def matvec(self, y) -> np.ndarray:
-        """``A @ y``: the forward and backward mode sums of the embedding."""
-        yk = self._nodes(y)
+        """``A @ y``: the forward and backward mode sums of the grid factors."""
+        n_x, n_omega = self.u.shape
+        grid = Sectors.single(n_omega, n_x)
+        yk = self._nodes(y, grid)
         t = np.einsum("kpi,kim->kpm", self.a, yk)
         h = self.c[None, :, None] * _mode_sums(self.ratio[:, :, None], t)
-        return self._grid(self.u[:, :, None] * yk + np.einsum("kpi,kpm->kim", self.a, h), y)
+        return self._grid(self.u[:, :, None] * yk + np.einsum("kpi,kpm->kim", self.a, h), grid, y)
 
     def rmatvec(self, y) -> np.ndarray:
         """``A^H @ y``.  ``u``, ``v`` and the modes are real and the kernel is
@@ -373,13 +408,13 @@ class BoundaryOperator:
         return np.conj(self.matvec(np.conj(y)))
 
     def _band_solve(self, b, trans: int) -> np.ndarray:
-        nodes = self._nodes(b)
-        n_x, n_omega, m = nodes.shape
-        p, s = self.n_used, self._width
-        rhs = np.zeros((n_x, s, m), dtype=complex)
-        rhs[:, p : p + n_omega] = nodes
-        x, _ = _GBTRS(self.lu, s, s, rhs.reshape(n_x * s, m), self.piv, trans=trans)
-        return self._grid(x.reshape(n_x, s, m)[:, p : p + n_omega], b)
+        nodes = self._nodes(b, self.sectors)
+        n, w, m = nodes.shape
+        p, s = self.slots, self._width
+        rhs = np.zeros((n, s, m), dtype=complex)
+        rhs[:, p : p + w] = nodes
+        x, _ = _GBTRS(self.lu, s, s, rhs.reshape(n * s, m), self.piv, trans=trans)
+        return self._grid(x.reshape(n, s, m)[:, p : p + w], self.sectors, b)
 
     def solve(self, b) -> np.ndarray:
         """``A^-1 b``: the ``y`` part of the embedding's solution for ``(b, 0, 0)``."""
@@ -412,14 +447,38 @@ _GBTRF, _GBTRS = (get_lapack_funcs(name, (np.zeros(1, dtype=complex),))
                   for name in ("gbtrf", "gbtrs"))
 
 
+def _mode_slots(sec: Sectors, a: np.ndarray) -> np.ndarray:
+    """Retained-mode index (0-based) per block and slot, ``-1`` for an
+    inert slot, from the mode factors ``a`` in sector coordinates.
+
+    One block carries every mode.  In a decomposing model each mode has
+    weight in one sector only (``transverse_sectors`` checks this to
+    ``SECTOR_TOL``): it goes to the sector where its weight is largest, and
+    a mode whose weight is at ``SECTOR_TOL`` of zero relative to the largest
+    (an aliased zero) goes nowhere.  The off-sector remainders dropped so
+    are the same size as the couplings the sector blocks leave out.
+    """
+    p = a.shape[1]
+    if sec.basis is None:
+        return np.arange(p)[None, :]
+    weight = np.linalg.norm(a, axis=0)                      # (n_used, n_omega)
+    home = weight.argmax(axis=1)
+    live = weight[np.arange(p), home] > SECTOR_TOL * weight.max()
+    members = [np.flatnonzero(live & (home == s)) for s in range(sec.n_blocks)]
+    slots = np.full((sec.n_blocks, max(m.size for m in members)), -1)
+    for s, m in enumerate(members):
+        slots[s, : m.size] = m
+    return slots
+
+
 def boundary_operator(pt: SpectralPoint, model: WaveguideModel,
                       tail_tol: float = 1e-4) -> BoundaryOperator:
     """Factor ``u + v R0(lam - kappa^2) v`` through its state-space embedding.
 
     The mode cutoff, its tail bound and the threshold check are those of
     :func:`bs_operator`.  At each longitudinal node ``x_k`` the embedding
-    carries ``y_k`` (the ``n_omega`` grid values) and, per retained mode,
-    the forward and backward sums
+    carries ``y_k`` (the grid values) and, per retained mode, the forward
+    and backward sums
 
         f_n(k) = rho_n(k) f_n(k-1) + t_n(k),
         g_n(k) = rho_n(k+1) g_n(k+1) + t_n(k),    t_n(k) = a^n_k . y_k,
@@ -429,14 +488,24 @@ def boundary_operator(pt: SpectralPoint, model: WaveguideModel,
     upper branch ``mu_n = sqrt(z - lambda_n)``.  The node equation
     ``u_k y_k + sum_n c_n a^n_k (f_n(k) + g_n(k) - t_n(k)) = b_k``,
     ``c_n = i / (2 mu_n)``, closes the system; eliminating ``f`` and ``g``
-    leaves exactly ``A y = b``.  Node-major order makes the system banded
-    with half bandwidth ``n_omega + 2 n_used``, factored once by LAPACK
-    ``zgbtrf``.  Raises :class:`DimensionError` unless the ``x`` nodes
+    leaves exactly ``A y = b``.
+
+    The embedding is built once per sector block of ``model.sectors``: a
+    coupled model is one block with ``n_omega`` values per node and every
+    mode; in a sector of a decomposing model each node carries one value
+    and only the modes with weight there (:func:`_mode_slots`).  The blocks
+    are padded to a common count ``q`` of mode slots with inert slots
+    (``a = 0``, ``c = 0``, ratio 0) and stacked block-major, then
+    node-major, with the ratios cut to 0 at every block start, so one band
+    of half bandwidth ``s = w + 2 q`` (``w`` values per node) holds them
+    all and one LAPACK ``zgbtrf`` factors it: ``s = n_omega + 2 n_used`` for
+    one block, ``s = 1 + 2 q`` for sectors (the cost model is in the module
+    docstring).  Raises :class:`DimensionError` unless the ``x`` nodes
     increase strictly.
     """
     z = pt.z
     n_used, tail = _truncation(model, z, tail_tol, model.n_max)
-    grid = model.grid
+    grid, sec = model.grid, model.sectors
     n_omega, n_x, p = grid.n_omega, grid.n_x, n_used
     x = grid.x_nodes
     if np.any(np.diff(x) <= 0):
@@ -449,25 +518,40 @@ def boundary_operator(pt: SpectralPoint, model: WaveguideModel,
     a = (samples[:, :, None] * (model.potential.v * sw)).transpose(2, 0, 1)
     u = model.potential.u.T
 
-    # node block [f(k), y(k), g(k)] of s unknowns; band storage row kl+ku+r-c
-    s = n_omega + 2 * p
-    fs, ys, gs = slice(0, p), slice(p, p + n_omega), slice(p + n_omega, s)
-    ca = c[None, :, None] * a
-    block = np.zeros((n_x, s, s), dtype=complex)
-    block[:, fs, fs] = block[:, gs, gs] = np.eye(p)
-    block[:, fs, ys] = block[:, gs, ys] = -a
+    # q mode slots per node in every block: each slot's mode factors,
+    # prefactor and ratios, zero in inert slots
+    a_sec = a if sec.basis is None else a @ sec.basis
+    slots = _mode_slots(sec, a_sec)
+    (nb, q), w = slots.shape, n_omega // sec.n_blocks
+    n = nb * n_x
+    live, mode = slots >= 0, np.maximum(slots, 0)
+    an = a_sec.reshape(n_x, p, nb, w)[:, mode, np.arange(nb)[:, None], :]   # (n_x, nb, q, w)
+    an = np.where(live[:, :, None], an, 0.0).transpose(1, 0, 2, 3).reshape(n, q, w)
+    cn = np.repeat(np.where(live, c[mode], 0.0), n_x, axis=0)
+    rn = np.where(live[:, None, :], ratio[:, mode].transpose(1, 0, 2), 0.0)
+    rn[:, 0] = 0.0                                                  # cut at block starts
+    rn = rn.reshape(n, q)
+    un = _layout(sec, model.potential.u[:, :, None])[:, :, 0]      # u is constant along omega
+
+    # node block [f(k), y(k), g(k)] of s unknowns; band storage ab[kl+ku+r-c, c],
+    # filled through its transpose, one node-block column at a time
+    s = w + 2 * q
+    fs, ys, gs = slice(0, q), slice(q, q + w), slice(q + w, s)
+    ca = cn[:, :, None] * an
+    block = np.zeros((n, s, s), dtype=complex)
+    block[:, fs, fs] = block[:, gs, gs] = np.eye(q)
+    block[:, fs, ys] = block[:, gs, ys] = -an
     block[:, ys, fs] = block[:, ys, gs] = ca.transpose(0, 2, 1)
-    block[:, ys, ys] = -np.einsum("kmi,kmj->kij", ca, a)
-    diag = np.arange(p, p + n_omega)
-    block[:, diag, diag] += u
-    ab = np.zeros((3 * s + 1, n_x * s), dtype=complex)
-    r, col = np.indices((s, s))
-    ab[2 * s + r - col, np.arange(n_x)[:, None, None] * s + col] = block
-    modes = np.arange(p)
-    ab[3 * s, (np.arange(n_x - 1) * s)[:, None] + modes] = -ratio[1:]  # f(k) <- f(k-1)
-    ab[s, (np.arange(1, n_x) * s)[:, None] + gs.start + modes] = -ratio[1:]  # g(k) <- g(k+1)
-    lu, piv, info = _GBTRF(ab, s, s, overwrite_ab=1)
-    return BoundaryOperator(u, a, c, ratio, lu, piv, info > 0, n_used, tail)
+    block[:, ys, ys] = -np.einsum("kmi,kmj->kij", ca, an)
+    diag = np.arange(q, q + w)
+    block[:, diag, diag] += un
+    abt = np.zeros((n, s, 3 * s + 1), dtype=complex)
+    for col in range(s):
+        abt[:, col, 2 * s - col : 3 * s - col] = block[:, :, col]
+    abt[:-1, fs, 3 * s] = -rn[1:]   # f(k) <- f(k-1)
+    abt[1:, gs, s] = -rn[1:]        # g(k) <- g(k+1)
+    lu, piv, info = _GBTRF(abt.reshape(n * s, 3 * s + 1).T, s, s, overwrite_ab=1)
+    return BoundaryOperator(u, a, c, ratio, sec, q, lu, piv, info > 0, n_used, tail)
 
 
 # ---------------------------------------------------------------------------

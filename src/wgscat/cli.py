@@ -315,8 +315,9 @@ def cmd_expansion(cfg, writer: ArtifactWriter, args) -> int:
     tail_tol = config_value(task, "tail_tol", float, 1e-3)
     kappa_lo = config_value(task, "kappa_lo", float, 1e-4)
     kappa_hi = config_value(task, "kappa_hi", float, 1e-2)
-    if not 0 < kappa_lo < kappa_hi:
-        raise ConfigError(f"kappa_lo = {kappa_lo}; need 0 < kappa_lo < kappa_hi = {kappa_hi}")
+    if not 0 < kappa_lo < kappa_hi <= eps:
+        raise ConfigError(f"kappa_lo = {kappa_lo}, kappa_hi = {kappa_hi}; "
+                          f"need 0 < kappa_lo < kappa_hi <= eps = {eps}")
     model = _model(cfg)
     ladder = expansion.build_threshold_ladder(model, lam, eps=eps, tail_tol=tail_tol)
     report = expansion.ladder_report(ladder)
@@ -338,8 +339,11 @@ def cmd_eigenvalues(cfg, writer: ArtifactWriter, args) -> int:
     window = tuple(config_value(task, "window", lambda w: json_list(w, length=2)))
     tail_tol = config_value(task, "tail_tol", float, 1e-3)
     resolutions = config_value(task, "resolutions", lambda rs: json_list(rs, int), [48])
-    if any(res < 3 for res in resolutions):
-        raise ConfigError(f"resolutions = {resolutions}; need at least 3 points each")
+    if not window[0] < window[1]:
+        raise ConfigError(f"window = {list(window)}; need lo < hi")
+    if not resolutions or any(res < 3 for res in resolutions):
+        raise ConfigError(f"resolutions = {resolutions}; need at least one, "
+                          "of at least 3 points each")
     model = _model(cfg)
     rows = []
     counts = []

@@ -164,6 +164,16 @@ class TestBoundaryOperator:
             ratio = op.cond_estimate() / linalg.cond_estimate(a)
             assert 0.1 <= ratio <= 10.0
 
+    def test_band_width_per_sector(self, well_small, coupled_model):
+        # 5 lattice nodes: modes 1-5 take one sector each, mode 6 vanishes on
+        # the lattice, and modes 7 and 8 alias into the sectors of 5 and 4
+        pt = birman.SpectralPoint(2.5, 0.0)
+        widths = [(op.n_used, op.slots, op._width) for op in (
+            birman.boundary_operator(pt, well_small, tol) for tol in (0.1, 0.03))]
+        assert widths == [(4, 1, 3), (8, 2, 5)]
+        one = birman.boundary_operator(pt, coupled_model, 0.03)
+        assert (one.slots, one._width) == (one.n_used, 5 + 2 * one.n_used)
+
     def test_cond_estimate_at_embedded_eigenvalue(self, well_medium, embedded_lambda):
         pt = birman.SpectralPoint(embedded_lambda, 0.0)
         dense = linalg.cond_estimate(birman.bs_operator(pt, well_medium, 0.03).matrix)

@@ -309,13 +309,22 @@ class TestConfigErrors:
          MODEL_DOC, None),
         ("expansion", {"expansion": {"lam": 4.0, "eps": 0, "tail_tol": 0.2}}, MODEL_DOC, None),
         ("verify", {"verify": {"lam": 4.0, "eps": -1e-2, "tail_tol": 0.2}}, MODEL_DOC, None),
+        ("eigenvalues", {"eigenvalues": {"window": [0.95, 0.6], "resolutions": [10],
+                                         "tail_tol": 0.2}}, MODEL_DOC, None),
+        ("eigenvalues", {"eigenvalues": {"window": [0.8, 0.8], "resolutions": [10],
+                                         "tail_tol": 0.2}}, MODEL_DOC, None),
+        ("eigenvalues", {"eigenvalues": {"window": [0.6, 0.95], "resolutions": [],
+                                         "tail_tol": 0.2}}, MODEL_DOC, None),
+        ("expansion", {"expansion": {"lam": 4.0, "eps": 2e-2, "tail_tol": 0.2,
+                                     "kappa_hi": 0.5}}, MODEL_DOC, None),
     ], ids=["energy-not-a-number", "energies-null", "n_x-not-an-integer",
             "model-schema-version", "family-base-not-a-matrix", "family-not-json",
             "family-coeff-not-a-matrix", "table-shape", "n_omega-1", "n_x-1",
             "n_panels-not-dividing-n_x", "n_max-0", "custom-samples-shape",
             "halvings-zero", "resolutions-two", "resolutions-negative", "kappa_lo-zero",
             "kappa_lo-above-kappa_hi", "eps-zero", "eps-zero-expansion",
-            "eps-negative-verify"])
+            "eps-negative-verify", "window-reversed", "window-empty", "resolutions-empty",
+            "kappa_hi-above-eps"])
     def test_exit_2_and_no_output(self, tmp_path, command, tasks, model, family):
         if family is not None:
             (tmp_path / "family.json").write_text(family)

@@ -284,3 +284,79 @@ def test_sign_varying_along_omega_is_one_block(case, cut):
         waveguide.factorize_potential(values, pot.omega_factor, pot.x_factor),
     )
     assert_one_block(signed, modes, z)
+
+
+COSINE = {"kind": "cosine", "amplitude": 0.5, "harmonic": 1}
+
+
+@st.composite
+def band_cases(draw):
+    """A :func:`sector_wells` model, decomposing (uniform profile) or coupled
+    (cosine profile), at a real energy inside one of its first open bands or
+    below the first threshold, with a tail tolerance that retains a drawn
+    number of modes: up to ``n_max``, past the transverse lattice, so sectors
+    with no mode, one mode and aliased second modes all occur."""
+    model, _, _ = draw(sector_wells(profile=draw(st.sampled_from([None, COSINE]))))
+    t = model.thresholds()
+    band = draw(st.integers(-1, min(2, len(t) - 2)))
+    if band < 0:
+        lam = t[0] - draw(st.floats(0.1, 2.0))
+    else:
+        lam = t[band] + draw(st.floats(0.1, 0.9)) * (t[band + 1] - t[band])
+    n_open = sum(model.eigenvalue(n) <= lam for n in range(1, model.n_max + 1))
+    n_keep = draw(st.integers(max(n_open, 1), model.n_max))
+    return model, lam, birman.tail_bound_value(model, complex(lam), n_keep)
+
+
+def mode_classes(model, n_used):
+    """Retained modes grouped by parallel weighted transverse vectors, modes
+    that vanish on the lattice left out: the modes of each sector."""
+    pot = model.potential
+    phi = [m.samples * pot.omega_factor * np.sqrt(model.grid.omega_weights)
+           for m in model.modes[:n_used]]
+    top = max(np.linalg.norm(f) for f in phi)
+    classes: list[list[np.ndarray]] = []
+    for f in phi:
+        if np.linalg.norm(f) <= 1e-9 * top:
+            continue
+        e = f / np.linalg.norm(f)
+        home = [c for c in classes if abs(c[0] @ e) > 1.0 - 1e-9]
+        if home:
+            home[0].append(e)
+        else:
+            classes.append([e])
+    return classes
+
+
+@given(band_cases())
+def test_boundary_operator_matches_dense_oracle(case):
+    # the tolerances of TestBoundaryOperator.test_equals_dense_operator, on
+    # the sector band of decomposing models and the one block of coupled ones
+    model, lam, tail_tol = case
+    op = birman.boundary_operator(birman.SpectralPoint(lam, 0.0), model, tail_tol)
+    a = birman._dense_matrix(model, complex(lam), op.n_used)
+    rng = np.random.default_rng(3)
+    b = rng.normal(size=(model.dim, 3)) + 1j * rng.normal(size=(model.dim, 3))
+
+    def rel(x, ref):
+        return float(np.linalg.norm(x - ref) / np.linalg.norm(ref))
+
+    assert rel(op.solve(b), linalg.solve(a, b)) <= 1e-12
+    assert rel(op.solve_adjoint(b), linalg.solve(a.conj().T, b)) <= 1e-12
+    assert rel(op.matvec(b), a @ b) <= 1e-12
+    assert rel(op.solve(b[:, 0]), linalg.solve(a, b[:, 0])) <= 1e-12
+    assert 0.1 <= op.cond_estimate() / linalg.cond_estimate(a) <= 10.0
+
+
+@given(band_cases())
+def test_band_width_follows_the_sector_slots(case):
+    model, lam, tail_tol = case
+    op = birman.boundary_operator(birman.SpectralPoint(lam, 0.0), model, tail_tol)
+    n_omega, n_x = model.grid.n_omega, model.grid.n_x
+    if model.sectors.basis is None:
+        assert (op.slots, op._width) == (op.n_used, n_omega + 2 * op.n_used)
+    else:
+        slots = max((len(c) for c in mode_classes(model, op.n_used)), default=0)
+        assert (op.slots, op._width) == (slots, 1 + 2 * slots)
+    s = op._width
+    assert op.lu.shape == (3 * s + 1, model.sectors.n_blocks * n_x * s)
