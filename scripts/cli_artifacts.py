@@ -1,0 +1,86 @@
+"""Run the CLI re-baseline config set into one directory.
+
+    python scripts/cli_artifacts.py OUT_DIR
+
+Runs the ``wgscat`` this interpreter imports (put a checkout's ``src`` first
+on ``PYTHONPATH`` to run that checkout) through ``wgscat.cli.main``, on:
+
+- the 4x24 uniform square well of ``tests/test_cli.py`` (a model that splits
+  into sector blocks) and its cosine-profile twin (a coupled, one-block
+  model), each through ``smatrix``, ``eigenvalues``, ``threshold-scan``,
+  ``expansion --verify`` and ``verify``;
+- the 5x60 uniform well of the ``eigen_scan_cli`` benchmark through
+  ``eigenvalues``.
+
+Each run writes its artifacts to ``OUT_DIR/<model>-<command>/`` and its
+config to ``OUT_DIR/configs/``.  A re-baseline is one run per checkout,
+then ``python scripts/artifact_diff.py OLD_DIR NEW_DIR --ignore
+manifest.json``.  The exit code is 0 when every command exits 0 and 1
+otherwise; each command's exit code is printed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import sys
+from pathlib import Path
+
+from wgscat import cli
+
+WELL = {
+    "schema_version": 1,
+    "cross_section": {"kind": "interval", "length": math.pi},
+    "grid": {"n_omega": 4, "n_x": 24},
+    "n_max": 5,
+    "potential": {"kind": "square_well", "depth": 1.0, "x_box": [0.0, 1.0]},
+}
+COSINE_WELL = dict(WELL, potential=dict(
+    WELL["potential"], omega_profile={"kind": "cosine", "amplitude": 0.5, "harmonic": 1}))
+SCAN_WELL = dict(WELL, grid={"n_omega": 5, "n_x": 60}, n_max=9)
+
+# command -> (config task key, task, extra flags)
+WELL_TASKS = {
+    "smatrix": ("smatrix", {"energies": [1.6, 2.2, 2.8, 3.4, 5.5], "tail_tol": 0.1}, []),
+    "eigenvalues": ("eigenvalues", {"window": [0.6, 0.95], "resolutions": [10, 20],
+                                    "tail_tol": 0.2}, []),
+    "threshold-scan": ("threshold_scan", {"lam": 4.0, "eps": 2e-2, "halvings": 4,
+                                          "tail_tol": 0.2,
+                                          "pairs": [[[1, 1], [1, 1]], [[2, 1], [2, 1]]]}, []),
+    "expansion": ("expansion", {"lam": 4.0, "eps": 2e-2, "tail_tol": 0.2}, ["--verify"]),
+    "verify": ("verify", {"lam": 4.0, "tail_tol": 0.2}, []),
+}
+SCAN_TASK = ("eigenvalues", {"window": [3.3, 3.95], "resolutions": [9], "tail_tol": 0.03}, [])
+
+
+def runs() -> list[tuple[str, str, dict, tuple]]:
+    """``(name, command, model, (task key, task, flags))`` of every run."""
+    out = []
+    for label, model in (("well", WELL), ("cosine", COSINE_WELL)):
+        for command, task in WELL_TASKS.items():
+            out.append((f"{label}-{command}", command, model, task))
+    out.append(("scan-eigenvalues", "eigenvalues", SCAN_WELL, SCAN_TASK))
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("out", type=Path, help="directory to write the runs into")
+    args = parser.parse_args(argv)
+    configs = args.out / "configs"
+    configs.mkdir(parents=True, exist_ok=True)
+    failed = 0
+    for name, command, model, (key, task, flags) in runs():
+        cfg = configs / f"{name}.json"
+        cfg.write_text(json.dumps({"schema_version": 1, "model": model, "tasks": {key: task}},
+                                  indent=1))
+        rc = cli.main([command, "--config", str(cfg), "--out", str(args.out / name),
+                       "--threads", "1", *flags])
+        print(f"{name}: exit {rc}")
+        failed += rc != 0
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

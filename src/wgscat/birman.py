@@ -21,7 +21,9 @@ built on the same sector blocks as the ladders: a coupled model is one block
 with ``s = n_omega + 2 n_used`` unknowns per node, and each sector of a
 decomposing model carries one transverse value and the ``q`` mode slots of
 the fullest sector per node, ``s = 1 + 2 q``, with inert slots padding the
-sectors that hold fewer modes.  All blocks stack into one band of half
+sectors that hold fewer modes.  ``model.sectors`` owns the layout: it
+records each mode's sector and transforms vectors between grid and sector
+coordinates.  All blocks stack into one band of half
 bandwidth ``s`` over ``n_blocks n_x`` nodes; its LU costs about
 ``16 n_blocks n_x s^3`` flops and ``n_blocks n_x s (3 s + 1)`` stored
 entries, against ``(8/3) dim^3`` flops and ``dim^2`` entries for the dense
@@ -44,7 +46,7 @@ from .errors import (
     TruncationError,
 )
 from .linalg import onenorm_estimate
-from .waveguide import SECTOR_TOL, Sectors, WaveguideModel, gauss_legendre_panels
+from .waveguide import Sectors, WaveguideModel, gauss_legendre_panels
 
 _MODE_CHUNK_ENTRIES = 4_000_000  # chunk mode stacks to bound working memory
 
@@ -330,13 +332,6 @@ def _layout(sec: Sectors, t: np.ndarray) -> np.ndarray:
     return t.reshape(nb, -1, sec.n_x, m).transpose(0, 2, 1, 3).reshape(nb * sec.n_x, -1, m)
 
 
-def _transverse(q: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """``q @ t`` for a real ``q`` and complex rows ``t``: one real product on
-    the interleaved real and imaginary parts.  A complex BLAS product here
-    would leave the narrow ``zgbtrs`` that follows several times slower."""
-    return (q @ np.ascontiguousarray(t).view(float)).view(complex)
-
-
 @dataclass(frozen=True)
 class BoundaryOperator:
     """``A = u + v R0(z) v`` held through its banded state-space embedding.
@@ -345,8 +340,9 @@ class BoundaryOperator:
     Vectors use the composite grid order of :class:`GridOperator`, as 1-D
     arrays or as the columns of 2-D arrays.  One banded LU of the embedding
     on the model's sector blocks (``sectors``, ``slots`` mode slots per
-    node) serves :meth:`solve` and :meth:`solve_adjoint`; the sector
-    transform is orthogonal, so they are grid-coordinate solves.
+    node) serves :meth:`solve`, between the orthogonal transforms
+    ``sectors.to_sector`` and ``sectors.to_grid``; ``A`` is complex
+    symmetric, so :meth:`solve_adjoint` is the conjugated solve.
     :meth:`matvec`, :meth:`rmatvec` and :meth:`norm_bound` run the
     recurrences of the grid-coordinate factors ``u``, ``a``, ``c`` and
     ``ratio`` directly.
@@ -373,33 +369,34 @@ class BoundaryOperator:
         """Unknowns per node of the band, which is also its half bandwidth."""
         return self.u.shape[1] // self.sectors.n_blocks + 2 * self.slots
 
-    def _nodes(self, y, sec: Sectors) -> np.ndarray:
-        """Grid vector(s) ``(dim,)`` or ``(dim, m)`` as the node slices of ``sec``."""
+    def _vectors(self, y) -> np.ndarray:
+        """Grid vector(s) ``(dim,)`` or ``(dim, m)`` as complex ``(dim, m)``."""
         y = np.asarray(y, dtype=complex)
         if y.shape[0] != self.dim:
             raise DimensionError(f"vector length {y.shape[0]} != operator dim {self.dim}")
-        t = y.reshape(sec.n_omega, -1)
-        if sec.basis is not None:
-            t = _transverse(sec.basis.T, t)
-        return _layout(sec, t.reshape(sec.n_omega, sec.n_x, -1))
+        return y.reshape(self.dim, -1)
 
-    def _grid(self, nodes: np.ndarray, sec: Sectors, like) -> np.ndarray:
-        """Node slices of ``sec`` as grid vector(s) shaped like ``like``."""
-        nb, m = sec.n_blocks, nodes.shape[2]
-        t = nodes.reshape(nb, sec.n_x, -1, m).transpose(0, 2, 1, 3).reshape(sec.n_omega, -1)
-        if sec.basis is not None:
-            t = _transverse(sec.basis, t)
-        out = t.reshape(self.dim, m)
+    def _nodes(self, y) -> np.ndarray:
+        """Grid vector(s) as the node slices of the band."""
+        sec = self.sectors
+        return _layout(sec, sec.to_sector(self._vectors(y)).reshape(sec.n_omega, sec.n_x, -1))
+
+    def _grid(self, nodes: np.ndarray, like) -> np.ndarray:
+        """Node slices of the band as grid vector(s) shaped like ``like``."""
+        sec, m = self.sectors, nodes.shape[2]
+        t = nodes.reshape(sec.n_blocks, sec.n_x, -1, m).transpose(0, 2, 1, 3)
+        out = sec.to_grid(t.reshape(self.dim, m))
         return out[:, 0] if np.ndim(like) == 1 else out
 
     def matvec(self, y) -> np.ndarray:
         """``A @ y``: the forward and backward mode sums of the grid factors."""
         n_x, n_omega = self.u.shape
-        grid = Sectors.single(n_omega, n_x)
-        yk = self._nodes(y, grid)
+        yk = np.ascontiguousarray(self._vectors(y).reshape(n_omega, n_x, -1).transpose(1, 0, 2))
         t = np.einsum("kpi,kim->kpm", self.a, yk)
         h = self.c[None, :, None] * _mode_sums(self.ratio[:, :, None], t)
-        return self._grid(self.u[:, :, None] * yk + np.einsum("kpi,kpm->kim", self.a, h), grid, y)
+        out = self.u[:, :, None] * yk + np.einsum("kpi,kpm->kim", self.a, h)
+        out = out.transpose(1, 0, 2).reshape(self.dim, -1)
+        return out[:, 0] if np.ndim(y) == 1 else out
 
     def rmatvec(self, y) -> np.ndarray:
         """``A^H @ y``.  ``u``, ``v`` and the modes are real and the kernel is
@@ -407,22 +404,20 @@ class BoundaryOperator:
         ``A^H y = conj(A conj(y))``."""
         return np.conj(self.matvec(np.conj(y)))
 
-    def _band_solve(self, b, trans: int) -> np.ndarray:
-        nodes = self._nodes(b, self.sectors)
+    def solve(self, b) -> np.ndarray:
+        """``A^-1 b``: the ``y`` part of the embedding's solution for ``(b, 0, 0)``."""
+        nodes = self._nodes(b)
         n, w, m = nodes.shape
         p, s = self.slots, self._width
         rhs = np.zeros((n, s, m), dtype=complex)
         rhs[:, p : p + w] = nodes
-        x, _ = _GBTRS(self.lu, s, s, rhs.reshape(n * s, m), self.piv, trans=trans)
-        return self._grid(x.reshape(n, s, m)[:, p : p + w], self.sectors, b)
-
-    def solve(self, b) -> np.ndarray:
-        """``A^-1 b``: the ``y`` part of the embedding's solution for ``(b, 0, 0)``."""
-        return self._band_solve(b, 0)
+        x, _ = _GBTRS(self.lu, s, s, rhs.reshape(n * s, m), self.piv)
+        return self._grid(x.reshape(n, s, m)[:, p : p + w], b)
 
     def solve_adjoint(self, b) -> np.ndarray:
-        """``A^-H b``: the Schur complement of the adjoint embedding is ``A^H``."""
-        return self._band_solve(b, 2)
+        """``A^-H b = conj(A^-1 conj(b))``, since ``A`` is complex symmetric
+        (:meth:`rmatvec`)."""
+        return np.conj(self.solve(np.conj(b)))
 
     def norm_bound(self) -> float:
         """Upper bound on ``|A|_1``: the largest column sum of ``|u|`` plus
@@ -447,28 +442,16 @@ _GBTRF, _GBTRS = (get_lapack_funcs(name, (np.zeros(1, dtype=complex),))
                   for name in ("gbtrf", "gbtrs"))
 
 
-def _mode_slots(sec: Sectors, a: np.ndarray) -> np.ndarray:
+def _mode_slots(sec: Sectors, n_used: int) -> np.ndarray:
     """Retained-mode index (0-based) per block and slot, ``-1`` for an
-    inert slot, from the mode factors ``a`` in sector coordinates.
-
-    One block carries every mode.  In a decomposing model each mode has
-    weight in one sector only (``transverse_sectors`` checks this to
-    ``SECTOR_TOL``): it goes to the sector where its weight is largest, and
-    a mode whose weight is at ``SECTOR_TOL`` of zero relative to the largest
-    (an aliased zero) goes nowhere.  The off-sector remainders dropped so
-    are the same size as the couplings the sector blocks leave out.
-    """
-    p = a.shape[1]
+    inert slot: one block carries every mode, and in a decomposing model
+    each mode goes to the sector :func:`transverse_sectors` recorded for it
+    (``sec.mode_sector``), a mode that vanishes on the lattice to none."""
     if sec.basis is None:
-        return np.arange(p)[None, :]
-    weight = np.linalg.norm(a, axis=0)                      # (n_used, n_omega)
-    home = weight.argmax(axis=1)
-    live = weight[np.arange(p), home] > SECTOR_TOL * weight.max()
-    members = [np.flatnonzero(live & (home == s)) for s in range(sec.n_blocks)]
-    slots = np.full((sec.n_blocks, max(m.size for m in members)), -1)
-    for s, m in enumerate(members):
-        slots[s, : m.size] = m
-    return slots
+        return np.arange(n_used)[None, :]
+    members = [np.flatnonzero(sec.mode_sector[:n_used] == s) for s in range(sec.n_blocks)]
+    q = max(m.size for m in members)
+    return np.array([np.pad(m, (0, q - m.size), constant_values=-1) for m in members])
 
 
 def boundary_operator(pt: SpectralPoint, model: WaveguideModel,
@@ -493,7 +476,7 @@ def boundary_operator(pt: SpectralPoint, model: WaveguideModel,
     The embedding is built once per sector block of ``model.sectors``: a
     coupled model is one block with ``n_omega`` values per node and every
     mode; in a sector of a decomposing model each node carries one value
-    and only the modes with weight there (:func:`_mode_slots`).  The blocks
+    and only the modes ``model.sectors`` records there.  The blocks
     are padded to a common count ``q`` of mode slots with inert slots
     (``a = 0``, ``c = 0``, ratio 0) and stacked block-major, then
     node-major, with the ratios cut to 0 at every block start, so one band
@@ -521,7 +504,7 @@ def boundary_operator(pt: SpectralPoint, model: WaveguideModel,
     # q mode slots per node in every block: each slot's mode factors,
     # prefactor and ratios, zero in inert slots
     a_sec = a if sec.basis is None else a @ sec.basis
-    slots = _mode_slots(sec, a_sec)
+    slots = _mode_slots(sec, n_used)
     (nb, q), w = slots.shape, n_omega // sec.n_blocks
     n = nb * n_x
     live, mode = slots >= 0, np.maximum(slots, 0)

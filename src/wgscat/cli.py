@@ -31,6 +31,9 @@ Config schema::
                          "tail_tol": 1e-3},
         "verify": {"lam": 4.0, "eps": 1e-2, "tail_tol": 1e-3}
      }}
+
+``verify`` samples the structural report at ``|kappa|`` in
+``[1e-4, min(1e-2, eps)]``, so its ``eps`` must exceed ``1e-4``.
 """
 
 from __future__ import annotations
@@ -367,6 +370,8 @@ def cmd_verify(cfg, writer: ArtifactWriter, args) -> int:
     task = _task(cfg, "verify", {})
     lam = config_value(task, "lam", float, None)
     eps = _eps(task)
+    if not eps > 1e-4:
+        raise ConfigError(f"eps = {eps}; verify samples |kappa| from 1e-4 and needs eps > 1e-4")
     tail_tol = config_value(task, "tail_tol", float, 1e-3)
     model = _model(cfg)
     if lam is None:
@@ -374,7 +379,7 @@ def cmd_verify(cfg, writer: ArtifactWriter, args) -> int:
     report: dict = {"model_dim": model.dim}
 
     ladder = expansion.build_threshold_ladder(model, lam, eps=eps, tail_tol=tail_tol)
-    struct = expansion.verify_structural_lemmas(ladder)
+    struct = expansion.verify_structural_lemmas(ladder, kappa_hi=min(1e-2, eps))
     report["structural"] = struct.to_dict()
 
     # optical identity at a regular energy between the first two thresholds

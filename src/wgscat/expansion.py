@@ -704,22 +704,27 @@ def verify_structural_lemmas(
     kappa_hi: float = 1e-2,
 ) -> StructuralReport:
     """Measure every structural identity of the ladder and fit the kappa
-    growth exponents of the commutators.  Report-only; nothing raises.
+    growth exponents of the commutators.  Report-only: a failed check is a
+    report line, not an exception.
 
     Identity defects are judged at ``STRUCT_TOL``, ranks at
     ``linalg.DEFAULT_RANK_TOL``, and the kappa samples come from
     :func:`kappa_sample_paths` on ``[kappa_lo, kappa_hi]``
-    (``KAPPA_PER_DECADE`` per decade).  The report works in the ladder's
-    sector coordinates, where every 2-norm is the grid one.  Norms that
-    involve ``S_j`` are taken from its orthonormal basis (thin factors, no
-    dense ``S_j``); the SVD kernel projector of ``N0`` that ``S0`` is
-    checked against is a block stack.
+    (``KAPPA_PER_DECADE`` per decade); ``kappa_hi`` above the ladder's
+    ``eps`` raises :class:`DomainError`, as :func:`m_function` does.  The
+    report works in the ladder's sector coordinates, where every 2-norm is
+    the grid one.  Norms that involve ``S_j`` are taken from its orthonormal
+    basis (thin factors, no dense ``S_j``); the SVD kernel projector of
+    ``N0`` that ``S0`` is checked against is a block stack.
 
     Identically vanishing quantities (for instance symmetry-protected rows)
     pass their growth targets vacuously and are flagged in the notes.
     """
     from . import scattering  # deferred import; scattering builds on this module
 
+    if kappa_hi > ladder.eps:
+        raise DomainError(f"kappa_hi = {kappa_hi:.3e} outside the ladder region "
+                          f"|kappa| <= eps = {ladder.eps:.3e}")
     checks: list[CheckLine] = []
     fits: list[FitLine] = []
     model = ladder.model

@@ -431,18 +431,21 @@ class Sectors:
     """Transverse basis in which the grid operators of a model are block diagonal.
 
     Two shapes occur.  A decomposing model has an orthonormal transverse
-    ``basis`` (``n_omega x n_omega``, sector ``s`` its column ``s``): sector
-    coordinates are the grid coordinates transformed by it tensored with the
-    identity in ``x`` (sector ``s`` holds indices ``s * n_x + k``), and the
-    operators split into ``n_omega`` diagonal blocks of size ``n_x``, one per
-    sector.  Any other model has ``basis=None``: one block of size ``dim``,
-    whose sector coordinates are the grid coordinates.  Operators are stored
-    as stacks ``(n_blocks, block_dim, block_dim)``.
+    ``basis`` (``n_omega x n_omega``, sector ``s`` its column ``s``) and the
+    sector ``mode_sector[n - 1]`` of each stored mode ``n`` (``-1`` where it
+    vanishes on the lattice): sector coordinates are the grid coordinates
+    transformed by :meth:`to_sector` (sector ``s`` holds indices
+    ``s * n_x + k``), and the operators split into ``n_omega`` diagonal
+    blocks of size ``n_x``, one per sector.  Any other model has
+    ``basis=None``: one block of size ``dim`` carrying every mode, whose
+    sector coordinates are the grid coordinates.  Operators are stored as
+    stacks ``(n_blocks, block_dim, block_dim)``.
     """
 
     basis: np.ndarray | None
     n_omega: int
     n_x: int
+    mode_sector: np.ndarray | None = None
 
     @classmethod
     def single(cls, n_omega: int, n_x: int) -> Sectors:
@@ -461,11 +464,17 @@ class Sectors:
     def block_dim(self) -> int:
         return self.dim // self.n_blocks
 
-    def _transverse(self, basis: np.ndarray | None, y) -> np.ndarray:
+    def _transverse(self, q: np.ndarray | None, y) -> np.ndarray:
+        """``q`` tensored with the identity in ``x``, applied to ``y``; one real
+        product on the interleaved parts of a complex ``y``, since after a
+        complex BLAS product OpenBLAS runs a narrow ``zgbtrs`` several times slower."""
         y = np.asarray(y)
-        if basis is None:
+        if q is None:
             return y
-        return (basis @ y.reshape(self.n_omega, -1)).reshape(y.shape)
+        t = y.reshape(self.n_omega, -1)
+        if np.iscomplexobj(t):
+            return (q @ np.ascontiguousarray(t).view(float)).view(complex).reshape(y.shape)
+        return (q @ t).reshape(y.shape)
 
     def to_sector(self, y) -> np.ndarray:
         """Grid vector(s) ``(dim,)`` or ``(dim, r)`` in sector coordinates."""
@@ -508,16 +517,17 @@ class Sectors:
 def transverse_sectors(model: WaveguideModel) -> Sectors:
     """Sector basis from the model's own weighted mode vectors
     ``phi_n = sqrt(g) f_n sqrt(w_omega)`` (``g`` the transverse potential
-    factor), ``n = 1..n_max``.
+    factor), ``n = 1..n_max``, with the sector of each mode.
 
     Nonzero ``phi_n`` are grouped into classes of parallel vectors; vectors
     at ``SECTOR_TOL`` of zero relative to the largest (aliased images such
-    as ``n = n_omega + 1`` on an interval lattice) carry no weight.  The
-    model decomposes when the potential is separable, its sign ``u`` does
-    not vary along ``omega``, and the classes are mutually orthogonal to
-    ``SECTOR_TOL``: then every retained mode sum is diagonal in the classes
-    completed to an orthonormal transverse basis, and ``u + v R0 v`` splits
-    into ``n_omega`` blocks of size ``n_x``.  Any other model is one block.
+    as ``n = n_omega + 1`` on an interval lattice) carry no weight and get
+    no sector.  The model decomposes when the potential is separable, its
+    sign ``u`` does not vary along ``omega``, and the classes are mutually
+    orthogonal to ``SECTOR_TOL``: then every retained mode sum is diagonal
+    in the classes completed to an orthonormal transverse basis (class ``c``
+    its column ``c``), and ``u + v R0 v`` splits into ``n_omega`` blocks of
+    size ``n_x``.  Any other model is one block.
     """
     grid, pot = model.grid, model.potential
     single = Sectors.single(grid.n_omega, grid.n_x)
@@ -527,20 +537,23 @@ def transverse_sectors(model: WaveguideModel) -> Sectors:
     phi = phi * np.sqrt(grid.omega_weights)
     norms = np.linalg.norm(phi, axis=1)
     reps: list[np.ndarray] = []
-    for f, nrm in zip(phi, norms):
+    home = np.full(len(model.modes), -1)
+    for n, (f, nrm) in enumerate(zip(phi, norms)):
         if nrm <= SECTOR_TOL * norms.max():
             continue
         e = f / nrm
         overlap = np.array([r @ e for r in reps])
         near = np.abs(overlap) > SECTOR_TOL
         if not near.any():
+            home[n] = len(reps)
             reps.append(e)
             continue
         c = int(np.argmax(np.abs(overlap)))
         if near.sum() > 1 or np.linalg.norm(e - overlap[c] * reps[c]) > SECTOR_TOL:
             return single
+        home[n] = c
     basis = np.linalg.qr(np.array(reps).reshape(-1, grid.n_omega).T, mode="complete")[0]
-    return Sectors(basis, grid.n_omega, grid.n_x)
+    return Sectors(basis, grid.n_omega, grid.n_x, home)
 
 
 def _omega_profile(kind: dict | None, nodes: np.ndarray, length: float) -> np.ndarray:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import wgscat
-from wgscat import cli, inversion
+from wgscat import cli, expansion, inversion
 
 
 MODEL_DOC = {
@@ -244,6 +244,21 @@ class TestModelCommands:
         doc = json.loads((out / "verify.json").read_text())
         assert doc["ok"] and doc["optical_identity_defect"] <= 1e-12
 
+    def test_verify_samples_inside_a_small_eps(self, tmp_path, monkeypatch):
+        # with eps below the default kappa_hi = 1e-2 every ladder evaluation
+        # stays in the ladder region |kappa| <= eps
+        kappas = []
+        at = expansion.ThresholdLadder.at
+
+        def recording_at(self, kappa):
+            kappas.append(kappa)
+            return at(self, kappa)
+
+        monkeypatch.setattr(expansion.ThresholdLadder, "at", recording_at)
+        cfg = write_config(tmp_path, {"verify": {"lam": 4.0, "eps": 2e-3, "tail_tol": 0.2}})
+        assert run(["verify", "--config", cfg, "--out", tmp_path / "out"]) == 0
+        assert kappas and max(abs(k) for k in kappas) <= 2e-3
+
     def test_threshold_scan_artifacts(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -309,6 +324,7 @@ class TestConfigErrors:
          MODEL_DOC, None),
         ("expansion", {"expansion": {"lam": 4.0, "eps": 0, "tail_tol": 0.2}}, MODEL_DOC, None),
         ("verify", {"verify": {"lam": 4.0, "eps": -1e-2, "tail_tol": 0.2}}, MODEL_DOC, None),
+        ("verify", {"verify": {"lam": 4.0, "eps": 1e-4, "tail_tol": 0.2}}, MODEL_DOC, None),
         ("eigenvalues", {"eigenvalues": {"window": [0.95, 0.6], "resolutions": [10],
                                          "tail_tol": 0.2}}, MODEL_DOC, None),
         ("eigenvalues", {"eigenvalues": {"window": [0.8, 0.8], "resolutions": [10],
@@ -323,8 +339,8 @@ class TestConfigErrors:
             "n_panels-not-dividing-n_x", "n_max-0", "custom-samples-shape",
             "halvings-zero", "resolutions-two", "resolutions-negative", "kappa_lo-zero",
             "kappa_lo-above-kappa_hi", "eps-zero", "eps-zero-expansion",
-            "eps-negative-verify", "window-reversed", "window-empty", "resolutions-empty",
-            "kappa_hi-above-eps"])
+            "eps-negative-verify", "eps-at-kappa_lo-verify", "window-reversed", "window-empty",
+            "resolutions-empty", "kappa_hi-above-eps"])
     def test_exit_2_and_no_output(self, tmp_path, command, tasks, model, family):
         if family is not None:
             (tmp_path / "family.json").write_text(family)

@@ -331,6 +331,11 @@ class TestStructuralReport:
             expansion.m_function(deep_ladder, k)
             assert calls == [k]
 
+    def test_kappa_hi_above_eps_rejected(self, deep_ladder):
+        # the samples must stay in the ladder region |kappa| <= eps
+        with pytest.raises(DomainError):
+            expansion.verify_structural_lemmas(deep_ladder, kappa_hi=2.0 * deep_ladder.eps)
+
     def test_commutator_norms_match_dense_reference(self, deep_ladder):
         # thin-factor commutator norms against dense S_j X - X S_j at every
         # third kappa of each sample path; the growth fits agree on both sets

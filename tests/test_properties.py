@@ -259,6 +259,24 @@ def test_uniform_wells_split_into_sector_blocks(case):
     assert np.abs(helpers.dense(blocks) - dense).max() <= 1e-13 * max(1.0, np.abs(dense).max())
 
 
+@given(sector_wells(), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_sector_transform_round_trip(case, cols, seed):
+    # to_sector and to_grid are the basis transform tensored with the
+    # identity in x, exact inverses of each other; real input stays real
+    model, _, _ = case
+    sec = model.sectors
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=(model.dim, cols)) + 1j * rng.normal(size=(model.dim, cols))
+    tol = 1e-15 * np.abs(y).max()
+    for v in (y, y[:, 0], y[:, 0].real.copy()):
+        in_sector = sec.to_sector(v)
+        assert in_sector.shape == v.shape and in_sector.dtype == v.dtype
+        assert np.abs(sec.to_grid(in_sector) - v).max() <= tol
+    basis = np.kron(sec.basis, np.eye(model.grid.n_x))
+    assert np.abs(sec.to_grid(y) - basis @ y).max() <= tol
+    assert np.abs(sec.to_sector(y) - basis.T @ y).max() <= tol
+
+
 def assert_one_block(model, modes, z):
     sec = model.sectors
     assert sec.n_blocks == 1 and sec.basis is None
@@ -309,22 +327,25 @@ def band_cases(draw):
 
 
 def mode_classes(model, n_used):
-    """Retained modes grouped by parallel weighted transverse vectors, modes
-    that vanish on the lattice left out: the modes of each sector."""
+    """Retained modes (0-based) grouped by parallel weighted transverse
+    vectors in order of first appearance, modes that vanish on the lattice
+    left out: the modes of each sector."""
     pot = model.potential
     phi = [m.samples * pot.omega_factor * np.sqrt(model.grid.omega_weights)
            for m in model.modes[:n_used]]
     top = max(np.linalg.norm(f) for f in phi)
-    classes: list[list[np.ndarray]] = []
-    for f in phi:
+    reps: list[np.ndarray] = []
+    classes: list[list[int]] = []
+    for n, f in enumerate(phi):
         if np.linalg.norm(f) <= 1e-9 * top:
             continue
         e = f / np.linalg.norm(f)
-        home = [c for c in classes if abs(c[0] @ e) > 1.0 - 1e-9]
+        home = [c for c, r in enumerate(reps) if abs(r @ e) > 1.0 - 1e-9]
         if home:
-            home[0].append(e)
+            classes[home[0]].append(n)
         else:
-            classes.append([e])
+            reps.append(e)
+            classes.append([n])
     return classes
 
 
@@ -356,7 +377,13 @@ def test_band_width_follows_the_sector_slots(case):
     if model.sectors.basis is None:
         assert (op.slots, op._width) == (op.n_used, n_omega + 2 * op.n_used)
     else:
-        slots = max((len(c) for c in mode_classes(model, op.n_used)), default=0)
+        classes = mode_classes(model, op.n_used)
+        slots = max((len(c) for c in classes), default=0)
         assert (op.slots, op._width) == (slots, 1 + 2 * slots)
+        # sector c holds class c: the basis keeps the classes as its leading
+        # columns, in order, and the sectors past them hold no retained mode
+        table = birman._mode_slots(model.sectors, op.n_used)
+        members = [[int(n) for n in row if n >= 0] for row in table]
+        assert members == classes + [[]] * (n_omega - len(classes))
     s = op._width
     assert op.lu.shape == (3 * s + 1, model.sectors.n_blocks * n_x * s)
