@@ -9,14 +9,18 @@ on ``PYTHONPATH`` to run that checkout) through ``wgscat.cli.main``, on:
   into sector blocks) and its cosine-profile twin (a coupled, one-block
   model), each through ``smatrix``, ``eigenvalues``, ``threshold-scan``,
   ``expansion --verify`` and ``verify``;
+- the 4x24 uniform well through ``modes``;
 - the 5x60 uniform well of the ``eigen_scan_cli`` benchmark through
-  ``eigenvalues``.
+  ``eigenvalues``;
+- ``invert-demo`` on the scalar family ``A(z) = z`` and on the seed-5 corpus
+  of ten random 6x6 families, the two family files of ``TestInvertDemo`` in
+  ``tests/test_cli.py``.
 
 Each run writes its artifacts to ``OUT_DIR/<model>-<command>/`` and its
-config to ``OUT_DIR/configs/``.  A re-baseline is one run per checkout,
-then ``python scripts/artifact_diff.py OLD_DIR NEW_DIR --ignore
-manifest.json``.  The exit code is 0 when every command exits 0 and 1
-otherwise; each command's exit code is printed.
+config, like the family files, to ``OUT_DIR/configs/``.  A re-baseline is
+one run per checkout, then ``python scripts/artifact_diff.py OLD_DIR
+NEW_DIR --ignore manifest.json``.  The exit code is 0 when every command
+exits 0 and 1 otherwise; each command's exit code is printed.
 """
 
 from __future__ import annotations
@@ -27,7 +31,9 @@ import math
 import sys
 from pathlib import Path
 
-from wgscat import cli
+import numpy as np
+
+from wgscat import cli, inversion
 
 WELL = {
     "schema_version": 1,
@@ -52,15 +58,34 @@ WELL_TASKS = {
     "verify": ("verify", {"lam": 4.0, "tail_tol": 0.2}, []),
 }
 SCAN_TASK = ("eigenvalues", {"window": [3.3, 3.95], "resolutions": [9], "tail_tol": 0.03}, [])
+SCALAR_FAMILY = {"schema_version": 1, "base": [[[0.0, 0.0]]],
+                 "remainder": {"kind": "polynomial", "coeffs": [[[[1.0, 0.0]]]]},
+                 "bound": 1.0, "radius": 0.5, "sector": None}
+INVERT_TASKS = {
+    "scalar": ("invert_demo", {"families": "scalar-family.json",
+                               "z_values": [[1e-3, 0.0], [1e-2, -1e-3]]}, []),
+    "corpus": ("invert_demo", {"families": "corpus.json", "z_values": [[2e-3, -1e-3]]}, []),
+}
+
+
+def family_files() -> dict[str, list]:
+    """The ``invert-demo`` family documents, by file name."""
+    rng = np.random.default_rng(5)
+    return {"scalar-family.json": [SCALAR_FAMILY],
+            "corpus.json": [inversion.random_family_dict(rng, 6, k % 3) for k in range(10)]}
 
 
 def runs() -> list[tuple[str, str, dict, tuple]]:
-    """``(name, command, model, (task key, task, flags))`` of every run."""
+    """``(name, command, model, (task key, task, flags))`` of every run;
+    ``invert-demo`` runs have no model."""
     out = []
     for label, model in (("well", WELL), ("cosine", COSINE_WELL)):
         for command, task in WELL_TASKS.items():
             out.append((f"{label}-{command}", command, model, task))
+    out.append(("well-modes", "modes", WELL, ("modes", {}, [])))
     out.append(("scan-eigenvalues", "eigenvalues", SCAN_WELL, SCAN_TASK))
+    for label, task in INVERT_TASKS.items():
+        out.append((f"{label}-invert-demo", "invert-demo", None, task))
     return out
 
 
@@ -70,11 +95,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     configs = args.out / "configs"
     configs.mkdir(parents=True, exist_ok=True)
+    for file_name, docs in family_files().items():
+        (configs / file_name).write_text(json.dumps(docs, indent=1))
     failed = 0
     for name, command, model, (key, task, flags) in runs():
         cfg = configs / f"{name}.json"
-        cfg.write_text(json.dumps({"schema_version": 1, "model": model, "tasks": {key: task}},
-                                  indent=1))
+        doc = {"schema_version": 1, "tasks": {key: task}}
+        if model is not None:
+            doc["model"] = model
+        cfg.write_text(json.dumps(doc, indent=1))
         rc = cli.main([command, "--config", str(cfg), "--out", str(args.out / name),
                        "--threads", "1", *flags])
         print(f"{name}: exit {rc}")

@@ -9,7 +9,10 @@ Implements the two-projection inversion scheme for families
 namely the bounded operator ``B(z)`` on ``ran(S)``, the exact inverse
 formula for ``A(z)^-1``, hypothesis checks for the natural projection
 choices (contour vs orthogonal-onto-kernel), and iterated projection
-ladders with a final two-term step.
+ladders with a final two-term step.  ``B(z)`` has one form,
+``S G0 A1(z) G S`` with ``G0 = (A0+S)^-1`` and ``G = (A(z)+S)^-1``: under
+(ii) it equals the defining quotient ``(S - S G S) / z`` exactly, and it is
+formed without cancellation or division by ``z``.
 """
 
 from __future__ import annotations
@@ -32,10 +35,6 @@ from .errors import (
 from .linalg import Projection, opnorm
 from .waveguide import config_value, json_list, json_object
 
-SERIES_TAIL_TOL = 1e-14   # series truncation: tail bound relative to its scale
-SERIES_MAX_TERMS = 400    # series terms before the tail tolerance counts as missed
-SERIES_MAX_FACTOR = 0.999 # |z| ||A1 G|| from which the series counts as non-contractive
-CROSS_CHECK_TOL = 1e-9    # quotient vs series forms of B(z), relative Frobenius
 CONDITION_TOL = 1e-8      # defects of condition (ii) and the annihilation identities
 PSD_TOL = 1e-10           # positivity of the skew part, relative to ||A0||
 RESIDUAL_TOL = 1e-8       # ||A(z) X - 1|| of an inverse, relative to cond(A(z))
@@ -120,51 +119,13 @@ def _conditions(a0: np.ndarray, s: Projection):
     return ConditionReport(1.0 / cond, defect, defect <= CONDITION_TOL), g
 
 
-def _quotient(sm: np.ndarray, g: np.ndarray, z: complex) -> np.ndarray:
-    """Defining quotient form ``B(z) = (S - S G S) / z`` with
-    ``G = (A(z)+S)^-1`` already factored."""
-    return (sm - sm @ g @ sm) / z
+def _b(sm: np.ndarray, g0: np.ndarray, a1: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``B(z) = S G0 A1(z) G S`` from ``G0 = (A0+S)^-1`` and ``G = (A(z)+S)^-1``.
 
-
-def _series(sm: np.ndarray, g: np.ndarray, c: np.ndarray, cnorm: float, z: complex):
-    """Series form ``S G sum_j (-z)^j (A1(z) G)^(j+1) S`` of ``B(z)`` from
-    ``G = (A0+S)^-1``, ``C = A1(z) G`` and ``||C||``, truncated once the
-    geometric tail bound drops below ``SERIES_TAIL_TOL`` relative to the
-    accumulated norm scale; ``None`` where the series does not converge by
-    that rule (the factor ``q = |z| ||C||`` reaches ``SERIES_MAX_FACTOR``, or
-    the tail tolerance needs more than ``SERIES_MAX_TERMS`` terms)."""
-    q = abs(z) * cnorm
-    if q >= SERIES_MAX_FACTOR:
-        return None
-    scale = max(1.0, opnorm(sm @ g) * cnorm)
-    # the number of powers after the first: the first j at which the
-    # geometric tail bound of the remaining terms drops below tolerance
-    for length in range(1, SERIES_MAX_TERMS):
-        tail = scale * q ** (length + 1) * cnorm / max(1e-300, 1.0 - q)
-        if tail < SERIES_TAIL_TOL * scale:
-            break
-    else:
-        return None
-    power = c.copy()          # (A1 G)^(j+1)
-    acc = power.copy()
-    coeff = 1.0 + 0j
-    for _ in range(length):
-        coeff *= -z
-        power = power @ c
-        acc += coeff * power
-    return sm @ g @ acc @ sm
-
-
-def _cross_checked(bq: np.ndarray, bs: np.ndarray) -> np.ndarray:
-    """The series form ``bs`` once it agrees with the quotient form ``bq``."""
-    scale = max(np.linalg.norm(bq), 1e-30)
-    rel = np.linalg.norm(bq - bs) / scale
-    if rel > CROSS_CHECK_TOL:
-        raise AccuracyError(
-            f"quotient and series forms of B(z) disagree: rel {rel:.3e}"
-        )
-    # the series is cancellation-free at small |z|; return it
-    return bs
+    Under (ii) ``S = S G0 S``, and ``G0 - G = z G0 A1(z) G``, so this product
+    equals the defining quotient ``(S - S G S) / z`` exactly, with no
+    cancellation and no division by ``z``."""
+    return sm @ g0 @ a1 @ g @ sm
 
 
 def _schur_step(g: np.ndarray, s: Projection, block: np.ndarray, c, singular: str):
@@ -180,27 +141,24 @@ def _schur_step(g: np.ndarray, s: Projection, block: np.ndarray, c, singular: st
     return g + cg @ (q @ block_inv @ (q.conj().T @ s.matrix)) @ g
 
 
-def jn_invert(
-    fam: OperatorFamily,
-    s: Projection,
-    z: complex,
-    verify_series: bool = False,
-) -> np.ndarray:
+def jn_invert(fam: OperatorFamily, s: Projection, z: complex) -> np.ndarray:
     """Invert ``A(z)`` through the projection formula.
 
     ``A(z)^-1 = (A(z)+S)^-1 + (1/z)(A(z)+S)^-1 S B(z)^-1 S (A(z)+S)^-1``
-    where ``B(z)^-1`` is taken inside ``ran(S)``.  A singular ``B(z)`` means
-    ``A(z)`` itself is not invertible and raises
-    :class:`SingularMatrixError` (that equivalence is exact, not a numerical
-    failure).  The residual ``norm(A(z) X - 1)`` is checked internally
-    against ``RESIDUAL_TOL * max(1, cond(A(z)))``.  ``A1(z)``, ``(A0+S)^-1``
-    and ``(A(z)+S)^-1`` are each computed once.
-
-    ``verify_series`` cross-checks the quotient and series forms of ``B(z)``
-    wherever the series converges (disagreement raises
-    :class:`AccuracyError`); where it does not, the result is the plain
-    call's.
+    where ``B(z)^-1`` is taken inside ``ran(S)`` and ``B(z)`` is the product
+    ``S G0 A1(z) G S`` (``G0 = (A0+S)^-1``, ``G = (A(z)+S)^-1``), which is
+    exact under condition (ii).  Conditions (i) and (ii) are checked to
+    ``CONDITION_TOL`` and raise :class:`HypothesisError` when they fail; a
+    projection of rank above the corank of ``A0`` violates (ii).  ``z = 0``
+    raises :class:`DomainError`.  A singular ``B(z)`` means ``A(z)`` itself
+    is not invertible and raises :class:`SingularMatrixError` (that
+    equivalence is exact, not a numerical failure).  The residual
+    ``norm(A(z) X - 1)`` is checked internally against
+    ``RESIDUAL_TOL * max(1, cond(A(z)))``.  ``A1(z)``, ``(A0+S)^-1`` and
+    ``(A(z)+S)^-1`` are each computed once.
     """
+    if z == 0:
+        raise DomainError("the projection formula is evaluated at z != 0 only")
     a1 = fam.a1(z)
     az = fam.base + z * a1
     sm = s.matrix
@@ -208,21 +166,13 @@ def jn_invert(
     if s.rank == 0:
         x = g
     else:
-        g0 = linalg.inverse(fam.base + sm)
-        c = a1 @ g0
-        cnorm = opnorm(c)
-        # the quotient form cancels to O(z); prefer the series when it
-        # contracts fast enough to be cheap.  verify_series cross-checks the
-        # two wherever the series converges and leaves the rest to the quotient
-        series = verify_series or abs(z) * cnorm < 0.5
-        bs = _series(sm, g0, c, cnorm, z) if series else None
-        if bs is None:
-            b = _quotient(sm, g, z)
-        elif verify_series:
-            b = _cross_checked(_quotient(sm, g, z), bs)
-        else:
-            b = bs
-        x = _schur_step(g, s, b, 1.0 / z,
+        cert, g0 = _conditions(fam.base, s)
+        if not cert.ok:
+            raise HypothesisError(
+                f"inversion conditions fail (margin {cert.cond_i_margin:.3e}, "
+                f"defect {cert.cond_ii_defect:.3e})"
+            )
+        x = _schur_step(g, s, _b(sm, g0, a1, g), 1.0 / z,
                         "B(z) singular on ran(S): A(z) is not invertible at this z")
     cond = linalg.cond_estimate(az)
     resid = opnorm(az @ x - np.eye(fam.dim))
@@ -354,20 +304,20 @@ def _next_family(
 
     All inverses are taken on the carrier subspace by augmenting with the
     identity on its orthogonal complement, each operator summed as
-    ``(A + complement) + S``.  The new base is the exact value
-    ``B(0) = S G A1(0) G S`` with ``G = (A0 + S)^-1`` (carrier-augmented, the
-    inverse :func:`verify_conditions` factored); the remainder uses the
-    stable quotient away from 0.
+    ``(A + complement) + S``.  With ``G0 = (A0 + S)^-1`` (carrier-augmented,
+    the inverse :func:`verify_conditions` factored) the new base is
+    ``B(0) = S G0 A1(0) G0 S`` and the remainder ``(B(z) - B(0)) / z``.
     """
     sm = s.matrix
-    base_next = sm @ g @ fam.remainder(0.0) @ g @ sm
+    base_next = _b(sm, g, fam.remainder(0.0), g)
 
     def remainder_next(z: complex) -> np.ndarray:
         if z == 0:
             # one-sided derivative via a short step
             z = 1e-7 * fam.radius
-        b_quot = _quotient(sm, linalg.inverse(fam.a(z) + complement + sm), z)
-        return (b_quot - base_next) / z
+        a1 = fam.a1(z)
+        gz = linalg.inverse(fam.base + z * a1 + complement + sm)
+        return (_b(sm, g, a1, gz) - base_next) / z
 
     bound = 4.0 * (1.0 + opnorm(fam.base) + fam.bound) ** 3 * opnorm(g) ** 2
     return OperatorFamily(

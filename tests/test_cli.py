@@ -333,6 +333,13 @@ class TestConfigErrors:
                                          "tail_tol": 0.2}}, MODEL_DOC, None),
         ("expansion", {"expansion": {"lam": 4.0, "eps": 2e-2, "tail_tol": 0.2,
                                      "kappa_hi": 0.5}}, MODEL_DOC, None),
+        ("invert-demo", {"invert_demo": {"families": "family.json", "z_values": [[0, 0]]}},
+         MODEL_DOC, json.dumps(SCALAR_FAMILY)),
+        ("invert-demo", {"invert_demo": {"families": "family.json",
+                                         "z_values": [[1e-3, 0.0], [float("nan"), 0.0]]}},
+         MODEL_DOC, json.dumps(SCALAR_FAMILY)),
+        ("invert-demo", {"invert_demo": {"families": "family.json", "z_values": [[2, 0]]}},
+         MODEL_DOC, json.dumps(SCALAR_FAMILY)),
     ], ids=["energy-not-a-number", "energies-null", "n_x-not-an-integer",
             "model-schema-version", "family-base-not-a-matrix", "family-not-json",
             "family-coeff-not-a-matrix", "table-shape", "n_omega-1", "n_x-1",
@@ -340,7 +347,8 @@ class TestConfigErrors:
             "halvings-zero", "resolutions-two", "resolutions-negative", "kappa_lo-zero",
             "kappa_lo-above-kappa_hi", "eps-zero", "eps-zero-expansion",
             "eps-negative-verify", "eps-at-kappa_lo-verify", "window-reversed", "window-empty",
-            "resolutions-empty", "kappa_hi-above-eps"])
+            "resolutions-empty", "kappa_hi-above-eps", "z-zero", "z-nan",
+            "z-outside-radius"])
     def test_exit_2_and_no_output(self, tmp_path, command, tasks, model, family):
         if family is not None:
             (tmp_path / "family.json").write_text(family)

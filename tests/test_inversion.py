@@ -8,7 +8,6 @@ import pytest
 import helpers
 from wgscat import expansion, inversion, linalg
 from wgscat.errors import (
-    AccuracyError,
     ConfigError,
     DomainError,
     HypothesisError,
@@ -61,25 +60,31 @@ class TestVerifyConditions:
 
 class TestJnInvert:
     @pytest.mark.parametrize("index", [2, 6])
-    def test_verify_series_where_the_series_diverges(self, index):
-        # family 2: |z| ||A1 G0|| = 1.03 (non-contractive); family 6: the tail
-        # rule is not met within SERIES_MAX_TERMS.  Both invert by the quotient
+    def test_large_z_matches_refined_inverse(self, index):
+        # |z| = 0.9 radius, where the Neumann series of B(z) in z A1 G0 does
+        # not converge fast (family 2: |z| ||A1 G0|| = 1.03)
         rng = np.random.default_rng(0)
         fam = [family_from_random(rng, 6, 2, radius=0.5) for _ in range(index + 1)][index]
         s = linalg.kernel_projector(fam.base)
-        plain = inversion.jn_invert(fam, s, 0.45)
-        verified = inversion.jn_invert(fam, s, 0.45, verify_series=True)
-        assert np.array_equal(verified, plain)
+        x = inversion.jn_invert(fam, s, 0.45)
+        direct = linalg.refined_inverse(fam.a(0.45))
+        assert np.linalg.norm(x - direct) <= 1e-12 * np.linalg.norm(direct)
 
-    def test_verify_series_disagreement_raises(self, monkeypatch):
-        fam = family_from_random(np.random.default_rng(11), 8, 2)
-        s = linalg.kernel_projector(fam.base)
-        quotient = inversion._quotient
-        monkeypatch.setattr(inversion, "_quotient",
-                            lambda sm, g, z: 1.01 * quotient(sm, g, z))
-        inversion.jn_invert(fam, s, 1e-3 - 2e-3j)  # the plain call takes the series
-        with pytest.raises(AccuracyError, match="disagree"):
-            inversion.jn_invert(fam, s, 1e-3 - 2e-3j, verify_series=True)
+    def test_condition_ii_violated_raises(self):
+        # a projection of rank above the corank of A0: A0 + S stays invertible
+        # but S (A0+S)^-1 S != S, where the product form of B(z) is not exact
+        rng = np.random.default_rng(11)
+        fam = family_from_random(rng, 8, 2)
+        q, _ = np.linalg.qr(np.column_stack(
+            [linalg.kernel_basis(fam.base), rng.normal(size=8) + 1j * rng.normal(size=8)]))
+        s = linalg.Projection(q @ q.conj().T, orthogonal=True)
+        assert s.rank == 3 and inversion.verify_conditions(fam.base, s).cond_i_margin > 0
+        with pytest.raises(HypothesisError, match="conditions fail"):
+            inversion.jn_invert(fam, s, 1e-3 - 2e-3j)
+
+    def test_zero_z_is_outside_the_domain(self):
+        with pytest.raises(DomainError):
+            inversion.jn_invert(scalar_family(), linalg.identity_projection(1), 0.0)
 
     def test_scalar_gives_reciprocal(self):
         fam = scalar_family()
@@ -143,8 +148,8 @@ class TestFactorizationCounts:
         monkeypatch.setattr(home, "svd", svd)
         return counts
 
-    @pytest.mark.parametrize("verify_series", [False, True])
-    def test_jn_invert_counts(self, counts, verify_series):
+    @pytest.mark.parametrize("reuse_projection", [False, True])
+    def test_jn_invert_counts(self, counts, reuse_projection):
         fam = family_from_random(np.random.default_rng(11), 8, 2)
         a1_calls = []
 
@@ -156,15 +161,18 @@ class TestFactorizationCounts:
         s = linalg.kernel_projector(fam.base)
         assert s.rank == 2
         for repeat in range(2):
+            if repeat and not reuse_projection:
+                # a fresh projection has no cached range basis
+                s = linalg.kernel_projector(fam.base)
             a1_calls.clear()
             counts.update(lu=0, svd=0)
-            x = inversion.jn_invert(counted, s, 1e-3 - 2e-3j, verify_series=verify_series)
+            x = inversion.jn_invert(counted, s, 1e-3 - 2e-3j)
             # A1(z) once; LU of A(z)+S, A0+S, the block on ran(S) and A(z)
             assert len(a1_calls) == 1
             assert counts["lu"] <= 4
-            # ||A1 G0||, ||S G0|| and the residual, plus the range basis of S
-            # on the first call only
-            assert counts["svd"] <= (3 if repeat else 4)
+            # ||S G0 S - S||, ||S|| and the residual, plus the range basis of S
+            # on the first call with that projection only
+            assert counts["svd"] <= (3 if repeat and reuse_projection else 4)
         assert np.allclose(x, linalg.refined_inverse(fam.a(1e-3 - 2e-3j)))
 
     def test_verify_conditions_factors_once(self, counts):
@@ -296,6 +304,21 @@ class TestLadder:
             same = [a for a in factored if np.linalg.norm(a - op) <= 1e-12 * np.linalg.norm(op)]
             assert len(same) == 1
             carrier = level.projection.matrix
+
+    def test_level_two_base_of_a_quadratic_family(self):
+        # A(z) = A0 + z^2 C: B(z) = S0 G0 (z C) G(z) S0 vanishes at 0, so the
+        # level-1 operator is 0 on ran(S0) and the level-2 base is the
+        # derivative of B at 0, S0 G0 C G0 S0 with G0 = (A0 + S0)^-1
+        fam = family_from_random(np.random.default_rng(3), 8, 2)
+        c = fam.remainder(0.0)
+        quadratic = inversion.OperatorFamily(fam.base, lambda z: z * c, fam.bound, fam.radius)
+        levels = inversion.build_ladder(quadratic)
+        assert len(levels) == 3 and levels[2].terminal
+        s0 = levels[0].projection.matrix
+        g0 = np.linalg.inv(fam.base + s0)
+        expected = s0 @ g0 @ c @ g0 @ s0
+        leading = levels[2].leading
+        assert np.linalg.norm(leading - expected) <= 1e-10 * np.linalg.norm(expected)
 
     def test_depth_cap(self):
         with pytest.raises(DomainError):

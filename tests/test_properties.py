@@ -104,17 +104,23 @@ def test_family_errors_are_wgscat_errors(doc):
     _builds_or_raises_wgscat(inversion.family_from_dict, doc)
 
 
+FAMILY_RADIUS = 0.05
+
+
 @st.composite
 def families(draw):
     dim = draw(st.integers(3, 12))
     kernel_dim = draw(st.integers(0, min(3, dim - 1)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return inversion.family_from_dict(inversion.random_family_dict(rng, dim, kernel_dim))
+    return inversion.family_from_dict(
+        inversion.random_family_dict(rng, dim, kernel_dim, FAMILY_RADIUS))
 
 
-@given(families(), st.floats(-6.0, -2.0), st.floats(-np.pi, np.pi))
+@given(families(), st.floats(-9.0, float(np.log10(0.9 * FAMILY_RADIUS))),
+       st.floats(-np.pi, np.pi))
 def test_jn_invert_matches_refined_inverse(fam, log_abs_z, angle):
-    # criterion 1's bound on generated families instead of a fixed corpus
+    # criterion 1's bound on generated families instead of a fixed corpus,
+    # from |z| = 1e-9 up to 0.9 times the radius
     z = 10.0**log_abs_z * np.exp(1j * angle)
     x = inversion.jn_invert(fam, linalg.kernel_projector(fam.base), z)
     direct = linalg.refined_inverse(fam.a(z))
