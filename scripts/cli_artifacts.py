@@ -11,7 +11,8 @@ on ``PYTHONPATH`` to run that checkout) through ``wgscat.cli.main``, on:
   ``expansion --verify`` and ``verify``;
 - the 4x24 uniform well through ``modes``;
 - the 5x60 uniform well of the ``eigen_scan_cli`` benchmark through
-  ``eigenvalues``;
+  ``eigenvalues``, on a window holding its level near 3.81 and on one
+  holding its level near 0.81 (at two resolutions);
 - ``invert-demo`` on the scalar family ``A(z) = z`` and on the seed-5 corpus
   of ten random 6x6 families, the two family files of ``TestInvertDemo`` in
   ``tests/test_cli.py``.
@@ -57,7 +58,11 @@ WELL_TASKS = {
     "expansion": ("expansion", {"lam": 4.0, "eps": 2e-2, "tail_tol": 0.2}, ["--verify"]),
     "verify": ("verify", {"lam": 4.0, "tail_tol": 0.2}, []),
 }
-SCAN_TASK = ("eigenvalues", {"window": [3.3, 3.95], "resolutions": [9], "tail_tol": 0.03}, [])
+SCAN_TASKS = {
+    "scan": ("eigenvalues", {"window": [3.3, 3.95], "resolutions": [9], "tail_tol": 0.03}, []),
+    "scan-ground": ("eigenvalues", {"window": [0.807, 0.815], "resolutions": [9, 24],
+                                    "tail_tol": 0.03}, []),
+}
 SCALAR_FAMILY = {"schema_version": 1, "base": [[[0.0, 0.0]]],
                  "remainder": {"kind": "polynomial", "coeffs": [[[[1.0, 0.0]]]]},
                  "bound": 1.0, "radius": 0.5, "sector": None}
@@ -83,7 +88,8 @@ def runs() -> list[tuple[str, str, dict, tuple]]:
         for command, task in WELL_TASKS.items():
             out.append((f"{label}-{command}", command, model, task))
     out.append(("well-modes", "modes", WELL, ("modes", {}, [])))
-    out.append(("scan-eigenvalues", "eigenvalues", SCAN_WELL, SCAN_TASK))
+    for label, task in SCAN_TASKS.items():
+        out.append((f"{label}-eigenvalues", "eigenvalues", SCAN_WELL, task))
     for label, task in INVERT_TASKS.items():
         out.append((f"{label}-invert-demo", "invert-demo", None, task))
     return out

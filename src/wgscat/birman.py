@@ -406,13 +406,20 @@ class BoundaryOperator:
 
     def solve(self, b) -> np.ndarray:
         """``A^-1 b``: the ``y`` part of the embedding's solution for ``(b, 0, 0)``."""
-        nodes = self._nodes(b)
+        return self._grid(self._band_solve(self._nodes(b)), b)
+
+    def _band_solve(self, nodes: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
+        """:meth:`solve` on band node slices ``(n, w, m)``: one ``zgbtrs``
+        with the nodes placed in the zero-padded right-hand side ``rhs``
+        ``(n, s, m)``.  ``zgbtrs`` works on a copy, so a caller may pass the
+        same ``rhs`` to every solve."""
         n, w, m = nodes.shape
         p, s = self.slots, self._width
-        rhs = np.zeros((n, s, m), dtype=complex)
+        if rhs is None:
+            rhs = np.zeros((n, s, m), dtype=complex)
         rhs[:, p : p + w] = nodes
         x, _ = _GBTRS(self.lu, s, s, rhs.reshape(n * s, m), self.piv)
-        return self._grid(x.reshape(n, s, m)[:, p : p + w], b)
+        return x.reshape(n, s, m)[:, p : p + w]
 
     def solve_adjoint(self, b) -> np.ndarray:
         """``A^-H b = conj(A^-1 conj(b))``, since ``A`` is complex symmetric
@@ -620,7 +627,8 @@ def hs_diagnostic(lam: float, zeta: complex, s: float):
 
 DETECT_REL = 1e-6        # refined sigma_min / sigma_max below this marks an eigenvalue
 THRESHOLD_MARGIN = 1e-6  # gap the search window keeps from every threshold
-SIGMA_ITERS = 12         # steps of each singular-value iteration
+SIGMA_ITERS = 12         # steps of each singular-value iteration, at most
+SIGMA_RTOL = 1e-15       # relative growth of the sigma_min estimate that ends its iteration
 
 
 @dataclass(frozen=True)
@@ -670,15 +678,33 @@ def _sigma_max(op: BoundaryOperator, x: np.ndarray) -> float:
 
 def _sigma_min(op: BoundaryOperator, x: np.ndarray) -> float:
     """Smallest singular value estimate of ``op`` by inverse iteration from
-    ``x``; 0 when the factorization detects exact singularity."""
+    ``x``; 0 when the factorization detects exact singularity.
+
+    Each step ``y = A^-H A^-1 x`` runs in the band's node coordinates, an
+    orthogonal transform of the grid coordinates that keeps ``|y|``, so
+    ``x`` is transformed once; ``A^-H = conj A^-1 conj`` as in
+    :meth:`BoundaryOperator.solve_adjoint`.  ``(A^H A)^-1`` is Hermitian
+    positive definite, so the estimate ``|y|`` never decreases: the
+    iteration stops once it grows by at most ``SIGMA_RTOL |y|``, and after
+    ``SIGMA_ITERS`` steps at most."""
     if op.singular:
         return 0.0
+    x = op._nodes(x)
+    n, _, m = x.shape
+    rhs = np.zeros((n, op._width, m), dtype=complex)
+    prev = 0.0
     for _ in range(SIGMA_ITERS):
-        y = op.solve_adjoint(op.solve(x))
+        # only elementwise work between the solves: after a complex BLAS
+        # product (zgemm) OpenBLAS 0.3.31 runs this narrow zgbtrs about 9x
+        # slower (the zgemm -> zgbtrs FOUND line of CHANGES.md)
+        y = np.conj(op._band_solve(np.conj(op._band_solve(x, rhs)), rhs))
         nrm = np.linalg.norm(y)
         if not np.isfinite(nrm) or nrm == 0:
             return 0.0
         x = y / nrm
+        if nrm - prev <= SIGMA_RTOL * nrm:
+            break
+        prev = nrm
     return float(1.0 / np.sqrt(nrm))
 
 

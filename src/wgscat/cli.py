@@ -34,8 +34,10 @@ Config schema::
 
 ``verify`` samples the structural report at ``|kappa|`` in
 ``[1e-4, min(1e-2, eps)]``, so its ``eps`` must exceed ``1e-4``.  Each
-``invert_demo`` value ``z`` must be finite with ``0 < |z| < radius`` for
-every family in the file.
+``invert_demo`` value ``z`` must be finite with ``0 < |z| < radius`` and
+``arg z`` in the ``sector`` of every family in the file.  Every
+``tail_tol`` and ``eps`` must be positive, and the ``smatrix`` energies and
+the ``eigenvalues`` window finite.
 
 ``--verify`` applies to ``expansion`` only, which then reports the
 dense-oracle error of the expansion at six kappa samples
@@ -221,6 +223,22 @@ def _eps(task) -> float:
     return eps
 
 
+def _tail_tol(task, default: float) -> float:
+    """The task's mode-tail tolerance ``tail_tol``, which must be positive."""
+    tail_tol = config_value(task, "tail_tol", float, default)
+    if not tail_tol > 0:
+        raise ConfigError(f"tail_tol = {tail_tol}; need tail_tol > 0")
+    return tail_tol
+
+
+def _finite_list(task, key: str, length: int | None = None) -> list[float]:
+    """The task's array of numbers ``key``, each of which must be finite."""
+    values = config_value(task, key, lambda v: json_list(v, length=length))
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"{key} = {values}; need finite numbers")
+    return values
+
+
 def cmd_invert_demo(cfg, writer: ArtifactWriter, args) -> int:
     """Drive the inversion engine on file-loaded families vs a dense oracle."""
     task = _task(cfg, "invert_demo")
@@ -233,9 +251,10 @@ def cmd_invert_demo(cfg, writer: ArtifactWriter, args) -> int:
     fams = inversion.load_families(fam_path)
     for z in z_values:
         for i, fam in enumerate(fams):
-            if not 0 < abs(z) < fam.radius:
+            if not fam.contains(z):
                 raise ConfigError(
-                    f"z = {z}; need 0 < |z| < radius = {fam.radius} of family {i}")
+                    f"z = {z} outside the domain of family {i}: need 0 < |z| < "
+                    f"radius = {fam.radius} and arg z in sector = {fam.sector}")
     rows = []
     worst = 0.0
     for i, fam in enumerate(fams):
@@ -267,8 +286,8 @@ def cmd_modes(cfg, writer: ArtifactWriter, args) -> int:
 
 def cmd_smatrix(cfg, writer: ArtifactWriter, args) -> int:
     task = _task(cfg, "smatrix")
-    tail_tol = config_value(task, "tail_tol", float, 1e-4)
-    energies = sorted(config_value(task, "energies", json_list))
+    tail_tol = _tail_tol(task, 1e-4)
+    energies = sorted(_finite_list(task, "energies"))
     model = _model(cfg)
 
     def one(lam):
@@ -296,7 +315,7 @@ def cmd_threshold_scan(cfg, writer: ArtifactWriter, args) -> int:
     task = _task(cfg, "threshold_scan")
     lam = config_value(task, "lam")
     eps = _eps(task)
-    tail_tol = config_value(task, "tail_tol", float, 1e-3)
+    tail_tol = _tail_tol(task, 1e-3)
     halvings = config_value(task, "halvings", int, 10)
     if halvings < 1:
         raise ConfigError(f"halvings = {halvings}; need at least 1")
@@ -327,7 +346,7 @@ def cmd_expansion(cfg, writer: ArtifactWriter, args) -> int:
     task = _task(cfg, "expansion")
     lam = config_value(task, "lam")
     eps = _eps(task)
-    tail_tol = config_value(task, "tail_tol", float, 1e-3)
+    tail_tol = _tail_tol(task, 1e-3)
     kappa_lo = config_value(task, "kappa_lo", float, 1e-4)
     kappa_hi = config_value(task, "kappa_hi", float, 1e-2)
     if not 0 < kappa_lo < kappa_hi <= eps:
@@ -351,8 +370,8 @@ def cmd_expansion(cfg, writer: ArtifactWriter, args) -> int:
 
 def cmd_eigenvalues(cfg, writer: ArtifactWriter, args) -> int:
     task = _task(cfg, "eigenvalues")
-    window = tuple(config_value(task, "window", lambda w: json_list(w, length=2)))
-    tail_tol = config_value(task, "tail_tol", float, 1e-3)
+    window = tuple(_finite_list(task, "window", length=2))
+    tail_tol = _tail_tol(task, 1e-3)
     resolutions = config_value(task, "resolutions", lambda rs: json_list(rs, int), [48])
     if not window[0] < window[1]:
         raise ConfigError(f"window = {list(window)}; need lo < hi")
@@ -384,7 +403,7 @@ def cmd_verify(cfg, writer: ArtifactWriter, args) -> int:
     eps = _eps(task)
     if not eps > 1e-4:
         raise ConfigError(f"eps = {eps}; verify samples |kappa| from 1e-4 and needs eps > 1e-4")
-    tail_tol = config_value(task, "tail_tol", float, 1e-3)
+    tail_tol = _tail_tol(task, 1e-3)
     model = _model(cfg)
     if lam is None:
         lam = model.thresholds()[min(1, len(model.groups) - 1)]

@@ -74,6 +74,17 @@ class OperatorFamily:
         """Evaluate ``A(z) = base + z * remainder(z)``."""
         return self.base + z * self.a1(z)
 
+    def contains(self, z: complex) -> bool:
+        """Whether ``z`` lies in the domain: ``0 < |z| < radius`` and, with a
+        sector, ``theta_min <= arg z <= theta_max`` for some branch of
+        ``arg``, the angles :meth:`spot_check` samples."""
+        if not 0 < abs(z) < self.radius:
+            return False
+        if self.sector is None:
+            return True
+        lo, hi = self.sector
+        return (np.angle(z) - lo) % (2.0 * np.pi) <= hi - lo
+
     def spot_check(self, rng: np.random.Generator, samples: int = 4) -> float:
         """Sample ``norm(remainder(z))`` on the domain; returns the max seen."""
         worst = 0.0

@@ -282,3 +282,96 @@ class TestEigenvalueSearch:
         # a scan of fewer than 3 points has no interior point to refine
         with pytest.raises(DomainError, match="at least 3"):
             birman.eigenvalue_search((1.5, 1.9), well_small, resolution=resolution, tail_tol=0.1)
+
+
+@pytest.fixture(scope="module")
+def scan_well(interval_cs):
+    """The 5 x 60 depth-1 well of the ``eigen_scan_cli`` benchmark; sector
+    ``n`` carries one level at ``n^2 + e0``."""
+    return waveguide.square_well_model(interval_cs, 1.0, (0.0, 1.0), n_omega=5, n_x=60, n_max=9)
+
+
+def level_window(threshold: float) -> tuple[float, float]:
+    """The ``eigen_scan_cli`` window around the level ``threshold + e0`` of the
+    depth-1 well."""
+    lvl = threshold + helpers.oned_well_levels(1.0, 1.0)[0]
+    return lvl - 4e-3, lvl + 4e-3
+
+
+def counting_band_solves(monkeypatch) -> dict:
+    """Count the ``zgbtrs`` calls of the boundary operator from here on."""
+    calls = {"n": 0}
+    gbtrs = birman._GBTRS
+
+    def counted(*args, **kwargs):
+        calls["n"] += 1
+        return gbtrs(*args, **kwargs)
+
+    monkeypatch.setattr(birman, "_GBTRS", counted)
+    return calls
+
+
+class TestSigmaMin:
+    """Inverse iteration for the smallest singular value stops once its
+    estimate has converged, and the scan reads as with the fixed
+    ``SIGMA_ITERS``-step grid-coordinate loop, to rounding."""
+
+    def test_refinement_points_stop_early(self, scan_well, monkeypatch):
+        calls = counting_band_solves(monkeypatch)
+        per_point = []
+        golden_min = birman.golden_min
+
+        def counted_golden_min(f, a, b, tol):
+            def counted_f(lam):
+                before = calls["n"]
+                value = f(lam)
+                per_point.append(calls["n"] - before)
+                return value
+            return golden_min(counted_f, a, b, tol)
+
+        monkeypatch.setattr(birman, "golden_min", counted_golden_min)
+        cands = birman.eigenvalue_search(level_window(4.0), scan_well, resolution=9,
+                                         tail_tol=0.03)
+        assert len(cands) == 1
+        assert len(per_point) > 20 and max(per_point) <= 10
+
+    def test_unconverged_estimate_runs_to_the_cap(self, scan_well, monkeypatch):
+        # at 2.5 no level is near: the estimate still grows at every step
+        op = birman.boundary_operator(birman.SpectralPoint(2.5, 0.0), scan_well, 0.03)
+        calls = counting_band_solves(monkeypatch)
+        birman._sigma_min(op, birman._start_vectors(scan_well.dim)[1])
+        assert calls["n"] == 2 * birman.SIGMA_ITERS
+
+    @pytest.mark.parametrize("shift", [-2e-3, -3e-4, 1e-3])
+    def test_matches_dense_smallest_singular_value(self, scan_well, shift):
+        lvl = sum(level_window(4.0)) / 2.0 + shift
+        op = birman.boundary_operator(birman.SpectralPoint(lvl, 0.0), scan_well, 0.03)
+        sv = np.linalg.svd(birman._dense_matrix(scan_well, complex(lvl), op.n_used),
+                           compute_uv=False)
+        assert sv[-1] / sv[-2] <= 1e-2
+        estimate = birman._sigma_min(op, birman._start_vectors(scan_well.dim)[1])
+        assert abs(estimate - sv[-1]) <= 1e-10 * sv[-1]
+
+    @pytest.mark.parametrize("n_x, resolution, window", [
+        (60, 24, (3.8, 4.0 - 1e-6)),
+        (120, 48, (3.8, 4.0 - 1e-6)),
+        *[(60, 9, level_window(t)) for t in (1.0, 4.0, 9.0)],
+    ], ids=["criterion-9-n_x-60", "criterion-9-n_x-120", "level-1", "level-4", "level-9"])
+    def test_search_matches_grid_reference(self, interval_cs, monkeypatch, n_x, resolution,
+                                           window):
+        # criterion 9's window on both of its models, and the 5 x 60 windows
+        # around the levels of the eigen_scan_cli benchmark
+        model = waveguide.square_well_model(interval_cs, 1.0, (0.0, 1.0), n_omega=5, n_x=n_x,
+                                            n_max=9)
+
+        def search():
+            return birman.eigenvalue_search(window, model, resolution=resolution, tail_tol=0.03)
+
+        cands = search()
+        monkeypatch.setattr(birman, "_sigma_min", helpers.sigma_min_reference)
+        reference = search()
+        assert len(cands) == len(reference) == 1
+        for got, ref in zip(cands, reference):
+            assert got.lam == ref.lam
+            assert abs(got.sigma_min - ref.sigma_min) <= 1e-14 * ref.sigma_min
+            assert abs(got.rel_dip - ref.rel_dip) <= 1e-14 * ref.rel_dip

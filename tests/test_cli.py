@@ -77,6 +77,17 @@ class TestInvertDemo:
         rc = run(["invert-demo", "--config", cfg, "--out", tmp_path / "out"])
         assert rc == 0
 
+    @pytest.mark.parametrize("sector, z", [([-0.5, 0.5], [1e-3, -4e-4]),
+                                           ([3.0, 3.5], [-1e-3, -1e-4])])
+    def test_z_inside_the_sector_accepted(self, tmp_path, sector, z):
+        # a sector is a closed range of arg z on any branch: [3.0, 3.5]
+        # holds arg z = -3.04 + 2 pi
+        fam = dict(TestConfigErrors.SCALAR_FAMILY, sector=sector)
+        (tmp_path / "family.json").write_text(json.dumps([fam]))
+        cfg = write_config(tmp_path, {"invert_demo": {"families": "family.json",
+                                                      "z_values": [z]}})
+        assert run(["invert-demo", "--config", cfg, "--out", tmp_path / "out"]) == 0
+
     def test_missing_family_file_nonzero_exit(self, tmp_path):
         cfg = write_config(
             tmp_path, {"invert_demo": {"families": "nope.json", "z_values": [[1e-3, 0]]}}
@@ -340,6 +351,32 @@ class TestConfigErrors:
          MODEL_DOC, json.dumps(SCALAR_FAMILY)),
         ("invert-demo", {"invert_demo": {"families": "family.json", "z_values": [[2, 0]]}},
          MODEL_DOC, json.dumps(SCALAR_FAMILY)),
+        ("invert-demo", {"invert_demo": {"families": "family.json",
+                                         "z_values": [[1e-3, 0.0], [-0.1, 0.0]]}},
+         MODEL_DOC, json.dumps(dict(SCALAR_FAMILY, sector=[-0.5, 0.5]))),
+        ("smatrix", {"smatrix": {"energies": [2.2], "tail_tol": 0}}, MODEL_DOC, None),
+        ("smatrix", {"smatrix": {"energies": [2.2], "tail_tol": -1}}, MODEL_DOC, None),
+        ("smatrix", {"smatrix": {"energies": [2.2], "tail_tol": float("nan")}},
+         MODEL_DOC, None),
+        ("eigenvalues", {"eigenvalues": {"window": [0.6, 0.95], "resolutions": [10],
+                                         "tail_tol": 0}}, MODEL_DOC, None),
+        ("eigenvalues", {"eigenvalues": {"window": [0.6, 0.95], "resolutions": [10],
+                                         "tail_tol": -1}}, MODEL_DOC, None),
+        ("eigenvalues", {"eigenvalues": {"window": [0.6, 0.95], "resolutions": [10],
+                                         "tail_tol": float("nan")}}, MODEL_DOC, None),
+        ("threshold-scan", {"threshold_scan": {"lam": 4.0, "eps": 2e-2, "halvings": 2,
+                                               "tail_tol": 0, "pairs": [[[1, 1], [1, 1]]]}},
+         MODEL_DOC, None),
+        ("threshold-scan", {"threshold_scan": {"lam": 4.0, "eps": 2e-2, "halvings": 2,
+                                               "tail_tol": -1, "pairs": [[[1, 1], [1, 1]]]}},
+         MODEL_DOC, None),
+        ("threshold-scan", {"threshold_scan": {"lam": 4.0, "eps": 2e-2, "halvings": 2,
+                                               "tail_tol": float("nan"),
+                                               "pairs": [[[1, 1], [1, 1]]]}}, MODEL_DOC, None),
+        ("smatrix", {"smatrix": {"energies": [2.2, float("nan")], "tail_tol": 0.1}},
+         MODEL_DOC, None),
+        ("eigenvalues", {"eigenvalues": {"window": [0.6, float("inf")], "resolutions": [10],
+                                         "tail_tol": 0.2}}, MODEL_DOC, None),
     ], ids=["energy-not-a-number", "energies-null", "n_x-not-an-integer",
             "model-schema-version", "family-base-not-a-matrix", "family-not-json",
             "family-coeff-not-a-matrix", "table-shape", "n_omega-1", "n_x-1",
@@ -348,7 +385,11 @@ class TestConfigErrors:
             "kappa_lo-above-kappa_hi", "eps-zero", "eps-zero-expansion",
             "eps-negative-verify", "eps-at-kappa_lo-verify", "window-reversed", "window-empty",
             "resolutions-empty", "kappa_hi-above-eps", "z-zero", "z-nan",
-            "z-outside-radius"])
+            "z-outside-radius", "z-outside-sector", "tail_tol-zero-smatrix",
+            "tail_tol-negative-smatrix", "tail_tol-nan-smatrix", "tail_tol-zero-eigenvalues",
+            "tail_tol-negative-eigenvalues", "tail_tol-nan-eigenvalues",
+            "tail_tol-zero-threshold-scan", "tail_tol-negative-threshold-scan",
+            "tail_tol-nan-threshold-scan", "energy-nan", "window-infinite"])
     def test_exit_2_and_no_output(self, tmp_path, command, tasks, model, family):
         if family is not None:
             (tmp_path / "family.json").write_text(family)
