@@ -11,8 +11,9 @@ on ``PYTHONPATH`` to run that checkout) through ``wgscat.cli.main``, on:
   ``expansion --verify`` and ``verify``;
 - the 4x24 uniform well through ``modes``;
 - the 5x60 uniform well of the ``eigen_scan_cli`` benchmark through
-  ``eigenvalues``, on a window holding its level near 3.81 and on one
-  holding its level near 0.81 (at two resolutions);
+  ``eigenvalues``, on a window holding its level near 3.81, on one holding
+  its level near 0.81 (at two resolutions) and on one holding its level
+  near 8.81;
 - ``invert-demo`` on the scalar family ``A(z) = z`` and on the seed-5 corpus
   of ten random 6x6 families, the two family files of ``TestInvertDemo`` in
   ``tests/test_cli.py``.
@@ -62,6 +63,8 @@ SCAN_TASKS = {
     "scan": ("eigenvalues", {"window": [3.3, 3.95], "resolutions": [9], "tail_tol": 0.03}, []),
     "scan-ground": ("eigenvalues", {"window": [0.807, 0.815], "resolutions": [9, 24],
                                     "tail_tol": 0.03}, []),
+    "scan-top": ("eigenvalues", {"window": [8.807, 8.815], "resolutions": [9],
+                                 "tail_tol": 0.03}, []),
 }
 SCALAR_FAMILY = {"schema_version": 1, "base": [[[0.0, 0.0]]],
                  "remainder": {"kind": "polynomial", "coeffs": [[[[1.0, 0.0]]]]},

@@ -627,8 +627,8 @@ def hs_diagnostic(lam: float, zeta: complex, s: float):
 
 DETECT_REL = 1e-6        # refined sigma_min / sigma_max below this marks an eigenvalue
 THRESHOLD_MARGIN = 1e-6  # gap the search window keeps from every threshold
-SIGMA_ITERS = 12         # steps of each singular-value iteration, at most
-SIGMA_RTOL = 1e-15       # relative growth of the sigma_min estimate that ends its iteration
+SIGMA_ITERS = 12         # Lanczos steps of each singular-value estimate, at most
+SIGMA_RTOL = 1e-15       # relative change of the largest Ritz value that ends a Lanczos run
 
 
 @dataclass(frozen=True)
@@ -657,55 +657,65 @@ def golden_min(f, a: float, b: float, tol: float) -> float:
 
 
 def _start_vectors(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two fixed unit start vectors of the singular-value iterations,
-    drawn in this order from one seeded generator: the first for
-    :func:`_sigma_max`, the second for :func:`_sigma_min`."""
+    """The fixed unit start vectors of :func:`_sigma_max` and
+    :func:`_sigma_min`, drawn in this order from one seeded generator."""
     rng = np.random.default_rng(1234)
     x_max, x_min = (rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(2))
     return x_max / np.linalg.norm(x_max), x_min / np.linalg.norm(x_min)
 
 
-def _sigma_max(op: BoundaryOperator, x: np.ndarray) -> float:
-    """Largest singular value estimate of ``op`` by power iteration from ``x``."""
-    for _ in range(SIGMA_ITERS):
-        y = op.rmatvec(op.matvec(x))
-        nrm = np.linalg.norm(y)
-        if nrm == 0:
+def _lanczos(apply, x: np.ndarray) -> float:
+    """Largest eigenvalue of the Hermitian positive semidefinite operator
+    ``apply`` by the plain Lanczos recurrence from the unit vector ``x``;
+    ``inf`` when ``apply`` overflows.  The largest Ritz value never decreases,
+    and the run stops once it grows by at most ``SIGMA_RTOL`` relative, or
+    after ``SIGMA_ITERS`` steps (Parlett, *The Symmetric Eigenvalue Problem*,
+    ch. 12)."""
+    t = np.zeros((SIGMA_ITERS + 1, SIGMA_ITERS + 1))
+    q, q_prev, beta, theta = x, 0.0, 0.0, 0.0
+    for j in range(SIGMA_ITERS):
+        w = apply(q) - beta * q_prev
+        # real products only: a complex BLAS product (zgemm) slows the narrow
+        # zgbtrs of _sigma_min about 9x (the zgemm -> zgbtrs FOUND line of CHANGES.md)
+        t[j, j] = alpha = np.vdot(q.view(float), w.view(float))
+        w -= alpha * q
+        prev, theta = theta, np.linalg.eigvalsh(t[: j + 1, : j + 1])[-1]
+        beta = np.sqrt(np.vdot(w.view(float), w.view(float)))
+        if theta - prev <= SIGMA_RTOL * theta or not 0 < beta < np.inf:
             break
-        x = y / nrm
-    return float(np.linalg.norm(op.matvec(x)))
+        t[j + 1, j] = beta
+        q_prev, q = q, w / beta
+    return float(theta) if beta < np.inf else np.inf
+
+
+def _sigma_max(op: BoundaryOperator, x: np.ndarray) -> float:
+    """Largest singular value estimate of ``op``: :func:`_lanczos` on ``A^H A``."""
+    return float(np.sqrt(_lanczos(lambda y: op.rmatvec(op.matvec(y)), x)))
 
 
 def _sigma_min(op: BoundaryOperator, x: np.ndarray) -> float:
-    """Smallest singular value estimate of ``op`` by inverse iteration from
-    ``x``; 0 when the factorization detects exact singularity.
-
-    Each step ``y = A^-H A^-1 x`` runs in the band's node coordinates, an
-    orthogonal transform of the grid coordinates that keeps ``|y|``, so
-    ``x`` is transformed once; ``A^-H = conj A^-1 conj`` as in
-    :meth:`BoundaryOperator.solve_adjoint`.  ``(A^H A)^-1`` is Hermitian
-    positive definite, so the estimate ``|y|`` never decreases: the
-    iteration stops once it grows by at most ``SIGMA_RTOL |y|``, and after
-    ``SIGMA_ITERS`` steps at most."""
+    """Smallest singular value estimate of ``op``: :func:`_lanczos` on
+    ``A^-H A^-1 = conj A^-1 conj A^-1`` in the band's node coordinates, with one
+    zero-padded right-hand side for every solve; 0 when ``op`` is singular."""
     if op.singular:
         return 0.0
     x = op._nodes(x)
     n, _, m = x.shape
     rhs = np.zeros((n, op._width, m), dtype=complex)
-    prev = 0.0
-    for _ in range(SIGMA_ITERS):
-        # only elementwise work between the solves: after a complex BLAS
-        # product (zgemm) OpenBLAS 0.3.31 runs this narrow zgbtrs about 9x
-        # slower (the zgemm -> zgbtrs FOUND line of CHANGES.md)
-        y = np.conj(op._band_solve(np.conj(op._band_solve(x, rhs)), rhs))
-        nrm = np.linalg.norm(y)
-        if not np.isfinite(nrm) or nrm == 0:
-            return 0.0
-        x = y / nrm
-        if nrm - prev <= SIGMA_RTOL * nrm:
-            break
-        prev = nrm
-    return float(1.0 / np.sqrt(nrm))
+    inverse_gram = lambda y: np.conj(op._band_solve(np.conj(op._band_solve(y, rhs)), rhs))
+    return float(1.0 / np.sqrt(_lanczos(inverse_gram, x)))
+
+
+def check_window(window: tuple[float, float], model: WaveguideModel) -> None:
+    """Raise :class:`DomainError` unless ``window`` is finite, nonempty and
+    ``THRESHOLD_MARGIN`` clear of ``lambda_1 .. lambda_(n_max + 1)``."""
+    lo, hi = window
+    if not -np.inf < lo < hi < np.inf:
+        raise DomainError("empty or unbounded search window")
+    for n in range(1, model.n_max + 2):
+        t = model.eigenvalue(n)
+        if lo - THRESHOLD_MARGIN < t < hi + THRESHOLD_MARGIN:
+            raise DomainError(f"window touches threshold lambda_{n} = {t}")
 
 
 def eigenvalue_search(
@@ -719,20 +729,13 @@ def eigenvalue_search(
 
     Interior local minima of the scan are refined by golden-section search
     to ``refine_width`` and kept when the refined relative dip
-    ``sigma_min / sigma_max`` is below ``DETECT_REL``; ``sigma_max`` is
-    computed at the refined points only.  An empty result is a valid
-    outcome.  The window must avoid the thresholds by ``THRESHOLD_MARGIN``;
-    ``resolution < 3`` raises :class:`DomainError`."""
-    lo, hi = window
-    if not hi > lo:
-        raise DomainError("empty search window")
+    ``sigma_min / sigma_max`` is below ``DETECT_REL``; both are
+    :func:`_lanczos` estimates, and ``sigma_max`` is computed at the refined
+    points only.  An empty result is a valid outcome.  :func:`check_window`
+    vets the window; ``resolution < 3`` raises :class:`DomainError`."""
+    check_window(window, model)
     if resolution < 3:
         raise DomainError(f"resolution = {resolution}; the scan needs at least 3 points")
-    for n in range(1, model.n_max + 1):
-        t = model.eigenvalue(n)
-        if lo - THRESHOLD_MARGIN < t < hi + THRESHOLD_MARGIN:
-            raise DomainError(f"window touches threshold lambda_{n} = {t}")
-
     x_max, x_min = _start_vectors(model.dim)
 
     def operator(lam: float) -> BoundaryOperator:
@@ -741,7 +744,7 @@ def eigenvalue_search(
     def sigma_min(lam: float) -> float:
         return _sigma_min(operator(lam), x_min)
 
-    lams = np.linspace(lo, hi, resolution)
+    lams = np.linspace(*window, resolution)
     sig = [sigma_min(float(lam)) for lam in lams]
     out: list[EigenvalueCandidate] = []
     for i in range(1, resolution - 1):

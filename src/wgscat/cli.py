@@ -36,8 +36,8 @@ Config schema::
 ``[1e-4, min(1e-2, eps)]``, so its ``eps`` must exceed ``1e-4``.  Each
 ``invert_demo`` value ``z`` must be finite with ``0 < |z| < radius`` and
 ``arg z`` in the ``sector`` of every family in the file.  Every
-``tail_tol`` and ``eps`` must be positive, and the ``smatrix`` energies and
-the ``eigenvalues`` window finite.
+``tail_tol`` and ``eps`` must be positive, the ``smatrix`` energies finite,
+and the ``eigenvalues`` window pass ``birman.check_window``.
 
 ``--verify`` applies to ``expansion`` only, which then reports the
 dense-oracle error of the expansion at six kappa samples
@@ -62,7 +62,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, birman, expansion, inversion, linalg, scattering, waveguide
-from .errors import ConfigError, WgscatError
+from .errors import ConfigError, DomainError, WgscatError
 from .waveguide import config_value, json_list, json_object
 
 ENV_PREFIX = "WGSCAT_"
@@ -231,14 +231,6 @@ def _tail_tol(task, default: float) -> float:
     return tail_tol
 
 
-def _finite_list(task, key: str, length: int | None = None) -> list[float]:
-    """The task's array of numbers ``key``, each of which must be finite."""
-    values = config_value(task, key, lambda v: json_list(v, length=length))
-    if not np.all(np.isfinite(values)):
-        raise ConfigError(f"{key} = {values}; need finite numbers")
-    return values
-
-
 def cmd_invert_demo(cfg, writer: ArtifactWriter, args) -> int:
     """Drive the inversion engine on file-loaded families vs a dense oracle."""
     task = _task(cfg, "invert_demo")
@@ -287,7 +279,9 @@ def cmd_modes(cfg, writer: ArtifactWriter, args) -> int:
 def cmd_smatrix(cfg, writer: ArtifactWriter, args) -> int:
     task = _task(cfg, "smatrix")
     tail_tol = _tail_tol(task, 1e-4)
-    energies = sorted(_finite_list(task, "energies"))
+    energies = sorted(config_value(task, "energies", json_list))
+    if not np.all(np.isfinite(energies)):
+        raise ConfigError(f"energies = {energies}; need finite numbers")
     model = _model(cfg)
 
     def one(lam):
@@ -370,15 +364,17 @@ def cmd_expansion(cfg, writer: ArtifactWriter, args) -> int:
 
 def cmd_eigenvalues(cfg, writer: ArtifactWriter, args) -> int:
     task = _task(cfg, "eigenvalues")
-    window = tuple(_finite_list(task, "window", length=2))
+    window = tuple(config_value(task, "window", lambda v: json_list(v, length=2)))
     tail_tol = _tail_tol(task, 1e-3)
     resolutions = config_value(task, "resolutions", lambda rs: json_list(rs, int), [48])
-    if not window[0] < window[1]:
-        raise ConfigError(f"window = {list(window)}; need lo < hi")
     if not resolutions or any(res < 3 for res in resolutions):
         raise ConfigError(f"resolutions = {resolutions}; need at least one, "
                           "of at least 3 points each")
     model = _model(cfg)
+    try:
+        birman.check_window(window, model)
+    except DomainError as exc:
+        raise ConfigError(f"window = {list(window)}; {exc}") from exc
     rows = []
     counts = []
     for res in resolutions:

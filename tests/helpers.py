@@ -145,18 +145,3 @@ def dense_two_term(model, lam, kappa, tail_tol) -> np.ndarray:
         return g
     j1 = (np.eye(basis.shape[1]) - basis.conj().T @ g @ basis) / k**2
     return g + (g @ basis) @ (linalg.inverse(j1) / k**2) @ (basis.conj().T @ g)
-
-
-def sigma_min_reference(op, x) -> float:
-    """Grid-coordinate oracle of ``birman._sigma_min``: ``SIGMA_ITERS`` steps
-    of inverse iteration through ``op.solve`` and ``op.solve_adjoint``, with
-    no stopping rule."""
-    if op.singular:
-        return 0.0
-    for _ in range(birman.SIGMA_ITERS):
-        y = op.solve_adjoint(op.solve(x))
-        nrm = np.linalg.norm(y)
-        if not np.isfinite(nrm) or nrm == 0:
-            return 0.0
-        x = y / nrm
-    return float(1.0 / np.sqrt(nrm))

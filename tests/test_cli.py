@@ -377,6 +377,11 @@ class TestConfigErrors:
          MODEL_DOC, None),
         ("eigenvalues", {"eigenvalues": {"window": [0.6, float("inf")], "resolutions": [10],
                                          "tail_tol": 0.2}}, MODEL_DOC, None),
+        ("eigenvalues", {"eigenvalues": {"window": [3.9, 4.1], "resolutions": [10],
+                                         "tail_tol": 0.2}}, MODEL_DOC, None),
+        ("eigenvalues", {"eigenvalues": {"window": [99.0, 101.0], "resolutions": [9],
+                                         "tail_tol": 0.03}},
+         dict(MODEL_DOC, grid={"n_omega": 5, "n_x": 60}, n_max=9), None),
     ], ids=["energy-not-a-number", "energies-null", "n_x-not-an-integer",
             "model-schema-version", "family-base-not-a-matrix", "family-not-json",
             "family-coeff-not-a-matrix", "table-shape", "n_omega-1", "n_x-1",
@@ -389,7 +394,8 @@ class TestConfigErrors:
             "tail_tol-negative-smatrix", "tail_tol-nan-smatrix", "tail_tol-zero-eigenvalues",
             "tail_tol-negative-eigenvalues", "tail_tol-nan-eigenvalues",
             "tail_tol-zero-threshold-scan", "tail_tol-negative-threshold-scan",
-            "tail_tol-nan-threshold-scan", "energy-nan", "window-infinite"])
+            "tail_tol-nan-threshold-scan", "energy-nan", "window-infinite",
+            "window-touches-threshold", "window-touches-lambda-n_max-plus-1"])
     def test_exit_2_and_no_output(self, tmp_path, command, tasks, model, family):
         if family is not None:
             (tmp_path / "family.json").write_text(family)
