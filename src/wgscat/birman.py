@@ -27,13 +27,17 @@ coordinates.  All blocks stack into one band of half
 bandwidth ``s`` over ``n_blocks n_x`` nodes; its LU costs about
 ``16 n_blocks n_x s^3`` flops and ``n_blocks n_x s (3 s + 1)`` stored
 entries, against ``(8/3) dim^3`` flops and ``dim^2`` entries for the dense
-LU plus ``O(n_used dim^2)`` for the assembly.  S-matrices and the eigenvalue
-scan run on the embedding.
+LU plus ``O(n_used dim^2)`` for the assembly.  What does not depend on the
+energy (the grid mode factors and signs, their gather into the mode slots
+and the ``x`` steps, ``O(n_used dim)`` work) is a :class:`BandLayout`, built
+once per model and mode count and kept on the model; each energy builds
+only the ``mu``-dependent entries, ``O(n_blocks n_x s^2)`` of band fill
+beside the LU.  S-matrices and the eigenvalue scan run on the embedding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -142,26 +146,39 @@ def tail_bound_value(model: WaveguideModel, z: complex, n_used: int) -> float:
     of a nonnegative operator and a cap on the quadrature norms of the mode
     vectors.
     """
-    lam_next = model.eigenvalue(n_used + 1)
-    gap = lam_next - z.real
+    return _tail_bound(_tail_scale(model), model, z, n_used)
+
+
+def _tail_scale(model: WaveguideModel) -> float:
+    """``|v|_inf^2 * cap``, the model constant of :func:`tail_bound_value`."""
+    return model.v_norm_inf() ** 2 * model.cross_section.quadrature_cap(model.n_max)
+
+
+def _tail_bound(scale: float, model: WaveguideModel, z: complex, n_used: int) -> float:
+    """:func:`tail_bound_value` given its model constant ``scale``."""
+    gap = model.eigenvalue(n_used + 1) - z.real
     if gap <= 0:
         return float("inf")
-    return model.v_norm_inf() ** 2 * model.cross_section.quadrature_cap(model.n_max) / gap
+    return scale / gap
 
 
 def _choose_n_used(model: WaveguideModel, z: complex, tail_tol: float,
-                   n_cap: int) -> int:
+                   n_cap: int) -> tuple[int, float]:
+    """``(n_used, tail_bound)``: the fewest modes, all open ones included,
+    whose tail bound meets ``tail_tol``."""
+    scale = _tail_scale(model)
     n_min = 0
     for n in range(1, n_cap + 1):
         if model.eigenvalue(n) <= z.real + 1e-12:
             n_min = n
     n_min = max(n_min, 1)
     for n in range(n_min, n_cap + 1):
-        if tail_bound_value(model, z, n) <= tail_tol:
-            return n
+        bound = _tail_bound(scale, model, z, n)
+        if bound <= tail_tol:
+            return n, bound
     raise TruncationError(
         f"tail tolerance {tail_tol:.2e} unattainable with {n_cap} modes "
-        f"(bound {tail_bound_value(model, z, n_cap):.2e} at the cap)"
+        f"(bound {_tail_bound(scale, model, z, n_cap):.2e} at the cap)"
     )
 
 
@@ -268,8 +285,7 @@ def _truncation(model: WaveguideModel, z: complex, tail_tol: float,
             raise BranchPointError(
                 f"z collides with threshold lambda_{n}; use the expansion machinery"
             )
-    n_used = _choose_n_used(model, z, tail_tol, n_cap)
-    return n_used, tail_bound_value(model, z, n_used)
+    return _choose_n_used(model, z, tail_tol, n_cap)
 
 
 def bs_operator(
@@ -324,7 +340,7 @@ def _mode_sums(ratio: np.ndarray, t: np.ndarray) -> np.ndarray:
     return _sweep(ratio, t) + _sweep(back, t[::-1])[::-1] - t
 
 
-def _layout(sec: Sectors, t: np.ndarray) -> np.ndarray:
+def _node_slices(sec: Sectors, t: np.ndarray) -> np.ndarray:
     """Sector-coordinate values ``(n_omega, n_x, m)`` as the node slices
     ``(n_blocks * n_x, n_omega / n_blocks, m)`` of the band: block-major,
     then node-major, with the block's transverse values at each node."""
@@ -345,7 +361,9 @@ class BoundaryOperator:
     symmetric, so :meth:`solve_adjoint` is the conjugated solve.
     :meth:`matvec`, :meth:`rmatvec` and :meth:`norm_bound` run the
     recurrences of the grid-coordinate factors ``u``, ``a``, ``c`` and
-    ``ratio`` directly.
+    ``ratio`` directly.  ``u``, ``a`` and ``sectors`` are those of the
+    model's :class:`BandLayout`, shared read-only with every operator built
+    on it.
     """
 
     u: np.ndarray          # (n_x, n_omega) signs of the potential
@@ -379,7 +397,7 @@ class BoundaryOperator:
     def _nodes(self, y) -> np.ndarray:
         """Grid vector(s) as the node slices of the band."""
         sec = self.sectors
-        return _layout(sec, sec.to_sector(self._vectors(y)).reshape(sec.n_omega, sec.n_x, -1))
+        return _node_slices(sec, sec.to_sector(self._vectors(y)).reshape(sec.n_omega, sec.n_x, -1))
 
     def _grid(self, nodes: np.ndarray, like) -> np.ndarray:
         """Node slices of the band as grid vector(s) shaped like ``like``."""
@@ -461,6 +479,65 @@ def _mode_slots(sec: Sectors, n_used: int) -> np.ndarray:
     return np.array([np.pad(m, (0, q - m.size), constant_values=-1) for m in members])
 
 
+@dataclass(frozen=True)
+class BandLayout:
+    """The energy-independent part of the embedding of :func:`boundary_operator`
+    for one model and mode count: the grid factors, the ``x`` steps, and the
+    mode factors and signs placed in the band's mode slots.  Built once per
+    model and ``n_used`` by :func:`band_layout` and shared by every operator
+    built on it, so its arrays are read-only."""
+
+    u: np.ndarray          # (n_x, n_omega) signs of the potential
+    a: np.ndarray          # (n_x, n_used, n_omega) mode factors f_n v sqrt(w)
+    dx: np.ndarray         # (n_x,) steps x_k - x_(k-1), 0 at the first node
+    sectors: Sectors       # block layout of the band
+    live: np.ndarray       # (n_blocks, q) the slot holds a retained mode
+    mode: np.ndarray       # (n_blocks, q) that mode's index (0-based), 0 in inert slots
+    an: np.ndarray         # (n_blocks n_x, q, w) slot mode factors per node, 0 in inert slots
+    un: np.ndarray         # (n_blocks n_x, w) signs per node
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+
+
+def band_layout(model: WaveguideModel, n_used: int) -> BandLayout:
+    """The :class:`BandLayout` of ``model`` for the modes ``1..n_used``, kept
+    in ``model.band_layouts`` from its first use on.  Raises
+    :class:`DimensionError` unless the ``x`` nodes increase strictly."""
+    layout = model.band_layouts.get(n_used)
+    if layout is None:
+        # setdefault keeps the first layout stored, so threads that build
+        # the same one at once still share one
+        layout = model.band_layouts.setdefault(n_used, _build_layout(model, n_used))
+    return layout
+
+
+def _build_layout(model: WaveguideModel, n_used: int) -> BandLayout:
+    """A new :class:`BandLayout`; :func:`band_layout` keeps it."""
+    grid, sec = model.grid, model.sectors
+    n_omega, n_x, p = grid.n_omega, grid.n_x, n_used
+    x = grid.x_nodes
+    if np.any(np.diff(x) <= 0):
+        raise DimensionError("the x nodes must increase strictly")
+    sw = grid.composite_sqrt_weights().reshape(n_omega, n_x)
+    samples = np.array([model.modes[n].samples for n in range(p)])
+    a = (samples[:, :, None] * (model.potential.v * sw)).transpose(2, 0, 1)
+
+    # q mode slots per node in every block: each slot's mode factors, zero in
+    # inert slots
+    a_sec = a if sec.basis is None else a @ sec.basis
+    slots = _mode_slots(sec, n_used)
+    (nb, q), w = slots.shape, n_omega // sec.n_blocks
+    live, mode = slots >= 0, np.maximum(slots, 0)
+    an = a_sec.reshape(n_x, p, nb, w)[:, mode, np.arange(nb)[:, None], :]   # (n_x, nb, q, w)
+    an = np.where(live[:, :, None], an, 0.0).transpose(1, 0, 2, 3).reshape(nb * n_x, q, w)
+    un = _node_slices(sec, model.potential.u[:, :, None])[:, :, 0]  # u is constant along omega
+    return BandLayout(model.potential.u.T, a, np.diff(x, prepend=x[0]), sec, live, mode, an, un)
+
+
 def boundary_operator(pt: SpectralPoint, model: WaveguideModel,
                       tail_tol: float = 1e-4) -> BoundaryOperator:
     """Factor ``u + v R0(lam - kappa^2) v`` through its state-space embedding.
@@ -490,58 +567,48 @@ def boundary_operator(pt: SpectralPoint, model: WaveguideModel,
     of half bandwidth ``s = w + 2 q`` (``w`` values per node) holds them
     all and one LAPACK ``zgbtrf`` factors it: ``s = n_omega + 2 n_used`` for
     one block, ``s = 1 + 2 q`` for sectors (the cost model is in the module
-    docstring).  Raises :class:`DimensionError` unless the ``x`` nodes
-    increase strictly.
+    docstring).  What does not depend on the energy comes from the model's
+    :func:`band_layout` for ``n_used``; each call computes only ``mu``,
+    ``c``, the ratios and the blocks built from them, and writes every node
+    block straight into the band storage.  Raises :class:`DimensionError`
+    unless the ``x`` nodes increase strictly.
     """
     z = pt.z
     n_used, tail = _truncation(model, z, tail_tol, model.n_max)
-    grid, sec = model.grid, model.sectors
-    n_omega, n_x, p = grid.n_omega, grid.n_x, n_used
-    x = grid.x_nodes
-    if np.any(np.diff(x) <= 0):
-        raise DimensionError("the x nodes must increase strictly")
-    mu = np.array([sqrt_upper(z - model.eigenvalue(n)) for n in range(1, p + 1)])
+    lay = band_layout(model, n_used)
+    mu = np.array([sqrt_upper(z - model.eigenvalue(n)) for n in range(1, n_used + 1)])
     c = 1j / (2.0 * mu)
-    ratio = np.exp(1j * np.diff(x, prepend=x[0])[:, None] * mu[None, :])
-    sw = grid.composite_sqrt_weights().reshape(n_omega, n_x)
-    samples = np.array([model.modes[n].samples for n in range(p)])
-    a = (samples[:, :, None] * (model.potential.v * sw)).transpose(2, 0, 1)
-    u = model.potential.u.T
+    ratio = np.exp(1j * lay.dx[:, None] * mu[None, :])
 
-    # q mode slots per node in every block: each slot's mode factors,
-    # prefactor and ratios, zero in inert slots
-    a_sec = a if sec.basis is None else a @ sec.basis
-    slots = _mode_slots(sec, n_used)
-    (nb, q), w = slots.shape, n_omega // sec.n_blocks
-    n = nb * n_x
-    live, mode = slots >= 0, np.maximum(slots, 0)
-    an = a_sec.reshape(n_x, p, nb, w)[:, mode, np.arange(nb)[:, None], :]   # (n_x, nb, q, w)
-    an = np.where(live[:, :, None], an, 0.0).transpose(1, 0, 2, 3).reshape(n, q, w)
-    cn = np.repeat(np.where(live, c[mode], 0.0), n_x, axis=0)
+    # each slot's prefactor and ratios, zero in inert slots
+    n, q, w = lay.an.shape
+    live, mode = lay.live, lay.mode
+    cn = np.repeat(np.where(live, c[mode], 0.0), model.grid.n_x, axis=0)
     rn = np.where(live[:, None, :], ratio[:, mode].transpose(1, 0, 2), 0.0)
     rn[:, 0] = 0.0                                                  # cut at block starts
     rn = rn.reshape(n, q)
-    un = _layout(sec, model.potential.u[:, :, None])[:, :, 0]      # u is constant along omega
+    ca = cn[:, :, None] * lay.an
 
-    # node block [f(k), y(k), g(k)] of s unknowns; band storage ab[kl+ku+r-c, c],
-    # filled through its transpose, one node-block column at a time
+    # node block [f(k), y(k), g(k)] of s unknowns; band storage ab[kl+ku+r-c, c]
+    # is filled through its transpose abt, where entry (r, c) of node k's
+    # block sits at abt[k, c, 2 s - c + r], offset 2 s + r + 3 s c into the node
     s = w + 2 * q
     fs, ys, gs = slice(0, q), slice(q, q + w), slice(q + w, s)
-    ca = cn[:, :, None] * an
-    block = np.zeros((n, s, s), dtype=complex)
-    block[:, fs, fs] = block[:, gs, gs] = np.eye(q)
-    block[:, fs, ys] = block[:, gs, ys] = -an
-    block[:, ys, fs] = block[:, ys, gs] = ca.transpose(0, 2, 1)
-    block[:, ys, ys] = -np.einsum("kmi,kmj->kij", ca, an)
-    diag = np.arange(q, q + w)
-    block[:, diag, diag] += un
     abt = np.zeros((n, s, 3 * s + 1), dtype=complex)
-    for col in range(s):
-        abt[:, col, 2 * s - col : 3 * s - col] = block[:, :, col]
+    item = abt.itemsize
+    block = np.lib.stride_tricks.as_strided(
+        abt.reshape(-1)[2 * s:], (n, s, s), (s * (3 * s + 1) * item, item, 3 * s * item))
+    block[:, fs, fs] = block[:, gs, gs] = np.eye(q)
+    block[:, fs, ys] = block[:, gs, ys] = -lay.an
+    block[:, ys, fs] = block[:, ys, gs] = ca.transpose(0, 2, 1)
+    block[:, ys, ys] = -np.einsum("kmi,kmj->kij", ca, lay.an)
+    diag = np.arange(q, q + w)
+    block[:, diag, diag] += lay.un
     abt[:-1, fs, 3 * s] = -rn[1:]   # f(k) <- f(k-1)
     abt[1:, gs, s] = -rn[1:]        # g(k) <- g(k+1)
     lu, piv, info = _GBTRF(abt.reshape(n * s, 3 * s + 1).T, s, s, overwrite_ab=1)
-    return BoundaryOperator(u, a, c, ratio, sec, q, lu, piv, info > 0, n_used, tail)
+    return BoundaryOperator(lay.u, lay.a, c, ratio, lay.sectors, q, lu, piv, info > 0,
+                            n_used, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -706,13 +773,26 @@ def _sigma_min(op: BoundaryOperator, x: np.ndarray) -> float:
     return float(1.0 / np.sqrt(_lanczos(inverse_gram, x)))
 
 
+def check_model_range(energy: float, model: WaveguideModel) -> None:
+    """Raise :class:`DomainError` unless ``energy`` lies ``THRESHOLD_MARGIN``
+    below ``lambda_(n_max + 1)``: from there up more channels are open than
+    the model stores modes, so no mode cutoff meets any tail tolerance."""
+    top = model.eigenvalue(model.n_max + 1)
+    if not energy < top - THRESHOLD_MARGIN:
+        raise DomainError(f"energy {energy} is not {THRESHOLD_MARGIN:g} below "
+                          f"lambda_{model.n_max + 1} = {top}, the first threshold "
+                          f"past the {model.n_max} stored modes")
+
+
 def check_window(window: tuple[float, float], model: WaveguideModel) -> None:
-    """Raise :class:`DomainError` unless ``window`` is finite, nonempty and
-    ``THRESHOLD_MARGIN`` clear of ``lambda_1 .. lambda_(n_max + 1)``."""
+    """Raise :class:`DomainError` unless ``window`` is finite, nonempty,
+    within the model's range (:func:`check_model_range` of its top) and
+    ``THRESHOLD_MARGIN`` clear of ``lambda_1 .. lambda_n_max``."""
     lo, hi = window
     if not -np.inf < lo < hi < np.inf:
         raise DomainError("empty or unbounded search window")
-    for n in range(1, model.n_max + 2):
+    check_model_range(hi, model)
+    for n in range(1, model.n_max + 1):
         t = model.eigenvalue(n)
         if lo - THRESHOLD_MARGIN < t < hi + THRESHOLD_MARGIN:
             raise DomainError(f"window touches threshold lambda_{n} = {t}")

@@ -36,8 +36,9 @@ Config schema::
 ``[1e-4, min(1e-2, eps)]``, so its ``eps`` must exceed ``1e-4``.  Each
 ``invert_demo`` value ``z`` must be finite with ``0 < |z| < radius`` and
 ``arg z`` in the ``sector`` of every family in the file.  Every
-``tail_tol`` and ``eps`` must be positive, the ``smatrix`` energies finite,
-and the ``eigenvalues`` window pass ``birman.check_window``.
+``tail_tol`` and ``eps`` must be positive, the ``smatrix`` energies finite
+and within the model's range (``birman.check_model_range``), and the
+``eigenvalues`` window pass ``birman.check_window``.
 
 ``--verify`` applies to ``expansion`` only, which then reports the
 dense-oracle error of the expansion at six kappa samples
@@ -283,6 +284,11 @@ def cmd_smatrix(cfg, writer: ArtifactWriter, args) -> int:
     if not np.all(np.isfinite(energies)):
         raise ConfigError(f"energies = {energies}; need finite numbers")
     model = _model(cfg)
+    if energies:
+        try:
+            birman.check_model_range(energies[-1], model)
+        except DomainError as exc:
+            raise ConfigError(f"energies = {energies}; {exc}") from exc
 
     def one(lam):
         return scattering.channel_smatrix(lam, model, tail_tol)

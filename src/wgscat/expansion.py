@@ -292,7 +292,7 @@ def _level0_data(model: WaveguideModel, lam: float, eps: float, tail_tol: float)
     group = model.group_at(lam)
     # mode count fixed at the threshold; the kappa excursion moves Re z by
     # at most eps^2, absorbed in the gap margin
-    n_used = birman._choose_n_used(model, complex(lam + eps**2), tail_tol, model.n_max)
+    n_used, _ = birman._choose_n_used(model, complex(lam + eps**2), tail_tol, model.n_max)
     members = tuple(n for n in group.members if n <= n_used)
     if members != group.members:
         raise DomainError("threshold group extends beyond the retained modes")

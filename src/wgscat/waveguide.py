@@ -357,6 +357,10 @@ class WaveguideModel:
     modes: list[TransverseMode]
     potential: PotentialModel
     groups: list[ThresholdGroup] = field(default_factory=list)
+    # the energy-independent band layouts of birman.boundary_operator, keyed
+    # by mode count and built on first use (birman.band_layout); a copy made
+    # by dataclasses.replace starts with none
+    band_layouts: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.potential.values.shape != (self.grid.n_omega, self.grid.n_x):

@@ -40,6 +40,13 @@ def oned_well_levels(depth: float, width: float = 1.0) -> list[float]:
     return sorted(out)
 
 
+def same_bits(x, y) -> bool:
+    """``x`` and ``y`` are arrays of one dtype and shape with identical bytes."""
+    x, y = np.asarray(x), np.asarray(y)
+    return (x.dtype, x.shape) == (y.dtype, y.shape) and (
+        np.ascontiguousarray(x).tobytes() == np.ascontiguousarray(y).tobytes())
+
+
 def fit_slope(xs, ys) -> float:
     """Least-squares slope of log ys against log xs."""
     return float(np.polyfit(np.log(np.asarray(xs, float)),

@@ -1,6 +1,8 @@
 """Free-resolvent kernels, the sandwiched operator, HS diagnostics, scans."""
 
 import dataclasses
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -212,6 +214,92 @@ class TestBoundaryOperator:
         assert counts == {"mode_sum_matrix": 0, "lu_factor": 0}
 
 
+class TestBandLayout:
+    """The energy-independent layout is built once per model and mode count,
+    shared read-only, and changes no bit of the operators built on it."""
+
+    FIELDS = ("lu", "piv", "c", "ratio")
+
+    def test_warm_builds_equal_cold_builds(self, any_model):
+        # one model across three energies against a fresh copy per energy
+        model = dataclasses.replace(any_model)
+        for lam in TestBoundaryOperator.energies(any_model)[1:]:
+            pt = birman.SpectralPoint(lam, 0.0)
+            warm = birman.boundary_operator(pt, model, TestBoundaryOperator.TAIL_TOL)
+            cold = birman.boundary_operator(pt, dataclasses.replace(any_model),
+                                            TestBoundaryOperator.TAIL_TOL)
+            assert all(helpers.same_bits(getattr(warm, f), getattr(cold, f))
+                       for f in self.FIELDS)
+        assert model.band_layouts and all(
+            lay is birman.band_layout(model, n) for n, lay in model.band_layouts.items())
+
+    def test_layout_arrays_are_read_only(self, any_model):
+        op = birman.boundary_operator(birman.SpectralPoint(
+            TestBoundaryOperator.energies(any_model)[0], 0.0), any_model,
+            TestBoundaryOperator.TAIL_TOL)
+        lay = birman.band_layout(any_model, op.n_used)
+        assert op.u is lay.u and op.a is lay.a
+        for f in dataclasses.fields(lay):
+            value = getattr(lay, f.name)
+            if isinstance(value, np.ndarray):
+                with pytest.raises(ValueError):
+                    value[...] = 0
+
+    def test_sibling_model_gets_its_own_layout(self, any_model):
+        # reversed x nodes on a copy still raise once the original has a layout
+        pt = birman.SpectralPoint(TestBoundaryOperator.energies(any_model)[0], 0.0)
+        birman.boundary_operator(pt, any_model, TestBoundaryOperator.TAIL_TOL)
+        assert any_model.band_layouts
+        grid = dataclasses.replace(any_model.grid, x_nodes=any_model.grid.x_nodes[::-1].copy())
+        sibling = dataclasses.replace(any_model, grid=grid)
+        assert sibling.band_layouts == {}
+        with pytest.raises(DimensionError):
+            birman.boundary_operator(pt, sibling, TestBoundaryOperator.TAIL_TOL)
+
+    def test_threads_share_one_layout_per_mode_count(self, well_small):
+        # the smatrix command builds operators on one model from several
+        # threads; more threads than cores and a short switch interval
+        model = dataclasses.replace(well_small)
+        t = model.thresholds()
+        lams = [a + f * (b - a) for a, b in zip(t, t[1:3]) for f in np.linspace(0.1, 0.9, 8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                ops = list(pool.map(lambda lam: birman.boundary_operator(
+                    birman.SpectralPoint(lam, 0.0), model, 0.1), lams, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len({op.n_used for op in ops}) > 1
+        for lam, op in zip(lams, ops):
+            assert op.a is model.band_layouts[op.n_used].a
+            cold = birman.boundary_operator(birman.SpectralPoint(lam, 0.0),
+                                            dataclasses.replace(well_small), 0.1)
+            assert all(helpers.same_bits(getattr(op, f), getattr(cold, f)) for f in self.FIELDS)
+
+    def test_search_builds_one_layout_per_mode_count(self, any_model, monkeypatch):
+        model = dataclasses.replace(any_model)
+        built, used = [], []
+        build, operator = birman._build_layout, birman.boundary_operator
+
+        def counted_build(m, n_used):
+            built.append(n_used)
+            return build(m, n_used)
+
+        def recorded_operator(*args, **kwargs):
+            op = operator(*args, **kwargs)
+            used.append(op.n_used)
+            return op
+
+        monkeypatch.setattr(birman, "_build_layout", counted_build)
+        monkeypatch.setattr(birman, "boundary_operator", recorded_operator)
+        t = model.thresholds()
+        birman.eigenvalue_search((t[0] + 0.05, t[1] - 0.05), model, resolution=6,
+                                 tail_tol=TestBoundaryOperator.TAIL_TOL)
+        assert len(used) >= 6
+        assert sorted(built) == sorted(set(used))
+
+
 class TestHsDiagnostic:
     def test_inverse_sqrt_scaling(self):
         vals = [birman.hs_diagnostic(lam, 0.0, 1.0)[0] for lam in (4.0, 16.0, 64.0, 256.0)]
@@ -276,6 +364,17 @@ class TestEigenvalueSearch:
     def test_window_touching_threshold_rejected(self, well_small):
         with pytest.raises(DomainError):
             birman.eigenvalue_search((3.5, 4.1), well_small, resolution=8, tail_tol=0.1)
+
+    @pytest.mark.parametrize("window", [(120.0, 122.0), (80.0, 81.0 - 1e-7)])
+    def test_window_above_the_model_range_rejected(self, well_small, window, monkeypatch):
+        # lambda_9 = 81 is the first threshold past the 8 stored modes; no
+        # operator is built for a window at or above it
+        monkeypatch.setattr(birman, "boundary_operator", None)
+        with pytest.raises(DomainError, match="lambda_9"):
+            birman.eigenvalue_search(window, well_small, resolution=8, tail_tol=0.1)
+        birman.check_model_range(81.0 - 2e-6, well_small)
+        with pytest.raises(DomainError, match="lambda_9"):
+            birman.check_model_range(81.0 - 1e-6, well_small)
 
     @pytest.mark.parametrize("resolution", [2, 0, -5])
     def test_resolution_below_three_rejected(self, well_small, resolution):

@@ -382,6 +382,11 @@ class TestConfigErrors:
         ("eigenvalues", {"eigenvalues": {"window": [99.0, 101.0], "resolutions": [9],
                                          "tail_tol": 0.03}},
          dict(MODEL_DOC, grid={"n_omega": 5, "n_x": 60}, n_max=9), None),
+        ("eigenvalues", {"eigenvalues": {"window": [120.0, 122.0], "resolutions": [9],
+                                         "tail_tol": 0.03}},
+         dict(MODEL_DOC, grid={"n_omega": 5, "n_x": 60}, n_max=9), None),
+        ("smatrix", {"smatrix": {"energies": [2.5, 150.0], "tail_tol": 0.03}},
+         dict(MODEL_DOC, grid={"n_omega": 5, "n_x": 60}, n_max=9), None),
     ], ids=["energy-not-a-number", "energies-null", "n_x-not-an-integer",
             "model-schema-version", "family-base-not-a-matrix", "family-not-json",
             "family-coeff-not-a-matrix", "table-shape", "n_omega-1", "n_x-1",
@@ -395,7 +400,8 @@ class TestConfigErrors:
             "tail_tol-negative-eigenvalues", "tail_tol-nan-eigenvalues",
             "tail_tol-zero-threshold-scan", "tail_tol-negative-threshold-scan",
             "tail_tol-nan-threshold-scan", "energy-nan", "window-infinite",
-            "window-touches-threshold", "window-touches-lambda-n_max-plus-1"])
+            "window-touches-threshold", "window-touches-lambda-n_max-plus-1",
+            "window-above-lambda-n_max-plus-1", "energy-above-lambda-n_max-plus-1"])
     def test_exit_2_and_no_output(self, tmp_path, command, tasks, model, family):
         if family is not None:
             (tmp_path / "family.json").write_text(family)

@@ -3,6 +3,7 @@ engine against the dense oracle, the projection invariants, thin-factor
 commutator norms, threshold grouping and transverse sector detection."""
 
 import copy
+import dataclasses
 
 import numpy as np
 from hypothesis import given
@@ -373,6 +374,12 @@ def test_boundary_operator_matches_dense_oracle(case):
     assert rel(op.matvec(b), a @ b) <= 1e-12
     assert rel(op.solve(b[:, 0]), linalg.solve(a, b[:, 0])) <= 1e-12
     assert 0.1 <= op.cond_estimate() / linalg.cond_estimate(a) <= 10.0
+    # a build on the model's kept layout against one on a fresh copy
+    warm = birman.boundary_operator(birman.SpectralPoint(lam, 0.0), model, tail_tol)
+    cold = birman.boundary_operator(birman.SpectralPoint(lam, 0.0), dataclasses.replace(model),
+                                    tail_tol)
+    assert all(helpers.same_bits(getattr(warm, f), getattr(cold, f))
+               for f in ("lu", "piv", "c", "ratio"))
 
 
 @given(band_cases())
