@@ -341,11 +341,17 @@ def _mode_sums(ratio: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _node_slices(sec: Sectors, t: np.ndarray) -> np.ndarray:
-    """Sector-coordinate values ``(n_omega, n_x, m)`` as the node slices
-    ``(n_blocks * n_x, n_omega / n_blocks, m)`` of the band: block-major,
+    """Sector-coordinate values ``(dim, m)`` or ``(n_omega, n_x, m)`` as the
+    band's node slices ``(n_blocks * n_x, n_omega / n_blocks, m)``: block-major,
     then node-major, with the block's transverse values at each node."""
-    nb, m = sec.n_blocks, t.shape[2]
+    nb, m = sec.n_blocks, t.shape[-1]
     return t.reshape(nb, -1, sec.n_x, m).transpose(0, 2, 1, 3).reshape(nb * sec.n_x, -1, m)
+
+
+def _sector_values(sec: Sectors, nodes: np.ndarray) -> np.ndarray:
+    """Band node slices as sector-coordinate values ``(dim, m)``: :func:`_node_slices` undone."""
+    m = nodes.shape[2]
+    return nodes.reshape(sec.n_blocks, sec.n_x, -1, m).transpose(0, 2, 1, 3).reshape(sec.dim, m)
 
 
 @dataclass(frozen=True)
@@ -353,25 +359,21 @@ class BoundaryOperator:
     """``A = u + v R0(z) v`` held through its banded state-space embedding.
 
     Built by :func:`boundary_operator`; the dense matrix is never formed.
-    Vectors use the composite grid order of :class:`GridOperator`, as 1-D
-    arrays or as the columns of 2-D arrays.  One banded LU of the embedding
-    on the model's sector blocks (``sectors``, ``slots`` mode slots per
-    node) serves :meth:`solve`, between the orthogonal transforms
-    ``sectors.to_sector`` and ``sectors.to_grid``; ``A`` is complex
-    symmetric, so :meth:`solve_adjoint` is the conjugated solve.
-    :meth:`matvec`, :meth:`rmatvec` and :meth:`norm_bound` run the
-    recurrences of the grid-coordinate factors ``u``, ``a``, ``c`` and
-    ``ratio`` directly.  ``u``, ``a`` and ``sectors`` are those of the
-    model's :class:`BandLayout`, shared read-only with every operator built
-    on it.
+    Its one view is the band's node slices ``(n, w, m)`` (:func:`_node_slices`):
+    the slot factors and signs of ``layout`` (the model's :class:`BandLayout`,
+    shared read-only), this energy's slot prefactors ``cn`` and step ratios
+    ``rn``, and one band LU.  Grid vectors (the order of :class:`GridOperator`,
+    1-D or as columns) enter and leave only at :meth:`solve` and :meth:`matvec`,
+    through the transforms of ``layout.sectors``; the products, the norm bound,
+    the condition estimate and the scan's Lanczos runs stay on the node slices.
+    ``u``, ``v`` and the modes are real and the kernel symmetric in ``x, x'``,
+    so ``A`` is complex symmetric there as on the grid: ``A^H y = conj(A
+    conj(y))``, and the adjoint solve is the conjugated one.
     """
 
-    u: np.ndarray          # (n_x, n_omega) signs of the potential
-    a: np.ndarray          # (n_x, n_used, n_omega) mode factors f_n v sqrt(w)
-    c: np.ndarray          # (n_used,) kernel prefactors i / (2 mu_n)
-    ratio: np.ndarray      # (n_x, n_used) step ratios exp(i mu_n dx); row 0 unused
-    sectors: Sectors       # block layout of the band
-    slots: int             # mode slots per node of the band
+    layout: BandLayout     # energy-independent part of the band
+    cn: np.ndarray         # (n, q) slot prefactors i / (2 mu_n), 0 in inert slots
+    rn: np.ndarray         # (n, q) step ratios exp(i mu_n dx), 0 in inert slots, block starts
     lu: np.ndarray         # band LU of the embedding (zgbtrf layout)
     piv: np.ndarray
     singular: bool         # the band LU met an exactly zero pivot
@@ -380,47 +382,43 @@ class BoundaryOperator:
 
     @property
     def dim(self) -> int:
-        return self.u.size
+        return self.layout.un.size
+
+    @property
+    def slots(self) -> int:  # mode slots per node of the band
+        return self.layout.an.shape[1]
 
     @property
     def _width(self) -> int:
         """Unknowns per node of the band, which is also its half bandwidth."""
-        return self.u.shape[1] // self.sectors.n_blocks + 2 * self.slots
+        return self.layout.un.shape[1] + 2 * self.slots
 
-    def _vectors(self, y) -> np.ndarray:
-        """Grid vector(s) ``(dim,)`` or ``(dim, m)`` as complex ``(dim, m)``."""
+    def _nodes(self, y) -> np.ndarray:
+        """Grid vector(s) ``(dim,)`` or ``(dim, m)`` as the node slices of the band."""
         y = np.asarray(y, dtype=complex)
         if y.shape[0] != self.dim:
             raise DimensionError(f"vector length {y.shape[0]} != operator dim {self.dim}")
-        return y.reshape(self.dim, -1)
-
-    def _nodes(self, y) -> np.ndarray:
-        """Grid vector(s) as the node slices of the band."""
-        sec = self.sectors
-        return _node_slices(sec, sec.to_sector(self._vectors(y)).reshape(sec.n_omega, sec.n_x, -1))
+        sec = self.layout.sectors
+        return _node_slices(sec, sec.to_sector(y.reshape(self.dim, -1)))
 
     def _grid(self, nodes: np.ndarray, like) -> np.ndarray:
         """Node slices of the band as grid vector(s) shaped like ``like``."""
-        sec, m = self.sectors, nodes.shape[2]
-        t = nodes.reshape(sec.n_blocks, sec.n_x, -1, m).transpose(0, 2, 1, 3)
-        out = sec.to_grid(t.reshape(self.dim, m))
+        sec = self.layout.sectors
+        out = sec.to_grid(_sector_values(sec, nodes))
         return out[:, 0] if np.ndim(like) == 1 else out
 
-    def matvec(self, y) -> np.ndarray:
-        """``A @ y``: the forward and backward mode sums of the grid factors."""
-        n_x, n_omega = self.u.shape
-        yk = np.ascontiguousarray(self._vectors(y).reshape(n_omega, n_x, -1).transpose(1, 0, 2))
-        t = np.einsum("kpi,kim->kpm", self.a, yk)
-        h = self.c[None, :, None] * _mode_sums(self.ratio[:, :, None], t)
-        out = self.u[:, :, None] * yk + np.einsum("kpi,kpm->kim", self.a, h)
-        out = out.transpose(1, 0, 2).reshape(self.dim, -1)
-        return out[:, 0] if np.ndim(y) == 1 else out
+    def _apply(self, nodes: np.ndarray) -> np.ndarray:
+        """``A`` on node slices ``(n, w, m)``: the signs plus, per mode slot,
+        the forward and backward mode sums.  ``rn`` is 0 at every block
+        start, so no sum crosses from one block into the next."""
+        an = self.layout.an
+        t = np.einsum("kpi,kim->kpm", an, nodes)
+        h = self.cn[:, :, None] * _mode_sums(self.rn[:, :, None], t)
+        return self.layout.un[:, :, None] * nodes + np.einsum("kpi,kpm->kim", an, h)
 
-    def rmatvec(self, y) -> np.ndarray:
-        """``A^H @ y``.  ``u``, ``v`` and the modes are real and the kernel is
-        symmetric in ``x, x'``, so ``A`` is complex symmetric and
-        ``A^H y = conj(A conj(y))``."""
-        return np.conj(self.matvec(np.conj(y)))
+    def matvec(self, y) -> np.ndarray:
+        """``A @ y`` for grid vector(s) ``y``."""
+        return self._grid(self._apply(self._nodes(y)), y)
 
     def solve(self, b) -> np.ndarray:
         """``A^-1 b``: the ``y`` part of the embedding's solution for ``(b, 0, 0)``."""
@@ -439,28 +437,27 @@ class BoundaryOperator:
         x, _ = _GBTRS(self.lu, s, s, rhs.reshape(n * s, m), self.piv)
         return x.reshape(n, s, m)[:, p : p + w]
 
-    def solve_adjoint(self, b) -> np.ndarray:
-        """``A^-H b = conj(A^-1 conj(b))``, since ``A`` is complex symmetric
-        (:meth:`rmatvec`)."""
-        return np.conj(self.solve(np.conj(b)))
-
     def norm_bound(self) -> float:
-        """Upper bound on ``|A|_1``: the largest column sum of ``|u|`` plus
-        the mode terms taken in absolute value one by one, which is exact
-        for a single mode."""
-        w = np.abs(self.a).sum(axis=2)[:, :, None]
-        sums = _mode_sums(np.abs(self.ratio)[:, :, None], w)[:, :, 0]
-        cols = np.abs(self.u) + np.einsum("kpi,kp->ki", np.abs(self.a), np.abs(self.c) * sums)
+        """Upper bound on ``max_b |A_b|_1`` over the sector blocks: the largest
+        column sum of ``|u|`` plus the mode terms of :meth:`_apply` taken in
+        absolute value one by one, which is exact for a single mode."""
+        an = np.abs(self.layout.an)
+        sums = _mode_sums(np.abs(self.rn)[:, :, None], an.sum(axis=2)[:, :, None])[:, :, 0]
+        cols = np.abs(self.layout.un) + np.einsum("kpi,kp->ki", an, np.abs(self.cn) * sums)
         return float(cols.max())
 
     def cond_estimate(self) -> float:
-        """1-norm condition estimate :meth:`norm_bound` times the
-        Hager-Higham estimate of ``|A^-1|_1``, as LAPACK's ``gecon`` pairs
-        ``|A|_1`` with that estimator; ``inf`` when the band LU is singular."""
+        """Estimate of ``max_b |A_b|_1 * max_b |A_b^-1|_1`` over the sector
+        blocks, the guard of ``linalg.block_inverse``: :meth:`norm_bound` times
+        the Hager-Higham estimate of ``|A^-1|_1`` (as ``gecon`` pairs them) from
+        band solves read in sector order, which on one block is the grid order
+        and ``gecon``'s path; ``inf`` when the band LU is singular."""
         anorm = self.norm_bound()
         if self.singular or anorm == 0.0:
             return float("inf")
-        return anorm * onenorm_estimate(self.solve, self.solve_adjoint, self.dim)
+        sec = self.layout.sectors
+        solve = lambda y: _sector_values(sec, self._band_solve(_node_slices(sec, y[:, None])))[:, 0]
+        return anorm * onenorm_estimate(solve, lambda y: np.conj(solve(np.conj(y))), self.dim)
 
 
 _GBTRF, _GBTRS = (get_lapack_funcs(name, (np.zeros(1, dtype=complex),))
@@ -482,13 +479,12 @@ def _mode_slots(sec: Sectors, n_used: int) -> np.ndarray:
 @dataclass(frozen=True)
 class BandLayout:
     """The energy-independent part of the embedding of :func:`boundary_operator`
-    for one model and mode count: the grid factors, the ``x`` steps, and the
-    mode factors and signs placed in the band's mode slots.  Built once per
-    model and ``n_used`` by :func:`band_layout` and shared by every operator
-    built on it, so its arrays are read-only."""
+    for one model and mode count, all of it on the band's node slices: the
+    ``x`` steps, the slot table, and the mode factors and signs placed in
+    the band's mode slots.  The grid mode factors they are gathered from are
+    not kept.  Built once per model and ``n_used`` by :func:`band_layout` and
+    shared by every operator built on it, so its arrays are read-only."""
 
-    u: np.ndarray          # (n_x, n_omega) signs of the potential
-    a: np.ndarray          # (n_x, n_used, n_omega) mode factors f_n v sqrt(w)
     dx: np.ndarray         # (n_x,) steps x_k - x_(k-1), 0 at the first node
     sectors: Sectors       # block layout of the band
     live: np.ndarray       # (n_blocks, q) the slot holds a retained mode
@@ -535,12 +531,13 @@ def _build_layout(model: WaveguideModel, n_used: int) -> BandLayout:
     an = a_sec.reshape(n_x, p, nb, w)[:, mode, np.arange(nb)[:, None], :]   # (n_x, nb, q, w)
     an = np.where(live[:, :, None], an, 0.0).transpose(1, 0, 2, 3).reshape(nb * n_x, q, w)
     un = _node_slices(sec, model.potential.u[:, :, None])[:, :, 0]  # u is constant along omega
-    return BandLayout(model.potential.u.T, a, np.diff(x, prepend=x[0]), sec, live, mode, an, un)
+    return BandLayout(np.diff(x, prepend=x[0]), sec, live, mode, an, un)
 
 
-def boundary_operator(pt: SpectralPoint, model: WaveguideModel,
+def boundary_operator(lam: float, model: WaveguideModel,
                       tail_tol: float = 1e-4) -> BoundaryOperator:
-    """Factor ``u + v R0(lam - kappa^2) v`` through its state-space embedding.
+    """Factor ``u + v R0(lam + i0) v`` at the real energy ``lam`` through its
+    state-space embedding.
 
     The mode cutoff, its tail bound and the threshold check are those of
     :func:`bs_operator`.  At each longitudinal node ``x_k`` the embedding
@@ -568,12 +565,13 @@ def boundary_operator(pt: SpectralPoint, model: WaveguideModel,
     all and one LAPACK ``zgbtrf`` factors it: ``s = n_omega + 2 n_used`` for
     one block, ``s = 1 + 2 q`` for sectors (the cost model is in the module
     docstring).  What does not depend on the energy comes from the model's
-    :func:`band_layout` for ``n_used``; each call computes only ``mu``,
-    ``c``, the ratios and the blocks built from them, and writes every node
-    block straight into the band storage.  Raises :class:`DimensionError`
-    unless the ``x`` nodes increase strictly.
+    :func:`band_layout` for ``n_used``; each call computes only ``mu``, the
+    slot prefactors ``cn`` and ratios ``rn`` that the operator keeps, and
+    the blocks built from them, and writes every node block straight into
+    the band storage.  Raises :class:`DimensionError` unless the ``x``
+    nodes increase strictly.
     """
-    z = pt.z
+    z = complex(lam)
     n_used, tail = _truncation(model, z, tail_tol, model.n_max)
     lay = band_layout(model, n_used)
     mu = np.array([sqrt_upper(z - model.eigenvalue(n)) for n in range(1, n_used + 1)])
@@ -607,8 +605,7 @@ def boundary_operator(pt: SpectralPoint, model: WaveguideModel,
     abt[:-1, fs, 3 * s] = -rn[1:]   # f(k) <- f(k-1)
     abt[1:, gs, s] = -rn[1:]        # g(k) <- g(k+1)
     lu, piv, info = _GBTRF(abt.reshape(n * s, 3 * s + 1).T, s, s, overwrite_ab=1)
-    return BoundaryOperator(lay.u, lay.a, c, ratio, lay.sectors, q, lu, piv, info > 0,
-                            n_used, tail)
+    return BoundaryOperator(lay, cn, rn, lu, piv, info > 0, n_used, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -756,8 +753,10 @@ def _lanczos(apply, x: np.ndarray) -> float:
 
 
 def _sigma_max(op: BoundaryOperator, x: np.ndarray) -> float:
-    """Largest singular value estimate of ``op``: :func:`_lanczos` on ``A^H A``."""
-    return float(np.sqrt(_lanczos(lambda y: op.rmatvec(op.matvec(y)), x)))
+    """Largest singular value estimate of ``op``: :func:`_lanczos` on
+    ``A^H A = conj A conj A`` in the band's node slices."""
+    gram = lambda y: np.conj(op._apply(np.conj(op._apply(y))))
+    return float(np.sqrt(_lanczos(gram, op._nodes(x))))
 
 
 def _sigma_min(op: BoundaryOperator, x: np.ndarray) -> float:
@@ -818,11 +817,8 @@ def eigenvalue_search(
         raise DomainError(f"resolution = {resolution}; the scan needs at least 3 points")
     x_max, x_min = _start_vectors(model.dim)
 
-    def operator(lam: float) -> BoundaryOperator:
-        return boundary_operator(SpectralPoint(lam, 0.0), model, tail_tol)
-
     def sigma_min(lam: float) -> float:
-        return _sigma_min(operator(lam), x_min)
+        return _sigma_min(boundary_operator(lam, model, tail_tol), x_min)
 
     lams = np.linspace(*window, resolution)
     sig = [sigma_min(float(lam)) for lam in lams]
@@ -831,7 +827,7 @@ def eigenvalue_search(
         if not (sig[i] <= sig[i - 1] and sig[i] <= sig[i + 1]):
             continue
         lam_star = golden_min(sigma_min, float(lams[i - 1]), float(lams[i + 1]), refine_width)
-        op = operator(lam_star)
+        op = boundary_operator(lam_star, model, tail_tol)
         s_star = _sigma_min(op, x_min)
         rel = s_star / max(_sigma_max(op, x_max), 1e-300)
         if rel < DETECT_REL:

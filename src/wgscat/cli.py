@@ -38,7 +38,13 @@ Config schema::
 ``arg z`` in the ``sector`` of every family in the file.  Every
 ``tail_tol`` and ``eps`` must be positive, the ``smatrix`` energies finite
 and within the model's range (``birman.check_model_range``), and the
-``eigenvalues`` window pass ``birman.check_window``.
+``eigenvalues`` window pass ``birman.check_window``.  Each channel
+``[n, sigma]`` of a ``threshold_scan`` pair needs ``sigma`` -1 or +1,
+``1 <= n <= n_max``, and ``n`` open below ``lam`` or a member of the
+threshold group at ``lam``.  Integer values (``halvings``, ``resolutions``,
+channel entries, and the model's grid sizes, ``n_max`` and profile
+``harmonic``) must be JSON numbers with an integral value: ``24`` or
+``24.0``, not ``"24"``, ``true`` or ``24.5``.
 
 ``--verify`` applies to ``expansion`` only, which then reports the
 dense-oracle error of the expansion at six kappa samples
@@ -63,8 +69,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, birman, expansion, inversion, linalg, scattering, waveguide
-from .errors import ConfigError, DomainError, WgscatError
-from .waveguide import config_value, json_list, json_object
+from .errors import ConfigError, DomainError, ModelError, WgscatError
+from .waveguide import config_value, json_int, json_list, json_object
 
 ENV_PREFIX = "WGSCAT_"
 
@@ -316,13 +322,14 @@ def cmd_threshold_scan(cfg, writer: ArtifactWriter, args) -> int:
     lam = config_value(task, "lam")
     eps = _eps(task)
     tail_tol = _tail_tol(task, 1e-3)
-    halvings = config_value(task, "halvings", int, 10)
+    halvings = config_value(task, "halvings", json_int, 10)
     if halvings < 1:
         raise ConfigError(f"halvings = {halvings}; need at least 1")
-    pairs = config_value(task, "pairs", lambda ps: [
-        ((int(p[0][0]), int(p[0][1])), (int(p[1][0]), int(p[1][1]))) for p in ps
-    ])
+    channel = lambda c: tuple(json_list(c, json_int, length=2))
+    pairs = config_value(task, "pairs", lambda ps: json_list(
+        ps, lambda p: tuple(json_list(p, channel, length=2))))
     model = _model(cfg)
+    _check_channels(model, lam, {c for pair in pairs for c in pair})
     hs = [eps / 2.0 ** (k + 1) for k in range(halvings)]
     ladder = expansion.build_threshold_ladder(model, lam, eps=eps, tail_tol=tail_tol)
     reports = [rep.to_dict() for rep in scattering.continuity_probes(ladder, pairs, hs)]
@@ -340,6 +347,22 @@ def cmd_threshold_scan(cfg, writer: ArtifactWriter, args) -> int:
         rows,
     )
     return 0
+
+
+def _check_channels(model: waveguide.WaveguideModel, lam: float, channels) -> None:
+    """Raise :class:`ConfigError` unless every channel ``(n, sigma)`` has
+    ``sigma`` -1 or +1, ``1 <= n <= n_max``, and ``n`` open below ``lam`` or
+    a member of the threshold group at ``lam``."""
+    try:
+        members = model.group_at(lam).members
+    except ModelError:
+        members = ()
+    for n, sigma in sorted(channels):
+        if sigma not in (-1, 1) or not (1 <= n <= model.n_max and (
+                model.eigenvalue(n) < lam or n in members)):
+            raise ConfigError(f"pair channel ({n}, {sigma}) is not a channel at lam = {lam}: "
+                              f"need sigma -1 or +1 and 1 <= n <= n_max = {model.n_max}, "
+                              "n open below lam or in its threshold group")
 
 
 def cmd_expansion(cfg, writer: ArtifactWriter, args) -> int:
@@ -372,7 +395,7 @@ def cmd_eigenvalues(cfg, writer: ArtifactWriter, args) -> int:
     task = _task(cfg, "eigenvalues")
     window = tuple(config_value(task, "window", lambda v: json_list(v, length=2)))
     tail_tol = _tail_tol(task, 1e-3)
-    resolutions = config_value(task, "resolutions", lambda rs: json_list(rs, int), [48])
+    resolutions = config_value(task, "resolutions", lambda rs: json_list(rs, json_int), [48])
     if not resolutions or any(res < 3 for res in resolutions):
         raise ConfigError(f"resolutions = {resolutions}; need at least one, "
                           "of at least 3 points each")

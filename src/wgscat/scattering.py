@@ -65,7 +65,11 @@ def _row(model: WaveguideModel, n: int, coeff: float, x_factor: np.ndarray) -> n
 
 def _row_core(lam: float, n: int, sigma: int, model: WaveguideModel,
               x_weight: np.ndarray | None = None) -> np.ndarray:
-    """:func:`trace_row`, with an extra longitudinal factor ``x_weight``."""
+    """:func:`trace_row`, with an extra longitudinal factor ``x_weight``;
+    :class:`DomainError` unless ``sigma`` is -1 or +1 and ``1 <= n <= n_max``."""
+    if sigma not in (-1, 1) or not 1 <= n <= model.n_max:
+        raise DomainError(f"channel (n={n}, sigma={sigma}) needs sigma = -1 or +1 "
+                          f"and 1 <= n <= n_max = {model.n_max}")
     ln = model.eigenvalue(n)
     if not lam > ln:
         raise ChannelClosedError(f"channel (n={n}, sigma={sigma:+d}) closed at lam={lam}")
@@ -136,7 +140,7 @@ def channel_smatrix(
     chans = open_channels(lam, model)
     if not chans:
         raise DomainError(f"no open channels at lam={lam}")
-    op = birman.boundary_operator(birman.SpectralPoint(lam, 0.0), model, tail_tol)
+    op = birman.boundary_operator(lam, model, tail_tol)
     cond = op.cond_estimate()
     if cond > linalg.COND_LIMIT:
         raise EigenvalueHitError(

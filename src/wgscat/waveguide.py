@@ -568,7 +568,7 @@ def _omega_profile(kind: dict | None, nodes: np.ndarray, length: float) -> np.nd
         return np.ones_like(om)
     if name == "cosine":
         amp = config_value(kind, "amplitude", float, 0.0)
-        harmonic = config_value(kind, "harmonic", int, 1)
+        harmonic = config_value(kind, "harmonic", json_int, 1)
         if abs(amp) >= 1.0:
             raise ModelError("cosine profile amplitude must satisfy |a| < 1")
         return 1.0 + amp * np.cos(harmonic * math.pi * om / length)
@@ -640,6 +640,16 @@ def json_list(value, convert=float, length: int | None = None) -> list:
     return [convert(v) for v in value]
 
 
+def json_int(value) -> int:
+    """A JSON number with an integral value (``24`` or ``24.0``) as an
+    ``int``; a string, a boolean or a fraction raises ``ValueError``."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
 def json_object(value) -> dict:
     """``value`` itself when it is a JSON object (a config section)."""
     if not isinstance(value, dict):
@@ -664,7 +674,9 @@ def model_from_config(doc: dict) -> WaveguideModel:
                       | {"kind": "table", "x_box": [a, b],
                          "values": [[...], ...]}}
 
-    A missing or malformed field, ``n_max < 1``, a grid with fewer than 2
+    A missing or malformed field (an integer field, ``n_omega``, ``n_x``,
+    ``n_panels``, ``n_max`` or ``harmonic``, must be a JSON number with an
+    integral value: :func:`json_int`), ``n_max < 1``, a grid with fewer than 2
     nodes per axis (``n_omega`` is ignored for a custom cross-section), an
     ``n_panels`` that does not divide ``n_x``, or a ``values`` table whose
     shape is not the grid's raises :class:`ConfigError`, and an unsupported
@@ -692,15 +704,15 @@ def model_from_config(doc: dict) -> WaveguideModel:
     else:
         raise ModelError(f"unknown cross-section kind {kind!r}")
     gr = config_value(doc, "grid", json_object)
-    n_omega, n_x = config_value(gr, "n_omega", int), config_value(gr, "n_x", int)
-    n_panels = config_value(gr, "n_panels", int, 1)
+    n_omega, n_x = config_value(gr, "n_omega", json_int), config_value(gr, "n_x", json_int)
+    n_panels = config_value(gr, "n_panels", json_int, 1)
     if n_x < 2 or (kind != "custom" and n_omega < 2):
         raise ConfigError("the grid needs at least 2 nodes along each axis")
     if n_panels < 1 or n_x % n_panels:
         raise ConfigError(f"n_panels = {n_panels} does not split n_x = {n_x} evenly")
     pot_doc = config_value(doc, "potential", json_object)
     x_box = tuple(config_value(pot_doc, "x_box", lambda v: json_list(v, length=2)))
-    n_max = config_value(doc, "n_max", int)
+    n_max = config_value(doc, "n_max", json_int)
     if n_max < 1:
         raise ConfigError("n_max must be at least 1")
     pot_kind = config_value(pot_doc, "kind", str)

@@ -152,46 +152,55 @@ class TestBoundaryOperator:
             return float(np.linalg.norm(x - ref) / np.linalg.norm(ref))
 
         for lam in self.energies(any_model):
-            pt = birman.SpectralPoint(lam, 0.0)
-            dense = birman.bs_operator(pt, any_model, self.TAIL_TOL)
-            op = birman.boundary_operator(pt, any_model, self.TAIL_TOL)
+            dense = birman.bs_operator(birman.SpectralPoint(lam, 0.0), any_model, self.TAIL_TOL)
+            op = birman.boundary_operator(lam, any_model, self.TAIL_TOL)
             a = dense.matrix
             assert (op.n_used, op.tail_bound, op.dim) == (dense.n_used, dense.tail_bound, dense.dim)
             assert rel(op.solve(b), linalg.solve(a, b)) <= 1e-12
-            assert rel(op.solve_adjoint(b), linalg.solve(a.conj().T, b)) <= 1e-12
             assert rel(op.matvec(b), a @ b) <= 1e-12
-            assert rel(op.rmatvec(b), a.conj().T @ b) <= 1e-12
             assert rel(op.solve(b[:, 0]), linalg.solve(a, b[:, 0])) <= 1e-12
             assert op.solve(b[:, 0]).shape == (any_model.dim,)
             ratio = op.cond_estimate() / linalg.cond_estimate(a)
             assert 0.1 <= ratio <= 10.0
 
+    def test_norm_bound_and_cond_estimate_follow_the_block_guard(self, any_model):
+        # on the dense sector blocks A_b: norm_bound is at least max_b |A_b|_1
+        # (to rounding), and cond_estimate is near max_b |A_b|_1 *
+        # max_b |A_b^-1|_1, the guard linalg.block_inverse puts on the ladders
+        for lam in self.energies(any_model):
+            op = birman.boundary_operator(lam, any_model, self.TAIL_TOL)
+            blocks = any_model.sectors.diagonal(any_model.potential.u) + birman.mode_sum_blocks(
+                any_model, complex(lam), list(range(1, op.n_used + 1)))
+            norm = max(np.abs(b).sum(axis=0).max() for b in blocks)
+            guard = norm * max(np.abs(np.linalg.inv(b)).sum(axis=0).max() for b in blocks)
+            assert op.norm_bound() >= norm * (1.0 - 1e-12)
+            assert 0.1 <= op.cond_estimate() / guard <= 10.0
+
     def test_band_width_per_sector(self, well_small, coupled_model):
         # 5 lattice nodes: modes 1-5 take one sector each, mode 6 vanishes on
         # the lattice, and modes 7 and 8 alias into the sectors of 5 and 4
-        pt = birman.SpectralPoint(2.5, 0.0)
         widths = [(op.n_used, op.slots, op._width) for op in (
-            birman.boundary_operator(pt, well_small, tol) for tol in (0.1, 0.03))]
+            birman.boundary_operator(2.5, well_small, tol) for tol in (0.1, 0.03))]
         assert widths == [(4, 1, 3), (8, 2, 5)]
-        one = birman.boundary_operator(pt, coupled_model, 0.03)
+        one = birman.boundary_operator(2.5, coupled_model, 0.03)
         assert (one.slots, one._width) == (one.n_used, 5 + 2 * one.n_used)
 
     def test_cond_estimate_at_embedded_eigenvalue(self, well_medium, embedded_lambda):
         pt = birman.SpectralPoint(embedded_lambda, 0.0)
         dense = linalg.cond_estimate(birman.bs_operator(pt, well_medium, 0.03).matrix)
-        structured = birman.boundary_operator(pt, well_medium, 0.03).cond_estimate()
+        structured = birman.boundary_operator(embedded_lambda, well_medium, 0.03).cond_estimate()
         assert dense > 1e9
         assert 0.1 <= structured / dense <= 10.0
 
     def test_threshold_collision_rejected(self, well_small):
         with pytest.raises(BranchPointError):
-            birman.boundary_operator(birman.SpectralPoint(4.0, 0.0), well_small, 0.1)
+            birman.boundary_operator(4.0, well_small, 0.1)
 
     def test_x_nodes_must_increase(self, well_small):
         grid = dataclasses.replace(well_small.grid, x_nodes=well_small.grid.x_nodes[::-1].copy())
         model = dataclasses.replace(well_small, grid=grid)
         with pytest.raises(DimensionError):
-            birman.boundary_operator(birman.SpectralPoint(2.5, 0.0), model, 0.1)
+            birman.boundary_operator(2.5, model, 0.1)
 
     def test_no_dense_assembly_or_lu(self, well_small, monkeypatch):
         # S-matrices and eigenvalue scans run on the banded embedding only
@@ -218,15 +227,14 @@ class TestBandLayout:
     """The energy-independent layout is built once per model and mode count,
     shared read-only, and changes no bit of the operators built on it."""
 
-    FIELDS = ("lu", "piv", "c", "ratio")
+    FIELDS = ("lu", "piv", "cn", "rn")
 
     def test_warm_builds_equal_cold_builds(self, any_model):
         # one model across three energies against a fresh copy per energy
         model = dataclasses.replace(any_model)
         for lam in TestBoundaryOperator.energies(any_model)[1:]:
-            pt = birman.SpectralPoint(lam, 0.0)
-            warm = birman.boundary_operator(pt, model, TestBoundaryOperator.TAIL_TOL)
-            cold = birman.boundary_operator(pt, dataclasses.replace(any_model),
+            warm = birman.boundary_operator(lam, model, TestBoundaryOperator.TAIL_TOL)
+            cold = birman.boundary_operator(lam, dataclasses.replace(any_model),
                                             TestBoundaryOperator.TAIL_TOL)
             assert all(helpers.same_bits(getattr(warm, f), getattr(cold, f))
                        for f in self.FIELDS)
@@ -234,11 +242,10 @@ class TestBandLayout:
             lay is birman.band_layout(model, n) for n, lay in model.band_layouts.items())
 
     def test_layout_arrays_are_read_only(self, any_model):
-        op = birman.boundary_operator(birman.SpectralPoint(
-            TestBoundaryOperator.energies(any_model)[0], 0.0), any_model,
-            TestBoundaryOperator.TAIL_TOL)
+        op = birman.boundary_operator(TestBoundaryOperator.energies(any_model)[0], any_model,
+                                      TestBoundaryOperator.TAIL_TOL)
         lay = birman.band_layout(any_model, op.n_used)
-        assert op.u is lay.u and op.a is lay.a
+        assert op.layout is lay
         for f in dataclasses.fields(lay):
             value = getattr(lay, f.name)
             if isinstance(value, np.ndarray):
@@ -247,14 +254,14 @@ class TestBandLayout:
 
     def test_sibling_model_gets_its_own_layout(self, any_model):
         # reversed x nodes on a copy still raise once the original has a layout
-        pt = birman.SpectralPoint(TestBoundaryOperator.energies(any_model)[0], 0.0)
-        birman.boundary_operator(pt, any_model, TestBoundaryOperator.TAIL_TOL)
+        lam = TestBoundaryOperator.energies(any_model)[0]
+        birman.boundary_operator(lam, any_model, TestBoundaryOperator.TAIL_TOL)
         assert any_model.band_layouts
         grid = dataclasses.replace(any_model.grid, x_nodes=any_model.grid.x_nodes[::-1].copy())
         sibling = dataclasses.replace(any_model, grid=grid)
         assert sibling.band_layouts == {}
         with pytest.raises(DimensionError):
-            birman.boundary_operator(pt, sibling, TestBoundaryOperator.TAIL_TOL)
+            birman.boundary_operator(lam, sibling, TestBoundaryOperator.TAIL_TOL)
 
     def test_threads_share_one_layout_per_mode_count(self, well_small):
         # the smatrix command builds operators on one model from several
@@ -266,15 +273,14 @@ class TestBandLayout:
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(8) as pool:
-                ops = list(pool.map(lambda lam: birman.boundary_operator(
-                    birman.SpectralPoint(lam, 0.0), model, 0.1), lams, timeout=120))
+                ops = list(pool.map(lambda lam: birman.boundary_operator(lam, model, 0.1),
+                                    lams, timeout=120))
         finally:
             sys.setswitchinterval(interval)
         assert len({op.n_used for op in ops}) > 1
         for lam, op in zip(lams, ops):
-            assert op.a is model.band_layouts[op.n_used].a
-            cold = birman.boundary_operator(birman.SpectralPoint(lam, 0.0),
-                                            dataclasses.replace(well_small), 0.1)
+            assert op.layout is model.band_layouts[op.n_used]
+            cold = birman.boundary_operator(lam, dataclasses.replace(well_small), 0.1)
             assert all(helpers.same_bits(getattr(op, f), getattr(cold, f)) for f in self.FIELDS)
 
     def test_search_builds_one_layout_per_mode_count(self, any_model, monkeypatch):
@@ -418,7 +424,17 @@ def dense_singular_values(model, lam: float, n_used: int) -> np.ndarray:
 class TestSigmaMin:
     """The Lanczos estimate of the smallest singular value stops once its
     Ritz value has converged, and matches the dense SVD near a level and
-    away from one."""
+    away from one; so does the estimate of the largest on one block."""
+
+    def test_sigma_max_matches_dense_on_one_block(self, coupled_model):
+        # the coupled model is one block, so its node slices are the grid
+        # values node by node rather than sector values
+        assert coupled_model.sectors.n_blocks == 1
+        lam = TestBoundaryOperator.energies(coupled_model)[0]
+        op = birman.boundary_operator(lam, coupled_model, 0.03)
+        sv = dense_singular_values(coupled_model, lam, op.n_used)
+        estimate = birman._sigma_max(op, birman._start_vectors(coupled_model.dim)[0])
+        assert abs(estimate - sv[0]) <= 1e-10 * sv[0]
 
     def test_refinement_points_stop_early(self, scan_well, monkeypatch):
         calls = counting_band_solves(monkeypatch)
@@ -442,7 +458,7 @@ class TestSigmaMin:
     def test_converged_estimate_stops_before_the_cap(self, scan_well, monkeypatch):
         # at 2.5 no level is near, yet the largest Ritz value settles before
         # the cap
-        op = birman.boundary_operator(birman.SpectralPoint(2.5, 0.0), scan_well, 0.03)
+        op = birman.boundary_operator(2.5, scan_well, 0.03)
         sv = dense_singular_values(scan_well, 2.5, op.n_used)
         calls = counting_band_solves(monkeypatch)
         estimate = birman._sigma_min(op, birman._start_vectors(scan_well.dim)[1])
@@ -453,7 +469,7 @@ class TestSigmaMin:
     def test_matches_dense_away_from_a_level(self, scan_well, lam):
         # no level is near and sigma_min / sigma_2 is close to 1 (0.97 at
         # 4.1), the slowest case for the estimate
-        op = birman.boundary_operator(birman.SpectralPoint(lam, 0.0), scan_well, 0.03)
+        op = birman.boundary_operator(lam, scan_well, 0.03)
         sv = dense_singular_values(scan_well, lam, op.n_used)
         estimate = birman._sigma_min(op, birman._start_vectors(scan_well.dim)[1])
         assert abs(estimate - sv[-1]) <= 1e-10 * sv[-1]
@@ -461,7 +477,7 @@ class TestSigmaMin:
     @pytest.mark.parametrize("shift", [-2e-3, -3e-4, 1e-3])
     def test_matches_dense_smallest_singular_value(self, scan_well, shift):
         lvl = sum(level_window(4.0)) / 2.0 + shift
-        op = birman.boundary_operator(birman.SpectralPoint(lvl, 0.0), scan_well, 0.03)
+        op = birman.boundary_operator(lvl, scan_well, 0.03)
         sv = dense_singular_values(scan_well, lvl, op.n_used)
         assert sv[-1] / sv[-2] <= 1e-2
         estimate = birman._sigma_min(op, birman._start_vectors(scan_well.dim)[1])
@@ -488,7 +504,7 @@ class TestSigmaMin:
         assert len(cands) == 1
         x_max, _ = birman._start_vectors(model.dim)
         for cand in cands:
-            op = birman.boundary_operator(birman.SpectralPoint(cand.lam, 0.0), model, 0.03)
+            op = birman.boundary_operator(cand.lam, model, 0.03)
             sv = dense_singular_values(model, cand.lam, op.n_used)
             sigma_max = birman._sigma_max(op, x_max)
             assert abs(cand.sigma_min - sv[-1]) <= 1e-14 * sv[0]

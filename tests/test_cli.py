@@ -293,6 +293,14 @@ class TestModelCommands:
         assert max(doc["oracle_rel_errors"]) <= 1e-6
 
 
+def scan_task(**values) -> dict:
+    """A ``threshold_scan`` task at ``lam = 4`` on the 4 x 24 well, with
+    ``values`` replacing its fields."""
+    task = {"lam": 4.0, "eps": 2e-2, "halvings": 2, "tail_tol": 0.2,
+            "pairs": [[[1, 1], [1, 1]]]}
+    return {"threshold_scan": dict(task, **values)}
+
+
 class TestConfigErrors:
     """Malformed config values exit with 2 and leave no output directory."""
 
@@ -387,6 +395,24 @@ class TestConfigErrors:
          dict(MODEL_DOC, grid={"n_omega": 5, "n_x": 60}, n_max=9), None),
         ("smatrix", {"smatrix": {"energies": [2.5, 150.0], "tail_tol": 0.03}},
          dict(MODEL_DOC, grid={"n_omega": 5, "n_x": 60}, n_max=9), None),
+        ("threshold-scan", scan_task(pairs=[[[1, 2], [1, 2]]]), MODEL_DOC, None),
+        ("threshold-scan", scan_task(lam=25.0, pairs=[[[0, 1], [0, 1]]]), MODEL_DOC, None),
+        ("threshold-scan", scan_task(pairs=[[[1, 1], [9, 1]]]), MODEL_DOC, None),
+        ("threshold-scan", scan_task(pairs=[[[3, 1], [1, 1]]]), MODEL_DOC, None),
+        ("threshold-scan", scan_task(pairs=[[[1.9, 1], [1, 1]]]), MODEL_DOC, None),
+        ("threshold-scan", scan_task(halvings=2.5), MODEL_DOC, None),
+        ("eigenvalues", {"eigenvalues": {"window": [0.6, 0.95], "resolutions": [10.7],
+                                         "tail_tol": 0.2}}, MODEL_DOC, None),
+        ("eigenvalues", {"eigenvalues": {"window": [0.6, 0.95], "resolutions": ["10"],
+                                         "tail_tol": 0.2}}, MODEL_DOC, None),
+        ("modes", {"modes": {}}, dict(MODEL_DOC, grid={"n_omega": 4, "n_x": "24"}), None),
+        ("modes", {"modes": {}}, dict(MODEL_DOC, grid={"n_omega": 4, "n_x": 24.9}), None),
+        ("modes", {"modes": {}},
+         dict(MODEL_DOC, grid={"n_omega": 4, "n_x": 24, "n_panels": 1.5}), None),
+        ("modes", {"modes": {}}, dict(MODEL_DOC, n_max=True), None),
+        ("modes", {"modes": {}}, dict(MODEL_DOC, potential=dict(
+            MODEL_DOC["potential"],
+            omega_profile={"kind": "cosine", "amplitude": 0.5, "harmonic": 1.5})), None),
     ], ids=["energy-not-a-number", "energies-null", "n_x-not-an-integer",
             "model-schema-version", "family-base-not-a-matrix", "family-not-json",
             "family-coeff-not-a-matrix", "table-shape", "n_omega-1", "n_x-1",
@@ -401,7 +427,10 @@ class TestConfigErrors:
             "tail_tol-zero-threshold-scan", "tail_tol-negative-threshold-scan",
             "tail_tol-nan-threshold-scan", "energy-nan", "window-infinite",
             "window-touches-threshold", "window-touches-lambda-n_max-plus-1",
-            "window-above-lambda-n_max-plus-1", "energy-above-lambda-n_max-plus-1"])
+            "window-above-lambda-n_max-plus-1", "energy-above-lambda-n_max-plus-1",
+            "pair-sigma-2", "pair-n-0", "pair-n-above-n_max", "pair-closed", "pair-n-fraction",
+            "halvings-fraction", "resolutions-fraction", "resolutions-string", "n_x-string",
+            "n_x-fraction", "n_panels-fraction", "n_max-boolean", "harmonic-fraction"])
     def test_exit_2_and_no_output(self, tmp_path, command, tasks, model, family):
         if family is not None:
             (tmp_path / "family.json").write_text(family)

@@ -9,7 +9,12 @@ import scipy.linalg
 
 import helpers
 from wgscat import birman, expansion, linalg, waveguide
-from wgscat.errors import AccuracyError, DomainError, StructuralError
+from wgscat.errors import DomainError, StructuralError
+
+
+def oracle_error(ladder, kappa):
+    """Distance of the expansion at ``kappa`` from the dense oracle."""
+    return expansion.oracle_error(ladder, kappa, expansion.m_function(ladder, kappa))
 
 
 def diag_kappas(eps, count=8, lo_frac=1e-2):
@@ -81,18 +86,18 @@ class TestMFunctionOracle:
     def test_matches_dense_inverse_generic(self, well_small):
         lad = expansion.build_threshold_ladder(well_small, 4.0, eps=2e-2, tail_tol=0.1)
         for k in diag_kappas(lad.eps):
-            expansion.m_function(lad, k, verify=True, oracle_tol=1e-6)
+            assert oracle_error(lad, k) <= 1e-6
 
     def test_matches_dense_inverse_resonant(self, resonant_ladder):
         for k in diag_kappas(resonant_ladder.eps, count=5):
-            expansion.m_function(resonant_ladder, k, verify=True, oracle_tol=1e-6)
+            assert oracle_error(resonant_ladder, k) <= 1e-6
 
     def test_matches_dense_inverse_full_depth(self, deep_ladder):
         assert deep_ladder.r2 == 1  # all four expansion terms active
         # |kappa| kept where the dense oracle stays within its condition
         # guard (the direct operator blows up like 1/k^2 at this fixture)
         for k in diag_kappas(deep_ladder.eps, count=5, lo_frac=5e-2):
-            expansion.m_function(deep_ladder, k, verify=True, oracle_tol=1e-6)
+            assert oracle_error(deep_ladder, k) <= 1e-6
 
     def test_ray_limits_cauchy(self, well_small):
         lad = expansion.build_threshold_ladder(well_small, 4.0, eps=2e-2, tail_tol=0.1)
@@ -110,35 +115,8 @@ class TestMFunctionOracle:
         with pytest.raises(DomainError):
             expansion.m_function(lad, 0.1)
         with pytest.raises(DomainError):
-            expansion.m_function(lad, 1e-3, verify=True)  # oracle needs interior kappa
-
-    def test_no_norms_on_success_path(self, deep_ladder, monkeypatch):
-        # per-term norms are computed only for the oracle's error message
-        calls = []
-        opnorm = expansion.opnorm
-
-        def counting_opnorm(a):
-            calls.append(a.shape)
-            return opnorm(a)
-
-        monkeypatch.setattr(expansion, "opnorm", counting_opnorm)
-        for k in diag_kappas(deep_ladder.eps, count=3):
-            expansion.m_function(deep_ladder, k)
-        assert calls == []
-
-    def test_forced_oracle_failure_reports_term_norms(
-        self, deep_ladder, well_medium, embedded_lambda
-    ):
-        elad = expansion.build_eigenvalue_ladder(
-            well_medium, embedded_lambda, eps=5e-3, tail_tol=0.03
-        )
-        for lad, n_terms in ((deep_ladder, 4), (elad, 2)):
-            k = complex((1.0 - 1.0j) / np.sqrt(2.0) * 0.2 * lad.eps)
-            with pytest.raises(AccuracyError) as info:
-                expansion.m_function(lad, k, verify=True, oracle_tol=-1.0)
-            norms = str(info.value).split("(terms: ")[1].rstrip(")").split(", ")
-            expected = [f"{t:.3e}" for t in expansion.term_norms(*lad.terms(k))]
-            assert len(norms) == n_terms and norms == expected
+            # the oracle needs kappa strictly inside the sector
+            oracle_error(lad, 1e-3)
 
     def test_m2_bounded_toward_zero(self, well_small):
         lad = expansion.build_threshold_ladder(well_small, 4.0, eps=2e-2, tail_tol=0.1)
@@ -161,7 +139,8 @@ class TestEigenvalueLadder:
         lad = expansion.build_eigenvalue_ladder(well_small, lam, eps=1e-2, tail_tol=0.1)
         assert lad.rank == 0
         k = 2e-3 - 3e-3j
-        m = expansion.m_function(lad, k, verify=True, oracle_tol=1e-8)
+        m = expansion.m_function(lad, k)
+        assert expansion.oracle_error(lad, k, m) <= 1e-8
         direct = expansion.direct_inverse(well_small, lam, k, lad.n_used)
         assert np.allclose(m, direct, atol=1e-8 * np.linalg.norm(direct))
 
@@ -171,7 +150,7 @@ class TestEigenvalueLadder:
         )
         assert lad.rank == 1
         for k in diag_kappas(lad.eps, count=5):
-            expansion.m_function(lad, k, verify=True, oracle_tol=1e-6)
+            assert oracle_error(lad, k) <= 1e-6
 
     def test_t1_bounded_toward_zero(self, well_medium, embedded_lambda):
         lad = expansion.build_eigenvalue_ladder(
@@ -386,12 +365,11 @@ class TestStructuralReport:
 
 
 class TestCertificates:
-    def test_positivity_certificate_guards_build(self, well_small):
+    def test_positivity_certificate_guards_build(self, well_small, monkeypatch):
         # an unreachable tolerance forces the certificate branch
+        monkeypatch.setattr(expansion, "CERTIFICATE_TOL", -1.0)
         with pytest.raises(StructuralError):
-            expansion.build_threshold_ladder(
-                well_small, 4.0, eps=2e-2, tail_tol=0.1, certificate_tol=-1.0
-            )
+            expansion.build_threshold_ladder(well_small, 4.0, eps=2e-2, tail_tol=0.1)
 
     def test_sabotaged_skew_part_detected(self, well_small):
         lad = expansion.build_threshold_ladder(well_small, 4.0, eps=2e-2, tail_tol=0.1)
@@ -470,7 +448,8 @@ class TestOneBlockPath:
             ref = sum(b[0] for b in blocks) + sum(
                 left @ core @ right for left, core, right in products
             )
-            m = expansion.m_function(ladder, k, verify=True)
+            m = expansion.m_function(ladder, k)
+            assert expansion.oracle_error(ladder, k, m) <= 1e-6
             assert np.linalg.norm(m - ref) <= 1e-14 * np.linalg.norm(ref)
 
     def test_m_function_memory_is_a_few_dense_operators(self, ladder):
@@ -505,7 +484,7 @@ class TestRectangleThreshold:
 
     def test_m_function_matches_dense_oracle(self, ladder):
         for k in diag_kappas(ladder.eps, count=3):
-            expansion.m_function(ladder, k, verify=True, oracle_tol=1e-6)
+            assert oracle_error(ladder, k) <= 1e-6
 
     def test_structural_report_within_budget(self, ladder):
         # the dense report took 8.5 s here (one BLAS thread, 2-vCPU host)

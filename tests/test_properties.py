@@ -361,7 +361,7 @@ def test_boundary_operator_matches_dense_oracle(case):
     # the tolerances of TestBoundaryOperator.test_equals_dense_operator, on
     # the sector band of decomposing models and the one block of coupled ones
     model, lam, tail_tol = case
-    op = birman.boundary_operator(birman.SpectralPoint(lam, 0.0), model, tail_tol)
+    op = birman.boundary_operator(lam, model, tail_tol)
     a = birman._dense_matrix(model, complex(lam), op.n_used)
     rng = np.random.default_rng(3)
     b = rng.normal(size=(model.dim, 3)) + 1j * rng.normal(size=(model.dim, 3))
@@ -370,22 +370,21 @@ def test_boundary_operator_matches_dense_oracle(case):
         return float(np.linalg.norm(x - ref) / np.linalg.norm(ref))
 
     assert rel(op.solve(b), linalg.solve(a, b)) <= 1e-12
-    assert rel(op.solve_adjoint(b), linalg.solve(a.conj().T, b)) <= 1e-12
     assert rel(op.matvec(b), a @ b) <= 1e-12
     assert rel(op.solve(b[:, 0]), linalg.solve(a, b[:, 0])) <= 1e-12
     assert 0.1 <= op.cond_estimate() / linalg.cond_estimate(a) <= 10.0
     # a build on the model's kept layout against one on a fresh copy
-    warm = birman.boundary_operator(birman.SpectralPoint(lam, 0.0), model, tail_tol)
-    cold = birman.boundary_operator(birman.SpectralPoint(lam, 0.0), dataclasses.replace(model),
+    warm = birman.boundary_operator(lam, model, tail_tol)
+    cold = birman.boundary_operator(lam, dataclasses.replace(model),
                                     tail_tol)
     assert all(helpers.same_bits(getattr(warm, f), getattr(cold, f))
-               for f in ("lu", "piv", "c", "ratio"))
+               for f in ("lu", "piv", "cn", "rn"))
 
 
 @given(band_cases())
 def test_band_width_follows_the_sector_slots(case):
     model, lam, tail_tol = case
-    op = birman.boundary_operator(birman.SpectralPoint(lam, 0.0), model, tail_tol)
+    op = birman.boundary_operator(lam, model, tail_tol)
     n_omega, n_x = model.grid.n_omega, model.grid.n_x
     if model.sectors.basis is None:
         assert (op.slots, op._width) == (op.n_used, n_omega + 2 * op.n_used)

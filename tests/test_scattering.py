@@ -15,6 +15,14 @@ class TestTraceRows:
         with pytest.raises(ChannelClosedError):
             scattering.trace_row(2.5, 2, +1, well_small)
 
+    @pytest.mark.parametrize("lam, n, sigma", [(2.5, 1, 2), (2.5, 1, 0), (25.5, 0, 1),
+                                               (100.0, 9, 1)])
+    def test_channel_outside_the_model_rejected(self, well_small, lam, n, sigma):
+        # a direction other than -1 or +1, or a mode outside 1..n_max = 8:
+        # n = 0 would wrap to the last stored mode
+        with pytest.raises(DomainError, match="channel"):
+            scattering.trace_row(lam, n, sigma, well_small)
+
     def test_zero_potential_zero_row(self, interval_cs):
         m = waveguide.square_well_model(interval_cs, 0.0, (0.0, 1.0), 4, 10, 3)
         row = scattering.trace_row(2.5, 1, +1, m)
