@@ -6,7 +6,7 @@
 ``TREE/<run>/eigenvalues.csv`` the run's model and task are read back from
 ``TREE/configs/<run>.json``.  At each row's energy the mode cutoff is the
 one the scan used (``birman._truncation`` with the task's ``tail_tol``), and
-the singular values of the dense oracle matrix ``birman._dense_matrix`` give
+the singular values of the dense oracle matrix ``birman.bs_operator`` give
 the reference ``sigma_min`` and ``rel_dip = sigma_min / sigma_max``.
 
 One line is printed per row: the run, the row's ``resolution`` and ``lam``,
@@ -62,8 +62,8 @@ def oracle_errors(tree: Path, run: str, rows: list[dict]) -> list[tuple[float, f
     out = []
     for row in rows:
         z = complex(row["lam"])
-        n_used, _ = birman._truncation(model, z, tail_tol, model.n_max)
-        sv = np.linalg.svd(birman._dense_matrix(model, z, n_used), compute_uv=False)
+        n_used, _ = birman._truncation(model, z, tail_tol)
+        sv = np.linalg.svd(birman.bs_operator(model, z, n_used), compute_uv=False)
         out.append((relative(row["sigma_min"], sv[-1]), relative(row["rel_dip"], sv[-1] / sv[0])))
     return out
 

@@ -7,9 +7,12 @@ resolvent is the transverse mode sum ``sum_n P_n (x) R0(z - lambda_n)``;
 sandwiching with the potential factors gives the grid operator
 ``A = u + v R0(z) v`` whose inverse drives everything else.
 
-``A`` comes in three forms, one job each, that share one mode cutoff, tail
-bound and threshold check.  :func:`bs_operator` assembles the dense
-dim x dim matrix: it is the oracle.  Both expansion ladders assemble ``A``
+``A`` comes in three forms, one job each.  :func:`bs_operator` assembles the
+dense dim x dim matrix over the modes its caller names: it is the oracle,
+with no cutoff of its own, and its callers pass the mode count of the path
+they check.  The other two forms take theirs from one certified cutoff,
+:func:`_choose_n_used`, which :func:`_truncation` puts behind a threshold
+check off the thresholds.  Both expansion ladders assemble ``A``
 with :func:`mode_sum_blocks`, as the diagonal blocks of the model's
 transverse sectors (``model.sectors``).  :func:`boundary_operator` serves
 the real-energy solves and never forms ``A``.  For ``x > x'`` the mode-sum
@@ -46,7 +49,6 @@ from .errors import (
     BranchPointError,
     DimensionError,
     DomainError,
-    ModelError,
     TruncationError,
 )
 from .linalg import onenorm_estimate
@@ -102,41 +104,6 @@ def free_kernel_matrix_diff(z_new: complex, z_old: complex, x_nodes: np.ndarray)
     return (1j / 2.0) * phase_b * (term1 + term2)
 
 
-@dataclass(frozen=True)
-class SpectralPoint:
-    """Energy parametrized as ``z = lam - kappa^2`` near ``lam``.
-
-    ``kappa`` must lie in the closed fourth-quadrant sector (open region:
-    ``Re > 0, Im < 0``; boundary rays: positive real axis / negative
-    imaginary axis; ``kappa = 0`` marks the boundary value ``lam + i0``).
-    """
-
-    lam: float
-    kappa: complex
-
-    def __post_init__(self):
-        k = complex(self.kappa)
-        if k != 0 and (k.real < -1e-15 or k.imag > 1e-15):
-            raise DomainError(f"kappa {k} outside the closed fourth-quadrant sector")
-
-    @property
-    def z(self) -> complex:
-        return self.lam - complex(self.kappa) ** 2
-
-
-@dataclass(frozen=True)
-class GridOperator:
-    """``u + v R0(z) v`` on the composite grid, with its truncation record."""
-
-    matrix: np.ndarray
-    n_used: int
-    tail_bound: float
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
 def tail_bound_value(model: WaveguideModel, z: complex, n_used: int) -> float:
     """Certified operator-norm bound for the omitted closed-channel sum.
 
@@ -162,23 +129,22 @@ def _tail_bound(scale: float, model: WaveguideModel, z: complex, n_used: int) ->
     return scale / gap
 
 
-def _choose_n_used(model: WaveguideModel, z: complex, tail_tol: float,
-                   n_cap: int) -> tuple[int, float]:
-    """``(n_used, tail_bound)``: the fewest modes, all open ones included,
-    whose tail bound meets ``tail_tol``."""
+def _choose_n_used(model: WaveguideModel, z: complex, tail_tol: float) -> tuple[int, float]:
+    """``(n_used, tail_bound)``: the fewest of the model's ``n_max`` modes,
+    all open ones included, whose tail bound meets ``tail_tol``."""
     scale = _tail_scale(model)
     n_min = 0
-    for n in range(1, n_cap + 1):
+    for n in range(1, model.n_max + 1):
         if model.eigenvalue(n) <= z.real + 1e-12:
             n_min = n
     n_min = max(n_min, 1)
-    for n in range(n_min, n_cap + 1):
+    for n in range(n_min, model.n_max + 1):
         bound = _tail_bound(scale, model, z, n)
         if bound <= tail_tol:
             return n, bound
     raise TruncationError(
-        f"tail tolerance {tail_tol:.2e} unattainable with {n_cap} modes "
-        f"(bound {_tail_bound(scale, model, z, n_cap):.2e} at the cap)"
+        f"tail tolerance {tail_tol:.2e} unattainable with {model.n_max} modes "
+        f"(bound {_tail_bound(scale, model, z, model.n_max):.2e} at the cap)"
     )
 
 
@@ -270,46 +236,28 @@ def _mode_sum(model: WaveguideModel, z: complex, mode_indices, x_kernel,
     return out
 
 
-def _truncation(model: WaveguideModel, z: complex, tail_tol: float,
-                n_cap: int) -> tuple[int, float]:
-    """``(n_used, tail_bound)`` of the certified mode cutoff at ``z``.
+def _truncation(model: WaveguideModel, z: complex, tail_tol: float) -> tuple[int, float]:
+    """``(n_used, tail_bound)`` of the certified mode cutoff at ``z``: the
+    fewest modes, all modes open at ``Re z`` included, whose tail bound
+    (:func:`tail_bound_value`) meets ``tail_tol``.
 
-    Raises :class:`ModelError` when ``n_cap`` exceeds the stored modes,
-    :class:`BranchPointError` when ``z`` collides with a threshold and
-    :class:`TruncationError` when ``n_cap`` modes cannot meet ``tail_tol``.
+    Raises :class:`BranchPointError` when ``z`` collides with a threshold
+    and :class:`TruncationError` when the model's ``n_max`` modes cannot
+    meet ``tail_tol``.
     """
-    if n_cap > model.n_max:
-        raise ModelError("n_max exceeds the modes stored in the model")
-    for n in range(1, n_cap + 1):
+    for n in range(1, model.n_max + 1):
         if abs(z - model.eigenvalue(n)) < 1e-12 * max(1.0, abs(z)):
             raise BranchPointError(
                 f"z collides with threshold lambda_{n}; use the expansion machinery"
             )
-    return _choose_n_used(model, z, tail_tol, n_cap)
+    return _choose_n_used(model, z, tail_tol)
 
 
-def bs_operator(
-    pt: SpectralPoint,
-    model: WaveguideModel,
-    tail_tol: float = 1e-4,
-    n_max: int | None = None,
-) -> GridOperator:
-    """Assemble ``u + v R0(lam - kappa^2) v`` with a certified mode cutoff.
-
-    The number of retained transverse modes is the smallest meeting
-    ``tail_tol`` (see :func:`tail_bound_value`); all modes open at ``Re z``
-    are always retained.  Raises :class:`TruncationError` when the cap
-    ``n_max`` (default: the model's stored modes) cannot meet the tolerance,
-    and :class:`BranchPointError` when ``z`` collides with a threshold.
-    """
-    z = pt.z
-    n_used, tail = _truncation(model, z, tail_tol, n_max if n_max is not None else model.n_max)
-    return GridOperator(_dense_matrix(model, z, n_used), n_used, tail)
-
-
-def _dense_matrix(model: WaveguideModel, z: complex, n_used: int) -> np.ndarray:
+def bs_operator(model: WaveguideModel, z: complex, n_used: int) -> np.ndarray:
     """``u + v R0(z) v`` over the modes ``1..n_used`` as the dense grid
-    matrix, with no cutoff or threshold check: the oracle's assembly."""
+    matrix: the oracle.  It has no cutoff or threshold check of its own;
+    callers pass the ``n_used`` of the path they check (:func:`_truncation`
+    gives the certified one)."""
     return np.diag(model.u_diag()) + mode_sum_matrix(model, z, list(range(1, n_used + 1)))
 
 
@@ -362,7 +310,7 @@ class BoundaryOperator:
     Its one view is the band's node slices ``(n, w, m)`` (:func:`_node_slices`):
     the slot factors and signs of ``layout`` (the model's :class:`BandLayout`,
     shared read-only), this energy's slot prefactors ``cn`` and step ratios
-    ``rn``, and one band LU.  Grid vectors (the order of :class:`GridOperator`,
+    ``rn``, and one band LU.  Grid vectors (the order of :func:`bs_operator`,
     1-D or as columns) enter and leave only at :meth:`solve` and :meth:`matvec`,
     through the transforms of ``layout.sectors``; the products, the norm bound,
     the condition estimate and the scan's Lanczos runs stay on the node slices.
@@ -540,7 +488,7 @@ def boundary_operator(lam: float, model: WaveguideModel,
     state-space embedding.
 
     The mode cutoff, its tail bound and the threshold check are those of
-    :func:`bs_operator`.  At each longitudinal node ``x_k`` the embedding
+    :func:`_truncation`.  At each longitudinal node ``x_k`` the embedding
     carries ``y_k`` (the grid values) and, per retained mode, the forward
     and backward sums
 
@@ -572,7 +520,7 @@ def boundary_operator(lam: float, model: WaveguideModel,
     nodes increase strictly.
     """
     z = complex(lam)
-    n_used, tail = _truncation(model, z, tail_tol, model.n_max)
+    n_used, tail = _truncation(model, z, tail_tol)
     lay = band_layout(model, n_used)
     mu = np.array([sqrt_upper(z - model.eigenvalue(n)) for n in range(1, n_used + 1)])
     c = 1j / (2.0 * mu)

@@ -84,16 +84,20 @@ def _fmt(x: float) -> str:
 
 
 class ArtifactWriter:
-    """Tracks written artifacts; removes partial output on failure."""
+    """Tracks written artifacts; removes partial output on failure.
+
+    Creates nothing until :meth:`open` makes the output directory."""
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
         # the directories this run creates, deepest first
         self.created = [p for p in (out_dir, *out_dir.parents) if not p.exists()]
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.files: list[Path] = []
         self.timings: dict[str, float] = {}
         self.blas: list[dict] = []
+
+    def open(self):
+        self.out_dir.mkdir(parents=True, exist_ok=True)
 
     def path(self, name: str) -> Path:
         p = self.out_dir / name
@@ -441,7 +445,7 @@ def cmd_verify(cfg, writer: ArtifactWriter, args) -> int:
     # optical identity at a regular energy between the first two thresholds
     lam_reg = 0.5 * (model.eigenvalue(1) + model.eigenvalue(2))
     bn = scattering.b_rows(lam_reg, 1, model)
-    im_block = linalg.imaginary_part(birman._dense_matrix(model, complex(lam_reg), 1))
+    im_block = linalg.imaginary_part(birman.bs_operator(model, complex(lam_reg), 1))
     optical = float(linalg.opnorm(bn.conj().T @ bn - im_block))
     report["optical_identity_defect"] = optical
 
@@ -478,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", required=True, help="JSON run configuration")
     ap.add_argument("--out", default=_env_default("OUT", "out"), help="output directory")
     ap.add_argument(
-        "--threads", type=int, default=int(_env_default("THREADS", "1")),
+        "--threads", type=int, default=_env_default("THREADS", "1"),
         help="parallel map width over spectral points",
     )
     ap.add_argument(
@@ -500,6 +504,7 @@ def main(argv=None) -> int:
     writer = ArtifactWriter(Path(args.out))
     t0 = time.time()
     try:
+        writer.open()
         with single_threaded_blas() as writer.blas:
             rc = COMMANDS[args.command](cfg, writer, args)
     except ConfigError as exc:

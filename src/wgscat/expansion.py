@@ -293,7 +293,7 @@ def _level0_data(model: WaveguideModel, lam: float, eps: float, tail_tol: float)
     group = model.group_at(lam)
     # mode count fixed at the threshold; the kappa excursion moves Re z by
     # at most eps^2, absorbed in the gap margin
-    n_used, _ = birman._choose_n_used(model, complex(lam + eps**2), tail_tol, model.n_max)
+    n_used, tail_bound = birman._choose_n_used(model, complex(lam + eps**2), tail_tol)
     members = tuple(n for n in group.members if n <= n_used)
     if members != group.members:
         raise DomainError("threshold group extends beyond the retained modes")
@@ -325,8 +325,8 @@ def _level0_data(model: WaveguideModel, lam: float, eps: float, tail_tol: float)
     pn = ub @ linalg.adjoint(ub)
     s0 = np.eye(sec.block_dim, dtype=complex) - pn
     return {
-        "n_used": n_used, "members": members, "vtil": vtil, "u_n": u_n,
-        "n10": n10, "m10": m10, "pn": pn, "s0": s0, "i10": s0 @ m10 @ s0,
+        "n_used": n_used, "tail_bound": tail_bound, "members": members, "vtil": vtil,
+        "u_n": u_n, "n10": n10, "m10": m10, "pn": pn, "s0": s0, "i10": s0 @ m10 @ s0,
     }
 
 
@@ -382,7 +382,7 @@ def build_threshold_ladder(
         g00 = np.broadcast_to(np.eye(sec.block_dim, dtype=complex), n0.shape).copy()
 
     # level 1: ker(I1(0)) inside S0 H == ker(I1(0) + P_N)
-    im_defect = linalg.psd_defect(linalg.imaginary_part(i10), herm_tol=1e-8)
+    im_defect = linalg.psd_defect(linalg.imaginary_part(i10))
     if im_defect > CERTIFICATE_TOL * max(1.0, opnorm(m10)):
         raise StructuralError(
             f"level-1 positivity certificate failed (defect {im_defect:.3e})"
@@ -418,7 +418,6 @@ def build_threshold_ladder(
         model=model,
         lam=lam,
         eps=eps,
-        tail_bound=birman.tail_bound_value(model, complex(lam + eps**2), d0["n_used"]),
         **d0,
         n0=n0,
         n20=n20,
@@ -515,12 +514,12 @@ def build_eigenvalue_ladder(
             raise DomainError(
                 f"lam = {lam} is within the kappa excursion of threshold lambda_{n}"
             )
-    n_used, _ = birman._truncation(model, complex(lam), tail_tol, model.n_max)
+    n_used, _ = birman._truncation(model, complex(lam), tail_tol)
     sec = model.sectors
     t0 = sec.diagonal(model.potential.u) + birman.mode_sum_blocks(
         model, complex(lam), list(range(1, n_used + 1))
     )
-    d = linalg.psd_defect(linalg.imaginary_part(t0), herm_tol=1e-8)
+    d = linalg.psd_defect(linalg.imaginary_part(t0))
     if d > 1e-10 * max(1.0, opnorm(t0)):
         raise HypothesisError(f"skew part of T0 not positive semidefinite ({d:.3e})")
     basis = linalg.kernel_basis(t0)
@@ -548,7 +547,7 @@ def direct_inverse(model: WaveguideModel, lam: float, kappa: complex, n_used: in
     kernel in grid coordinates (no singular-part split, no sector basis),
     a genuine oracle for the expansion formulas at the same truncation.
     """
-    return linalg.inverse(birman._dense_matrix(model, lam - complex(kappa) ** 2, n_used))
+    return linalg.inverse(birman.bs_operator(model, lam - complex(kappa) ** 2, n_used))
 
 
 def oracle_error(ladder: ThresholdLadder | EigenvalueLadder, kappa: complex,

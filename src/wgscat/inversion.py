@@ -317,18 +317,26 @@ def _next_family(
     identity on its orthogonal complement, each operator summed as
     ``(A + complement) + S``.  With ``G0 = (A0 + S)^-1`` (carrier-augmented,
     the inverse :func:`verify_conditions` factored) the new base is
-    ``B(0) = S G0 A1(0) G0 S`` and the remainder ``(B(z) - B(0)) / z``.
+    ``B(0) = S G0 A1(0) G0 S`` and the remainder ``D(z) = (B(z) - B(0)) / z``.
+    At 0 the remainder is ``B'(0)`` by one Richardson step, ``2 D(h/2) -
+    D(h)``, with ``h = 1e-4 radius`` on a ray of the domain (the sector's
+    mid-angle, or the positive real axis): its error is ``O(h^2)``, where
+    the one-sided ``D(h)`` errs by ``O(h)``.
     """
     sm = s.matrix
     base_next = _b(sm, g, fam.remainder(0.0), g)
+    angle = 0.0 if fam.sector is None else 0.5 * (fam.sector[0] + fam.sector[1])
+    h = 1e-4 * fam.radius * np.exp(1j * angle)
 
-    def remainder_next(z: complex) -> np.ndarray:
-        if z == 0:
-            # one-sided derivative via a short step
-            z = 1e-7 * fam.radius
+    def quotient(z: complex) -> np.ndarray:
         a1 = fam.a1(z)
         gz = linalg.inverse(fam.base + z * a1 + complement + sm)
         return (_b(sm, g, a1, gz) - base_next) / z
+
+    def remainder_next(z: complex) -> np.ndarray:
+        if z == 0:
+            return 2.0 * quotient(h / 2.0) - quotient(h)
+        return quotient(z)
 
     bound = 4.0 * (1.0 + opnorm(fam.base) + fam.bound) ** 3 * opnorm(g) ** 2
     return OperatorFamily(

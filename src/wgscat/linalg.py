@@ -38,6 +38,7 @@ DEFAULT_RANK_TOL = 1e-8   # kernel detection: sigma < tol * sigma_max
 REFINE_STEPS = 2          # Newton steps of the oracle inverse
 RIESZ_N_QUAD = 64         # trapezoid points on a Riesz projection contour
 ZERO_GROUP_TOL = 1e-8     # |eigenvalue| / spectral scale that counts as 0
+HERM_TOL = 1e-10          # self-adjointness defect psd_defect accepts, relative to the norm
 ONENORM_STEPS = 4         # unit-vector steps of the 1-norm estimator (zlacn2's ITMAX - 1)
 
 
@@ -87,13 +88,12 @@ def thin_product_norm(left: np.ndarray, right: np.ndarray) -> float:
 class Projection:
     """A (not necessarily orthogonal) projection matrix with its certificates.
 
-    ``orthogonal`` is set only when the adjoint defect is below ``tol``;
-    idempotence below ``tol`` is checked at construction.  ``basis`` is
-    computed on first use and kept.
+    Idempotence below ``tol`` is checked at construction; whether it is
+    orthogonal is :meth:`adjoint_defect`.  ``basis`` is computed on first
+    use and kept.
     """
 
     matrix: np.ndarray
-    orthogonal: bool
     tol: float = 1e-8
 
     def __post_init__(self):
@@ -123,11 +123,11 @@ class Projection:
 
 
 def zero_projection(n: int) -> Projection:
-    return Projection(np.zeros((n, n), dtype=complex), orthogonal=True)
+    return Projection(np.zeros((n, n), dtype=complex))
 
 
 def identity_projection(n: int) -> Projection:
-    return Projection(np.eye(n, dtype=complex), orthogonal=True)
+    return Projection(np.eye(n, dtype=complex))
 
 
 def _lu_rcond(a: np.ndarray):
@@ -272,31 +272,24 @@ def onenorm_estimate(apply, apply_adjoint, n: int) -> float:
     return max(est, 2.0 * float(np.sum(np.abs(apply(alt.astype(complex))))) / (3.0 * n))
 
 
-def kernel_basis(
-    a: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL, scale: float | None = None
-) -> np.ndarray:
+def kernel_basis(a: np.ndarray, scale: float | None = None) -> np.ndarray:
     """Orthonormal basis (columns) of the numerical kernel of ``a``.
 
     Kernel directions are the right singular vectors whose singular values
-    satisfy ``sigma < rank_tol * sigma_max``.  A zero matrix has a full
+    satisfy ``sigma < DEFAULT_RANK_TOL * sigma_max``.  A zero matrix has a full
     kernel.  ``scale`` overrides ``sigma_max`` as the reference when the
     matrix is a compression whose natural scale is known externally (e.g.
     a near-zero block of a larger operator).  Of a block stack, every column
     is supported on one block (see :func:`kernel_from_svd`).
     """
     a = require_square(a, stack=True)
-    if rank_tol <= 0:
-        raise DimensionError("rank_tol must be positive")
     if a.shape[-1] == 0:
         return np.zeros((0, 0), dtype=complex)
     _, s, vh = np.linalg.svd(a)
-    return kernel_from_svd(s, vh, rank_tol, scale)
+    return kernel_from_svd(s, vh, scale)
 
 
-def kernel_from_svd(
-    s: np.ndarray, vh: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL,
-    scale: float | None = None,
-) -> np.ndarray:
+def kernel_from_svd(s: np.ndarray, vh: np.ndarray, scale: float | None = None) -> np.ndarray:
     """:func:`kernel_basis` from a computed full SVD ``(_, s, vh)``.
 
     The SVD of a block stack (``s`` of shape ``(n_blocks, m)``) is that of
@@ -311,7 +304,7 @@ def kernel_from_svd(
     ref = max(smax, scale) if scale is not None else smax
     if ref == 0.0:
         return np.eye(nb * m, dtype=complex)
-    mask = s < rank_tol * ref
+    mask = s < DEFAULT_RANK_TOL * ref
     return block_columns([vh[b][mask[b]].conj().T for b in range(nb)])
 
 
@@ -327,34 +320,32 @@ def block_columns(columns: list[np.ndarray]) -> np.ndarray:
     return out.reshape(len(columns) * m, -1)
 
 
-def kernel_projector(a: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> Projection:
+def kernel_projector(a: np.ndarray) -> Projection:
     """Orthogonal projector ``Q Q^*`` onto the numerical kernel of ``a``, with
     ``Q`` the orthonormal :func:`kernel_basis`.
 
-    Satisfies ``norm(a @ P) <= 2 * rank_tol * sigma_max * dim``.
+    Satisfies ``norm(a @ P) <= 2 * DEFAULT_RANK_TOL * sigma_max * dim``.
     """
-    q = kernel_basis(a, rank_tol)
-    return Projection(q @ q.conj().T, orthogonal=True, tol=1e-12)
+    q = kernel_basis(a)
+    return Projection(q @ q.conj().T, tol=1e-12)
 
 
-def riesz_projection(a: np.ndarray, radius: float, n_quad: int = RIESZ_N_QUAD) -> Projection:
+def riesz_projection(a: np.ndarray, radius: float) -> Projection:
     """Contour projector ``(2 pi i)^-1  oint (z - a)^-1 dz`` on ``|z| = radius``.
 
-    The circle is discretized by the ``n_quad``-point trapezoid rule, which is
-    spectrally accurate for the analytic resolvent.  The idempotence defect
-    must come out below 1e-8 (the :class:`Projection` certificate) or an
-    :class:`AccuracyError` is raised (increase ``n_quad``); a solve that is
-    ill-conditioned on the contour raises :class:`ContourError`.
+    The circle is discretized by the ``RIESZ_N_QUAD``-point trapezoid rule,
+    which is spectrally accurate for the analytic resolvent.  The idempotence
+    defect must come out below 1e-8 (the :class:`Projection` certificate) or
+    an :class:`AccuracyError` is raised; a solve that is ill-conditioned on
+    the contour raises :class:`ContourError`.
     """
     a = require_square(a)
-    if n_quad < 16:
-        raise DimensionError("n_quad must be at least 16")
     if radius <= 0:
         raise DimensionError("radius must be positive")
     n = a.shape[0]
     eye = np.eye(n, dtype=complex)
     acc = np.zeros((n, n), dtype=complex)
-    theta = 2.0 * np.pi * np.arange(n_quad) / n_quad
+    theta = 2.0 * np.pi * np.arange(RIESZ_N_QUAD) / RIESZ_N_QUAD
     for t in theta:
         zeta = radius * np.exp(1j * t)
         try:
@@ -363,8 +354,7 @@ def riesz_projection(a: np.ndarray, radius: float, n_quad: int = RIESZ_N_QUAD) -
             raise ContourError(
                 f"contour |z|={radius:.3e} passes near the spectrum at angle {t:.3f}"
             ) from exc
-    p = acc / n_quad
-    return Projection(p, orthogonal=opnorm(p - p.conj().T) <= 1e-8, tol=1e-8)
+    return Projection(acc / RIESZ_N_QUAD)
 
 
 def riesz_projection_at_zero(a: np.ndarray) -> Projection:
@@ -403,17 +393,17 @@ def imaginary_part(a: np.ndarray) -> np.ndarray:
     return (a - adjoint(a)) / 2j
 
 
-def psd_defect(y: np.ndarray, herm_tol: float = 1e-10) -> float:
+def psd_defect(y: np.ndarray) -> float:
     """``max(0, -lambda_min(y))`` for self-adjoint ``y``; 0 means ``y >= 0``.
 
     Raises :class:`DimensionError` when ``y`` deviates from self-adjointness
-    by more than ``herm_tol`` relative to its norm.
+    by more than ``HERM_TOL`` relative to its norm.
     """
     y = require_square(y, stack=True)
     if y.shape[-1] == 0:
         return 0.0
     scale = max(1.0, opnorm(y))
-    if opnorm(y - adjoint(y)) > herm_tol * scale:
+    if opnorm(y - adjoint(y)) > HERM_TOL * scale:
         raise DimensionError("matrix is not self-adjoint to tolerance")
     lam_min = float(np.min(np.linalg.eigvalsh((y + adjoint(y)) / 2.0)))
     return max(0.0, -lam_min)

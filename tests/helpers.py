@@ -135,19 +135,21 @@ def dense_level_inverses(ladder, kappa) -> tuple[np.ndarray, np.ndarray]:
 def dense_two_term(model, lam, kappa, tail_tol) -> np.ndarray:
     """Dense oracle of an eigenvalue ladder's ``M`` at ``kappa``: the
     two-term formula in grid coordinates on ``birman.bs_operator``'s matrix
-    ``T0``, with the kernel of ``T0`` from one dense SVD and no sector basis."""
+    ``T0`` at the certified cutoff, with the kernel of ``T0`` from one dense
+    SVD and no sector basis."""
     k = complex(kappa)
     z = lam - k**2
-    op = birman.bs_operator(birman.SpectralPoint(lam, 0.0), model, tail_tol)
+    n_used, _ = birman._truncation(model, complex(lam), tail_tol)
+    t0 = birman.bs_operator(model, complex(lam), n_used)
     x = model.grid.x_nodes
     t1 = birman.mode_sum_matrix(
-        model, z, list(range(1, op.n_used + 1)),
+        model, z, list(range(1, n_used + 1)),
         x_kernel=lambda n: birman.free_kernel_matrix_diff(
             z - model.eigenvalue(n), lam - model.eigenvalue(n), x
         ),
     ) / k**2
-    basis = linalg.kernel_basis(op.matrix)
-    g = linalg.inverse(op.matrix + k**2 * t1 + basis @ basis.conj().T)
+    basis = linalg.kernel_basis(t0)
+    g = linalg.inverse(t0 + k**2 * t1 + basis @ basis.conj().T)
     if not basis.shape[1]:
         return g
     j1 = (np.eye(basis.shape[1]) - basis.conj().T @ g @ basis) / k**2

@@ -59,49 +59,45 @@ class TestFreeKernel:
 
 
 class TestBsOperator:
+    """The dense oracle over a given mode count, and the certified mode
+    cutoff ``birman._truncation`` that the ladders and the boundary operator
+    take (the oracle has none of its own)."""
+
     def test_zero_potential_gives_signed_identity(self, interval_cs):
         m = waveguide.square_well_model(interval_cs, 0.0, (0.0, 1.0), 4, 10, 3)
-        op = birman.bs_operator(birman.SpectralPoint(2.5, 0.0), m, tail_tol=1.0)
-        assert np.allclose(op.matrix, np.eye(m.dim))
+        n_used, _ = birman._truncation(m, 2.5 + 0j, 1.0)
+        assert np.allclose(birman.bs_operator(m, 2.5 + 0j, n_used), np.eye(m.dim))
 
     def test_off_axis_skew_part_psd(self, well_small):
-        pt = birman.SpectralPoint(3.0, 0.05 - 0.03j)
-        op = birman.bs_operator(pt, well_small, tail_tol=0.1)
-        assert linalg.psd_defect(linalg.imaginary_part(op.matrix), herm_tol=1e-8) <= 1e-10
+        z = 3.0 - (0.05 - 0.03j) ** 2
+        n_used, _ = birman._truncation(well_small, z, 0.1)
+        a = birman.bs_operator(well_small, z, n_used)
+        assert linalg.psd_defect(linalg.imaginary_part(a)) <= 1e-10
 
     def test_doubling_modes_moves_within_tail_budget(self, well_small):
-        pt = birman.SpectralPoint(2.5, 0.0)
-        tol = 0.08
-        op1 = birman.bs_operator(pt, well_small, tail_tol=tol)
-        op2 = birman.bs_operator(pt, well_small, tail_tol=tol, n_max=min(2 * op1.n_used, 8))
-        if op2.n_used > op1.n_used:
-            diff = linalg.opnorm(op2.matrix - op1.matrix)
-            assert diff <= 2.0 * tol
+        z, tol = 2.5 + 0j, 0.08
+        n_used, _ = birman._truncation(well_small, z, tol)
+        n_more = min(2 * n_used, well_small.n_max)
+        assert n_more > n_used
+        diff = linalg.opnorm(birman.bs_operator(well_small, z, n_more)
+                             - birman.bs_operator(well_small, z, n_used))
+        assert diff <= tol
 
     def test_tail_certificate_true_upper_bound(self, interval_cs):
         # extend the mode sum well beyond the cutoff; the recorded bound must
         # dominate the observed change in operator norm
         m = waveguide.square_well_model(interval_cs, 1.0, (0.0, 1.0), 6, 24, 40)
-        pt = birman.SpectralPoint(2.5, 0.0)
-        op = birman.bs_operator(pt, m, tail_tol=0.05)
-        extension = birman.mode_sum_matrix(
-            m, pt.z, list(range(op.n_used + 1, 41))
-        )
-        assert linalg.opnorm(extension) <= op.tail_bound
+        n_used, tail = birman._truncation(m, 2.5 + 0j, 0.05)
+        extension = birman.mode_sum_matrix(m, 2.5 + 0j, list(range(n_used + 1, 41)))
+        assert linalg.opnorm(extension) <= tail
 
     def test_unattainable_tail_reported(self, well_small):
         with pytest.raises(TruncationError):
-            birman.bs_operator(
-                birman.SpectralPoint(2.5, 0.0), well_small, tail_tol=1e-9
-            )
+            birman._truncation(well_small, 2.5 + 0j, 1e-9)
 
     def test_threshold_collision_rejected(self, well_small):
         with pytest.raises(BranchPointError):
-            birman.bs_operator(birman.SpectralPoint(4.0, 0.0), well_small, tail_tol=0.1)
-
-    def test_kappa_sector_validated(self):
-        with pytest.raises(DomainError):
-            birman.SpectralPoint(2.0, 0.1 + 0.1j)
+            birman._truncation(well_small, 4.0 + 0j, 0.1)
 
 
 def table_model():
@@ -134,7 +130,8 @@ def any_model(request):
 
 
 class TestBoundaryOperator:
-    """The banded embedding reproduces the dense ``bs_operator`` matrix."""
+    """The banded embedding reproduces the dense ``bs_operator`` matrix at
+    its own mode cutoff, the one ``birman._truncation`` certifies."""
 
     TAIL_TOL = 0.3
 
@@ -152,10 +149,10 @@ class TestBoundaryOperator:
             return float(np.linalg.norm(x - ref) / np.linalg.norm(ref))
 
         for lam in self.energies(any_model):
-            dense = birman.bs_operator(birman.SpectralPoint(lam, 0.0), any_model, self.TAIL_TOL)
+            n_used, tail = birman._truncation(any_model, complex(lam), self.TAIL_TOL)
             op = birman.boundary_operator(lam, any_model, self.TAIL_TOL)
-            a = dense.matrix
-            assert (op.n_used, op.tail_bound, op.dim) == (dense.n_used, dense.tail_bound, dense.dim)
+            a = birman.bs_operator(any_model, complex(lam), n_used)
+            assert (op.n_used, op.tail_bound, op.dim) == (n_used, tail, a.shape[0])
             assert rel(op.solve(b), linalg.solve(a, b)) <= 1e-12
             assert rel(op.matvec(b), a @ b) <= 1e-12
             assert rel(op.solve(b[:, 0]), linalg.solve(a, b[:, 0])) <= 1e-12
@@ -186,9 +183,10 @@ class TestBoundaryOperator:
         assert (one.slots, one._width) == (one.n_used, 5 + 2 * one.n_used)
 
     def test_cond_estimate_at_embedded_eigenvalue(self, well_medium, embedded_lambda):
-        pt = birman.SpectralPoint(embedded_lambda, 0.0)
-        dense = linalg.cond_estimate(birman.bs_operator(pt, well_medium, 0.03).matrix)
-        structured = birman.boundary_operator(embedded_lambda, well_medium, 0.03).cond_estimate()
+        op = birman.boundary_operator(embedded_lambda, well_medium, 0.03)
+        dense = linalg.cond_estimate(
+            birman.bs_operator(well_medium, complex(embedded_lambda), op.n_used))
+        structured = op.cond_estimate()
         assert dense > 1e9
         assert 0.1 <= structured / dense <= 10.0
 
@@ -418,7 +416,7 @@ def counting_band_solves(monkeypatch) -> dict:
 
 def dense_singular_values(model, lam: float, n_used: int) -> np.ndarray:
     """Singular values of the dense oracle matrix at ``lam + i0``, largest first."""
-    return np.linalg.svd(birman._dense_matrix(model, complex(lam), n_used), compute_uv=False)
+    return np.linalg.svd(birman.bs_operator(model, complex(lam), n_used), compute_uv=False)
 
 
 class TestSigmaMin:

@@ -438,3 +438,23 @@ class TestConfigErrors:
         out = tmp_path / "out"
         assert run([command, "--config", cfg, "--out", out]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("sub", [(), ("sub",)], ids=["out-is-a-file", "out-under-a-file"])
+    def test_out_blocked_by_a_file(self, tmp_path, capsys, sub):
+        cfg = write_config(tmp_path, {"modes": {}})
+        blocker = tmp_path / "f"
+        blocker.write_text("kept")
+        before = sorted(tmp_path.iterdir())
+        assert run(["modes", "--config", cfg, "--out", blocker.joinpath(*sub)]) == 2
+        assert "error [modes]:" in capsys.readouterr().err
+        assert blocker.is_file() and blocker.read_text() == "kept"
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_bad_thread_count_in_the_environment(self, tmp_path, monkeypatch):
+        # as --threads abc: argparse reports the value and exits 2
+        monkeypatch.setenv("WGSCAT_THREADS", "abc")
+        cfg = write_config(tmp_path, {"modes": {}})
+        with pytest.raises(SystemExit) as exc:
+            run(["modes", "--config", cfg, "--out", tmp_path / "out"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()

@@ -77,7 +77,7 @@ class TestJnInvert:
         fam = family_from_random(rng, 8, 2)
         q, _ = np.linalg.qr(np.column_stack(
             [linalg.kernel_basis(fam.base), rng.normal(size=8) + 1j * rng.normal(size=8)]))
-        s = linalg.Projection(q @ q.conj().T, orthogonal=True)
+        s = linalg.Projection(q @ q.conj().T)
         assert s.rank == 3 and inversion.verify_conditions(fam.base, s).cond_i_margin > 0
         with pytest.raises(HypothesisError, match="conditions fail"):
             inversion.jn_invert(fam, s, 1e-3 - 2e-3j)
@@ -280,8 +280,24 @@ class TestLadder:
         assert levels[0].projection.rank == s0.rank
         # level-1 kernel dim == dim ker(S0 M1(0) S0) on S0 H (brute force)
         i10 = lad.s0 @ lad.m10 @ lad.s0
-        brute = linalg.kernel_basis(i10 + lad.pn, 1e-8).shape[1]
+        brute = linalg.kernel_basis(i10 + lad.pn).shape[1]
         assert levels[1].projection.rank == brute == lad.r1
+
+    def test_waveguide_family_reaches_the_terminal_level(self, deep_ladder):
+        # the generic ladder of the deep fixture's family follows the
+        # waveguide ladder down to its invertible level-3 operator: with the
+        # family's factor 2, its level-3 base is 2 I3(0)
+        lad = deep_ladder
+        fam = inversion.OperatorFamily(
+            helpers.dense(lad.n0), lambda k: 2.0 * helpers.dense(lad.m1(k)),
+            bound=4.0 * linalg.opnorm(lad.m10), radius=2e-2,
+        )
+        levels = inversion.build_ladder(fam, max_depth=3)
+        ranks = [level.projection.rank for level in levels]
+        assert ranks == [lad.dim - lad.u_n.shape[1], lad.r1, lad.r2, 0]
+        assert levels[-1].terminal and lad.s3c.rank == 0
+        top = linalg.opnorm(levels[-1].leading)
+        assert abs(top - 2.0 * linalg.opnorm(lad.i3c0)) <= 1e-2 * top
 
     def test_one_factorization_per_level_operator(self, monkeypatch):
         # the conditions check and the next family share the guarded LU of

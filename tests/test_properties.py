@@ -1,6 +1,7 @@
 """Generated-input properties: the config error contract, the inversion
-engine against the dense oracle, the projection invariants, thin-factor
-commutator norms, threshold grouping and transverse sector detection."""
+engine against the dense oracle, the exact Hermitian split, the projection
+invariants, thin-factor commutator norms, threshold grouping, transverse
+sector detection and the certified mode cutoff."""
 
 import copy
 import dataclasses
@@ -8,6 +9,7 @@ import dataclasses
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import helpers
 from wgscat import birman, expansion, inversion, linalg, waveguide
@@ -126,6 +128,24 @@ def test_jn_invert_matches_refined_inverse(fam, log_abs_z, angle):
     x = inversion.jn_invert(fam, linalg.kernel_projector(fam.base), z)
     direct = linalg.refined_inverse(fam.a(z))
     assert np.linalg.norm(x - direct) <= 1e-9 * np.linalg.norm(direct)
+
+
+@st.composite
+def complex_operators(draw):
+    """A finite complex matrix, or a stack of 1 to 3 square blocks, of side
+    1 to 12 and entries up to 1e10 in modulus."""
+    n = draw(st.integers(1, 12))
+    shape = draw(st.sampled_from([(n, n), (1, n, n), (2, n, n), (3, n, n)]))
+    entries = st.complex_numbers(max_magnitude=1e10, allow_nan=False, allow_infinity=False)
+    return draw(hnp.arrays(complex, shape, elements=entries))
+
+
+@given(complex_operators())
+def test_hermitian_split_is_self_adjoint_to_the_bit(a):
+    # what psd_defect's fixed Hermitian tolerance rests on: its callers pass
+    # imaginary_part output, which equals its adjoint exactly
+    for part in (linalg.real_part(a), linalg.imaginary_part(a)):
+        assert np.array_equal(part, linalg.adjoint(part))
 
 
 @st.composite
@@ -333,6 +353,19 @@ def band_cases(draw):
     return model, lam, birman.tail_bound_value(model, complex(lam), n_keep)
 
 
+@given(band_cases())
+def test_truncation_keeps_the_fewest_modes_that_meet_the_tolerance(case):
+    # every open mode is kept, the bound recorded is the tail bound of the
+    # count kept and meets the tolerance, and one mode fewer would not
+    model, lam, tail_tol = case
+    z = complex(lam)
+    n_used, tail = birman._truncation(model, z, tail_tol)
+    n_open = sum(model.eigenvalue(n) <= lam for n in range(1, model.n_max + 1))
+    assert max(n_open, 1) <= n_used <= model.n_max
+    assert tail == birman.tail_bound_value(model, z, n_used) <= tail_tol
+    assert n_used == max(n_open, 1) or birman.tail_bound_value(model, z, n_used - 1) > tail_tol
+
+
 def mode_classes(model, n_used):
     """Retained modes (0-based) grouped by parallel weighted transverse
     vectors in order of first appearance, modes that vanish on the lattice
@@ -362,7 +395,7 @@ def test_boundary_operator_matches_dense_oracle(case):
     # the sector band of decomposing models and the one block of coupled ones
     model, lam, tail_tol = case
     op = birman.boundary_operator(lam, model, tail_tol)
-    a = birman._dense_matrix(model, complex(lam), op.n_used)
+    a = birman.bs_operator(model, complex(lam), op.n_used)
     rng = np.random.default_rng(3)
     b = rng.normal(size=(model.dim, 3)) + 1j * rng.normal(size=(model.dim, 3))
 
