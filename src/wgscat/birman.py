@@ -85,6 +85,22 @@ def free_kernel_matrix(z: complex, x_nodes: np.ndarray) -> np.ndarray:
     return free_kernel(z, x[:, None], x[None, :])
 
 
+def _free_kernel_stack(zs, x_nodes: np.ndarray) -> np.ndarray:
+    """:func:`free_kernel_matrix` at each of ``zs``, one ``(len(zs), n_x,
+    n_x)`` stack from one ``exp`` over the distinct distances ``|x - x'|``;
+    the per-``z`` factors are formed as :func:`free_kernel` forms them, so
+    every entry is its value."""
+    if any(zk == 0 for zk in zs):
+        raise BranchPointError("free kernel has a branch point at z = 0")
+    x = np.asarray(x_nodes, dtype=float)
+    dist, where = np.unique(np.abs(x[:, None] - x[None, :]), return_inverse=True)
+    rts = [sqrt_upper(zk) for zk in zs]
+    phase = np.array([1j * rt for rt in rts])[:, None] * dist
+    np.exp(phase, out=phase)
+    out = phase[:, where.reshape(-1)].reshape(len(zs), x.size, x.size)
+    return np.multiply(np.array([1j / (2.0 * rt) for rt in rts])[:, None, None], out, out=out)
+
+
 def free_kernel_matrix_diff(z_new: complex, z_old: complex, x_nodes: np.ndarray) -> np.ndarray:
     """``R0(z_new) - R0(z_old)`` sampled, organized to avoid cancellation.
 
@@ -184,7 +200,9 @@ def _mode_sum(model: WaveguideModel, z: complex, mode_indices, x_kernel,
     product of ``phi_n`` with itself in the grid coordinates (one block), or
     in a decomposing model's sectors the scalar ``p_n[s]^2`` per sector, with
     ``p_n = basis^T phi_n``.  A non-separable potential never decomposes, so
-    its one block is the grid matrix.
+    its one block is the grid matrix.  The default free-resolvent kernels
+    of a chunk of modes come from one :func:`_free_kernel_stack`; a given
+    ``x_kernel`` is called once per mode.
     """
     grid = model.grid
     n_omega, n_x = grid.n_omega, grid.n_x
@@ -197,7 +215,9 @@ def _mode_sum(model: WaveguideModel, z: complex, mode_indices, x_kernel,
     pot = model.potential
     idx = np.asarray(mode_indices, dtype=int)
     if x_kernel is None:
-        x_kernel = lambda n: free_kernel_matrix(z - model.eigenvalue(int(n)), x)
+        kernels = lambda sel: _free_kernel_stack([z - model.eigenvalue(int(n)) for n in sel], x)
+    else:
+        kernels = lambda sel: np.array([x_kernel(int(n)) for n in sel])
 
     chunk = max(1, _MODE_CHUNK_ENTRIES // (n_x * n_x))
     if pot.separable:
@@ -209,9 +229,10 @@ def _mode_sum(model: WaveguideModel, z: complex, mode_indices, x_kernel,
             phi = phi @ sectors.basis
         for lo in range(0, idx.size, chunk):
             sel = idx[lo : lo + chunk]
-            ks = np.empty((sel.size, n_x * n_x), dtype=complex)
-            for j, n in enumerate(sel):
-                ks[j] = (dx[:, None] * x_kernel(int(n)) * dx[None, :]).reshape(-1)
+            ks = kernels(sel)
+            ks *= dx[:, None]
+            ks *= dx[None, :]
+            ks = ks.reshape(sel.size, -1)
             p = phi[lo : lo + chunk]
             if sectors.basis is None:
                 pmat = np.einsum("ni,nj->nij", p, p)
@@ -231,7 +252,7 @@ def _mode_sum(model: WaveguideModel, z: complex, mode_indices, x_kernel,
         a = np.array(
             [model.modes[n - 1].samples[:, None] * pot.v * sw for n in sel]
         )  # (m, n_omega, n_x)
-        ks = np.array([x_kernel(int(n)) for n in sel])
+        ks = kernels(sel)
         out[0] += np.einsum("nik,nkl,njl->ikjl", a, ks, a, optimize=True).reshape(dim, dim)
     return out
 

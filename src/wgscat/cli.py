@@ -41,10 +41,12 @@ and within the model's range (``birman.check_model_range``), and the
 ``eigenvalues`` window pass ``birman.check_window``.  Each channel
 ``[n, sigma]`` of a ``threshold_scan`` pair needs ``sigma`` -1 or +1,
 ``1 <= n <= n_max``, and ``n`` open below ``lam`` or a member of the
-threshold group at ``lam``.  Integer values (``halvings``, ``resolutions``,
-channel entries, and the model's grid sizes, ``n_max`` and profile
-``harmonic``) must be JSON numbers with an integral value: ``24`` or
-``24.0``, not ``"24"``, ``true`` or ``24.5``.
+threshold group at ``lam``.  A ``threshold_scan``, ``expansion`` or
+``verify`` ``lam`` within ``THRESHOLD_REL_TOL`` (relative) of a threshold,
+as ``model.group_at`` accepts it, is read as that threshold.  Integer
+values (``halvings``, ``resolutions``, channel entries, and the model's grid
+sizes, ``n_max`` and profile ``harmonic``) must be JSON numbers with an
+integral value: ``24`` or ``24.0``, not ``"24"``, ``true`` or ``24.5``.
 
 ``--verify`` applies to ``expansion`` only, which then reports the
 dense-oracle error of the expansion at six kappa samples
@@ -69,7 +71,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, birman, expansion, inversion, linalg, scattering, waveguide
-from .errors import ConfigError, DomainError, ModelError, WgscatError
+from .errors import ConfigError, DomainError, WgscatError
 from .waveguide import config_value, json_int, json_list, json_object
 
 ENV_PREFIX = "WGSCAT_"
@@ -321,7 +323,10 @@ def cmd_smatrix(cfg, writer: ArtifactWriter, args) -> int:
     return 0
 
 
-def cmd_threshold_scan(cfg, writer: ArtifactWriter, args) -> int:
+def threshold_scan_inputs(cfg) -> tuple[expansion.ThresholdLadder, list, list[float]]:
+    """``(ladder, pairs, h_values)`` of a config's ``threshold_scan`` task:
+    every value checked, then the ladder built at the threshold that
+    ``model.group_at`` finds within ``THRESHOLD_REL_TOL`` of ``lam``."""
     task = _task(cfg, "threshold_scan")
     lam = config_value(task, "lam")
     eps = _eps(task)
@@ -333,16 +338,21 @@ def cmd_threshold_scan(cfg, writer: ArtifactWriter, args) -> int:
     pairs = config_value(task, "pairs", lambda ps: json_list(
         ps, lambda p: tuple(json_list(p, channel, length=2))))
     model = _model(cfg)
+    lam = model.group_at(lam).value
     _check_channels(model, lam, {c for pair in pairs for c in pair})
     hs = [eps / 2.0 ** (k + 1) for k in range(halvings)]
-    ladder = expansion.build_threshold_ladder(model, lam, eps=eps, tail_tol=tail_tol)
+    return expansion.build_threshold_ladder(model, lam, eps=eps, tail_tol=tail_tol), pairs, hs
+
+
+def cmd_threshold_scan(cfg, writer: ArtifactWriter, args) -> int:
+    ladder, pairs, hs = threshold_scan_inputs(cfg)
     reports = [rep.to_dict() for rep in scattering.continuity_probes(ladder, pairs, hs)]
     writer.write_json("threshold_scan.json", reports)
     rows = []
     for rep in reports:
         for h, c in zip(rep["h_values"][1:], rep["right_cauchy"]):
             rows.append(
-                [lam, rep["chan"][0], rep["chan"][1], rep["chan_p"][0],
+                [ladder.lam, rep["chan"][0], rep["chan"][1], rep["chan_p"][0],
                  rep["chan_p"][1], float(h), float(c)]
             )
     writer.write_csv(
@@ -355,12 +365,9 @@ def cmd_threshold_scan(cfg, writer: ArtifactWriter, args) -> int:
 
 def _check_channels(model: waveguide.WaveguideModel, lam: float, channels) -> None:
     """Raise :class:`ConfigError` unless every channel ``(n, sigma)`` has
-    ``sigma`` -1 or +1, ``1 <= n <= n_max``, and ``n`` open below ``lam`` or
-    a member of the threshold group at ``lam``."""
-    try:
-        members = model.group_at(lam).members
-    except ModelError:
-        members = ()
+    ``sigma`` -1 or +1, ``1 <= n <= n_max``, and ``n`` open below the
+    threshold ``lam`` or a member of its group."""
+    members = model.group_at(lam).members
     for n, sigma in sorted(channels):
         if sigma not in (-1, 1) or not (1 <= n <= model.n_max and (
                 model.eigenvalue(n) < lam or n in members)):

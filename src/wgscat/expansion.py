@@ -25,10 +25,10 @@ operators at ``k = 0``).  On a threshold ladder ``ladder.at(k)`` returns one
 immutable evaluation with every kappa-dependent operator, each computed
 once: ``G0``, ``I1``, ``H1``, ``I2``, ``(I2+S2)^-1``, ``I3`` and ``I3^-1``,
 down to the terminal level only; the structural report reads it directly.
-``ladder.terms(k)`` gives the list of expansion terms at one kappa (from one
-evaluation on a threshold ladder, from ``(J0+S)^-1`` and ``J1`` on an
-eigenvalue ladder), and ``m_function`` sums that list for either kind of
-ladder.
+``ladder.terms(k)`` gives the expansion terms at one kappa, one block
+stack and at most one low-rank product (from one evaluation on a threshold
+ladder, from ``(J0+S)^-1`` and ``J1`` on an eigenvalue ladder), and
+``m_function`` sums the two for either kind of ladder.
 
 Both ladders work in the model's sector coordinates (``model.sectors``):
 where the transverse sectors decouple, every level operator (``T0`` and
@@ -36,6 +36,15 @@ where the transverse sectors decouple, every level operator (``T0`` and
 ``n_x``, inverted block by block; any other model is one block of size
 ``dim``, on the same code.  ``m_function`` embeds the sum once into the
 dense grid-basis matrix.
+
+A threshold ladder is a direct sum over the sectors.  ``N0``, ``P_N`` and
+``S1`` (and so ``S2`` and ``S3``) live in its ``core``, the sectors that
+hold the threshold group's vectors or a level-1 kernel.  On any other
+sector ``S0 = 1`` and the operator is ``M1(k)``: ``G0 = (1 + 2k M1)^-1``,
+``H1 = G0^-1 M1^-1``, and the block of ``M`` is ``2k G0 + G0 H1 G0 =
+M1(k)^-1`` exactly.  The levels run on the core sectors only; every other
+block of ``M`` is one guarded inverse of ``M1(k)``, free of the eps/|k|
+cancellation of the composed form.  A one-block model's core is its block.
 
 Off the rays (``Re k > 0 > Im k``) ``oracle_error`` measures the sum against
 a dense inverse assembled in grid coordinates.
@@ -113,28 +122,55 @@ def kappa_sample_paths(lo: float = 1e-4, hi: float = 1e-2) -> dict[str, np.ndarr
 # Threshold ladder
 # ---------------------------------------------------------------------------
 
+def _direct_sum(core: tuple[int, ...], on_core: np.ndarray, off_core: np.ndarray) -> np.ndarray:
+    """The block stack holding ``on_core`` at the sectors ``core`` and
+    ``off_core`` at the others, in sector order (``on_core`` itself when no
+    sector is off the core)."""
+    if not len(off_core):
+        return on_core
+    out = np.empty((len(core) + len(off_core), *on_core.shape[1:]), dtype=complex)
+    on = np.zeros(len(out), dtype=bool)
+    on[list(core)] = True
+    out[on], out[~on] = on_core, off_core
+    return out
+
+
 @dataclass(frozen=True)
 class LadderEvaluation:
     """Every kappa-dependent operator of a threshold ladder at one kappa.
 
+    The ladder is a direct sum over the sectors: the levels run on its
+    ``core`` sectors only, and on every other sector the operator is
+    ``M1(kappa)``, whose inverse ``m1inv`` is the sector's block of ``M``.
     ``g0 = (I0+S0)^-1``, ``i1`` and ``h1 = (I1+S1)^-1`` (extended by zero
-    outside ``S0 H``) are block stacks in sector coordinates;
-    ``h2 = (I2+S2)^-1`` lives in S1 coordinates and ``i3c``/``i3inv = I3^-1``
-    in S2 coordinates.  Entries below the ladder's terminal level are
-    ``None``.
+    outside ``S0 H``) are block stacks over the core sectors, in sector
+    coordinates, and ``m1inv`` the stack over the others; ``h2 = (I2+S2)^-1``
+    lives in S1 coordinates and ``i3c``/``i3inv = I3^-1`` in S2 coordinates.
+    Entries below the ladder's terminal level are ``None``.
     """
 
+    kappa: complex
+    core: tuple[int, ...]
     g0: np.ndarray
     i1: np.ndarray
     h1: np.ndarray
+    m1inv: np.ndarray
     h2: np.ndarray | None = None
     i3c: np.ndarray | None = None
     i3inv: np.ndarray | None = None
 
     @property
     def terminal_inverse(self) -> np.ndarray:
-        """The deepest compressed inverse: ``H1``, ``(I2+S2)^-1`` or ``I3^-1``."""
-        return next(a for a in (self.i3inv, self.h2, self.h1) if a is not None)
+        """The deepest compressed inverse of the whole operator: ``H1`` (a
+        stack over every sector), ``(I2+S2)^-1`` or ``I3^-1``.  Off the core
+        ``H1 = G0^-1 M1^-1 = M1^-1 + 2 kappa``, since ``G0 = (1 + 2 kappa M1)^-1``
+        there."""
+        if self.i3inv is not None:
+            return self.i3inv
+        if self.h2 is not None:
+            return self.h2
+        eye = np.eye(self.h1.shape[-1], dtype=complex)
+        return _direct_sum(self.core, self.h1, self.m1inv + 2.0 * self.kappa * eye)
 
 
 @dataclass
@@ -144,7 +180,10 @@ class ThresholdLadder:
     Everything lives in the model's sector coordinates (``model.sectors``):
     level operators are block stacks ``(n_blocks, m, m)``; the threshold
     vectors (rows) and the bases ``u_n`` and ``b1`` (columns, each supported
-    on one block) are ``dim`` long, in sector order.
+    on one block) are ``dim`` long, in sector order.  ``core`` lists the
+    sectors where ``u_n`` or ``b1`` has support (``b2`` and ``S3`` lie in
+    ``b1``'s span): off the core ``N0``, ``P_N`` and ``S1`` vanish, so the
+    operator there is ``M1(kappa)`` and needs no level of the ladder.
     """
 
     model: WaveguideModel
@@ -161,12 +200,14 @@ class ThresholdLadder:
     n0: np.ndarray
     n10: np.ndarray
     n20: np.ndarray
+    u: np.ndarray             # the potential's sign u as a stack
     m10: np.ndarray
     g00: np.ndarray           # (N0 + S0)^-1, exact block form
     # level 1
     i10: np.ndarray           # I1(0) = S0 M1(0) S0
     b1: np.ndarray | None     # (dim, r1) kernel basis of I1(0) inside S0 H
     s1: np.ndarray            # b1 b1^*
+    core: tuple[int, ...]     # sectors where u_n or b1 has support
     # level 2
     i2c0: np.ndarray | None   # (r1, r1)
     kc2: np.ndarray | None    # (r1, r2) kernel basis of I2(0) in S1 coordinates
@@ -183,6 +224,10 @@ class ThresholdLadder:
     @property
     def sectors(self) -> Sectors:
         return self.model.sectors
+
+    @property
+    def off_core(self) -> list[int]:
+        return [b for b in range(self.sectors.n_blocks) if b not in self.core]
 
     @property
     def r1(self) -> int:
@@ -205,6 +250,11 @@ class ThresholdLadder:
             return 2
         return 3
 
+    def on_core(self, q: np.ndarray) -> np.ndarray:
+        """Sector-coordinate columns ``(dim, r)`` as per-block rows over the
+        core sectors, ``(len(core), block_dim, r)``."""
+        return self.sectors.blocked(q)[list(self.core)]
+
     # -- kappa-dependent operators --------------------------------------------
 
     def other_modes(self) -> list[int]:
@@ -226,30 +276,42 @@ class ThresholdLadder:
     def m1(self, kappa: complex) -> np.ndarray:
         if kappa == 0:
             return self.m10
-        return self.n1(kappa) + self.sectors.diagonal(self.model.potential.u) + self.w(kappa)
+        return self.n1(kappa) + self.u + self.w(kappa)
 
-    def g0(self, kappa: complex) -> np.ndarray:
-        """``(I0(kappa) + S0)^-1`` at ``kappa != 0`` (block stack), with
-        ``I0(kappa) = N0 + 2 kappa M1(kappa)``."""
-        return linalg.block_inverse(self.n0 + 2.0 * kappa * self.m1(kappa) + self.s0)
+    def g0(self, kappa: complex) -> tuple[np.ndarray, np.ndarray]:
+        """The level-0 inverses at ``kappa != 0`` from one ``M1(kappa)``:
+        ``(I0(kappa) + S0)^-1`` over the core sectors, with ``I0(kappa) = N0
+        + 2 kappa M1(kappa)``, and ``M1(kappa)^-1`` over the others."""
+        m1 = self.m1(kappa)
+        core = list(self.core)
+        # m1[core] is a fresh array, which numpy reuses in place for the
+        # product with a Python complex kappa: that fixes the operand order,
+        # and so the rounding, of the complex product (a view would not be
+        # reused, and would round differently on a one-block model)
+        g0 = linalg.block_inverse(self.n0[core] + 2.0 * kappa * m1[core] + self.s0[core])
+        return g0, linalg.block_inverse(m1[self.off_core])
 
     def at(self, kappa: complex) -> LadderEvaluation:
         """The ladder at ``kappa != 0``: each level inverse computed once,
-        down to the terminal level (quotient forms throughout)."""
+        down to the terminal level (quotient forms throughout), on the core
+        sectors; every other sector's block is one inverse of ``M1(kappa)``."""
         if kappa == 0:
             raise DomainError("the ladder is evaluated at kappa != 0 only")
-        g0 = self.g0(kappa)
-        u = self.sectors.blocked(self.u_n)
+        g0, m1inv = self.g0(kappa)
+        core = list(self.core)
+        u = self.on_core(self.u_n)
         uh = linalg.adjoint(u)
         # S0 G0 S0 through rank updates rather than dense projector products
         gs = g0 - (g0 @ u) @ uh
         sgs = gs - u @ (uh @ gs)
-        i1 = (self.s0 - sgs) / (2.0 * kappa)
+        i1 = (self.s0[core] - sgs) / (2.0 * kappa)
         # I1 + S1 + P_N is the identity on the complement of S0 H
-        h1 = linalg.block_inverse(i1 + self.s1 + self.pn) - self.pn
+        pn = self.pn[core]
+        h1 = linalg.block_inverse(i1 + self.s1[core] + pn) - pn
+        levels = (kappa, self.core, g0, i1, h1, m1inv)
         if self.b1 is None:
-            return LadderEvaluation(g0, i1, h1)
-        b1 = self.sectors.blocked(self.b1)
+            return LadderEvaluation(*levels)
+        b1 = self.on_core(self.b1)
         i2c = (np.eye(self.r1, dtype=complex) - (linalg.adjoint(b1) @ h1 @ b1).sum(axis=0)) / kappa
         s2c = (
             self.kc2 @ self.kc2.conj().T
@@ -258,39 +320,47 @@ class ThresholdLadder:
         )
         h2 = linalg.inverse(i2c + s2c)
         if self.kc2 is None:
-            return LadderEvaluation(g0, i1, h1, h2)
+            return LadderEvaluation(*levels, h2)
         i3c = (np.eye(self.r2, dtype=complex) - self.kc2.conj().T @ h2 @ self.kc2) / kappa
         # s3c is unset only while the builder extrapolates I3(0) from i3c
         i3inv = None if self.s3c is None else two_term_invert(i3c, self.s3c)
-        return LadderEvaluation(g0, i1, h1, h2, i3c, i3inv)
+        return LadderEvaluation(*levels, h2, i3c, i3inv)
 
-    def terms(self, kappa: complex) -> tuple[list, list]:
-        """The four-term expansion at ``kappa != 0``, term by term, in sector
-        coordinates: the block-diagonal terms ``2k G0`` and ``G0 H1 G0`` as
-        stacks, then, as ``(left, core, right)`` products, the ``1/k`` term
-        when ``r1 > 0`` and the ``1/k^2`` term when ``r2 > 0``."""
+    def terms(self, kappa: complex) -> tuple[np.ndarray, tuple | None]:
+        """The four-term expansion at ``kappa != 0`` in sector coordinates:
+        the block term as one stack, ``2k G0 + G0 H1 G0`` on the core sectors
+        and ``M1^-1`` on the others, then the ``1/k`` and ``1/k^2`` terms as
+        one ``(left, core, right)`` product (the two share their thin
+        factors, which vanish off the core), ``None`` when ``r1 = 0``."""
         k = complex(kappa)
         ev = self.at(k)
         g0k, h1, h2 = ev.g0, ev.h1, ev.h2
-        blocks, products = [2.0 * k * g0k, g0k @ h1 @ g0k], []
-        if self.r1 > 0:
-            b1 = self.sectors.blocked(self.b1)
-            left = (g0k @ (h1 @ b1)).reshape(self.dim, -1)               # (dim, r1)
-            right = self.sectors.rows((linalg.adjoint(b1) @ h1) @ g0k)    # (r1, dim)
-            products.append((left, h2 / k, right))
-            if self.r2 > 0:
-                mid = (h2 @ self.kc2) @ ev.i3inv @ (self.kc2.conj().T @ h2)
-                products.append((left, mid / k**2, right))
-        return blocks, products
+        block = _direct_sum(self.core, 2.0 * k * g0k + g0k @ h1 @ g0k, ev.m1inv)
+        if self.r1 == 0:
+            return block, None
+        b1 = self.on_core(self.b1)
+        sec = self.sectors
+        left = np.zeros((sec.n_blocks, sec.block_dim, self.r1), dtype=complex)
+        right = np.zeros((sec.n_blocks, self.r1, sec.block_dim), dtype=complex)
+        left[list(self.core)] = g0k @ (h1 @ b1)
+        right[list(self.core)] = (linalg.adjoint(b1) @ h1) @ g0k
+        mid = h2 / k
+        if self.r2 > 0:
+            mid = mid + (h2 @ self.kc2) @ ev.i3inv @ (self.kc2.conj().T @ h2) / k**2
+        return block, (left.reshape(self.dim, -1), mid, sec.rows(right))
 
 
 def _level0_data(model: WaveguideModel, lam: float, eps: float, tail_tol: float) -> dict:
     """Kappa-independent level-0 assembly shared by the ladder builder and
     the resonance-gap probe (both must see the identical operator): the
-    ladder fields up to ``I1(0)``, keyed by field name, without the ones only
-    the builder reads (``N0``, ``N2``, ``(N0 + S0)^-1``).  Block stacks and
-    bases in sector coordinates."""
+    ladder fields up to ``I1(0)``, keyed by field name, without the ones
+    only the builder reads (``N0``, ``N2``, ``(N0 + S0)^-1``).  Block stacks
+    and bases in sector coordinates.  ``lam`` may be off the threshold by
+    ``THRESHOLD_REL_TOL`` (what ``model.group_at`` accepts); the data, and
+    the field ``lam``, are those of the threshold itself, where the group's
+    ``mu`` is exactly ``i kappa``."""
     group = model.group_at(lam)
+    lam = group.value
     # mode count fixed at the threshold; the kappa excursion moves Re z by
     # at most eps^2, absorbed in the gap margin
     n_used, tail_bound = birman._choose_n_used(model, complex(lam + eps**2), tail_tol)
@@ -319,14 +389,15 @@ def _level0_data(model: WaveguideModel, lam: float, eps: float, tail_tol: float)
     )
     others = [n for n in range(1, n_used + 1) if n not in members]
     w0 = birman.mode_sum_blocks(model, complex(lam), others)
-    m10 = n10 + sec.diagonal(model.potential.u) + w0
+    u = sec.diagonal(model.potential.u)
+    m10 = n10 + u + w0
 
     ub = sec.blocked(u_n)
     pn = ub @ linalg.adjoint(ub)
     s0 = np.eye(sec.block_dim, dtype=complex) - pn
     return {
-        "n_used": n_used, "tail_bound": tail_bound, "members": members, "vtil": vtil,
-        "u_n": u_n, "n10": n10, "m10": m10, "pn": pn, "s0": s0, "i10": s0 @ m10 @ s0,
+        "lam": lam, "n_used": n_used, "tail_bound": tail_bound, "members": members, "vtil": vtil,
+        "u_n": u_n, "n10": n10, "u": u, "m10": m10, "pn": pn, "s0": s0, "i10": s0 @ m10 @ s0,
     }
 
 
@@ -352,7 +423,8 @@ def build_threshold_ladder(
     eps: float = 1e-2,
     tail_tol: float = 1e-3,
 ) -> ThresholdLadder:
-    """Assemble the kappa-independent ladder data at threshold ``lam``.
+    """Assemble the kappa-independent ladder data at threshold ``lam``
+    (snapped to the threshold group's value, as ``model.group_at`` finds it).
 
     Every kernel (the level-0 span and the level-1 and level-2 kernels) is
     detected at ``linalg.DEFAULT_RANK_TOL``.  The positivity certificate of
@@ -414,9 +486,9 @@ def build_threshold_ladder(
             raise AccuracyError(f"basis {name} is not orthonormal to tolerance")
 
     b1_blocks = sec.blocked(b1_full)
+    support = np.any(u_n != 0, axis=(1, 2)) | np.any(b1_blocks != 0, axis=(1, 2))
     ladder = ThresholdLadder(
         model=model,
-        lam=lam,
         eps=eps,
         **d0,
         n0=n0,
@@ -424,6 +496,7 @@ def build_threshold_ladder(
         g00=g00,
         b1=b1,
         s1=b1_blocks @ linalg.adjoint(b1_blocks),
+        core=tuple(int(b) for b in np.flatnonzero(support)),
         i2c0=i2c0,
         kc2=kc2,
     )
@@ -476,24 +549,24 @@ class EigenvalueLadder:
         )
         return diff / complex(kappa) ** 2
 
-    def terms(self, kappa: complex) -> tuple[list, list]:
-        """The two-term expansion at ``kappa != 0``, term by term, as
-        :meth:`ThresholdLadder.terms` gives it: ``(J0+S)^-1`` as a stack and,
-        when ``ker T0`` is nontrivial, the ``1/k^2`` term built from ``J1``
-        (in S coordinates) as a ``(left, core, right)`` product.  With
+    def terms(self, kappa: complex) -> tuple[np.ndarray, tuple | None]:
+        """The two-term expansion at ``kappa != 0`` as
+        :meth:`ThresholdLadder.terms` gives it: ``(J0+S)^-1`` as a stack and
+        the ``1/k^2`` term built from ``J1`` (in S coordinates) as a
+        ``(left, core, right)`` product, ``None`` when ``ker T0`` is trivial.  With
         ``g = (J0+S)^-1``, ``J1 = (1 - b* g b)/k^2 = b* g J0 b/k^2`` exactly, so
         it is formed without subtraction as ``b* g T1 b + b* g (T0 b)/k^2``."""
         k = complex(kappa)
         t1 = self.t1(k)
         g = linalg.block_inverse(self.t0 + k**2 * t1 + self.s)  # (J0 + S)^-1
         if self.basis is None:
-            return [g], []
+            return g, None
         sec = self.model.sectors
         b = sec.blocked(self.basis)
         bg = linalg.adjoint(b) @ g
         j1 = (bg @ (t1 @ b)).sum(axis=0) + (bg @ self.t0b).sum(axis=0) / k**2
         left = (g @ b).reshape(self.model.dim, -1)
-        return [g], [(left, linalg.inverse(j1) / k**2, sec.rows(bg))]
+        return g, (left, linalg.inverse(j1) / k**2, sec.rows(bg))
 
 
 def build_eigenvalue_ladder(
@@ -563,22 +636,24 @@ def oracle_error(ladder: ThresholdLadder | EigenvalueLadder, kappa: complex,
 
 def m_function(ladder: ThresholdLadder | EigenvalueLadder, kappa: complex) -> np.ndarray:
     """Evaluate the expansion of ``(u + v R0(lam-k^2) v)^-1`` at ``kappa``:
-    the four-term form at a threshold, the two-term form at an eigenvalue
-    or regular point.  :func:`oracle_error` measures it against the dense
-    oracle.
+    the four-term form at a threshold (``M1(k)^-1`` on the sectors off a
+    threshold ladder's core), the two-term form at an eigenvalue or regular
+    point.  The block stack of :meth:`terms` is embedded once into the
+    grid-basis matrix and the low-rank product added through its thin
+    factors.  :func:`oracle_error` measures it against the dense oracle.
     """
     if kappa == 0:
         raise DomainError("the expansion is evaluated at kappa != 0 only")
     if abs(kappa) > ladder.eps:
         raise DomainError(f"|kappa| = {abs(kappa):.3e} outside the ladder region")
     k = complex(kappa)
-    blocks, products = ladder.terms(k)
-    # left to right: the order fixes the rounding; the block terms are summed
-    # in sector coordinates and embedded once, the products through their
-    # thin factors
+    block, product = ladder.terms(k)
+    # left to right: the order fixes the rounding; the block term is
+    # embedded once, the product through its thin factors
     sec = ladder.model.sectors
-    out = sec.grid_blocks(sum(blocks[1:], blocks[0]))
-    for left, core, right in products:
+    out = sec.grid_blocks(block)
+    if product is not None:
+        left, core, right = product
         out += (sec.to_grid(left) @ core) @ sec.to_grid(right.T).T
     return out
 
@@ -653,19 +728,22 @@ def commutator_norms(ladder: ThresholdLadder, ev: LadderEvaluation) -> dict:
     ``(j, l)``: ``S_j`` through its basis (``u_n``, ``b1``, ``b2``) and the
     level inverses ``X_0 = G0``, ``X_1 = H1``, ``X_2 = b1 (I2+S2)^-1 b1^*``
     through their products with it, in sector coordinates.  No
-    ``dim x dim`` product is formed."""
+    ``dim x dim`` product is formed.  Every ``S_j`` vanishes off the core
+    sectors, so the products are formed there and are zero elsewhere."""
     max_level = ladder.terminal_level() - 1
     bases = (ladder.u_n, ladder.b1, ladder.b2)
-    sec = ladder.sectors
+    core = list(ladder.core)
     out = {}
     for j in range(max_level + 1):
         q = bases[j]
-        qb = sec.blocked(q)
+        qb = ladder.on_core(q)
         for level in range(j + 1):
             if level < 2:
                 x = (ev.g0, ev.h1)[level]
-                xq = (x @ qb).reshape(q.shape)
-                xhq = linalg.adjoint(linalg.adjoint(qb) @ x).reshape(q.shape)
+                xq, xhq = np.zeros((2, *ladder.sectors.blocked(q).shape), dtype=complex)
+                xq[core] = x @ qb
+                xhq[core] = linalg.adjoint(linalg.adjoint(qb) @ x)
+                xq, xhq = xq.reshape(q.shape), xhq.reshape(q.shape)
             else:
                 c = ladder.b1.conj().T @ q
                 xq = ladder.b1 @ (ev.h2 @ c)

@@ -196,9 +196,12 @@ def block_inverse(blocks: np.ndarray) -> np.ndarray:
     Each block is LU-factored once.  The guard is one 1-norm condition
     estimate of the whole operator, ``max |A_b|_1 * max |A_b^-1|_1`` over the
     blocks (each ``|A_b^-1|_1`` from ``gecon``), against ``COND_LIMIT`` as in
-    :func:`inverse`; a single block gives :func:`inverse`'s result.
+    :func:`inverse`; a single block gives :func:`inverse`'s result, and an
+    empty stack itself.
     """
     blocks = require_square(blocks, stack=True)
+    if not len(blocks):
+        return blocks
     factors = [_lu_rcond(a) for a in blocks]
     cond = max(f[2] for f in factors) * max(1.0 / (f[3] * f[2]) for f in factors)
     if cond > COND_LIMIT:

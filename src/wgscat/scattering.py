@@ -235,14 +235,19 @@ def f0_expansion_check(
 # Continuity probes
 # ---------------------------------------------------------------------------
 
-def _entries_via_expansion(ladder, kappa: complex, pairs) -> list[complex]:
-    """Channel entries of ``S(lam - kappa^2)`` for ``pairs``, from one
-    expansion matrix and one trace row per channel."""
-    mmat = expansion.m_function(ladder, kappa)
-    lamk = (ladder.lam - complex(kappa) ** 2).real
-    rows = {c: trace_row(lamk, *c, ladder.model) for c in {c for pair in pairs for c in pair}}
+def _channel_entries(mmat: np.ndarray, lam: float, pairs, model: WaveguideModel) -> list[complex]:
+    """Channel entries of ``S(lam)`` for ``pairs`` from a matrix ``mmat`` of
+    ``(u + v R0 v)^-1`` at ``lam``, with one trace row per channel."""
+    rows = {c: trace_row(lam, *c, model) for c in {c for pair in pairs for c in pair}}
     return [complex((1.0 if c == cp else 0.0) - 2j * np.pi * rows[c] @ mmat @ np.conj(rows[cp]))
             for c, cp in pairs]
+
+
+def _entries_via_expansion(ladder, kappa: complex, pairs) -> list[complex]:
+    """Channel entries of ``S(lam - kappa^2)`` for ``pairs``, from one
+    expansion matrix."""
+    lamk = (ladder.lam - complex(kappa) ** 2).real
+    return _channel_entries(expansion.m_function(ladder, kappa), lamk, pairs, ladder.model)
 
 
 @dataclass

@@ -491,14 +491,17 @@ class Sectors:
     def grid_blocks(self, blocks: np.ndarray) -> np.ndarray:
         """The dense grid matrix of a block stack, a new array (for one
         block, a copy of it): entry ``(i k, j l)`` is ``sum_s basis[i, s]
-        basis[j, s] B_s[k, l]``, one product of the sector weights with the
-        blocks."""
+        basis[j, s] B_s[k, l]``, one real product of the sector weights with
+        the interleaved parts of the blocks, then one transposed write."""
         if self.basis is None:
             return blocks[0].copy()
         n, n_x = self.n_omega, self.n_x
         weights = (self.basis[:, None, :] * self.basis[None, :, :]).reshape(n * n, n)
-        out = weights @ blocks.reshape(n, n_x * n_x)
-        return out.reshape(n, n, n_x, n_x).transpose(0, 2, 1, 3).reshape(self.dim, self.dim)
+        parts = np.ascontiguousarray(blocks, dtype=complex).reshape(n, -1).view(float)
+        prod = (weights @ parts).view(complex).reshape(n, n, n_x, n_x)
+        out = np.empty((self.dim, self.dim), dtype=complex)
+        out.reshape(n, n_x, n, n_x)[...] = prod.transpose(0, 2, 1, 3)
+        return out
 
     def blocked(self, y: np.ndarray) -> np.ndarray:
         """Sector-coordinate columns ``(dim, r)`` as per-block rows ``(n_blocks, block_dim, r)``."""

@@ -87,14 +87,30 @@ def dense_projections(ladder) -> list[np.ndarray]:
     return [dense(ladder.s0), dense(ladder.s1), s2]
 
 
+def sector_blocks(sectors, a: np.ndarray) -> np.ndarray:
+    """The diagonal sector blocks ``(n_blocks, block_dim, block_dim)`` of a
+    dense grid matrix ``a``, in sector coordinates."""
+    a_sec = sectors.to_sector(sectors.to_sector(a).T).T
+    idx = np.arange(sectors.n_blocks)
+    m = sectors.block_dim
+    return a_sec.reshape(sectors.n_blocks, m, sectors.n_blocks, m)[idx, :, idx, :]
+
+
 def dense_commutator_norms(ladder, ev) -> dict:
     """Dense oracle of ``expansion.commutator_norms``: ``(|S_j X_l - X_l S_j|_2,
     |X_l|_2)`` keyed by ``(j, l)``, with every ``S_j`` and level inverse
-    ``X_l`` formed as a ``dim x dim`` matrix."""
-    mats = dense_projections(ladder)
+    ``X_l`` formed as a dense matrix over the ladder's core sectors, the
+    only ones where an ``S_j`` (and so a commutator) is nonzero and the only
+    ones where ``ev`` holds the level inverses."""
+    core = list(ladder.core)
+    s2 = ladder.b2
+    s2 = (np.zeros((0, 0)) if s2 is None
+          else ladder.on_core(s2).reshape(-1, s2.shape[1]))
+    mats = [dense(ladder.s0[core]), dense(ladder.s1[core]), s2 @ s2.conj().T]
     invs = [dense(ev.g0), dense(ev.h1)]
     if ev.h2 is not None:
-        invs.append(ladder.b1 @ ev.h2 @ ladder.b1.conj().T)
+        b1 = ladder.on_core(ladder.b1).reshape(-1, ladder.r1)
+        invs.append(b1 @ ev.h2 @ b1.conj().T)
     max_level = ladder.terminal_level() - 1
     return {
         (j, level): (linalg.opnorm(mats[j] @ invs[level] - invs[level] @ mats[j]),
@@ -103,10 +119,11 @@ def dense_commutator_norms(ladder, ev) -> dict:
     }
 
 
-def dense_level_inverses(ladder, kappa) -> tuple[np.ndarray, np.ndarray]:
-    """Dense-path ``G0`` and ``H1`` of a threshold ladder in grid coordinates,
-    assembled from grid-basis mode sums with no sector basis: the oracle of
-    the block path (``ladder.at(kappa).g0``/``.h1``)."""
+def dense_level_inverses(ladder, kappa) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense-path ``G0``, ``H1`` and ``M1`` of a threshold ladder in grid
+    coordinates, assembled from grid-basis mode sums with no sector basis:
+    the oracle of the block path (``ladder.at(kappa).g0``/``.h1`` on the core
+    sectors, ``.m1inv`` the inverse of ``M1``'s other sector blocks)."""
     model, k = ladder.model, complex(kappa)
     x = model.grid.x_nodes
     members = list(ladder.members)
@@ -129,7 +146,7 @@ def dense_level_inverses(ladder, kappa) -> tuple[np.ndarray, np.ndarray]:
     b1 = linalg.kernel_basis(s0 @ m10 @ s0 + pn)
     i1 = (s0 - s0 @ g0 @ s0) / (2.0 * k)
     h1 = linalg.inverse(i1 + b1 @ b1.conj().T + pn) - pn
-    return g0, h1
+    return g0, h1, m1
 
 
 def dense_two_term(model, lam, kappa, tail_tol) -> np.ndarray:

@@ -50,6 +50,16 @@ class TestFreeKernel:
         assert all(a > b for a, b in zip(devs, devs[1:]))
         assert devs[-1] <= 1e-7
 
+    def test_kernel_stack_is_the_one_mode_kernels(self, well_small):
+        # the chunked evaluation of mode sums: every entry bitwise the value
+        # of the one-mode kernel, on the model's own (panel) nodes
+        x = well_small.grid.x_nodes
+        zs = [2.5 + 0j, -3.0 + 0j, 4.0 - (1e-3 - 1e-3j) ** 2, 0.7 + 0.3j, -20.0 - 1e-9j]
+        stack = birman._free_kernel_stack(zs, x)
+        assert helpers.same_bits(stack, np.array([birman.free_kernel_matrix(z, x) for z in zs]))
+        with pytest.raises(BranchPointError):
+            birman._free_kernel_stack([1.0, 0.0], x)
+
     def test_difference_kernel_matches_plain_subtraction(self):
         x = np.linspace(0.0, 1.5, 12)
         z1, z0 = 2.0 - 0.3j, 2.0 + 0j

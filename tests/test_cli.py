@@ -282,6 +282,19 @@ class TestModelCommands:
         doc = json.loads((out / "threshold_scan.json").read_text())
         assert len(doc) == 2 and doc[0]["gap"] is not None
 
+    def test_threshold_scan_at_lam_within_tolerance_of_the_threshold(self, tmp_path):
+        # group_at accepts lam within THRESHOLD_REL_TOL: the scan runs at the
+        # threshold itself, where the threshold channel is not open below
+        outs = []
+        for lam in (4.0, 4.000000003):
+            cfg = write_config(tmp_path, scan_task(lam=lam, pairs=[[[2, 1], [2, 1]]]),
+                               name=f"{lam}.json")
+            out = tmp_path / f"out-{lam}"
+            assert run(["threshold-scan", "--config", cfg, "--out", out]) == 0
+            outs.append([(out / name).read_bytes()
+                         for name in ("threshold_scan.json", "threshold_scan.csv")])
+        assert outs[0] == outs[1]
+
     def test_expansion_report(self, tmp_path):
         cfg = write_config(
             tmp_path, {"expansion": {"lam": 4.0, "eps": 2e-2, "tail_tol": 0.2}}

@@ -22,6 +22,17 @@ def diag_kappas(eps, count=8, lo_frac=1e-2):
     return diag * np.geomspace(eps * lo_frac, eps * 0.45, count)
 
 
+@pytest.fixture(scope="module")
+def well_4x24(interval_cs):
+    """The 4 x 24 well of the CLI tests, which splits into 4 sector blocks."""
+    return waveguide.square_well_model(interval_cs, 1.0, (0.0, 1.0), n_omega=4, n_x=24, n_max=5)
+
+
+@pytest.fixture(scope="module")
+def well_4x24_ladder(well_4x24):
+    return expansion.build_threshold_ladder(well_4x24, 4.0, eps=2e-2, tail_tol=0.2)
+
+
 class TestThresholdLadderStructure:
     def test_zero_potential_degenerates_to_identity(self, interval_cs):
         m = waveguide.square_well_model(interval_cs, 0.0, (0.0, 1.0), 4, 10, 3)
@@ -119,11 +130,27 @@ class TestMFunctionOracle:
             oracle_error(lad, 1e-3)
 
     def test_m2_bounded_toward_zero(self, well_small):
+        # I1 on the core sectors is differentiable at kappa = 0; off them M's
+        # block M1^-1 is a function of z = lam - kappa^2 (no group mode
+        # lives there), differentiable in kappa^2
         lad = expansion.build_threshold_ladder(well_small, 4.0, eps=2e-2, tail_tol=0.1)
         ks = np.geomspace(1e-4, 1e-2, 7)
-        vals = [linalg.opnorm((lad.at(k).i1 - lad.i10) / k) for k in ks]
-        slope = helpers.fit_slope(ks, vals)
-        assert abs(slope) <= 0.1
+        i10, m10inv = lad.i10[list(lad.core)], linalg.block_inverse(lad.m10[lad.off_core])
+        evs = [lad.at(k) for k in ks]
+        assert lad.off_core
+        for vals in ([linalg.opnorm((ev.i1 - i10) / k) for ev, k in zip(evs, ks)],
+                     [linalg.opnorm((ev.m1inv - m10inv) / k**2) for ev, k in zip(evs, ks)]):
+            slope = helpers.fit_slope(ks, vals)
+            assert abs(slope) <= 0.1
+
+    def test_lam_within_tolerance_of_the_threshold(self, well_4x24):
+        # group_at accepts lam within THRESHOLD_REL_TOL; the ladder is built
+        # at the threshold itself, where the group's mu is exactly i kappa
+        lad = expansion.build_threshold_ladder(well_4x24, 4.0 * (1 + 5e-10), eps=2e-2,
+                                               tail_tol=0.2)
+        assert lad.lam == 4.0
+        for t in (2e-4, 1e-2):
+            assert oracle_error(lad, t * (1.0 - 1.0j) / np.sqrt(2.0)) <= 1e-11
 
     def test_terminal_inverse_bounded_on_rays(self, deep_ladder):
         ks = np.geomspace(1e-4, 5e-3, 6)
@@ -394,11 +421,13 @@ class TestSectorBlocks:
         sec = lad.sectors
         assert (sec.n_blocks, sec.block_dim) == (lad.model.grid.n_omega, lad.model.grid.n_x)
         ks = list(diag_kappas(lad.eps, count=3, lo_frac=5e-2)) + [3e-3, -3e-3j]
+        core, off = list(lad.core), lad.off_core
         for k in ks:
             ev = lad.at(k)
-            g0, h1 = helpers.dense_level_inverses(lad, k)
-            for got, ref in ((ev.g0, g0), (ev.h1, h1)):
-                err = np.linalg.norm(sec.grid_blocks(got) - ref) / np.linalg.norm(ref)
+            g0, h1, m1 = (helpers.sector_blocks(sec, a) for a in helpers.dense_level_inverses(lad, k))
+            m1inv = linalg.block_inverse(m1[off])
+            for got, ref in ((ev.g0, g0[core]), (ev.h1, h1[core]), (ev.m1inv, m1inv)):
+                err = np.linalg.norm(got - ref) / np.linalg.norm(ref)
                 assert err <= 1e-12
 
     def test_m_function_matches_refined_oracle(self, uniform_ladder):
@@ -412,6 +441,37 @@ class TestSectorBlocks:
             ref = linalg.refined_inverse(direct)
             m = expansion.m_function(lad, k)
             assert np.linalg.norm(m - ref) / np.linalg.norm(ref) <= 1e-6
+
+    def test_core_is_the_support_of_u_n_and_b1(self, uniform_ladder):
+        lad = uniform_ladder
+        bases = [lad.sectors.blocked(q) for q in (lad.u_n, lad.b1) if q is not None]
+        support = [b for b in range(lad.sectors.n_blocks) if any(q[b].any() for q in bases)]
+        assert lad.core == tuple(support)
+        assert lad.off_core == [b for b in range(lad.sectors.n_blocks) if b not in support]
+
+    def test_deep_core_holds_the_threshold_and_kernel_sectors(self, deep_ladder):
+        # u_n in the mode-2 sector, b1 in the mode-3 sector
+        assert deep_ladder.core == (1, 2)
+
+    @pytest.mark.parametrize("name", ["deep_ladder", "well_4x24_ladder"])
+    def test_off_core_blocks_are_the_m1_inverse(self, request, name):
+        # off the core M's block is M1(kappa)^-1 itself, free of the
+        # eps/|kappa| digit loss of 2k G0 + G0 H1 G0; the 1/k and 1/k^2
+        # products vanish there
+        lad = request.getfixturevalue(name)
+        off = lad.off_core
+        assert off
+        for t in np.geomspace(1e-2, 1e-6, 5):
+            for ray in (1.0, -1.0j, (1.0 - 1.0j) / np.sqrt(2.0)):
+                block, product = lad.terms(ray * t)
+                m1 = lad.m1(ray * t)
+                for b in off:
+                    ref = linalg.refined_inverse(m1[b])
+                    assert np.linalg.norm(block[b] - ref) <= 1e-14 * np.linalg.norm(ref)
+                if product is not None:
+                    left, _, right = product
+                    assert not lad.sectors.blocked(left)[off].any()
+                    assert not lad.sectors.blocked(right.T)[off].any()
 
     def test_lu_only_at_block_size(self, deep_ladder, monkeypatch):
         # at(k) factors the n_omega sector blocks, never the dim x dim operator
@@ -443,11 +503,10 @@ class TestOneBlockPath:
 
     def test_m_function_is_the_dense_term_sum(self, ladder):
         assert ladder.sectors.n_blocks == 1 and ladder.dim == 320
+        assert ladder.core == (0,) and ladder.off_core == []
         for k in diag_kappas(ladder.eps, count=3):
-            blocks, products = ladder.terms(k)
-            ref = sum(b[0] for b in blocks) + sum(
-                left @ core @ right for left, core, right in products
-            )
+            block, product = ladder.terms(k)
+            ref = block[0] if product is None else block[0] + product[0] @ product[1] @ product[2]
             m = expansion.m_function(ladder, k)
             assert expansion.oracle_error(ladder, k, m) <= 1e-6
             assert np.linalg.norm(m - ref) <= 1e-14 * np.linalg.norm(ref)

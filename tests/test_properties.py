@@ -304,6 +304,23 @@ def test_sector_transform_round_trip(case, cols, seed):
     assert np.abs(sec.to_sector(y) - basis.T @ y).max() <= tol
 
 
+@given(sector_wells(), st.integers(0, 2**32 - 1), st.booleans())
+def test_grid_blocks_is_the_weighted_block_sum(case, seed, column_major):
+    # entry (i k, j l) is sum_s basis[i, s] basis[j, s] B_s[k, l], for blocks
+    # in either memory order (block_inverse returns column-major blocks)
+    model, _, _ = case
+    sec = model.sectors
+    rng = np.random.default_rng(seed)
+    shape = (sec.n_blocks, sec.block_dim, sec.block_dim)
+    blocks = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if column_major:
+        blocks = np.ascontiguousarray(blocks.swapaxes(1, 2)).swapaxes(1, 2)
+    ref = np.einsum("is,js,skl->ikjl", sec.basis, sec.basis, blocks).reshape(model.dim, -1)
+    got = sec.grid_blocks(blocks)
+    assert got.shape == ref.shape and got.flags.c_contiguous
+    assert np.abs(got - ref).max() <= 1e-14 * np.abs(blocks).max()
+
+
 def assert_one_block(model, modes, z):
     sec = model.sectors
     assert sec.n_blocks == 1 and sec.basis is None
