@@ -417,10 +417,11 @@ class BoundaryOperator:
 
     def cond_estimate(self) -> float:
         """Estimate of ``max_b |A_b|_1 * max_b |A_b^-1|_1`` over the sector
-        blocks, the guard of ``linalg.block_inverse``: :meth:`norm_bound` times
-        the Hager-Higham estimate of ``|A^-1|_1`` (as ``gecon`` pairs them) from
-        band solves read in sector order, which on one block is the grid order
-        and ``gecon``'s path; ``inf`` when the band LU is singular."""
+        blocks, the exact guard ``linalg.block_inverse`` applies to dense
+        blocks: :meth:`norm_bound` times the Hager-Higham lower estimate of
+        ``|A^-1|_1`` from band solves read in sector order.  It is no bound:
+        the inverse's norm can read low (``scripts/guard_oracle.py`` prints
+        the ratio).  ``inf`` when the band LU is singular."""
         anorm = self.norm_bound()
         if self.singular or anorm == 0.0:
             return float("inf")

@@ -297,6 +297,8 @@ class ThresholdLadder:
         sectors; every other sector's block is one inverse of ``M1(kappa)``."""
         if kappa == 0:
             raise DomainError("the ladder is evaluated at kappa != 0 only")
+        # one scalar type, so the bits do not depend on the caller's kappa type
+        kappa = complex(kappa)
         g0, m1inv = self.g0(kappa)
         core = list(self.core)
         u = self.on_core(self.u_n)

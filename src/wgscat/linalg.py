@@ -1,9 +1,11 @@
 """Dense complex linear algebra substrate.
 
 Matrices are plain ``numpy.ndarray`` (complex128, 2-D); this module adds the
-validated operations the rest of the package builds on: condition-checked
-solves, SVD kernel projectors, contour (Riesz) projectors, Hermitian
-splitting and positivity diagnostics.
+validated operations the rest of the package builds on: guarded inverses,
+SVD kernel projectors, contour (Riesz) projectors, Hermitian splitting and
+positivity diagnostics.  Every dense inverse, solve and condition figure
+comes from one per-block LU, guarded by the exact 1-norm condition
+``|A|_1 |A^-1|_1`` read off the inverse it forms.
 
 A block-diagonal operator is held as its stack of diagonal blocks, a 3-D
 array ``(n_blocks, m, m)``; its coordinates run through the blocks in order.
@@ -18,6 +20,7 @@ internal state, so concurrent use is safe.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,7 +34,7 @@ from .errors import (
     SingularMatrixError,
 )
 
-# Solves refuse matrices whose 1-norm condition estimate exceeds this.
+# Inverses refuse matrices whose exact 1-norm condition exceeds this.
 COND_LIMIT = 1e-3 / np.finfo(float).eps  # ~4.5e12
 
 DEFAULT_RANK_TOL = 1e-8   # kernel detection: sigma < tol * sigma_max
@@ -130,59 +133,57 @@ def identity_projection(n: int) -> Projection:
     return Projection(np.eye(n, dtype=complex))
 
 
-def _lu_rcond(a: np.ndarray):
-    """``(lu, piv, anorm, rcond)``: the LU factors of a nonempty square
-    matrix, its 1-norm and LAPACK's ``gecon`` reciprocal condition estimate;
-    raises when exactly singular or when the estimate fails."""
-    import warnings
+def _guarded_inverse(blocks: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(inverse, cond)`` of a validated 3-D stack of square blocks: the one
+    guarded dense inverse of the package.
 
-    anorm = np.linalg.norm(a, 1)
+    Each block is LU-factored once and solved against the identity into
+    column-major output, as LAPACK returns it, so a one-block stack gives
+    the bits of a plain ``lu_solve``.  ``cond = max_b |A_b|_1 * max_b
+    |A_b^-1|_1`` is the exact 1-norm condition of the block-diagonal
+    operator, read off the inverse; it is 1 for empty blocks.  Raises
+    :class:`SingularMatrixError` at an exactly zero pivot, and unless
+    ``cond <= COND_LIMIT`` (which refuses NaN and inf too).
+    """
+    out = np.empty(blocks.shape, dtype=complex).swapaxes(1, 2)
+    if out.size == 0:
+        return out, 1.0
+    eye = np.eye(blocks.shape[1], dtype=complex)
     with warnings.catch_warnings():
-        # exact singularity is detected below through the diagonal check
+        # exact singularity is detected below through the pivots
         warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(a, check_finite=False)
-    diag = np.abs(np.diag(lu))
-    if anorm == 0.0 or np.any(diag == 0.0):
-        raise SingularMatrixError("matrix is exactly singular")
-    gecon = sla.get_lapack_funcs("gecon", (lu,))
-    rcond, info = gecon(lu, anorm, norm="1")
-    if info != 0 or rcond <= 0.0:
-        raise SingularMatrixError("condition estimation failed")
-    return lu, piv, anorm, rcond
-
-
-def _lu_with_cond(a: np.ndarray):
-    """``(solve, cond)``: the LU solver of a validated square matrix and its
-    1-norm condition estimate; raises when singular."""
-    if a.shape[0] == 0:
-        return np.copy, 1.0
-    lu, piv, _, rcond = _lu_rcond(a)
-    cond = 1.0 / rcond
-    if cond > COND_LIMIT:
+        for b, a in enumerate(blocks):
+            lu, piv = sla.lu_factor(a, check_finite=False)
+            if np.any(np.diag(lu) == 0.0):
+                raise SingularMatrixError("matrix is exactly singular")
+            out[b] = sla.lu_solve((lu, piv), eye, check_finite=False)
+    cond = float(np.max(np.linalg.norm(blocks, 1, axis=(1, 2)))
+                 * np.max(np.linalg.norm(out, 1, axis=(1, 2))))
+    if not cond <= COND_LIMIT:
         raise SingularMatrixError("matrix is singular to working tolerance", cond)
-    return lambda b: sla.lu_solve((lu, piv), b, check_finite=False), cond
+    return out, cond
 
 
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``a @ x = b`` by partial-pivoted LU with a condition guard.
+    """``a^-1 b`` from the guarded :func:`inverse` (a reference solve; the
+    package's own callers need the inverse itself).
 
     Raises
     ------
     SingularMatrixError
-        If the 1-norm condition estimate exceeds ``COND_LIMIT``.
+        If the exact 1-norm condition exceeds ``COND_LIMIT``.
     """
     a = require_square(a)
     b = np.asarray(b, dtype=complex)
     if b.shape[0] != a.shape[0]:
         raise DimensionError(f"rhs rows {b.shape[0]} != matrix dim {a.shape[0]}")
-    return _lu_with_cond(a)[0](b)
+    return inverse(a) @ b
 
 
 def inverse_with_cond(a: np.ndarray) -> tuple[np.ndarray, float]:
-    """Condition-guarded dense inverse and its 1-norm condition estimate."""
-    a = require_square(a)
-    lu_solve, cond = _lu_with_cond(a)
-    return lu_solve(np.eye(a.shape[0], dtype=complex)), cond
+    """Condition-guarded dense inverse and its exact 1-norm condition."""
+    inv, cond = _guarded_inverse(require_square(a)[None])
+    return inv[0], cond
 
 
 def inverse(a: np.ndarray) -> np.ndarray:
@@ -193,53 +194,43 @@ def inverse(a: np.ndarray) -> np.ndarray:
 def block_inverse(blocks: np.ndarray) -> np.ndarray:
     """Condition-guarded inverse of a block-diagonal operator, block by block.
 
-    Each block is LU-factored once.  The guard is one 1-norm condition
-    estimate of the whole operator, ``max |A_b|_1 * max |A_b^-1|_1`` over the
-    blocks (each ``|A_b^-1|_1`` from ``gecon``), against ``COND_LIMIT`` as in
-    :func:`inverse`; a single block gives :func:`inverse`'s result, and an
-    empty stack itself.
+    Each block is LU-factored once.  The guard is the exact 1-norm condition
+    of the whole operator, ``max |A_b|_1 * max |A_b^-1|_1`` over the blocks,
+    against ``COND_LIMIT`` as in :func:`inverse`; a single block gives
+    :func:`inverse`'s result, and an empty stack an empty stack.
     """
-    blocks = require_square(blocks, stack=True)
-    if not len(blocks):
-        return blocks
-    factors = [_lu_rcond(a) for a in blocks]
-    cond = max(f[2] for f in factors) * max(1.0 / (f[3] * f[2]) for f in factors)
-    if cond > COND_LIMIT:
-        raise SingularMatrixError("matrix is singular to working tolerance", cond)
-    eye = np.eye(blocks.shape[1], dtype=complex)
-    # column-major blocks, as LAPACK returns them: one block then matches
-    # :func:`inverse` in every later product, bit for bit
-    out = np.empty(blocks.shape, dtype=complex).swapaxes(1, 2)
-    for b, (lu, piv, _, _) in enumerate(factors):
-        out[b] = sla.lu_solve((lu, piv), eye, check_finite=False)
-    return out
+    return _guarded_inverse(require_square(blocks, stack=True))[0]
 
 
 def refined_inverse(a: np.ndarray) -> np.ndarray:
     """Newton-refined dense inverse (oracle-grade accuracy).
 
-    Each of the ``REFINE_STEPS`` steps squares the residual ``1 - a x``,
-    pushing the forward error to the rounding floor even at moderate
-    ill-conditioning.  The refinement runs in extended precision when the
-    platform provides it, so the result can serve as a reference for
-    algorithms that beat plain float64 inversion.  Intended for small
-    matrices (oracle use only).
+    Starts from the guarded :func:`inverse`; each of the ``REFINE_STEPS``
+    steps squares the residual ``1 - a x``, pushing the forward error to the
+    rounding floor even at moderate ill-conditioning.  The refinement runs
+    in extended precision when the platform provides it, so the result can
+    serve as a reference for algorithms that beat plain float64 inversion.
+    Intended for small matrices (oracle use only).
     """
     a = require_square(a)
     eye = np.eye(a.shape[0], dtype=complex)
     wide = getattr(np, "complex256", complex)
-    ax, xx, ee = (m.astype(wide) for m in (a, solve(a, eye), eye))
+    ax, xx, ee = (m.astype(wide) for m in (a, inverse(a), eye))
     for _ in range(REFINE_STEPS):
         xx = xx + xx @ (ee - ax @ xx)
     return xx.astype(complex)
 
 
 def cond_estimate(a: np.ndarray) -> float:
-    """1-norm condition estimate; ``inf`` when singular to tolerance."""
+    """Exact 1-norm condition ``|A|_1 |A^-1|_1`` of a matrix, or of a block
+    stack its block guard ``max_b |A_b|_1 * max_b |A_b^-1|_1``: the figure
+    :func:`block_inverse` checks.  Past ``COND_LIMIT`` it is the refused
+    value; ``inf`` when exactly singular."""
+    m = require_square(a, stack=True)
     try:
-        return _lu_with_cond(require_square(a))[1]
+        return _guarded_inverse(m if m.ndim == 3 else m[None])[1]
     except SingularMatrixError as exc:
-        return getattr(exc, "cond", float("inf"))
+        return exc.cond
 
 
 def onenorm_estimate(apply, apply_adjoint, n: int) -> float:
@@ -339,8 +330,9 @@ def riesz_projection(a: np.ndarray, radius: float) -> Projection:
     The circle is discretized by the ``RIESZ_N_QUAD``-point trapezoid rule,
     which is spectrally accurate for the analytic resolvent.  The idempotence
     defect must come out below 1e-8 (the :class:`Projection` certificate) or
-    an :class:`AccuracyError` is raised; a solve that is ill-conditioned on
-    the contour raises :class:`ContourError`.
+    an :class:`AccuracyError` is raised.  Each resolvent is one guarded
+    :func:`inverse`; one that its exact condition refuses on the contour
+    raises :class:`ContourError`.
     """
     a = require_square(a)
     if radius <= 0:
@@ -352,7 +344,7 @@ def riesz_projection(a: np.ndarray, radius: float) -> Projection:
     for t in theta:
         zeta = radius * np.exp(1j * t)
         try:
-            acc += zeta * solve(zeta * eye - a, eye)
+            acc += zeta * inverse(zeta * eye - a)
         except SingularMatrixError as exc:
             raise ContourError(
                 f"contour |z|={radius:.3e} passes near the spectrum at angle {t:.3f}"

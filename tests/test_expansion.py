@@ -511,6 +511,17 @@ class TestOneBlockPath:
             assert expansion.oracle_error(ladder, k, m) <= 1e-6
             assert np.linalg.norm(m - ref) <= 1e-14 * np.linalg.norm(ref)
 
+    @pytest.mark.parametrize("k", [1e-3 * (1 - 1j) / np.sqrt(2.0),
+                                   5e-3 * np.exp(-0.3j), 1e-4 - 2e-4j])
+    def test_evaluation_bits_do_not_depend_on_the_kappa_type(self, ladder, k):
+        # the structural report passes numpy scalars, the I3(0) extrapolation
+        # Python numbers: both must see the same evaluation, bit for bit
+        plain, numpy_scalar = ladder.at(complex(k)), ladder.at(np.complex128(k))
+        for name in ("g0", "i1", "h1", "m1inv", "h2", "i3c", "i3inv"):
+            a, b = getattr(plain, name), getattr(numpy_scalar, name)
+            assert (a is None) == (b is None)
+            assert a is None or helpers.same_bits(a, b), name
+
     def test_m_function_memory_is_a_few_dense_operators(self, ladder):
         # M and the level inverses are a few dim x dim arrays (about 9 of
         # them at peak); embedding the one block must not add an

@@ -304,13 +304,13 @@ class TestLadder:
         # each level operator (A0 + complement) + S
         fam = family_from_random(np.random.default_rng(9), 8, 2)
         factored = []
-        lu_with_cond = linalg._lu_with_cond
+        guarded_inverse = linalg._guarded_inverse
 
-        def recording(a):
-            factored.append(a.copy())
-            return lu_with_cond(a)
+        def recording(blocks):
+            factored.extend(a.copy() for a in blocks)
+            return guarded_inverse(blocks)
 
-        monkeypatch.setattr(linalg, "_lu_with_cond", recording)
+        monkeypatch.setattr(linalg, "_guarded_inverse", recording)
         levels = inversion.build_ladder(fam)
         assert len(levels) >= 2
         eye = np.eye(fam.dim, dtype=complex)

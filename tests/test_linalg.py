@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import helpers
 from wgscat import birman, linalg, waveguide
 from wgscat.errors import (
     AccuracyError,
@@ -104,6 +105,67 @@ class TestSolve:
         with pytest.raises(SingularMatrixError) as err:
             linalg.solve(a, np.eye(2, dtype=complex))
         assert err.value.cond > 1e12
+
+
+def exact_cond(a):
+    return np.linalg.norm(a, 1) * np.linalg.norm(np.linalg.inv(a), 1)
+
+
+def block_guard(blocks):
+    return (max(np.linalg.norm(b, 1) for b in blocks)
+            * max(np.linalg.norm(np.linalg.inv(b), 1) for b in blocks))
+
+
+class TestConditionGuard:
+    """The guard of every dense inverse is the exact 1-norm condition, not a
+    lower estimate of it."""
+
+    def test_graded_matrix_where_an_estimate_under_reads(self):
+        # LAPACK's gecon estimate reads 1.82e4 here against the exact 3.02e4
+        rng = np.random.default_rng(3991)
+        a = ((rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+             @ np.diag(10.0 ** rng.uniform(-4, 0, 6)) @ rng.normal(size=(6, 6)))
+        assert abs(linalg.cond_estimate(a) / exact_cond(a) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_exact_on_seeded_matrices(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 2 + seed
+        a = ((rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+             @ np.diag(10.0 ** rng.uniform(-6, 0, n)))
+        assert abs(linalg.cond_estimate(a) / exact_cond(a) - 1.0) <= 1e-12
+        inv, cond = linalg.inverse_with_cond(a)
+        assert cond == linalg.cond_estimate(a)
+        assert helpers.same_bits(inv, linalg.inverse(a))
+
+    def test_stack_gives_the_block_guard(self):
+        rng = np.random.default_rng(11)
+        blocks = ((rng.normal(size=(3, 5, 5)) + 1j * rng.normal(size=(3, 5, 5)))
+                  * np.array([1.0, 1e-3, 1e2])[:, None, None])
+        assert abs(linalg.cond_estimate(blocks) / block_guard(blocks) - 1.0) <= 1e-12
+        inv = linalg.block_inverse(blocks)
+        for b in range(3):
+            assert helpers.same_bits(inv[b], linalg.inverse(blocks[b]))
+
+    def test_refused_stack_carries_its_block_guard(self):
+        # each block is well conditioned; the stack's guard is not
+        rng = np.random.default_rng(5)
+        blocks = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
+        blocks[1] *= 1e-14
+        assert all(exact_cond(b) < 1e4 for b in blocks)
+        with pytest.raises(SingularMatrixError) as err:
+            linalg.block_inverse(blocks)
+        assert abs(err.value.cond / block_guard(blocks) - 1.0) <= 1e-12
+        assert err.value.cond == linalg.cond_estimate(blocks)
+
+    def test_exactly_singular_and_empty(self):
+        with pytest.raises(SingularMatrixError, match="exactly singular") as err:
+            linalg.inverse(np.zeros((3, 3), dtype=complex))
+        assert err.value.cond == float("inf")
+        assert linalg.cond_estimate(np.ones((2, 2))) == float("inf")
+        inv, cond = linalg.inverse_with_cond(np.zeros((0, 0)))
+        assert inv.shape == (0, 0) and cond == 1.0
+        assert linalg.block_inverse(np.zeros((0, 3, 3))).shape == (0, 3, 3)
 
 
 class TestOnenormEstimate:
