@@ -18,11 +18,12 @@ class DimensionError(WgscatError):
 class SingularMatrixError(WgscatError):
     """A linear solve hit a matrix that is singular to working tolerance.
 
-    Carries the 1-norm condition estimate when available.
+    Carries the exact 1-norm condition of the refused matrix, ``inf`` when
+    it is exactly singular.
     """
 
     def __init__(self, msg: str, cond: float = float("inf")):
-        super().__init__(f"{msg} (condition estimate {cond:.3e})")
+        super().__init__(f"{msg} (1-norm condition {cond:.3e})")
         self.cond = cond
 
 

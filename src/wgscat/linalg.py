@@ -134,17 +134,12 @@ def identity_projection(n: int) -> Projection:
 
 
 def _guarded_inverse(blocks: np.ndarray) -> tuple[np.ndarray, float]:
-    """``(inverse, cond)`` of a validated 3-D stack of square blocks: the one
-    guarded dense inverse of the package.
-
-    Each block is LU-factored once and solved against the identity into
-    column-major output, as LAPACK returns it, so a one-block stack gives
-    the bits of a plain ``lu_solve``.  ``cond = max_b |A_b|_1 * max_b
-    |A_b^-1|_1`` is the exact 1-norm condition of the block-diagonal
-    operator, read off the inverse; it is 1 for empty blocks.  Raises
-    :class:`SingularMatrixError` at an exactly zero pivot, and unless
-    ``cond <= COND_LIMIT`` (which refuses NaN and inf too).
-    """
+    """``(inverse, cond)`` of a validated 3-D block stack, the one guarded
+    dense inverse: one LU per block, solved against the identity into
+    column-major blocks as LAPACK returns them, and ``cond = max_b |A_b|_1 *
+    max_b |A_b^-1|_1`` read off the inverse (1 when empty).  Raises
+    :class:`SingularMatrixError` at an exactly zero pivot and unless ``cond
+    <= COND_LIMIT``, which refuses NaN and inf too."""
     out = np.empty(blocks.shape, dtype=complex).swapaxes(1, 2)
     if out.size == 0:
         return out, 1.0
@@ -165,14 +160,9 @@ def _guarded_inverse(blocks: np.ndarray) -> tuple[np.ndarray, float]:
 
 
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a^-1 b`` from the guarded :func:`inverse` (a reference solve; the
-    package's own callers need the inverse itself).
-
-    Raises
-    ------
-    SingularMatrixError
-        If the exact 1-norm condition exceeds ``COND_LIMIT``.
-    """
+    """``a^-1 b`` from the guarded :func:`inverse`, which raises
+    :class:`SingularMatrixError` (a reference solve: the package's own
+    callers need the inverse itself)."""
     a = require_square(a)
     b = np.asarray(b, dtype=complex)
     if b.shape[0] != a.shape[0]:
