@@ -189,7 +189,10 @@ def block_inverse(blocks: np.ndarray) -> np.ndarray:
     against ``COND_LIMIT`` as in :func:`inverse`; a single block gives
     :func:`inverse`'s result, and an empty stack an empty stack.
     """
-    return _guarded_inverse(require_square(blocks, stack=True))[0]
+    blocks = require_square(blocks, stack=True)
+    if blocks.ndim != 3:
+        raise DimensionError(f"expected a 3-D block stack, got ndim={blocks.ndim}")
+    return _guarded_inverse(blocks)[0]
 
 
 def refined_inverse(a: np.ndarray) -> np.ndarray:

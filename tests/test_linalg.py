@@ -165,6 +165,10 @@ class TestConditionGuard:
         assert inv.shape == (0, 0) and cond == 1.0
         assert linalg.block_inverse(np.zeros((0, 3, 3))).shape == (0, 3, 3)
 
+    def test_block_inverse_takes_a_stack_only(self):
+        with pytest.raises(DimensionError):
+            linalg.block_inverse(np.eye(3, dtype=complex))
+
 
 class TestOnenormEstimate:
     def test_lower_bound_near_exact(self):
