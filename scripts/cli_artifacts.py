@@ -10,6 +10,12 @@ on ``PYTHONPATH`` to run that checkout) through ``wgscat.cli.main``, on:
   model), each through ``smatrix``, ``eigenvalues``, ``threshold-scan``,
   ``expansion --verify`` and ``verify``;
 - the 4x24 uniform well through ``modes``;
+- a non-separable 4x24 ``table`` potential (a well deepening along both
+  axes, so the mode sum runs its one non-separable path) through
+  ``smatrix``, ``threshold-scan`` and ``expansion --verify``;
+- the 4x24 well on a ``custom`` cross-section built from the interval's own
+  Dirichlet lattice, first 4 sine samples and eigenvalues, with 3 modes
+  kept, through ``modes`` and ``smatrix``;
 - the 5x60 uniform well of the ``eigen_scan_cli`` benchmark through
   ``eigenvalues``, on a window holding its level near 3.81, on one holding
   its level near 0.81 (at two resolutions) and on one holding its level
@@ -35,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from wgscat import cli, inversion
+from wgscat import cli, inversion, waveguide
 
 WELL = {
     "schema_version": 1,
@@ -47,6 +53,22 @@ WELL = {
 COSINE_WELL = dict(WELL, potential=dict(
     WELL["potential"], omega_profile={"kind": "cosine", "amplitude": 0.5, "harmonic": 1}))
 SCAN_WELL = dict(WELL, grid={"n_omega": 5, "n_x": 60}, n_max=9)
+TABLE_WELL = dict(WELL, potential={
+    "kind": "table", "x_box": [0.0, 1.0],
+    "values": [[-1.0 - 0.1 * i - 0.02 * k for k in range(24)] for i in range(4)]})
+
+
+def custom_well() -> dict:
+    """WELL on its interval's own lattice, sines and eigenvalues as a
+    ``custom`` cross-section (4 supplied modes, 3 kept)."""
+    interval = waveguide.Interval(WELL["cross_section"]["length"])
+    nodes, weights = interval.transverse_rule(WELL["grid"]["n_omega"])
+    modes = interval.modes(4, nodes)
+    return dict(WELL, n_max=3, cross_section={
+        "kind": "custom", "nodes": nodes[:, 0].tolist(), "weights": weights.tolist(),
+        "eigenvalues": [m.eigenvalue for m in modes],
+        "samples": [m.samples.tolist() for m in modes]})
+
 
 # command -> (config task key, task, extra flags)
 WELL_TASKS = {
@@ -91,6 +113,14 @@ def runs() -> list[tuple[str, str, dict, tuple]]:
         for command, task in WELL_TASKS.items():
             out.append((f"{label}-{command}", command, model, task))
     out.append(("well-modes", "modes", WELL, ("modes", {}, [])))
+    for command in ("smatrix", "threshold-scan", "expansion"):
+        key, task, flags = WELL_TASKS[command]
+        out.append((f"table-{command}", command, TABLE_WELL,
+                    (key, dict(task, tail_tol=0.2), flags)))
+    custom = custom_well()
+    out.append(("custom-modes", "modes", custom, ("modes", {}, [])))
+    out.append(("custom-smatrix", "smatrix", custom,
+                ("smatrix", {"energies": [1.6, 2.2, 5.5], "tail_tol": 0.3}, [])))
     for label, task in SCAN_TASKS.items():
         out.append((f"{label}-eigenvalues", "eigenvalues", SCAN_WELL, task))
     for label, task in INVERT_TASKS.items():

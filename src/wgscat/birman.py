@@ -188,7 +188,8 @@ def mode_sum_blocks(
 ) -> np.ndarray:
     """:func:`mode_sum_matrix` in the model's sector coordinates
     (``model.sectors``), as its stack of diagonal blocks
-    ``(n_blocks, block_dim, block_dim)``."""
+    ``(n_blocks, block_dim, block_dim)``; a coupled model's one block is
+    :func:`mode_sum_matrix` itself, from the same code."""
     return _mode_sum(model, z, mode_indices, x_kernel, model.sectors)
 
 
@@ -196,12 +197,14 @@ def _mode_sum(model: WaveguideModel, z: complex, mode_indices, x_kernel,
               sectors: Sectors) -> np.ndarray:
     """The mode sum as the diagonal blocks of ``sectors``.
 
-    Separable potential: the transverse weight of mode ``n`` is the outer
-    product of ``phi_n`` with itself in the grid coordinates (one block), or
-    in a decomposing model's sectors the scalar ``p_n[s]^2`` per sector, with
-    ``p_n = basis^T phi_n``.  A non-separable potential never decomposes, so
-    its one block is the grid matrix.  The default free-resolvent kernels
-    of a chunk of modes come from one :func:`_free_kernel_stack`; a given
+    Separable potential: one path for every block width ``w = n_omega /
+    n_blocks`` (``n_omega`` for one block, 1 per sector).  Block ``b`` of
+    mode ``n`` is weighted by ``p_b p_b^T``, ``p_b`` the block's slice of
+    ``p_n = phi_n`` (one block) or ``basis^T phi_n`` (sectors): one product
+    of the weights with the scaled kernel stack, one transposed accumulate.
+    A non-separable potential never decomposes; its one block is the grid
+    matrix, from one ``einsum``.  The default free-resolvent kernels of a
+    chunk of modes come from one :func:`_free_kernel_stack`; a given
     ``x_kernel`` is called once per mode.
     """
     grid = model.grid
@@ -227,23 +230,16 @@ def _mode_sum(model: WaveguideModel, z: complex, mode_indices, x_kernel,
         ) * np.sqrt(grid.omega_weights)
         if sectors.basis is not None:
             phi = phi @ sectors.basis
+        w = n_omega // nb
         for lo in range(0, idx.size, chunk):
             sel = idx[lo : lo + chunk]
             ks = kernels(sel)
             ks *= dx[:, None]
             ks *= dx[None, :]
-            ks = ks.reshape(sel.size, -1)
-            p = phi[lo : lo + chunk]
-            if sectors.basis is None:
-                pmat = np.einsum("ni,nj->nij", p, p)
-                block = pmat.reshape(sel.size, -1).T @ ks  # (n_omega^2, n_x^2)
-                out[0] += (
-                    block.reshape(n_omega, n_omega, n_x, n_x)
-                    .transpose(0, 2, 1, 3)
-                    .reshape(dim, dim)
-                )
-            else:
-                out += ((p * p).T @ ks).reshape(out.shape)  # one sector per block
+            p = phi[lo : lo + chunk].reshape(sel.size, nb, w)
+            weights = (p[..., :, None] * p[..., None, :]).reshape(sel.size, -1)
+            block = weights.T @ ks.reshape(sel.size, -1)  # (nb w^2, n_x^2)
+            out += block.reshape(nb, w, w, n_x, n_x).transpose(0, 1, 3, 2, 4).reshape(out.shape)
         return out
 
     sw = grid.composite_sqrt_weights().reshape(n_omega, n_x)

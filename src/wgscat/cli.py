@@ -33,7 +33,9 @@ Config schema::
      }}
 
 ``verify`` samples the structural report at ``|kappa|`` in
-``[1e-4, min(1e-2, eps)]``, so its ``eps`` must exceed ``1e-4``.  Each
+``[1e-4, min(1e-2, eps)]``, so its ``eps`` must exceed ``1e-4``; without
+``lam`` it runs at the model's second threshold (its first when the model
+has only one).  Each
 ``invert_demo`` value ``z`` must be finite with ``0 < |z| < radius`` and
 ``arg z`` in the ``sector`` of every family in the file.  Every
 ``tail_tol`` and ``eps`` must be positive, the ``smatrix`` energies finite

@@ -55,6 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from . import birman, linalg
 from .errors import (
@@ -380,9 +381,9 @@ def _level0_data(model: WaveguideModel, lam: float, eps: float, tail_tol: float)
     present = norms > DEFAULT_RANK_TOL * norms.max(initial=0.0)
     factors = [np.linalg.qr(vb[:, keep]) for vb, keep in zip(blocks, present)]
     rmax = max([np.abs(np.diag(r)).max(initial=0.0) for _, r in factors] + [1e-300])
-    u_n = linalg.block_columns(
-        [q[:, np.abs(np.diag(r)) > DEFAULT_RANK_TOL * rmax] for q, r in factors]
-    )
+    u_n = sla.block_diag(
+        *(q[:, np.abs(np.diag(r)) > DEFAULT_RANK_TOL * rmax] for q, r in factors)
+    ).astype(complex)
 
     x_nodes = model.grid.x_nodes
     n10 = birman.mode_sum_blocks(

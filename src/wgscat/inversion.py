@@ -166,14 +166,15 @@ def jn_invert(fam: OperatorFamily, s: Projection, z: complex) -> np.ndarray:
     equivalence is exact, not a numerical failure).  The residual
     ``norm(A(z) X - 1)`` is checked internally against
     ``RESIDUAL_TOL * max(1, cond(A(z)))``.  ``A1(z)``, ``(A0+S)^-1`` and
-    ``(A(z)+S)^-1`` are each computed once.
+    ``(A(z)+S)^-1`` are each computed once; with ``S = 0`` that one LU of
+    ``A(z)`` gives its condition too.
     """
     if z == 0:
         raise DomainError("the projection formula is evaluated at z != 0 only")
     a1 = fam.a1(z)
     az = fam.base + z * a1
     sm = s.matrix
-    g = linalg.inverse(az + sm)
+    g, cond = linalg.inverse_with_cond(az + sm)
     if s.rank == 0:
         x = g
     else:
@@ -185,7 +186,7 @@ def jn_invert(fam: OperatorFamily, s: Projection, z: complex) -> np.ndarray:
             )
         x = _schur_step(g, s, _b(sm, g0, a1, g), 1.0 / z,
                         "B(z) singular on ran(S): A(z) is not invertible at this z")
-    cond = linalg.cond_estimate(az)
+        cond = linalg.cond_estimate(az)  # a guard independent of the X it checks
     resid = opnorm(az @ x - np.eye(fam.dim))
     if resid > RESIDUAL_TOL * max(1.0, cond):
         raise AccuracyError(

@@ -282,7 +282,8 @@ def kernel_from_svd(s: np.ndarray, vh: np.ndarray, scale: float | None = None) -
     The SVD of a block stack (``s`` of shape ``(n_blocks, m)``) is that of
     the block-diagonal operator: ``sigma_max`` is the largest over the
     blocks, and each kernel column is one block's right singular vector,
-    zero outside that block (columns in block order).
+    zero outside that block: ``scipy.linalg.block_diag`` of the blocks'
+    kernel columns, in block order.
     """
     s = np.atleast_2d(s)
     vh = vh.reshape(s.shape + vh.shape[-1:])
@@ -292,19 +293,7 @@ def kernel_from_svd(s: np.ndarray, vh: np.ndarray, scale: float | None = None) -
     if ref == 0.0:
         return np.eye(nb * m, dtype=complex)
     mask = s < DEFAULT_RANK_TOL * ref
-    return block_columns([vh[b][mask[b]].conj().T for b in range(nb)])
-
-
-def block_columns(columns: list[np.ndarray]) -> np.ndarray:
-    """Columns supported on one block each: block ``b``'s ``(m, r_b)``
-    columns, zero outside block ``b``, in block order (``(n_blocks m, sum r_b)``)."""
-    m = columns[0].shape[0]
-    out = np.zeros((len(columns), m, sum(c.shape[1] for c in columns)), dtype=complex)
-    r = 0
-    for b, c in enumerate(columns):
-        out[b, :, r : r + c.shape[1]] = c
-        r += c.shape[1]
-    return out.reshape(len(columns) * m, -1)
+    return sla.block_diag(*(vh[b][mask[b]].conj().T for b in range(nb)))
 
 
 def kernel_projector(a: np.ndarray) -> Projection:

@@ -63,10 +63,11 @@ def _row(model: WaveguideModel, n: int, coeff: float, x_factor: np.ndarray) -> n
     return mat.reshape(-1)
 
 
-def _row_core(lam: float, n: int, sigma: int, model: WaveguideModel,
-              x_weight: np.ndarray | None = None) -> np.ndarray:
-    """:func:`trace_row`, with an extra longitudinal factor ``x_weight``;
-    :class:`DomainError` unless ``sigma`` is -1 or +1 and ``1 <= n <= n_max``."""
+def trace_row(lam: float, n: int, sigma: int, model: WaveguideModel) -> np.ndarray:
+    """Grid coefficients of the shell functional of channel ``(n, sigma)``
+    composed with ``v``; :class:`DomainError` unless ``sigma`` is -1 or +1
+    and ``1 <= n <= n_max``, :class:`ChannelClosedError` unless ``lam >
+    lambda_n``."""
     if sigma not in (-1, 1) or not 1 <= n <= model.n_max:
         raise DomainError(f"channel (n={n}, sigma={sigma}) needs sigma = -1 or +1 "
                           f"and 1 <= n <= n_max = {model.n_max}")
@@ -74,16 +75,8 @@ def _row_core(lam: float, n: int, sigma: int, model: WaveguideModel,
     if not lam > ln:
         raise ChannelClosedError(f"channel (n={n}, sigma={sigma:+d}) closed at lam={lam}")
     phase = np.exp(-1j * sigma * math.sqrt(lam - ln) * model.grid.x_nodes)
-    if x_weight is not None:
-        phase = phase * x_weight
     coeff = (lam - ln) ** (-0.25) / math.sqrt(2.0) / math.sqrt(2.0 * math.pi)
     return _row(model, n, coeff, phase)
-
-
-def trace_row(lam: float, n: int, sigma: int, model: WaveguideModel) -> np.ndarray:
-    """Grid coefficients of the shell functional of channel ``(n, sigma)``
-    composed with ``v``."""
-    return _row_core(lam, n, sigma, model)
 
 
 def gamma_row(j: int, n: int, model: WaveguideModel) -> np.ndarray:
@@ -158,8 +151,17 @@ def channel_smatrix(
 # Trace-row expansions at a threshold
 # ---------------------------------------------------------------------------
 
+OPEN_EXPONENT_TARGET = 3.9     # remainder exponent an open-channel row must reach (4 exact)
+OPENING_EXPONENT_TARGET = 1.4  # remainder exponent an opening row must reach (3/2 exact)
+
+
 @dataclass(frozen=True)
 class F0ExpansionReport:
+    """Fitted remainder exponents of the two trace-row expansions of
+    :func:`f0_expansion_check`.  ``ok`` holds when each reaches its target
+    (``OPEN_EXPONENT_TARGET``, ``OPENING_EXPONENT_TARGET``) or its fit used
+    fewer than 3 points above the rounding floor."""
+
     lam: float
     n: int
     sigma: int
@@ -167,14 +169,12 @@ class F0ExpansionReport:
     open_n_used: int
     opening_exponent: float    # remainder exponent of the opening form
     opening_n_used: int
-    open_target: float = 3.9
-    opening_target: float = 1.4
 
     @property
     def ok(self) -> bool:
-        open_ok = self.open_exponent >= self.open_target or self.open_n_used < 3
+        open_ok = self.open_exponent >= OPEN_EXPONENT_TARGET or self.open_n_used < 3
         opening_ok = (
-            self.opening_exponent >= self.opening_target or self.opening_n_used < 3
+            self.opening_exponent >= OPENING_EXPONENT_TARGET or self.opening_n_used < 3
         )
         return open_ok and opening_ok
 
@@ -200,7 +200,7 @@ def f0_expansion_check(
         raise ChannelClosedError("pass an open channel n; opening mode is separate")
     delta = lam0 - ln
     row0 = trace_row(lam0, n, sigma, model)
-    rowq = _row_core(lam0, n, sigma, model, x_weight=model.grid.x_nodes)
+    rowq = row0 * np.tile(model.grid.x_nodes, model.grid.n_omega)
     vals = []
     for k in kappas:
         k = complex(k)

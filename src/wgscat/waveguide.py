@@ -350,13 +350,15 @@ def factorize_potential(values: np.ndarray,
 
 @dataclass
 class WaveguideModel:
-    """Cross-section modes + potential factors + grid, ready for assembly."""
+    """Cross-section modes + potential factors + grid, ready for assembly.
+
+    The threshold groups (:attr:`groups`) and the sector basis
+    (:attr:`sectors`) are derived from these fields on first use."""
 
     cross_section: Interval | Rectangle | Custom
     grid: Grid
     modes: list[TransverseMode]
     potential: PotentialModel
-    groups: list[ThresholdGroup] = field(default_factory=list)
     # the energy-independent band layouts of birman.boundary_operator, keyed
     # by mode count and built on first use (birman.band_layout); a copy made
     # by dataclasses.replace starts with none
@@ -365,8 +367,6 @@ class WaveguideModel:
     def __post_init__(self):
         if self.potential.values.shape != (self.grid.n_omega, self.grid.n_x):
             raise DimensionError("potential table does not match the grid")
-        if not self.groups:
-            self.groups = threshold_groups(self.modes)
 
     @property
     def n_max(self) -> int:
@@ -416,6 +416,12 @@ class WaveguideModel:
         phi = self.mode_quadrature_vectors(n_upto)
         gram = phi @ phi.T
         return float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
+
+    @cached_property
+    def groups(self) -> list[ThresholdGroup]:
+        """The degeneracy groups of the stored modes (:func:`threshold_groups`
+        at its default tolerance)."""
+        return threshold_groups(self.modes)
 
     @cached_property
     def sectors(self) -> Sectors:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import wgscat
-from wgscat import cli, expansion, inversion
+from wgscat import birman, cli, expansion, inversion, scattering, waveguide
 
 
 MODEL_DOC = {
@@ -28,6 +28,17 @@ def write_config(tmp_path, tasks, name="config.json", model=MODEL_DOC):
     p = tmp_path / name
     p.write_text(json.dumps(cfg))
     return p
+
+
+def custom_interval(n_modes: int) -> dict:
+    """MODEL_DOC's interval as a ``custom`` cross-section: its own Dirichlet
+    lattice, and the first ``n_modes`` sine samples and eigenvalues."""
+    interval = waveguide.Interval(MODEL_DOC["cross_section"]["length"])
+    nodes, weights = interval.transverse_rule(MODEL_DOC["grid"]["n_omega"])
+    modes = interval.modes(n_modes, nodes)
+    return {"kind": "custom", "nodes": nodes[:, 0].tolist(), "weights": weights.tolist(),
+            "eigenvalues": [m.eigenvalue for m in modes],
+            "samples": [m.samples.tolist() for m in modes]}
 
 
 def run(args):
@@ -114,6 +125,30 @@ class TestModelCommands:
         assert lam1 == pytest.approx(1.0)
         groups = json.loads((out / "threshold_groups.json").read_text())
         assert groups[0]["members"] == [1]
+
+    def test_custom_cross_section_is_the_interval(self, tmp_path):
+        interval = dict(MODEL_DOC, n_max=3)
+        custom = dict(interval, cross_section=custom_interval(4))
+        outs = {}
+        for name, model in (("interval", interval), ("custom", custom)):
+            cfg = write_config(tmp_path, {"modes": {}}, name=f"{name}.json", model=model)
+            out = tmp_path / name
+            assert run(["modes", "--config", cfg, "--out", out]) == 0
+            outs[name] = [(out / f).read_bytes() for f in ("modes.csv", "threshold_groups.json")]
+        assert outs["custom"] == outs["interval"]
+        m_interval, m_custom = (waveguide.model_from_config(m) for m in (interval, custom))
+        compared = 0
+        for lam in (1.6, 2.2, 5.5):
+            # the custom tail bound caps the quadrature norms over the supplied
+            # modes only, so the two cutoffs may differ; compare where they agree
+            n_used = {birman._truncation(m, lam, 0.3)[0] for m in (m_interval, m_custom)}
+            if len(n_used) > 1:
+                continue
+            s_interval, s_custom = (scattering.channel_smatrix(lam, m, 0.3).matrix
+                                    for m in (m_interval, m_custom))
+            assert s_custom.tobytes() == s_interval.tobytes()
+            compared += 1
+        assert compared
 
     def test_smatrix_zero_potential_identity_rows(self, tmp_path):
         model = dict(MODEL_DOC)
@@ -254,6 +289,12 @@ class TestModelCommands:
         assert run(["verify", "--config", cfg, "--out", out]) == 0
         doc = json.loads((out / "verify.json").read_text())
         assert doc["ok"] and doc["optical_identity_defect"] <= 1e-12
+
+    def test_verify_defaults_to_the_second_threshold(self, tmp_path):
+        cfg = write_config(tmp_path, {"verify": {"tail_tol": 0.2}})
+        out = tmp_path / "out"
+        assert run(["verify", "--config", cfg, "--out", out]) == 0
+        assert json.loads((out / "verify.json").read_text())["structural"]["lam"] == 4.0
 
     def test_verify_samples_inside_a_small_eps(self, tmp_path, monkeypatch):
         # with eps below the default kappa_hi = 1e-2 every ladder evaluation
@@ -462,6 +503,18 @@ class TestConfigErrors:
         assert "error [modes]:" in capsys.readouterr().err
         assert blocker.is_file() and blocker.read_text() == "kept"
         assert sorted(tmp_path.iterdir()) == before
+
+    def test_failed_write_removes_the_files_already_written(self, tmp_path):
+        # a directory in the way of the second artifact: exit 2, the first
+        # artifact removed, what was in --out before left as it was
+        cfg = write_config(tmp_path, {"eigenvalues": {"window": [0.6, 0.95],
+                                                      "resolutions": [10], "tail_tol": 0.2}})
+        out = tmp_path / "out"
+        (out / "eigenvalue_counts.json").mkdir(parents=True)
+        assert run(["eigenvalues", "--config", cfg, "--out", out]) == 2
+        assert not (out / "eigenvalues.csv").exists()
+        assert [p.name for p in out.iterdir()] == ["eigenvalue_counts.json"]
+        assert (out / "eigenvalue_counts.json").is_dir()
 
     def test_bad_thread_count_in_the_environment(self, tmp_path, monkeypatch):
         # as --threads abc: argparse reports the value and exits 2

@@ -175,6 +175,14 @@ class TestFactorizationCounts:
             assert counts["svd"] <= (3 if repeat and reuse_projection else 4)
         assert np.allclose(x, linalg.refined_inverse(fam.a(1e-3 - 2e-3j)))
 
+    def test_jn_invert_factors_once_without_projection(self, counts):
+        # with S = 0, A(z) + S is A(z): its one LU gives X and the guard
+        fam = family_from_random(np.random.default_rng(11), 8, 0)
+        counts.update(lu=0)
+        x = inversion.jn_invert(fam, linalg.zero_projection(8), 1e-3 - 2e-3j)
+        assert counts["lu"] == 1
+        assert np.allclose(x, linalg.refined_inverse(fam.a(1e-3 - 2e-3j)))
+
     def test_verify_conditions_factors_once(self, counts):
         fam = family_from_random(np.random.default_rng(12), 8, 2)
         s = linalg.kernel_projector(fam.base)
