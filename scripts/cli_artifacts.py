@@ -8,7 +8,9 @@ on ``PYTHONPATH`` to run that checkout) through ``wgscat.cli.main``, on:
 - the 4x24 uniform square well of ``tests/test_cli.py`` (a model that splits
   into sector blocks) and its cosine-profile twin (a coupled, one-block
   model), each through ``smatrix``, ``eigenvalues``, ``threshold-scan``,
-  ``expansion --verify`` and ``verify``;
+  ``expansion --verify`` and ``verify``; the ``smatrix`` energies include
+  4 -+ 1e-3, where the S-matrix guard falls back from its certified bound
+  to the condition estimate;
 - the 4x24 uniform well through ``modes``;
 - a non-separable 4x24 ``table`` potential (a well deepening along both
   axes, so the mode sum runs its one non-separable path) through
@@ -72,7 +74,8 @@ def custom_well() -> dict:
 
 # command -> (config task key, task, extra flags)
 WELL_TASKS = {
-    "smatrix": ("smatrix", {"energies": [1.6, 2.2, 2.8, 3.4, 5.5], "tail_tol": 0.1}, []),
+    "smatrix": ("smatrix", {"energies": [1.6, 2.2, 2.8, 3.4, 3.999, 4.001, 5.5],
+                            "tail_tol": 0.1}, []),
     "eigenvalues": ("eigenvalues", {"window": [0.6, 0.95], "resolutions": [10, 20],
                                     "tail_tol": 0.2}, []),
     "threshold-scan": ("threshold_scan", {"lam": 4.0, "eps": 2e-2, "halvings": 4,

@@ -36,11 +36,16 @@ and the ``x`` steps, ``O(n_used dim)`` work) is a :class:`BandLayout`, built
 once per model and mode count and kept on the model; each energy builds
 only the ``mu``-dependent entries, ``O(n_blocks n_x s^2)`` of band fill
 beside the LU.  S-matrices and the eigenvalue scan run on the embedding.
+The S-matrix guard is first an upper bound on the condition read off the
+band LU with one real solve (:meth:`BoundaryOperator.cond_bound`); only
+where it exceeds ``COND_LIMIT``, near a threshold, does a Hager-Higham
+estimate from band solves decide (:meth:`BoundaryOperator.cond_estimate`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -330,7 +335,8 @@ class BoundaryOperator:
     ``rn``, and one band LU.  Grid vectors (the order of :func:`bs_operator`,
     1-D or as columns) enter and leave only at :meth:`solve` and :meth:`matvec`,
     through the transforms of ``layout.sectors``; the products, the norm bound,
-    the condition estimate and the scan's Lanczos runs stay on the node slices.
+    the condition bound and estimate and the scan's Lanczos runs stay on the
+    node slices.
     ``u``, ``v`` and the modes are real and the kernel symmetric in ``x, x'``,
     so ``A`` is complex symmetric there as on the grid: ``A^H y = conj(A
     conj(y))``, and the adjoint solve is the conjugated one.
@@ -405,19 +411,51 @@ class BoundaryOperator:
     def norm_bound(self) -> float:
         """Upper bound on ``max_b |A_b|_1`` over the sector blocks: the largest
         column sum of ``|u|`` plus the mode terms of :meth:`_apply` taken in
-        absolute value one by one, which is exact for a single mode."""
+        absolute value one by one, which is exact for a single mode.  Formed
+        once per operator, so both guards share it."""
+        return self._norm_bound
+
+    @cached_property
+    def _norm_bound(self) -> float:
         an = np.abs(self.layout.an)
         sums = _mode_sums(np.abs(self.rn)[:, :, None], an.sum(axis=2)[:, :, None])[:, :, 0]
         cols = np.abs(self.layout.un) + np.einsum("kpi,kp->ki", an, np.abs(self.cn) * sums)
         return float(cols.max())
 
+    def cond_bound(self) -> float:
+        """Upper bound on ``max_b |A_b|_1 * max_b |A_b^-1|_1`` over the sector
+        blocks, read off the band LU with one real solve: :meth:`norm_bound`
+        times the largest ``y`` column sum of ``M(U)^-1 prod_j |L_j^-1| P_j``,
+        which bounds ``|E^-1|`` entrywise (``M`` the comparison matrix; Higham,
+        *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 8).
+        ``A^-1`` is the ``y``-``y`` block of ``E^-1``.  Negated moduli in the
+        multiplier and superdiagonal rows make ``gbtrs`` apply exactly those
+        factors, and its transposed solve on the ``y`` indicator gives the
+        column sums; every term is nonnegative, so nothing cancels.  Away
+        from thresholds it reads 1-11 times the exact guard; within about
+        1e-3 of one it exceeds ``COND_LIMIT`` (``scripts/guard_oracle.py``
+        prints the ratio).  ``inf`` when the band LU is singular."""
+        anorm = self.norm_bound()
+        if self.singular or anorm == 0.0:
+            return float("inf")
+        p, w, s = self.slots, self.layout.un.shape[1], self._width
+        m = np.abs(self.lu)
+        m *= -1.0
+        m[2 * s] *= -1.0                        # U's diagonal keeps its modulus
+        ey = np.zeros((self.lu.shape[1] // s, s))
+        ey[:, p : p + w] = 1.0
+        x, _ = _DGBTRS(m, s, s, ey.reshape(-1, 1), self.piv, trans=1)
+        return anorm * float(x.reshape(-1, s)[:, p : p + w].max())
+
     def cond_estimate(self) -> float:
         """Estimate of ``max_b |A_b|_1 * max_b |A_b^-1|_1`` over the sector
         blocks, the exact guard ``linalg.block_inverse`` applies to dense
         blocks: :meth:`norm_bound` times the Hager-Higham lower estimate of
-        ``|A^-1|_1`` from band solves read in sector order.  It is no bound:
-        the inverse's norm can read low (``scripts/guard_oracle.py`` prints
-        the ratio).  ``inf`` when the band LU is singular."""
+        ``|A^-1|_1`` from 5-6 band solves read in sector order.  It is no
+        bound: the inverse's norm can read low (``scripts/guard_oracle.py``
+        prints the ratio).  ``channel_smatrix`` calls it only where
+        :meth:`cond_bound` exceeds ``COND_LIMIT``, within about 1e-3 of a
+        threshold.  ``inf`` when the band LU is singular."""
         anorm = self.norm_bound()
         if self.singular or anorm == 0.0:
             return float("inf")
@@ -428,6 +466,7 @@ class BoundaryOperator:
 
 _GBTRF, _GBTRS = (get_lapack_funcs(name, (np.zeros(1, dtype=complex),))
                   for name in ("gbtrf", "gbtrs"))
+_DGBTRS = get_lapack_funcs("gbtrs", (np.zeros(1),))
 
 
 def _mode_slots(sec: Sectors, n_used: int) -> np.ndarray:

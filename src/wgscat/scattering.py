@@ -128,13 +128,19 @@ def channel_smatrix(
 
     Raises :class:`EigenvalueHitError` when the boundary operator is
     singular to working tolerance (an eigenvalue or threshold; use the
-    expansion machinery there).
+    expansion machinery there).  The guard is the certified upper bound
+    ``op.cond_bound()`` first; only where it exceeds ``COND_LIMIT`` (within
+    about 1e-3 of a threshold, or at an eigenvalue) does the Hager-Higham
+    estimate ``op.cond_estimate()`` decide.  Since estimate <= exact guard
+    <= bound, an energy the bound accepts is one the estimate accepts too.
     """
     chans = open_channels(lam, model)
     if not chans:
         raise DomainError(f"no open channels at lam={lam}")
     op = birman.boundary_operator(lam, model, tail_tol)
-    cond = op.cond_estimate()
+    cond = op.cond_bound()
+    if cond > linalg.COND_LIMIT:
+        cond = op.cond_estimate()
     if cond > linalg.COND_LIMIT:
         raise EigenvalueHitError(
             f"boundary operator singular at lam={lam} (condition estimate {cond:.3e}); "

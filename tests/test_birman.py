@@ -199,6 +199,9 @@ class TestBoundaryOperator:
         structured = op.cond_estimate()
         assert dense > 1e9
         assert 0.1 <= structured / dense <= 10.0
+        # the certified bound sits above the dense figure, whose inverse at
+        # this condition carries about cond * eps = 1e-6 relative error
+        assert dense <= op.cond_bound() * (1.0 + 1e-4)
 
     def test_threshold_collision_rejected(self, well_small):
         with pytest.raises(BranchPointError):

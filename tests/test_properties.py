@@ -432,6 +432,28 @@ def test_boundary_operator_matches_dense_oracle(case):
 
 
 @given(band_cases())
+def test_cond_bound_holds_over_the_exact_block_guard(case):
+    # estimate <= exact block guard <= bound (to rounding): the order the
+    # guard of channel_smatrix rests on; the exact guard is the one of
+    # scripts/guard_oracle.py, from the dense sector blocks
+    model, lam, tail_tol = case
+    op = birman.boundary_operator(lam, model, tail_tol)
+    blocks = model.sectors.diagonal(model.potential.u) + birman.mode_sum_blocks(
+        model, complex(lam), list(range(1, op.n_used + 1)))
+    bound = op.cond_bound()
+    assert op.cond_estimate() <= bound * (1.0 + 1e-10)
+    assert linalg.cond_estimate(blocks) <= bound * (1.0 + 1e-10)
+    # a node with no potential leaves its grid-value columns of the band zero
+    pot = model.potential
+    v, u = pot.v.copy(), pot.u.copy()
+    v[:, 0] = u[:, 0] = 0.0
+    dead = birman.boundary_operator(
+        lam, dataclasses.replace(model, potential=dataclasses.replace(pot, v=v, u=u)), tail_tol)
+    assert dead.singular and dead.norm_bound() > 0.0
+    assert dead.cond_bound() == float("inf")
+
+
+@given(band_cases())
 def test_band_width_follows_the_sector_slots(case):
     model, lam, tail_tol = case
     op = birman.boundary_operator(lam, model, tail_tol)

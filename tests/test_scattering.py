@@ -96,6 +96,32 @@ class TestSMatrix:
         assert elapsed < 1.0
         assert s.unitarity_defect <= 1e-8 and recip <= 1e-8
 
+    def test_one_band_solve_off_the_thresholds(self, interval_cs, monkeypatch):
+        # the benchmark's sweep model at least 0.05 from every threshold: the
+        # certified bound accepts, so the S solve is the only band solve
+        model = waveguide.square_well_model(
+            interval_cs, 1.0, (0.0, 1.0), n_omega=5, n_x=200, n_max=12,
+            omega_profile={"kind": "cosine", "amplitude": 0.5, "harmonic": 1},
+        )
+        calls = []
+        solve = birman.BoundaryOperator._band_solve
+        monkeypatch.setattr(birman.BoundaryOperator, "_band_solve",
+                            lambda op, *a: calls.append(1) or solve(op, *a))
+        for lam in (1.05, 2.5, 3.95, 4.05, 6.5, 8.95):
+            calls.clear()
+            s = scattering.channel_smatrix(lam, model, tail_tol=0.03)
+            assert len(calls) == 1
+            assert s.unitarity_defect <= 1e-8
+
+    @pytest.mark.parametrize("lam", [4.0 - 1e-3, 4.0 + 1e-3])
+    def test_estimate_decides_next_to_a_threshold(self, coupled_model, lam):
+        # 1e-3 from lambda_2 the bound exceeds COND_LIMIT; the Hager-Higham
+        # estimate accepts, as it did before the bound
+        op = birman.boundary_operator(lam, coupled_model, 0.03)
+        assert op.cond_bound() > linalg.COND_LIMIT >= op.cond_estimate()
+        s = scattering.channel_smatrix(lam, coupled_model, tail_tol=0.03)
+        assert s.unitarity_defect <= 1e-12
+
     def test_smoothness_off_singular_set(self, well_small):
         devs = scattering.smoothness_probe(2.3, well_small, tail_tol=0.1)
         assert all(a > b for a, b in zip(devs, devs[1:]))
@@ -114,12 +140,12 @@ class TestSMatrix:
 
 class TestF0Expansion:
     def test_zero_kappa_is_exact(self, well_medium):
-        row0 = scattering.trace_row(4.0, 1, +1, well_medium)
-        # kappa = 0 in the quadratic model reproduces the row identically
+        # near kappa = 0 the quadratic model reproduces the row: every
+        # remainder stays under the report's 1e-12 |row0| floor
         rep = scattering.f0_expansion_check(
-            4.0, 1, +1, [1e-6], well_medium
+            4.0, 1, +1, [1e-6, 1e-5, 1e-4], well_medium
         )
-        assert rep is not None and np.linalg.norm(row0) > 0
+        assert rep.open_n_used == 0
 
     def test_open_channel_quartic_remainder(self, well_medium):
         ks = np.geomspace(1e-3, 1e-1, 7)
