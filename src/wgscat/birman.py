@@ -35,11 +35,9 @@ energy (the grid mode factors and signs, their gather into the mode slots
 and the ``x`` steps, ``O(n_used dim)`` work) is a :class:`BandLayout`, built
 once per model and mode count and kept on the model; each energy builds
 only the ``mu``-dependent entries, ``O(n_blocks n_x s^2)`` of band fill
-beside the LU.  S-matrices and the eigenvalue scan run on the embedding.
-The S-matrix guard is first an upper bound on the condition read off the
-band LU with one real solve (:meth:`BoundaryOperator.cond_bound`); only
-where it exceeds ``COND_LIMIT``, near a threshold, does a Hager-Higham
-estimate from band solves decide (:meth:`BoundaryOperator.cond_estimate`).
+beside the LU.  S-matrices and the eigenvalue scan run on the embedding;
+the S-matrix guard is an upper bound on the condition read off the band LU,
+with a Hager-Higham estimate where the bound exceeds ``COND_LIMIT``.
 """
 
 from __future__ import annotations
@@ -424,17 +422,14 @@ class BoundaryOperator:
 
     def cond_bound(self) -> float:
         """Upper bound on ``max_b |A_b|_1 * max_b |A_b^-1|_1`` over the sector
-        blocks, read off the band LU with one real solve: :meth:`norm_bound`
-        times the largest ``y`` column sum of ``M(U)^-1 prod_j |L_j^-1| P_j``,
-        which bounds ``|E^-1|`` entrywise (``M`` the comparison matrix; Higham,
-        *Accuracy and Stability of Numerical Algorithms*, 2nd ed., ch. 8).
-        ``A^-1`` is the ``y``-``y`` block of ``E^-1``.  Negated moduli in the
-        multiplier and superdiagonal rows make ``gbtrs`` apply exactly those
-        factors, and its transposed solve on the ``y`` indicator gives the
-        column sums; every term is nonnegative, so nothing cancels.  Away
-        from thresholds it reads 1-11 times the exact guard; within about
-        1e-3 of one it exceeds ``COND_LIMIT`` (``scripts/guard_oracle.py``
-        prints the ratio).  ``inf`` when the band LU is singular."""
+        blocks: :meth:`norm_bound` times the largest ``y`` column sum of
+        ``M(U)^-1 prod_j |L_j^-1| P_j >= |E^-1|`` (``M`` the comparison
+        matrix; Higham, *Accuracy and Stability*, 2nd ed., ch. 8), whose
+        ``y``-``y`` block bounds ``|A^-1|``.  With negated moduli off U's
+        diagonal, one real transposed ``gbtrs`` on the ``y`` indicator forms
+        those sums, with no cancellation.  It reads 1-11 times the exact
+        guard away from thresholds and exceeds ``COND_LIMIT`` within about
+        1e-3 of one.  ``inf`` when the band LU is singular."""
         anorm = self.norm_bound()
         if self.singular or anorm == 0.0:
             return float("inf")
@@ -454,8 +449,8 @@ class BoundaryOperator:
         ``|A^-1|_1`` from 5-6 band solves read in sector order.  It is no
         bound: the inverse's norm can read low (``scripts/guard_oracle.py``
         prints the ratio).  ``channel_smatrix`` calls it only where
-        :meth:`cond_bound` exceeds ``COND_LIMIT``, within about 1e-3 of a
-        threshold.  ``inf`` when the band LU is singular."""
+        :meth:`cond_bound` exceeds ``COND_LIMIT``.  ``inf`` when the band
+        LU is singular."""
         anorm = self.norm_bound()
         if self.singular or anorm == 0.0:
             return float("inf")

@@ -128,11 +128,9 @@ def channel_smatrix(
 
     Raises :class:`EigenvalueHitError` when the boundary operator is
     singular to working tolerance (an eigenvalue or threshold; use the
-    expansion machinery there).  The guard is the certified upper bound
-    ``op.cond_bound()`` first; only where it exceeds ``COND_LIMIT`` (within
-    about 1e-3 of a threshold, or at an eigenvalue) does the Hager-Higham
-    estimate ``op.cond_estimate()`` decide.  Since estimate <= exact guard
-    <= bound, an energy the bound accepts is one the estimate accepts too.
+    expansion machinery there).  The guard is the upper bound
+    ``op.cond_bound()``; where it exceeds ``COND_LIMIT`` (near a threshold
+    or an eigenvalue) the estimate ``op.cond_estimate()`` decides instead.
     """
     chans = open_channels(lam, model)
     if not chans:
