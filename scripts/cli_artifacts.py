@@ -18,6 +18,10 @@ on ``PYTHONPATH`` to run that checkout) through ``wgscat.cli.main``, on:
 - the 4x24 well on a ``custom`` cross-section built from the interval's own
   Dirichlet lattice, first 4 sine samples and eigenvalues, with 3 modes
   kept, through ``modes`` and ``smatrix``;
+- a depth-1 well on the pi x pi square (4 x 4 transverse lattice, 12 x
+  nodes, 12 modes), whose threshold 5 is the two-member group (2, 3),
+  through ``modes``, ``smatrix``, ``threshold-scan`` and ``expansion
+  --verify`` at that threshold, and ``eigenvalues`` below lambda_1 = 2;
 - the 5x60 uniform well of the ``eigen_scan_cli`` benchmark through
   ``eigenvalues``, on a window holding its level near 3.81, on one holding
   its level near 0.81 (at two resolutions) and on one holding its level
@@ -55,6 +59,8 @@ WELL = {
 COSINE_WELL = dict(WELL, potential=dict(
     WELL["potential"], omega_profile={"kind": "cosine", "amplitude": 0.5, "harmonic": 1}))
 SCAN_WELL = dict(WELL, grid={"n_omega": 5, "n_x": 60}, n_max=9)
+SQUARE_WELL = dict(WELL, cross_section={"kind": "rectangle", "l1": math.pi, "l2": math.pi},
+                   grid={"n_omega": 4, "n_x": 12}, n_max=12)
 TABLE_WELL = dict(WELL, potential={
     "kind": "table", "x_box": [0.0, 1.0],
     "values": [[-1.0 - 0.1 * i - 0.02 * k for k in range(24)] for i in range(4)]})
@@ -91,6 +97,16 @@ SCAN_TASKS = {
     "scan-top": ("eigenvalues", {"window": [8.807, 8.815], "resolutions": [9],
                                  "tail_tol": 0.03}, []),
 }
+SQUARE_TASKS = {
+    "modes": ("modes", {}, []),
+    "smatrix": ("smatrix", {"energies": [2.5, 3.5, 5.5, 7.0], "tail_tol": 0.4}, []),
+    "threshold-scan": ("threshold_scan", {"lam": 5.0, "eps": 2e-2, "halvings": 4,
+                                          "tail_tol": 0.4,
+                                          "pairs": [[[1, 1], [1, 1]], [[2, 1], [3, 1]]]}, []),
+    "expansion": ("expansion", {"lam": 5.0, "eps": 2e-2, "tail_tol": 0.4}, ["--verify"]),
+    "eigenvalues": ("eigenvalues", {"window": [1.2, 1.9], "resolutions": [10],
+                                    "tail_tol": 0.4}, []),
+}
 SCALAR_FAMILY = {"schema_version": 1, "base": [[[0.0, 0.0]]],
                  "remainder": {"kind": "polynomial", "coeffs": [[[[1.0, 0.0]]]]},
                  "bound": 1.0, "radius": 0.5, "sector": None}
@@ -124,6 +140,8 @@ def runs() -> list[tuple[str, str, dict, tuple]]:
     out.append(("custom-modes", "modes", custom, ("modes", {}, [])))
     out.append(("custom-smatrix", "smatrix", custom,
                 ("smatrix", {"energies": [1.6, 2.2, 5.5], "tail_tol": 0.3}, [])))
+    for command, task in SQUARE_TASKS.items():
+        out.append((f"square-{command}", command, SQUARE_WELL, task))
     for label, task in SCAN_TASKS.items():
         out.append((f"{label}-eigenvalues", "eigenvalues", SCAN_WELL, task))
     for label, task in INVERT_TASKS.items():

@@ -83,16 +83,16 @@ def free_kernel(z: complex, x, xp):
 
 
 def free_kernel_matrix(z: complex, x_nodes: np.ndarray) -> np.ndarray:
-    """Unweighted kernel samples ``R0(z)(x_k, x_l)`` as a dense matrix."""
-    x = np.asarray(x_nodes, dtype=float)
-    return free_kernel(z, x[:, None], x[None, :])
+    """Unweighted kernel samples ``R0(z)(x_k, x_l)`` as a dense matrix: the
+    one-``z`` :func:`_free_kernel_stack`."""
+    return _free_kernel_stack([z], x_nodes)[0]
 
 
 def _free_kernel_stack(zs, x_nodes: np.ndarray) -> np.ndarray:
-    """:func:`free_kernel_matrix` at each of ``zs``, one ``(len(zs), n_x,
-    n_x)`` stack from one ``exp`` over the distinct distances ``|x - x'|``;
-    the per-``z`` factors are formed as :func:`free_kernel` forms them, so
-    every entry is its value."""
+    """Kernel samples ``R0(z)(x_k, x_l)`` at each of ``zs``, one
+    ``(len(zs), n_x, n_x)`` stack from one ``exp`` over the distinct
+    distances ``|x - x'|``; the per-``z`` factors are formed as
+    :func:`free_kernel` forms them, so every entry is its value."""
     if any(zk == 0 for zk in zs):
         raise BranchPointError("free kernel has a branch point at z = 0")
     x = np.asarray(x_nodes, dtype=float)
@@ -406,15 +406,12 @@ class BoundaryOperator:
         x, _ = _GBTRS(self.lu, s, s, rhs.reshape(n * s, m), self.piv)
         return x.reshape(n, s, m)[:, p : p + w]
 
+    @cached_property
     def norm_bound(self) -> float:
         """Upper bound on ``max_b |A_b|_1`` over the sector blocks: the largest
         column sum of ``|u|`` plus the mode terms of :meth:`_apply` taken in
         absolute value one by one, which is exact for a single mode.  Formed
         once per operator, so both guards share it."""
-        return self._norm_bound
-
-    @cached_property
-    def _norm_bound(self) -> float:
         an = np.abs(self.layout.an)
         sums = _mode_sums(np.abs(self.rn)[:, :, None], an.sum(axis=2)[:, :, None])[:, :, 0]
         cols = np.abs(self.layout.un) + np.einsum("kpi,kp->ki", an, np.abs(self.cn) * sums)
@@ -422,7 +419,7 @@ class BoundaryOperator:
 
     def cond_bound(self) -> float:
         """Upper bound on ``max_b |A_b|_1 * max_b |A_b^-1|_1`` over the sector
-        blocks: :meth:`norm_bound` times the largest ``y`` column sum of
+        blocks: :attr:`norm_bound` times the largest ``y`` column sum of
         ``M(U)^-1 prod_j |L_j^-1| P_j >= |E^-1|`` (``M`` the comparison
         matrix; Higham, *Accuracy and Stability*, 2nd ed., ch. 8), whose
         ``y``-``y`` block bounds ``|A^-1|``.  With negated moduli off U's
@@ -430,7 +427,7 @@ class BoundaryOperator:
         those sums, with no cancellation.  It reads 1-11 times the exact
         guard away from thresholds and exceeds ``COND_LIMIT`` within about
         1e-3 of one.  ``inf`` when the band LU is singular."""
-        anorm = self.norm_bound()
+        anorm = self.norm_bound
         if self.singular or anorm == 0.0:
             return float("inf")
         p, w, s = self.slots, self.layout.un.shape[1], self._width
@@ -445,13 +442,13 @@ class BoundaryOperator:
     def cond_estimate(self) -> float:
         """Estimate of ``max_b |A_b|_1 * max_b |A_b^-1|_1`` over the sector
         blocks, the exact guard ``linalg.block_inverse`` applies to dense
-        blocks: :meth:`norm_bound` times the Hager-Higham lower estimate of
+        blocks: :attr:`norm_bound` times the Hager-Higham lower estimate of
         ``|A^-1|_1`` from 5-6 band solves read in sector order.  It is no
         bound: the inverse's norm can read low (``scripts/guard_oracle.py``
         prints the ratio).  ``channel_smatrix`` calls it only where
         :meth:`cond_bound` exceeds ``COND_LIMIT``.  ``inf`` when the band
         LU is singular."""
-        anorm = self.norm_bound()
+        anorm = self.norm_bound
         if self.singular or anorm == 0.0:
             return float("inf")
         sec = self.layout.sectors
@@ -618,24 +615,20 @@ HS_PER_PANEL = 12        # Gauss-Legendre nodes per panel of the HS window
 
 
 def _window_rule(s: float):
-    """Symmetric panel rule on [-X, X] with X set by the weight tail.
+    """Symmetric panel rule ``(nodes, weights)`` on [-X, X] with X set by the
+    weight tail.
 
-    The relative tail ``int_{|x|>X} (1+x^2)^(-s) dx`` is pushed below
-    ``HS_WEIGHT_TAIL`` when reachable under ``X <= HS_X_CAP``; the panels
-    carry ``HS_PER_PANEL`` nodes each.  The achieved value is returned with
-    the rule.
+    X doubles from 2 until the relative tail ``int_{|x|>X} (1+x^2)^(-s) dx /
+    int_R (1+x^2)^(-s) dx``, which is the regularized incomplete beta
+    function ``I_{1/(1+X^2)}(s - 1/2, 1/2)`` (substitute ``u = 1/(1+x^2)``),
+    is at most ``HS_WEIGHT_TAIL``, or until ``X`` reaches ``HS_X_CAP``; the
+    panels carry ``HS_PER_PANEL`` nodes each.
     """
-    import scipy.integrate as si
+    from scipy.special import betainc
 
-    def tail(xv):
-        val, _ = si.quad(lambda t: (1.0 + t * t) ** (-s), xv, np.inf)
-        return 2.0 * val
-
-    total, _ = si.quad(lambda t: (1.0 + t * t) ** (-s), -np.inf, np.inf)
     x_win = 2.0
-    while x_win < HS_X_CAP and tail(x_win) > HS_WEIGHT_TAIL * total:
+    while x_win < HS_X_CAP and betainc(s - 0.5, 0.5, 1.0 / (1.0 + x_win**2)) > HS_WEIGHT_TAIL:
         x_win *= 2.0
-    achieved = tail(x_win) / total
     # geometric panels toward the edges, denser near 0
     edges = [0.0]
     step = 0.5
@@ -652,7 +645,7 @@ def _window_rule(s: float):
     weights = np.concatenate(weights)
     nodes = np.concatenate([-nodes[::-1], nodes])
     weights = np.concatenate([weights[::-1], weights])
-    return nodes, weights, achieved
+    return nodes, weights
 
 
 def hs_diagnostic(lam: float, zeta: complex, s: float):
@@ -670,7 +663,7 @@ def hs_diagnostic(lam: float, zeta: complex, s: float):
         raise DomainError("zeta must lie in the closed upper half-plane")
     if s <= 0.5:
         raise DomainError("the weighted kernel is Hilbert-Schmidt only for s > 1/2")
-    nodes, weights, _ = _window_rule(s)
+    nodes, weights = _window_rule(s)
     wgt = (1.0 + nodes**2) ** (-s / 2.0)
     z = lam + zeta if zeta != 0 else lam + 0j
     kern = free_kernel_matrix(z, nodes)

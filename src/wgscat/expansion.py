@@ -64,7 +64,7 @@ from .errors import (
     HypothesisError,
     StructuralError,
 )
-from .inversion import two_term_invert
+from .inversion import _skew_part_psd, two_term_invert
 from .linalg import DEFAULT_RANK_TOL, Projection, opnorm
 from .waveguide import Sectors, WaveguideModel
 
@@ -185,6 +185,9 @@ class ThresholdLadder:
     sectors where ``u_n`` or ``b1`` has support (``b2`` and ``S3`` lie in
     ``b1``'s span): off the core ``N0``, ``P_N`` and ``S1`` vanish, so the
     operator there is ``M1(kappa)`` and needs no level of the ladder.
+    ``m10_norm`` is ``|M1(0)|``, formed once by the builder for the level-1
+    certificate and read by :func:`verify_structural_lemmas` and
+    :func:`ladder_report`.
     """
 
     model: WaveguideModel
@@ -203,6 +206,7 @@ class ThresholdLadder:
     n20: np.ndarray
     u: np.ndarray             # the potential's sign u as a stack
     m10: np.ndarray
+    m10_norm: float           # |M1(0)|
     g00: np.ndarray           # (N0 + S0)^-1, exact block form
     # level 1
     i10: np.ndarray           # I1(0) = S0 M1(0) S0
@@ -457,8 +461,9 @@ def build_threshold_ladder(
         g00 = np.broadcast_to(np.eye(sec.block_dim, dtype=complex), n0.shape).copy()
 
     # level 1: ker(I1(0)) inside S0 H == ker(I1(0) + P_N)
-    im_defect = linalg.psd_defect(linalg.imaginary_part(i10))
-    if im_defect > CERTIFICATE_TOL * max(1.0, opnorm(m10)):
+    m10_norm = opnorm(m10)
+    im_defect = linalg.skew_defect(i10)
+    if im_defect > CERTIFICATE_TOL * max(1.0, m10_norm):
         raise StructuralError(
             f"level-1 positivity certificate failed (defect {im_defect:.3e})"
         )
@@ -494,6 +499,7 @@ def build_threshold_ladder(
         model=model,
         eps=eps,
         **d0,
+        m10_norm=m10_norm,
         n0=n0,
         n20=n20,
         g00=g00,
@@ -595,8 +601,8 @@ def build_eigenvalue_ladder(
     t0 = sec.diagonal(model.potential.u) + birman.mode_sum_blocks(
         model, complex(lam), list(range(1, n_used + 1))
     )
-    d = linalg.psd_defect(linalg.imaginary_part(t0))
-    if d > 1e-10 * max(1.0, opnorm(t0)):
+    d, psd = _skew_part_psd(t0)
+    if not psd:
         raise HypothesisError(f"skew part of T0 not positive semidefinite ({d:.3e})")
     basis = linalg.kernel_basis(t0)
     b = sec.blocked(basis)
@@ -841,7 +847,6 @@ def verify_structural_lemmas(
                       worst_b <= tol, f"{len(open_others)} open channels")
         )
 
-    m10_norm = opnorm(ladder.m10)
     if ladder.r2 > 0:
         b2b = sec.blocked(b2)
         x0 = linalg.real_part(ladder.m10)
@@ -855,7 +860,7 @@ def verify_structural_lemmas(
             qv = (ladder.vtil[i].reshape(model.grid.n_omega, model.grid.n_x) * xq).reshape(-1)
             d_q = max(d_q, np.linalg.norm(b2.conj().T @ qv) / max(np.linalg.norm(qv), 1e-300))
         checks.append(CheckLine("s2_kills_q_weighted_threshold_vectors", d_q, tol, d_q <= tol))
-        ms = max(m10_norm, 1e-300)
+        ms = max(ladder.m10_norm, 1e-300)
         d_m = max(opnorm((ladder.m10 @ b2b).reshape(b2.shape)),
                   opnorm(sec.rows(linalg.adjoint(b2b) @ ladder.m10))) / ms
         checks.append(CheckLine("m1_at_zero_annihilates_s2", d_m, tol, d_m <= tol))
@@ -886,7 +891,7 @@ def verify_structural_lemmas(
             comm_vals.setdefault(key, []).append(value)
         if i < ray.size:
             terminal_vals.append(opnorm(ev.terminal_inverse))
-    floor = 1e-12 * max(1.0, m10_norm)
+    floor = 1e-12 * max(1.0, ladder.m10_norm)
     for (j, k_level), vals in comm_vals.items():
         target = 1.9 if (j, k_level) == (2, 0) else 0.9
         expo, used = fit_exponent(ks, vals, floor)
@@ -896,18 +901,11 @@ def verify_structural_lemmas(
                     "below noise floor on all samples" if used < 3 else "")
         )
 
-    # trace rows against S1: quadratic vanishing for an open channel
+    # trace rows against S1: quadratic vanishing for an open channel, on the
+    # left ray (z = lam - t^2 keeps the channel open)
     if ladder.r1 > 0 and open_others:
-        n = open_others[0]
-        kr = paths["left"]  # z = lam - t^2 keeps the channel open
-        vals = []
-        for k in kr:
-            z = (ladder.lam - k**2).real
-            row = scattering.trace_row(z, n, +1, model)
-            vals.append(float(np.linalg.norm(row @ b1_grid)))
-        row0 = scattering.trace_row(ladder.lam, n, +1, model)
-        floor_row = 1e-12 * max(1.0, float(np.linalg.norm(row0)))
-        expo, used = fit_exponent(kr, vals, floor_row)
+        expo, used = scattering.row_kernel_fit(
+            model, ladder.lam, b1, (open_others[0], +1), paths["left"].real)
         fits.append(
             FitLine("trace_row_vs_s1", expo, 1.9, used, expo >= 1.9 or used < 3,
                     "identically zero to precision" if used < 3 else "")
@@ -958,7 +956,7 @@ def ladder_report(ladder: ThresholdLadder) -> dict:
             "terminal_level": ladder.terminal_level(),
         },
         "norms": {
-            "m1_at_zero": opnorm(ladder.m10),
+            "m1_at_zero": ladder.m10_norm,
             "n0": opnorm(ladder.n0),
             "g00": opnorm(ladder.g00),
         },

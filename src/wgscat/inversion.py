@@ -206,9 +206,10 @@ class AnnihilationReport:
 
 
 def _skew_part_psd(a0: np.ndarray) -> tuple[float, bool]:
-    """Positivity defect of the skew part of ``A0`` and whether it is within
-    ``PSD_TOL`` (relative to ``||A0||``)."""
-    d = linalg.psd_defect(linalg.imaginary_part(a0))
+    """Positivity defect of the skew part of ``A0`` (a matrix or a block
+    stack), :func:`linalg.skew_defect`, and whether it is within ``PSD_TOL``
+    (relative to ``||A0||``)."""
+    d = linalg.skew_defect(a0)
     return d, d <= PSD_TOL * max(1.0, opnorm(a0))
 
 

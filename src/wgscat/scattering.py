@@ -302,9 +302,12 @@ def continuity_probes(
     always.  Cauchy defects along each ray, the left/right gap and the
     terminal magnitude are recorded per pair (``gap``/``terminal_abs`` refer
     to the finest ``h``); the limits themselves are the caller's assertion.
+    Raises :class:`DomainError` when ``h_values`` is empty.
     """
     model, lam = ladder.model, ladder.lam
     hs = sorted(float(h) for h in h_values)
+    if not hs:
+        raise DomainError("continuity probes need at least one h value")
     reps = [ProbeReport(lam, c, cp, hs) for (c, cp) in pairs]
     left = [i for i, pair in enumerate(pairs)  # both channels open below lam
             if all(model.eigenvalue(n) < lam - 1e-12 for n, _ in pair)]
@@ -326,26 +329,28 @@ def continuity_probes(
 
 
 def row_kernel_fit(
-    ladder: EigenvalueLadder, chan: tuple[int, int], h_values
+    model: WaveguideModel, lam: float, basis: np.ndarray | None, chan: tuple[int, int], h_values
 ) -> tuple[float, int]:
     """Vanishing rate of channel ``chan``'s trace row at ``lam - h^2``
-    contracted with the eigenvector space ``ker T0``: ``(exponent, n_used)``
-    as from :func:`fit_exponent`.
+    contracted with the columns of ``basis`` (sector coordinates; ``None``
+    for an empty kernel): ``(exponent, n_used)`` as from
+    :func:`fit_exponent`.
 
-    Expected quadratic when the kernel is nontrivial; ``(inf, n < 3)`` when
-    the contraction vanishes identically (symmetry protection, or a regular
-    point with an empty kernel).
+    Expected quadratic for a nontrivial ``ker T0`` of an eigenvalue ladder,
+    or ``b1`` of a threshold ladder against an open channel; ``(inf, n < 3)``
+    when the contraction vanishes identically (symmetry protection, or an
+    empty kernel).
     """
-    if ladder.basis is None:
+    if basis is None:
         return float("inf"), 0
     hs = sorted(float(h) for h in h_values)
     n, sigma = chan
-    basis = ladder.model.sectors.to_grid(ladder.basis)
+    basis = model.sectors.to_grid(basis)
     vals = []
     for h in hs:
-        row = trace_row(ladder.lam - h * h, n, sigma, ladder.model)
+        row = trace_row(lam - h * h, n, sigma, model)
         vals.append(float(np.linalg.norm(row @ basis)))
-    row0 = trace_row(ladder.lam, n, sigma, ladder.model)
+    row0 = trace_row(lam, n, sigma, model)
     floor = 1e-12 * max(1.0, float(np.linalg.norm(row0)))
     return fit_exponent(hs, vals, floor)
 

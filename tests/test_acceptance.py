@@ -155,7 +155,7 @@ def test_criterion_05_structural_lemma_suite(
         well_medium, embedded_lambda, eps=5e-3, tail_tol=0.03
     )
     hs = [2e-3 / 2.0**k for k in range(8)]
-    expo, used = scattering.row_kernel_fit(elad, (1, 1), hs)
+    expo, used = scattering.row_kernel_fit(elad.model, elad.lam, elad.basis, (1, 1), hs)
     if not (expo >= 1.9 or used < 3):
         fails.append(f"row-vs-kernel exponent {expo:.2f}")
     ok = not fails

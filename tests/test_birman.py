@@ -2,14 +2,18 @@
 
 import dataclasses
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy import integrate, special
 
 import helpers
 from wgscat import birman, linalg, scattering, waveguide
-from wgscat.errors import BranchPointError, DimensionError, DomainError, TruncationError
+from wgscat.errors import (
+    BranchPointError, DimensionError, DomainError, EigenvalueHitError, TruncationError,
+)
 
 
 class TestFreeKernel:
@@ -82,7 +86,7 @@ class TestBsOperator:
         z = 3.0 - (0.05 - 0.03j) ** 2
         n_used, _ = birman._truncation(well_small, z, 0.1)
         a = birman.bs_operator(well_small, z, n_used)
-        assert linalg.psd_defect(linalg.imaginary_part(a)) <= 1e-10
+        assert linalg.skew_defect(a) <= 1e-10
 
     def test_doubling_modes_moves_within_tail_budget(self, well_small):
         z, tol = 2.5 + 0j, 0.08
@@ -180,7 +184,7 @@ class TestBoundaryOperator:
                 any_model, complex(lam), list(range(1, op.n_used + 1)))
             norm = max(np.abs(b).sum(axis=0).max() for b in blocks)
             guard = norm * max(np.abs(np.linalg.inv(b)).sum(axis=0).max() for b in blocks)
-            assert op.norm_bound() >= norm * (1.0 - 1e-12)
+            assert op.norm_bound >= norm * (1.0 - 1e-12)
             assert 0.1 <= op.cond_estimate() / guard <= 10.0
 
     def test_band_width_per_sector(self, well_small, coupled_model):
@@ -202,6 +206,20 @@ class TestBoundaryOperator:
         # the certified bound sits above the dense figure, whose inverse at
         # this condition carries about cond * eps = 1e-6 relative error
         assert dense <= op.cond_bound() * (1.0 + 1e-4)
+
+    def test_singular_band_branches(self, well_small):
+        # a node with no potential leaves its grid-value columns of the band
+        # zero: the band LU is singular, and every figure built on it says so
+        pot = well_small.potential
+        v, u = pot.v.copy(), pot.u.copy()
+        v[:, 0] = u[:, 0] = 0.0
+        dead = dataclasses.replace(well_small, potential=dataclasses.replace(pot, v=v, u=u))
+        op = birman.boundary_operator(2.5, dead, self.TAIL_TOL)
+        assert op.singular
+        assert birman._sigma_min(op, birman._start_vectors(dead.dim)[1]) == 0.0
+        assert op.cond_estimate() == float("inf")
+        with pytest.raises(EigenvalueHitError):
+            scattering.channel_smatrix(2.5, dead, tail_tol=self.TAIL_TOL)
 
     def test_threshold_collision_rejected(self, well_small):
         with pytest.raises(BranchPointError):
@@ -331,6 +349,30 @@ class TestHsDiagnostic:
         d1 = birman.hs_diagnostic(16.0, 1e-2j, 2.0)[1]
         d2 = birman.hs_diagnostic(16.0, 1e-3j, 2.0)[1]
         assert 0.5 * 10.0 <= d1 / d2 <= 2.0 * 10.0
+
+    @pytest.mark.parametrize("s", [0.6, 0.75, 1.0, 2.0, 3.5])
+    def test_window_tail_closed_form(self, s):
+        # the window's relative weight tail I_{1/(1+X^2)}(s - 1/2, 1/2)
+        # against quadrature: with t = 1/w, int_X^inf (1+t^2)^-s dt is
+        # int_0^(1/X) w^(2s-2) (1+w^2)^-s dw, an algebraic endpoint weight
+        def far(x):
+            return integrate.quad(lambda w: (1.0 + w * w) ** (-s), 0.0, 1.0 / x, weight="alg",
+                                  wvar=(2.0 * s - 2.0, 0.0), epsabs=0.0, epsrel=1e-13)[0]
+
+        half = integrate.quad(lambda t: (1.0 + t * t) ** (-s), 0.0, 1.0,
+                              epsabs=0.0, epsrel=1e-13)[0] + far(1.0)
+        for x_win in (2.0, 64.0, 1024.0):
+            tail = special.betainc(s - 0.5, 0.5, 1.0 / (1.0 + x_win**2))
+            assert tail == pytest.approx(far(x_win) / half, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("s", [0.6, 1.5, 1.6])
+    def test_window_rule_is_quiet(self, s):
+        # the closed-form tail warns nowhere; a quadrature of the slowly
+        # decaying weight (|x|^-1.2 at s = 0.6) can report divergence
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nodes, weights = birman._window_rule(s)
+        assert nodes.shape == weights.shape and np.all(weights > 0.0)
 
     def test_weight_range_validated(self):
         with pytest.raises(DomainError):

@@ -401,7 +401,7 @@ class TestCertificates:
     def test_sabotaged_skew_part_detected(self, well_small):
         lad = expansion.build_threshold_ladder(well_small, 4.0, eps=2e-2, tail_tol=0.1)
         i10 = lad.s0 @ (lad.m10 - 3j * np.eye(lad.sectors.block_dim)) @ lad.s0
-        assert linalg.psd_defect(linalg.imaginary_part(i10)) > 1.0
+        assert linalg.skew_defect(i10) > 1.0
 
 
 class TestSectorBlocks:

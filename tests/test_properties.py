@@ -142,8 +142,8 @@ def complex_operators(draw):
 
 @given(complex_operators())
 def test_hermitian_split_is_self_adjoint_to_the_bit(a):
-    # what psd_defect's fixed Hermitian tolerance rests on: its callers pass
-    # imaginary_part output, which equals its adjoint exactly
+    # what skew_defect rests on: imaginary_part output equals its adjoint
+    # exactly, so eigvalsh of it needs no symmetrization or check
     for part in (linalg.real_part(a), linalg.imaginary_part(a)):
         assert np.array_equal(part, linalg.adjoint(part))
 
@@ -449,7 +449,7 @@ def test_cond_bound_holds_over_the_exact_block_guard(case):
     v[:, 0] = u[:, 0] = 0.0
     dead = birman.boundary_operator(
         lam, dataclasses.replace(model, potential=dataclasses.replace(pot, v=v, u=u)), tail_tol)
-    assert dead.singular and dead.norm_bound() > 0.0
+    assert dead.singular and dead.norm_bound > 0.0
     assert dead.cond_bound() == float("inf")
 
 

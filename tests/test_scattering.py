@@ -210,6 +210,12 @@ class TestThresholdProbes:
         # open/open pair, so channel (1, 1), on the left ray
         assert len(rows) == len(set(rows)) == 3 * len(hs)
 
+    def test_no_h_values_rejected(self, well_small, monkeypatch):
+        ladder = expansion.build_threshold_ladder(well_small, 4.0, eps=2e-2, tail_tol=0.1)
+        monkeypatch.setattr(expansion, "m_function", None)  # refused before any evaluation
+        with pytest.raises(DomainError):
+            scattering.continuity_probes(ladder, [((1, 1), (1, 1))], [])
+
     def test_report_serializes(self, coupled_reports):
         import json
 
@@ -244,7 +250,8 @@ class TestEigenvalueProbes:
             well_medium, embedded_lambda, eps=5e-3, tail_tol=0.03
         )
         hs = [2e-3 / 2.0**k for k in range(8)]
-        expo, used = scattering.row_kernel_fit(ladder, (1, 1), hs)
+        expo, used = scattering.row_kernel_fit(
+            ladder.model, ladder.lam, ladder.basis, (1, 1), hs)
         # symmetry-protected eigenvector: the contraction vanishes exactly,
         # which satisfies the quadratic bound with room to spare
         assert expo >= 1.9 or used < 3
