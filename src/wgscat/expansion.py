@@ -64,7 +64,7 @@ from .errors import (
     HypothesisError,
     StructuralError,
 )
-from .inversion import _skew_part_psd, two_term_invert
+from .inversion import skew_part_psd, two_term_invert
 from .linalg import DEFAULT_RANK_TOL, Projection, opnorm
 from .waveguide import Sectors, WaveguideModel
 
@@ -601,7 +601,7 @@ def build_eigenvalue_ladder(
     t0 = sec.diagonal(model.potential.u) + birman.mode_sum_blocks(
         model, complex(lam), list(range(1, n_used + 1))
     )
-    d, psd = _skew_part_psd(t0)
+    d, psd = skew_part_psd(t0)
     if not psd:
         raise HypothesisError(f"skew part of T0 not positive semidefinite ({d:.3e})")
     basis = linalg.kernel_basis(t0)

@@ -205,10 +205,11 @@ class AnnihilationReport:
     ok: bool
 
 
-def _skew_part_psd(a0: np.ndarray) -> tuple[float, bool]:
+def skew_part_psd(a0: np.ndarray) -> tuple[float, bool]:
     """Positivity defect of the skew part of ``A0`` (a matrix or a block
     stack), :func:`linalg.skew_defect`, and whether it is within ``PSD_TOL``
-    (relative to ``||A0||``)."""
+    (relative to ``||A0||``): the one skew-part rule of the inversion
+    hypotheses and of :func:`expansion.build_eigenvalue_ladder`."""
     d = linalg.skew_defect(a0)
     return d, d <= PSD_TOL * max(1.0, opnorm(a0))
 
@@ -223,7 +224,7 @@ def check_a0_annihilation(a0: np.ndarray) -> AnnihilationReport:
     :class:`HypothesisError` / :class:`ContourError` otherwise).
     """
     a0 = linalg.require_square(a0)
-    d, hyp_ok = _skew_part_psd(a0)
+    d, hyp_ok = skew_part_psd(a0)
     if not hyp_ok:
         raise HypothesisError(
             f"imaginary part is not positive semidefinite (defect {d:.3e})"
@@ -255,7 +256,7 @@ def check_riesz_orthogonal(a0: np.ndarray) -> RieszOrthogonalReport:
     hypothesis fails the report flags it instead of raising, so deliberately
     broken inputs can be used as negative controls.
     """
-    _, hyp_ok = _skew_part_psd(linalg.require_square(a0))
+    _, hyp_ok = skew_part_psd(linalg.require_square(a0))
     sr = linalg.riesz_projection_at_zero(a0)
     so = linalg.kernel_projector(a0)
     diff = opnorm(sr.matrix - so.matrix)

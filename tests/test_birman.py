@@ -56,11 +56,14 @@ class TestFreeKernel:
 
     def test_kernel_stack_is_the_one_mode_kernels(self, well_small):
         # the chunked evaluation of mode sums: every entry bitwise the value
-        # of the one-mode kernel, on the model's own (panel) nodes
+        # of the one-mode kernel free_kernel, on the model's own (panel)
+        # nodes; free_kernel_matrix is the one-z stack
         x = well_small.grid.x_nodes
         zs = [2.5 + 0j, -3.0 + 0j, 4.0 - (1e-3 - 1e-3j) ** 2, 0.7 + 0.3j, -20.0 - 1e-9j]
         stack = birman._free_kernel_stack(zs, x)
-        assert helpers.same_bits(stack, np.array([birman.free_kernel_matrix(z, x) for z in zs]))
+        ref = np.array([birman.free_kernel(z, x[:, None], x[None, :]) for z in zs])
+        assert helpers.same_bits(stack, ref)
+        assert helpers.same_bits(birman.free_kernel_matrix(zs[3], x), ref[3])
         with pytest.raises(BranchPointError):
             birman._free_kernel_stack([1.0, 0.0], x)
 
@@ -367,8 +370,9 @@ class TestHsDiagnostic:
 
     @pytest.mark.parametrize("s", [0.6, 1.5, 1.6])
     def test_window_rule_is_quiet(self, s):
-        # the closed-form tail warns nowhere; a quadrature of the slowly
-        # decaying weight (|x|^-1.2 at s = 0.6) can report divergence
+        # the closed-form tail warns nowhere; a quadrature of the weight's
+        # tail can report it "probably divergent" (scipy's quad does at
+        # s = 1.5 and 1.6)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             nodes, weights = birman._window_rule(s)
