@@ -11,6 +11,9 @@ and left unchanged), and prints one JSON object:
   rejects;
 - ``band_factorizations``: ``zgbtrf`` calls, one per boundary operator;
 - ``band_solves``: ``zgbtrs`` calls;
+- ``band_unknowns_factored`` and ``band_unknowns_solved``: the unknowns of
+  those calls summed over calls, the band's order for a factorization and
+  its order times the right-hand sides for a solve;
 - ``layout_builds``: band layouts built (``birman._build_layout``);
 - ``sigma_min_solves``: the number of ``birman._sigma_min`` calls, keyed by
   the band solves each took.
@@ -50,9 +53,11 @@ def band_counts(seed: int, n_windows: int | None = None) -> dict:
     saved = {name: getattr(birman, name)
              for name in ("_GBTRF", "_GBTRS", "_build_layout", "_sigma_min")}
 
-    def counted(key, fn):
+    def counted(key, fn, unknowns=None):
         def wrapper(*args, **kwargs):
             counts[key] += 1
+            if unknowns is not None:
+                counts[unknowns[0]] += unknowns[1](*args)
             return fn(*args, **kwargs)
         return wrapper
 
@@ -66,8 +71,10 @@ def band_counts(seed: int, n_windows: int | None = None) -> dict:
         levels = wl.setup(Path(tmp) / "setup")
         windows = wl.inputs(levels, np.random.default_rng(seed), n_ops)[:n_windows]
         try:
-            birman._GBTRF = counted("band_factorizations", saved["_GBTRF"])
-            birman._GBTRS = counted("band_solves", saved["_GBTRS"])
+            birman._GBTRF = counted("band_factorizations", saved["_GBTRF"],
+                                    ("band_unknowns_factored", lambda ab, *_: ab.shape[1]))
+            birman._GBTRS = counted("band_solves", saved["_GBTRS"],
+                                    ("band_unknowns_solved", lambda lu, kl, ku, b, *_: b.size))
             birman._build_layout = counted("layout_builds", saved["_build_layout"])
             birman._sigma_min = sigma_min
             job = wl.job(levels, windows, Path(tmp) / "job")
@@ -77,7 +84,8 @@ def band_counts(seed: int, n_windows: int | None = None) -> dict:
                 setattr(birman, name, fn)
     return {"seed": seed, "windows": len(windows), "failed": len(failures),
             **{key: counts[key] for key in
-               ("band_factorizations", "band_solves", "layout_builds")},
+               ("band_factorizations", "band_solves", "band_unknowns_factored",
+                "band_unknowns_solved", "layout_builds")},
             "sigma_min_solves": {str(k): per_call[k] for k in sorted(per_call)}}
 
 

@@ -35,8 +35,10 @@ energy (the grid mode factors and signs, their gather into the mode slots
 and the ``x`` steps, ``O(n_used dim)`` work) is a :class:`BandLayout`, built
 once per model and mode count and kept on the model; each energy builds
 only the ``mu``-dependent entries, ``O(n_blocks n_x s^2)`` of band fill
-beside the LU.  S-matrices and the eigenvalue scan run on the embedding;
-the S-matrix guard is an upper bound on the condition read off the band LU,
+beside the LU; the band over some of the blocks is their rows of it
+(:meth:`BandLayout.subset`).  S-matrices and the eigenvalue scan run on the
+embedding, the scan's refinement on the band of one block; the S-matrix
+guard is an upper bound on the condition read off the band LU,
 with a Hager-Higham estimate where the bound exceeds ``COND_LIMIT``.
 """
 
@@ -300,12 +302,17 @@ def _sweep(ratio: np.ndarray, t: np.ndarray) -> np.ndarray:
     return f
 
 
-def _mode_sums(ratio: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _mode_sums(ratio: np.ndarray, t: np.ndarray, n_blocks: int) -> np.ndarray:
     """``sum_l rho(k, l) t[l]`` along axis 0, where ``rho(k, l)`` is the
     product of the step ratios between nodes ``l`` and ``k``: the forward
-    sums plus the backward sums, less the node term both count."""
+    sums plus the backward sums, less the node term both count.  Each of the
+    ``n_blocks`` blocks of axis 0 (ratio 0 at its start) is swept on its own
+    nodes, all as one batch with the block axis behind the node axis."""
+    ratio, t = (np.ascontiguousarray(a.reshape(n_blocks, -1, *a.shape[1:]).swapaxes(0, 1))
+                for a in (ratio, t))
     back = np.roll(ratio[::-1], 1, axis=0)
-    return _sweep(ratio, t) + _sweep(back, t[::-1])[::-1] - t
+    out = _sweep(ratio, t) + _sweep(back, t[::-1])[::-1] - t
+    return out.swapaxes(0, 1).reshape(-1, *out.shape[2:])
 
 
 def _node_slices(sec: Sectors, t: np.ndarray) -> np.ndarray:
@@ -382,7 +389,7 @@ class BoundaryOperator:
         start, so no sum crosses from one block into the next."""
         an = self.layout.an
         t = np.einsum("kpi,kim->kpm", an, nodes)
-        h = self.cn[:, :, None] * _mode_sums(self.rn[:, :, None], t)
+        h = self.cn[:, :, None] * _mode_sums(self.rn[:, :, None], t, self.layout.sectors.n_blocks)
         return self.layout.un[:, :, None] * nodes + np.einsum("kpi,kpm->kim", an, h)
 
     def matvec(self, y) -> np.ndarray:
@@ -413,7 +420,8 @@ class BoundaryOperator:
         absolute value one by one, which is exact for a single mode.  Formed
         once per operator, so both guards share it."""
         an = np.abs(self.layout.an)
-        sums = _mode_sums(np.abs(self.rn)[:, :, None], an.sum(axis=2)[:, :, None])[:, :, 0]
+        sums = _mode_sums(np.abs(self.rn)[:, :, None], an.sum(axis=2)[:, :, None],
+                          self.layout.sectors.n_blocks)[:, :, 0]
         cols = np.abs(self.layout.un) + np.einsum("kpi,kp->ki", an, np.abs(self.cn) * sums)
         return float(cols.max())
 
@@ -495,6 +503,17 @@ class BandLayout:
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
 
+    def subset(self, blocks) -> BandLayout:
+        """The layout of the band over the sector blocks ``blocks`` alone: their
+        rows of this one, with the same ``q`` slots.  Its vectors are those
+        blocks' sector coordinates, one block's as the grid of its ``w``
+        transverse values."""
+        b = np.asarray(blocks, dtype=int)
+        n_x, w = self.dx.size, self.un.shape[1]
+        rows = (b[:, None] * n_x + np.arange(n_x)).reshape(-1)
+        sec = Sectors.single(w, n_x) if b.size == 1 else Sectors(np.eye(b.size), b.size, n_x)
+        return BandLayout(self.dx, sec, self.live[b], self.mode[b], self.an[rows], self.un[rows])
+
 
 def band_layout(model: WaveguideModel, n_used: int) -> BandLayout:
     """The :class:`BandLayout` of ``model`` for the modes ``1..n_used``, kept
@@ -531,8 +550,8 @@ def _build_layout(model: WaveguideModel, n_used: int) -> BandLayout:
     return BandLayout(np.diff(x, prepend=x[0]), sec, live, mode, an, un)
 
 
-def boundary_operator(lam: float, model: WaveguideModel,
-                      tail_tol: float = 1e-4) -> BoundaryOperator:
+def boundary_operator(lam: float, model: WaveguideModel, tail_tol: float = 1e-4,
+                      blocks=None) -> BoundaryOperator:
     """Factor ``u + v R0(lam + i0) v`` at the real energy ``lam`` through its
     state-space embedding.
 
@@ -565,12 +584,18 @@ def boundary_operator(lam: float, model: WaveguideModel,
     :func:`band_layout` for ``n_used``; each call computes only ``mu``, the
     slot prefactors ``cn`` and ratios ``rn`` that the operator keeps, and
     the blocks built from them, and writes every node block straight into
-    the band storage.  Raises :class:`DimensionError` unless the ``x``
-    nodes increase strictly.
+    the band storage.  Given the sector-block indices ``blocks``, the same
+    code builds the band over those blocks alone from their rows of the
+    layout (:meth:`BandLayout.subset`; same ``q``, same global cutoff); its
+    LU and solves equal those blocks' rows of the whole band's, and its
+    vectors are those blocks' sector coordinates.  Raises
+    :class:`DimensionError` unless the ``x`` nodes increase strictly.
     """
     z = complex(lam)
     n_used, tail = _truncation(model, z, tail_tol)
     lay = band_layout(model, n_used)
+    if blocks is not None:
+        lay = lay.subset(blocks)
     mu = np.array([sqrt_upper(z - model.eigenvalue(n)) for n in range(1, n_used + 1)])
     c = 1j / (2.0 * mu)
     ratio = np.exp(1j * lay.dx[:, None] * mu[None, :])
@@ -697,11 +722,14 @@ class EigenvalueCandidate:
 
 def golden_min(f, a: float, b: float, tol: float) -> float:
     """Deterministic golden-section minimizer of ``f`` on ``[a, b]``: shrinks
-    the bracket below ``tol`` and returns its midpoint."""
+    the bracket below ``tol`` or until its state repeats (its interior points
+    no longer separate from its ends), and returns its midpoint."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     c, d = b - invphi * (b - a), a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    seen = set()
+    while b - a > tol and (a, b, c, d) not in seen:
+        seen.add((a, b, c, d))
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -803,15 +831,22 @@ def eigenvalue_search(
     to ``refine_width`` and kept when the refined relative dip
     ``sigma_min / sigma_max`` is below ``DETECT_REL``; both are
     :func:`_lanczos` estimates, and ``sigma_max`` is computed at the refined
-    points only.  An empty result is a valid outcome.  :func:`check_window`
-    vets the window; ``resolution < 3`` raises :class:`DomainError`."""
+    points only.  On a decomposing model a minimum is refined on the band of
+    the sector block with the smallest ``sigma_min`` there (the lowest index
+    on a tie), from its normalized slice of the start vector; the figures at
+    the refined point are the whole band's.  An empty result is a valid
+    outcome.  :func:`check_window` vets the window; ``resolution < 3``
+    raises :class:`DomainError`."""
     check_window(window, model)
     if resolution < 3:
         raise DomainError(f"resolution = {resolution}; the scan needs at least 3 points")
     x_max, x_min = _start_vectors(model.dim)
+    sec = model.sectors
+    x_blocks = sec.blocked(sec.to_sector(x_min))[:, :, 0]
+    x_blocks = x_blocks / np.linalg.norm(x_blocks, axis=1, keepdims=True)
 
-    def sigma_min(lam: float) -> float:
-        return _sigma_min(boundary_operator(lam, model, tail_tol), x_min)
+    def sigma_min(lam: float, blocks=None, x=x_min) -> float:
+        return _sigma_min(boundary_operator(lam, model, tail_tol, blocks), x)
 
     lams = np.linspace(*window, resolution)
     sig = [sigma_min(float(lam)) for lam in lams]
@@ -819,7 +854,12 @@ def eigenvalue_search(
     for i in range(1, resolution - 1):
         if not (sig[i] <= sig[i - 1] and sig[i] <= sig[i + 1]):
             continue
-        lam_star = golden_min(sigma_min, float(lams[i - 1]), float(lams[i + 1]), refine_width)
+        f = sigma_min
+        if sec.n_blocks > 1:
+            b = int(np.argmin([sigma_min(float(lams[i]), [b], x_blocks[b])
+                               for b in range(sec.n_blocks)]))
+            f = lambda lam, b=b: sigma_min(lam, [b], x_blocks[b])
+        lam_star = golden_min(f, float(lams[i - 1]), float(lams[i + 1]), refine_width)
         op = boundary_operator(lam_star, model, tail_tol)
         s_star = _sigma_min(op, x_min)
         rel = s_star / max(_sigma_max(op, x_max), 1e-300)

@@ -6,11 +6,15 @@ from pathlib import Path
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "band_counts.py"
 
 
-def test_counts_on_two_windows():
+def band_counts(seed: int, n_windows: int) -> dict:
     spec = importlib.util.spec_from_file_location("band_counts", SCRIPT)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    counts = module.band_counts(201, n_windows=2)
+    return module.band_counts(seed, n_windows)
+
+
+def test_counts_on_two_windows():
+    counts = band_counts(201, n_windows=2)
     hist = {int(k): v for k, v in counts["sigma_min_solves"].items()}
     assert (counts["windows"], counts["failed"]) == (2, 0)
     # one factorization per sigma_min call, every band solve inside one, and
@@ -18,3 +22,21 @@ def test_counts_on_two_windows():
     assert counts["band_factorizations"] == sum(hist.values()) > 0
     assert counts["band_solves"] == sum(k * v for k, v in hist.items())
     assert counts["layout_builds"] == 2
+
+
+def test_refinement_factors_one_block():
+    counts = band_counts(201, n_windows=3)
+    assert (counts["windows"], counts["failed"]) == (3, 0)
+    # the one-block bands of the refinement are rows of the window's one
+    # layout, not layouts of their own
+    assert counts["layout_builds"] == 3
+    # the third window holds a level: its 9 scan points and its refined
+    # candidate factor the whole band (5 sector blocks of 60 nodes, 5
+    # unknowns per node), as do the 18 scan points of the first two;
+    # every other factorization, at a golden-section point or picking the
+    # block to refine on, is one block's
+    whole, full = 5 * 60 * 5, 3 * 9 + 1
+    assert counts["band_factorizations"] > full
+    assert counts["band_unknowns_factored"] == (
+        whole * full + whole // 5 * (counts["band_factorizations"] - full))
+    assert counts["band_unknowns_solved"] < whole * counts["band_solves"]

@@ -2,6 +2,7 @@
 
 import dataclasses
 import sys
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -315,6 +316,47 @@ class TestBandLayout:
             cold = birman.boundary_operator(lam, dataclasses.replace(well_small), 0.1)
             assert all(helpers.same_bits(getattr(op, f), getattr(cold, f)) for f in self.FIELDS)
 
+    @pytest.mark.parametrize("lam", [0.81, 2.5, 3.8106, 8.81])
+    def test_block_operator_is_the_whole_bands_rows(self, scan_well, lam):
+        # the band over some sector blocks is those blocks' rows of the whole
+        # band: the same LU (signed zeros aside) and pivots, and bitwise the
+        # same solve, read in the blocks' sector coordinates
+        sec, n_x = scan_well.sectors, scan_well.grid.n_x
+        whole = birman.boundary_operator(lam, scan_well, 0.03)
+        b = np.random.default_rng(7).normal(size=(scan_well.dim, 2)) * (1.0 + 0.5j)
+        x = birman._sector_values(sec, whole._band_solve(whole._nodes(b)))
+        b_sec = sec.blocked(sec.to_sector(b))
+        x_sec = sec.blocked(x)
+        s = whole._width
+        for blocks in ([0], [2], [4], [1, 3]):
+            sub = birman.boundary_operator(lam, scan_well, 0.03, blocks)
+            cols = np.concatenate([np.arange(k * n_x * s, (k + 1) * n_x * s) for k in blocks])
+            offset = np.repeat(np.array(blocks) - np.arange(len(blocks)), n_x * s) * n_x * s
+            assert (sub.n_used, sub.tail_bound, sub.dim) == (
+                whole.n_used, whole.tail_bound, len(blocks) * n_x)
+            assert np.array_equal(sub.lu, whole.lu[:, cols])
+            assert np.array_equal(sub.piv, whole.piv[cols] - offset)
+            assert helpers.same_bits(sub.solve(b_sec[blocks].reshape(-1, 2)),
+                                     x_sec[blocks].reshape(-1, 2))
+
+    def test_one_block_subset_is_the_whole_band(self, coupled_model):
+        lam = TestBoundaryOperator.energies(coupled_model)[0]
+        whole = birman.boundary_operator(lam, coupled_model, 0.03)
+        sub = birman.boundary_operator(lam, coupled_model, 0.03, [0])
+        assert all(helpers.same_bits(getattr(sub, f), getattr(whole, f)) for f in self.FIELDS)
+
+    def test_block_sweeps_equal_the_whole_sweep(self, any_model):
+        # each block's nodes swept as a batch add no term but the zeros that
+        # the whole-axis sweep carries across block starts: bitwise equal,
+        # signed zeros included
+        lam = TestBoundaryOperator.energies(any_model)[0]
+        op = birman.boundary_operator(lam, any_model, TestBoundaryOperator.TAIL_TOL)
+        t = np.random.default_rng(4).normal(size=op.rn.shape + (3,)) * (1.0 - 2.0j)
+        for ratio in (op.rn, np.abs(op.rn)):
+            assert helpers.same_bits(
+                birman._mode_sums(ratio[:, :, None], t, any_model.sectors.n_blocks),
+                birman._mode_sums(ratio[:, :, None], t, 1))
+
     def test_search_builds_one_layout_per_mode_count(self, any_model, monkeypatch):
         model = dataclasses.replace(any_model)
         built, used = [], []
@@ -423,6 +465,21 @@ class TestEigenvalueSearch:
         cands = birman.eigenvalue_search(window, well_small, resolution=12, tail_tol=0.1)
         assert len(cands) == 1
         assert calls == ["golden_min", "sigma_max"]
+
+    def test_golden_min_below_the_float_spacing(self):
+        # tol 1e-15 is below the spacing of floats near 8.3 (1.8e-15), so the
+        # bracket never gets below tol; the search still returns, within two
+        # ulps of the minimum
+        result = []
+        worker = threading.Thread(target=lambda: result.append(
+            birman.golden_min(lambda x: abs(x - 8.3), 8.0, 8.5, 1e-15)), daemon=True)
+        worker.start()
+        worker.join(timeout=10.0)
+        assert len(result) == 1
+        assert abs(result[0] - 8.3) <= 2 * np.spacing(8.3)
+        # above the spacing nothing changes: the bracket shrinks below tol
+        lam = birman.golden_min(lambda x: abs(x - 8.3), 8.0, 8.5, 1e-10)
+        assert abs(lam - 8.3) <= 1e-10
 
     def test_window_touching_threshold_rejected(self, well_small):
         with pytest.raises(DomainError):
@@ -567,3 +624,76 @@ class TestSigmaMin:
             assert abs(cand.sigma_min - sv[-1]) <= 1e-14 * sv[0]
             assert abs(sigma_max - sv[0]) <= sigma_max_rtol * sv[0]
             assert cand.rel_dip == cand.sigma_min / sigma_max
+
+
+class TestBlockRefinement:
+    """On a decomposing model each scan minimum is refined on the band of the
+    one sector block whose smallest singular value is lowest there; the
+    candidates are those of a refinement on the whole band, bit for bit."""
+
+    @pytest.mark.parametrize("n_x, resolution, window", [
+        (60, 24, (3.8, 4.0 - 1e-6)),
+        (120, 48, (3.8, 4.0 - 1e-6)),
+        *[(60, 9, level_window(t)) for t in (1.0, 4.0, 9.0)],
+    ], ids=["criterion-9-n_x-60", "criterion-9-n_x-120", "level-1", "level-4", "level-9"])
+    def test_candidates_equal_a_whole_band_refinement(self, interval_cs, n_x, resolution,
+                                                      window):
+        model = waveguide.square_well_model(interval_cs, 1.0, (0.0, 1.0), n_omega=5, n_x=n_x,
+                                            n_max=9)
+        cands = birman.eigenvalue_search(window, model, resolution=resolution, tail_tol=0.03)
+        _, x_min = birman._start_vectors(model.dim)
+
+        def whole(lam):
+            return birman._sigma_min(birman.boundary_operator(lam, model, 0.03), x_min)
+
+        lams = np.linspace(*window, resolution)
+        sig = [whole(float(lam)) for lam in lams]
+        refs = [birman.golden_min(whole, float(lams[i - 1]), float(lams[i + 1]), 1e-10)
+                for i in range(1, resolution - 1)
+                if sig[i] <= sig[i - 1] and sig[i] <= sig[i + 1]]
+        assert len(cands) == len(refs) == 1
+        assert cands[0].lam == refs[0]
+        op = birman.boundary_operator(cands[0].lam, model, 0.03)
+        assert cands[0].sigma_min == birman._sigma_min(op, x_min)
+
+    def test_golden_points_factor_one_block(self, scan_well, monkeypatch):
+        # every golden-section point factors the n_x s unknowns of one block;
+        # the scan points and the refined candidate factor the whole band
+        unknowns, phase = [], {"name": "scan"}
+        gbtrf, golden_min = birman._GBTRF, birman.golden_min
+
+        def counted_gbtrf(ab, *args, **kwargs):
+            unknowns.append((phase["name"], ab.shape[1]))
+            return gbtrf(ab, *args, **kwargs)
+
+        def marked_golden_min(*args):
+            phase["name"] = "golden"
+            lam = golden_min(*args)
+            phase["name"] = "candidate"
+            return lam
+
+        monkeypatch.setattr(birman, "_GBTRF", counted_gbtrf)
+        monkeypatch.setattr(birman, "golden_min", marked_golden_min)
+        cands = birman.eigenvalue_search(level_window(4.0), scan_well, resolution=9,
+                                         tail_tol=0.03)
+        assert len(cands) == 1
+        s = birman.boundary_operator(cands[0].lam, scan_well, 0.03)._width
+        n_x, n_blocks = scan_well.grid.n_x, scan_well.sectors.n_blocks
+        sizes = {name: {n for key, n in unknowns if key == name}
+                 for name in ("scan", "golden", "candidate")}
+        # the scan points, then one block band each at the attaining point
+        assert sizes == {"scan": {n_blocks * n_x * s, n_x * s}, "golden": {n_x * s},
+                         "candidate": {n_blocks * n_x * s}}
+        assert sum(key == "golden" for key, _ in unknowns) > 20
+
+    def test_coupled_search_builds_no_subset_band(self, coupled_model, monkeypatch):
+        subset, golden_min = birman.BandLayout.subset, birman.golden_min
+        calls = []
+        monkeypatch.setattr(birman.BandLayout, "subset",
+                            lambda *a: calls.append("subset") or subset(*a))
+        monkeypatch.setattr(birman, "golden_min",
+                            lambda *a: calls.append("golden_min") or golden_min(*a))
+        cands = birman.eigenvalue_search((0.3, 1.0 - 1e-3), coupled_model, resolution=8,
+                                         tail_tol=0.1)
+        assert len(cands) == 1
+        assert calls == ["golden_min"]
