@@ -164,8 +164,7 @@ def main(argv=None) -> int:
         if model is not None:
             doc["model"] = model
         cfg.write_text(json.dumps(doc, indent=1))
-        rc = cli.main([command, "--config", str(cfg), "--out", str(args.out / name),
-                       "--threads", "1", *flags])
+        rc = cli.main([command, "--config", str(cfg), "--out", str(args.out / name), *flags])
         print(f"{name}: exit {rc}")
         failed += rc != 0
     return 1 if failed else 0

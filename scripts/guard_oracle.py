@@ -9,13 +9,14 @@
 ``band``, its ``cond_estimate()``, and ``bound``, its ``cond_bound()``.
 ``channel_smatrix`` holds ``bound`` against ``linalg.COND_LIMIT`` and falls
 back to ``band`` only where ``bound`` exceeds it.  ``exact`` is the block
-guard ``max_b |A_b|_1 * max_b |A_b^-1|_1`` that ``linalg.block_inverse``
-applies, from ``linalg.cond_estimate`` of the dense sector blocks ``u + v
-R0(lam) v`` over the modes ``1..n_used``.  ``bound`` is an upper bound on
-``exact`` (to rounding): an upper bound on ``max_b |A_b|_1`` times one on
-``max_b |A_b^-1|_1`` read off the band LU.  ``band`` pairs the same norm
-bound with a Hager-Higham lower estimate of ``max_b |A_b^-1|_1``, so it is
-no bound: a ``ratio`` below 1 is the estimate under-reading.
+guard ``max_b |A_b|_1 * max_b |A_b^-1|_1`` that ``linalg.inverse`` applies
+to a block stack, from ``linalg.cond_estimate`` of the dense sector blocks
+``u + v R0(lam) v`` over the modes ``1..n_used`` (``birman.bs_blocks``).
+``bound`` is an upper bound on ``exact`` (to rounding): an upper bound on
+``max_b |A_b|_1`` times one on ``max_b |A_b^-1|_1`` read off the band LU.
+``band`` pairs the same norm bound with a Hager-Higham lower estimate of
+``max_b |A_b^-1|_1``, so it is no bound: a ``ratio`` below 1 is the
+estimate under-reading.
 
 One line is printed per energy: ``lam n_used band bound exact ratio
 bound_ratio``, with ``ratio = band / exact`` and ``bound_ratio = bound /
@@ -38,9 +39,7 @@ from wgscat.waveguide import config_value, json_list
 
 def exact_guard(model, lam: float, n_used: int) -> float:
     """The exact block guard of the dense sector blocks at ``lam``."""
-    blocks = model.sectors.diagonal(model.potential.u) + birman.mode_sum_blocks(
-        model, complex(lam), list(range(1, n_used + 1)))
-    return linalg.cond_estimate(blocks)
+    return linalg.cond_estimate(birman.bs_blocks(model, complex(lam), n_used))
 
 
 def main(argv=None) -> int:

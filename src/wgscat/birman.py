@@ -14,10 +14,11 @@ they check.  The other two forms take theirs from one certified cutoff,
 :func:`_choose_n_used`, which :func:`_truncation` puts behind a threshold
 check off the thresholds.  Both expansion ladders assemble ``A``
 with :func:`mode_sum_blocks`, as the diagonal blocks of the model's
-transverse sectors (``model.sectors``).  :func:`boundary_operator` serves
-the real-energy solves and never forms ``A``.  For ``x > x'`` the mode-sum
-kernel ``sum_n [v f_n e^(i mu_n x)] (i / 2 mu_n) [f_n v e^(-i mu_n x')]``
-is semiseparable of rank ``n_used`` (Eidelman-Gohberg, Integral Equations
+transverse sectors (``model.sectors``); :func:`bs_blocks` is the whole of
+``A`` in that form.  :func:`boundary_operator` serves the real-energy
+solves and never forms ``A``.  For ``x > x'`` the mode-sum kernel
+``sum_n [v f_n e^(i mu_n x)] (i / 2 mu_n) [f_n v e^(-i mu_n x')]`` is
+semiseparable of rank ``n_used`` (Eidelman-Gohberg, Integral Equations
 Operator Theory 34, 1999), so ``A`` is the Schur complement of a sparse
 state-space embedding over the ``n_x`` longitudinal nodes.  The embedding is
 built on the same sector blocks as the ladders: a coupled model is one block
@@ -283,6 +284,14 @@ def bs_operator(model: WaveguideModel, z: complex, n_used: int) -> np.ndarray:
     return np.diag(model.u_diag()) + mode_sum_matrix(model, z, list(range(1, n_used + 1)))
 
 
+def bs_blocks(model: WaveguideModel, z: complex, n_used: int) -> np.ndarray:
+    """:func:`bs_operator` in the model's sector coordinates, as its stack of
+    diagonal blocks: ``u`` plus :func:`mode_sum_blocks` over the modes
+    ``1..n_used``, with no cutoff or threshold check of its own."""
+    return model.sectors.diagonal(model.potential.u) + mode_sum_blocks(
+        model, z, list(range(1, n_used + 1)))
+
+
 # ---------------------------------------------------------------------------
 # Banded state-space embedding of the boundary operator
 # ---------------------------------------------------------------------------
@@ -449,11 +458,11 @@ class BoundaryOperator:
 
     def cond_estimate(self) -> float:
         """Estimate of ``max_b |A_b|_1 * max_b |A_b^-1|_1`` over the sector
-        blocks, the exact guard ``linalg.block_inverse`` applies to dense
-        blocks: :attr:`norm_bound` times the Hager-Higham lower estimate of
-        ``|A^-1|_1`` from 5-6 band solves read in sector order.  It is no
-        bound: the inverse's norm can read low (``scripts/guard_oracle.py``
-        prints the ratio).  ``channel_smatrix`` calls it only where
+        blocks, the exact guard ``linalg.inverse`` applies to the dense
+        stack :func:`bs_blocks`: :attr:`norm_bound` times the Hager-Higham
+        lower estimate of ``|A^-1|_1`` from 5-6 band solves read in sector
+        order.  It is no bound: the inverse's norm can read low
+        (``scripts/guard_oracle.py`` prints the ratio).  ``channel_smatrix`` calls it only where
         :meth:`cond_bound` exceeds ``COND_LIMIT``.  ``inf`` when the band
         LU is singular."""
         anorm = self.norm_bound

@@ -7,7 +7,8 @@ deterministic given the config, package version and BLAS build, which runs
 on one thread: floats carry 17 significant digits and orders are sorted.
 
 Flag defaults can be overridden through environment variables with the
-``WGSCAT_`` prefix (``WGSCAT_OUT``, ``WGSCAT_THREADS``).
+``WGSCAT_`` prefix (``WGSCAT_OUT``, ``WGSCAT_THREADS``).  ``--threads`` must
+be an integer and has no effect: every command runs on one thread.
 
 Exit codes: 0 on success, 1 when a command's own check fails, 2 for a
 missing, malformed or unsupported config value or an IO error (every task
@@ -38,8 +39,9 @@ Config schema::
 has only one).  Each
 ``invert_demo`` value ``z`` must be finite with ``0 < |z| < radius`` and
 ``arg z`` in the ``sector`` of every family in the file.  Every
-``tail_tol`` and ``eps`` must be positive, the ``smatrix`` energies finite
-and within the model's range (``birman.check_model_range``), and the
+``tail_tol`` and ``eps`` must be positive, the ``smatrix`` energies finite,
+above ``lambda_1`` (where the first channel opens) and within the model's
+range (``birman.check_model_range``), and the
 ``eigenvalues`` window pass ``birman.check_window``.  Each channel
 ``[n, sigma]`` of a ``threshold_scan`` pair needs ``sigma`` -1 or +1,
 ``1 <= n <= n_max``, and ``n`` open below ``lam`` or a member of the
@@ -67,7 +69,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -207,13 +208,6 @@ def single_threaded_blas():
             set_threads(previous)
 
 
-def _parallel_map(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -299,17 +293,17 @@ def cmd_smatrix(cfg, writer: ArtifactWriter, args) -> int:
         raise ConfigError(f"energies = {energies}; need finite numbers")
     model = _model(cfg)
     if energies:
+        lam1 = model.eigenvalue(1)
+        if not energies[0] > lam1:
+            raise ConfigError(f"energies = {energies}; energy {energies[0]} opens no "
+                              f"channel: need every energy above lambda_1 = {lam1}")
         try:
             birman.check_model_range(energies[-1], model)
         except DomainError as exc:
             raise ConfigError(f"energies = {energies}; {exc}") from exc
-
-    def one(lam):
-        return scattering.channel_smatrix(lam, model, tail_tol)
-
-    mats = _parallel_map(one, energies, args.threads)
     rows = []
-    for smat in mats:
+    for lam in energies:
+        smat = scattering.channel_smatrix(lam, model, tail_tol)
         for i, (n, s) in enumerate(smat.channels):
             for j, (np_, sp) in enumerate(smat.channels):
                 e = smat.matrix[i, j]
@@ -492,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--out", default=_env_default("OUT", "out"), help="output directory")
     ap.add_argument(
         "--threads", type=int, default=_env_default("THREADS", "1"),
-        help="parallel map width over spectral points",
+        help="accepted for compatibility; has no effect",
     )
     ap.add_argument(
         "--verify", action="store_true",

@@ -64,7 +64,7 @@ from .errors import (
     HypothesisError,
     StructuralError,
 )
-from .inversion import skew_part_psd, two_term_invert
+from .inversion import fit_exponent, skew_part_psd, two_term_invert
 from .linalg import DEFAULT_RANK_TOL, Projection, opnorm
 from .waveguide import Sectors, WaveguideModel
 
@@ -89,21 +89,6 @@ def _group_x_kernel(kappa: complex, kind: str, x_nodes: np.ndarray) -> np.ndarra
     if kind == "quadratic":
         return y**2 / 4.0 + 0j
     raise ValueError(kind)
-
-
-def fit_exponent(kappas, values, floor: float):
-    """Least-squares slope of ``log value`` vs ``log |kappa|``.
-
-    Returns ``(exponent, n_used)``; the exponent is ``inf`` when fewer than
-    three samples rise above ``floor`` (the quantity vanishes to precision).
-    """
-    ks = np.asarray([abs(k) for k in kappas], dtype=float)
-    vs = np.asarray(values, dtype=float)
-    mask = vs > floor
-    if int(mask.sum()) < 3:
-        return float("inf"), int(mask.sum())
-    slope = float(np.polyfit(np.log(ks[mask]), np.log(vs[mask]), 1)[0])
-    return slope, int(mask.sum())
 
 
 def kappa_sample_paths(lo: float = 1e-4, hi: float = 1e-2) -> dict[str, np.ndarray]:
@@ -293,8 +278,8 @@ class ThresholdLadder:
         # product with a Python complex kappa: that fixes the operand order,
         # and so the rounding, of the complex product (a view would not be
         # reused, and would round differently on a one-block model)
-        g0 = linalg.block_inverse(self.n0[core] + 2.0 * kappa * m1[core] + self.s0[core])
-        return g0, linalg.block_inverse(m1[self.off_core])
+        g0 = linalg.inverse(self.n0[core] + 2.0 * kappa * m1[core] + self.s0[core])
+        return g0, linalg.inverse(m1[self.off_core])
 
     def at(self, kappa: complex) -> LadderEvaluation:
         """The ladder at ``kappa != 0``: each level inverse computed once,
@@ -314,7 +299,7 @@ class ThresholdLadder:
         i1 = (self.s0[core] - sgs) / (2.0 * kappa)
         # I1 + S1 + P_N is the identity on the complement of S0 H
         pn = self.pn[core]
-        h1 = linalg.block_inverse(i1 + self.s1[core] + pn) - pn
+        h1 = linalg.inverse(i1 + self.s1[core] + pn) - pn
         levels = (kappa, self.core, g0, i1, h1, m1inv)
         if self.b1 is None:
             return LadderEvaluation(*levels)
@@ -567,7 +552,7 @@ class EigenvalueLadder:
         it is formed without subtraction as ``b* g T1 b + b* g (T0 b)/k^2``."""
         k = complex(kappa)
         t1 = self.t1(k)
-        g = linalg.block_inverse(self.t0 + k**2 * t1 + self.s)  # (J0 + S)^-1
+        g = linalg.inverse(self.t0 + k**2 * t1 + self.s)  # (J0 + S)^-1
         if self.basis is None:
             return g, None
         sec = self.model.sectors
@@ -597,15 +582,12 @@ def build_eigenvalue_ladder(
                 f"lam = {lam} is within the kappa excursion of threshold lambda_{n}"
             )
     n_used, _ = birman._truncation(model, complex(lam), tail_tol)
-    sec = model.sectors
-    t0 = sec.diagonal(model.potential.u) + birman.mode_sum_blocks(
-        model, complex(lam), list(range(1, n_used + 1))
-    )
+    t0 = birman.bs_blocks(model, complex(lam), n_used)
     d, psd = skew_part_psd(t0)
     if not psd:
         raise HypothesisError(f"skew part of T0 not positive semidefinite ({d:.3e})")
     basis = linalg.kernel_basis(t0)
-    b = sec.blocked(basis)
+    b = model.sectors.blocked(basis)
     return EigenvalueLadder(
         model=model,
         lam=lam,

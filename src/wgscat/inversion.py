@@ -412,6 +412,21 @@ def two_term_invert(i3: np.ndarray, s3: Projection) -> np.ndarray:
                        "final-step Schur block singular: family genuinely singular")
 
 
+def fit_exponent(kappas, values, floor: float):
+    """Least-squares slope of ``log value`` vs ``log |kappa|``.
+
+    Returns ``(exponent, n_used)``; the exponent is ``inf`` when fewer than
+    three samples rise above ``floor`` (the quantity vanishes to precision).
+    """
+    ks = np.asarray([abs(k) for k in kappas], dtype=float)
+    vs = np.asarray(values, dtype=float)
+    mask = vs > floor
+    if int(mask.sum()) < 3:
+        return float("inf"), int(mask.sum())
+    slope = float(np.polyfit(np.log(ks[mask]), np.log(vs[mask]), 1)[0])
+    return slope, int(mask.sum())
+
+
 def final_step_invert(
     i3fam: OperatorFamily,
     z: complex,
@@ -423,19 +438,19 @@ def final_step_invert(
     ``S3`` is the contour projector of ``I3(0)`` at 0 (zero projection when 0
     is not in the spectrum), from :func:`linalg.riesz_projection_at_zero`
     with its ``linalg.RIESZ_N_QUAD``-point contour rule.  The probe samples
-    ``|k|`` geometrically on the positive real ray and fits the growth
-    exponent of the inverse norm; the family is reported bounded when the
-    norm does not grow as ``k -> 0``.
+    ``|k|`` geometrically on the positive real ray, at three points at
+    least, and fits the growth exponent of the inverse norm
+    (:func:`fit_exponent`); the family is reported bounded when the norm
+    does not grow as ``k -> 0``.
     """
     s3 = linalg.riesz_projection_at_zero(i3fam.base)
     inv_z = two_term_invert(i3fam.a(z), s3)
 
     lo, hi = probe_decades
     ndec = np.log10(hi / lo)
-    ks = np.geomspace(lo, hi, max(2, int(round(ndec * points_per_decade)) + 1))
-    samples = [(float(k), opnorm(two_term_invert(i3fam.a(k), s3))) for k in ks]
-    logs = np.log(np.array(samples))
-    slope = float(np.polyfit(logs[:, 0], logs[:, 1], 1)[0])
+    ks = np.geomspace(lo, hi, max(3, int(round(ndec * points_per_decade)) + 1))
+    norms = [opnorm(two_term_invert(i3fam.a(k), s3)) for k in ks]
+    slope, _ = fit_exponent(ks, norms, 0.0)
     bounded = slope >= -0.1
     return FinalStepResult(inv_z, bounded, slope)
 

@@ -9,10 +9,11 @@ comes from one per-block LU, guarded by the exact 1-norm condition
 
 A block-diagonal operator is held as its stack of diagonal blocks, a 3-D
 array ``(n_blocks, m, m)``; its coordinates run through the blocks in order.
+:func:`inverse`, :func:`inverse_with_cond`, :func:`cond_estimate`,
 :func:`opnorm`, :func:`kernel_basis`, :func:`kernel_from_svd`,
 :func:`real_part`, :func:`imaginary_part` and :func:`skew_defect` accept a
-stack as the operator it stands for, and :func:`block_inverse` is the
-guarded inverse of one.
+stack as the operator it stands for; an inverse of a stack is the stack of
+the blocks' inverses, under the one guard of the whole operator.
 
 All operations are pure functions of their inputs; results never alias
 internal state, so concurrent use is safe.
@@ -170,28 +171,19 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def inverse_with_cond(a: np.ndarray) -> tuple[np.ndarray, float]:
-    """Condition-guarded dense inverse and its exact 1-norm condition."""
-    inv, cond = _guarded_inverse(require_square(a)[None])
+    """Condition-guarded dense inverse of a matrix or a block stack, and its
+    exact 1-norm condition; of a stack, block by block under the block guard
+    ``max_b |A_b|_1 * max_b |A_b^-1|_1`` of the whole operator."""
+    m = require_square(a, stack=True)
+    if m.ndim == 3:
+        return _guarded_inverse(m)
+    inv, cond = _guarded_inverse(m[None])
     return inv[0], cond
 
 
 def inverse(a: np.ndarray) -> np.ndarray:
-    """Condition-guarded dense inverse."""
+    """Condition-guarded dense inverse of a matrix or a block stack."""
     return inverse_with_cond(a)[0]
-
-
-def block_inverse(blocks: np.ndarray) -> np.ndarray:
-    """Condition-guarded inverse of a block-diagonal operator, block by block.
-
-    Each block is LU-factored once.  The guard is the exact 1-norm condition
-    of the whole operator, ``max |A_b|_1 * max |A_b^-1|_1`` over the blocks,
-    against ``COND_LIMIT`` as in :func:`inverse`; a single block gives
-    :func:`inverse`'s result, and an empty stack an empty stack.
-    """
-    blocks = require_square(blocks, stack=True)
-    if blocks.ndim != 3:
-        raise DimensionError(f"expected a 3-D block stack, got ndim={blocks.ndim}")
-    return _guarded_inverse(blocks)[0]
 
 
 def refined_inverse(a: np.ndarray) -> np.ndarray:
@@ -216,11 +208,10 @@ def refined_inverse(a: np.ndarray) -> np.ndarray:
 def cond_estimate(a: np.ndarray) -> float:
     """Exact 1-norm condition ``|A|_1 |A^-1|_1`` of a matrix, or of a block
     stack its block guard ``max_b |A_b|_1 * max_b |A_b^-1|_1``: the figure
-    :func:`block_inverse` checks.  Past ``COND_LIMIT`` it is the refused
+    :func:`inverse` checks.  Past ``COND_LIMIT`` it is the refused
     value; ``inf`` when exactly singular."""
-    m = require_square(a, stack=True)
     try:
-        return _guarded_inverse(m if m.ndim == 3 else m[None])[1]
+        return inverse_with_cond(a)[1]
     except SingularMatrixError as exc:
         return exc.cond
 

@@ -36,7 +36,8 @@ import numpy as np
 
 from . import birman, expansion, linalg
 from .errors import ChannelClosedError, DomainError, EigenvalueHitError
-from .expansion import EigenvalueLadder, ThresholdLadder, fit_exponent
+from .expansion import EigenvalueLadder, ThresholdLadder
+from .inversion import fit_exponent
 from .linalg import opnorm
 from .waveguide import WaveguideModel
 

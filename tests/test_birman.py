@@ -181,15 +181,23 @@ class TestBoundaryOperator:
     def test_norm_bound_and_cond_estimate_follow_the_block_guard(self, any_model):
         # on the dense sector blocks A_b: norm_bound is at least max_b |A_b|_1
         # (to rounding), and cond_estimate is near max_b |A_b|_1 *
-        # max_b |A_b^-1|_1, the guard linalg.block_inverse puts on the ladders
+        # max_b |A_b^-1|_1, the guard linalg.inverse puts on the ladders
         for lam in self.energies(any_model):
             op = birman.boundary_operator(lam, any_model, self.TAIL_TOL)
-            blocks = any_model.sectors.diagonal(any_model.potential.u) + birman.mode_sum_blocks(
-                any_model, complex(lam), list(range(1, op.n_used + 1)))
+            blocks = birman.bs_blocks(any_model, complex(lam), op.n_used)
             norm = max(np.abs(b).sum(axis=0).max() for b in blocks)
             guard = norm * max(np.abs(np.linalg.inv(b)).sum(axis=0).max() for b in blocks)
             assert op.norm_bound >= norm * (1.0 - 1e-12)
             assert 0.1 <= op.cond_estimate() / guard <= 10.0
+
+    def test_sector_blocks_are_the_dense_operator(self, any_model):
+        # bs_blocks in grid coordinates is the independently assembled oracle
+        for lam in self.energies(any_model):
+            n_used, _ = birman._truncation(any_model, complex(lam), self.TAIL_TOL)
+            blocks = birman.bs_blocks(any_model, complex(lam), n_used)
+            a = birman.bs_operator(any_model, complex(lam), n_used)
+            dense = any_model.sectors.grid_blocks(blocks)
+            assert np.abs(dense - a).max() <= 1e-13 * np.abs(a).max()
 
     def test_band_width_per_sector(self, well_small, coupled_model):
         # 5 lattice nodes: modes 1-5 take one sector each, mode 6 vanishes on

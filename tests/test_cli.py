@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -194,6 +195,22 @@ class TestModelCommands:
         assert run(["smatrix", "--config", cfg, "--out", out1, "--threads", 1]) == 0
         assert run(["smatrix", "--config", cfg, "--out", out2, "--threads", 2]) == 0
         assert (out1 / "smatrix.csv").read_bytes() == (out2 / "smatrix.csv").read_bytes()
+
+    def test_thread_count_starts_no_thread(self, tmp_path, monkeypatch):
+        # --threads is accepted and selects nothing: the energies run in turn
+        # on the calling thread
+        started, start = [], threading.Thread.start
+
+        def record(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", record)
+        cfg = write_config(
+            tmp_path, {"smatrix": {"energies": [2.2, 2.8, 3.4], "tail_tol": 0.1}}
+        )
+        assert run(["smatrix", "--config", cfg, "--out", tmp_path / "out", "--threads", 2]) == 0
+        assert started == []
 
     def test_output_independent_of_blas_threads(self, tmp_path):
         bundled_openblas()
@@ -449,6 +466,8 @@ class TestConfigErrors:
          dict(MODEL_DOC, grid={"n_omega": 5, "n_x": 60}, n_max=9), None),
         ("smatrix", {"smatrix": {"energies": [2.5, 150.0], "tail_tol": 0.03}},
          dict(MODEL_DOC, grid={"n_omega": 5, "n_x": 60}, n_max=9), None),
+        ("smatrix", {"smatrix": {"energies": [0.5, 2.0]}}, MODEL_DOC, None),
+        ("smatrix", {"smatrix": {"energies": [2.0, 1.0]}}, MODEL_DOC, None),
         ("threshold-scan", scan_task(pairs=[[[1, 2], [1, 2]]]), MODEL_DOC, None),
         ("threshold-scan", scan_task(lam=25.0, pairs=[[[0, 1], [0, 1]]]), MODEL_DOC, None),
         ("threshold-scan", scan_task(pairs=[[[1, 1], [9, 1]]]), MODEL_DOC, None),
@@ -482,6 +501,7 @@ class TestConfigErrors:
             "tail_tol-nan-threshold-scan", "energy-nan", "window-infinite",
             "window-touches-threshold", "window-touches-lambda-n_max-plus-1",
             "window-above-lambda-n_max-plus-1", "energy-above-lambda-n_max-plus-1",
+            "energy-below-lambda_1", "energy-at-lambda_1",
             "pair-sigma-2", "pair-n-0", "pair-n-above-n_max", "pair-closed", "pair-n-fraction",
             "halvings-fraction", "resolutions-fraction", "resolutions-string", "n_x-string",
             "n_x-fraction", "n_panels-fraction", "n_max-boolean", "harmonic-fraction"])

@@ -33,8 +33,7 @@ def test_well_energies_against_the_exact_block_guard(tmp_path, capsys):
         assert float(band) == float(f"{op.cond_estimate():.6e}")
         assert float(bound) == float(f"{op.cond_bound():.6e}")
         # the exact guard from numpy's inverse of each dense sector block
-        blocks = model.sectors.diagonal(model.potential.u) + birman.mode_sum_blocks(
-            model, complex(lam), list(range(1, n_used + 1)))
+        blocks = birman.bs_blocks(model, complex(lam), n_used)
         guard = (max(np.linalg.norm(b, 1) for b in blocks)
                  * max(np.linalg.norm(np.linalg.inv(b), 1) for b in blocks))
         assert abs(float(exact) / guard - 1.0) <= 1e-6

@@ -363,6 +363,14 @@ class TestFinalStep:
         assert res.growth_exponent < -0.9
         assert abs(res.inverse[0, 0] - 1e3) <= 1e-4 * 1e3
 
+    def test_coarse_probe_still_fits_the_growth(self):
+        # one point per decade over one decade: the probe takes three points
+        # and reads the 1/k growth, not a vanishing norm
+        res = inversion.final_step_invert(
+            scalar_family(), 1e-3, probe_decades=(1e-3, 1e-2), points_per_decade=1)
+        assert not res.bounded
+        assert abs(res.growth_exponent + 1.0) <= 1e-9
+
     def test_waveguide_terminal_family_bounded(self, deep_ladder):
         lad = deep_ladder
         assert lad.r2 == 1  # all four levels active

@@ -141,7 +141,9 @@ class TestConditionGuard:
         blocks = ((rng.normal(size=(3, 5, 5)) + 1j * rng.normal(size=(3, 5, 5)))
                   * np.array([1.0, 1e-3, 1e2])[:, None, None])
         assert abs(linalg.cond_estimate(blocks) / block_guard(blocks) - 1.0) <= 1e-12
-        inv = linalg.block_inverse(blocks)
+        inv, cond = linalg.inverse_with_cond(blocks)
+        assert cond == linalg.cond_estimate(blocks)
+        assert helpers.same_bits(linalg.inverse(blocks), inv)
         for b in range(3):
             assert helpers.same_bits(inv[b], linalg.inverse(blocks[b]))
 
@@ -152,7 +154,7 @@ class TestConditionGuard:
         blocks[1] *= 1e-14
         assert all(exact_cond(b) < 1e4 for b in blocks)
         with pytest.raises(SingularMatrixError) as err:
-            linalg.block_inverse(blocks)
+            linalg.inverse(blocks)
         assert abs(err.value.cond / block_guard(blocks) - 1.0) <= 1e-12
         assert err.value.cond == linalg.cond_estimate(blocks)
 
@@ -163,11 +165,8 @@ class TestConditionGuard:
         assert linalg.cond_estimate(np.ones((2, 2))) == float("inf")
         inv, cond = linalg.inverse_with_cond(np.zeros((0, 0)))
         assert inv.shape == (0, 0) and cond == 1.0
-        assert linalg.block_inverse(np.zeros((0, 3, 3))).shape == (0, 3, 3)
-
-    def test_block_inverse_takes_a_stack_only(self):
-        with pytest.raises(DimensionError):
-            linalg.block_inverse(np.eye(3, dtype=complex))
+        inv, cond = linalg.inverse_with_cond(np.zeros((0, 3, 3)))
+        assert inv.shape == (0, 3, 3) and cond == 1.0
 
 
 class TestOnenormEstimate:

@@ -307,7 +307,7 @@ def test_sector_transform_round_trip(case, cols, seed):
 @given(sector_wells(), st.integers(0, 2**32 - 1), st.booleans())
 def test_grid_blocks_is_the_weighted_block_sum(case, seed, column_major):
     # entry (i k, j l) is sum_s basis[i, s] basis[j, s] B_s[k, l], for blocks
-    # in either memory order (block_inverse returns column-major blocks)
+    # in either memory order (linalg.inverse returns column-major blocks)
     model, _, _ = case
     sec = model.sectors
     rng = np.random.default_rng(seed)
@@ -438,8 +438,7 @@ def test_cond_bound_holds_over_the_exact_block_guard(case):
     # scripts/guard_oracle.py, from the dense sector blocks
     model, lam, tail_tol = case
     op = birman.boundary_operator(lam, model, tail_tol)
-    blocks = model.sectors.diagonal(model.potential.u) + birman.mode_sum_blocks(
-        model, complex(lam), list(range(1, op.n_used + 1)))
+    blocks = birman.bs_blocks(model, complex(lam), op.n_used)
     bound = op.cond_bound()
     assert op.cond_estimate() <= bound * (1.0 + 1e-10)
     assert linalg.cond_estimate(blocks) <= bound * (1.0 + 1e-10)
