@@ -22,9 +22,9 @@ off the thresholds the two-term form applies instead:
 
 A ladder holds the kappa-independent data (projections ``S_j``, level
 operators at ``k = 0``).  On a threshold ladder ``ladder.at(k)`` returns one
-immutable evaluation with every kappa-dependent operator, each computed
-once: ``G0``, ``I1``, ``H1``, ``I2``, ``(I2+S2)^-1``, ``I3`` and ``I3^-1``,
-down to the terminal level only; the structural report reads it directly.
+immutable evaluation with every kappa-dependent operator down to the
+terminal level, each computed once: ``G0``, ``I1 = S0 M1 G0 S0`` (the product
+form of ``(S0 - S0 G0 S0)/(2k)``), ``H1``, ``I2``, ``(I2+S2)^-1``, ``I3``, ``I3^-1``.
 ``ladder.terms(k)`` gives the expansion terms at one kappa, one block
 stack and at most one low-rank product (from one evaluation on a threshold
 ladder, from ``(J0+S)^-1`` and ``J1`` on an eigenvalue ladder), and
@@ -268,10 +268,10 @@ class ThresholdLadder:
             return self.m10
         return self.n1(kappa) + self.u + self.w(kappa)
 
-    def g0(self, kappa: complex) -> tuple[np.ndarray, np.ndarray]:
-        """The level-0 inverses at ``kappa != 0`` from one ``M1(kappa)``:
-        ``(I0(kappa) + S0)^-1`` over the core sectors, with ``I0(kappa) = N0
-        + 2 kappa M1(kappa)``, and ``M1(kappa)^-1`` over the others."""
+    def g0(self, kappa: complex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``((I0(kappa) + S0)^-1, M1(kappa)^-1, M1(kappa))`` at ``kappa != 0``
+        from one ``M1(kappa)``, with ``I0(kappa) = N0 + 2 kappa M1(kappa)``:
+        the first and last over the core sectors, the inverse over the others."""
         m1 = self.m1(kappa)
         core = list(self.core)
         # m1[core] is a fresh array, which numpy reuses in place for the
@@ -279,24 +279,24 @@ class ThresholdLadder:
         # and so the rounding, of the complex product (a view would not be
         # reused, and would round differently on a one-block model)
         g0 = linalg.inverse(self.n0[core] + 2.0 * kappa * m1[core] + self.s0[core])
-        return g0, linalg.inverse(m1[self.off_core])
+        return g0, linalg.inverse(m1[self.off_core]), m1[core]
 
     def at(self, kappa: complex) -> LadderEvaluation:
-        """The ladder at ``kappa != 0``: each level inverse computed once,
-        down to the terminal level (quotient forms throughout), on the core
-        sectors; every other sector's block is one inverse of ``M1(kappa)``."""
+        """The ladder at ``kappa != 0``, on the core sectors: each level inverse
+        computed once, down to the terminal level, and no division by kappa
+        before level 2; every other sector's block is one inverse of ``M1(kappa)``."""
         if kappa == 0:
             raise DomainError("the ladder is evaluated at kappa != 0 only")
         # one scalar type, so the bits do not depend on the caller's kappa type
         kappa = complex(kappa)
-        g0, m1inv = self.g0(kappa)
+        g0, m1inv, m1 = self.g0(kappa)
         core = list(self.core)
         u = self.on_core(self.u_n)
         uh = linalg.adjoint(u)
-        # S0 G0 S0 through rank updates rather than dense projector products
-        gs = g0 - (g0 @ u) @ uh
-        sgs = gs - u @ (uh @ gs)
-        i1 = (self.s0[core] - sgs) / (2.0 * kappa)
+        # I1 = (S0 - S0 G0 S0)/(2 kappa) = S0 M1 G0 S0 since S0 (I0 + S0) = S0 +
+        # 2 kappa S0 M1; S0 through rank updates rather than projector products
+        ts = m1 @ g0 - m1 @ (g0 @ u) @ uh
+        i1 = ts - u @ (uh @ ts)
         # I1 + S1 + P_N is the identity on the complement of S0 H
         pn = self.pn[core]
         h1 = linalg.inverse(i1 + self.s1[core] + pn) - pn
@@ -755,8 +755,9 @@ def verify_structural_lemmas(
     Identity defects are judged at ``STRUCT_TOL``, ranks at
     ``linalg.DEFAULT_RANK_TOL``, and the kappa samples come from
     :func:`kappa_sample_paths` on ``[kappa_lo, kappa_hi]``
-    (``KAPPA_PER_DECADE`` per decade); ``kappa_hi`` above the ladder's
-    ``eps`` raises :class:`DomainError`, as :func:`m_function` does.  The
+    (``KAPPA_PER_DECADE`` per decade); unless ``0 < kappa_lo < kappa_hi <=
+    eps`` (the ladder's), :class:`DomainError` is raised, as
+    :func:`m_function` does outside its region.  The
     report works in the ladder's sector coordinates, where every 2-norm is
     the grid one.  Norms that involve ``S_j`` are taken from its orthonormal
     basis (thin factors, no dense ``S_j``); the SVD kernel projector of
@@ -767,6 +768,9 @@ def verify_structural_lemmas(
     """
     from . import scattering  # deferred import; scattering builds on this module
 
+    if not 0 < kappa_lo < kappa_hi:
+        raise DomainError(f"kappa_lo = {kappa_lo}, kappa_hi = {kappa_hi}; "
+                          "need 0 < kappa_lo < kappa_hi")
     if kappa_hi > ladder.eps:
         raise DomainError(f"kappa_hi = {kappa_hi:.3e} outside the ladder region "
                           f"|kappa| <= eps = {ladder.eps:.3e}")

@@ -127,16 +127,26 @@ def channel_smatrix(
 ) -> SMatrix:
     """Assemble ``S(lam)`` over all open channels at a regular energy.
 
-    Raises :class:`EigenvalueHitError` when the boundary operator is
-    singular to working tolerance (an eigenvalue or threshold; use the
-    expansion machinery there).  The guard is the upper bound
-    ``op.cond_bound()``; where it exceeds ``COND_LIMIT`` (near a threshold
-    or an eigenvalue) the estimate ``op.cond_estimate()`` decides instead.
+    A channel's trace row lives in its mode's sector and ``A`` is block
+    diagonal over the sectors, so on a decomposing model ``S`` is a direct
+    sum over the sectors that hold an open channel: the band over those
+    sector blocks alone (``boundary_operator(..., blocks)``) is guarded and
+    solved, with each channel's row kept on its own sector, and entries
+    across two sectors are exact zeros.  A one-block model uses its whole
+    band.  Raises :class:`EigenvalueHitError` when that band is singular to
+    working tolerance (an eigenvalue or threshold of an open channel's
+    sector; use the expansion machinery there).  The guard is the upper
+    bound ``op.cond_bound()``; where it exceeds ``COND_LIMIT`` (near a
+    threshold or an eigenvalue) the estimate ``op.cond_estimate()`` decides
+    instead.
     """
     chans = open_channels(lam, model)
     if not chans:
         raise DomainError(f"no open channels at lam={lam}")
-    op = birman.boundary_operator(lam, model, tail_tol)
+    sec = model.sectors
+    home = None if sec.basis is None else sec.mode_sector[[n - 1 for n, _ in chans]]
+    blocks = None if home is None else sorted(set(home[home >= 0].tolist()))
+    op = birman.boundary_operator(lam, model, tail_tol, blocks)
     cond = op.cond_bound()
     if cond > linalg.COND_LIMIT:
         cond = op.cond_estimate()
@@ -146,6 +156,12 @@ def channel_smatrix(
             "use the expansion machinery"
         )
     rows = np.array([trace_row(lam, n, s, model) for (n, s) in chans])
+    if home is not None:
+        # the open sectors' coordinates; a mode that vanishes on the lattice
+        # has no sector, and its row is zero
+        own = home[:, None, None] == np.array(blocks)[:, None]
+        rows = sec.blocked(sec.to_sector(rows.T))[blocks].transpose(2, 0, 1) * own
+        rows = rows.reshape(len(chans), -1)
     x = op.solve(rows.conj().T)
     s = np.eye(len(chans), dtype=complex) - 2j * np.pi * rows @ x
     defect = opnorm(s.conj().T @ s - np.eye(len(chans)))
@@ -303,12 +319,16 @@ def continuity_probes(
     always.  Cauchy defects along each ray, the left/right gap and the
     terminal magnitude are recorded per pair (``gap``/``terminal_abs`` refer
     to the finest ``h``); the limits themselves are the caller's assertion.
-    Raises :class:`DomainError` when ``h_values`` is empty.
+    Raises :class:`DomainError` when ``h_values`` is empty or holds an ``h``
+    that is not finite and positive (``kappa = -ih`` with ``h < 0`` leaves
+    the closed fourth quadrant).
     """
     model, lam = ladder.model, ladder.lam
     hs = sorted(float(h) for h in h_values)
     if not hs:
         raise DomainError("continuity probes need at least one h value")
+    if not all(math.isfinite(h) and h > 0 for h in hs):
+        raise DomainError(f"continuity probes need finite h > 0 (got {hs})")
     reps = [ProbeReport(lam, c, cp, hs) for (c, cp) in pairs]
     left = [i for i, pair in enumerate(pairs)  # both channels open below lam
             if all(model.eigenvalue(n) < lam - 1e-12 for n, _ in pair)]

@@ -6,7 +6,7 @@ import numpy as np
 import scipy.linalg
 from scipy.optimize import brentq
 
-from wgscat import birman, expansion, linalg, waveguide
+from wgscat import birman, expansion, linalg, scattering, waveguide
 
 
 def oned_well_levels(depth: float, width: float = 1.0) -> list[float]:
@@ -147,6 +147,64 @@ def dense_level_inverses(ladder, kappa) -> tuple[np.ndarray, np.ndarray, np.ndar
     i1 = (s0 - s0 @ g0 @ s0) / (2.0 * k)
     h1 = linalg.inverse(i1 + b1 @ b1.conj().T + pn) - pn
     return g0, h1, m1
+
+
+def extended_i1(ladder, kappa) -> np.ndarray:
+    """The defining quotient ``I1 = (S0 - S0 G0 S0)/(2 kappa)`` over a
+    threshold ladder's core sectors, evaluated in extended precision
+    (``np.clongdouble``): the reference of ``ladder.at(kappa).i1``.
+
+    ``S0 G0^-1 = S0 + 2 kappa S0 M1`` needs ``S0 N0 = 0`` and ``S0^2 = S0``,
+    which the float64 ``u_n`` and ``N0`` meet only to rounding, and the
+    quotient divides that rounding by ``2 kappa``.  So ``u_n`` is first
+    orthonormalized by one Newton step and ``N0`` projected onto its span,
+    both in extended precision (an O(eps) change of the data, not divided by
+    kappa).  ``G0`` is then Newton-refined from ``linalg.inverse`` of the
+    float64 ``I0 + S0``, as ``linalg.refined_inverse`` does before its cast,
+    and the quotient is taken in that precision."""
+    wide, k = np.clongdouble, complex(kappa)
+    core = list(ladder.core)
+    m1 = ladder.m1(k)[core]
+    u = ladder.on_core(ladder.u_n).astype(wide)
+    eye = np.eye(u.shape[2], dtype=wide)
+    u = u @ (1.5 * eye - 0.5 * (linalg.adjoint(u) @ u).sum(axis=0))
+    pn = u @ linalg.adjoint(u)
+    s0 = np.eye(pn.shape[-1], dtype=wide) - pn
+    a = pn @ ladder.n0[core].astype(wide) @ pn + 2 * wide(k) * m1.astype(wide) + s0
+    x = linalg.inverse(ladder.n0[core] + 2.0 * k * m1 + ladder.s0[core]).astype(wide)
+    for _ in range(linalg.REFINE_STEPS):
+        x = x + x @ (np.eye(a.shape[-1], dtype=wide) - a @ x)
+    return (s0 - s0 @ x @ s0) / (2 * wide(k))
+
+
+def dense_open_sector_smatrix(model, lam, tail_tol) -> np.ndarray:
+    """Dense oracle of ``scattering.channel_smatrix`` on a decomposing model:
+    the sector blocks of :func:`birman.bs_blocks` that hold an open channel,
+    inverted with the guarded ``linalg.inverse``, between the channels' trace
+    rows in sector coordinates, each on its own sector."""
+    sec = model.sectors
+    chans = scattering.open_channels(lam, model)
+    home = sec.mode_sector[[n - 1 for n, _ in chans]]
+    blocks = sorted(set(home.tolist()))
+    n_used, _ = birman._truncation(model, complex(lam), tail_tol)
+    inv = linalg.inverse(birman.bs_blocks(model, complex(lam), n_used)[blocks])
+    rows = sec.blocked(sec.to_sector(
+        np.array([scattering.trace_row(lam, n, s, model) for n, s in chans]).T))
+    out = np.eye(len(chans), dtype=complex)
+    for i, j in np.ndindex(out.shape):
+        if home[i] == home[j]:
+            b = blocks.index(home[i])
+            out[i, j] -= 2j * np.pi * rows[home[i], :, i] @ inv[b] @ rows[home[j], :, j].conj()
+    return out
+
+
+def band_det_factors(op) -> tuple[np.ndarray, int]:
+    """U's diagonal of a ``BoundaryOperator``'s band LU (row ``2 s`` of the
+    ``zgbtrf`` storage, ``s`` the half bandwidth) and the number of row
+    interchanges, so that ``det A = (-1)^swaps prod(diagonal)``: the f/g
+    part of the embedding is unit block bidiagonal, and the node order is a
+    symmetric permutation of the sector coordinates."""
+    return op.lu[2 * op._width], int(np.count_nonzero(op.piv != np.arange(op.piv.size)))
 
 
 def dense_two_term(model, lam, kappa, tail_tol) -> np.ndarray:

@@ -179,13 +179,17 @@ class TestModelCommands:
         m2 = json.loads((out2 / "manifest.json").read_text())
         assert m1["artifacts"] == m2["artifacts"]
 
-    def test_smatrix_at_eigenvalue_exits_3(self, tmp_path, eigenvalue_hit):
+    def test_smatrix_at_closed_sector_level_exits_0(self, tmp_path, eigenvalue_hit):
+        # the level sits in a sector with no open channel: S comes from the
+        # open channel's own sector block, unitary
         doc, lam = eigenvalue_hit
         cfg = write_config(tmp_path, {"smatrix": {"energies": [lam], "tail_tol": 0.03}},
                            model=doc)
         out = tmp_path / "out"
-        assert run(["smatrix", "--config", cfg, "--out", out]) == 3
-        assert not out.exists()
+        assert run(["smatrix", "--config", cfg, "--out", out]) == 0
+        rows = np.loadtxt(out / "smatrix.csv", delimiter=",", skiprows=1)
+        s = (rows[:, 5] + 1j * rows[:, 6]).reshape(2, 2)
+        assert np.abs(s.conj().T @ s - np.eye(2)).max() <= 1e-14
 
     def test_output_independent_of_thread_count(self, tmp_path):
         cfg = write_config(

@@ -33,6 +33,15 @@ def well_4x24_ladder(well_4x24):
     return expansion.build_threshold_ladder(well_4x24, 4.0, eps=2e-2, tail_tol=0.2)
 
 
+@pytest.fixture(scope="module")
+def cosine_4x24_ladder(interval_cs):
+    """The cosine-profile twin of the 4 x 24 well: one coupled block."""
+    model = waveguide.square_well_model(
+        interval_cs, 1.0, (0.0, 1.0), n_omega=4, n_x=24, n_max=5,
+        omega_profile={"kind": "cosine", "amplitude": 0.5, "harmonic": 1})
+    return expansion.build_threshold_ladder(model, 4.0, eps=2e-2, tail_tol=0.2)
+
+
 class TestThresholdLadderStructure:
     def test_zero_potential_degenerates_to_identity(self, interval_cs):
         m = waveguide.square_well_model(interval_cs, 0.0, (0.0, 1.0), 4, 10, 3)
@@ -342,6 +351,13 @@ class TestStructuralReport:
         with pytest.raises(DomainError):
             expansion.verify_structural_lemmas(deep_ladder, kappa_hi=2.0 * deep_ladder.eps)
 
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1e-2), (1e-2, 1e-4), (1e-3, 1e-3)])
+    def test_kappa_range_not_increasing_from_zero_rejected(self, deep_ladder, lo, hi):
+        # kappa_lo = 0 divided by zero inside kappa_sample_paths, and a
+        # reversed range ran on reversed samples and reported ok
+        with pytest.raises(DomainError, match="0 < kappa_lo < kappa_hi"):
+            expansion.verify_structural_lemmas(deep_ladder, kappa_lo=lo, kappa_hi=hi)
+
     def test_commutator_norms_match_dense_reference(self, deep_ladder):
         # thin-factor commutator norms against dense S_j X - X S_j at every
         # third kappa of each sample path; the growth fits agree on both sets
@@ -402,6 +418,19 @@ class TestCertificates:
         lad = expansion.build_threshold_ladder(well_small, 4.0, eps=2e-2, tail_tol=0.1)
         i10 = lad.s0 @ (lad.m10 - 3j * np.eye(lad.sectors.block_dim)) @ lad.s0
         assert linalg.skew_defect(i10) > 1.0
+
+
+class TestLevelOneOperator:
+    @pytest.mark.parametrize("name", ["well_4x24_ladder", "cosine_4x24_ladder", "deep_ladder"])
+    def test_i1_matches_extended_precision_quotient(self, request, name):
+        # the product S0 M1 G0 S0 carries no eps/|kappa| loss: the float64
+        # quotient (S0 - S0 G0 S0)/(2 kappa) read about 1e-12 off at 1e-4
+        lad = request.getfixturevalue(name)
+        for t in (1e-2, 1e-3, 1e-4):
+            for ray in (1.0, -1.0j, (1.0 - 1.0j) / np.sqrt(2.0)):
+                got = lad.at(ray * t).i1
+                ref = helpers.extended_i1(lad, ray * t).astype(complex)
+                assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref), (t, ray)
 
 
 class TestSectorBlocks:

@@ -1,13 +1,27 @@
 """Trace rows, S-matrices, expansion checks and continuity probes."""
 
+import importlib.util
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import helpers
 from wgscat import birman, expansion, linalg, scattering, waveguide
-from wgscat.errors import ChannelClosedError, DomainError, EigenvalueHitError
+from wgscat.errors import ChannelClosedError, DomainError
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_module(path: Path):
+    """A script or benchmark module by path, registered first so that its
+    dataclasses resolve their module."""
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestTraceRows:
@@ -76,10 +90,36 @@ class TestSMatrix:
         with pytest.raises(DomainError):
             scattering.channel_smatrix(0.5, well_small, tail_tol=0.1)
 
-    def test_eigenvalue_hit_raises(self, eigenvalue_hit):
+    def test_closed_sector_level_is_no_hit(self, eigenvalue_hit):
+        # the level lies in the mode-2 sector, closed at lam; the one open
+        # channel's sector block is regular (cond_bound about 2), so S is
+        # that block's, and the singular whole band is neither factored
+        # nor guarded
         doc, lam = eigenvalue_hit
-        with pytest.raises(EigenvalueHitError):
-            scattering.channel_smatrix(lam, waveguide.model_from_config(doc), tail_tol=0.03)
+        model = waveguide.model_from_config(doc)
+        s = scattering.channel_smatrix(lam, model, tail_tol=0.03)
+        assert s.channels == ((1, -1), (1, 1))
+        assert linalg.opnorm(s.matrix.conj().T @ s.matrix - np.eye(2)) <= 1e-14
+        ref = helpers.dense_open_sector_smatrix(model, lam, 0.03)
+        assert np.abs(s.matrix - ref).max() <= 1e-12
+
+    def test_one_block_model_factors_its_whole_band(self, coupled_model, monkeypatch):
+        blocks = []
+        build = birman.boundary_operator
+        monkeypatch.setattr(birman, "boundary_operator", lambda lam, model, tail_tol, sub=None:
+                            blocks.append(sub) or build(lam, model, tail_tol, sub))
+        for lam in (2.5, 3.5):
+            scattering.channel_smatrix(lam, coupled_model, tail_tol=0.03)
+        assert blocks == [None, None]
+
+    @pytest.mark.parametrize("lam", [5.5, 9.5, 17.5])
+    def test_cross_sector_entries_are_exact_zeros(self, well_small, lam):
+        s = scattering.channel_smatrix(lam, well_small, tail_tol=0.1)
+        modes = np.array([n for n, _ in s.channels])
+        cross = modes[:, None] != modes[None, :]
+        assert cross.any() and not s.matrix[cross].any()
+        ref = helpers.dense_open_sector_smatrix(well_small, lam, 0.1)
+        assert np.abs(s.matrix - ref).max() <= 1e-12
 
     def test_dimension_ten_thousand_under_a_second(self, interval_cs):
         # the benchmark's sweep model at n_x = 2000: out of reach of a dense LU
@@ -136,6 +176,59 @@ class TestSMatrix:
         block = s.block((2, 3), +1, (2, 3), +1)
         assert block.shape == (2, 2)
         assert s.unitarity_defect <= 1e-10
+
+
+def birman_krein_defect(lam, model, tail_tol) -> float:
+    """``|det S - conj(D)/D|`` with ``D = det A(lam + i0)`` from the whole
+    model's band LU; the pivot parity and the sector transform's sign are
+    real, so they cancel in ``conj(D)/D``."""
+    s = scattering.channel_smatrix(lam, model, tail_tol)
+    diag, _ = helpers.band_det_factors(birman.boundary_operator(lam, model, tail_tol))
+    return abs(np.linalg.det(s.matrix) - np.prod(diag.conj() / diag))
+
+
+class TestBirmanKrein:
+    """``det S(lam) = conj(D)/D`` (Birman and Krein) at every S-matrix energy
+    of ``scripts/cli_artifacts.py`` and of the ``smatrix_sweep`` benchmark."""
+
+    def test_cli_artifact_energies(self):
+        runs = load_module(ROOT / "scripts" / "cli_artifacts.py").runs()
+        checked = 0
+        for name, command, doc, (_, task, _) in runs:
+            if command != "smatrix":
+                continue
+            model = waveguide.model_from_config(doc)
+            thresholds = [model.eigenvalue(n) for n in range(1, model.n_max + 1)]
+            for lam in task["energies"]:
+                defect = birman_krein_defect(lam, model, task["tail_tol"])
+                if min(abs(lam - t) for t in thresholds) < 0.05:
+                    # the band's condition is 1e11 or more here: shown, not held
+                    print(f"{name} lam={lam}: Birman-Krein defect {defect:.2e}")
+                    continue
+                assert defect <= 1e-12, (name, lam)
+                checked += 1
+        assert checked == 22
+
+    def test_seeded_sweep_energies(self):
+        sweep = load_module(ROOT / "perfbench" / "workloads.py").SmatrixSweep()
+        model = sweep.setup(None)
+        for lam in sweep.inputs(model, np.random.default_rng(0), 20):
+            assert birman_krein_defect(lam, model, sweep.tail_tol) <= 1e-12, lam
+
+    @pytest.mark.parametrize("name", ["well_small", "coupled_model"])
+    def test_pivot_parity_gives_the_dense_determinant(self, request, name):
+        # slogdet of the dense sector blocks: modulus and phase of det A,
+        # including the sign the pivot parity carries
+        model = request.getfixturevalue(name)
+        parities = set()
+        for lam in (1.6, 2.8, 3.4, 5.5):
+            op = birman.boundary_operator(lam, model, 0.1)
+            diag, swaps = helpers.band_det_factors(op)
+            sign, logabs = np.linalg.slogdet(birman.bs_blocks(model, complex(lam), op.n_used))
+            assert abs(np.log(np.abs(diag)).sum() - logabs.sum()) <= 1e-10
+            assert abs((-1) ** swaps * np.prod(diag / np.abs(diag)) - np.prod(sign)) <= 1e-12
+            parities.add(swaps % 2)
+        assert parities == {0, 1}
 
 
 class TestF0Expansion:
@@ -215,6 +308,16 @@ class TestThresholdProbes:
         monkeypatch.setattr(expansion, "m_function", None)  # refused before any evaluation
         with pytest.raises(DomainError):
             scattering.continuity_probes(ladder, [((1, 1), (1, 1))], [])
+
+    @pytest.mark.parametrize("hs", [[-1e-3], [0.0], [1e-3, -1e-3], [np.nan], [np.inf]])
+    def test_h_not_finite_and_positive_rejected(self, well_small, monkeypatch, hs):
+        # kappa = -ih with h < 0 leaves the closed fourth quadrant: on the
+        # cosine twin of the 4 x 24 well, h = -1e-3 gave S(2+,2+) = 2.000015
+        # + 0.002379i, |S| about 2
+        ladder = expansion.build_threshold_ladder(well_small, 4.0, eps=2e-2, tail_tol=0.1)
+        monkeypatch.setattr(expansion, "m_function", None)  # refused before any evaluation
+        with pytest.raises(DomainError, match="h > 0"):
+            scattering.continuity_probes(ladder, [((1, 1), (1, 1))], hs)
 
     def test_report_serializes(self, coupled_reports):
         import json
