@@ -6,9 +6,9 @@ artifact with a SHA-256 checksum, timings and the config echo.  Outputs are
 deterministic given the config, package version and BLAS build, which runs
 on one thread: floats carry 17 significant digits and orders are sorted.
 
-Flag defaults can be overridden through environment variables with the
-``WGSCAT_`` prefix (``WGSCAT_OUT``, ``WGSCAT_THREADS``).  ``--threads`` must
-be an integer and has no effect: every command runs on one thread.
+The ``--out`` default can be overridden through the ``WGSCAT_OUT``
+environment variable.  ``--threads`` must be an integer and has no effect:
+every command runs on one thread.
 
 Exit codes: 0 on success, 1 when a command's own check fails, 2 for a
 missing, malformed or unsupported config value or an IO error (every task
@@ -51,6 +51,9 @@ as ``model.group_at`` accepts it, is read as that threshold.  Integer
 values (``halvings``, ``resolutions``, channel entries, and the model's grid
 sizes, ``n_max`` and profile ``harmonic``) must be JSON numbers with an
 integral value: ``24`` or ``24.0``, not ``"24"``, ``true`` or ``24.5``.
+Every other number, array entries included, must be a finite JSON number
+(``waveguide.json_float``): ``0.2`` or ``1``, not ``"0.2"``, ``true``,
+``NaN`` or ``Infinity``.
 
 ``--verify`` applies to ``expansion`` only, which then reports the
 dense-oracle error of the expansion at six kappa samples
@@ -75,9 +78,7 @@ import numpy as np
 
 from . import __version__, birman, expansion, inversion, linalg, scattering, waveguide
 from .errors import ConfigError, DomainError, WgscatError
-from .waveguide import config_value, json_int, json_list, json_object
-
-ENV_PREFIX = "WGSCAT_"
+from .waveguide import config_value, json_float, json_int, json_list, json_object
 
 # Bundled OpenBLAS builds: package, library glob beside it, symbol suffix
 OPENBLAS_BUILDS = (("numpy", "numpy.libs/libscipy_openblas64_-*.so", "64_"),
@@ -226,7 +227,7 @@ def _model(cfg) -> waveguide.WaveguideModel:
 
 def _eps(task) -> float:
     """The task's ladder radius ``eps``, which must be positive."""
-    eps = config_value(task, "eps", float, 1e-2)
+    eps = config_value(task, "eps", json_float, 1e-2)
     if not eps > 0:
         raise ConfigError(f"eps = {eps}; need eps > 0")
     return eps
@@ -234,7 +235,7 @@ def _eps(task) -> float:
 
 def _tail_tol(task, default: float) -> float:
     """The task's mode-tail tolerance ``tail_tol``, which must be positive."""
-    tail_tol = config_value(task, "tail_tol", float, default)
+    tail_tol = config_value(task, "tail_tol", json_float, default)
     if not tail_tol > 0:
         raise ConfigError(f"tail_tol = {tail_tol}; need tail_tol > 0")
     return tail_tol
@@ -289,8 +290,6 @@ def cmd_smatrix(cfg, writer: ArtifactWriter, args) -> int:
     task = _task(cfg, "smatrix")
     tail_tol = _tail_tol(task, 1e-4)
     energies = sorted(config_value(task, "energies", json_list))
-    if not np.all(np.isfinite(energies)):
-        raise ConfigError(f"energies = {energies}; need finite numbers")
     model = _model(cfg)
     if energies:
         lam1 = model.eigenvalue(1)
@@ -377,8 +376,8 @@ def cmd_expansion(cfg, writer: ArtifactWriter, args) -> int:
     lam = config_value(task, "lam")
     eps = _eps(task)
     tail_tol = _tail_tol(task, 1e-3)
-    kappa_lo = config_value(task, "kappa_lo", float, 1e-4)
-    kappa_hi = config_value(task, "kappa_hi", float, 1e-2)
+    kappa_lo = config_value(task, "kappa_lo", json_float, 1e-4)
+    kappa_hi = config_value(task, "kappa_hi", json_float, 1e-2)
     if not 0 < kappa_lo < kappa_hi <= eps:
         raise ConfigError(f"kappa_lo = {kappa_lo}, kappa_hi = {kappa_hi}; "
                           f"need 0 < kappa_lo < kappa_hi <= eps = {eps}")
@@ -431,7 +430,7 @@ def cmd_eigenvalues(cfg, writer: ArtifactWriter, args) -> int:
 def cmd_verify(cfg, writer: ArtifactWriter, args) -> int:
     """Structural lemma suite plus module invariant spot checks."""
     task = _task(cfg, "verify", {})
-    lam = config_value(task, "lam", float, None)
+    lam = config_value(task, "lam", json_float, None)
     eps = _eps(task)
     if not eps > 1e-4:
         raise ConfigError(f"eps = {eps}; verify samples |kappa| from 1e-4 and needs eps > 1e-4")
@@ -472,10 +471,6 @@ COMMANDS = {
 }
 
 
-def _env_default(name: str, fallback):
-    return os.environ.get(ENV_PREFIX + name, fallback)
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="wgscat",
@@ -483,11 +478,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("command", choices=sorted(COMMANDS))
     ap.add_argument("--config", required=True, help="JSON run configuration")
-    ap.add_argument("--out", default=_env_default("OUT", "out"), help="output directory")
-    ap.add_argument(
-        "--threads", type=int, default=_env_default("THREADS", "1"),
-        help="accepted for compatibility; has no effect",
-    )
+    ap.add_argument("--out", default=os.environ.get("WGSCAT_OUT", "out"),
+                    help="output directory")
+    ap.add_argument("--threads", type=int, default=1,
+                    help="accepted for compatibility; has no effect")
     ap.add_argument(
         "--verify", action="store_true",
         help="expansion: check against the dense oracle (slower); "

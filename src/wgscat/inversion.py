@@ -463,12 +463,12 @@ FAMILY_SCHEMA_VERSION = 1
 
 
 def _matrix_from_json(entries) -> np.ndarray:
-    """Finite square matrix from a list of rows of ``[re, im]`` pairs; raises
-    ``ValueError``/``TypeError`` on anything else."""
+    """Square matrix from a list of rows of ``[re, im]`` pairs of finite
+    numbers; raises ``ValueError``/``TypeError`` on anything else."""
     entry = lambda pair: complex(*json_list(pair, length=2))
     m = np.asarray(json_list(entries, lambda row: json_list(row, entry)), dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or not np.all(np.isfinite(m)):
-        raise ValueError("expected a finite square matrix of [re, im] pairs")
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("expected a square matrix of [re, im] pairs")
     return m
 
 

@@ -4,8 +4,9 @@ Matrices are plain ``numpy.ndarray`` (complex128, 2-D); this module adds the
 validated operations the rest of the package builds on: guarded inverses,
 SVD kernel projectors, contour (Riesz) projectors, Hermitian splitting and
 positivity diagnostics.  Every dense inverse, solve and condition figure
-comes from one per-block LU, guarded by the exact 1-norm condition
-``|A|_1 |A^-1|_1`` read off the inverse it forms.
+comes from one LAPACK ``gesv`` per block against the identity, guarded by
+the exact 1-norm condition ``|A|_1 |A^-1|_1`` read off the inverse it
+forms.
 
 A block-diagonal operator is held as its stack of diagonal blocks, a 3-D
 array ``(n_blocks, m, m)``; its coordinates run through the blocks in order.
@@ -21,7 +22,6 @@ internal state, so concurrent use is safe.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,6 +43,8 @@ REFINE_STEPS = 2          # Newton steps of the oracle inverse
 RIESZ_N_QUAD = 64         # trapezoid points on a Riesz projection contour
 ZERO_GROUP_TOL = 1e-8     # |eigenvalue| / spectral scale that counts as 0
 ONENORM_STEPS = 4         # unit-vector steps of the 1-norm estimator (zlacn2's ITMAX - 1)
+
+_GESV = sla.get_lapack_funcs("gesv", (np.zeros(1, dtype=complex),))
 
 
 def require_square(a, stack: bool = False) -> np.ndarray:
@@ -133,32 +135,6 @@ def identity_projection(n: int) -> Projection:
     return Projection(np.eye(n, dtype=complex))
 
 
-def _guarded_inverse(blocks: np.ndarray) -> tuple[np.ndarray, float]:
-    """``(inverse, cond)`` of a validated 3-D block stack, the one guarded
-    dense inverse: one LU per block, solved against the identity into
-    column-major blocks as LAPACK returns them, and ``cond = max_b |A_b|_1 *
-    max_b |A_b^-1|_1`` read off the inverse (1 when empty).  Raises
-    :class:`SingularMatrixError` at an exactly zero pivot and unless ``cond
-    <= COND_LIMIT``, which refuses NaN and inf too."""
-    out = np.empty(blocks.shape, dtype=complex).swapaxes(1, 2)
-    if out.size == 0:
-        return out, 1.0
-    eye = np.eye(blocks.shape[1], dtype=complex)
-    with warnings.catch_warnings():
-        # exact singularity is detected below through the pivots
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        for b, a in enumerate(blocks):
-            lu, piv = sla.lu_factor(a, check_finite=False)
-            if np.any(np.diag(lu) == 0.0):
-                raise SingularMatrixError("matrix is exactly singular")
-            out[b] = sla.lu_solve((lu, piv), eye, check_finite=False)
-    cond = float(np.max(np.linalg.norm(blocks, 1, axis=(1, 2)))
-                 * np.max(np.linalg.norm(out, 1, axis=(1, 2))))
-    if not cond <= COND_LIMIT:
-        raise SingularMatrixError("matrix is singular to working tolerance", cond)
-    return out, cond
-
-
 def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a^-1 b`` from the guarded :func:`inverse`, which raises
     :class:`SingularMatrixError` (a reference solve: the package's own
@@ -173,12 +149,28 @@ def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def inverse_with_cond(a: np.ndarray) -> tuple[np.ndarray, float]:
     """Condition-guarded dense inverse of a matrix or a block stack, and its
     exact 1-norm condition; of a stack, block by block under the block guard
-    ``max_b |A_b|_1 * max_b |A_b^-1|_1`` of the whole operator."""
+    ``max_b |A_b|_1 * max_b |A_b^-1|_1`` of the whole operator (1 when
+    empty), read off the inverse.
+
+    The one guarded dense inverse: a matrix is a one-block stack, and one
+    LAPACK ``gesv`` per block solves against the identity in place, into
+    column-major blocks.  Raises :class:`SingularMatrixError` at an exactly
+    zero pivot (``info > 0``) and unless ``cond <= COND_LIMIT``, which
+    refuses NaN and inf too."""
     m = require_square(a, stack=True)
-    if m.ndim == 3:
-        return _guarded_inverse(m)
-    inv, cond = _guarded_inverse(m[None])
-    return inv[0], cond
+    blocks = m if m.ndim == 3 else m[None]
+    out = np.empty(blocks.shape, dtype=complex).swapaxes(1, 2)
+    if out.size == 0:
+        return out.reshape(m.shape), 1.0
+    out[...] = np.eye(m.shape[-1])
+    for b, block in enumerate(blocks):
+        if _GESV(block, out[b], overwrite_b=True)[3] > 0:
+            raise SingularMatrixError("matrix is exactly singular")
+    cond = float(np.max(np.linalg.norm(blocks, 1, axis=(1, 2)))
+                 * np.max(np.linalg.norm(out, 1, axis=(1, 2))))
+    if not cond <= COND_LIMIT:
+        raise SingularMatrixError("matrix is singular to working tolerance", cond)
+    return out.reshape(m.shape), cond
 
 
 def inverse(a: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ which a model's grid operators are block diagonal.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -49,8 +50,8 @@ class Interval:
     length: float
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise ModelError("interval length must be positive")
+        if not 0 < self.length < math.inf:
+            raise ModelError("interval length must be positive and finite")
 
     def transverse_rule(self, n_omega: int):
         # Dirichlet lattice (interior trapezoid rule): orthonormalizes the
@@ -89,8 +90,8 @@ class Rectangle:
     _sorted: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.l1 <= 0 or self.l2 <= 0:
-            raise ModelError("rectangle sides must be positive")
+        if not (0 < self.l1 < math.inf and 0 < self.l2 < math.inf):
+            raise ModelError("rectangle sides must be positive and finite")
 
     def transverse_rule(self, n_omega: int):
         # n_omega points per axis, Dirichlet lattice on each
@@ -165,12 +166,14 @@ class Custom:
         if self.weights.ndim != 1 or nodes.ndim != 2 or nodes.shape[0] != self.weights.size:
             raise ModelError("custom rule needs one node row per weight")
         ev = np.asarray(self.eigenvalues, dtype=float)
+        if not all(np.all(np.isfinite(x)) for x in (nodes, self.weights, ev, self.samples)):
+            raise ModelError("custom cross-section data must be finite")
         if np.any(np.diff(ev) < 0):
             raise ModelError("custom eigenvalues must be nondecreasing")
         if self.samples.shape != (ev.size, self.weights.size):
             raise ModelError("samples must be (n_modes, n_nodes)")
         gram = np.einsum("i,ki,li->kl", self.weights, self.samples, self.samples)
-        if np.max(np.abs(gram - np.eye(ev.size))) > ORTHONORMALITY_TOL:
+        if not np.max(np.abs(gram - np.eye(ev.size))) <= ORTHONORMALITY_TOL:
             raise ModelError("custom eigenfunctions are not orthonormal under the rule")
 
     def transverse_rule(self, n_omega: int):
@@ -276,7 +279,10 @@ class Grid:
     x_weights: np.ndarray      # (n_x,)
 
     def __post_init__(self):
-        if np.any(self.omega_weights <= 0) or np.any(self.x_weights <= 0):
+        parts = (self.omega_nodes, self.omega_weights, self.x_nodes, self.x_weights)
+        if not all(np.all(np.isfinite(x)) for x in parts):
+            raise ModelError("quadrature nodes and weights must be finite")
+        if not (np.all(self.omega_weights > 0) and np.all(self.x_weights > 0)):
             raise ModelError("quadrature weights must be positive")
 
     @property
@@ -300,8 +306,8 @@ def build_grid(cross_section, support: tuple[float, float], n_omega: int, n_x: i
     """Grid for ``supp V``: transverse rule from the cross-section kind,
     Gauss-Legendre panels longitudinally on ``[a, b]``."""
     a, b = support
-    if not b > a:
-        raise ModelError("support box must have positive length")
+    if not -math.inf < a < b < math.inf:
+        raise ModelError("support box must be finite with positive length")
     om_nodes, om_weights = cross_section.transverse_rule(n_omega)
     x_nodes, x_weights = gauss_legendre_panels(a, b, n_x, n_panels)
     return Grid(om_nodes, om_weights, x_nodes, x_weights)
@@ -576,7 +582,7 @@ def _omega_profile(kind: dict | None, nodes: np.ndarray, length: float) -> np.nd
     if name == "uniform":
         return np.ones_like(om)
     if name == "cosine":
-        amp = config_value(kind, "amplitude", float, 0.0)
+        amp = config_value(kind, "amplitude", json_float, 0.0)
         harmonic = config_value(kind, "harmonic", json_int, 1)
         if abs(amp) >= 1.0:
             raise ModelError("cosine profile amplitude must satisfy |a| < 1")
@@ -622,7 +628,24 @@ def square_well_model(
 _REQUIRED = object()
 
 
-def config_value(section: dict, key: str, convert=float, default=_REQUIRED):
+def json_float(value) -> float:
+    """A JSON number with a finite value (``0.2`` or ``1``) as a ``float``;
+    a string, a boolean, ``NaN`` or an infinity raises ``ValueError``."""
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max):
+        return float(value)
+    raise ValueError(f"expected a finite number, got {value!r}")
+
+
+def json_array(value) -> np.ndarray:
+    """A JSON number or (nested) array of :func:`json_float` numbers as a
+    float array; a ragged array raises ``ValueError``."""
+    def floats(v):
+        return [floats(x) for x in v] if isinstance(v, list) else json_float(v)
+    return np.asarray(floats(value), dtype=float)
+
+
+def config_value(section: dict, key: str, convert=json_float, default=_REQUIRED):
     """``convert(section[key])`` for one field of a JSON config section, or
     ``default`` when the key is absent and a default is given.
 
@@ -641,7 +664,7 @@ def config_value(section: dict, key: str, convert=float, default=_REQUIRED):
         raise ConfigError(f"bad value for {key!r}: {exc}") from exc
 
 
-def json_list(value, convert=float, length: int | None = None) -> list:
+def json_list(value, convert=json_float, length: int | None = None) -> list:
     """A JSON array with ``convert`` applied to each item, of the given
     length if any."""
     if not isinstance(value, list) or (length is not None and len(value) != length):
@@ -685,12 +708,13 @@ def model_from_config(doc: dict) -> WaveguideModel:
 
     A missing or malformed field (an integer field, ``n_omega``, ``n_x``,
     ``n_panels``, ``n_max`` or ``harmonic``, must be a JSON number with an
-    integral value: :func:`json_int`), ``n_max < 1``, a grid with fewer than 2
-    nodes per axis (``n_omega`` is ignored for a custom cross-section), an
-    ``n_panels`` that does not divide ``n_x``, or a ``values`` table whose
-    shape is not the grid's raises :class:`ConfigError`, and an unsupported
-    schema version or kind raises :class:`ModelError`; all before the model
-    is built.
+    integral value: :func:`json_int`; every other number, array entries
+    included, a finite JSON number: :func:`json_float`), ``n_max < 1``, a
+    grid with fewer than 2 nodes per axis (``n_omega`` is ignored for a
+    custom cross-section), an ``n_panels`` that does not divide ``n_x``, or
+    a ``values`` table whose shape is not the grid's raises
+    :class:`ConfigError`, and an unsupported schema version or kind raises
+    :class:`ModelError`; all before the model is built.
     """
     if not isinstance(doc, dict) or doc.get("schema_version") != MODEL_SCHEMA_VERSION:
         raise ModelError("unsupported model schema_version")
@@ -701,14 +725,11 @@ def model_from_config(doc: dict) -> WaveguideModel:
     elif kind == "rectangle":
         cs = Rectangle(config_value(cs_doc, "l1"), config_value(cs_doc, "l2"))
     elif kind == "custom":
-        def array(key):
-            return config_value(cs_doc, key, lambda v: np.asarray(v, dtype=float))
-
         cs = Custom(
-            array("nodes"),
-            array("weights"),
+            config_value(cs_doc, "nodes", json_array),
+            config_value(cs_doc, "weights", json_array),
             tuple(config_value(cs_doc, "eigenvalues", json_list)),
-            array("samples"),
+            config_value(cs_doc, "samples", json_array),
         )
     else:
         raise ModelError(f"unknown cross-section kind {kind!r}")
@@ -738,7 +759,7 @@ def model_from_config(doc: dict) -> WaveguideModel:
         )
     if pot_kind == "table":
         grid = build_grid(cs, x_box, n_omega, n_x, n_panels)
-        values = config_value(pot_doc, "values", lambda v: np.asarray(v, dtype=float))
+        values = config_value(pot_doc, "values", json_array)
         if values.shape != (grid.n_omega, grid.n_x):
             raise ConfigError(
                 f"potential table of shape {values.shape} does not match the "

@@ -47,6 +47,21 @@ def same_bits(x, y) -> bool:
         np.ascontiguousarray(x).tobytes() == np.ascontiguousarray(y).tobytes())
 
 
+def record_gesv(monkeypatch) -> list[np.ndarray]:
+    """Route the guarded inverse's LAPACK ``gesv`` binding through a recorder
+    for the rest of the test; returns the list that receives a copy of each
+    block it factors, in call order."""
+    factored = []
+    gesv = linalg._GESV
+
+    def recording(a, *args, **kwargs):
+        factored.append(np.array(a))
+        return gesv(a, *args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_GESV", recording)
+    return factored
+
+
 def fit_slope(xs, ys) -> float:
     """Least-squares slope of log ys against log xs."""
     return float(np.polyfit(np.log(np.asarray(xs, float)),

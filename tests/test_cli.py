@@ -42,6 +42,14 @@ def custom_interval(n_modes: int) -> dict:
             "samples": [m.samples.tolist() for m in modes]}
 
 
+def custom_with_nan(key: str) -> dict:
+    """MODEL_DOC on the ``custom_interval`` of its 4 orthonormal modes, with
+    one NaN in the cross-section's ``key`` array."""
+    cs = custom_interval(4)
+    (cs[key][0] if key == "samples" else cs[key])[1] = float("nan")
+    return dict(MODEL_DOC, cross_section=cs, n_max=4)
+
+
 def run(args):
     return cli.main([str(a) for a in args])
 
@@ -490,6 +498,20 @@ class TestConfigErrors:
         ("modes", {"modes": {}}, dict(MODEL_DOC, potential=dict(
             MODEL_DOC["potential"],
             omega_profile={"kind": "cosine", "amplitude": 0.5, "harmonic": 1.5})), None),
+        ("modes", {"modes": {}},
+         dict(MODEL_DOC, cross_section={"kind": "interval", "length": float("inf")}), None),
+        ("modes", {"modes": {}},
+         dict(MODEL_DOC, cross_section={"kind": "rectangle", "l1": float("nan"), "l2": 1.0}),
+         None),
+        ("modes", {"modes": {}}, custom_with_nan("samples"), None),
+        ("modes", {"modes": {}}, custom_with_nan("eigenvalues"), None),
+        ("modes", {"modes": {}}, custom_with_nan("weights"), None),
+        ("modes", {"modes": {}}, custom_with_nan("nodes"), None),
+        ("smatrix", {"smatrix": {"energies": [2.2], "tail_tol": "0.2"}}, MODEL_DOC, None),
+        ("modes", {"modes": {}},
+         dict(MODEL_DOC, potential=dict(MODEL_DOC["potential"], depth=True)), None),
+        ("expansion", {"expansion": {"lam": 4.0, "eps": float("inf"), "tail_tol": 0.2}},
+         MODEL_DOC, None),
     ], ids=["energy-not-a-number", "energies-null", "n_x-not-an-integer",
             "model-schema-version", "family-base-not-a-matrix", "family-not-json",
             "family-coeff-not-a-matrix", "table-shape", "n_omega-1", "n_x-1",
@@ -508,7 +530,10 @@ class TestConfigErrors:
             "energy-below-lambda_1", "energy-at-lambda_1",
             "pair-sigma-2", "pair-n-0", "pair-n-above-n_max", "pair-closed", "pair-n-fraction",
             "halvings-fraction", "resolutions-fraction", "resolutions-string", "n_x-string",
-            "n_x-fraction", "n_panels-fraction", "n_max-boolean", "harmonic-fraction"])
+            "n_x-fraction", "n_panels-fraction", "n_max-boolean", "harmonic-fraction",
+            "interval-length-infinite", "rectangle-l1-nan", "custom-samples-nan",
+            "custom-eigenvalues-nan", "custom-weights-nan", "custom-nodes-nan",
+            "tail_tol-string", "depth-boolean", "eps-infinite"])
     def test_exit_2_and_no_output(self, tmp_path, command, tasks, model, family):
         if family is not None:
             (tmp_path / "family.json").write_text(family)
@@ -539,12 +564,3 @@ class TestConfigErrors:
         assert not (out / "eigenvalues.csv").exists()
         assert [p.name for p in out.iterdir()] == ["eigenvalue_counts.json"]
         assert (out / "eigenvalue_counts.json").is_dir()
-
-    def test_bad_thread_count_in_the_environment(self, tmp_path, monkeypatch):
-        # as --threads abc: argparse reports the value and exits 2
-        monkeypatch.setenv("WGSCAT_THREADS", "abc")
-        cfg = write_config(tmp_path, {"modes": {}})
-        with pytest.raises(SystemExit) as exc:
-            run(["modes", "--config", cfg, "--out", tmp_path / "out"])
-        assert exc.value.code == 2
-        assert not (tmp_path / "out").exists()

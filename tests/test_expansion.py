@@ -5,7 +5,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import helpers
 from wgscat import birman, expansion, linalg, waveguide
@@ -222,18 +221,12 @@ class TestEigenvalueLadder:
             (lam0 - 4e-3, lam0 + 4e-3), master_model,
             resolution=9, tail_tol=0.04, refine_width=1e-9,
         )
-        dims = []
-        lu_factor = scipy.linalg.lu_factor
-
-        def recording(a, *args, **kwargs):
-            dims.append(a.shape[0])
-            return lu_factor(a, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "lu_factor", recording)
+        factored = helpers.record_gesv(monkeypatch)
         lad = expansion.build_eigenvalue_ladder(master_model, cand.lam, eps=2e-2, tail_tol=0.04)
         for k in diag_kappas(lad.eps, count=2):
             expansion.m_function(lad, k)
         n_x = master_model.grid.n_x
+        dims = [a.shape[0] for a in factored]
         assert lad.rank == 1 and lad.t0.shape == (4, n_x, n_x)
         assert dims and max(dims) <= n_x < master_model.dim
 
@@ -504,17 +497,11 @@ class TestSectorBlocks:
 
     def test_lu_only_at_block_size(self, deep_ladder, monkeypatch):
         # at(k) factors the n_omega sector blocks, never the dim x dim operator
-        dims = []
-        lu_factor = scipy.linalg.lu_factor
-
-        def recording(a, *args, **kwargs):
-            dims.append(a.shape[0])
-            return lu_factor(a, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "lu_factor", recording)
+        factored = helpers.record_gesv(monkeypatch)
         for k in diag_kappas(deep_ladder.eps, count=3):
             deep_ladder.at(k)
         n_x = deep_ladder.model.grid.n_x
+        dims = [a.shape[0] for a in factored]
         assert dims and max(dims) <= n_x < deep_ladder.dim
 
 

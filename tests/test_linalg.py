@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import helpers
 from wgscat import birman, linalg, waveguide
@@ -158,9 +159,28 @@ class TestConditionGuard:
         assert abs(err.value.cond / block_guard(blocks) - 1.0) <= 1e-12
         assert err.value.cond == linalg.cond_estimate(blocks)
 
+    @pytest.mark.parametrize("shape", [(7, 7), (3, 6, 6)], ids=["matrix", "stack"])
+    def test_bits_and_layout_of_the_lu_reference(self, shape):
+        # each block's inverse is, bit for bit, LU factors solved against the
+        # identity, and column-major as LAPACK returns it
+        rng = np.random.default_rng(23)
+        a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        inv = linalg.inverse(a)
+        assert inv.shape == a.shape
+        eye = np.eye(shape[-1])
+        for block, got in zip(a.reshape((-1,) + shape[-2:]), inv.reshape((-1,) + shape[-2:])):
+            ref = scipy.linalg.lu_solve(scipy.linalg.lu_factor(block), eye)
+            assert helpers.same_bits(got, ref)
+            assert got.flags.f_contiguous
+        assert inv.ndim == 3 or inv.flags.f_contiguous
+
     def test_exactly_singular_and_empty(self):
         with pytest.raises(SingularMatrixError, match="exactly singular") as err:
             linalg.inverse(np.zeros((3, 3), dtype=complex))
+        assert err.value.cond == float("inf")
+        blocks = np.stack([np.eye(3), np.diag([1.0, 0.0, 2.0])]).astype(complex)
+        with pytest.raises(SingularMatrixError, match="exactly singular") as err:
+            linalg.inverse(blocks)
         assert err.value.cond == float("inf")
         assert linalg.cond_estimate(np.ones((2, 2))) == float("inf")
         inv, cond = linalg.inverse_with_cond(np.zeros((0, 0)))

@@ -66,6 +66,25 @@ class TestTransverseModes:
         with pytest.raises(ModelError):
             waveguide.Custom(np.array([]), weights, (1.0, 2.5), samples)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0], ids=["inf", "nan", "zero"])
+    def test_non_finite_or_non_positive_sides_rejected(self, value):
+        with pytest.raises(ModelError):
+            waveguide.Interval(value)
+        with pytest.raises(ModelError):
+            waveguide.Rectangle(value, 1.0)
+        with pytest.raises(ModelError):
+            waveguide.Rectangle(1.0, value)
+
+    @pytest.mark.parametrize("field", ["nodes", "weights", "eigenvalues", "samples"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_custom_non_finite_data_rejected(self, field, value):
+        data = {"nodes": np.array([0.25, 0.75]), "weights": np.array([0.5, 0.5]),
+                "eigenvalues": np.array([1.0, 2.5]),
+                "samples": np.array([[1.0, 1.0], [1.0, -1.0]])}
+        data[field].flat[-1] = value
+        with pytest.raises(ModelError):
+            waveguide.Custom(**data)
+
     def test_orthonormality_invariant(self, interval_cs):
         # the transverse rule orthonormalizes every retained mode pair
         for n_max in (3, 5, 8):
@@ -138,6 +157,22 @@ class TestGrid:
     def test_weights_positive(self, well_small):
         g = well_small.grid
         assert np.all(g.omega_weights > 0) and np.all(g.x_weights > 0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", ["omega_nodes", "omega_weights", "x_nodes", "x_weights"])
+    def test_non_finite_grid_rejected(self, well_small, field, value):
+        g = well_small.grid
+        parts = {name: getattr(g, name).copy() for name in
+                 ("omega_nodes", "omega_weights", "x_nodes", "x_weights")}
+        parts[field].flat[0] = value
+        with pytest.raises(ModelError):
+            waveguide.Grid(**parts)
+
+    @pytest.mark.parametrize("support", [(0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0),
+                                         (0.0, math.nan), (1.0, 1.0)])
+    def test_build_grid_needs_a_finite_box(self, interval_cs, support):
+        with pytest.raises(ModelError):
+            waveguide.build_grid(interval_cs, support, 4, 8)
 
     def test_panel_split_validation(self):
         with pytest.raises(DimensionError):
