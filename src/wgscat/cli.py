@@ -38,7 +38,9 @@ Config schema::
 ``lam`` it runs at the model's second threshold (its first when the model
 has only one).  Each
 ``invert_demo`` value ``z`` must be finite with ``0 < |z| < radius`` and
-``arg z`` in the ``sector`` of every family in the file.  Every
+``arg z`` in the ``sector`` of every family in the file, and the task needs
+at least one ``z`` and the file at least one family: a run that compares
+nothing does not exit 0.  Every
 ``tail_tol`` and ``eps`` must be positive, the ``smatrix`` energies finite,
 above ``lambda_1`` (where the first channel opens) and within the model's
 range (``birman.check_model_range``), and the
@@ -250,7 +252,11 @@ def cmd_invert_demo(cfg, writer: ArtifactWriter, args) -> int:
     )
     if not fam_path.is_absolute():
         fam_path = Path(args.config).parent / fam_path
+    if not z_values:
+        raise ConfigError("z_values = []; need at least one z")
     fams = inversion.load_families(fam_path)
+    if not fams:
+        raise ConfigError(f"family file {fam_path} holds no family; need at least one")
     for z in z_values:
         for i, fam in enumerate(fams):
             if not fam.contains(z):

@@ -8,7 +8,10 @@ At a threshold ``lam`` the sandwiched operator splits as
 
 with ``N0`` the rank-``|N|`` leading kernel of the threshold group,
 ``N1(k)`` its regular part (assembled as an exact difference, no small-k
-cancellation) and ``W(k)`` the remaining mode sum.  Iterating the projection
+cancellation) and ``W(k)`` the remaining mode sum.  One assembly, ``_m1``,
+forms ``M1(k)`` at every kappa; ``M1(0)``, from which the ladder's kappa = 0
+data is built, is its value at ``k = 0``, where the regular part's kernel
+``(exp(-k y) - 1)/(2k)`` takes its limit ``-y/2``.  Iterating the projection
 inversion produces nested kernel projections ``S0 >= S1 >= S2`` plus a
 final contour projection ``S3``, and compressed operators ``I1, I2, I3``
 whose inverses resolve the four-term expansion
@@ -73,22 +76,25 @@ KAPPA_PER_DECADE = 8     # |kappa| samples per decade on each structural ray
 CERTIFICATE_TOL = 1e-10  # level-1 positivity defect allowed, relative to max(1, |M10|)
 
 
-def _group_x_kernel(kappa: complex, kind: str, x_nodes: np.ndarray) -> np.ndarray:
-    """Longitudinal kernels of the threshold-group expansion.
-
-    ``regular``: ``(exp(-k y) - 1) / (2 k)`` at ``k != 0`` (the full kernel
-    minus its ``1/(2k)`` singular part; its ``k = 0`` value is ``linear``),
-    ``linear``: ``-y/2``, ``quadratic``: ``y^2/4``, with ``y = |x - x'|``.
-    """
-    x = np.asarray(x_nodes, dtype=float)
-    y = np.abs(x[:, None] - x[None, :])
-    if kind == "regular":
-        return np.expm1(-kappa * y) / (2.0 * kappa)
-    if kind == "linear":
+def _group_kernel(kappa: complex, x_nodes: np.ndarray) -> np.ndarray:
+    """Regular part ``(exp(-k y) - 1) / (2 k)`` of the threshold group's
+    longitudinal kernel (the full kernel minus its ``1/(2k)`` singular part),
+    ``y = |x - x'|``; at ``k = 0`` its limit ``-y/2``."""
+    y = np.abs(x_nodes[:, None] - x_nodes[None, :])
+    if kappa == 0:
         return -y / 2.0 + 0j
-    if kind == "quadratic":
-        return y**2 / 4.0 + 0j
-    raise ValueError(kind)
+    return np.expm1(-kappa * y) / (2.0 * kappa)
+
+
+def _m1(model: WaveguideModel, lam: float, members: tuple[int, ...], others: list[int],
+        u: np.ndarray, kappa: complex) -> np.ndarray:
+    """``M1(k) = N1(k) + u + W(k)`` as sector blocks: the group modes
+    ``members`` through :func:`_group_kernel` (an exact difference, no
+    small-k cancellation), the potential's sign stack ``u`` and the mode sum
+    over the ``others`` at ``z = lam - k^2``.  At ``k = 0`` this is ``M1(0)``."""
+    kernel = _group_kernel(kappa, model.grid.x_nodes)
+    n1 = birman.mode_sum_blocks(model, 0.0, list(members), x_kernel=lambda n: kernel)
+    return n1 + u + birman.mode_sum_blocks(model, lam - kappa**2, others)
 
 
 def kappa_sample_paths(lo: float = 1e-4, hi: float = 1e-2) -> dict[str, np.ndarray]:
@@ -187,7 +193,6 @@ class ThresholdLadder:
     pn: np.ndarray            # projector onto span(vtil)
     s0: np.ndarray            # I - pn
     n0: np.ndarray
-    n10: np.ndarray
     n20: np.ndarray
     u: np.ndarray             # the potential's sign u as a stack
     m10: np.ndarray
@@ -250,23 +255,10 @@ class ThresholdLadder:
     def other_modes(self) -> list[int]:
         return [n for n in range(1, self.n_used + 1) if n not in self.members]
 
-    def n1(self, kappa: complex) -> np.ndarray:
-        """Regular part of the group kernel (exact difference form)."""
-        return birman.mode_sum_blocks(
-            self.model,
-            0.0,
-            list(self.members),
-            x_kernel=lambda n: _group_x_kernel(kappa, "regular", self.model.grid.x_nodes),
-        )
-
-    def w(self, kappa: complex) -> np.ndarray:
-        """Mode sum over the non-group channels at ``z = lam - kappa^2``."""
-        return birman.mode_sum_blocks(self.model, self.lam - kappa**2, self.other_modes())
-
     def m1(self, kappa: complex) -> np.ndarray:
         if kappa == 0:
             return self.m10
-        return self.n1(kappa) + self.u + self.w(kappa)
+        return _m1(self.model, self.lam, self.members, self.other_modes(), self.u, kappa)
 
     def g0(self, kappa: complex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``((I0(kappa) + S0)^-1, M1(kappa)^-1, M1(kappa))`` at ``kappa != 0``
@@ -374,22 +366,16 @@ def _level0_data(model: WaveguideModel, lam: float, eps: float, tail_tol: float)
         *(q[:, np.abs(np.diag(r)) > DEFAULT_RANK_TOL * rmax] for q, r in factors)
     ).astype(complex)
 
-    x_nodes = model.grid.x_nodes
-    n10 = birman.mode_sum_blocks(
-        model, 0.0, list(members),
-        x_kernel=lambda n: _group_x_kernel(0.0, "linear", x_nodes),
-    )
     others = [n for n in range(1, n_used + 1) if n not in members]
-    w0 = birman.mode_sum_blocks(model, complex(lam), others)
     u = sec.diagonal(model.potential.u)
-    m10 = n10 + u + w0
+    m10 = _m1(model, lam, members, others, u, 0.0)
 
     ub = sec.blocked(u_n)
     pn = ub @ linalg.adjoint(ub)
     s0 = np.eye(sec.block_dim, dtype=complex) - pn
     return {
         "lam": lam, "n_used": n_used, "tail_bound": tail_bound, "members": members, "vtil": vtil,
-        "u_n": u_n, "n10": n10, "u": u, "m10": m10, "pn": pn, "s0": s0, "i10": s0 @ m10 @ s0,
+        "u_n": u_n, "u": u, "m10": m10, "pn": pn, "s0": s0, "i10": s0 @ m10 @ s0,
     }
 
 
@@ -433,11 +419,9 @@ def build_threshold_ladder(
     n0 = np.zeros((sec.n_blocks, sec.block_dim, sec.block_dim), dtype=complex)
     for i in range(vt.shape[2]):
         n0 += vt[:, :, i, None] * vt[:, None, :, i].conj()
-    x_nodes = model.grid.x_nodes
-    n20 = birman.mode_sum_blocks(
-        model, 0.0, list(d0["members"]),
-        x_kernel=lambda n: _group_x_kernel(0.0, "quadratic", x_nodes),
-    )
+    x = model.grid.x_nodes
+    quadratic = (x[:, None] - x[None, :]) ** 2 / 4.0 + 0j
+    n20 = birman.mode_sum_blocks(model, 0.0, list(d0["members"]), x_kernel=lambda n: quadratic)
     # exact (N0 + S0)^-1: block inverse on span(vtil), identity on its kernel
     if u_n.shape[2]:
         core = (linalg.adjoint(u_n) @ n0 @ u_n).sum(axis=0)

@@ -210,18 +210,14 @@ class ThresholdGroup:
     members: tuple[int, ...]
 
 
-def threshold_groups(
-    modes: Sequence[TransverseMode], degeneracy_tol: float | None = None
-) -> list[ThresholdGroup]:
-    """Greedy clustering of sorted eigenvalues into degeneracy groups; the
-    default tolerance is ``THRESHOLD_REL_TOL`` relative to the eigenvalue."""
+def threshold_groups(modes: Sequence[TransverseMode]) -> list[ThresholdGroup]:
+    """Greedy clustering of sorted eigenvalues into degeneracy groups, at
+    ``THRESHOLD_REL_TOL`` relative to the eigenvalue."""
     groups: list[ThresholdGroup] = []
     current: list[int] = []
     anchor = None
     for m in modes:
-        tol = degeneracy_tol
-        if tol is None:
-            tol = THRESHOLD_REL_TOL * max(1.0, abs(m.eigenvalue))
+        tol = THRESHOLD_REL_TOL * max(1.0, abs(m.eigenvalue))
         if anchor is not None and abs(m.eigenvalue - anchor) <= tol:
             current.append(m.index)
         else:

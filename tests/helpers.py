@@ -149,15 +149,15 @@ def dense_level_inverses(ladder, kappa) -> tuple[np.ndarray, np.ndarray, np.ndar
     s0 = np.eye(model.dim) - pn
     udiag = np.diag(model.u_diag())
 
-    def group(kind, kk=0.0):
+    def group(kk):
         return birman.mode_sum_matrix(
-            model, 0.0, members, x_kernel=lambda n: expansion._group_x_kernel(kk, kind, x)
+            model, 0.0, members, x_kernel=lambda n: expansion._group_kernel(kk, x)
         )
 
     others = ladder.other_modes()
-    m1 = group("regular", k) + udiag + birman.mode_sum_matrix(model, ladder.lam - k * k, others)
+    m1 = group(k) + udiag + birman.mode_sum_matrix(model, ladder.lam - k * k, others)
     g0 = linalg.inverse(vt.T @ vt.conj() + 2.0 * k * m1 + s0)
-    m10 = group("linear") + udiag + birman.mode_sum_matrix(model, complex(ladder.lam), others)
+    m10 = group(0.0) + udiag + birman.mode_sum_matrix(model, complex(ladder.lam), others)
     b1 = linalg.kernel_basis(s0 @ m10 @ s0 + pn)
     i1 = (s0 - s0 @ g0 @ s0) / (2.0 * k)
     h1 = linalg.inverse(i1 + b1 @ b1.conj().T + pn) - pn

@@ -512,6 +512,9 @@ class TestConfigErrors:
          dict(MODEL_DOC, potential=dict(MODEL_DOC["potential"], depth=True)), None),
         ("expansion", {"expansion": {"lam": 4.0, "eps": float("inf"), "tail_tol": 0.2}},
          MODEL_DOC, None),
+        ("invert-demo", INVERT, MODEL_DOC, "[]"),
+        ("invert-demo", {"invert_demo": {"families": "family.json", "z_values": []}},
+         MODEL_DOC, json.dumps(SCALAR_FAMILY)),
     ], ids=["energy-not-a-number", "energies-null", "n_x-not-an-integer",
             "model-schema-version", "family-base-not-a-matrix", "family-not-json",
             "family-coeff-not-a-matrix", "table-shape", "n_omega-1", "n_x-1",
@@ -533,7 +536,8 @@ class TestConfigErrors:
             "n_x-fraction", "n_panels-fraction", "n_max-boolean", "harmonic-fraction",
             "interval-length-infinite", "rectangle-l1-nan", "custom-samples-nan",
             "custom-eigenvalues-nan", "custom-weights-nan", "custom-nodes-nan",
-            "tail_tol-string", "depth-boolean", "eps-infinite"])
+            "tail_tol-string", "depth-boolean", "eps-infinite", "family-file-empty",
+            "z_values-empty"])
     def test_exit_2_and_no_output(self, tmp_path, command, tasks, model, family):
         if family is not None:
             (tmp_path / "family.json").write_text(family)

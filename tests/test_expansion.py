@@ -64,16 +64,22 @@ class TestThresholdLadderStructure:
             assert np.linalg.norm(s0.matrix @ v) <= 1e-9 * np.linalg.norm(v)
 
     def test_leading_kernels_self_adjoint(self, well_small):
+        # N1(0) is the group-kernel mode sum at k = 0; M1(0) - u is not
+        # self-adjoint, since W(0) has a skew part
         lad = expansion.build_threshold_ladder(well_small, 4.0, eps=2e-2, tail_tol=0.1)
-        for mat in (lad.n0, lad.n10, lad.n20):
+        x = well_small.grid.x_nodes
+        n10 = birman.mode_sum_blocks(well_small, 0.0, list(lad.members),
+                                     x_kernel=lambda n: expansion._group_kernel(0.0, x))
+        for mat in (lad.n0, n10, lad.n20):
             assert linalg.opnorm(mat - linalg.adjoint(mat)) <= 1e-12 * max(1.0, linalg.opnorm(mat))
 
     def test_regular_part_limit_matches_quadratic_kernel(self, well_small):
-        # (N1(k) - N1(0)) / k converges to the quadratic kernel as k -> 0
+        # (M1(k) - M1(0)) / k converges to the quadratic kernel as k -> 0:
+        # N1 carries the first-order term, and W(k) - W(0) is O(k^2)
         lad = expansion.build_threshold_ladder(well_small, 4.0, eps=2e-2, tail_tol=0.1)
         errs, ks = [], (1e-2, 1e-3, 1e-4)
         for k in ks:
-            n2k = (lad.n1(k) - lad.n10) / k
+            n2k = (lad.m1(k) - lad.m10) / k
             errs.append(linalg.opnorm(n2k - lad.n20))
         slope = helpers.fit_slope(ks, errs)
         assert slope >= 0.9

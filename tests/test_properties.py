@@ -1,7 +1,8 @@
 """Generated-input properties: the config error contract, the inversion
 engine against the dense oracle, the exact Hermitian split, the projection
 invariants, thin-factor commutator norms, threshold grouping, transverse
-sector detection and the certified mode cutoff."""
+sector detection, the certified mode cutoff and the first-order limit of
+the threshold ladder's ``M1``."""
 
 import copy
 import dataclasses
@@ -220,14 +221,12 @@ def sorted_spectra(draw):
     return sorted(out)
 
 
-@given(sorted_spectra(), st.none() | st.sampled_from([1e-12, 1e-8, 1e-4, 0.1]))
-def test_threshold_groups_invariants(eigenvalues, degeneracy_tol):
+@given(sorted_spectra())
+def test_threshold_groups_invariants(eigenvalues):
     modes = [waveguide.TransverseMode(i + 1, e, np.zeros(1)) for i, e in enumerate(eigenvalues)]
-    groups = waveguide.threshold_groups(modes, degeneracy_tol)
+    groups = waveguide.threshold_groups(modes)
 
     def tol(e):
-        if degeneracy_tol is not None:
-            return degeneracy_tol
         return waveguide.THRESHOLD_REL_TOL * max(1.0, abs(e))
 
     assert [i for g in groups for i in g.members] == [m.index for m in modes]
@@ -470,3 +469,28 @@ def test_band_width_follows_the_sector_slots(case):
         assert members == classes + [[]] * (n_omega - len(classes))
     s = op._width
     assert op.lu.shape == (3 * s + 1, model.sectors.n_blocks * n_x * s)
+
+
+@given(sector_wells(), st.data())
+def test_m1_difference_quotient_tends_to_the_quadratic_kernel(case, data):
+    # (M1(k) - M1(0))/k - N2(0) = O(k) on both rays: N1 carries the
+    # first-order term and W(k) - W(0) is O(k^2); from the one assembly
+    # of M1, with no ladder build
+    model, _, _ = case
+    group = data.draw(st.sampled_from(model.groups))
+    members = group.members
+    others = [n for n in range(1, model.n_max + 1) if n not in members]
+    u = model.sectors.diagonal(model.potential.u)
+    x = model.grid.x_nodes
+    quadratic = (x[:, None] - x[None, :]) ** 2 / 4.0 + 0j
+    n20 = birman.mode_sum_blocks(model, 0.0, list(members), x_kernel=lambda n: quadratic)
+    m10 = expansion._m1(model, group.value, members, others, u, 0.0)
+    # the quotient's rounding, about eps |M1(0)| / k, at k = 1e-4
+    floor = 1e-10 * max(1.0, linalg.opnorm(m10))
+    for ray in (1.0, -1j):
+        errs = []
+        for t in (1e-3, 1e-4):
+            k = ray * t
+            m1 = expansion._m1(model, group.value, members, others, u, k)
+            errs.append(linalg.opnorm((m1 - m10) / k - n20))
+        assert errs[1] <= errs[0] / 5.0 or errs[1] <= floor, (ray, errs, floor)

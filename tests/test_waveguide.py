@@ -105,14 +105,16 @@ class TestThresholdGroups:
         assert len(g5) == 1 and len(g5[0].members) == 2
 
     def test_near_degenerate_tolerance_straddle(self):
+        # THRESHOLD_REL_TOL (1e-9) lies between the two splittings
         nodes = np.array([0.25, 0.75])
         weights = np.array([0.5, 0.5])
         samples = np.array([[1.0, 1.0], [1.0, -1.0]])
-        cs = waveguide.Custom(nodes, weights, (1.0, 1.0 + 1e-6), samples)
-        modes = cs.modes(2, None)
-        tight = waveguide.threshold_groups(modes, degeneracy_tol=1e-8)
-        loose = waveguide.threshold_groups(modes, degeneracy_tol=1e-4)
-        assert len(tight) == 2 and len(loose) == 1
+
+        def groups(split):
+            cs = waveguide.Custom(nodes, weights, (1.0, 1.0 + split), samples)
+            return waveguide.threshold_groups(cs.modes(2, None))
+
+        assert len(groups(1e-6)) == 2 and len(groups(1e-10)) == 1
 
     def test_groups_partition_modes(self, well_small):
         seen = [n for g in well_small.groups for n in g.members]
@@ -184,9 +186,7 @@ class TestGrid:
 
         mat = birman.mode_sum_matrix(
             well_small, 0.0, [1],
-            x_kernel=lambda n: expansion._group_x_kernel(
-                0.0, "linear", well_small.grid.x_nodes
-            ),
+            x_kernel=lambda n: expansion._group_kernel(0.0, well_small.grid.x_nodes),
         )
         assert linalg.opnorm(mat - mat.conj().T) <= 1e-14 * max(1.0, linalg.opnorm(mat))
 
