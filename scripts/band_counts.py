@@ -12,8 +12,9 @@ and left unchanged), and prints one JSON object:
 - ``band_factorizations``: ``zgbtrf`` calls, one per boundary operator;
 - ``band_solves``: ``zgbtrs`` calls;
 - ``band_unknowns_factored`` and ``band_unknowns_solved``: the unknowns of
-  those calls summed over calls, the band's order for a factorization and
-  its order times the right-hand sides for a solve;
+  those calls summed over calls, the band's order for a factorization
+  (``n_blocks n_x 2q``: the ``2q`` forward and backward sums of a node's
+  ``q`` mode slots) and its order times the right-hand sides for a solve;
 - ``layout_builds``: band layouts built (``birman._build_layout``);
 - ``sigma_min_solves``: the number of ``birman._sigma_min`` calls, keyed by
   the band solves each took.

@@ -13,7 +13,8 @@ guard ``max_b |A_b|_1 * max_b |A_b^-1|_1`` that ``linalg.inverse`` applies
 to a block stack, from ``linalg.cond_estimate`` of the dense sector blocks
 ``u + v R0(lam) v`` over the modes ``1..n_used`` (``birman.bs_blocks``).
 ``bound`` is an upper bound on ``exact`` (to rounding): an upper bound on
-``max_b |A_b|_1`` times one on ``max_b |A_b^-1|_1`` read off the band LU.
+``max_b |A_b|_1`` times one on ``max_b |A_b^-1|_1`` read off the node
+blocks and the LU of the condensed band.
 ``band`` pairs the same norm bound with a Hager-Higham lower estimate of
 ``max_b |A_b^-1|_1``, so it is no bound: a ``ratio`` below 1 is the
 estimate under-reading.

@@ -22,25 +22,29 @@ semiseparable of rank ``n_used`` (Eidelman-Gohberg, Integral Equations
 Operator Theory 34, 1999), so ``A`` is the Schur complement of a sparse
 state-space embedding over the ``n_x`` longitudinal nodes.  The embedding is
 built on the same sector blocks as the ladders: a coupled model is one block
-with ``s = n_omega + 2 n_used`` unknowns per node, and each sector of a
-decomposing model carries one transverse value and the ``q`` mode slots of
-the fullest sector per node, ``s = 1 + 2 q``, with inert slots padding the
-sectors that hold fewer modes.  ``model.sectors`` owns the layout: it
+with ``w = n_omega`` values and ``q = n_used`` mode slots per node, and each
+sector of a decomposing model carries ``w = 1`` transverse value and the
+``q`` mode slots of the fullest sector per node, with inert slots padding
+the sectors that hold fewer modes.  ``model.sectors`` owns the layout: it
 records each mode's sector and transforms vectors between grid and sector
-coordinates.  All blocks stack into one band of half
-bandwidth ``s`` over ``n_blocks n_x`` nodes; its LU costs about
-``16 n_blocks n_x s^3`` flops and ``n_blocks n_x s (3 s + 1)`` stored
-entries, against ``(8/3) dim^3`` flops and ``dim^2`` entries for the dense
-LU plus ``O(n_used dim^2)`` for the assembly.  What does not depend on the
-energy (the grid mode factors and signs, their gather into the mode slots
-and the ``x`` steps, ``O(n_used dim)`` work) is a :class:`BandLayout`, built
-once per model and mode count and kept on the model; each energy builds
-only the ``mu``-dependent entries, ``O(n_blocks n_x s^2)`` of band fill
-beside the LU; the band over some of the blocks is their rows of it
+coordinates.  Each node's ``w`` values are eliminated through its node block
+``D_k = u_k - a_k^T diag(c) a_k`` (one batched inverse of the ``(n, w, w)``
+stack, a scalar one for sectors), which leaves the forward and backward sums, ``s = 2 q`` unknowns
+per node; all blocks stack into one band of half bandwidth ``s`` over
+``n_blocks n_x`` nodes.  Its LU costs about ``16 n_blocks n_x s^3`` flops
+and ``n_blocks n_x s (3 s + 1)`` stored entries, against ``(8/3) dim^3``
+flops and ``dim^2`` entries for the dense LU plus ``O(n_used dim^2)`` for the
+assembly, and ``det A = prod_k det D_k * det K`` (``K`` the condensed
+band).  What does not depend on the energy (the grid mode factors and signs,
+their gather into the mode slots and the ``x`` steps, ``O(n_used dim)`` work)
+is a :class:`BandLayout`, built once per model and mode count and kept on
+the model; each energy builds only the ``mu``-dependent entries,
+``O(n_blocks n_x (s^2 w + w^3))`` of node blocks and band fill beside the
+LU; the band over some of the blocks is their rows of it
 (:meth:`BandLayout.subset`).  S-matrices and the eigenvalue scan run on the
 embedding, the scan's refinement on the band of one block; the S-matrix
-guard is an upper bound on the condition read off the band LU,
-with a Hager-Higham estimate where the bound exceeds ``COND_LIMIT``.
+guard is an upper bound on the condition read off the node blocks and the
+band LU, with a Hager-Higham estimate where the bound exceeds ``COND_LIMIT``.
 """
 
 from __future__ import annotations
@@ -55,9 +59,10 @@ from .errors import (
     BranchPointError,
     DimensionError,
     DomainError,
+    SingularMatrixError,
     TruncationError,
 )
-from .linalg import onenorm_estimate
+from .linalg import COND_LIMIT, onenorm_estimate
 from .waveguide import Sectors, WaveguideModel, gauss_legendre_panels
 
 _MODE_CHUNK_ENTRIES = 4_000_000  # chunk mode stacks to bound working memory
@@ -346,10 +351,12 @@ class BoundaryOperator:
     Its one view is the band's node slices ``(n, w, m)`` (:func:`_node_slices`):
     the slot factors and signs of ``layout`` (the model's :class:`BandLayout`,
     shared read-only), this energy's slot prefactors ``cn`` and step ratios
-    ``rn``, and one band LU.  Grid vectors (the order of :func:`bs_operator`,
-    1-D or as columns) enter and leave only at :meth:`solve` and :meth:`matvec`,
-    through the transforms of ``layout.sectors``; the products, the norm bound,
-    the condition bound and estimate and the scan's Lanczos runs stay on the
+    ``rn``, the inverses ``dinv`` of the node blocks with the node maps
+    ``jad`` and ``dcj`` formed from them, and the LU of the condensed band.
+    Grid vectors (the order of :func:`bs_operator`, 1-D or as columns) enter
+    and leave only at :meth:`solve` and :meth:`matvec`, through the
+    transforms of ``layout.sectors``; the products, the norm bound, the
+    condition bound and estimate and the scan's Lanczos runs stay on the
     node slices.
     ``u``, ``v`` and the modes are real and the kernel symmetric in ``x, x'``,
     so ``A`` is complex symmetric there as on the grid: ``A^H y = conj(A
@@ -359,7 +366,10 @@ class BoundaryOperator:
     layout: BandLayout     # energy-independent part of the band
     cn: np.ndarray         # (n, q) slot prefactors i / (2 mu_n), 0 in inert slots
     rn: np.ndarray         # (n, q) step ratios exp(i mu_n dx), 0 in inert slots, block starts
-    lu: np.ndarray         # band LU of the embedding (zgbtrf layout)
+    dinv: np.ndarray       # (n, w, w) inverses of the node blocks D_k = u_k - a_k^T diag(c) a_k
+    jad: np.ndarray        # (n, 2q, w) J^T a_k D_k^-1: node values to the band's right-hand side
+    dcj: np.ndarray        # (n, w, 2q) D_k^-1 C_k J: the band's solution to node values
+    lu: np.ndarray         # band LU of the condensed embedding (zgbtrf layout)
     piv: np.ndarray
     singular: bool         # the band LU met an exactly zero pivot
     n_used: int
@@ -375,8 +385,9 @@ class BoundaryOperator:
 
     @property
     def _width(self) -> int:
-        """Unknowns per node of the band, which is also its half bandwidth."""
-        return self.layout.un.shape[1] + 2 * self.slots
+        """Unknowns per node of the band, the forward and backward sums of
+        each slot, which is also its half bandwidth."""
+        return 2 * self.slots
 
     def _nodes(self, y) -> np.ndarray:
         """Grid vector(s) ``(dim,)`` or ``(dim, m)`` as the node slices of the band."""
@@ -409,18 +420,17 @@ class BoundaryOperator:
         """``A^-1 b``: the ``y`` part of the embedding's solution for ``(b, 0, 0)``."""
         return self._grid(self._band_solve(self._nodes(b)), b)
 
-    def _band_solve(self, nodes: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
-        """:meth:`solve` on band node slices ``(n, w, m)``: one ``zgbtrs``
-        with the nodes placed in the zero-padded right-hand side ``rhs``
-        ``(n, s, m)``.  ``zgbtrs`` works on a copy, so a caller may pass the
-        same ``rhs`` to every solve."""
-        n, w, m = nodes.shape
-        p, s = self.slots, self._width
-        if rhs is None:
-            rhs = np.zeros((n, s, m), dtype=complex)
-        rhs[:, p : p + w] = nodes
-        x, _ = _GBTRS(self.lu, s, s, rhs.reshape(n * s, m), self.piv)
-        return x.reshape(n, s, m)[:, p : p + w]
+    def _band_solve(self, nodes: np.ndarray) -> np.ndarray:
+        """:meth:`solve` on band node slices ``(n, w, m)``: one ``zgbtrs`` for
+        the sums ``f, g`` with ``a_k D_k^-1 b_k`` in both halves of node ``k``,
+        then ``y_k = D_k^-1 (b_k - C_k (f_k + g_k))``.  On a narrow band
+        ``w = 1``, and the Lanczos runs solve one vector, so no node product
+        is a complex matrix-matrix BLAS product (after one, OpenBLAS runs a
+        narrow ``zgbtrs`` several times slower)."""
+        n, _, m = nodes.shape
+        x, _ = _GBTRS(self.lu, self._width, self._width, (self.jad @ nodes).reshape(-1, m),
+                      self.piv)
+        return self.dinv @ nodes - self.dcj @ x.reshape(n, -1, m)
 
     @cached_property
     def norm_bound(self) -> float:
@@ -436,25 +446,28 @@ class BoundaryOperator:
 
     def cond_bound(self) -> float:
         """Upper bound on ``max_b |A_b|_1 * max_b |A_b^-1|_1`` over the sector
-        blocks: :attr:`norm_bound` times the largest ``y`` column sum of
-        ``M(U)^-1 prod_j |L_j^-1| P_j >= |E^-1|`` (``M`` the comparison
-        matrix; Higham, *Accuracy and Stability*, 2nd ed., ch. 8), whose
-        ``y``-``y`` block bounds ``|A^-1|``.  With negated moduli off U's
-        diagonal, one real transposed ``gbtrs`` on the ``y`` indicator forms
-        those sums, with no cancellation.  It reads 1-11 times the exact
-        guard away from thresholds and exceeds ``COND_LIMIT`` within about
-        1e-3 of one.  ``inf`` when the band LU is singular."""
+        blocks: :attr:`norm_bound` times the largest column sum of
+        ``|D^-1| + |D^-1 C| J |K^-1| J^T |a D^-1| >= |A^-1|``, from ``A^-1 =
+        D^-1 - D^-1 C J K^-1 J^T a D^-1`` (``K`` the condensed band, ``J^T``
+        the copy of a node's ``q`` slots into its ``f`` and ``g`` halves).
+        ``|K^-1|`` is bounded by ``M(U)^-1 prod_j |L_j^-1| P_j`` (``M`` the
+        comparison matrix; Higham, *Accuracy and Stability*, 2nd ed., ch. 8):
+        with negated moduli off U's diagonal, one real transposed ``gbtrs``
+        on the column sums of ``|D^-1 C| J`` forms the middle product, with
+        no cancellation.  ``scripts/guard_oracle.py`` prints its ratio to the
+        exact guard.  ``inf`` when the band LU is singular."""
         anorm = self.norm_bound
         if self.singular or anorm == 0.0:
             return float("inf")
-        p, w, s = self.slots, self.layout.un.shape[1], self._width
+        s = self._width
         m = np.abs(self.lu)
         m *= -1.0
         m[2 * s] *= -1.0                        # U's diagonal keeps its modulus
-        ey = np.zeros((self.lu.shape[1] // s, s))
-        ey[:, p : p + w] = 1.0
-        x, _ = _DGBTRS(m, s, s, ey.reshape(-1, 1), self.piv, trans=1)
-        return anorm * float(x.reshape(-1, s)[:, p : p + w].max())
+        h = np.abs(self.dcj).sum(axis=1)        # column sums of |D^-1 C J|
+        z, _ = _DGBTRS(m, s, s, h.reshape(-1, 1), self.piv, trans=1)
+        cols = np.abs(self.dinv).sum(axis=1) + np.einsum("kp,kpi->ki", z.reshape(h.shape),
+                                                         np.abs(self.jad))
+        return anorm * float(cols.max())
 
     def cond_estimate(self) -> float:
         """Estimate of ``max_b |A_b|_1 * max_b |A_b^-1|_1`` over the sector
@@ -555,6 +568,7 @@ def _build_layout(model: WaveguideModel, n_used: int) -> BandLayout:
     live, mode = slots >= 0, np.maximum(slots, 0)
     an = a_sec.reshape(n_x, p, nb, w)[:, mode, np.arange(nb)[:, None], :]   # (n_x, nb, q, w)
     an = np.where(live[:, :, None], an, 0.0).transpose(1, 0, 2, 3).reshape(nb * n_x, q, w)
+    an = np.ascontiguousarray(an)   # the build views its products as interleaved parts
     un = _node_slices(sec, model.potential.u[:, :, None])[:, :, 0]  # u is constant along omega
     return BandLayout(np.diff(x, prepend=x[0]), sec, live, mode, an, un)
 
@@ -566,8 +580,8 @@ def boundary_operator(lam: float, model: WaveguideModel, tail_tol: float = 1e-4,
 
     The mode cutoff, its tail bound and the threshold check are those of
     :func:`_truncation`.  At each longitudinal node ``x_k`` the embedding
-    carries ``y_k`` (the grid values) and, per retained mode, the forward
-    and backward sums
+    carries ``y_k`` (the ``w`` grid values) and, per retained mode, the
+    forward and backward sums
 
         f_n(k) = rho_n(k) f_n(k-1) + t_n(k),
         g_n(k) = rho_n(k+1) g_n(k+1) + t_n(k),    t_n(k) = a^n_k . y_k,
@@ -577,7 +591,23 @@ def boundary_operator(lam: float, model: WaveguideModel, tail_tol: float = 1e-4,
     upper branch ``mu_n = sqrt(z - lambda_n)``.  The node equation
     ``u_k y_k + sum_n c_n a^n_k (f_n(k) + g_n(k) - t_n(k)) = b_k``,
     ``c_n = i / (2 mu_n)``, closes the system; eliminating ``f`` and ``g``
-    leaves exactly ``A y = b``.
+    leaves exactly ``A y = b``.  The band instead eliminates ``y_k`` through
+    the node block ``D_k = diag(u_k) - sum_n c_n a^n_k a^n_k^T``, so that
+    ``y_k = D_k^-1 (b_k - C_k (f(k) + g(k)))`` with ``C_k = (c a_k)^T``: it
+    holds the ``2 q`` sums alone, with node block ``[[I + P_k, P_k], [P_k, I
+    + P_k]]``, ``P_k = a_k D_k^-1 C_k``, the right-hand side ``a_k D_k^-1 b_k``
+    in both halves, and the ``-rho`` couplings of the recursions.
+
+    Node-block policy.  Wherever ``V <= 0``, ``sigma_min(D_k) >= 1``: on the
+    ``u = -1`` rows ``-D_k = I + sum_n c_n a a^T`` has real part ``I`` plus
+    ``a a^T / (2 |mu_n|)`` over the closed modes (``c_n`` is imaginary for
+    an open one), so ``Re(-D_k) >= I``; on ``v = 0`` rows ``a`` vanishes and
+    ``D_k`` is ``u = +-1`` there.  Where ``V > 0``, ``Re D_k = I - sum_closed
+    a a^T / (2 |mu_n|)`` can be singular just below a threshold.  The build
+    raises :class:`SingularMatrixError` when ``max_k |D_k|_1 * max_k
+    |D_k^-1|_1`` exceeds ``COND_LIMIT`` (or ``D_k`` is exactly singular): it
+    is the condensation that fails there, not ``A``, so the operator is not
+    marked ``singular``, which the eigenvalue scan reads as a level.
 
     The embedding is built once per sector block of ``model.sectors``: a
     coupled model is one block with ``n_omega`` values per node and every
@@ -586,18 +616,18 @@ def boundary_operator(lam: float, model: WaveguideModel, tail_tol: float = 1e-4,
     are padded to a common count ``q`` of mode slots with inert slots
     (``a = 0``, ``c = 0``, ratio 0) and stacked block-major, then
     node-major, with the ratios cut to 0 at every block start, so one band
-    of half bandwidth ``s = w + 2 q`` (``w`` values per node) holds them
-    all and one LAPACK ``zgbtrf`` factors it: ``s = n_omega + 2 n_used`` for
-    one block, ``s = 1 + 2 q`` for sectors (the cost model is in the module
-    docstring).  What does not depend on the energy comes from the model's
-    :func:`band_layout` for ``n_used``; each call computes only ``mu``, the
-    slot prefactors ``cn`` and ratios ``rn`` that the operator keeps, and
-    the blocks built from them, and writes every node block straight into
-    the band storage.  Given the sector-block indices ``blocks``, the same
-    code builds the band over those blocks alone from their rows of the
-    layout (:meth:`BandLayout.subset`; same ``q``, same global cutoff); its
-    LU and solves equal those blocks' rows of the whole band's, and its
-    vectors are those blocks' sector coordinates.  Raises
+    of half bandwidth ``s = 2 q`` holds them all and one LAPACK ``zgbtrf``
+    factors it: ``s = 2 n_used`` for one block (``D_k`` is ``n_omega x
+    n_omega``), ``s = 2 q`` for sectors (``D_k`` is a scalar; the cost
+    model is in the module docstring).  What does not depend on the energy
+    comes from the model's :func:`band_layout` for ``n_used``; each call
+    computes only ``mu``, the slot prefactors ``cn`` and ratios ``rn`` and
+    the node blocks that the operator keeps, and writes every band node
+    block straight into the band storage.  Given the sector-block indices
+    ``blocks``, the same code builds the band over those blocks alone from
+    their rows of the layout (:meth:`BandLayout.subset`; same ``q``, same
+    global cutoff); its LU and solves equal those blocks' rows of the whole
+    band's, and its vectors are those blocks' sector coordinates.  Raises
     :class:`DimensionError` unless the ``x`` nodes increase strictly.
     """
     z = complex(lam)
@@ -616,27 +646,45 @@ def boundary_operator(lam: float, model: WaveguideModel, tail_tol: float = 1e-4,
     rn = np.where(live[:, None, :], ratio[:, mode].transpose(1, 0, 2), 0.0)
     rn[:, 0] = 0.0                                                  # cut at block starts
     rn = rn.reshape(n, q)
-    ca = cn[:, :, None] * lay.an
 
-    # node block [f(k), y(k), g(k)] of s unknowns; band storage ab[kl+ku+r-c, c]
+    # node blocks D = u - a^T diag(c) a and their inverses; J^T a D^-1, and
+    # D^-1 C J = (diag(c J) J^T a D^-1)^T (D is complex symmetric) with
+    # C = (c a)^T and J = [I I] the sum of a node's two halves; a real
+    # factor multiplies the interleaved parts of a complex one
+    an = lay.an
+    d = np.ascontiguousarray(an.transpose(0, 2, 1)) @ (cn[:, :, None] * an).view(float)
+    d = -d.view(complex)
+    d.reshape(n, -1)[:, :: w + 1] += lay.un
+    try:
+        # a scalar D_k (every decomposing model) is inverted elementwise: the
+        # batched LAPACK inverse spends about 0.1 us of set-up per node
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dinv = 1.0 / d if w == 1 else np.linalg.inv(d)
+            cond = float(np.abs(d).sum(axis=1).max() * np.abs(dinv).sum(axis=1).max())
+    except np.linalg.LinAlgError:
+        cond = float("inf")
+    if not cond <= COND_LIMIT:
+        raise SingularMatrixError(f"node block of the band at lam={lam} is singular", cond)
+    jan = np.concatenate([an, an], axis=1)
+    jad = (jan @ dinv.view(float)).view(complex)
+    dcj = (jad.reshape(n, 2, q, w) * cn[:, None, :, None]).reshape(n, 2 * q, w)
+    dcj = np.ascontiguousarray(dcj.transpose(0, 2, 1))
+
+    # node block I + J^T a D^-1 C J = [[I + P, P], [P, I + P]] over [f(k),
+    # g(k)], s = 2 q unknowns, P = a D^-1 C; band storage ab[kl+ku+r-c, c]
     # is filled through its transpose abt, where entry (r, c) of node k's
     # block sits at abt[k, c, 2 s - c + r], offset 2 s + r + 3 s c into the node
-    s = w + 2 * q
-    fs, ys, gs = slice(0, q), slice(q, q + w), slice(q + w, s)
+    s = 2 * q
     abt = np.zeros((n, s, 3 * s + 1), dtype=complex)
     item = abt.itemsize
     block = np.lib.stride_tricks.as_strided(
         abt.reshape(-1)[2 * s:], (n, s, s), (s * (3 * s + 1) * item, item, 3 * s * item))
-    block[:, fs, fs] = block[:, gs, gs] = np.eye(q)
-    block[:, fs, ys] = block[:, gs, ys] = -lay.an
-    block[:, ys, fs] = block[:, ys, gs] = ca.transpose(0, 2, 1)
-    block[:, ys, ys] = -np.einsum("kmi,kmj->kij", ca, lay.an)
-    diag = np.arange(q, q + w)
-    block[:, diag, diag] += lay.un
-    abt[:-1, fs, 3 * s] = -rn[1:]   # f(k) <- f(k-1)
-    abt[1:, gs, s] = -rn[1:]        # g(k) <- g(k+1)
+    block[...] = (jan @ dcj.view(float)).view(complex)
+    abt[:, :, 2 * s] += 1.0         # the block's diagonal
+    abt[:-1, :q, 3 * s] = -rn[1:]   # f(k) <- f(k-1)
+    abt[1:, q:, s] = -rn[1:]        # g(k) <- g(k+1)
     lu, piv, info = _GBTRF(abt.reshape(n * s, 3 * s + 1).T, s, s, overwrite_ab=1)
-    return BoundaryOperator(lay, cn, rn, lu, piv, info > 0, n_used, tail)
+    return BoundaryOperator(lay, cn, rn, dinv, jad, dcj, lu, piv, info > 0, n_used, tail)
 
 
 # ---------------------------------------------------------------------------
@@ -791,15 +839,12 @@ def _sigma_max(op: BoundaryOperator, x: np.ndarray) -> float:
 
 def _sigma_min(op: BoundaryOperator, x: np.ndarray) -> float:
     """Smallest singular value estimate of ``op``: :func:`_lanczos` on
-    ``A^-H A^-1 = conj A^-1 conj A^-1`` in the band's node coordinates, with one
-    zero-padded right-hand side for every solve; 0 when ``op`` is singular."""
+    ``A^-H A^-1 = conj A^-1 conj A^-1`` in the band's node coordinates; 0
+    when ``op`` is singular."""
     if op.singular:
         return 0.0
-    x = op._nodes(x)
-    n, _, m = x.shape
-    rhs = np.zeros((n, op._width, m), dtype=complex)
-    inverse_gram = lambda y: np.conj(op._band_solve(np.conj(op._band_solve(y, rhs)), rhs))
-    return float(1.0 / np.sqrt(_lanczos(inverse_gram, x)))
+    inverse_gram = lambda y: np.conj(op._band_solve(np.conj(op._band_solve(y))))
+    return float(1.0 / np.sqrt(_lanczos(inverse_gram, op._nodes(x))))
 
 
 def check_model_range(energy: float, model: WaveguideModel) -> None:

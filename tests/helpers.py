@@ -214,12 +214,16 @@ def dense_open_sector_smatrix(model, lam, tail_tol) -> np.ndarray:
 
 
 def band_det_factors(op) -> tuple[np.ndarray, int]:
-    """U's diagonal of a ``BoundaryOperator``'s band LU (row ``2 s`` of the
-    ``zgbtrf`` storage, ``s`` the half bandwidth) and the number of row
-    interchanges, so that ``det A = (-1)^swaps prod(diagonal)``: the f/g
-    part of the embedding is unit block bidiagonal, and the node order is a
-    symmetric permutation of the sector coordinates."""
-    return op.lu[2 * op._width], int(np.count_nonzero(op.piv != np.arange(op.piv.size)))
+    """The node blocks' determinants ``det D_k`` (from the inverses the
+    ``BoundaryOperator`` keeps), then U's diagonal of its condensed band LU
+    (row ``2 s`` of the ``zgbtrf`` storage, ``s`` the half bandwidth), and
+    the number of row interchanges, so that ``det A = (-1)^swaps
+    prod(factors)``: ``det A = prod_k det D_k * det K``, because the f/g
+    part of the embedding is unit block bidiagonal (``det E = det A``) and
+    eliminating each node's values leaves ``det E = det D * det K``; the
+    node order is a symmetric permutation of the sector coordinates."""
+    factors = np.concatenate([1.0 / np.linalg.det(op.dinv), op.lu[2 * op._width]])
+    return factors, int(np.count_nonzero(op.piv != np.arange(op.piv.size)))
 
 
 def dense_two_term(model, lam, kappa, tail_tol) -> np.ndarray:

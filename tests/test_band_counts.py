@@ -31,11 +31,12 @@ def test_refinement_factors_one_block():
     # layout, not layouts of their own
     assert counts["layout_builds"] == 3
     # the third window holds a level: its 9 scan points and its refined
-    # candidate factor the whole band (5 sector blocks of 60 nodes, 5
-    # unknowns per node), as do the 18 scan points of the first two;
+    # candidate factor the whole band (5 sector blocks of 60 nodes, 4
+    # unknowns per node: the sums of q = 2 slots), as do the 18 scan points
+    # of the first two;
     # every other factorization, at a golden-section point or picking the
     # block to refine on, is one block's
-    whole, full = 5 * 60 * 5, 3 * 9 + 1
+    whole, full = 5 * 60 * 4, 3 * 9 + 1
     assert counts["band_factorizations"] > full
     assert counts["band_unknowns_factored"] == (
         whole * full + whole // 5 * (counts["band_factorizations"] - full))

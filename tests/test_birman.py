@@ -13,7 +13,8 @@ from scipy import integrate, special
 import helpers
 from wgscat import birman, linalg, scattering, waveguide
 from wgscat.errors import (
-    BranchPointError, DimensionError, DomainError, EigenvalueHitError, TruncationError,
+    BranchPointError, DimensionError, DomainError, EigenvalueHitError, SingularMatrixError,
+    TruncationError,
 )
 
 
@@ -204,9 +205,9 @@ class TestBoundaryOperator:
         # the lattice, and modes 7 and 8 alias into the sectors of 5 and 4
         widths = [(op.n_used, op.slots, op._width) for op in (
             birman.boundary_operator(2.5, well_small, tol) for tol in (0.1, 0.03))]
-        assert widths == [(4, 1, 3), (8, 2, 5)]
+        assert widths == [(4, 1, 2), (8, 2, 4)]
         one = birman.boundary_operator(2.5, coupled_model, 0.03)
-        assert (one.slots, one._width) == (one.n_used, 5 + 2 * one.n_used)
+        assert (one.slots, one._width) == (one.n_used, 2 * one.n_used)
 
     def test_cond_estimate_at_embedded_eigenvalue(self, well_medium, embedded_lambda):
         op = birman.boundary_operator(embedded_lambda, well_medium, 0.03)
@@ -219,19 +220,31 @@ class TestBoundaryOperator:
         # this condition carries about cond * eps = 1e-6 relative error
         assert dense <= op.cond_bound() * (1.0 + 1e-4)
 
-    def test_singular_band_branches(self, well_small):
-        # a node with no potential leaves its grid-value columns of the band
-        # zero: the band LU is singular, and every figure built on it says so
+    def test_singular_band_branches(self, well_small, monkeypatch):
+        # a node with u = v = 0 (which factorize_potential never gives) has
+        # the node block D_k = 0: the build refuses it, so no scan reads it
+        # as a level
         pot = well_small.potential
         v, u = pot.v.copy(), pot.u.copy()
         v[:, 0] = u[:, 0] = 0.0
         dead = dataclasses.replace(well_small, potential=dataclasses.replace(pot, v=v, u=u))
-        op = birman.boundary_operator(2.5, dead, self.TAIL_TOL)
+        with pytest.raises(SingularMatrixError) as refused:
+            birman.boundary_operator(2.5, dead, self.TAIL_TOL)
+        assert refused.value.cond == float("inf")
+        for call in (lambda: scattering.channel_smatrix(2.5, dead, tail_tol=self.TAIL_TOL),
+                     lambda: birman.eigenvalue_search((1.5, 3.5), dead, 4, self.TAIL_TOL)):
+            with pytest.raises(SingularMatrixError):
+                call()
+        # an exactly zero pivot of the band LU (info > 0, faked): every
+        # figure built on it says the operator is singular
+        gbtrf = birman._GBTRF
+        monkeypatch.setattr(birman, "_GBTRF", lambda *a, **k: (*gbtrf(*a, **k)[:2], 1))
+        op = birman.boundary_operator(2.5, well_small, self.TAIL_TOL)
         assert op.singular
-        assert birman._sigma_min(op, birman._start_vectors(dead.dim)[1]) == 0.0
-        assert op.cond_estimate() == float("inf")
+        assert birman._sigma_min(op, birman._start_vectors(well_small.dim)[1]) == 0.0
+        assert op.cond_bound() == op.cond_estimate() == float("inf")
         with pytest.raises(EigenvalueHitError):
-            scattering.channel_smatrix(2.5, dead, tail_tol=self.TAIL_TOL)
+            scattering.channel_smatrix(2.5, well_small, tail_tol=self.TAIL_TOL)
 
     def test_threshold_collision_rejected(self, well_small):
         with pytest.raises(BranchPointError):

@@ -10,7 +10,7 @@ import pytest
 
 import helpers
 from wgscat import birman, expansion, linalg, scattering, waveguide
-from wgscat.errors import ChannelClosedError, DomainError
+from wgscat.errors import ChannelClosedError, DomainError, SingularMatrixError
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -154,13 +154,44 @@ class TestSMatrix:
             assert s.unitarity_defect <= 1e-8
 
     @pytest.mark.parametrize("lam", [4.0 - 1e-3, 4.0 + 1e-3])
-    def test_estimate_decides_next_to_a_threshold(self, coupled_model, lam):
-        # 1e-3 from lambda_2 the bound exceeds COND_LIMIT; the Hager-Higham
-        # estimate accepts, as it did before the bound
+    def test_estimate_decides_next_to_a_threshold(self, coupled_model, lam, monkeypatch):
+        # 1e-3 below lambda_2 the bound accepts and is at least the exact
+        # guard; 1e-3 above it the bound exceeds COND_LIMIT and the
+        # Hager-Higham estimate accepts
         op = birman.boundary_operator(lam, coupled_model, 0.03)
-        assert op.cond_bound() > linalg.COND_LIMIT >= op.cond_estimate()
+        exact = linalg.cond_estimate(birman.bs_blocks(coupled_model, complex(lam), op.n_used))
+        assert op.cond_bound() >= exact * (1.0 - 1e-10)
+        estimates = []
+        estimate = birman.BoundaryOperator.cond_estimate
+        monkeypatch.setattr(birman.BoundaryOperator, "cond_estimate",
+                            lambda self: estimates.append(1) or estimate(self))
         s = scattering.channel_smatrix(lam, coupled_model, tail_tol=0.03)
         assert s.unitarity_defect <= 1e-12
+        if lam < 4.0:
+            assert op.cond_bound() <= linalg.COND_LIMIT and not estimates
+        else:
+            assert estimates == [1]
+            assert op.cond_bound() > linalg.COND_LIMIT >= op.cond_estimate()
+
+    @pytest.mark.parametrize("lam", [3.95, 3.999, 4.001, 4.05])
+    @pytest.mark.parametrize("name", ["well", "cosine", "table", "sweep"])
+    def test_bound_holds_next_to_a_threshold(self, interval_cs, name, lam):
+        # the 4 x 24 well of the CLI configs, its cosine and table twins,
+        # and the smatrix_sweep model
+        if name == "sweep":
+            tail_tol = 0.03
+            model = waveguide.square_well_model(
+                interval_cs, 1.0, (0.0, 1.0), n_omega=5, n_x=200, n_max=12,
+                omega_profile={"kind": "cosine", "amplitude": 0.5, "harmonic": 1})
+        else:
+            runs = load_module(ROOT / "scripts" / "cli_artifacts.py").runs()
+            doc, (_, task, _) = next((doc, task) for run, _, doc, task in runs
+                                     if run == f"{name}-smatrix")
+            model, tail_tol = waveguide.model_from_config(doc), task["tail_tol"]
+        op = birman.boundary_operator(lam, model, tail_tol)
+        exact = linalg.cond_estimate(birman.bs_blocks(model, complex(lam), op.n_used))
+        print(f"{name} lam={lam}: bound / exact {op.cond_bound() / exact:.3g}")
+        assert op.cond_bound() >= exact * (1.0 - 1e-10)
 
     def test_smoothness_off_singular_set(self, well_small):
         devs = scattering.smoothness_probe(2.3, well_small, tail_tol=0.1)
@@ -176,6 +207,82 @@ class TestSMatrix:
         block = s.block((2, 3), +1, (2, 3), +1)
         assert block.shape == (2, 2)
         assert s.unitarity_defect <= 1e-10
+
+
+def barrier_model():
+    """A positive box ``V = 2`` on ``[0, 1]`` as a 4 x 30 table: one block,
+    ``u = +1`` at every node."""
+    return waveguide.model_from_config({
+        "schema_version": 1,
+        "cross_section": {"kind": "interval", "length": float(np.pi)},
+        "grid": {"n_omega": 4, "n_x": 30}, "n_max": 8,
+        "potential": {"kind": "table", "x_box": [0.0, 1.0],
+                      "values": np.full((4, 30), 2.0).tolist()},
+    })
+
+
+def dense_smatrix(model, lam, tail_tol) -> np.ndarray:
+    """``channel_smatrix``'s matrix from a dense solve with ``bs_operator``."""
+    chans = scattering.open_channels(lam, model)
+    n_used, _ = birman._truncation(model, complex(lam), tail_tol)
+    rows = np.array([scattering.trace_row(lam, n, s, model) for n, s in chans])
+    x = np.linalg.solve(birman.bs_operator(model, complex(lam), n_used), rows.conj().T)
+    return np.eye(len(chans)) - 2j * np.pi * rows @ x
+
+
+def node_block_sigma_min(model, lam, tail_tol, k) -> float:
+    """Smallest singular value of the node block ``D_k = u_k - sum_n c_n
+    a^n_k a^n_k^T`` at ``x_k``, formed from the mode samples, ``v`` and the
+    quadrature weights."""
+    n_used, _ = birman._truncation(model, complex(lam), tail_tol)
+    grid = model.grid
+    sw = grid.composite_sqrt_weights().reshape(grid.n_omega, grid.n_x)[:, k]
+    a = np.array([model.modes[n].samples * model.potential.v[:, k] * sw for n in range(n_used)])
+    c = np.array([1j / (2.0 * birman.sqrt_upper(lam - model.eigenvalue(n + 1)))
+                  for n in range(n_used)])
+    d = np.diag(model.potential.u[:, k]) - (a.T * c) @ a
+    return float(np.linalg.svd(d, compute_uv=False)[-1])
+
+
+class TestBarrier:
+    """On a barrier (``V > 0``) the node blocks ``D_k = I - sum_n c_n a a^T``
+    of the condensed band can be singular just below a threshold, where a
+    closed mode's ``1 / (2 |mu_n|)`` grows; the build then refuses the
+    energy.  Everywhere else S is the dense operator's."""
+
+    TAIL_TOL = 0.1
+
+    def test_guard_fires_only_at_node_block_roots(self):
+        model = barrier_model()
+        lam2 = model.eigenvalue(2)
+        sweep = np.concatenate([np.linspace(1.05, 3.95, 12), lam2 - np.geomspace(3e-3, 1e-5, 25),
+                                lam2 + np.geomspace(1e-5, 3e-3, 8), np.linspace(4.05, 8.95, 8)])
+        roots = []
+        for k in (7, 9, 12):
+            # the root of sigma_min(D_k), from a coarse grid and golden section
+            smin = lambda lam: node_block_sigma_min(model, lam, self.TAIL_TOL, k)
+            grid = np.linspace(lam2 - 0.01, lam2 - 1e-7, 200)
+            i = int(np.argmin([smin(lam) for lam in grid]))
+            roots.append(birman.golden_min(smin, grid[i - 1], grid[i + 1], 1e-16))
+            assert smin(roots[-1]) <= 1e-12
+        fired, worst = [], 0.0
+        for lam in np.concatenate([sweep, roots]):
+            try:
+                s = scattering.channel_smatrix(float(lam), model, tail_tol=self.TAIL_TOL)
+            except SingularMatrixError as exc:
+                assert exc.cond > linalg.COND_LIMIT
+                fired.append(float(lam))
+                continue
+            worst = max(worst, np.abs(s.matrix - dense_smatrix(model, lam, self.TAIL_TOL)).max())
+        print(f"guard fires at lambda_2 - {[f'{lam2 - lam:.4e}' for lam in fired]}; "
+              f"elsewhere |S - S_dense| <= {worst:.2e}")
+        assert fired == roots
+        assert worst <= 1e-12
+        # the dense operator is regular at the refused energies: the refusal
+        # is the node block's, not an eigenvalue's
+        for lam in roots:
+            s = dense_smatrix(model, lam, self.TAIL_TOL)
+            assert linalg.opnorm(s.conj().T @ s - np.eye(len(s))) <= 1e-12
 
 
 def birman_krein_defect(lam, model, tail_tol) -> float:
