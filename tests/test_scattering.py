@@ -193,6 +193,15 @@ class TestSMatrix:
         print(f"{name} lam={lam}: bound / exact {op.cond_bound() / exact:.3g}")
         assert op.cond_bound() >= exact * (1.0 - 1e-10)
 
+    def test_bound_holds_at_seeded_sweep_energies(self):
+        # the energies TestBirmanKrein draws from the smatrix_sweep workload
+        sweep = load_module(ROOT / "perfbench" / "workloads.py").SmatrixSweep()
+        model = sweep.setup(None)
+        for lam in sweep.inputs(model, np.random.default_rng(0), 20):
+            op = birman.boundary_operator(lam, model, sweep.tail_tol)
+            exact = linalg.cond_estimate(birman.bs_blocks(model, complex(lam), op.n_used))
+            assert op.cond_bound() >= exact * (1.0 - 1e-10), lam
+
     def test_smoothness_off_singular_set(self, well_small):
         devs = scattering.smoothness_probe(2.3, well_small, tail_tol=0.1)
         assert all(a > b for a, b in zip(devs, devs[1:]))
