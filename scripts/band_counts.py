@@ -16,8 +16,13 @@ and left unchanged), and prints one JSON object:
   (``n_blocks n_x 2q``: the ``2q`` forward and backward sums of a node's
   ``q`` mode slots) and its order times the right-hand sides for a solve;
 - ``layout_builds``: band layouts built (``birman._build_layout``);
-- ``sigma_min_solves``: the number of ``birman._sigma_min`` calls, keyed by
-  the band solves each took.
+- ``scan_runs`` and ``one_row_runs``: the ``birman._lanczos`` runs, keyed
+  by the band solves each took.  A scan run is one scan point's batched run
+  over the sector blocks of the whole band; a one-row run is a ``_sigma_min``
+  (golden-section points, the per-block choice, refined candidates) or a
+  ``_sigma_max`` run, which solves nothing;
+- ``runs_at_cap``: the runs of each kind that took ``birman.SIGMA_ITERS``
+  steps, and ``cap_share``: their share of all runs.
 
 Runs the ``wgscat`` this interpreter imports: put a checkout's ``src``
 first on ``PYTHONPATH`` to count that checkout.  Counting wraps module
@@ -50,9 +55,10 @@ def band_counts(seed: int, n_windows: int | None = None) -> dict:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     n_ops = max(run.MIN_OPS, round(spec["run_seconds"] * wl.ops_per_second))
     counts = collections.Counter()
-    per_call = collections.Counter()
+    runs = {kind: collections.Counter() for kind in ("scan_runs", "one_row_runs")}
+    capped = collections.Counter()
     saved = {name: getattr(birman, name)
-             for name in ("_GBTRF", "_GBTRS", "_build_layout", "_sigma_min")}
+             for name in ("_GBTRF", "_GBTRS", "_build_layout", "_lanczos")}
 
     def counted(key, fn, unknowns=None):
         def wrapper(*args, **kwargs):
@@ -62,10 +68,12 @@ def band_counts(seed: int, n_windows: int | None = None) -> dict:
             return fn(*args, **kwargs)
         return wrapper
 
-    def sigma_min(op, x):
-        before = counts["band_solves"]
-        value = saved["_sigma_min"](op, x)
-        per_call[counts["band_solves"] - before] += 1
+    def lanczos(apply, x, ritz=False):
+        before, steps_before = counts["band_solves"], counts["lanczos_steps"]
+        value = saved["_lanczos"](counted("lanczos_steps", apply), x, ritz)
+        kind = "scan_runs" if ritz else "one_row_runs"
+        runs[kind][counts["band_solves"] - before] += 1
+        capped[kind] += counts["lanczos_steps"] - steps_before == birman.SIGMA_ITERS
         return value
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -77,17 +85,20 @@ def band_counts(seed: int, n_windows: int | None = None) -> dict:
             birman._GBTRS = counted("band_solves", saved["_GBTRS"],
                                     ("band_unknowns_solved", lambda lu, kl, ku, b, *_: b.size))
             birman._build_layout = counted("layout_builds", saved["_build_layout"])
-            birman._sigma_min = sigma_min
+            birman._lanczos = lanczos
             job = wl.job(levels, windows, Path(tmp) / "job")
             _, failures = wl.check(levels, windows, job)
         finally:
             for name, fn in saved.items():
                 setattr(birman, name, fn)
+    n_runs = sum(sum(hist.values()) for hist in runs.values())
     return {"seed": seed, "windows": len(windows), "failed": len(failures),
             **{key: counts[key] for key in
                ("band_factorizations", "band_solves", "band_unknowns_factored",
                 "band_unknowns_solved", "layout_builds")},
-            "sigma_min_solves": {str(k): per_call[k] for k in sorted(per_call)}}
+            **{kind: {str(k): hist[k] for k in sorted(hist)} for kind, hist in runs.items()},
+            "runs_at_cap": {kind: capped[kind] for kind in runs},
+            "cap_share": sum(capped.values()) / max(n_runs, 1)}
 
 
 def main(argv=None) -> int:

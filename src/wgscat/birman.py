@@ -49,7 +49,7 @@ band LU, with a Hager-Higham estimate where the bound exceeds ``COND_LIMIT``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -518,6 +518,8 @@ class BandLayout:
     mode: np.ndarray       # (n_blocks, q) that mode's index (0-based), 0 in inert slots
     an: np.ndarray         # (n_blocks n_x, q, w) slot mode factors per node, 0 in inert slots
     un: np.ndarray         # (n_blocks n_x, w) signs per node
+    # the layouts of subset, keyed by block tuple and built on first use
+    subsets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for f in fields(self):
@@ -529,12 +531,19 @@ class BandLayout:
         """The layout of the band over the sector blocks ``blocks`` alone: their
         rows of this one, with the same ``q`` slots.  Its vectors are those
         blocks' sector coordinates, one block's as the grid of its ``w``
-        transverse values."""
-        b = np.asarray(blocks, dtype=int)
-        n_x, w = self.dx.size, self.un.shape[1]
-        rows = (b[:, None] * n_x + np.arange(n_x)).reshape(-1)
-        sec = Sectors.single(w, n_x) if b.size == 1 else Sectors(np.eye(b.size), b.size, n_x)
-        return BandLayout(self.dx, sec, self.live[b], self.mode[b], self.an[rows], self.un[rows])
+        transverse values.  Kept in ``subsets`` from its first use on, as
+        :func:`band_layout` keeps the whole band's on the model, so each
+        golden-section point of a window reuses its block's."""
+        key = tuple(int(b) for b in blocks)
+        layout = self.subsets.get(key)
+        if layout is None:
+            b = np.array(key)
+            n_x, w = self.dx.size, self.un.shape[1]
+            rows = (b[:, None] * n_x + np.arange(n_x)).reshape(-1)
+            sec = Sectors.single(w, n_x) if b.size == 1 else Sectors(np.eye(b.size), b.size, n_x)
+            layout = self.subsets.setdefault(key, BandLayout(
+                self.dx, sec, self.live[b], self.mode[b], self.an[rows], self.un[rows]))
+        return layout
 
 
 def band_layout(model: WaveguideModel, n_used: int) -> BandLayout:
@@ -806,45 +815,126 @@ def _start_vectors(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x_max / np.linalg.norm(x_max), x_min / np.linalg.norm(x_min)
 
 
-def _lanczos(apply, x: np.ndarray) -> float:
-    """Largest eigenvalue of the Hermitian positive semidefinite operator
-    ``apply`` by the plain Lanczos recurrence from the unit vector ``x``;
-    ``inf`` when ``apply`` overflows.  The largest Ritz value never decreases,
-    and the run stops once it grows by at most ``SIGMA_RTOL`` relative, or
-    after ``SIGMA_ITERS`` steps (Parlett, *The Symmetric Eigenvalue Problem*,
-    ch. 12)."""
-    t = np.zeros((SIGMA_ITERS + 1, SIGMA_ITERS + 1))
-    q, q_prev, beta, theta = x, 0.0, 0.0, 0.0
+def _lanczos(apply, x: np.ndarray, ritz: bool = False):
+    """Largest eigenvalue of a Hermitian positive semidefinite operator on
+    each row of ``x`` ``(rows, n)``, by one batched run of the plain Lanczos
+    recurrence (no reorthogonalization) from the unit rows of ``x``.  One
+    ``apply`` call per step maps the whole stack, and it must map each row
+    on its own.  Each row keeps its own ``alpha``, ``beta``, tridiagonal and
+    stop: its largest Ritz value never decreases, and the row stops once it
+    grows by at most ``SIGMA_RTOL`` relative, or after ``SIGMA_ITERS`` steps
+    (Parlett, *The Symmetric Eigenvalue Problem*, ch. 12).  The Ritz values
+    come from one stacked ``eigvalsh`` per step.  Returns the largest Ritz
+    value per row, ``inf`` where ``apply`` overflows; a one-row run is the
+    plain one-vector recurrence, bit for bit.
+
+    With ``ritz`` (the scan's runs) the Ritz pairs come from ``eigh``; a row
+    also stops once ``theta + beta |s|``, its Ritz value plus the residual
+    norm of its Ritz pair (``s`` the last entry of the tridiagonal's
+    eigenvector), is below the largest Ritz value of all rows, where it can
+    no longer hold the maximum; and the unit Ritz vector of each row is
+    returned as well."""
+    n_rows = x.shape[0]
+    t = np.zeros((n_rows, SIGMA_ITERS + 1, SIGMA_ITERS + 1))
+    theta, beta, vecs = [0.0] * n_rows, [0.0] * n_rows, np.zeros((n_rows, SIGMA_ITERS))
+    q, q_prev, live, basis = x, None, list(range(n_rows)), []
     for j in range(SIGMA_ITERS):
-        w = apply(q) - beta * q_prev
-        # real products only: a complex BLAS product (zgemm) slows the narrow
-        # zgbtrs of _sigma_min about 9x (the zgemm -> zgbtrs FOUND line of CHANGES.md)
-        t[j, j] = alpha = np.vdot(q.view(float), w.view(float))
-        w -= alpha * q
-        prev, theta = theta, np.linalg.eigvalsh(t[: j + 1, : j + 1])[-1]
-        beta = np.sqrt(np.vdot(w.view(float), w.view(float)))
-        if theta - prev <= SIGMA_RTOL * theta or not 0 < beta < np.inf:
+        basis.append(q)
+        w = apply(q)
+        for r in live:
+            if j:
+                w[r] -= beta[r] * q_prev[r]
+            # real products only: a complex BLAS product (zgemm) slows the narrow
+            # zgbtrs of _sigma_min about 9x (the zgemm -> zgbtrs FOUND line of CHANGES.md)
+            t[r, j, j] = alpha = np.vdot(q[r].view(float), w[r].view(float))
+            w[r] -= alpha * q[r]
+            beta[r] = np.sqrt(np.vdot(w[r].view(float), w[r].view(float)))
+        if ritz:
+            vals, s = np.linalg.eigh(t[:, : j + 1, : j + 1])
+        else:
+            vals = np.linalg.eigvalsh(t[:, : j + 1, : j + 1])
+        prev = theta[:]
+        for r in live:
+            theta[r] = vals[r, -1]
+        top, ended = max(theta), []
+        for r in live:
+            if ritz:
+                vecs[r, : j + 1] = s[r, :, -1]
+            if (theta[r] - prev[r] <= SIGMA_RTOL * theta[r] or not 0 < beta[r] < np.inf
+                    or ritz and theta[r] + beta[r] * abs(s[r, -1, -1]) < top):
+                ended.append(r)
+                w[r] = 0.0      # a stopped row carries zeros from here on
+        live = [r for r in live if r not in ended]
+        if not live:
             break
-        t[j + 1, j] = beta
-        q_prev, q = q, w / beta
-    return float(theta) if beta < np.inf else np.inf
+        for r in live:
+            t[r, j + 1, j] = beta[r]
+            w[r] /= beta[r]
+        q_prev, q = q, w
+    theta = np.array([th if b < np.inf else np.inf for th, b in zip(theta, beta)])
+    if not ritz:
+        return theta
+    # the Ritz vectors from real products on the interleaved parts: no
+    # complex BLAS product, as above
+    y = np.einsum("rk,krn->rn", vecs[:, : len(basis)], np.array(basis).view(float)).view(complex)
+    return theta, y / np.linalg.norm(y, axis=1, keepdims=True)
 
 
 def _sigma_max(op: BoundaryOperator, x: np.ndarray) -> float:
-    """Largest singular value estimate of ``op``: :func:`_lanczos` on
-    ``A^H A = conj A conj A`` in the band's node slices."""
-    gram = lambda y: np.conj(op._apply(np.conj(op._apply(y))))
-    return float(np.sqrt(_lanczos(gram, op._nodes(x))))
+    """Largest singular value estimate of ``op``: a one-row :func:`_lanczos`
+    on ``A^H A = conj A conj A`` in the band's node slices."""
+    shape = op.layout.un.shape + (1,)
+    gram = lambda y: np.conj(op._apply(np.conj(op._apply(y.reshape(shape))))).reshape(y.shape)
+    return float(np.sqrt(_lanczos(gram, op._nodes(x).reshape(1, -1))[0]))
+
+
+def _inverse_gram(op: BoundaryOperator):
+    """``A^-H A^-1 = conj A^-1 conj A^-1`` on a stack of rows: one row of
+    the band's node slices, or one row per sector block of its slices.  Either
+    way the stack is the node slices of the whole band, so one pair of band
+    solves serves every row; the band never couples two blocks."""
+    shape = op.layout.un.shape + (1,)
+    return lambda y: np.conj(op._band_solve(np.conj(op._band_solve(y.reshape(shape))))).reshape(
+        y.shape)
 
 
 def _sigma_min(op: BoundaryOperator, x: np.ndarray) -> float:
-    """Smallest singular value estimate of ``op``: :func:`_lanczos` on
-    ``A^-H A^-1 = conj A^-1 conj A^-1`` in the band's node coordinates; 0
-    when ``op`` is singular."""
+    """Smallest singular value estimate of ``op``: a one-row
+    :func:`_lanczos` on ``A^-H A^-1`` in the band's node slices, from the
+    fixed vector ``x``; 0 when ``op`` is singular.  :func:`eigenvalue_search`
+    runs it at its golden-section points, for its choice of block and at
+    its refined candidates; its scan runs :func:`_scan`."""
     if op.singular:
         return 0.0
-    inverse_gram = lambda y: np.conj(op._band_solve(np.conj(op._band_solve(y))))
-    return float(1.0 / np.sqrt(_lanczos(inverse_gram, op._nodes(x))))
+    return float(1.0 / np.sqrt(_lanczos(_inverse_gram(op), op._nodes(x).reshape(1, -1))[0]))
+
+
+def _scan(lams, model: WaveguideModel, tail_tol: float, x: np.ndarray) -> list[float]:
+    """The smallest singular value of the whole band at each energy of
+    ``lams``: ``1 / sqrt(max_b theta_b)`` from one batched :func:`_lanczos`
+    run per energy, whose rows are the sector blocks (a coupled model has
+    one row) and ``theta_b`` the largest eigenvalue of block ``b``'s ``A_b^-H
+    A_b^-1``.  Each row starts from its own Ritz vector at the previous
+    energy; at the first energy, and after a singular one (value 0), from
+    the normalized block slices of ``x`` in node coordinates.  A row that can
+    no longer hold the maximum stops early.  One row per block keeps each
+    block's own start: a single whole-band row warm-started this way keeps
+    following the block that held the minimum before, and reads high once
+    another block takes it over."""
+    sig, rows = [], None
+    for lam in lams:
+        op = boundary_operator(float(lam), model, tail_tol)
+        value = 0.0
+        if not op.singular:
+            if rows is None:
+                rows = op._nodes(x).reshape(model.sectors.n_blocks, -1)
+                rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
+            theta, rows = _lanczos(_inverse_gram(op), rows, ritz=True)
+            value = float(1.0 / np.sqrt(theta.max()))
+        if value == 0.0:
+            rows = None
+        sig.append(value)
+    return sig
 
 
 def check_model_range(energy: float, model: WaveguideModel) -> None:
@@ -881,11 +971,15 @@ def eigenvalue_search(
 ) -> list[EigenvalueCandidate]:
     """Scan the smallest singular value of ``u + v R0(lam + i0) v``.
 
+    The scan is :func:`_scan`: one batched Lanczos run per energy with one
+    row per sector block, each row warm-started from its Ritz vector at the
+    previous energy and stopped once it can no longer hold the minimum.
     Interior local minima of the scan are refined by golden-section search
     to ``refine_width`` and kept when the refined relative dip
-    ``sigma_min / sigma_max`` is below ``DETECT_REL``; both are
-    :func:`_lanczos` estimates, and ``sigma_max`` is computed at the refined
-    points only.  On a decomposing model a minimum is refined on the band of
+    ``sigma_min / sigma_max`` is below ``DETECT_REL``; both are one-row
+    :func:`_lanczos` estimates from the fixed start vectors, and
+    ``sigma_max`` is computed at the refined points only.  On a decomposing
+    model a minimum is refined on the band of
     the sector block with the smallest ``sigma_min`` there (the lowest index
     on a tie), from its normalized slice of the start vector; the figures at
     the refined point are the whole band's.  An empty result is a valid
@@ -903,7 +997,7 @@ def eigenvalue_search(
         return _sigma_min(boundary_operator(lam, model, tail_tol, blocks), x)
 
     lams = np.linspace(*window, resolution)
-    sig = [sigma_min(float(lam)) for lam in lams]
+    sig = _scan(lams, model, tail_tol, x_min)
     out: list[EigenvalueCandidate] = []
     for i in range(1, resolution - 1):
         if not (sig[i] <= sig[i - 1] and sig[i] <= sig[i + 1]):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
@@ -248,6 +248,16 @@ def dirichlet_lattice(length: float, n_nodes: int):
     return nodes, weights
 
 
+@cache
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``n``-point Gauss-Legendre rule on [-1, 1], computed once per
+    order and shared, so its arrays are read-only."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def gauss_legendre_panels(a: float, b: float, n_nodes: int, n_panels: int = 1):
     """Composite Gauss-Legendre rule: ``n_nodes`` total over equal panels."""
     if n_nodes < 2:
@@ -255,7 +265,7 @@ def gauss_legendre_panels(a: float, b: float, n_nodes: int, n_panels: int = 1):
     if n_panels < 1 or n_nodes % n_panels != 0:
         raise DimensionError("n_nodes must split evenly across panels")
     per = n_nodes // n_panels
-    x_ref, w_ref = np.polynomial.legendre.leggauss(per)
+    x_ref, w_ref = _legendre_rule(per)
     nodes, weights = [], []
     edges = np.linspace(a, b, n_panels + 1)
     for lo, hi in zip(edges[:-1], edges[1:]):

@@ -15,12 +15,18 @@ def band_counts(seed: int, n_windows: int) -> dict:
 
 def test_counts_on_two_windows():
     counts = band_counts(201, n_windows=2)
-    hist = {int(k): v for k, v in counts["sigma_min_solves"].items()}
+    scan, one_row = ({int(k): v for k, v in counts[kind].items()}
+                     for kind in ("scan_runs", "one_row_runs"))
     assert (counts["windows"], counts["failed"]) == (2, 0)
-    # one factorization per sigma_min call, every band solve inside one, and
-    # one layout per window: each window keeps one mode count
-    assert counts["band_factorizations"] == sum(hist.values()) > 0
-    assert counts["band_solves"] == sum(k * v for k, v in hist.items())
+    # one factorization per scan point or sigma_min run (a sigma_max run
+    # reuses its candidate's operator and solves nothing), every band solve
+    # inside a Lanczos run, and one layout per window: each window keeps one
+    # mode count
+    assert sum(scan.values()) == 2 * 9
+    assert counts["band_factorizations"] == sum(scan.values()) + sum(
+        v for k, v in one_row.items() if k > 0)
+    assert counts["band_solves"] == sum(k * v for hist in (scan, one_row)
+                                        for k, v in hist.items())
     assert counts["layout_builds"] == 2
 
 

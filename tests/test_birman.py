@@ -719,3 +719,72 @@ class TestBlockRefinement:
                                          tail_tol=0.1)
         assert len(cands) == 1
         assert calls == ["golden_min"]
+
+
+def dense_block_sigma_min(model, lam: float, tail_tol: float) -> float:
+    """``min_b sigma_min`` over the dense sector blocks :func:`birman.bs_blocks`
+    at ``lam + i0``, with the certified mode count of the scan."""
+    n_used, _ = birman._truncation(model, complex(lam), tail_tol)
+    return min(np.linalg.svd(b, compute_uv=False)[-1]
+               for b in birman.bs_blocks(model, complex(lam), n_used))
+
+
+class TestScan:
+    """The scan's batched Lanczos runs (one row per sector block, each
+    warm-started from its Ritz vector at the previous energy) read the
+    smallest singular value of the whole operator at every scan energy, also
+    where the minimizing sector block changes between two energies."""
+
+    @pytest.mark.parametrize("cosine, window, resolution", [
+        (False, (1.05, 3.95), 48), (False, (0.3, 0.95), 20), (True, (1.05, 3.95), 48),
+    ], ids=["well-wide", "well-ground", "cosine-wide"])
+    def test_every_point_matches_the_dense_blocks(self, interval_cs, cosine, window,
+                                                  resolution):
+        # the 5 x 60 well of eigen_scan_cli and its coupled cosine twin, over
+        # windows where the block attaining the minimum changes
+        profile = {"kind": "cosine", "amplitude": 0.5, "harmonic": 1} if cosine else None
+        model = waveguide.square_well_model(interval_cs, 1.0, (0.0, 1.0), n_omega=5, n_x=60,
+                                            n_max=9, omega_profile=profile)
+        lams = np.linspace(*window, resolution)
+        sig = birman._scan(lams, model, 0.03, birman._start_vectors(model.dim)[1])
+        dense = [dense_block_sigma_min(model, float(lam), 0.03) for lam in lams]
+        if not cosine:
+            # the minimizing block does change inside the window
+            n_used = [birman._truncation(model, complex(lam), 0.03)[0] for lam in lams]
+            argmins = {int(np.argmin([np.linalg.svd(b, compute_uv=False)[-1] for b in
+                                      birman.bs_blocks(model, complex(lam), n)]))
+                       for lam, n in zip(lams, n_used)}
+            assert len(argmins) > 1
+        assert len(sig) == resolution
+        for value, ref in zip(sig, dense):
+            assert abs(value - ref) <= 1e-12 * ref
+
+    def test_search_reads_the_scan(self, scan_well, monkeypatch):
+        # eigenvalue_search takes its scan values from _scan, once per search
+        calls = []
+        scan = birman._scan
+        monkeypatch.setattr(birman, "_scan", lambda *a: calls.append(a[0]) or scan(*a))
+        cands = birman.eigenvalue_search(level_window(4.0), scan_well, resolution=9,
+                                         tail_tol=0.03)
+        assert len(cands) == 1 and len(calls) == 1
+        assert np.array_equal(calls[0], np.linspace(*level_window(4.0), 9))
+
+    def test_one_row_run_is_the_single_vector_recurrence(self, scan_well):
+        # _sigma_min's one-row run against the plain recurrence written out
+        op = birman.boundary_operator(2.5, scan_well, 0.03)
+        q = op._nodes(birman._start_vectors(scan_well.dim)[1])
+        apply = lambda y: np.conj(op._band_solve(np.conj(op._band_solve(y))))
+        t = np.zeros((birman.SIGMA_ITERS + 1, birman.SIGMA_ITERS + 1))
+        q_prev, beta, theta = 0.0, 0.0, 0.0
+        for j in range(birman.SIGMA_ITERS):
+            w = apply(q) - beta * q_prev
+            t[j, j] = alpha = np.vdot(q.view(float), w.view(float))
+            w -= alpha * q
+            prev, theta = theta, np.linalg.eigvalsh(t[: j + 1, : j + 1])[-1]
+            beta = np.sqrt(np.vdot(w.view(float), w.view(float)))
+            if theta - prev <= birman.SIGMA_RTOL * theta or not 0 < beta < np.inf:
+                break
+            t[j + 1, j] = beta
+            q_prev, q = q, w / beta
+        assert birman._sigma_min(op, birman._start_vectors(scan_well.dim)[1]) == float(
+            1.0 / np.sqrt(theta))

@@ -1,11 +1,13 @@
 """Generated-input properties: the config error contract, the inversion
 engine against the dense oracle, the exact Hermitian split, the projection
 invariants, thin-factor commutator norms, threshold grouping, transverse
-sector detection, the certified mode cutoff and the first-order limit of
-the threshold ladder's ``M1``."""
+sector detection, the certified mode cutoff, the first-order limit of
+the threshold ladder's ``M1`` and the brackets of the eigenvalue scan."""
 
 import copy
 import dataclasses
+import functools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -494,3 +496,53 @@ def test_m1_difference_quotient_tends_to_the_quadratic_kernel(case, data):
             m1 = expansion._m1(model, group.value, members, others, u, k)
             errs.append(linalg.opnorm((m1 - m10) / k - n20))
         assert errs[1] <= errs[0] / 5.0 or errs[1] <= floor, (ray, errs, floor)
+
+
+@functools.cache
+def small_well(cosine: bool) -> waveguide.WaveguideModel:
+    """The ``well_small`` fixture (5 x 40 depth-1 well, 8 modes), or its
+    coupled cosine-profile twin."""
+    return waveguide.square_well_model(waveguide.Interval(np.pi), 1.0, (0.0, 1.0), n_omega=5,
+                                       n_x=40, n_max=8, omega_profile=COSINE if cosine else None)
+
+
+@st.composite
+def scan_windows(draw):
+    """``(model, window, resolution)``: :func:`small_well` or its twin, a
+    window inside one band between its thresholds 1, 4, 9, 16, 25 (or
+    below the first) at least 0.01 from each, and 3 to 16 scan points."""
+    model = small_well(draw(st.booleans()))
+    edges = [0.2, 1.0, 4.0, 9.0, 16.0, 25.0]
+    band = draw(st.integers(0, len(edges) - 2))
+    a, c = edges[band] + 0.01, edges[band + 1] - 0.01
+    lo, hi = sorted(a + (c - a) * f for f in draw(st.tuples(st.floats(0.0, 1.0),
+                                                            st.floats(0.0, 1.0))))
+    if hi - lo < 0.05 * (c - a):
+        lo, hi = a, c
+    return model, (lo, hi), draw(st.integers(3, 16))
+
+
+@given(scan_windows())
+def test_scan_refines_the_dense_local_minima(case):
+    # the brackets the search refines are exactly the interior local minima
+    # of min_b sigma_min of the dense sector blocks at the scan energies
+    model, window, resolution = case
+    tail_tol = 0.1
+    lams = np.linspace(*window, resolution)
+    dense = []
+    for lam in lams:
+        n_used, _ = birman._truncation(model, complex(lam), tail_tol)
+        dense.append(min(np.linalg.svd(b, compute_uv=False)[-1]
+                         for b in birman.bs_blocks(model, complex(lam), n_used)))
+    minima = [(float(lams[i - 1]), float(lams[i + 1])) for i in range(1, resolution - 1)
+              if dense[i] <= dense[i - 1] and dense[i] <= dense[i + 1]]
+    brackets = []
+    golden_min = birman.golden_min
+
+    def recorded(f, a, b, tol):
+        brackets.append((a, b))
+        return golden_min(f, a, b, tol)
+
+    with mock.patch.object(birman, "golden_min", recorded):
+        birman.eigenvalue_search(window, model, resolution, tail_tol, refine_width=1e-4)
+    assert brackets == minima
