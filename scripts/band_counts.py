@@ -16,11 +16,13 @@ and left unchanged), and prints one JSON object:
   (``n_blocks n_x 2q``: the ``2q`` forward and backward sums of a node's
   ``q`` mode slots) and its order times the right-hand sides for a solve;
 - ``layout_builds``: band layouts built (``birman._build_layout``);
-- ``scan_runs`` and ``one_row_runs``: the ``birman._lanczos`` runs, keyed
-  by the band solves each took.  A scan run is one scan point's batched run
-  over the sector blocks of the whole band; a one-row run is a ``_sigma_min``
-  (golden-section points, the per-block choice, refined candidates) or a
-  ``_sigma_max`` run, which solves nothing;
+- ``scan_runs``, ``golden_runs`` and ``candidate_runs``: the
+  ``birman._lanczos`` runs, keyed by the band solves each took.  A scan run
+  is one scan point's batched run over the sector blocks of the whole band;
+  a golden run is the one-row ``_sigma_min`` of a golden-section point, on
+  the band of the block the scan names; a candidate run is the one-row
+  ``_sigma_min`` or ``_sigma_max`` at a refined candidate (``_sigma_max``
+  solves nothing);
 - ``runs_at_cap``: the runs of each kind that took ``birman.SIGMA_ITERS``
   steps, and ``cap_share``: their share of all runs.
 
@@ -55,10 +57,12 @@ def band_counts(seed: int, n_windows: int | None = None) -> dict:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     n_ops = max(run.MIN_OPS, round(spec["run_seconds"] * wl.ops_per_second))
     counts = collections.Counter()
-    runs = {kind: collections.Counter() for kind in ("scan_runs", "one_row_runs")}
+    runs = {kind: collections.Counter()
+            for kind in ("scan_runs", "golden_runs", "candidate_runs")}
     capped = collections.Counter()
     saved = {name: getattr(birman, name)
-             for name in ("_GBTRF", "_GBTRS", "_build_layout", "_lanczos")}
+             for name in ("_GBTRF", "_GBTRS", "_build_layout", "_lanczos", "golden_min")}
+    phase = {"one_row": "candidate_runs"}
 
     def counted(key, fn, unknowns=None):
         def wrapper(*args, **kwargs):
@@ -71,10 +75,17 @@ def band_counts(seed: int, n_windows: int | None = None) -> dict:
     def lanczos(apply, x, ritz=False):
         before, steps_before = counts["band_solves"], counts["lanczos_steps"]
         value = saved["_lanczos"](counted("lanczos_steps", apply), x, ritz)
-        kind = "scan_runs" if ritz else "one_row_runs"
+        kind = "scan_runs" if ritz else phase["one_row"]
         runs[kind][counts["band_solves"] - before] += 1
         capped[kind] += counts["lanczos_steps"] - steps_before == birman.SIGMA_ITERS
         return value
+
+    def golden_min(*args):
+        phase["one_row"] = "golden_runs"
+        try:
+            return saved["golden_min"](*args)
+        finally:
+            phase["one_row"] = "candidate_runs"
 
     with tempfile.TemporaryDirectory() as tmp:
         levels = wl.setup(Path(tmp) / "setup")
@@ -86,6 +97,7 @@ def band_counts(seed: int, n_windows: int | None = None) -> dict:
                                     ("band_unknowns_solved", lambda lu, kl, ku, b, *_: b.size))
             birman._build_layout = counted("layout_builds", saved["_build_layout"])
             birman._lanczos = lanczos
+            birman.golden_min = golden_min
             job = wl.job(levels, windows, Path(tmp) / "job")
             _, failures = wl.check(levels, windows, job)
         finally:

@@ -42,9 +42,10 @@ the model; each energy builds only the ``mu``-dependent entries,
 ``O(n_blocks n_x (s^2 w + w^3))`` of node blocks and band fill beside the
 LU; the band over some of the blocks is their rows of it
 (:meth:`BandLayout.subset`).  S-matrices and the eigenvalue scan run on the
-embedding, the scan's refinement on the band of one block; the S-matrix
-guard is an upper bound on the condition read off the node blocks and the
-band LU, with a Hager-Higham estimate where the bound exceeds ``COND_LIMIT``.
+embedding, the scan's refinement on the band of the block the scan names;
+the S-matrix guard is an upper bound on the condition read off the node
+blocks and the band LU, with a Hager-Higham estimate where the bound
+exceeds ``COND_LIMIT``.
 """
 
 from __future__ import annotations
@@ -633,10 +634,12 @@ def boundary_operator(lam: float, model: WaveguideModel, tail_tol: float = 1e-4,
     computes only ``mu``, the slot prefactors ``cn`` and ratios ``rn`` and
     the node blocks that the operator keeps, and writes every band node
     block straight into the band storage.  Given the sector-block indices
-    ``blocks``, the same code builds the band over those blocks alone from
-    their rows of the layout (:meth:`BandLayout.subset`; same ``q``, same
-    global cutoff); its LU and solves equal those blocks' rows of the whole
-    band's, and its vectors are those blocks' sector coordinates.  Raises
+    ``blocks`` (the open sectors of an S-matrix, or the one block of a
+    golden-section point), the same code builds the band over those blocks
+    alone from their rows of the layout (:meth:`BandLayout.subset`; same
+    ``q``, same global cutoff); its LU and solves equal those blocks' rows
+    of the whole band's, and its vectors are those blocks' sector
+    coordinates.  Raises
     :class:`DimensionError` unless the ``x`` nodes increase strictly.
     """
     z = complex(lam)
@@ -880,61 +883,63 @@ def _lanczos(apply, x: np.ndarray, ritz: bool = False):
     return theta, y / np.linalg.norm(y, axis=1, keepdims=True)
 
 
+def _gram(op: BoundaryOperator, f):
+    """``y -> conj f(conj f(y))`` on a stack of rows of the whole band's node
+    slices (one row, or one per sector block), ``f`` a map of node slices:
+    ``A^H A`` for ``op._apply``, ``A^-H A^-1`` for ``op._band_solve`` (``A``
+    is complex symmetric).  One pair of ``f`` calls serves every row, since
+    the band never couples two blocks."""
+    shape = op.layout.un.shape + (1,)
+    return lambda y: np.conj(f(np.conj(f(y.reshape(shape))))).reshape(y.shape)
+
+
 def _sigma_max(op: BoundaryOperator, x: np.ndarray) -> float:
     """Largest singular value estimate of ``op``: a one-row :func:`_lanczos`
-    on ``A^H A = conj A conj A`` in the band's node slices."""
-    shape = op.layout.un.shape + (1,)
-    gram = lambda y: np.conj(op._apply(np.conj(op._apply(y.reshape(shape))))).reshape(y.shape)
-    return float(np.sqrt(_lanczos(gram, op._nodes(x).reshape(1, -1))[0]))
-
-
-def _inverse_gram(op: BoundaryOperator):
-    """``A^-H A^-1 = conj A^-1 conj A^-1`` on a stack of rows: one row of
-    the band's node slices, or one row per sector block of its slices.  Either
-    way the stack is the node slices of the whole band, so one pair of band
-    solves serves every row; the band never couples two blocks."""
-    shape = op.layout.un.shape + (1,)
-    return lambda y: np.conj(op._band_solve(np.conj(op._band_solve(y.reshape(shape))))).reshape(
-        y.shape)
+    on ``A^H A`` in the band's node slices."""
+    return float(np.sqrt(_lanczos(_gram(op, op._apply), op._nodes(x).reshape(1, -1))[0]))
 
 
 def _sigma_min(op: BoundaryOperator, x: np.ndarray) -> float:
     """Smallest singular value estimate of ``op``: a one-row
     :func:`_lanczos` on ``A^-H A^-1`` in the band's node slices, from the
     fixed vector ``x``; 0 when ``op`` is singular.  :func:`eigenvalue_search`
-    runs it at its golden-section points, for its choice of block and at
-    its refined candidates; its scan runs :func:`_scan`."""
+    runs it at its golden-section points, on the band of the block its scan
+    names, and at its refined candidates; its scan runs :func:`_scan`."""
     if op.singular:
         return 0.0
-    return float(1.0 / np.sqrt(_lanczos(_inverse_gram(op), op._nodes(x).reshape(1, -1))[0]))
+    return float(1.0 / np.sqrt(_lanczos(_gram(op, op._band_solve), op._nodes(x).reshape(1, -1))[0]))
 
 
-def _scan(lams, model: WaveguideModel, tail_tol: float, x: np.ndarray) -> list[float]:
+def _scan(lams, model: WaveguideModel, tail_tol: float,
+          x: np.ndarray) -> tuple[list[float], list[int]]:
     """The smallest singular value of the whole band at each energy of
-    ``lams``: ``1 / sqrt(max_b theta_b)`` from one batched :func:`_lanczos`
-    run per energy, whose rows are the sector blocks (a coupled model has
-    one row) and ``theta_b`` the largest eigenvalue of block ``b``'s ``A_b^-H
-    A_b^-1``.  Each row starts from its own Ritz vector at the previous
-    energy; at the first energy, and after a singular one (value 0), from
-    the normalized block slices of ``x`` in node coordinates.  A row that can
-    no longer hold the maximum stops early.  One row per block keeps each
-    block's own start: a single whole-band row warm-started this way keeps
-    following the block that held the minimum before, and reads high once
-    another block takes it over."""
-    sig, rows = [], None
+    ``lams``, and the sector block that holds it: ``1 / sqrt(max_b
+    theta_b)`` from one batched :func:`_lanczos` run per energy, whose rows
+    are the sector blocks (a coupled model has one row) and ``theta_b`` the
+    largest eigenvalue of block ``b``'s ``A_b^-H A_b^-1``, and the row ``b``
+    with the largest ``theta_b`` (the lowest on a tie; block 0 at a singular
+    energy, whose value is 0).  Each row starts from its own Ritz vector at
+    the previous energy; at the first energy, and after a singular one, from
+    the normalized block slices of ``x`` in node coordinates.  A row that
+    can no longer hold the maximum stops early.  One row per block keeps
+    each block's own start: a single whole-band row warm-started this way
+    keeps following the block that held the minimum before, and reads high
+    once another block takes it over."""
+    sig, named, rows = [], [], None
     for lam in lams:
         op = boundary_operator(float(lam), model, tail_tol)
-        value = 0.0
+        value, block = 0.0, 0
         if not op.singular:
             if rows is None:
                 rows = op._nodes(x).reshape(model.sectors.n_blocks, -1)
                 rows = rows / np.linalg.norm(rows, axis=1, keepdims=True)
-            theta, rows = _lanczos(_inverse_gram(op), rows, ritz=True)
-            value = float(1.0 / np.sqrt(theta.max()))
+            theta, rows = _lanczos(_gram(op, op._band_solve), rows, ritz=True)
+            value, block = float(1.0 / np.sqrt(theta.max())), int(np.argmax(theta))
         if value == 0.0:
             rows = None
         sig.append(value)
-    return sig
+        named.append(block)
+    return sig, named
 
 
 def check_model_range(energy: float, model: WaveguideModel) -> None:
@@ -971,20 +976,16 @@ def eigenvalue_search(
 ) -> list[EigenvalueCandidate]:
     """Scan the smallest singular value of ``u + v R0(lam + i0) v``.
 
-    The scan is :func:`_scan`: one batched Lanczos run per energy with one
-    row per sector block, each row warm-started from its Ritz vector at the
-    previous energy and stopped once it can no longer hold the minimum.
-    Interior local minima of the scan are refined by golden-section search
-    to ``refine_width`` and kept when the refined relative dip
-    ``sigma_min / sigma_max`` is below ``DETECT_REL``; both are one-row
-    :func:`_lanczos` estimates from the fixed start vectors, and
-    ``sigma_max`` is computed at the refined points only.  On a decomposing
-    model a minimum is refined on the band of
-    the sector block with the smallest ``sigma_min`` there (the lowest index
-    on a tie), from its normalized slice of the start vector; the figures at
-    the refined point are the whole band's.  An empty result is a valid
-    outcome.  :func:`check_window` vets the window; ``resolution < 3``
-    raises :class:`DomainError`."""
+    The scan is :func:`_scan`, which also names, at each energy, the sector
+    block that holds the minimum.  Interior local minima of the scan are
+    refined by golden-section search to ``refine_width`` on the band of the
+    block named there (a coupled model is its own block 0), from that
+    block's normalized slice of the start vector, and kept when the refined
+    relative dip ``sigma_min / sigma_max`` is below ``DETECT_REL``; both are
+    the whole band's one-row :func:`_lanczos` estimates from the fixed start
+    vectors, and ``sigma_max`` is computed at the refined points only.  An
+    empty result is a valid outcome.  :func:`check_window` vets the window;
+    ``resolution < 3`` raises :class:`DomainError`."""
     check_window(window, model)
     if resolution < 3:
         raise DomainError(f"resolution = {resolution}; the scan needs at least 3 points")
@@ -992,22 +993,16 @@ def eigenvalue_search(
     sec = model.sectors
     x_blocks = sec.blocked(sec.to_sector(x_min))[:, :, 0]
     x_blocks = x_blocks / np.linalg.norm(x_blocks, axis=1, keepdims=True)
-
-    def sigma_min(lam: float, blocks=None, x=x_min) -> float:
-        return _sigma_min(boundary_operator(lam, model, tail_tol, blocks), x)
-
     lams = np.linspace(*window, resolution)
-    sig = _scan(lams, model, tail_tol, x_min)
+    sig, named = _scan(lams, model, tail_tol, x_min)
     out: list[EigenvalueCandidate] = []
     for i in range(1, resolution - 1):
         if not (sig[i] <= sig[i - 1] and sig[i] <= sig[i + 1]):
             continue
-        f = sigma_min
-        if sec.n_blocks > 1:
-            b = int(np.argmin([sigma_min(float(lams[i]), [b], x_blocks[b])
-                               for b in range(sec.n_blocks)]))
-            f = lambda lam, b=b: sigma_min(lam, [b], x_blocks[b])
-        lam_star = golden_min(f, float(lams[i - 1]), float(lams[i + 1]), refine_width)
+        b = named[i]
+        lam_star = golden_min(
+            lambda lam: _sigma_min(boundary_operator(lam, model, tail_tol, [b]), x_blocks[b]),
+            float(lams[i - 1]), float(lams[i + 1]), refine_width)
         op = boundary_operator(lam_star, model, tail_tol)
         s_star = _sigma_min(op, x_min)
         rel = s_star / max(_sigma_max(op, x_max), 1e-300)

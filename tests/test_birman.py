@@ -649,24 +649,32 @@ class TestSigmaMin:
 
 
 class TestBlockRefinement:
-    """On a decomposing model each scan minimum is refined on the band of the
-    one sector block whose smallest singular value is lowest there; the
-    candidates are those of a refinement on the whole band, bit for bit."""
+    """Each scan minimum is refined on the band of the sector block the scan
+    names there (a coupled model is its own block 0); the candidates are
+    those of a refinement on the whole band, bit for bit."""
 
-    @pytest.mark.parametrize("n_x, resolution, window", [
-        (60, 24, (3.8, 4.0 - 1e-6)),
-        (120, 48, (3.8, 4.0 - 1e-6)),
-        *[(60, 9, level_window(t)) for t in (1.0, 4.0, 9.0)],
-    ], ids=["criterion-9-n_x-60", "criterion-9-n_x-120", "level-1", "level-4", "level-9"])
-    def test_candidates_equal_a_whole_band_refinement(self, interval_cs, n_x, resolution,
-                                                      window):
+    @pytest.mark.parametrize("model_args, resolution, window, tail_tol", [
+        ((60, False), 24, (3.8, 4.0 - 1e-6), 0.03),
+        ((120, False), 48, (3.8, 4.0 - 1e-6), 0.03),
+        *[((60, False), 9, level_window(t), 0.03) for t in (1.0, 4.0, 9.0)],
+        ((60, True), 20, (0.3, 0.95), 0.03),
+        ((120, True), 8, (0.3, 1.0 - 1e-3), 0.1),
+    ], ids=["criterion-9-n_x-60", "criterion-9-n_x-120", "level-1", "level-4", "level-9",
+            "cosine-ground", "coupled-model"])
+    def test_candidates_equal_a_whole_band_refinement(self, interval_cs, model_args, resolution,
+                                                      window, tail_tol):
+        # (n_x, cosine profile): the 5 x n_x wells of criterion 9 and
+        # eigen_scan_cli, and two coupled one-block models, whose block starts
+        # from x_min renormalized, which is not x_min bit for bit
+        n_x, cosine = model_args
+        profile = {"kind": "cosine", "amplitude": 0.5, "harmonic": 1} if cosine else None
         model = waveguide.square_well_model(interval_cs, 1.0, (0.0, 1.0), n_omega=5, n_x=n_x,
-                                            n_max=9)
-        cands = birman.eigenvalue_search(window, model, resolution=resolution, tail_tol=0.03)
+                                            n_max=9, omega_profile=profile)
+        cands = birman.eigenvalue_search(window, model, resolution=resolution, tail_tol=tail_tol)
         _, x_min = birman._start_vectors(model.dim)
 
         def whole(lam):
-            return birman._sigma_min(birman.boundary_operator(lam, model, 0.03), x_min)
+            return birman._sigma_min(birman.boundary_operator(lam, model, tail_tol), x_min)
 
         lams = np.linspace(*window, resolution)
         sig = [whole(float(lam)) for lam in lams]
@@ -675,12 +683,13 @@ class TestBlockRefinement:
                 if sig[i] <= sig[i - 1] and sig[i] <= sig[i + 1]]
         assert len(cands) == len(refs) == 1
         assert cands[0].lam == refs[0]
-        op = birman.boundary_operator(cands[0].lam, model, 0.03)
+        op = birman.boundary_operator(cands[0].lam, model, tail_tol)
         assert cands[0].sigma_min == birman._sigma_min(op, x_min)
 
     def test_golden_points_factor_one_block(self, scan_well, monkeypatch):
         # every golden-section point factors the n_x s unknowns of one block;
-        # the scan points and the refined candidate factor the whole band
+        # the scan points and the refined candidate factor the whole band, and
+        # nothing else is factored
         unknowns, phase = [], {"name": "scan"}
         gbtrf, golden_min = birman._GBTRF, birman.golden_min
 
@@ -703,37 +712,26 @@ class TestBlockRefinement:
         n_x, n_blocks = scan_well.grid.n_x, scan_well.sectors.n_blocks
         sizes = {name: {n for key, n in unknowns if key == name}
                  for name in ("scan", "golden", "candidate")}
-        # the scan points, then one block band each at the attaining point
-        assert sizes == {"scan": {n_blocks * n_x * s, n_x * s}, "golden": {n_x * s},
+        assert sizes == {"scan": {n_blocks * n_x * s}, "golden": {n_x * s},
                          "candidate": {n_blocks * n_x * s}}
+        assert sum(key == "scan" for key, _ in unknowns) == 9
         assert sum(key == "golden" for key, _ in unknowns) > 20
 
-    def test_coupled_search_builds_no_subset_band(self, coupled_model, monkeypatch):
-        subset, golden_min = birman.BandLayout.subset, birman.golden_min
-        calls = []
-        monkeypatch.setattr(birman.BandLayout, "subset",
-                            lambda *a: calls.append("subset") or subset(*a))
-        monkeypatch.setattr(birman, "golden_min",
-                            lambda *a: calls.append("golden_min") or golden_min(*a))
-        cands = birman.eigenvalue_search((0.3, 1.0 - 1e-3), coupled_model, resolution=8,
-                                         tail_tol=0.1)
-        assert len(cands) == 1
-        assert calls == ["golden_min"]
 
-
-def dense_block_sigma_min(model, lam: float, tail_tol: float) -> float:
-    """``min_b sigma_min`` over the dense sector blocks :func:`birman.bs_blocks`
-    at ``lam + i0``, with the certified mode count of the scan."""
+def dense_block_sigma_mins(model, lam: float, tail_tol: float) -> np.ndarray:
+    """``sigma_min`` of each dense sector block :func:`birman.bs_blocks` at
+    ``lam + i0``, with the certified mode count of the scan."""
     n_used, _ = birman._truncation(model, complex(lam), tail_tol)
-    return min(np.linalg.svd(b, compute_uv=False)[-1]
-               for b in birman.bs_blocks(model, complex(lam), n_used))
+    return np.array([np.linalg.svd(b, compute_uv=False)[-1]
+                     for b in birman.bs_blocks(model, complex(lam), n_used)])
 
 
 class TestScan:
     """The scan's batched Lanczos runs (one row per sector block, each
     warm-started from its Ritz vector at the previous energy) read the
     smallest singular value of the whole operator at every scan energy, also
-    where the minimizing sector block changes between two energies."""
+    where the minimizing sector block changes between two energies, and
+    name the block that holds it."""
 
     @pytest.mark.parametrize("cosine, window, resolution", [
         (False, (1.05, 3.95), 48), (False, (0.3, 0.95), 20), (True, (1.05, 3.95), 48),
@@ -746,18 +744,20 @@ class TestScan:
         model = waveguide.square_well_model(interval_cs, 1.0, (0.0, 1.0), n_omega=5, n_x=60,
                                             n_max=9, omega_profile=profile)
         lams = np.linspace(*window, resolution)
-        sig = birman._scan(lams, model, 0.03, birman._start_vectors(model.dim)[1])
-        dense = [dense_block_sigma_min(model, float(lam), 0.03) for lam in lams]
+        sig, named = birman._scan(lams, model, 0.03, birman._start_vectors(model.dim)[1])
+        dense = [dense_block_sigma_mins(model, float(lam), 0.03) for lam in lams]
+        argmins = [int(np.argmin(d)) for d in dense]
         if not cosine:
             # the minimizing block does change inside the window
-            n_used = [birman._truncation(model, complex(lam), 0.03)[0] for lam in lams]
-            argmins = {int(np.argmin([np.linalg.svd(b, compute_uv=False)[-1] for b in
-                                      birman.bs_blocks(model, complex(lam), n)]))
-                       for lam, n in zip(lams, n_used)}
-            assert len(argmins) > 1
-        assert len(sig) == resolution
-        for value, ref in zip(sig, dense):
-            assert abs(value - ref) <= 1e-12 * ref
+            assert len(set(argmins)) > 1
+        assert len(sig) == len(named) == resolution
+        for value, block, ref, argmin in zip(sig, named, dense, argmins):
+            assert abs(value - ref.min()) <= 1e-12 * ref.min()
+            # the named block is the dense one, unless the two smallest block
+            # minima agree to 1e-10 relative
+            low, second = np.sort(ref)[:2] if ref.size > 1 else (ref[0], np.inf)
+            if second - low > 1e-10 * low:
+                assert block == argmin
 
     def test_search_reads_the_scan(self, scan_well, monkeypatch):
         # eigenvalue_search takes its scan values from _scan, once per search
