@@ -40,12 +40,11 @@ their gather into the mode slots and the ``x`` steps, ``O(n_used dim)`` work)
 is a :class:`BandLayout`, built once per model and mode count and kept on
 the model; each energy builds only the ``mu``-dependent entries,
 ``O(n_blocks n_x (s^2 w + w^3))`` of node blocks and band fill beside the
-LU; the band over some of the blocks is their rows of it
-(:meth:`BandLayout.subset`).  S-matrices and the eigenvalue scan run on the
-embedding, the scan's refinement on the band of the block the scan names;
-the S-matrix guard is an upper bound on the condition read off the node
-blocks and the band LU, with a Hager-Higham estimate where the bound
-exceeds ``COND_LIMIT``.
+LU.  Every band is the whole model's (the scan, its candidates) or one
+sector block's (:meth:`BandLayout.subset`: golden-section points, and the
+one-sector S-matrices whose direct sum is a decomposing model's S).  The
+S-matrix guard is blockwise, ``max_b |A_b|_1 max_b |A_b^-1|_1``: a bound
+off the node blocks and band LUs, past ``COND_LIMIT`` a Hager-Higham estimate.
 """
 
 from __future__ import annotations
@@ -171,8 +170,8 @@ def _choose_n_used(model: WaveguideModel, z: complex, tail_tol: float) -> tuple[
         if bound <= tail_tol:
             return n, bound
     raise TruncationError(
-        f"tail tolerance {tail_tol:.2e} unattainable with {model.n_max} modes "
-        f"(bound {_tail_bound(scale, model, z, model.n_max):.2e} at the cap)"
+        f"tail tolerance {tail_tol:.17g} unattainable with {model.n_max} modes "
+        f"(bound {_tail_bound(scale, model, z, model.n_max):.17g} at the cap)"
     )
 
 
@@ -445,20 +444,17 @@ class BoundaryOperator:
         cols = np.abs(self.layout.un) + np.einsum("kpi,kp->ki", an, np.abs(self.cn) * sums)
         return float(cols.max())
 
-    def cond_bound(self) -> float:
-        """Upper bound on ``max_b |A_b|_1 * max_b |A_b^-1|_1`` over the sector
-        blocks: :attr:`norm_bound` times the largest column sum of
-        ``|D^-1| + |D^-1 C| J |K^-1| J^T |a D^-1| >= |A^-1|``, from ``A^-1 =
-        D^-1 - D^-1 C J K^-1 J^T a D^-1`` (``K`` the condensed band, ``J^T``
-        the copy of a node's ``q`` slots into its ``f`` and ``g`` halves).
-        ``|K^-1|`` is bounded by ``M(U)^-1 prod_j |L_j^-1| P_j`` (``M`` the
-        comparison matrix; Higham, *Accuracy and Stability*, 2nd ed., ch. 8):
-        with negated moduli off U's diagonal, one real transposed ``gbtrs``
-        on the column sums of ``|D^-1 C| J`` forms the middle product, with
-        no cancellation.  ``scripts/guard_oracle.py`` prints its ratio to the
-        exact guard.  ``inf`` when the band LU is singular."""
-        anorm = self.norm_bound
-        if self.singular or anorm == 0.0:
+    def _inverse_bound(self) -> float:
+        """Upper bound on ``max_b |A_b^-1|_1`` over the sector blocks, ``inf``
+        when the band LU is singular: the largest column sum of ``|D^-1| +
+        |D^-1 C| J |K^-1| J^T |a D^-1| >= |A^-1|``, from ``A^-1 = D^-1 - D^-1
+        C J K^-1 J^T a D^-1`` (``K`` the condensed band, ``J^T`` the copy of a
+        node's ``q`` slots into its ``f`` and ``g`` halves), and ``|K^-1| <=
+        M(U)^-1 prod_j |L_j^-1| P_j`` (``M`` the comparison matrix; Higham,
+        *Accuracy and Stability*, 2nd ed., ch. 8): with negated moduli off U's
+        diagonal, one real transposed ``gbtrs`` on the column sums of ``|D^-1
+        C| J`` forms the middle product, with no cancellation."""
+        if self.singular:
             return float("inf")
         s = self._width
         m = np.abs(self.lu)
@@ -468,23 +464,34 @@ class BoundaryOperator:
         z, _ = _DGBTRS(m, s, s, h.reshape(-1, 1), self.piv, trans=1)
         cols = np.abs(self.dinv).sum(axis=1) + np.einsum("kp,kpi->ki", z.reshape(h.shape),
                                                          np.abs(self.jad))
-        return anorm * float(cols.max())
+        return float(cols.max())
 
-    def cond_estimate(self) -> float:
-        """Estimate of ``max_b |A_b|_1 * max_b |A_b^-1|_1`` over the sector
-        blocks, the exact guard ``linalg.inverse`` applies to the dense
-        stack :func:`bs_blocks`: :attr:`norm_bound` times the Hager-Higham
-        lower estimate of ``|A^-1|_1`` from 5-6 band solves read in sector
-        order.  It is no bound: the inverse's norm can read low
-        (``scripts/guard_oracle.py`` prints the ratio).  ``channel_smatrix`` calls it only where
-        :meth:`cond_bound` exceeds ``COND_LIMIT``.  ``inf`` when the band
-        LU is singular."""
-        anorm = self.norm_bound
-        if self.singular or anorm == 0.0:
+    def cond_bound(self, *others: BoundaryOperator) -> float:
+        """Upper bound on the exact guard ``max_b |A_b|_1 * max_b |A_b^-1|_1``
+        over the blocks of this band and ``others`` (an S-matrix's other
+        sector bands), ``inf`` if one is singular: the largest :attr:`norm_bound`
+        times the largest :meth:`_inverse_bound`, bit for bit one band's over
+        them all.  ``scripts/guard_oracle.py`` prints its ratio to the exact guard."""
+        ops = (self, *others)
+        return max(op.norm_bound for op in ops) * max(op._inverse_bound() for op in ops)
+
+    def cond_estimate(self, *others: BoundaryOperator) -> float:
+        """Estimate of the guard of :meth:`cond_bound` (the one ``linalg.inverse``
+        applies to the dense stack :func:`bs_blocks`), ``inf`` if a band LU is
+        singular: the largest :attr:`norm_bound` times the Hager-Higham lower
+        estimate of the bands' direct sum's ``|A^-1|_1`` from 5-6 solves read in
+        sector order.  No bound (``scripts/guard_oracle.py`` prints its ratio):
+        ``channel_smatrix`` calls it only where :meth:`cond_bound` exceeds ``COND_LIMIT``."""
+        ops = (self, *others)
+        if any(op.singular for op in ops):
             return float("inf")
-        sec = self.layout.sectors
-        solve = lambda y: _sector_values(sec, self._band_solve(_node_slices(sec, y[:, None])))[:, 0]
-        return anorm * onenorm_estimate(solve, lambda y: np.conj(solve(np.conj(y))), self.dim)
+        cuts = np.cumsum([op.dim for op in ops])
+        solve = lambda y: np.concatenate([
+            _sector_values(op.layout.sectors,
+                           op._band_solve(_node_slices(op.layout.sectors, part[:, None])))[:, 0]
+            for op, part in zip(ops, np.split(y, cuts[:-1]))])
+        return max(op.norm_bound for op in ops) * onenorm_estimate(
+            solve, lambda y: np.conj(solve(np.conj(y))), int(cuts[-1]))
 
 
 _GBTRF, _GBTRS = (get_lapack_funcs(name, (np.zeros(1, dtype=complex),))
@@ -519,7 +526,6 @@ class BandLayout:
     mode: np.ndarray       # (n_blocks, q) that mode's index (0-based), 0 in inert slots
     an: np.ndarray         # (n_blocks n_x, q, w) slot mode factors per node, 0 in inert slots
     un: np.ndarray         # (n_blocks n_x, w) signs per node
-    # the layouts of subset, keyed by block tuple and built on first use
     subsets: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -528,22 +534,19 @@ class BandLayout:
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
 
-    def subset(self, blocks) -> BandLayout:
-        """The layout of the band over the sector blocks ``blocks`` alone: their
-        rows of this one, with the same ``q`` slots.  Its vectors are those
-        blocks' sector coordinates, one block's as the grid of its ``w``
-        transverse values.  Kept in ``subsets`` from its first use on, as
-        :func:`band_layout` keeps the whole band's on the model, so each
-        golden-section point of a window reuses its block's."""
-        key = tuple(int(b) for b in blocks)
-        layout = self.subsets.get(key)
+    def subset(self, block: int) -> BandLayout:
+        """The layout of the band over the sector block ``block`` alone: its
+        rows of this one (same ``q`` slots) on ``Sectors.single`` of its ``w``
+        values, whose vectors are the block's sector coordinates; kept in
+        ``subsets`` from its first use on, as :func:`band_layout` keeps the
+        whole band's."""
+        layout = self.subsets.get(block)
         if layout is None:
-            b = np.array(key)
-            n_x, w = self.dx.size, self.un.shape[1]
-            rows = (b[:, None] * n_x + np.arange(n_x)).reshape(-1)
-            sec = Sectors.single(w, n_x) if b.size == 1 else Sectors(np.eye(b.size), b.size, n_x)
-            layout = self.subsets.setdefault(key, BandLayout(
-                self.dx, sec, self.live[b], self.mode[b], self.an[rows], self.un[rows]))
+            n_x = self.dx.size
+            b, rows = slice(block, block + 1), slice(block * n_x, (block + 1) * n_x)
+            layout = self.subsets.setdefault(block, BandLayout(
+                self.dx, Sectors.single(self.un.shape[1], n_x), self.live[b], self.mode[b],
+                self.an[rows], self.un[rows]))
         return layout
 
 
@@ -584,7 +587,7 @@ def _build_layout(model: WaveguideModel, n_used: int) -> BandLayout:
 
 
 def boundary_operator(lam: float, model: WaveguideModel, tail_tol: float = 1e-4,
-                      blocks=None) -> BoundaryOperator:
+                      block: int | None = None) -> BoundaryOperator:
     """Factor ``u + v R0(lam + i0) v`` at the real energy ``lam`` through its
     state-space embedding.
 
@@ -621,32 +624,28 @@ def boundary_operator(lam: float, model: WaveguideModel, tail_tol: float = 1e-4,
 
     The embedding is built once per sector block of ``model.sectors``: a
     coupled model is one block with ``n_omega`` values per node and every
-    mode; in a sector of a decomposing model each node carries one value
-    and only the modes ``model.sectors`` records there.  The blocks
-    are padded to a common count ``q`` of mode slots with inert slots
-    (``a = 0``, ``c = 0``, ratio 0) and stacked block-major, then
-    node-major, with the ratios cut to 0 at every block start, so one band
-    of half bandwidth ``s = 2 q`` holds them all and one LAPACK ``zgbtrf``
-    factors it: ``s = 2 n_used`` for one block (``D_k`` is ``n_omega x
-    n_omega``), ``s = 2 q`` for sectors (``D_k`` is a scalar; the cost
-    model is in the module docstring).  What does not depend on the energy
-    comes from the model's :func:`band_layout` for ``n_used``; each call
-    computes only ``mu``, the slot prefactors ``cn`` and ratios ``rn`` and
-    the node blocks that the operator keeps, and writes every band node
-    block straight into the band storage.  Given the sector-block indices
-    ``blocks`` (the open sectors of an S-matrix, or the one block of a
-    golden-section point), the same code builds the band over those blocks
-    alone from their rows of the layout (:meth:`BandLayout.subset`; same
-    ``q``, same global cutoff); its LU and solves equal those blocks' rows
-    of the whole band's, and its vectors are those blocks' sector
-    coordinates.  Raises
-    :class:`DimensionError` unless the ``x`` nodes increase strictly.
+    mode, a sector of a decomposing model one value per node and the modes
+    ``model.sectors`` records there.  The blocks are padded to a common
+    ``q`` mode slots with inert ones (``a = 0``, ``c = 0``, ratio 0) and
+    stacked block-major, then node-major, with the ratios cut to 0 at every
+    block start, so one band of half bandwidth ``s = 2 q`` holds them all
+    and one LAPACK ``zgbtrf`` factors it (``D_k`` is ``n_omega x n_omega``
+    for one block, a scalar for sectors; the cost model is in the module
+    docstring).  The energy-independent part comes from the model's
+    :func:`band_layout` for ``n_used``; each call computes only ``mu``,
+    ``cn``, ``rn`` and the node blocks the operator keeps, and writes every
+    band node block straight into the band storage.  Given a sector
+    ``block`` (an open sector of an S-matrix, a golden-section point's
+    block), the same code builds that block's band alone from its rows of
+    the layout (:meth:`BandLayout.subset`), whose LU and solves equal those
+    rows of the whole band's.  Raises :class:`DimensionError` unless the
+    ``x`` nodes increase strictly.
     """
     z = complex(lam)
     n_used, tail = _truncation(model, z, tail_tol)
     lay = band_layout(model, n_used)
-    if blocks is not None:
-        lay = lay.subset(blocks)
+    if block is not None:
+        lay = lay.subset(block)
     mu = np.array([sqrt_upper(z - model.eigenvalue(n)) for n in range(1, n_used + 1)])
     c = 1j / (2.0 * mu)
     ratio = np.exp(1j * lay.dx[:, None] * mu[None, :])
@@ -1001,7 +1000,7 @@ def eigenvalue_search(
             continue
         b = named[i]
         lam_star = golden_min(
-            lambda lam: _sigma_min(boundary_operator(lam, model, tail_tol, [b]), x_blocks[b]),
+            lambda lam: _sigma_min(boundary_operator(lam, model, tail_tol, b), x_blocks[b]),
             float(lams[i - 1]), float(lams[i + 1]), refine_width)
         op = boundary_operator(lam_star, model, tail_tol)
         s_star = _sigma_min(op, x_min)

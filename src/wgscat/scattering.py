@@ -128,42 +128,42 @@ def channel_smatrix(
     """Assemble ``S(lam)`` over all open channels at a regular energy.
 
     A channel's trace row lives in its mode's sector and ``A`` is block
-    diagonal over the sectors, so on a decomposing model ``S`` is a direct
-    sum over the sectors that hold an open channel: the band over those
-    sector blocks alone (``boundary_operator(..., blocks)``) is guarded and
-    solved, with each channel's row kept on its own sector, and entries
-    across two sectors are exact zeros.  A one-block model uses its whole
-    band.  Raises :class:`EigenvalueHitError` when that band is singular to
-    working tolerance (an eigenvalue or threshold of an open channel's
-    sector; use the expansion machinery there).  The guard is the upper
-    bound ``op.cond_bound()``; where it exceeds ``COND_LIMIT`` (near a
-    threshold or an eigenvalue) the estimate ``op.cond_estimate()`` decides
-    instead.
+    diagonal over the sectors, so on a decomposing model ``S`` is the direct
+    sum of one-sector S-matrices, each on its sector's one-block band
+    (``boundary_operator(..., block)``): entries across sectors are exact
+    zeros, and a channel with no sector (its mode vanishes on the lattice)
+    keeps its identity row and column.  A coupled model is the one-part
+    case, on its whole band.  The bands share one blockwise guard, the bound
+    ``cond_bound`` or, past ``COND_LIMIT`` (near a threshold or eigenvalue),
+    the estimate ``cond_estimate``; past it too, :class:`EigenvalueHitError`
+    (use the expansion machinery there).
     """
     chans = open_channels(lam, model)
     if not chans:
         raise DomainError(f"no open channels at lam={lam}")
     sec = model.sectors
-    home = None if sec.basis is None else sec.mode_sector[[n - 1 for n, _ in chans]]
-    blocks = None if home is None else sorted(set(home[home >= 0].tolist()))
-    op = birman.boundary_operator(lam, model, tail_tol, blocks)
-    cond = op.cond_bound()
+    home = (np.zeros(len(chans), dtype=int) if sec.basis is None
+            else sec.mode_sector[[n - 1 for n, _ in chans]])
+    blocks = sorted(set(home[home >= 0].tolist()))
+    ops = [birman.boundary_operator(lam, model, tail_tol, None if sec.basis is None else b)
+           for b in blocks]
+    cond = ops[0].cond_bound(*ops[1:])
     if cond > linalg.COND_LIMIT:
-        cond = op.cond_estimate()
+        cond = ops[0].cond_estimate(*ops[1:])
     if cond > linalg.COND_LIMIT:
         raise EigenvalueHitError(
             f"boundary operator singular at lam={lam} (condition estimate {cond:.3e}); "
             "use the expansion machinery"
         )
-    rows = np.array([trace_row(lam, n, s, model) for (n, s) in chans])
-    if home is not None:
-        # the open sectors' coordinates; a mode that vanishes on the lattice
-        # has no sector, and its row is zero
-        own = home[:, None, None] == np.array(blocks)[:, None]
-        rows = sec.blocked(sec.to_sector(rows.T))[blocks].transpose(2, 0, 1) * own
-        rows = rows.reshape(len(chans), -1)
-    x = op.solve(rows.conj().T)
-    s = np.eye(len(chans), dtype=complex) - 2j * np.pi * rows @ x
+    rows = sec.blocked(sec.to_sector(np.array([trace_row(lam, n, s, model) for n, s in chans]).T))
+    parts = [np.flatnonzero(home == b) for b in blocks]
+    rows = [rows[b].T[i] for b, i in zip(blocks, parts)]   # each a new C-ordered array
+    # every band solve before the first complex product: after one, OpenBLAS
+    # runs a narrow zgbtrs several times slower
+    xs = [op.solve(r.conj().T) for op, r in zip(ops, rows)]
+    s = np.eye(len(chans), dtype=complex)
+    for i, r, x in zip(parts, rows, xs):
+        s[np.ix_(i, i)] -= 2j * np.pi * r @ x
     defect = opnorm(s.conj().T @ s - np.eye(len(chans)))
     return SMatrix(lam, tuple(chans), s, defect)
 

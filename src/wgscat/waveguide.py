@@ -458,8 +458,8 @@ class Sectors:
     vanishes on the lattice): sector coordinates are the grid coordinates
     transformed by :meth:`to_sector` (sector ``s`` holds indices
     ``s * n_x + k``), and the operators split into ``n_omega`` diagonal
-    blocks of size ``n_x``, one per sector.  Any other model has
-    ``basis=None``: one block of size ``dim`` carrying every mode, whose
+    blocks of size ``n_x``, one per sector.  Any other model, and the band
+    of one sector block, has ``basis=None`` (:meth:`single`): one block whose
     sector coordinates are the grid coordinates.  Operators are stored as
     stacks ``(n_blocks, block_dim, block_dim)``.
     """

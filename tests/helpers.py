@@ -192,22 +192,33 @@ def extended_i1(ladder, kappa) -> np.ndarray:
     return (s0 - s0 @ x @ s0) / (2 * wide(k))
 
 
+def open_sectors(model, lam) -> tuple[np.ndarray, list[int]]:
+    """The sector of each open channel at ``lam`` (``-1`` for a mode that
+    vanishes on the lattice, 0 for every channel of a coupled model), and the
+    sectors that hold one."""
+    chans = scattering.open_channels(lam, model)
+    mode_sector = model.sectors.mode_sector
+    home = (np.zeros(len(chans), dtype=int) if mode_sector is None
+            else mode_sector[[n - 1 for n, _ in chans]])
+    return home, sorted(set(home[home >= 0].tolist()))
+
+
 def dense_open_sector_smatrix(model, lam, tail_tol) -> np.ndarray:
-    """Dense oracle of ``scattering.channel_smatrix`` on a decomposing model:
-    the sector blocks of :func:`birman.bs_blocks` that hold an open channel,
-    inverted with the guarded ``linalg.inverse``, between the channels' trace
-    rows in sector coordinates, each on its own sector."""
+    """Dense oracle of ``scattering.channel_smatrix``: the sector blocks of
+    :func:`birman.bs_blocks` that hold an open channel (a coupled model's one
+    block), inverted with the guarded ``linalg.inverse``, between the
+    channels' trace rows in sector coordinates, each on its own sector; a
+    channel with no sector keeps its row and column of the identity."""
     sec = model.sectors
     chans = scattering.open_channels(lam, model)
-    home = sec.mode_sector[[n - 1 for n, _ in chans]]
-    blocks = sorted(set(home.tolist()))
+    home, blocks = open_sectors(model, lam)
     n_used, _ = birman._truncation(model, complex(lam), tail_tol)
     inv = linalg.inverse(birman.bs_blocks(model, complex(lam), n_used)[blocks])
     rows = sec.blocked(sec.to_sector(
         np.array([scattering.trace_row(lam, n, s, model) for n, s in chans]).T))
     out = np.eye(len(chans), dtype=complex)
     for i, j in np.ndindex(out.shape):
-        if home[i] == home[j]:
+        if home[i] == home[j] >= 0:
             b = blocks.index(home[i])
             out[i, j] -= 2j * np.pi * rows[home[i], :, i] @ inv[b] @ rows[home[j], :, j].conj()
     return out

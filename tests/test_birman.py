@@ -1,6 +1,7 @@
 """Free-resolvent kernels, the sandwiched operator, HS diagnostics, scans."""
 
 import dataclasses
+import re
 import sys
 import threading
 import warnings
@@ -113,6 +114,17 @@ class TestBsOperator:
     def test_unattainable_tail_reported(self, well_small):
         with pytest.raises(TruncationError):
             birman._truncation(well_small, 2.5 + 0j, 1e-9)
+
+    def test_refused_bound_prints_above_its_tolerance(self, well_small):
+        # a tolerance 1e-12 (relative) below the bound at the cap: both print
+        # to 17 digits, so the refused bound reads above the tolerance
+        z = 2.5 + 0j
+        cap = birman.tail_bound_value(well_small, z, well_small.n_max)
+        with pytest.raises(TruncationError) as err:
+            birman._choose_n_used(well_small, z, cap * (1.0 - 1e-12))
+        tol, bound = map(float, re.search(r"tolerance (\S+) .* \(bound (\S+) at the cap\)",
+                                          str(err.value)).groups())
+        assert bound > tol
 
     def test_threshold_collision_rejected(self, well_small):
         with pytest.raises(BranchPointError):
@@ -340,9 +352,9 @@ class TestBandLayout:
 
     @pytest.mark.parametrize("lam", [0.81, 2.5, 3.8106, 8.81])
     def test_block_operator_is_the_whole_bands_rows(self, scan_well, lam):
-        # the band over some sector blocks is those blocks' rows of the whole
+        # the band over one sector block is that block's rows of the whole
         # band: the same LU (signed zeros aside) and pivots, and bitwise the
-        # same solve, read in the blocks' sector coordinates
+        # same solve, read in the block's sector coordinates
         sec, n_x = scan_well.sectors, scan_well.grid.n_x
         whole = birman.boundary_operator(lam, scan_well, 0.03)
         b = np.random.default_rng(7).normal(size=(scan_well.dim, 2)) * (1.0 + 0.5j)
@@ -350,21 +362,18 @@ class TestBandLayout:
         b_sec = sec.blocked(sec.to_sector(b))
         x_sec = sec.blocked(x)
         s = whole._width
-        for blocks in ([0], [2], [4], [1, 3]):
-            sub = birman.boundary_operator(lam, scan_well, 0.03, blocks)
-            cols = np.concatenate([np.arange(k * n_x * s, (k + 1) * n_x * s) for k in blocks])
-            offset = np.repeat(np.array(blocks) - np.arange(len(blocks)), n_x * s) * n_x * s
-            assert (sub.n_used, sub.tail_bound, sub.dim) == (
-                whole.n_used, whole.tail_bound, len(blocks) * n_x)
+        for block in (0, 2, 4):
+            sub = birman.boundary_operator(lam, scan_well, 0.03, block)
+            cols = np.arange(block * n_x * s, (block + 1) * n_x * s)
+            assert (sub.n_used, sub.tail_bound, sub.dim) == (whole.n_used, whole.tail_bound, n_x)
             assert np.array_equal(sub.lu, whole.lu[:, cols])
-            assert np.array_equal(sub.piv, whole.piv[cols] - offset)
-            assert helpers.same_bits(sub.solve(b_sec[blocks].reshape(-1, 2)),
-                                     x_sec[blocks].reshape(-1, 2))
+            assert np.array_equal(sub.piv, whole.piv[cols] - block * n_x * s)
+            assert helpers.same_bits(sub.solve(b_sec[block]), x_sec[block])
 
     def test_one_block_subset_is_the_whole_band(self, coupled_model):
         lam = TestBoundaryOperator.energies(coupled_model)[0]
         whole = birman.boundary_operator(lam, coupled_model, 0.03)
-        sub = birman.boundary_operator(lam, coupled_model, 0.03, [0])
+        sub = birman.boundary_operator(lam, coupled_model, 0.03, 0)
         assert all(helpers.same_bits(getattr(sub, f), getattr(whole, f)) for f in self.FIELDS)
 
     def test_block_sweeps_equal_the_whole_sweep(self, any_model):

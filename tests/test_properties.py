@@ -11,13 +11,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import helpers
-from wgscat import birman, expansion, inversion, linalg, waveguide
-from wgscat.errors import SingularMatrixError, WgscatError
+from wgscat import birman, expansion, inversion, linalg, scattering, waveguide
+from wgscat.errors import EigenvalueHitError, SingularMatrixError, WgscatError
 
 MODEL_DOCS = [
     {"schema_version": 1,
@@ -451,6 +451,32 @@ def test_cond_bound_holds_over_the_exact_block_guard(case):
     dead = dataclasses.replace(model, potential=dataclasses.replace(pot, v=v, u=u))
     with pytest.raises(SingularMatrixError):
         birman.boundary_operator(lam, dead, tail_tol)
+
+
+@given(band_cases())
+def test_smatrix_is_the_direct_sum_of_one_sector_smatrices(case):
+    # above lambda_1: S within 1e-12 of the dense open-sector oracle with
+    # exact zeros across sectors, and the bound that guards it first at
+    # least the exact guard of the dense open-sector blocks (where the bound
+    # exceeds COND_LIMIT the Hager-Higham estimate decides, a lower estimate)
+    model, lam, tail_tol = case
+    assume(lam > model.eigenvalue(1))
+    guards = []
+    bound = birman.BoundaryOperator.cond_bound
+    with mock.patch.object(birman.BoundaryOperator, "cond_bound",
+                           lambda *ops: guards.append(bound(*ops)) or guards[-1]):
+        try:
+            s = scattering.channel_smatrix(lam, model, tail_tol)
+        except EigenvalueHitError:
+            s = None
+    home, blocks = helpers.open_sectors(model, lam)
+    n_used, _ = birman._truncation(model, complex(lam), tail_tol)
+    exact = linalg.cond_estimate(birman.bs_blocks(model, complex(lam), n_used)[blocks])
+    assert len(guards) == 1 and guards[0] >= exact * (1.0 - 1e-10)
+    if s is not None:
+        assert not s.matrix[home[:, None] != home[None, :]].any()
+        ref = helpers.dense_open_sector_smatrix(model, lam, tail_tol)
+        assert np.abs(s.matrix - ref).max() <= 1e-12
 
 
 @given(band_cases())

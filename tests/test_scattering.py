@@ -106,11 +106,37 @@ class TestSMatrix:
     def test_one_block_model_factors_its_whole_band(self, coupled_model, monkeypatch):
         blocks = []
         build = birman.boundary_operator
-        monkeypatch.setattr(birman, "boundary_operator", lambda lam, model, tail_tol, sub=None:
-                            blocks.append(sub) or build(lam, model, tail_tol, sub))
+        monkeypatch.setattr(birman, "boundary_operator", lambda lam, model, tail_tol, block=None:
+                            blocks.append(block) or build(lam, model, tail_tol, block))
         for lam in (2.5, 3.5):
             scattering.channel_smatrix(lam, coupled_model, tail_tol=0.03)
         assert blocks == [None, None]
+
+    @pytest.mark.parametrize("lam, sectors", [(2.5, [0]), (5.5, [0, 1])])
+    def test_one_band_per_open_sector(self, well_small, lam, sectors, monkeypatch):
+        # a decomposing model builds exactly one one-block band per sector
+        # that holds an open channel, and no other band
+        built = []
+        build = birman.boundary_operator
+        monkeypatch.setattr(birman, "boundary_operator", lambda lam, model, tail_tol, block=None:
+                            built.append((block, build(lam, model, tail_tol, block)))
+                            or built[-1][1])
+        scattering.channel_smatrix(lam, well_small, tail_tol=0.1)
+        assert [block for block, _ in built] == sectors
+        assert all(op.dim == well_small.grid.n_x for _, op in built)
+
+    def test_aliased_channel_keeps_the_identity(self, interval_cs):
+        # mode 4 vanishes on the 3-point transverse lattice, so its channels
+        # have no sector: S holds exactly the identity's rows and columns there
+        model = waveguide.square_well_model(interval_cs, 1.0, (0.0, 1.0), n_omega=3, n_x=24,
+                                            n_max=5)
+        assert model.sectors.mode_sector.tolist() == [0, 1, 2, -1, 2]
+        s = scattering.channel_smatrix(17.5, model, tail_tol=0.3)
+        eye = np.eye(len(s.channels))
+        for sigma in (-1, 1):
+            i = s.channels.index((4, sigma))
+            assert np.array_equal(s.matrix[i], eye[i]) and np.array_equal(s.matrix[:, i], eye[:, i])
+        assert np.abs(s.matrix - helpers.dense_open_sector_smatrix(model, 17.5, 0.3)).max() <= 1e-12
 
     @pytest.mark.parametrize("lam", [5.5, 9.5, 17.5])
     def test_cross_sector_entries_are_exact_zeros(self, well_small, lam):
