@@ -9,8 +9,7 @@ on ``PYTHONPATH`` to run that checkout) through ``wgscat.cli.main``, on:
   into sector blocks) and its cosine-profile twin (a coupled, one-block
   model), each through ``smatrix``, ``eigenvalues``, ``threshold-scan``,
   ``expansion --verify`` and ``verify``; the ``smatrix`` energies include
-  4 -+ 1e-3, where the S-matrix guard falls back from its certified bound
-  to the condition estimate;
+  4 -+ 1e-3, where the S-matrix guard's certified bound still decides;
 - the 4x24 uniform well through ``modes``;
 - a non-separable 4x24 ``table`` potential (a well deepening along both
   axes, so the mode sum runs its one non-separable path) through
@@ -25,7 +24,10 @@ on ``PYTHONPATH`` to run that checkout) through ``wgscat.cli.main``, on:
 - the 5x60 uniform well of the ``eigen_scan_cli`` benchmark through
   ``eigenvalues``, on a window holding its level near 3.81, on one holding
   its level near 0.81 (at two resolutions) and on one holding its level
-  near 8.81;
+  near 8.81, and through ``smatrix`` at 3.999, 4.001, 4.0001 and 9.001,
+  where the S-matrix guard takes the Hager-Higham estimate on the band
+  whose channel just opened (sector 1 above 4, sector 2 above 9) and the
+  bound on every other band (all of them at 3.999);
 - ``invert-demo`` on the scalar family ``A(z) = z`` and on the seed-5 corpus
   of ten random 6x6 families, the two family files of ``TestInvertDemo`` in
   ``tests/test_cli.py``.
@@ -144,6 +146,8 @@ def runs() -> list[tuple[str, str, dict, tuple]]:
         out.append((f"square-{command}", command, SQUARE_WELL, task))
     for label, task in SCAN_TASKS.items():
         out.append((f"{label}-eigenvalues", "eigenvalues", SCAN_WELL, task))
+    out.append(("scan-smatrix", "smatrix", SCAN_WELL,
+                ("smatrix", {"energies": [3.999, 4.001, 4.0001, 9.001], "tail_tol": 0.03}, [])))
     for label, task in INVERT_TASKS.items():
         out.append((f"{label}-invert-demo", "invert-demo", None, task))
     return out

@@ -1,27 +1,28 @@
-"""Compare the band condition bound and estimate of each S-matrix with the exact guard.
+"""Compare the guard ``channel_smatrix`` applies, band by band, with the exact guard.
 
     python scripts/guard_oracle.py CONFIG
 
 ``CONFIG`` is a ``wgscat`` config with an ``smatrix`` task.  Its energies and
 ``tail_tol`` are read as ``wgscat smatrix`` reads them.  At each energy
-``lam`` the boundary operator ``channel_smatrix`` builds
-(``birman.boundary_operator``) gives ``n_used`` and its two guard figures:
-``band``, its ``cond_estimate()``, and ``bound``, its ``cond_bound()``.
-``channel_smatrix`` holds ``bound`` against ``linalg.COND_LIMIT`` and falls
-back to ``band`` only where ``bound`` exceeds it.  ``exact`` is the block
+``lam`` the bands are those ``channel_smatrix`` builds
+(``scattering.smatrix_bands``: one per sector that holds an open channel, a
+coupled model's whole band), all on ``n_used`` modes.  ``guard`` is the
+figure ``channel_smatrix`` holds against ``linalg.COND_LIMIT``,
+``birman.guard`` of those bands.  Per band, ``bound`` and ``estimate`` are
+the largest norm bound of the bands times that band's certified inverse
+bound and times its Hager-Higham inverse estimate: the guard is the
+largest per-band figure, each band's ``bound`` where it is within
+``COND_LIMIT`` and its ``estimate`` elsewhere.  ``exact`` is the block
 guard ``max_b |A_b|_1 * max_b |A_b^-1|_1`` that ``linalg.inverse`` applies
-to a block stack, from ``linalg.cond_estimate`` of the dense sector blocks
-``u + v R0(lam) v`` over the modes ``1..n_used`` (``birman.bs_blocks``).
-``bound`` is an upper bound on ``exact`` (to rounding): an upper bound on
-``max_b |A_b|_1`` times one on ``max_b |A_b^-1|_1`` read off the node
-blocks and the LU of the condensed band.
-``band`` pairs the same norm bound with a Hager-Higham lower estimate of
-``max_b |A_b^-1|_1``, so it is no bound: a ``ratio`` below 1 is the
-estimate under-reading.
+to a block stack, from ``linalg.cond_estimate`` of the same open-sector
+blocks of ``u + v R0(lam) v`` over the modes ``1..n_used``
+(``birman.bs_blocks``).  Where every band's bound decides, ``guard`` is an
+upper bound on ``exact`` (to rounding); an estimate is a lower estimate of
+its band, so a ``ratio`` below 1 is the estimate under-reading.
 
-One line is printed per energy: ``lam n_used band bound exact ratio
-bound_ratio``, with ``ratio = band / exact`` and ``bound_ratio = bound /
-exact``.  The exit code is 0.
+One line is printed per energy and band: ``lam n_used sector bound
+estimate guard exact ratio``, with ``ratio = guard / exact``.  The exit
+code is 0.
 
 Runs the ``wgscat`` this interpreter imports: put a checkout's ``src`` first
 on ``PYTHONPATH`` to check that checkout's boundary operator.
@@ -34,13 +35,13 @@ import json
 import sys
 from pathlib import Path
 
-from wgscat import birman, cli, linalg
+from wgscat import birman, cli, linalg, scattering
 from wgscat.waveguide import config_value, json_list
 
 
-def exact_guard(model, lam: float, n_used: int) -> float:
-    """The exact block guard of the dense sector blocks at ``lam``."""
-    return linalg.cond_estimate(birman.bs_blocks(model, complex(lam), n_used))
+def exact_guard(model, lam: float, n_used: int, blocks: list[int]) -> float:
+    """The exact block guard of the dense sector blocks ``blocks`` at ``lam``."""
+    return linalg.cond_estimate(birman.bs_blocks(model, complex(lam), n_used)[blocks])
 
 
 def main(argv=None) -> int:
@@ -51,13 +52,16 @@ def main(argv=None) -> int:
     task = cli._task(cfg, "smatrix")
     tail_tol = cli._tail_tol(task, 1e-4)
     model = cli._model(cfg)
-    print("lam n_used band bound exact ratio bound_ratio")
+    print("lam n_used sector bound estimate guard exact ratio")
     for lam in sorted(config_value(task, "energies", json_list)):
-        op = birman.boundary_operator(lam, model, tail_tol)
-        band, bound = op.cond_estimate(), op.cond_bound()
-        exact = exact_guard(model, lam, op.n_used)
-        print(f"{lam:.17g} {op.n_used} {band:.6e} {bound:.6e} {exact:.6e} "
-              f"{band / exact:.4f} {bound / exact:.4g}")
+        _, _, blocks, ops = scattering.smatrix_bands(lam, model, tail_tol)
+        guard = birman.guard(ops)
+        exact = exact_guard(model, lam, ops[0].n_used, blocks)
+        norm = max(op.norm_bound for op in ops)
+        for b, op in zip(blocks, ops):
+            print(f"{lam:.17g} {op.n_used} {b} {norm * op._inverse_bound():.6e} "
+                  f"{norm * op._inverse_estimate():.6e} {guard:.6e} {exact:.6e} "
+                  f"{guard / exact:.4g}")
     return 0
 
 

@@ -43,8 +43,9 @@ the model; each energy builds only the ``mu``-dependent entries,
 LU.  Every band is the whole model's (the scan, its candidates) or one
 sector block's (:meth:`BandLayout.subset`: golden-section points, and the
 one-sector S-matrices whose direct sum is a decomposing model's S).  The
-S-matrix guard is blockwise, ``max_b |A_b|_1 max_b |A_b^-1|_1``: a bound
-off the node blocks and band LUs, past ``COND_LIMIT`` a Hager-Higham estimate.
+S-matrix guard (:func:`guard`) is blockwise, ``max_b |A_b|_1 max_b |A_b^-1|_1``,
+from per-band factors: a bound off each band's node blocks and LU, and a
+Hager-Higham estimate only on a band whose bound fails ``COND_LIMIT``.
 """
 
 from __future__ import annotations
@@ -356,7 +357,7 @@ class BoundaryOperator:
     Grid vectors (the order of :func:`bs_operator`, 1-D or as columns) enter
     and leave only at :meth:`solve` and :meth:`matvec`, through the
     transforms of ``layout.sectors``; the products, the norm bound, the
-    condition bound and estimate and the scan's Lanczos runs stay on the
+    inverse bound and estimate and the scan's Lanczos runs stay on the
     node slices.
     ``u``, ``v`` and the modes are real and the kernel symmetric in ``x, x'``,
     so ``A`` is complex symmetric there as on the grid: ``A^H y = conj(A
@@ -437,7 +438,7 @@ class BoundaryOperator:
         """Upper bound on ``max_b |A_b|_1`` over the sector blocks: the largest
         column sum of ``|u|`` plus the mode terms of :meth:`_apply` taken in
         absolute value one by one, which is exact for a single mode.  Formed
-        once per operator, so both guards share it."""
+        once per operator; :func:`guard` takes the largest over its bands."""
         an = np.abs(self.layout.an)
         sums = _mode_sums(np.abs(self.rn)[:, :, None], an.sum(axis=2)[:, :, None],
                           self.layout.sectors.n_blocks)[:, :, 0]
@@ -466,32 +467,33 @@ class BoundaryOperator:
                                                          np.abs(self.jad))
         return float(cols.max())
 
-    def cond_bound(self, *others: BoundaryOperator) -> float:
-        """Upper bound on the exact guard ``max_b |A_b|_1 * max_b |A_b^-1|_1``
-        over the blocks of this band and ``others`` (an S-matrix's other
-        sector bands), ``inf`` if one is singular: the largest :attr:`norm_bound`
-        times the largest :meth:`_inverse_bound`, bit for bit one band's over
-        them all.  ``scripts/guard_oracle.py`` prints its ratio to the exact guard."""
-        ops = (self, *others)
-        return max(op.norm_bound for op in ops) * max(op._inverse_bound() for op in ops)
-
-    def cond_estimate(self, *others: BoundaryOperator) -> float:
-        """Estimate of the guard of :meth:`cond_bound` (the one ``linalg.inverse``
-        applies to the dense stack :func:`bs_blocks`), ``inf`` if a band LU is
-        singular: the largest :attr:`norm_bound` times the Hager-Higham lower
-        estimate of the bands' direct sum's ``|A^-1|_1`` from 5-6 solves read in
-        sector order.  No bound (``scripts/guard_oracle.py`` prints its ratio):
-        ``channel_smatrix`` calls it only where :meth:`cond_bound` exceeds ``COND_LIMIT``."""
-        ops = (self, *others)
-        if any(op.singular for op in ops):
+    def _inverse_estimate(self) -> float:
+        """Hager-Higham lower estimate of ``max_b |A_b^-1|_1`` over the sector
+        blocks of this band (``|A^-1|_1`` of their direct sum) from 5-6 solves
+        read in sector order, ``inf`` when the band LU is singular.  No bound:
+        :func:`guard` reads it only where :meth:`_inverse_bound` fails."""
+        if self.singular:
             return float("inf")
-        cuts = np.cumsum([op.dim for op in ops])
-        solve = lambda y: np.concatenate([
-            _sector_values(op.layout.sectors,
-                           op._band_solve(_node_slices(op.layout.sectors, part[:, None])))[:, 0]
-            for op, part in zip(ops, np.split(y, cuts[:-1]))])
-        return max(op.norm_bound for op in ops) * onenorm_estimate(
-            solve, lambda y: np.conj(solve(np.conj(y))), int(cuts[-1]))
+        sec = self.layout.sectors
+        solve = lambda y: _sector_values(
+            sec, self._band_solve(_node_slices(sec, y[:, None])))[:, 0]
+        return onenorm_estimate(solve, lambda y: np.conj(solve(np.conj(y))), self.dim)
+
+
+def guard(ops) -> float:
+    """The S-matrix guard of the bands ``ops`` (``scattering.smatrix_bands``:
+    a coupled model's one band, or one band per open sector), ``inf`` if one
+    is singular: the largest :attr:`~BoundaryOperator.norm_bound` times the
+    largest per-band factor.  A band's factor is its certified
+    :meth:`~BoundaryOperator._inverse_bound` wherever that times the largest
+    norm bound is within ``COND_LIMIT``, so the guard is an upper bound on
+    the exact ``max_b |A_b|_1 * max_b |A_b^-1|_1`` wherever no band fails;
+    elsewhere it is the band's Hager-Higham
+    :meth:`~BoundaryOperator._inverse_estimate`, in practice on the band
+    whose channel just opened.  ``scripts/guard_oracle.py`` prints it."""
+    norm, bounds = max(op.norm_bound for op in ops), [op._inverse_bound() for op in ops]
+    return norm * max(b if norm * b <= COND_LIMIT else op._inverse_estimate()
+                      for op, b in zip(ops, bounds))
 
 
 _GBTRF, _GBTRS = (get_lapack_funcs(name, (np.zeros(1, dtype=complex),))
@@ -556,8 +558,8 @@ def band_layout(model: WaveguideModel, n_used: int) -> BandLayout:
     :class:`DimensionError` unless the ``x`` nodes increase strictly."""
     layout = model.band_layouts.get(n_used)
     if layout is None:
-        # setdefault keeps the first layout stored, so threads that build
-        # the same one at once still share one
+        # setdefault keeps the first layout stored, so a library caller's
+        # threads still share one (the CLI maps its energies serially)
         layout = model.band_layouts.setdefault(n_used, _build_layout(model, n_used))
     return layout
 

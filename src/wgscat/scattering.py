@@ -120,6 +120,23 @@ class SMatrix:
         return self.matrix[np.ix_(rows, cols)]
 
 
+def smatrix_bands(lam: float, model: WaveguideModel, tail_tol: float = 1e-4):
+    """``(chans, home, blocks, ops)``: the open channels at ``lam``, each
+    one's sector (``-1``: its mode vanishes on the lattice; 0 on a coupled
+    model), the sectors that hold one and their bands, on which
+    :func:`channel_smatrix` and ``scripts/guard_oracle.py`` read the guard."""
+    chans = open_channels(lam, model)
+    if not chans:
+        raise DomainError(f"no open channels at lam={lam}")
+    sec = model.sectors
+    home = (np.zeros(len(chans), dtype=int) if sec.basis is None
+            else sec.mode_sector[[n - 1 for n, _ in chans]])
+    blocks = sorted(set(home[home >= 0].tolist()))
+    ops = [birman.boundary_operator(lam, model, tail_tol, None if sec.basis is None else b)
+           for b in blocks]
+    return chans, home, blocks, ops
+
+
 def channel_smatrix(
     lam: float,
     model: WaveguideModel,
@@ -130,31 +147,22 @@ def channel_smatrix(
     A channel's trace row lives in its mode's sector and ``A`` is block
     diagonal over the sectors, so on a decomposing model ``S`` is the direct
     sum of one-sector S-matrices, each on its sector's one-block band
-    (``boundary_operator(..., block)``): entries across sectors are exact
-    zeros, and a channel with no sector (its mode vanishes on the lattice)
-    keeps its identity row and column.  A coupled model is the one-part
-    case, on its whole band.  The bands share one blockwise guard, the bound
-    ``cond_bound`` or, past ``COND_LIMIT`` (near a threshold or eigenvalue),
-    the estimate ``cond_estimate``; past it too, :class:`EigenvalueHitError`
-    (use the expansion machinery there).
+    (:func:`smatrix_bands`): entries across sectors are exact zeros, and a
+    channel with no sector (its mode vanishes on the lattice) keeps its
+    identity row and column.  A coupled model is the one-part case, on its
+    whole band.  Past ``COND_LIMIT`` on ``birman.guard`` of the bands (each
+    band's certified bound, the estimate only on a band whose bound fails:
+    the band whose channel just opened), :class:`EigenvalueHitError` (use
+    the expansion machinery there).
     """
-    chans = open_channels(lam, model)
-    if not chans:
-        raise DomainError(f"no open channels at lam={lam}")
-    sec = model.sectors
-    home = (np.zeros(len(chans), dtype=int) if sec.basis is None
-            else sec.mode_sector[[n - 1 for n, _ in chans]])
-    blocks = sorted(set(home[home >= 0].tolist()))
-    ops = [birman.boundary_operator(lam, model, tail_tol, None if sec.basis is None else b)
-           for b in blocks]
-    cond = ops[0].cond_bound(*ops[1:])
-    if cond > linalg.COND_LIMIT:
-        cond = ops[0].cond_estimate(*ops[1:])
+    chans, home, blocks, ops = smatrix_bands(lam, model, tail_tol)
+    cond = birman.guard(ops)
     if cond > linalg.COND_LIMIT:
         raise EigenvalueHitError(
             f"boundary operator singular at lam={lam} (condition estimate {cond:.3e}); "
             "use the expansion machinery"
         )
+    sec = model.sectors
     rows = sec.blocked(sec.to_sector(np.array([trace_row(lam, n, s, model) for n, s in chans]).T))
     parts = [np.flatnonzero(home == b) for b in blocks]
     rows = [rows[b].T[i] for b, i in zip(blocks, parts)]   # each a new C-ordered array

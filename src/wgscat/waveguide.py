@@ -85,9 +85,6 @@ class Rectangle:
 
     l1: float
     l2: float
-    # sorted (lambda, p, q) of every pair up to some eigenvalue bound: a
-    # prefix of the spectrum, grown on demand
-    _sorted: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0 < self.l1 < math.inf and 0 < self.l2 < math.inf):
@@ -104,23 +101,13 @@ class Rectangle:
     def _lam(self, p: int, q: int) -> float:
         return (p * math.pi / self.l1) ** 2 + (q * math.pi / self.l2) ** 2
 
-    def _pairs(self, count: int) -> list[tuple[float, int, int]]:
-        """The ``count`` lowest ``(lambda, p, q)`` in sorted order."""
-        if len(self._sorted) < count:
-            n = max(count, 2 * len(self._sorted))
-            # the a x ceil(n/a) block of lowest indices holds n pairs, so its
-            # corner eigenvalue bounds lambda_n from above
-            bound = min(self._lam(a, math.ceil(n / a)) for a in range(1, n + 1))
-            items = []
-            p = 1
-            while self._lam(p, 1) <= bound:
-                q = 1
-                while self._lam(p, q) <= bound:
-                    items.append((self._lam(p, q), p, q))
-                    q += 1
-                p += 1
-            self._sorted[:] = sorted(items)
-        return self._sorted[:count]
+    @cache
+    def _pairs(self, count: int) -> tuple[tuple[float, int, int], ...]:
+        """The ``count`` lowest ``(lambda, p, q)`` in sorted order.  Each has
+        ``p, q <= count``: the ``p - 1`` pairs ``(1..p-1, q)`` sort before
+        ``(p, q)``, and so do the ``q - 1`` pairs ``(p, 1..q-1)``."""
+        r = range(1, count + 1)
+        return tuple(sorted((self._lam(p, q), p, q) for p in r for q in r)[:count])
 
     def eigenvalue(self, n: int) -> float:
         return self._pairs(n)[n - 1][0]

@@ -224,6 +224,20 @@ def dense_open_sector_smatrix(model, lam, tail_tol) -> np.ndarray:
     return out
 
 
+def cond_bound(op) -> float:
+    """One band's certified condition bound: its norm bound times its
+    inverse bound, the per-band factor of ``birman.guard`` where that
+    certifies."""
+    return op.norm_bound * op._inverse_bound()
+
+
+def cond_estimate(op) -> float:
+    """One band's condition estimate: its norm bound times its Hager-Higham
+    inverse estimate, the per-band factor of ``birman.guard`` where the
+    bound fails."""
+    return op.norm_bound * op._inverse_estimate()
+
+
 def band_det_factors(op) -> tuple[np.ndarray, int]:
     """The node blocks' determinants ``det D_k`` (from the inverses the
     ``BoundaryOperator`` keeps), then U's diagonal of its condensed band LU

@@ -13,7 +13,7 @@ def test_every_run_writes_its_manifest(tmp_path, capsys):
     spec.loader.exec_module(module)
     assert module.main([str(tmp_path)]) == 0
     names = [name for name, *_ in module.runs()]
-    assert len(names) == 26
+    assert len(names) == 27
     assert capsys.readouterr().out.splitlines() == [f"{name}: exit 0" for name in names]
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names + ["configs"])
     for name in names:

@@ -241,7 +241,7 @@ def test_threshold_groups_invariants(eigenvalues):
 
 
 @st.composite
-def sector_wells(draw, profile=None):
+def sector_wells(draw, profile=None, n_x=(2, 7)):
     """Square wells on an interval or a rectangle whose mode list runs past the
     transverse lattice (``n_max > n_omega``, so aliased and zero modes occur),
     with a spectral point off the thresholds and a mode subset to sum.  A
@@ -265,7 +265,7 @@ def sector_wells(draw, profile=None):
     n_max = draw(st.integers(n_lattice + 1, 3 * n_lattice + 2))
     model = waveguide.square_well_model(
         cs, draw(st.floats(0.1, 5.0)), (0.0, draw(st.floats(0.5, 2.0))), n_omega,
-        draw(st.integers(2, 7)), n_max, omega_profile=profile,
+        draw(st.integers(*n_x)), n_max, omega_profile=profile,
     )
     modes = draw(st.lists(st.integers(1, n_max), min_size=1, max_size=n_max, unique=True))
     z = draw(st.floats(-3.0, 60.0)) + 1j * draw(st.floats(0.05, 2.0))
@@ -354,16 +354,21 @@ COSINE = {"kind": "cosine", "amplitude": 0.5, "harmonic": 1}
 
 
 @st.composite
-def band_cases(draw):
+def band_cases(draw, above=None):
     """A :func:`sector_wells` model, decomposing (uniform profile) or coupled
     (cosine profile), at a real energy inside one of its first open bands or
     below the first threshold, with a tail tolerance that retains a drawn
     number of modes: up to ``n_max``, past the transverse lattice, so sectors
-    with no mode, one mode and aliased second modes all occur."""
-    model, _, _ = draw(sector_wells(profile=draw(st.sampled_from([None, COSINE]))))
+    with no mode, one mode and aliased second modes all occur.  Given
+    ``above = (lo, hi)``, the energy is ``lo`` to ``hi`` above the second,
+    third or fourth threshold instead, on 40 to 80 x nodes: there the bound
+    of the band whose channel just opened can fail while the others hold."""
+    profile = draw(st.sampled_from([None, COSINE]))
+    model, _, _ = draw(sector_wells(profile=profile, n_x=(2, 7) if above is None else (40, 80)))
     t = model.thresholds()
-    band = draw(st.integers(-1, min(2, len(t) - 2)))
-    if band < 0:
+    if above is not None:
+        lam = t[draw(st.integers(1, min(3, len(t) - 2)))] + draw(st.floats(*above))
+    elif (band := draw(st.integers(-1, min(2, len(t) - 2)))) < 0:
         lam = t[0] - draw(st.floats(0.1, 2.0))
     else:
         lam = t[band] + draw(st.floats(0.1, 0.9)) * (t[band + 1] - t[band])
@@ -424,7 +429,7 @@ def test_boundary_operator_matches_dense_oracle(case):
     assert rel(op.solve(b), linalg.solve(a, b)) <= 1e-12
     assert rel(op.matvec(b), a @ b) <= 1e-12
     assert rel(op.solve(b[:, 0]), linalg.solve(a, b[:, 0])) <= 1e-12
-    assert 0.1 <= op.cond_estimate() / linalg.cond_estimate(a) <= 10.0
+    assert 0.1 <= helpers.cond_estimate(op) / linalg.cond_estimate(a) <= 10.0
     # a build on the model's kept layout against one on a fresh copy
     warm = birman.boundary_operator(lam, model, tail_tol)
     cold = birman.boundary_operator(lam, dataclasses.replace(model),
@@ -441,8 +446,8 @@ def test_cond_bound_holds_over_the_exact_block_guard(case):
     model, lam, tail_tol = case
     op = birman.boundary_operator(lam, model, tail_tol)
     blocks = birman.bs_blocks(model, complex(lam), op.n_used)
-    bound = op.cond_bound()
-    assert op.cond_estimate() <= bound * (1.0 + 1e-10)
+    bound = helpers.cond_bound(op)
+    assert helpers.cond_estimate(op) <= bound * (1.0 + 1e-10)
     assert linalg.cond_estimate(blocks) <= bound * (1.0 + 1e-10)
     # a node with u = v = 0 has the node block D_k = 0: the build refuses it
     pot = model.potential
@@ -456,15 +461,16 @@ def test_cond_bound_holds_over_the_exact_block_guard(case):
 @given(band_cases())
 def test_smatrix_is_the_direct_sum_of_one_sector_smatrices(case):
     # above lambda_1: S within 1e-12 of the dense open-sector oracle with
-    # exact zeros across sectors, and the bound that guards it first at
-    # least the exact guard of the dense open-sector blocks (where the bound
-    # exceeds COND_LIMIT the Hager-Higham estimate decides, a lower estimate)
+    # exact zeros across sectors, and the guard of its bands, where each
+    # band's bound decides, at least the exact guard of the dense
+    # open-sector blocks (elsewhere a band's Hager-Higham estimate decides,
+    # a lower estimate)
     model, lam, tail_tol = case
     assume(lam > model.eigenvalue(1))
     guards = []
-    bound = birman.BoundaryOperator.cond_bound
-    with mock.patch.object(birman.BoundaryOperator, "cond_bound",
-                           lambda *ops: guards.append(bound(*ops)) or guards[-1]):
+    guard = birman.guard
+    with mock.patch.object(birman, "guard", lambda ops: guards.append((ops, guard(ops)))
+                           or guards[-1][1]):
         try:
             s = scattering.channel_smatrix(lam, model, tail_tol)
         except EigenvalueHitError:
@@ -472,11 +478,31 @@ def test_smatrix_is_the_direct_sum_of_one_sector_smatrices(case):
     home, blocks = helpers.open_sectors(model, lam)
     n_used, _ = birman._truncation(model, complex(lam), tail_tol)
     exact = linalg.cond_estimate(birman.bs_blocks(model, complex(lam), n_used)[blocks])
-    assert len(guards) == 1 and guards[0] >= exact * (1.0 - 1e-10)
+    assert len(guards) == 1
+    (ops, applied), = guards
+    bound = max(op.norm_bound for op in ops) * max(op._inverse_bound() for op in ops)
+    assert bound >= exact * (1.0 - 1e-10)
+    assert applied == bound or bound > linalg.COND_LIMIT
     if s is not None:
         assert not s.matrix[home[:, None] != home[None, :]].any()
         ref = helpers.dense_open_sector_smatrix(model, lam, tail_tol)
         assert np.abs(s.matrix - ref).max() <= 1e-12
+
+
+@given(band_cases(above=(1e-4, 1e-2)))
+def test_guard_certifies_every_band_whose_bound_holds(case):
+    # just above a threshold, where the bound of the band whose channel just
+    # opened can fail and its estimate decide: the guard is still at least
+    # |A_b|_1 |A_b^-1|_1 of the dense block of every band b whose bound
+    # certified
+    model, lam, tail_tol = case
+    _, _, blocks, ops = scattering.smatrix_bands(lam, model, tail_tol)
+    guard, norm = birman.guard(ops), max(op.norm_bound for op in ops)
+    dense = birman.bs_blocks(model, complex(lam), ops[0].n_used)
+    for b, op in zip(blocks, ops):
+        if norm * op._inverse_bound() <= linalg.COND_LIMIT:
+            exact = np.linalg.norm(dense[b], 1) * np.linalg.norm(np.linalg.inv(dense[b]), 1)
+            assert guard >= exact * (1.0 - 1e-10)
 
 
 @given(band_cases())

@@ -24,6 +24,23 @@ def load_module(path: Path):
     return module
 
 
+@pytest.fixture(scope="module")
+def scan_well():
+    """``SCAN_WELL`` of ``scripts/cli_artifacts.py``, the 5 x 60 well of the
+    ``eigen_scan_cli`` benchmark."""
+    return waveguide.model_from_config(
+        load_module(ROOT / "scripts" / "cli_artifacts.py").SCAN_WELL)
+
+
+def record_estimates(monkeypatch) -> list:
+    """The bands whose Hager-Higham inverse estimate runs from here on, in call order."""
+    bands = []
+    estimate = birman.BoundaryOperator._inverse_estimate
+    monkeypatch.setattr(birman.BoundaryOperator, "_inverse_estimate",
+                        lambda op: bands.append(op) or estimate(op))
+    return bands
+
+
 class TestTraceRows:
     def test_closed_channel_rejected(self, well_small):
         with pytest.raises(ChannelClosedError):
@@ -92,7 +109,7 @@ class TestSMatrix:
 
     def test_closed_sector_level_is_no_hit(self, eigenvalue_hit):
         # the level lies in the mode-2 sector, closed at lam; the one open
-        # channel's sector block is regular (cond_bound about 2), so S is
+        # channel's sector block is regular (its guard about 2), so S is
         # that block's, and the singular whole band is neither factored
         # nor guarded
         doc, lam = eigenvalue_hit
@@ -183,21 +200,38 @@ class TestSMatrix:
     def test_estimate_decides_next_to_a_threshold(self, coupled_model, lam, monkeypatch):
         # 1e-3 below lambda_2 the bound accepts and is at least the exact
         # guard; 1e-3 above it the bound exceeds COND_LIMIT and the
-        # Hager-Higham estimate accepts
+        # Hager-Higham estimate of the one band accepts
         op = birman.boundary_operator(lam, coupled_model, 0.03)
         exact = linalg.cond_estimate(birman.bs_blocks(coupled_model, complex(lam), op.n_used))
-        assert op.cond_bound() >= exact * (1.0 - 1e-10)
-        estimates = []
-        estimate = birman.BoundaryOperator.cond_estimate
-        monkeypatch.setattr(birman.BoundaryOperator, "cond_estimate",
-                            lambda self: estimates.append(1) or estimate(self))
+        assert helpers.cond_bound(op) >= exact * (1.0 - 1e-10)
+        estimates = record_estimates(monkeypatch)
         s = scattering.channel_smatrix(lam, coupled_model, tail_tol=0.03)
         assert s.unitarity_defect <= 1e-12
         if lam < 4.0:
-            assert op.cond_bound() <= linalg.COND_LIMIT and not estimates
+            assert helpers.cond_bound(op) <= linalg.COND_LIMIT and not estimates
         else:
-            assert estimates == [1]
-            assert op.cond_bound() > linalg.COND_LIMIT >= op.cond_estimate()
+            assert len(estimates) == 1 and estimates[0].layout is op.layout
+            assert helpers.cond_bound(op) > linalg.COND_LIMIT >= helpers.cond_estimate(op)
+
+    @pytest.mark.parametrize("lam, opening", [(3.999, None), (4.001, 1), (9.001, 2)])
+    def test_only_the_opening_band_is_estimated(self, scan_well, lam, opening, monkeypatch):
+        # on the 5 x 60 well the bound decides every band 1e-3 below lambda_2;
+        # 1e-3 above lambda_2 and lambda_3 only the band of the sector whose
+        # channel just opened is estimated, and every other band keeps its
+        # bound in the guard
+        estimates = record_estimates(monkeypatch)
+        s = scattering.channel_smatrix(lam, scan_well, tail_tol=0.03)
+        assert s.unitarity_defect <= 1e-12
+        _, _, blocks, ops = scattering.smatrix_bands(lam, scan_well, 0.03)
+        whole = birman.band_layout(scan_well, ops[0].n_used)
+        sector = {id(whole.subset(b)): b for b in blocks}
+        assert [sector[id(e.layout)] for e in estimates] == ([] if opening is None else [opening])
+        norm = max(op.norm_bound for op in ops)
+        factors = [op._inverse_estimate() if b == opening else op._inverse_bound()
+                   for b, op in zip(blocks, ops)]
+        assert birman.guard(ops) == norm * max(factors)
+        assert all(norm * op._inverse_bound() <= linalg.COND_LIMIT
+                   for b, op in zip(blocks, ops) if b != opening)
 
     @pytest.mark.parametrize("lam", [3.95, 3.999, 4.001, 4.05])
     @pytest.mark.parametrize("name", ["well", "cosine", "table", "sweep"])
@@ -216,8 +250,8 @@ class TestSMatrix:
             model, tail_tol = waveguide.model_from_config(doc), task["tail_tol"]
         op = birman.boundary_operator(lam, model, tail_tol)
         exact = linalg.cond_estimate(birman.bs_blocks(model, complex(lam), op.n_used))
-        print(f"{name} lam={lam}: bound / exact {op.cond_bound() / exact:.3g}")
-        assert op.cond_bound() >= exact * (1.0 - 1e-10)
+        print(f"{name} lam={lam}: bound / exact {helpers.cond_bound(op) / exact:.3g}")
+        assert helpers.cond_bound(op) >= exact * (1.0 - 1e-10)
 
     def test_bound_holds_at_seeded_sweep_energies(self):
         # the energies TestBirmanKrein draws from the smatrix_sweep workload
@@ -226,7 +260,7 @@ class TestSMatrix:
         for lam in sweep.inputs(model, np.random.default_rng(0), 20):
             op = birman.boundary_operator(lam, model, sweep.tail_tol)
             exact = linalg.cond_estimate(birman.bs_blocks(model, complex(lam), op.n_used))
-            assert op.cond_bound() >= exact * (1.0 - 1e-10), lam
+            assert helpers.cond_bound(op) >= exact * (1.0 - 1e-10), lam
 
     def test_smoothness_off_singular_set(self, well_small):
         devs = scattering.smoothness_probe(2.3, well_small, tail_tol=0.1)

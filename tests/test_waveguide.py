@@ -36,7 +36,7 @@ class TestTransverseModes:
             for q in range(1, 80)
         )[:40]
         assert [cs.eigenvalue(n) for n in range(1, 41)] == [lam for lam, _, _ in brute]
-        assert cs._pairs(40) == brute
+        assert list(cs._pairs(40)) == brute
 
     def test_custom_passthrough(self):
         nodes = np.array([0.25, 0.75])
