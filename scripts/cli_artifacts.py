@@ -25,9 +25,9 @@ on ``PYTHONPATH`` to run that checkout) through ``wgscat.cli.main``, on:
   ``eigenvalues``, on a window holding its level near 3.81, on one holding
   its level near 0.81 (at two resolutions) and on one holding its level
   near 8.81, and through ``smatrix`` at 3.999, 4.001, 4.0001 and 9.001,
-  where the S-matrix guard takes the Hager-Higham estimate on the band
-  whose channel just opened (sector 1 above 4, sector 2 above 9) and the
-  bound on every other band (all of them at 3.999);
+  where the S-matrix guard takes the exact inverse norm of the band whose
+  channel just opened (sector 1 above 4, sector 2 above 9) and the bound
+  of every other band (all of them at 3.999);
 - ``invert-demo`` on the scalar family ``A(z) = z`` and on the seed-5 corpus
   of ten random 6x6 families, the two family files of ``TestInvertDemo`` in
   ``tests/test_cli.py``.

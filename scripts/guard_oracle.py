@@ -8,21 +8,20 @@
 (``scattering.smatrix_bands``: one per sector that holds an open channel, a
 coupled model's whole band), all on ``n_used`` modes.  ``guard`` is the
 figure ``channel_smatrix`` holds against ``linalg.COND_LIMIT``,
-``birman.guard`` of those bands.  Per band, ``bound`` and ``estimate`` are
+``birman.guard`` of those bands.  Per band, ``bound`` and ``norm`` are
 the largest norm bound of the bands times that band's certified inverse
-bound and times its Hager-Higham inverse estimate: the guard is the
-largest per-band figure, each band's ``bound`` where it is within
-``COND_LIMIT`` and its ``estimate`` elsewhere.  ``exact`` is the block
-guard ``max_b |A_b|_1 * max_b |A_b^-1|_1`` that ``linalg.inverse`` applies
-to a block stack, from ``linalg.cond_estimate`` of the same open-sector
-blocks of ``u + v R0(lam) v`` over the modes ``1..n_used``
-(``birman.bs_blocks``).  Where every band's bound decides, ``guard`` is an
-upper bound on ``exact`` (to rounding); an estimate is a lower estimate of
-its band, so a ``ratio`` below 1 is the estimate under-reading.
+bound and times its exact inverse norm, read off the band's LU: the guard
+is the largest per-band figure, each band's ``bound`` where it is within
+``COND_LIMIT`` and its ``norm`` elsewhere.  ``exact`` is the block guard
+``max_b |A_b|_1 * max_b |A_b^-1|_1`` that ``linalg.inverse`` applies to a
+block stack, from ``linalg.cond_estimate`` of the same open-sector blocks
+of ``u + v R0(lam) v`` over the modes ``1..n_used`` (``birman.bs_blocks``).
+Each band's figure is at least its blocks' exact inverse norm times the
+largest norm bound, so ``guard`` is an upper bound on ``exact`` and
+``ratio >= 1`` on every line, to rounding.
 
-One line is printed per energy and band: ``lam n_used sector bound
-estimate guard exact ratio``, with ``ratio = guard / exact``.  The exit
-code is 0.
+One line is printed per energy and band: ``lam n_used sector bound norm
+guard exact ratio``, with ``ratio = guard / exact``.  The exit code is 0.
 
 Runs the ``wgscat`` this interpreter imports: put a checkout's ``src`` first
 on ``PYTHONPATH`` to check that checkout's boundary operator.
@@ -52,7 +51,7 @@ def main(argv=None) -> int:
     task = cli._task(cfg, "smatrix")
     tail_tol = cli._tail_tol(task, 1e-4)
     model = cli._model(cfg)
-    print("lam n_used sector bound estimate guard exact ratio")
+    print("lam n_used sector bound norm guard exact ratio")
     for lam in sorted(config_value(task, "energies", json_list)):
         _, _, blocks, ops = scattering.smatrix_bands(lam, model, tail_tol)
         guard = birman.guard(ops)
@@ -60,7 +59,7 @@ def main(argv=None) -> int:
         norm = max(op.norm_bound for op in ops)
         for b, op in zip(blocks, ops):
             print(f"{lam:.17g} {op.n_used} {b} {norm * op._inverse_bound():.6e} "
-                  f"{norm * op._inverse_estimate():.6e} {guard:.6e} {exact:.6e} "
+                  f"{norm * op._inverse_norm():.6e} {guard:.6e} {exact:.6e} "
                   f"{guard / exact:.4g}")
     return 0
 

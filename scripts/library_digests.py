@@ -26,7 +26,14 @@ of ``PAIRS`` and ``level1_kernel_gap``;
 - ``eigen``: ``m_function`` at two kappa on criterion 4's 4x200 eigenvalue
   ladder, at the embedded eigenvalue near ``4 + e0``;
 - ``families``: ``jn_invert``, ``build_ladder`` and
-  ``riesz_projection_at_zero`` on seeded ``random_family_dict`` families.
+  ``riesz_projection_at_zero`` on seeded ``random_family_dict`` families;
+- ``guard``: the S-matrix guard, ``birman.guard`` of
+  ``scattering.smatrix_bands``, and each band's ``norm_bound``, at the
+  ``scan-smatrix`` energies of ``scripts/cli_artifacts.py`` (3.999, 4.001,
+  4.0001 and 9.001 on its 5x60 ``SCAN_WELL``, ``tail_tol`` 0.03) and at 4
+  -+ 1e-3, 9.001 and 16.001 on the coupled 5x120 model (``tail_tol`` 0.03,
+  0.1 above 9), where the bound of the band whose channel just opened
+  fails and its exact inverse norm decides.
 
 A re-baseline is one run per checkout, then ``python
 scripts/artifact_diff.py OLD_DIR NEW_DIR``: every field ``=`` means every
@@ -130,9 +137,13 @@ def deep_case() -> dict:
     return threshold_case(tuned_well((7.3, 7.6)), 0.1)
 
 
+def coupled_model() -> waveguide.WaveguideModel:
+    return waveguide.square_well_model(waveguide.Interval(np.pi), 1.0, (0.0, 1.0), n_omega=5,
+                                       n_x=120, n_max=9, omega_profile=COSINE)
+
+
 def coupled_case() -> dict:
-    model = waveguide.square_well_model(waveguide.Interval(np.pi), 1.0, (0.0, 1.0), n_omega=5,
-                                        n_x=120, n_max=9, omega_profile=COSINE)
+    model = coupled_model()
     lad = expansion.build_threshold_ladder(model, 4.0, eps=2e-2, tail_tol=0.03)
     return {f"m_function[{i}]": digest(expansion.m_function(lad, k))
             for i, k in enumerate(KAPPAS[2:])}
@@ -172,9 +183,23 @@ def families_case() -> dict:
     return out
 
 
+def guard_case() -> dict:
+    scan = waveguide.model_from_config(model_doc(grid={"n_omega": 5, "n_x": 60}, n_max=9))
+    coupled = coupled_model()
+    points = [("scan", scan, lam, 0.03) for lam in (3.999, 4.001, 4.0001, 9.001)]
+    points += [("coupled", coupled, lam, 0.03 if lam < 9.0 else 0.1)
+               for lam in (3.999, 4.001, 9.001, 16.001)]
+    out = []
+    for label, model, lam, tail_tol in points:
+        ops = scattering.smatrix_bands(lam, model, tail_tol)[3]
+        out.append({"name": f"{label}@{lam}", "guard": birman.guard(ops),
+                    "norm_bound": [op.norm_bound for op in ops]})
+    return {"points": out}
+
+
 CASES = {"well": well_case, "cosine": cosine_case, "resonant": resonant_case,
          "deep": deep_case, "coupled": coupled_case, "eigen": eigen_case,
-         "families": families_case}
+         "families": families_case, "guard": guard_case}
 
 
 def main(argv=None) -> int:

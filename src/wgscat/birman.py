@@ -44,8 +44,9 @@ LU.  Every band is the whole model's (the scan, its candidates) or one
 sector block's (:meth:`BandLayout.subset`: golden-section points, and the
 one-sector S-matrices whose direct sum is a decomposing model's S).  The
 S-matrix guard (:func:`guard`) is blockwise, ``max_b |A_b|_1 max_b |A_b^-1|_1``,
-from per-band factors: a bound off each band's node blocks and LU, and a
-Hager-Higham estimate only on a band whose bound fails ``COND_LIMIT``.
+from per-band factors: a bound off each band's node blocks and LU, and the
+exact inverse norm off that LU only on a band whose bound fails
+``COND_LIMIT``, so it is an upper bound at every energy.
 """
 
 from __future__ import annotations
@@ -63,10 +64,11 @@ from .errors import (
     SingularMatrixError,
     TruncationError,
 )
-from .linalg import COND_LIMIT, onenorm_estimate
+from .linalg import COND_LIMIT
 from .waveguide import Sectors, WaveguideModel, gauss_legendre_panels
 
 _MODE_CHUNK_ENTRIES = 4_000_000  # chunk mode stacks to bound working memory
+_INVERSE_CHUNK = 128             # identity columns per band solve of an inverse norm
 
 
 def sqrt_upper(z: complex) -> complex:
@@ -357,8 +359,8 @@ class BoundaryOperator:
     Grid vectors (the order of :func:`bs_operator`, 1-D or as columns) enter
     and leave only at :meth:`solve` and :meth:`matvec`, through the
     transforms of ``layout.sectors``; the products, the norm bound, the
-    inverse bound and estimate and the scan's Lanczos runs stay on the
-    node slices.
+    inverse bound and norm and the scan's Lanczos runs stay on the node
+    slices.
     ``u``, ``v`` and the modes are real and the kernel symmetric in ``x, x'``,
     so ``A`` is complex symmetric there as on the grid: ``A^H y = conj(A
     conj(y))``, and the adjoint solve is the conjugated one.
@@ -467,17 +469,24 @@ class BoundaryOperator:
                                                          np.abs(self.jad))
         return float(cols.max())
 
-    def _inverse_estimate(self) -> float:
-        """Hager-Higham lower estimate of ``max_b |A_b^-1|_1`` over the sector
-        blocks of this band (``|A^-1|_1`` of their direct sum) from 5-6 solves
-        read in sector order, ``inf`` when the band LU is singular.  No bound:
-        :func:`guard` reads it only where :meth:`_inverse_bound` fails."""
+    def _inverse_norm(self) -> float:
+        """``max_b |A_b^-1|_1`` over the sector blocks of this band (``|A^-1|_1``
+        of their direct sum, whose node order only permutes it), ``inf`` when
+        the band LU is singular: the largest column sum of the inverse the
+        band LU forms against the identity, ``_INVERSE_CHUNK`` node-slice
+        columns per solve.  The rule ``linalg.inverse_with_cond`` applies to
+        a dense block; :func:`guard` reads it where :meth:`_inverse_bound`
+        fails."""
         if self.singular:
             return float("inf")
-        sec = self.layout.sectors
-        solve = lambda y: _sector_values(
-            sec, self._band_solve(_node_slices(sec, y[:, None])))[:, 0]
-        return onenorm_estimate(solve, lambda y: np.conj(solve(np.conj(y))), self.dim)
+        n, w = self.dinv.shape[:2]
+        top = 0.0
+        for start in range(0, self.dim, _INVERSE_CHUNK):
+            eye = np.zeros((self.dim, min(_INVERSE_CHUNK, self.dim - start)), dtype=complex)
+            np.fill_diagonal(eye[start:], 1.0)
+            x = self._band_solve(eye.reshape(n, w, -1))
+            top = max(top, float(np.abs(x).sum(axis=(0, 1)).max()))
+        return top
 
 
 def guard(ops) -> float:
@@ -486,13 +495,14 @@ def guard(ops) -> float:
     is singular: the largest :attr:`~BoundaryOperator.norm_bound` times the
     largest per-band factor.  A band's factor is its certified
     :meth:`~BoundaryOperator._inverse_bound` wherever that times the largest
-    norm bound is within ``COND_LIMIT``, so the guard is an upper bound on
-    the exact ``max_b |A_b|_1 * max_b |A_b^-1|_1`` wherever no band fails;
-    elsewhere it is the band's Hager-Higham
-    :meth:`~BoundaryOperator._inverse_estimate`, in practice on the band
-    whose channel just opened.  ``scripts/guard_oracle.py`` prints it."""
+    norm bound is within ``COND_LIMIT``, and its exact
+    :meth:`~BoundaryOperator._inverse_norm` elsewhere, in practice on the
+    band whose channel just opened.  So the guard is an upper bound on the
+    exact ``max_b |A_b|_1 * max_b |A_b^-1|_1`` at every energy, to the
+    rounding of the inverse it reads.  ``scripts/guard_oracle.py`` prints
+    it."""
     norm, bounds = max(op.norm_bound for op in ops), [op._inverse_bound() for op in ops]
-    return norm * max(b if norm * b <= COND_LIMIT else op._inverse_estimate()
+    return norm * max(b if norm * b <= COND_LIMIT else op._inverse_norm()
                       for op, b in zip(ops, bounds))
 
 

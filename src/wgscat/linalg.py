@@ -42,7 +42,6 @@ DEFAULT_RANK_TOL = 1e-8   # kernel detection: sigma < tol * sigma_max
 REFINE_STEPS = 2          # Newton steps of the oracle inverse
 RIESZ_N_QUAD = 64         # trapezoid points on a Riesz projection contour
 ZERO_GROUP_TOL = 1e-8     # |eigenvalue| / spectral scale that counts as 0
-ONENORM_STEPS = 4         # unit-vector steps of the 1-norm estimator (zlacn2's ITMAX - 1)
 
 _GESV = sla.get_lapack_funcs("gesv", (np.zeros(1, dtype=complex),))
 
@@ -206,39 +205,6 @@ def cond_estimate(a: np.ndarray) -> float:
         return inverse_with_cond(a)[1]
     except SingularMatrixError as exc:
         return exc.cond
-
-
-def onenorm_estimate(apply, apply_adjoint, n: int) -> float:
-    """Hager-Higham lower estimate of ``|A|_1`` from products with ``A`` and
-    ``A^H`` (the estimator behind LAPACK's ``gecon``, ``zlacn2``).
-
-    Deterministic: it starts from the constant vector, climbs through at
-    most ``ONENORM_STEPS`` unit vectors and ends with the alternating-sign
-    test vector.  ``apply`` and ``apply_adjoint`` map 1-D vectors of length
-    ``n``.
-    """
-    def phases(y):
-        return np.exp(1j * np.angle(y))  # 1 where y = 0
-
-    y = apply(np.full(n, 1.0 / n, dtype=complex))
-    est = float(np.sum(np.abs(y)))
-    if n == 1:
-        return est
-    j = int(np.argmax(np.abs(apply_adjoint(phases(y)))))
-    for _ in range(ONENORM_STEPS):
-        e = np.zeros(n, dtype=complex)
-        e[j] = 1.0
-        y = apply(e)
-        step = float(np.sum(np.abs(y)))
-        if step <= est:
-            break
-        est = step
-        w = np.abs(apply_adjoint(phases(y)))
-        j_last, j = j, int(np.argmax(w))
-        if w[j_last] == w[j]:
-            break
-    alt = (-1.0) ** np.arange(n) * (1.0 + np.arange(n) / (n - 1.0))
-    return max(est, 2.0 * float(np.sum(np.abs(apply(alt.astype(complex))))) / (3.0 * n))
 
 
 def kernel_basis(a: np.ndarray, scale: float | None = None) -> np.ndarray:

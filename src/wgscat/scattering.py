@@ -151,15 +151,15 @@ def channel_smatrix(
     channel with no sector (its mode vanishes on the lattice) keeps its
     identity row and column.  A coupled model is the one-part case, on its
     whole band.  Past ``COND_LIMIT`` on ``birman.guard`` of the bands (each
-    band's certified bound, the estimate only on a band whose bound fails:
-    the band whose channel just opened), :class:`EigenvalueHitError` (use
-    the expansion machinery there).
+    band's certified bound, its exact inverse norm only where the bound
+    fails: the band whose channel just opened), :class:`EigenvalueHitError`
+    (use the expansion machinery there).
     """
     chans, home, blocks, ops = smatrix_bands(lam, model, tail_tol)
     cond = birman.guard(ops)
     if cond > linalg.COND_LIMIT:
         raise EigenvalueHitError(
-            f"boundary operator singular at lam={lam} (condition estimate {cond:.3e}); "
+            f"boundary operator singular at lam={lam} (guard {cond:.3e}); "
             "use the expansion machinery"
         )
     sec = model.sectors
@@ -387,7 +387,12 @@ def row_kernel_fit(
 def smoothness_probe(lam: float, model: WaveguideModel, tail_tol: float = 1e-4) -> list[float]:
     """Cauchy defects of the finite-difference derivative of ``S`` entries
     under step halving through ``SMOOTHNESS_STEPS`` (smoothness off the
-    thresholds and eigenvalues)."""
+    thresholds and eigenvalues); :class:`DomainError` when a threshold lies
+    within the largest step, where the channel count changes."""
+    h = max(SMOOTHNESS_STEPS)
+    if open_channels(lam - h, model) != open_channels(lam + h, model):
+        raise DomainError(f"a threshold lies within {h} of lam={lam}: "
+                          "the smoothness probe needs one channel set")
     ders = []
     for h in SMOOTHNESS_STEPS:
         sp = channel_smatrix(lam + h, model, tail_tol)

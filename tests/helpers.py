@@ -232,10 +232,14 @@ def cond_bound(op) -> float:
 
 
 def cond_estimate(op) -> float:
-    """One band's condition estimate: its norm bound times its Hager-Higham
-    inverse estimate, the per-band factor of ``birman.guard`` where the
-    bound fails."""
-    return op.norm_bound * op._inverse_estimate()
+    """One band's condition figure: its norm bound times its exact inverse
+    norm, the per-band factor of ``birman.guard`` where the bound fails."""
+    return op.norm_bound * op._inverse_norm()
+
+
+def inverse_norm(blocks) -> float:
+    """``max_b |A_b^-1|_1`` of dense blocks, from numpy's inverse of each."""
+    return max(np.linalg.norm(np.linalg.inv(b), 1) for b in blocks)
 
 
 def band_det_factors(op) -> tuple[np.ndarray, int]:

@@ -188,20 +188,22 @@ class TestBoundaryOperator:
             assert rel(op.matvec(b), a @ b) <= 1e-12
             assert rel(op.solve(b[:, 0]), linalg.solve(a, b[:, 0])) <= 1e-12
             assert op.solve(b[:, 0]).shape == (any_model.dim,)
-            ratio = helpers.cond_estimate(op) / linalg.cond_estimate(a)
-            assert 0.1 <= ratio <= 10.0
+            dense = helpers.inverse_norm(birman.bs_blocks(any_model, complex(lam), n_used))
+            assert abs(op._inverse_norm() / dense - 1.0) <= 1e-12
 
     def test_norm_bound_and_cond_estimate_follow_the_block_guard(self, any_model):
         # on the dense sector blocks A_b: norm_bound is at least max_b |A_b|_1
-        # (to rounding), and the condition estimate is near max_b |A_b|_1 *
-        # max_b |A_b^-1|_1, the guard linalg.inverse puts on the ladders
+        # (to rounding) and the inverse norm is max_b |A_b^-1|_1, so the
+        # band's condition figure is at least the guard linalg.inverse puts
+        # on the ladders
         for lam in self.energies(any_model):
             op = birman.boundary_operator(lam, any_model, self.TAIL_TOL)
             blocks = birman.bs_blocks(any_model, complex(lam), op.n_used)
             norm = max(np.abs(b).sum(axis=0).max() for b in blocks)
-            guard = norm * max(np.abs(np.linalg.inv(b)).sum(axis=0).max() for b in blocks)
+            inv_norm = helpers.inverse_norm(blocks)
             assert op.norm_bound >= norm * (1.0 - 1e-12)
-            assert 0.1 <= helpers.cond_estimate(op) / guard <= 10.0
+            assert abs(op._inverse_norm() / inv_norm - 1.0) <= 1e-12
+            assert helpers.cond_estimate(op) >= norm * inv_norm * (1.0 - 1e-12)
 
     def test_sector_blocks_are_the_dense_operator(self, any_model):
         # bs_blocks in grid coordinates is the independently assembled oracle
@@ -223,13 +225,13 @@ class TestBoundaryOperator:
 
     def test_cond_estimate_at_embedded_eigenvalue(self, well_medium, embedded_lambda):
         op = birman.boundary_operator(embedded_lambda, well_medium, 0.03)
-        dense = linalg.cond_estimate(
-            birman.bs_operator(well_medium, complex(embedded_lambda), op.n_used))
-        structured = helpers.cond_estimate(op)
+        blocks = birman.bs_blocks(well_medium, complex(embedded_lambda), op.n_used)
+        dense = linalg.cond_estimate(blocks)
         assert dense > 1e9
-        assert 0.1 <= structured / dense <= 10.0
-        # the certified bound sits above the dense figure, whose inverse at
-        # this condition carries about cond * eps = 1e-6 relative error
+        # both inverses carry about cond * eps relative error at this condition
+        err = abs(op._inverse_norm() / helpers.inverse_norm(blocks) - 1.0)
+        assert err <= dense * np.finfo(float).eps
+        # the certified bound sits above the dense figure
         assert dense <= helpers.cond_bound(op) * (1.0 + 1e-4)
 
     def test_singular_band_branches(self, well_small, monkeypatch):
@@ -254,7 +256,7 @@ class TestBoundaryOperator:
         op = birman.boundary_operator(2.5, well_small, self.TAIL_TOL)
         assert op.singular
         assert birman._sigma_min(op, birman._start_vectors(well_small.dim)[1]) == 0.0
-        assert op._inverse_bound() == op._inverse_estimate() == birman.guard([op]) == float("inf")
+        assert op._inverse_bound() == op._inverse_norm() == birman.guard([op]) == float("inf")
         with pytest.raises(EigenvalueHitError):
             scattering.channel_smatrix(2.5, well_small, tail_tol=self.TAIL_TOL)
 

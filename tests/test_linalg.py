@@ -189,22 +189,6 @@ class TestConditionGuard:
         assert inv.shape == (0, 3, 3) and cond == 1.0
 
 
-class TestOnenormEstimate:
-    def test_lower_bound_near_exact(self):
-        rng = np.random.default_rng(29)
-        for n in (1, 2, 7, 30):
-            a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            exact = np.linalg.norm(a, 1)
-            est = linalg.onenorm_estimate(lambda x: a @ x, lambda x: a.conj().T @ x, n)
-            assert exact / 3.0 <= est <= exact * (1.0 + 1e-12)
-
-    def test_finds_a_dominant_column(self):
-        a = np.eye(12, dtype=complex)
-        a[:, 7] += 50.0
-        est = linalg.onenorm_estimate(lambda x: a @ x, lambda x: a.conj().T @ x, 12)
-        assert est == pytest.approx(np.linalg.norm(a, 1), rel=1e-12)
-
-
 class TestHermitianSplit:
     def test_pure_imaginary_identity(self):
         a = 1j * np.eye(3, dtype=complex)

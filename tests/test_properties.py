@@ -429,7 +429,8 @@ def test_boundary_operator_matches_dense_oracle(case):
     assert rel(op.solve(b), linalg.solve(a, b)) <= 1e-12
     assert rel(op.matvec(b), a @ b) <= 1e-12
     assert rel(op.solve(b[:, 0]), linalg.solve(a, b[:, 0])) <= 1e-12
-    assert 0.1 <= helpers.cond_estimate(op) / linalg.cond_estimate(a) <= 10.0
+    dense = helpers.inverse_norm(birman.bs_blocks(model, complex(lam), op.n_used))
+    assert abs(op._inverse_norm() / dense - 1.0) <= 1e-12
     # a build on the model's kept layout against one on a fresh copy
     warm = birman.boundary_operator(lam, model, tail_tol)
     cold = birman.boundary_operator(lam, dataclasses.replace(model),
@@ -440,15 +441,16 @@ def test_boundary_operator_matches_dense_oracle(case):
 
 @given(band_cases())
 def test_cond_bound_holds_over_the_exact_block_guard(case):
-    # estimate <= exact block guard <= bound (to rounding): the order the
-    # guard of channel_smatrix rests on; the exact guard is the one of
-    # scripts/guard_oracle.py, from the dense sector blocks
+    # exact block guard <= norm bound * exact inverse norm <= bound (to
+    # rounding): the order the guard of channel_smatrix rests on; the exact
+    # guard is the one of scripts/guard_oracle.py, from the dense sector
+    # blocks
     model, lam, tail_tol = case
     op = birman.boundary_operator(lam, model, tail_tol)
     blocks = birman.bs_blocks(model, complex(lam), op.n_used)
     bound = helpers.cond_bound(op)
+    assert linalg.cond_estimate(blocks) <= helpers.cond_estimate(op) * (1.0 + 1e-10)
     assert helpers.cond_estimate(op) <= bound * (1.0 + 1e-10)
-    assert linalg.cond_estimate(blocks) <= bound * (1.0 + 1e-10)
     # a node with u = v = 0 has the node block D_k = 0: the build refuses it
     pot = model.potential
     v, u = pot.v.copy(), pot.u.copy()
@@ -461,10 +463,9 @@ def test_cond_bound_holds_over_the_exact_block_guard(case):
 @given(band_cases())
 def test_smatrix_is_the_direct_sum_of_one_sector_smatrices(case):
     # above lambda_1: S within 1e-12 of the dense open-sector oracle with
-    # exact zeros across sectors, and the guard of its bands, where each
-    # band's bound decides, at least the exact guard of the dense
-    # open-sector blocks (elsewhere a band's Hager-Higham estimate decides,
-    # a lower estimate)
+    # exact zeros across sectors, and the guard of its bands at least the
+    # exact guard of the dense open-sector blocks, whether each band's bound
+    # decides or the exact inverse norm of a band whose bound fails
     model, lam, tail_tol = case
     assume(lam > model.eigenvalue(1))
     guards = []
@@ -482,6 +483,7 @@ def test_smatrix_is_the_direct_sum_of_one_sector_smatrices(case):
     (ops, applied), = guards
     bound = max(op.norm_bound for op in ops) * max(op._inverse_bound() for op in ops)
     assert bound >= exact * (1.0 - 1e-10)
+    assert applied >= exact * (1.0 - 1e-10)
     assert applied == bound or bound > linalg.COND_LIMIT
     if s is not None:
         assert not s.matrix[home[:, None] != home[None, :]].any()
@@ -492,17 +494,17 @@ def test_smatrix_is_the_direct_sum_of_one_sector_smatrices(case):
 @given(band_cases(above=(1e-4, 1e-2)))
 def test_guard_certifies_every_band_whose_bound_holds(case):
     # just above a threshold, where the bound of the band whose channel just
-    # opened can fail and its estimate decide: the guard is still at least
-    # |A_b|_1 |A_b^-1|_1 of the dense block of every band b whose bound
-    # certified
+    # opened can fail and its exact inverse norm decide: the guard is at
+    # least |A_b|_1 |A_b^-1|_1 of the dense block of every band b, and at
+    # least the exact block guard of all of them
     model, lam, tail_tol = case
     _, _, blocks, ops = scattering.smatrix_bands(lam, model, tail_tol)
-    guard, norm = birman.guard(ops), max(op.norm_bound for op in ops)
-    dense = birman.bs_blocks(model, complex(lam), ops[0].n_used)
-    for b, op in zip(blocks, ops):
-        if norm * op._inverse_bound() <= linalg.COND_LIMIT:
-            exact = np.linalg.norm(dense[b], 1) * np.linalg.norm(np.linalg.inv(dense[b]), 1)
-            assert guard >= exact * (1.0 - 1e-10)
+    guard = birman.guard(ops)
+    dense = birman.bs_blocks(model, complex(lam), ops[0].n_used)[blocks]
+    for block in dense:
+        exact = np.linalg.norm(block, 1) * np.linalg.norm(np.linalg.inv(block), 1)
+        assert guard >= exact * (1.0 - 1e-10)
+    assert guard >= linalg.cond_estimate(dense) * (1.0 - 1e-10)
 
 
 @given(band_cases())

@@ -32,12 +32,12 @@ def scan_well():
         load_module(ROOT / "scripts" / "cli_artifacts.py").SCAN_WELL)
 
 
-def record_estimates(monkeypatch) -> list:
-    """The bands whose Hager-Higham inverse estimate runs from here on, in call order."""
+def record_inverse_norms(monkeypatch) -> list:
+    """The bands whose exact inverse norm runs from here on, in call order."""
     bands = []
-    estimate = birman.BoundaryOperator._inverse_estimate
-    monkeypatch.setattr(birman.BoundaryOperator, "_inverse_estimate",
-                        lambda op: bands.append(op) or estimate(op))
+    inverse_norm = birman.BoundaryOperator._inverse_norm
+    monkeypatch.setattr(birman.BoundaryOperator, "_inverse_norm",
+                        lambda op: bands.append(op) or inverse_norm(op))
     return bands
 
 
@@ -199,39 +199,53 @@ class TestSMatrix:
     @pytest.mark.parametrize("lam", [4.0 - 1e-3, 4.0 + 1e-3])
     def test_estimate_decides_next_to_a_threshold(self, coupled_model, lam, monkeypatch):
         # 1e-3 below lambda_2 the bound accepts and is at least the exact
-        # guard; 1e-3 above it the bound exceeds COND_LIMIT and the
-        # Hager-Higham estimate of the one band accepts
+        # guard; 1e-3 above it the bound exceeds COND_LIMIT and the exact
+        # inverse norm of the one band accepts
         op = birman.boundary_operator(lam, coupled_model, 0.03)
         exact = linalg.cond_estimate(birman.bs_blocks(coupled_model, complex(lam), op.n_used))
         assert helpers.cond_bound(op) >= exact * (1.0 - 1e-10)
-        estimates = record_estimates(monkeypatch)
+        norms = record_inverse_norms(monkeypatch)
         s = scattering.channel_smatrix(lam, coupled_model, tail_tol=0.03)
         assert s.unitarity_defect <= 1e-12
         if lam < 4.0:
-            assert helpers.cond_bound(op) <= linalg.COND_LIMIT and not estimates
+            assert helpers.cond_bound(op) <= linalg.COND_LIMIT and not norms
         else:
-            assert len(estimates) == 1 and estimates[0].layout is op.layout
+            assert len(norms) == 1 and norms[0].layout is op.layout
             assert helpers.cond_bound(op) > linalg.COND_LIMIT >= helpers.cond_estimate(op)
+            assert helpers.cond_estimate(op) >= exact * (1.0 - 1e-12)
 
     @pytest.mark.parametrize("lam, opening", [(3.999, None), (4.001, 1), (9.001, 2)])
     def test_only_the_opening_band_is_estimated(self, scan_well, lam, opening, monkeypatch):
         # on the 5 x 60 well the bound decides every band 1e-3 below lambda_2;
         # 1e-3 above lambda_2 and lambda_3 only the band of the sector whose
-        # channel just opened is estimated, and every other band keeps its
-        # bound in the guard
-        estimates = record_estimates(monkeypatch)
+        # channel just opened reads its exact inverse norm, and every other
+        # band keeps its bound in the guard
+        norms = record_inverse_norms(monkeypatch)
         s = scattering.channel_smatrix(lam, scan_well, tail_tol=0.03)
         assert s.unitarity_defect <= 1e-12
         _, _, blocks, ops = scattering.smatrix_bands(lam, scan_well, 0.03)
         whole = birman.band_layout(scan_well, ops[0].n_used)
         sector = {id(whole.subset(b)): b for b in blocks}
-        assert [sector[id(e.layout)] for e in estimates] == ([] if opening is None else [opening])
+        assert [sector[id(e.layout)] for e in norms] == ([] if opening is None else [opening])
         norm = max(op.norm_bound for op in ops)
-        factors = [op._inverse_estimate() if b == opening else op._inverse_bound()
+        factors = [op._inverse_norm() if b == opening else op._inverse_bound()
                    for b, op in zip(blocks, ops)]
         assert birman.guard(ops) == norm * max(factors)
         assert all(norm * op._inverse_bound() <= linalg.COND_LIMIT
                    for b, op in zip(blocks, ops) if b != opening)
+
+    @pytest.mark.parametrize("name, lam", [("scan", 4.001), ("scan", 9.001), ("coupled", 4.001)])
+    def test_guard_holds_where_the_inverse_norm_decides(self, scan_well, coupled_model, name,
+                                                         lam):
+        # 1e-3 above a threshold, where the bound of the band whose channel
+        # just opened fails, the guard is still at least the exact guard of
+        # the dense open-sector blocks (a Hager-Higham estimate there read
+        # 34.4 against 42.2 on the 5 x 60 well at 4.001)
+        model = scan_well if name == "scan" else coupled_model
+        _, _, blocks, ops = scattering.smatrix_bands(lam, model, 0.03)
+        assert max(helpers.cond_bound(op) for op in ops) > linalg.COND_LIMIT
+        exact = linalg.cond_estimate(birman.bs_blocks(model, complex(lam), ops[0].n_used)[blocks])
+        assert exact <= birman.guard(ops) <= 1.05 * exact
 
     @pytest.mark.parametrize("lam", [3.95, 3.999, 4.001, 4.05])
     @pytest.mark.parametrize("name", ["well", "cosine", "table", "sweep"])
@@ -265,6 +279,12 @@ class TestSMatrix:
     def test_smoothness_off_singular_set(self, well_small):
         devs = scattering.smoothness_probe(2.3, well_small, tail_tol=0.1)
         assert all(a > b for a, b in zip(devs, devs[1:]))
+
+    @pytest.mark.parametrize("lam", [4.005, 3.995])
+    def test_smoothness_probe_refuses_a_threshold_within_its_steps(self, well_small, lam):
+        # lam -+ 1e-2 straddles lambda_2 = 4, where the channel count changes
+        with pytest.raises(DomainError, match="threshold"):
+            scattering.smoothness_probe(lam, well_small, tail_tol=0.1)
 
     def test_degenerate_group_matrix_block(self):
         # square cross-section: modes 2 and 3 share the threshold at 5, so
