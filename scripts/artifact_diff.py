@@ -12,10 +12,11 @@ index.  Other files, and a ``.csv`` or ``.json`` file that does not parse,
 are compared byte for byte.
 
 One line is printed per field: the file, the field, then ``=`` when the
-field is identical, ``abs <max abs> rel <max rel>`` for a numeric change,
-or a short description of any other change.  The relative change of a pair
-is ``|a - b| / max(|a|, |b|)``.  The exit code is 0 when every field is
-identical and 1 otherwise.
+field is identical, ``abs <max abs> rel <max rel>`` for a numeric change
+(followed by ``(<old> -> <new>)`` when the field holds one number, all to
+3 significant digits), or a short description of any other change.  The
+relative change of a pair is ``|a - b| / max(|a|, |b|)``.  The exit code
+is 0 when every field is identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -66,7 +67,8 @@ def _describe(old: list, new: list) -> str:
         d_abs, d_rel = _numeric_change(a, b)
         if d_abs == 0.0:
             return "="
-        return f"abs {d_abs:.3g} rel {d_rel:.3g}"
+        moved = f" ({a[0]:.3g} -> {b[0]:.3g})" if len(old) == 1 else ""
+        return f"abs {d_abs:.3g} rel {d_rel:.3g}{moved}"
     n_diff = sum(x != y for x, y in zip(old, new))
     if len(old) == 1:
         return f"{old[0]!r} -> {new[0]!r}"

@@ -22,9 +22,10 @@ on ``PYTHONPATH``:
 ``OUT_DIR`` must be new or empty.  Writes ``OUT_DIR/rebaseline.json`` with
 every field's change, both trees' gate lines and every changed window, and
 prints the largest absolute and relative change of each column that moved
-(``artifact_diff``'s form), the gate lines that differ and the windows
-whose candidates differ.  The exit code is 0 when every field reads ``=``,
-1 on any difference, 2 when a run fails.
+(``artifact_diff``'s form, with the old and new value of a field that holds
+one number), the gate lines that differ and the windows whose candidates
+differ.  The exit code is 0 when every field reads ``=``, 1 on any
+difference, 2 when a run fails.
 """
 
 from __future__ import annotations

@@ -38,9 +38,10 @@ Config schema::
 ``lam`` it runs at the model's second threshold (its first when the model
 has only one).  Each
 ``invert_demo`` value ``z`` must be finite with ``0 < |z| < radius`` and
-``arg z`` in the ``sector`` of every family in the file, and the task needs
-at least one ``z`` and the file at least one family: a run that compares
-nothing does not exit 0.  Every
+``arg z`` in the ``sector`` of every family in the file.  A task that
+computes nothing is refused: ``invert_demo`` with no ``z`` or no family,
+``smatrix`` with no energy, ``threshold_scan`` with no pair and
+``eigenvalues`` with no resolution.  Every
 ``tail_tol`` and ``eps`` must be positive, the ``smatrix`` energies finite,
 above ``lambda_1`` (where the first channel opens) and within the model's
 range (``birman.check_model_range``), and the
@@ -296,16 +297,17 @@ def cmd_smatrix(cfg, writer: ArtifactWriter, args) -> int:
     task = _task(cfg, "smatrix")
     tail_tol = _tail_tol(task, 1e-4)
     energies = sorted(config_value(task, "energies", json_list))
+    if not energies:
+        raise ConfigError("energies = []; need at least one energy")
     model = _model(cfg)
-    if energies:
-        lam1 = model.eigenvalue(1)
-        if not energies[0] > lam1:
-            raise ConfigError(f"energies = {energies}; energy {energies[0]} opens no "
-                              f"channel: need every energy above lambda_1 = {lam1}")
-        try:
-            birman.check_model_range(energies[-1], model)
-        except DomainError as exc:
-            raise ConfigError(f"energies = {energies}; {exc}") from exc
+    lam1 = model.eigenvalue(1)
+    if not energies[0] > lam1:
+        raise ConfigError(f"energies = {energies}; energy {energies[0]} opens no "
+                          f"channel: need every energy above lambda_1 = {lam1}")
+    try:
+        birman.check_model_range(energies[-1], model)
+    except DomainError as exc:
+        raise ConfigError(f"energies = {energies}; {exc}") from exc
     rows = []
     for lam in energies:
         smat = scattering.channel_smatrix(lam, model, tail_tol)
@@ -338,6 +340,8 @@ def threshold_scan_inputs(cfg) -> tuple[expansion.ThresholdLadder, list, list[fl
     channel = lambda c: tuple(json_list(c, json_int, length=2))
     pairs = config_value(task, "pairs", lambda ps: json_list(
         ps, lambda p: tuple(json_list(p, channel, length=2))))
+    if not pairs:
+        raise ConfigError("pairs = []; need at least one pair")
     model = _model(cfg)
     lam = model.group_at(lam).value
     _check_channels(model, lam, {c for pair in pairs for c in pair})

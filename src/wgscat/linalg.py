@@ -11,10 +11,11 @@ forms.
 A block-diagonal operator is held as its stack of diagonal blocks, a 3-D
 array ``(n_blocks, m, m)``; its coordinates run through the blocks in order.
 :func:`inverse`, :func:`inverse_with_cond`, :func:`cond_estimate`,
-:func:`opnorm`, :func:`kernel_basis`, :func:`kernel_from_svd`,
-:func:`real_part`, :func:`imaginary_part` and :func:`skew_defect` accept a
-stack as the operator it stands for; an inverse of a stack is the stack of
-the blocks' inverses, under the one guard of the whole operator.
+:func:`opnorm`, :func:`kernel_basis`, :func:`real_part`,
+:func:`imaginary_part` and :func:`skew_defect` accept a stack as the
+operator it stands for; an inverse of a stack is the stack of the blocks'
+inverses, under the one guard of the whole operator, and a kernel basis of
+a stack has block-supported columns.
 
 All operations are pure functions of their inputs; results never alias
 internal state, so concurrent use is safe.
@@ -214,27 +215,16 @@ def kernel_basis(a: np.ndarray, scale: float | None = None) -> np.ndarray:
     satisfy ``sigma < DEFAULT_RANK_TOL * sigma_max``.  A zero matrix has a full
     kernel.  ``scale`` overrides ``sigma_max`` as the reference when the
     matrix is a compression whose natural scale is known externally (e.g.
-    a near-zero block of a larger operator).  Of a block stack, every column
-    is supported on one block (see :func:`kernel_from_svd`).
+    a near-zero block of a larger operator).  A block stack is the
+    block-diagonal operator: ``sigma_max`` is the largest over the blocks,
+    and each kernel column is one block's right singular vector, zero
+    outside that block (``scipy.linalg.block_diag`` of the blocks' kernel
+    columns, in block order).
     """
     a = require_square(a, stack=True)
     if a.shape[-1] == 0:
         return np.zeros((0, 0), dtype=complex)
-    _, s, vh = np.linalg.svd(a)
-    return kernel_from_svd(s, vh, scale)
-
-
-def kernel_from_svd(s: np.ndarray, vh: np.ndarray, scale: float | None = None) -> np.ndarray:
-    """:func:`kernel_basis` from a computed full SVD ``(_, s, vh)``.
-
-    The SVD of a block stack (``s`` of shape ``(n_blocks, m)``) is that of
-    the block-diagonal operator: ``sigma_max`` is the largest over the
-    blocks, and each kernel column is one block's right singular vector,
-    zero outside that block: ``scipy.linalg.block_diag`` of the blocks'
-    kernel columns, in block order.
-    """
-    s = np.atleast_2d(s)
-    vh = vh.reshape(s.shape + vh.shape[-1:])
+    _, s, vh = np.linalg.svd(a if a.ndim == 3 else a[None])
     nb, m = s.shape
     smax = s.max() if s.size else 0.0
     ref = max(smax, scale) if scale is not None else smax

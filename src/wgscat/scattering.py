@@ -327,12 +327,14 @@ def continuity_probes(
     always.  Cauchy defects along each ray, the left/right gap and the
     terminal magnitude are recorded per pair (``gap``/``terminal_abs`` refer
     to the finest ``h``); the limits themselves are the caller's assertion.
-    Raises :class:`DomainError` when ``h_values`` is empty or holds an ``h``
-    that is not finite and positive (``kappa = -ih`` with ``h < 0`` leaves
-    the closed fourth quadrant).
+    Raises :class:`DomainError` when ``pairs`` or ``h_values`` is empty, or
+    ``h_values`` holds an ``h`` that is not finite and positive (``kappa =
+    -ih`` with ``h < 0`` leaves the closed fourth quadrant).
     """
     model, lam = ladder.model, ladder.lam
     hs = sorted(float(h) for h in h_values)
+    if not pairs:
+        raise DomainError("continuity probes need at least one pair")
     if not hs:
         raise DomainError("continuity probes need at least one h value")
     if not all(math.isfinite(h) and h > 0 for h in hs):

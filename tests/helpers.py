@@ -134,6 +134,27 @@ def dense_commutator_norms(ladder, ev) -> dict:
     }
 
 
+def dense_s0_figures(ladder) -> dict[str, float]:
+    """Dense oracle of the structural report's three ``S0`` figures: the
+    kernel of ``N0`` as a dense ``dim x (dim - rank)`` basis (one SVD per
+    block, singular values below ``DEFAULT_RANK_TOL`` times the largest,
+    block-diagonal columns), ``S0_svd = V_ker V_ker^*`` from it, then
+    ``|S0_svd - S0|``, ``max |S0_svd v| / |v|`` over the threshold vectors
+    and ``|N0 V_ker| / |N0|``."""
+    sec = ladder.sectors
+    _, sv, vh = np.linalg.svd(ladder.n0)
+    n0_norm = max(float(sv.max()), 1e-300)
+    cut = sv < linalg.DEFAULT_RANK_TOL * n0_norm
+    v_ker = sec.blocked(dense([v[k].conj().T for v, k in zip(vh, cut)]))
+    s0_svd = v_ker @ linalg.adjoint(v_ker)
+    return {
+        "s0_svd_vs_span_construction": linalg.opnorm(s0_svd - ladder.s0),
+        "s0_annihilates_threshold_vectors": max(
+            np.linalg.norm(s0_svd @ sec.blocked(v)) / np.linalg.norm(v) for v in ladder.vtil),
+        "s0_annihilates_leading_kernel": linalg.opnorm(ladder.n0 @ v_ker) / n0_norm,
+    }
+
+
 def dense_level_inverses(ladder, kappa) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense-path ``G0``, ``H1`` and ``M1`` of a threshold ladder in grid
     coordinates, assembled from grid-basis mode sums with no sector basis:

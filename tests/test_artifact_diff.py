@@ -45,3 +45,13 @@ def test_changed_csv_number(tmp_path, artifact_diff, capsys):
     lines = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines())
     assert lines["modes.csv:n"] == "="
     assert lines["modes.csv:lambda_n"] == "abs 0.5 rel 0.111"
+
+
+def test_changed_json_scalar_shows_its_direction(tmp_path, artifact_diff, capsys):
+    old, new = trees(tmp_path, "report.json", '{"a": 2e-16, "b": [1, 2], "c": 7}',
+                     '{"a": 4.56789e-16, "b": [1, 3], "c": 7}')
+    assert artifact_diff.main([str(old), str(new)]) == 1
+    lines = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines())
+    assert lines["report.json:a"] == "abs 2.57e-16 rel 0.562 (2e-16 -> 4.57e-16)"
+    assert lines["report.json:b[1]"] == "abs 1 rel 0.333 (2 -> 3)"
+    assert lines["report.json:c"] == "="

@@ -515,6 +515,8 @@ class TestConfigErrors:
         ("invert-demo", INVERT, MODEL_DOC, "[]"),
         ("invert-demo", {"invert_demo": {"families": "family.json", "z_values": []}},
          MODEL_DOC, json.dumps(SCALAR_FAMILY)),
+        ("threshold-scan", scan_task(pairs=[]), MODEL_DOC, None),
+        ("smatrix", {"smatrix": {"energies": []}}, MODEL_DOC, None),
     ], ids=["energy-not-a-number", "energies-null", "n_x-not-an-integer",
             "model-schema-version", "family-base-not-a-matrix", "family-not-json",
             "family-coeff-not-a-matrix", "table-shape", "n_omega-1", "n_x-1",
@@ -537,7 +539,7 @@ class TestConfigErrors:
             "interval-length-infinite", "rectangle-l1-nan", "custom-samples-nan",
             "custom-eigenvalues-nan", "custom-weights-nan", "custom-nodes-nan",
             "tail_tol-string", "depth-boolean", "eps-infinite", "family-file-empty",
-            "z_values-empty"])
+            "z_values-empty", "pairs-empty", "energies-empty"])
     def test_exit_2_and_no_output(self, tmp_path, command, tasks, model, family):
         if family is not None:
             (tmp_path / "family.json").write_text(family)

@@ -1,5 +1,6 @@
 """Threshold/eigenvalue ladders, the expansion formulas, structural report."""
 
+import dataclasses
 import time
 import tracemalloc
 
@@ -406,6 +407,73 @@ class TestStructuralReport:
         json.dumps(expansion.ladder_report(resonant_ladder))
 
 
+class TestS0Figures:
+    """The report reads its three ``S0`` figures off the range of ``N0``
+    (``P_svd``, the rows of the SVD that the cut keeps); the dense
+    kernel-basis construction (``helpers.dense_s0_figures``) is the oracle.
+    A ladder whose ``P_N`` or threshold vector is turned by 1e-6 into
+    ``ker N0`` must read that angle and fail its check."""
+
+    THETA = 1e-6
+    NAMES = ("s0_svd_vs_span_construction", "s0_annihilates_threshold_vectors",
+             "s0_annihilates_leading_kernel")
+
+    @pytest.fixture(scope="class", params=["well_small", "coupled_model", "resonant", "deep"])
+    def ladder(self, request):
+        if request.param in ("resonant", "deep"):
+            return request.getfixturevalue(f"{request.param}_ladder")
+        tail_tol = 0.1 if request.param == "well_small" else 0.03
+        model = request.getfixturevalue(request.param)
+        return expansion.build_threshold_ladder(model, 4.0, eps=2e-2, tail_tol=tail_tol)
+
+    def figures(self, ladder) -> dict:
+        # three kappa samples per ray: the S0 figures do not depend on kappa
+        rep = expansion.verify_structural_lemmas(ladder, kappa_lo=1e-3, kappa_hi=2e-3)
+        return {c.name: c for c in rep.checks if c.name in self.NAMES}
+
+    @staticmethod
+    def kernel_direction(ladder) -> np.ndarray:
+        """A unit vector of ``ker N0`` in the sector block of ``u_n``'s first
+        column, orthogonal to ``u_n``."""
+        sec, u = ladder.sectors, ladder.u_n
+        block = np.flatnonzero(np.any(sec.blocked(u[:, :1]) != 0, axis=(1, 2)))[0]
+        rng = np.random.default_rng(45)
+        w = np.zeros((sec.n_blocks, sec.block_dim), dtype=complex)
+        w[block] = rng.normal(size=sec.block_dim) + 1j * rng.normal(size=sec.block_dim)
+        w = w.reshape(-1)
+        w -= u @ (u.conj().T @ w)
+        w /= np.linalg.norm(w)
+        assert np.linalg.norm(ladder.n0 @ sec.blocked(w)) <= 1e-14 * linalg.opnorm(ladder.n0)
+        return w
+
+    def test_figures_at_rounding(self, ladder):
+        got = self.figures(ladder)
+        for name in self.NAMES:
+            assert got[name].value < 1e-14 and got[name].passed, name
+
+    def test_projector_turned_into_the_kernel(self, ladder):
+        u = ladder.u_n.copy()
+        u[:, 0] = np.cos(self.THETA) * u[:, 0] + np.sin(self.THETA) * self.kernel_direction(ladder)
+        ub = ladder.sectors.blocked(u)
+        pn = ub @ linalg.adjoint(ub)
+        turned = dataclasses.replace(ladder, pn=pn, s0=np.eye(pn.shape[-1]) - pn)
+        line = self.figures(turned)["s0_svd_vs_span_construction"]
+        ref = helpers.dense_s0_figures(turned)["s0_svd_vs_span_construction"]
+        assert line.value == pytest.approx(ref, rel=1e-9)
+        assert line.value == pytest.approx(np.sin(self.THETA), rel=1e-9)
+        assert line.passed is False
+
+    def test_threshold_vector_moved_into_the_kernel(self, ladder):
+        vtil = ladder.vtil.astype(complex)
+        vtil[0] += self.THETA * np.linalg.norm(vtil[0]) * self.kernel_direction(ladder)
+        moved = dataclasses.replace(ladder, vtil=vtil)
+        line = self.figures(moved)["s0_annihilates_threshold_vectors"]
+        ref = helpers.dense_s0_figures(moved)["s0_annihilates_threshold_vectors"]
+        assert line.value == pytest.approx(ref, rel=1e-9)
+        assert line.value == pytest.approx(self.THETA / np.hypot(1.0, self.THETA), rel=1e-9)
+        assert line.passed is False
+
+
 class TestCertificates:
     def test_positivity_certificate_guards_build(self, well_small, monkeypatch):
         # an unreachable tolerance forces the certificate branch
@@ -586,3 +654,27 @@ class TestRectangleThreshold:
         assert rep.ok, rep.to_dict()
         assert rep.ranks["rank_n0"] == 2
         assert elapsed <= 5.0
+
+    def test_dim_6400_build_and_report_form_no_dim_squared_array(self):
+        # the same threshold on an 8 x 8 lattice with n_x 100: 64 sector
+        # blocks of 100.  One dim x dim complex array is 655 MB; a dense
+        # kernel basis of N0 and the S0 built from it peaked at 1434 MB and
+        # took 13-15 s (one BLAS thread, 2-vCPU host); read off N0's range
+        # the run peaks near 200 MB in about 7 s
+        model = waveguide.square_well_model(
+            waveguide.Rectangle(np.pi, np.pi), 1.0, (0.0, 1.0), n_omega=8, n_x=100, n_max=40
+        )
+        tracemalloc.start()
+        try:
+            t0 = time.perf_counter()
+            ladder = expansion.build_threshold_ladder(model, 5.0, eps=2e-2, tail_tol=0.4)
+            rep = expansion.verify_structural_lemmas(ladder)
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ladder.dim == 6400 and ladder.sectors.n_blocks == 64 and ladder.core == (1, 2)
+        assert rep.ok, rep.to_dict()
+        assert rep.ranks["rank_n0"] == 2
+        assert elapsed <= 30.0
+        assert peak <= 256e6

@@ -505,6 +505,12 @@ class TestThresholdProbes:
         with pytest.raises(DomainError):
             scattering.continuity_probes(ladder, [((1, 1), (1, 1))], [])
 
+    def test_no_pairs_rejected(self, well_small, monkeypatch):
+        ladder = expansion.build_threshold_ladder(well_small, 4.0, eps=2e-2, tail_tol=0.1)
+        monkeypatch.setattr(expansion, "m_function", None)  # refused before any evaluation
+        with pytest.raises(DomainError, match="pair"):
+            scattering.continuity_probes(ladder, [], [1e-3])
+
     @pytest.mark.parametrize("hs", [[-1e-3], [0.0], [1e-3, -1e-3], [np.nan], [np.inf]])
     def test_h_not_finite_and_positive_rejected(self, well_small, monkeypatch, hs):
         # kappa = -ih with h < 0 leaves the closed fourth quadrant: on the
